@@ -1,0 +1,294 @@
+package pandora
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"strings"
+	"testing"
+
+	"pandora/internal/core"
+	"pandora/internal/kvlayout"
+)
+
+// The commit pipeline's contract, pinned from outside the engine: for
+// one 1R+2W transaction (read key 1, write keys 2 and 3) the tests
+// below fix which crash points an injector is offered and in what
+// order, which verbs reach the fabric, how many post-validation
+// doorbell rounds the commit spends, and what it costs on the virtual
+// clock — across protocol × sync/async tail × persistence ×
+// fused/split doorbells. The golden rows were recorded before the
+// commit path was restructured around a single stage executor and must
+// not move with it.
+
+var pipePointNames = map[core.CrashPoint]string{
+	core.PointBeforeLock:      "BeforeLock",
+	core.PointAfterLock:       "AfterLock",
+	core.PointAfterExecRead:   "AfterExecRead",
+	core.PointAfterFORDLog:    "AfterFORDLog",
+	core.PointAfterValidation: "AfterValidation",
+	core.PointAfterLog:        "AfterLog",
+	core.PointAfterApplyOne:   "AfterApplyOne",
+	core.PointAfterApplyAll:   "AfterApplyAll",
+	core.PointAfterAck:        "AfterAck",
+	core.PointAfterUnlock:     "AfterUnlock",
+	core.PointAfterTruncate:   "AfterTruncate",
+	core.PointDrainStart:      "DrainStart",
+}
+
+type pipeCase struct {
+	proto   Protocol
+	async   bool
+	persist bool
+	split   bool
+}
+
+func (pc pipeCase) String() string {
+	pick := func(on bool, yes, no string) string {
+		if on {
+			return yes
+		}
+		return no
+	}
+	return fmt.Sprintf("%s/%s/%s/%s", pc.proto,
+		pick(pc.async, "async", "sync"),
+		pick(pc.persist, "persist", "volatile"),
+		pick(pc.split, "split", "fused"))
+}
+
+func pipeCases(withSplit bool) []pipeCase {
+	var out []pipeCase
+	for _, proto := range []Protocol{ProtocolPandora, ProtocolFORD, ProtocolTradLog} {
+		for _, async := range []bool{false, true} {
+			for _, persist := range []bool{false, true} {
+				out = append(out, pipeCase{proto, async, persist, false})
+				if withSplit {
+					out = append(out, pipeCase{proto, async, persist, true})
+				}
+			}
+		}
+	}
+	return out
+}
+
+const pipeKeys = 8
+
+// pipeCluster builds a two-node cluster in the case's configuration
+// and warms node 0's coordinator 0 with one transaction of the measured
+// shape, so the measured one finds its addresses resolved.
+func pipeCluster(t *testing.T, pc pipeCase) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		ComputeNodes:        2,
+		CoordinatorsPerNode: 1,
+		Protocol:            pc.proto,
+		Persistence:         pc.persist,
+		AsyncCommitBack:     pc.async,
+		ModelLatency:        true,
+		Tables:              []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.LoadN("kv", pipeKeys, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	if pc.split {
+		c.Engine(0).SetUnfusedTail(true)
+	}
+	if err := pipeTx(c, 100); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	return c
+}
+
+// pipeTx runs the 1R+2W transaction on node 0 writing v to keys 2 and
+// 3, then flushes the node's drains (the async tail's flush point).
+func pipeTx(c *Cluster, v uint64) error {
+	_, err := pipeTxAcked(c, v)
+	return err
+}
+
+func pipeTxAcked(c *Cluster, v uint64) (acked bool, err error) {
+	tx := c.Session(0, 0).Begin()
+	if _, err = tx.Read("kv", 1); err == nil {
+		if err = tx.Write("kv", 2, idemValue(v)); err == nil {
+			if err = tx.Write("kv", 3, idemValue(v)); err == nil {
+				err = tx.Commit()
+			}
+		}
+	}
+	if err != nil && !tx.Done() {
+		_ = tx.Abort()
+	}
+	c.Engine(0).FlushDrains()
+	return tx.CommitAcked(), err
+}
+
+// pipeRow measures one case and renders it as a golden row.
+func pipeRow(t *testing.T, pc pipeCase) string {
+	t.Helper()
+	c := pipeCluster(t, pc)
+	clk := c.AttachClock(0, 0)
+
+	// Without an injector: verbs, rounds, virtual time.
+	before := c.MetricsSnapshot()
+	start := clk.Now()
+	tx := c.Session(0, 0).Begin()
+	if _, err := tx.Read("kv", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []Key{2, 3} {
+		if err := tx.Write("kv", k, idemValue(200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ack := clk.Now() - start
+	c.Engine(0).FlushDrains()
+	quiet := clk.Now() - start
+	d := c.MetricsSnapshot().Sub(before)
+	verbs := map[string]uint64{}
+	for _, v := range d.Verbs {
+		verbs[v.Verb] += v.Issued
+	}
+
+	// With an injector that never fires: the crash points it is offered.
+	var seq []string
+	c.Engine(0).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
+		seq = append(seq, pipePointNames[p])
+		return false
+	})
+	if err := pipeTx(c, 300); err != nil {
+		t.Fatalf("injected tx: %v", err)
+	}
+	c.Engine(0).SetInjector(nil)
+
+	return fmt.Sprintf("read=%d write=%d cas=%d faa=%d flush=%d rounds=%d ack=%d quiet=%d points=%s",
+		verbs["READ"], verbs["WRITE"], verbs["CAS"], verbs["FAA"], verbs["FLUSH"],
+		d.Drain.CommitRounds, ack.Nanoseconds(), quiet.Nanoseconds(), strings.Join(seq, ","))
+}
+
+// pipeGolden holds one row per case, recorded at the commit before the
+// stage executor landed.
+var pipeGolden = map[string]string{
+	"pandora/sync/volatile/fused":  "read=3 write=10 cas=2 faa=0 flush=0 rounds=3 ack=12025 quiet=12025 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/split":  "read=3 write=10 cas=2 faa=0 flush=0 rounds=4 ack=14025 quiet=14025 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/fused":   "read=3 write=10 cas=2 faa=0 flush=6 rounds=3 ack=12043 quiet=12043 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/split":   "read=3 write=10 cas=2 faa=0 flush=6 rounds=6 ack=18043 quiet=18043 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/async/volatile/fused": "read=3 write=10 cas=2 faa=0 flush=0 rounds=2 ack=10025 quiet=12025 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"pandora/async/volatile/split": "read=3 write=10 cas=2 faa=0 flush=0 rounds=2 ack=10025 quiet=12025 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"pandora/async/persist/fused":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=2 ack=10043 quiet=12043 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"pandora/async/persist/split":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=4 ack=14043 quiet=16043 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/fused":     "read=3 write=12 cas=2 faa=0 flush=0 rounds=2 ack=14027 quiet=14027 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/split":     "read=3 write=12 cas=2 faa=0 flush=0 rounds=3 ack=16027 quiet=16027 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/fused":      "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=18047 quiet=18047 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/split":      "read=3 write=12 cas=2 faa=0 flush=8 rounds=4 ack=22047 quiet=22047 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/async/volatile/fused":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=1 ack=12027 quiet=14027 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"ford/async/volatile/split":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=1 ack=12027 quiet=14027 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"ford/async/persist/fused":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=1 ack=16047 quiet=18047 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"ford/async/persist/split":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=18047 quiet=20047 points=BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/fused":  "read=3 write=14 cas=2 faa=0 flush=0 rounds=3 ack=16031 quiet=16031 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/split":  "read=3 write=14 cas=2 faa=0 flush=0 rounds=4 ack=18031 quiet=18031 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/fused":   "read=3 write=14 cas=2 faa=0 flush=6 rounds=3 ack=16049 quiet=16049 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/split":   "read=3 write=14 cas=2 faa=0 flush=6 rounds=6 ack=22049 quiet=22049 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/async/volatile/fused": "read=3 write=14 cas=2 faa=0 flush=0 rounds=2 ack=14031 quiet=16031 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"tradlog/async/volatile/split": "read=3 write=14 cas=2 faa=0 flush=0 rounds=2 ack=14031 quiet=16031 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"tradlog/async/persist/fused":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=2 ack=14049 quiet=16049 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"tradlog/async/persist/split":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=4 ack=18049 quiet=20049 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+}
+
+// TestCommitPipelineContract pins the golden row of every case.
+func TestCommitPipelineContract(t *testing.T) {
+	for _, pc := range pipeCases(true) {
+		pc := pc
+		t.Run(pc.String(), func(t *testing.T) {
+			got := pipeRow(t, pc)
+			if want := pipeGolden[pc.String()]; got != want {
+				t.Errorf("pipeline contract moved\n got: %q\nwant: %q", got, want)
+			}
+		})
+	}
+}
+
+// TestCommitPipelineCrashSweep crashes node 0 at every crash-point
+// offer of the measured transaction in turn (the k-th call of the
+// injector, so every after-each-verb position is hit separately), then
+// requires that recovery converges: the two written keys agree (both
+// old or both new, and new if the commit was acknowledged), a survivor
+// can write them again, and a second full recovery pass does no work
+// and leaves the store byte-identical (§3.2.3). Doorbell splitting is
+// irrelevant under injection, so the sweep covers the fused cases.
+func TestCommitPipelineCrashSweep(t *testing.T) {
+	for _, pc := range pipeCases(false) {
+		pc := pc
+		t.Run(pc.String(), func(t *testing.T) {
+			for k := 0; ; k++ {
+				c := pipeCluster(t, pc)
+				calls, point := 0, ""
+				c.Engine(0).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
+					calls++
+					if calls == k+1 {
+						point = pipePointNames[p]
+						return true
+					}
+					return false
+				})
+				acked, err := pipeTxAcked(c, 200)
+				c.Engine(0).SetInjector(nil)
+				if calls <= k {
+					// The transaction offers fewer than k+1 points: sweep done.
+					if err != nil {
+						t.Fatalf("uncrashed tx failed: %v", err)
+					}
+					if k == 0 {
+						t.Fatal("no crash point offered")
+					}
+					c.Close()
+					return
+				}
+				where := fmt.Sprintf("crash at offer %d (%s)", k, point)
+				if !c.Engine(0).Crashed() {
+					t.Fatalf("%s: node not crashed (err=%v)", where, err)
+				}
+				if _, err := c.FailCompute(0); err != nil {
+					t.Fatalf("%s: recovery: %v", where, err)
+				}
+				state1 := idemState(t, c, pipeKeys)
+				v2 := binary.LittleEndian.Uint64(state1[2])
+				v3 := binary.LittleEndian.Uint64(state1[3])
+				if v2 != v3 || (v2 != 100 && v2 != 200) {
+					t.Fatalf("%s: keys 2,3 = %d,%d after recovery, want both 100 or both 200", where, v2, v3)
+				}
+				if acked && v2 != 200 {
+					t.Fatalf("%s: acknowledged commit rolled back (keys hold %d)", where, v2)
+				}
+				stats2, err := c.ReRecoverCompute(0)
+				if err != nil {
+					t.Fatalf("%s: second recovery: %v", where, err)
+				}
+				if stats2.LoggedTxs != 0 || stats2.RolledForward != 0 || stats2.RolledBack != 0 || stats2.StrayLocksFreed != 0 {
+					t.Fatalf("%s: second recovery pass did work: %+v", where, stats2)
+				}
+				state2 := idemState(t, c, pipeKeys)
+				for key, v := range state1 {
+					if !bytes.Equal(v, state2[key]) {
+						t.Fatalf("%s: key %d changed across the second pass: %x -> %x", where, key, v, state2[key])
+					}
+				}
+				if err := c.Session(1, 0).Update(4, func(tx *Tx) error {
+					if err := tx.Write("kv", 2, idemValue(400)); err != nil {
+						return err
+					}
+					return tx.Write("kv", 3, idemValue(400))
+				}); err != nil {
+					t.Fatalf("%s: survivor cannot rewrite the keys: %v", where, err)
+				}
+				c.Close()
+			}
+		})
+	}
+}

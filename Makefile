@@ -10,7 +10,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench-smoke chaos-smoke proptest soak clean
+.PHONY: all build lint test bench bench-compare bench-smoke chaos-smoke proptest soak clean
 
 all: build lint test
 
@@ -32,6 +32,15 @@ lint: $(VETTOOL)
 
 test:
 	$(GO) test -race ./...
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md): builds
+# hermetically into benchmark/.build and writes benchmark/out/report.json.
+bench:
+	bash benchmark/run.sh
+
+# Compare two benchmark reports: make bench-compare A=parent.json B=change.json
+bench-compare:
+	$(GO) run ./benchmark -compare $(A) $(B)
 
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench . -benchtime 100x ./internal/rdma/

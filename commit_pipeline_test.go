@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
+	"pandora/internal/metrics"
 )
 
 // The commit pipeline's contract, pinned from outside the engine: for
@@ -290,5 +292,95 @@ func TestCommitPipelineCrashSweep(t *testing.T) {
 				c.Close()
 			}
 		})
+	}
+}
+
+// TestLogFlushFaultBehindDeadServerAborts: under Persist with split
+// doorbells, a link fault that strikes only the write-ahead log FLUSH on
+// the live log server — while the other log server is down, so the
+// flush round's first completion is a tolerated ErrNodeDown — must
+// abort the commit before the acknowledgement (§7: the log must be
+// durable before anything is applied). A flush round judged by its
+// first error alone lets the dead server mask the fault and acks a
+// commit whose log never became durable.
+//
+// The fault is placed between the two doorbells deterministically: the
+// link is stalled so the log WRITE parks on it, the stall is replaced
+// by a partition while the write is parked, and a heal of another link
+// wakes the write, which was admitted under the stall and lands; the
+// flush that follows meets the partition.
+func TestLogFlushFaultBehindDeadServerAborts(t *testing.T) {
+	c, err := New(Config{
+		MemoryNodes:         4,
+		ComputeNodes:        1,
+		CoordinatorsPerNode: 1,
+		Persistence:         true,
+		SuspectThreshold:    -1, // the partition must stay a link fault, not escalate to a dead node
+		Tables:              []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", 32, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	eng := c.Engine(0)
+	eng.SetUnfusedTail(true)
+	logs := eng.Coordinator(0).LogServers()
+	dead, live := c.MemoryIndex(logs[0]), c.MemoryIndex(logs[1])
+
+	// A key whose replicas avoid both log servers: the apply that would
+	// follow a masked flush fault then succeeds, so only the flush
+	// verdict decides the outcome.
+	key, found := Key(0), false
+	for k := Key(0); k < 32 && !found; k++ {
+		found = true
+		for _, n := range eng.Ring().Replicas(eng.Ring().Partition(k)) {
+			if n == logs[0] || n == logs[1] {
+				found = false
+			}
+		}
+		if found {
+			key = k
+		}
+	}
+	if !found {
+		t.Fatal("no key with replicas off the log servers")
+	}
+	if err := c.FailMemory(dead); err != nil {
+		t.Fatal(err)
+	}
+
+	tx := c.Session(0, 0).Begin()
+	if err := tx.Write("kv", key, idemValue(999)); err != nil {
+		t.Fatal(err)
+	}
+	c.StallLink(0, live)
+	done := make(chan error, 1)
+	go func() { done <- tx.Commit() }()
+	for c.LinkStats().StalledVerbs == 0 {
+		runtime.Gosched()
+	}
+	c.PartitionLink(0, live)
+	c.HealLink(0, dead) // no rule there: only wakes the parked write
+	for c.LinkStats().PartitionDrops == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("commit finished without meeting the partition: err=%v acked=%t", err, tx.CommitAcked())
+		default:
+			runtime.Gosched()
+		}
+	}
+	c.HealLink(0, live) // let the abort's truncation and unlock through
+	err = <-done
+	if tx.CommitAcked() {
+		t.Fatalf("commit acknowledged with a non-durable log (err=%v)", err)
+	}
+	if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortFault {
+		t.Fatalf("commit returned %v, want an abort of kind fault", err)
+	}
+	if !tx.AbortAcked() {
+		t.Fatal("abort not acknowledged after the link healed")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -14,76 +13,6 @@ import (
 // server is down — the memory-failure cases of §3.2.5, handled by
 // continuing against the live replicas.
 func isMemFault(err error) bool { return errors.Is(err, rdma.ErrNodeDown) }
-
-// cleanupMaxAttempts bounds doCleanup's retry loop. In practice the
-// loop ends much earlier: a stalled link either heals or escalates via
-// the suspicion counter into an FD failure, at which point the verbs
-// fail with ErrNodeDown (tolerated).
-const cleanupMaxAttempts = 10000
-
-// doCleanup executes idempotent cleanup verbs (rollback, log
-// truncation, lock release) with capped exponential backoff on link
-// faults. The ops are plain WRITEs of state only this transaction owns,
-// so re-issuing the failed subset is safe; ops that already completed
-// are never re-run (a retry must not smash a lock word another
-// transaction acquired after our successful release). Each suspected
-// node is reported to the FD once. Memory faults are tolerated (dead
-// replicas are recovery's job); ErrCrashed / ErrRevoked propagate
-// immediately; exhausting the budget returns ErrIndeterminate.
-func (co *Coordinator) doCleanup(ops []*rdma.Op) error {
-	backoff := 50 * time.Microsecond
-	const maxBackoff = 2 * time.Millisecond
-	reported := make(map[rdma.NodeID]bool)
-	pending := ops
-	for attempt := 0; len(pending) > 0; attempt++ {
-		if attempt >= cleanupMaxAttempts {
-			return &indeterminateError{cause: pending[0].Err}
-		}
-		if attempt > 0 {
-			time.Sleep(backoff) //pandora:wallclock retry backoff paces real goroutines; attempt count, not sleep length, decides the outcome
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
-		for _, op := range pending {
-			op.Err = nil
-		}
-		_ = co.ep.Do(pending...)
-		var retry []*rdma.Op
-		for _, op := range pending {
-			switch {
-			case op.Err == nil, isMemFault(op.Err):
-				// done, or dead replica (tolerated)
-			case errors.Is(op.Err, rdma.ErrCrashed):
-				return rdma.ErrCrashed
-			case errors.Is(op.Err, rdma.ErrRevoked):
-				return rdma.ErrRevoked
-			default:
-				le := linkFault(op.Err)
-				if le == nil {
-					return op.Err
-				}
-				if !reported[le.Dst] {
-					reported[le.Dst] = true
-					co.node.reportSuspect(le.Dst)
-				}
-				retry = append(retry, op)
-			}
-		}
-		pending = retry
-	}
-	return nil
-}
-
-// doCleanup runs the coordinator cleanup discipline for this
-// transaction's ops.
-func (tx *Tx) doCleanup(ops []*rdma.Op) error { return tx.co.doCleanup(ops) }
-
-// countCommitRound counts one post-validation critical-path doorbell
-// round (the commitpipe experiment's per-commit round metric). Only
-// batch-posting paths count; injected (verb-at-a-time) runs are not
-// comparable round-wise and are not benchmarked.
-func (tx *Tx) countCommitRound() { tx.cn.opts.Metrics.CountCommitRound() }
 
 // postAckFailure handles a failure after the client has been
 // acknowledged: per Cor3 the commit must never be rolled back, so the
@@ -167,8 +96,8 @@ func (tx *Tx) Commit() error {
 		// inside validate with their precise kind.
 		return tx.abort(metrics.AbortLockConflict, "validation failed")
 	}
-	if tx.cn.crashAt(tx.co.id, PointAfterValidation) {
-		return tx.crash()
+	if _, err := tx.co.run(stage{kind: stageDecide}); err != nil {
+		return tx.verbFailure(err)
 	}
 
 	// Read-only transactions are done at validation.
@@ -188,9 +117,6 @@ func (tx *Tx) Commit() error {
 			return err
 		}
 		tx.recordPhase(metrics.PhaseLog, logStart)
-		if tx.cn.crashAt(tx.co.id, PointAfterLog) {
-			return tx.crash()
-		}
 	}
 
 	// Commit step 1: apply every write to every replica.
@@ -198,40 +124,12 @@ func (tx *Tx) Commit() error {
 	if err := tx.applyWrites(); err != nil {
 		return err
 	}
-	if tx.cn.crashAt(tx.co.id, PointAfterApplyAll) {
-		return tx.crash()
-	}
-
-	injected := tx.cn.getInjector() != nil
-	if tx.cn.opts.Persist && (injected || tx.cn.opts.UnfusedCommitTail) {
-		// §7: the applied data must be durable before the client is
-		// acknowledged. The fused path chained these flushes into the
-		// apply doorbell inside applyWrites; only the unfused baseline
-		// and injected (verb-at-a-time) runs spend a separate round.
-		if err := tx.flushApplied(); err != nil {
-			return err
-		}
-	}
-
-	if DebugCommit != nil {
-		for _, w := range tx.writes {
-			v := uint64(0)
-			if len(w.newValue) >= 8 {
-				v = kvlayout.Uint64(w.newValue)
-			}
-			prim := uint16(0)
-			if len(w.replicas) > 0 {
-				prim = uint16(w.replicas[0])
-			}
-			DebugCommit(tx.co.id, w.ref.key, w.newVersion, v, w.ref.slot, prim)
-		}
-	}
 
 	// Commit step 2: client acknowledgement.
 	tx.AckedCommit = true
 	ackAt := tx.phaseClock()
-	if tx.cn.crashAt(tx.co.id, PointAfterAck) {
-		return tx.crash()
+	if _, err := tx.co.run(stage{kind: stageAck}); err != nil {
+		return tx.postAckFailure(err)
 	}
 
 	// Commit step 3: truncate the log, then release the locks. Truncating
@@ -256,48 +154,20 @@ func (tx *Tx) Commit() error {
 		tx.release()
 		return nil
 	}
-	if injected || tx.cn.opts.UnfusedCommitTail {
-		// Baseline tail: truncation round, then release round.
-		if tx.logged {
-			if err := tx.truncateLogs(); err != nil {
-				return tx.postAckFailure(err)
-			}
-			tx.countCommitRound()
-		}
-		if tx.cn.crashAt(tx.co.id, PointAfterTruncate) {
-			return tx.crash()
-		}
-		if err := tx.unlockAll(false); err != nil {
-			return tx.postAckFailure(err)
-		}
-		tx.countCommitRound()
-	} else {
-		// Fused tail: truncate + release in one doorbell. Truncations are
-		// posted ahead of the releases, so on a shared node RC ordering
-		// runs them first; across nodes the cleanup discipline completes
-		// everything before Commit returns, and a crash mid-doorbell
-		// leaves at worst a valid log plus released locks — recovery's
-		// rollback is version-checked and lock-CAS-guarded, so the state
-		// resolves exactly like the states the unfused tail can leave
-		// (DESIGN.md §16).
-		b := rdma.GetBatch()
-		defer b.Put()
-		if tx.logged {
-			tx.appendTruncateOps(b)
-		}
-		tx.appendReleaseOps(b, false)
-		if b.Len() > 0 {
-			if err := tx.doCleanup(b.Ops()); err != nil {
-				return tx.postAckFailure(err)
-			}
-			tx.countCommitRound()
-		}
-		tx.logged = false
+	// The truncations are posted ahead of the releases, so where the two
+	// share a doorbell RC ordering runs them first on a shared node;
+	// across nodes the cleanup discipline completes everything before
+	// Commit returns, and a crash mid-doorbell leaves at worst a valid
+	// log plus released locks — recovery's rollback is version-checked
+	// and lock-CAS-guarded, so the state resolves exactly like the states
+	// the split tail can leave (DESIGN.md §16).
+	b := rdma.GetBatch()
+	_, err = tx.co.run(tx.tailStage(stageTail, b))
+	b.Put()
+	if err != nil {
+		return tx.postAckFailure(err)
 	}
 	tx.recordPhase(metrics.PhaseCommitBack, commitBackStart)
-	if tx.cn.crashAt(tx.co.id, PointAfterUnlock) {
-		return tx.crash()
-	}
 	tx.writeThroughCache()
 	tx.release()
 	return nil
@@ -358,13 +228,7 @@ func (tx *Tx) validate() (bool, error) {
 		}
 		b.AddRead(tx.cn.tableAddr(primary, r.ref, kvlayout.SlotLockOff), b.Bytes(16))
 	}
-	var err error
-	if tx.cn.getInjector() != nil {
-		err = tx.co.ep.DoSeq(b.Ops()...)
-	} else {
-		err = tx.co.ep.Do(b.Ops()...)
-	}
-	if err != nil {
+	if err := tx.co.ep.Do(b.Ops()...); err != nil {
 		return false, tx.verbFailure(err)
 	}
 	// First sweep the whole batch for stale versions: every provably
@@ -434,10 +298,12 @@ func applyPayloadInto(tab kvlayout.Table, ent *writeEnt, buf []byte) {
 }
 
 // applyWrites applies every write-set object to every replica (commit
-// step 1). Replicas that have failed are skipped — the transaction
-// commits once all live replicas carry the update (§3.2.5).
+// step 1): the replica writes, and under Persist the durability flushes
+// behind them — RC per-pair ordering makes each flush observe its write,
+// so the two share a doorbell unless the stage is split (§16). Replicas
+// that have failed are skipped — the transaction commits once all live
+// replicas carry the update (§3.2.5).
 func (tx *Tx) applyWrites() error {
-	injected := tx.cn.getInjector() != nil
 	b := rdma.GetBatch()
 	defer b.Put()
 	for _, w := range tx.writes {
@@ -445,34 +311,7 @@ func (tx *Tx) applyWrites() error {
 		payload := b.Bytes(int(tab.SlotSize() - kvlayout.SlotVersionOff))
 		applyPayloadInto(tab, w, payload)
 		for _, n := range w.replicas {
-			if injected {
-				if tx.cn.crashed.Load() {
-					return tx.crash()
-				}
-				op := &rdma.Op{
-					Kind: rdma.OpWrite,
-					Addr: tx.cn.tableAddr(n, w.ref, kvlayout.SlotVersionOff),
-					Buf:  payload,
-				}
-				err := tx.co.ep.DoSeq(op)
-				switch {
-				case err == nil:
-					w.applied = append(w.applied, n)
-				case errors.Is(err, rdma.ErrCrashed):
-					return tx.crash()
-				case isMemFault(err):
-					// dead replica: commit against the live ones
-				default:
-					// Link faults included: an admitted-then-failed verb had
-					// no memory effect, so aborting here is a clean decision.
-					return tx.verbFailure(err)
-				}
-				if tx.cn.crashAt(tx.co.id, PointAfterApplyOne) {
-					return tx.crash()
-				}
-			} else {
-				b.AddWrite(tx.cn.tableAddr(n, w.ref, kvlayout.SlotVersionOff), payload)
-			}
+			b.AddWrite(tx.cn.tableAddr(n, w.ref, kvlayout.SlotVersionOff), payload)
 		}
 		if w.kind == kvlayout.WriteInsert {
 			tx.cn.cacheRef(w.ref)
@@ -481,59 +320,29 @@ func (tx *Tx) applyWrites() error {
 			tx.cn.dropRef(w.ref.table, w.ref.key)
 		}
 	}
-	if injected {
-		return nil
-	}
-	// Fused apply+flush (§16): under Persist the durability flushes ride
-	// the same doorbell behind the replica writes — RC per-pair ordering
-	// makes each flush observe its write — collapsing the apply round and
-	// the flush round into one.
-	fused := tx.cn.opts.Persist && !tx.cn.opts.UnfusedCommitTail
-	wn := b.Len()
-	if fused {
+	st := stage{kind: stageApply, b: b, cut: b.Len()}
+	if tx.cn.opts.Persist {
 		b.ChainFlushes(0)
 	}
-	err := tx.co.ep.Do(b.Ops()...)
-	tx.countCommitRound()
-	if err != nil && errors.Is(err, rdma.ErrCrashed) {
-		return tx.crash()
-	}
+	_, err := tx.co.run(st)
 	// The batch was filled in tx.writes × w.replicas order; walk the same
 	// shape to attribute per-op results to their entries.
-	var fatal error
 	i := 0
 	for _, w := range tx.writes {
 		for _, n := range w.replicas {
-			op := b.Op(i)
-			i++
-			switch {
-			case op.Err == nil:
+			if b.Op(i).Err == nil {
 				w.applied = append(w.applied, n)
-			case isMemFault(op.Err):
-				// dead replica: tolerated
-			default:
-				if fatal == nil {
-					fatal = op.Err
-				}
 			}
+			i++
 		}
 	}
-	if fatal != nil {
+	if err != nil {
 		// A link-faulted (timed out / partitioned) WRITE never reached
-		// memory, so the abort decision is clean; the abort path rolls
-		// back the replicas that WERE applied.
-		return tx.verbFailure(fatal)
-	}
-	if fused {
-		// Flush results: the client must not be acked before the applied
-		// data is durable, and the ack has not happened yet, so a failed
-		// flush is a clean pre-ack abort (the abort path rolls the applied
-		// replicas back).
-		for _, op := range b.Ops()[wn:] {
-			if op.Err != nil && !isMemFault(op.Err) {
-				return tx.verbFailure(op.Err)
-			}
-		}
+		// memory, and the client must not be acked before the applied data
+		// is durable: either way the ack has not happened yet, so this is a
+		// clean pre-ack abort, and the abort path rolls back the replicas
+		// that WERE applied.
+		return tx.verbFailure(err)
 	}
 	return nil
 }
@@ -544,9 +353,8 @@ func (tx *Tx) applyWrites() error {
 // chains that grew past it while it was locked stay intact. With the
 // ComplicitAbort bug seeded, the abort path blindly releases every
 // write-set lock — including ones this transaction never acquired.
-// Every caller — the fused and unfused commit tails, the abort path,
-// and the async drain hand-off — releases through here, so the
-// release-side invariants live in one place.
+// Every tail — synchronous, drained, abort — is built by tailStage
+// through here, so the release-side invariants live in one place.
 func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 	zero := b.Bytes(8)
 	tomb := b.Bytes(8)
@@ -575,36 +383,21 @@ func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 	}
 }
 
-// unlockAll releases this transaction's primary locks in one round
-// (appendReleaseOps builds the ops; see there for the release-side
-// rules).
-func (tx *Tx) unlockAll(abortPath bool) error {
-	injected := tx.cn.getInjector() != nil
-	b := rdma.GetBatch()
-	defer b.Put()
+// tailStage builds the truncate | release stage that ends a transaction
+// into b: the log truncations (if a log may exist and is to go) ahead
+// of the lock releases. kind is one of the three tail kinds.
+func (tx *Tx) tailStage(kind stageKind, b *rdma.OpBatch) stage {
+	abortPath := kind == stageAbortTail
+	// Lost Decision bug: FORD leaves the logs of aborted transactions
+	// behind.
+	keepLog := abortPath && tx.cn.opts.Protocol == ProtocolFORD && tx.cn.opts.Bugs.LostDecision
+	if tx.logged && !keepLog {
+		tx.appendTruncateOps(b)
+		tx.logged = false
+	}
+	cut := b.Len()
 	tx.appendReleaseOps(b, abortPath)
-	if b.Len() == 0 {
-		return nil
-	}
-	ops := b.Ops()
-	if injected {
-		// Verb-at-a-time so a crash can land between unlocks; each op
-		// still gets the cleanup retry discipline for link faults.
-		for len(ops) > 0 {
-			if tx.cn.crashed.Load() {
-				return rdma.ErrCrashed
-			}
-			if err := tx.doCleanup(ops[:1]); err != nil {
-				return err
-			}
-			ops = ops[1:]
-			if tx.cn.crashAt(tx.co.id, PointAfterUnlock) {
-				return rdma.ErrCrashed
-			}
-		}
-		return nil
-	}
-	return tx.doCleanup(ops)
+	return stage{kind: kind, b: b, cut: cut}
 }
 
 // abortInternal is the abort path (§3.1.5 step 3): roll back any
@@ -624,13 +417,6 @@ func (tx *Tx) abortInternal(kind metrics.AbortReason, reason string) error {
 		if len(w.applied) == 0 {
 			continue
 		}
-		if DebugRestore != nil {
-			ov := uint64(0)
-			if len(w.oldValue) >= 8 {
-				ov = kvlayout.Uint64(w.oldValue)
-			}
-			DebugRestore(tx.co.id, w.ref.key, w.oldVersion, ov, reason)
-		}
 		tab := tx.cn.schema[w.ref.table]
 		payload := undoPayload(tab, w)
 		for _, n := range w.applied {
@@ -645,42 +431,19 @@ func (tx *Tx) abortInternal(kind metrics.AbortReason, reason string) error {
 	if b.Len() > 0 {
 		// The restored pre-images must land before any lock releases: a
 		// post-release locker reads the slot immediately. The rollback
-		// round therefore completes here, ahead of the fused tail below.
-		if err := tx.doCleanup(b.Ops()); err != nil {
+		// stage therefore completes here, ahead of the tail below.
+		if _, err := tx.co.run(stage{kind: stageRollback, b: b, cut: b.Len()}); err != nil {
 			return err
 		}
 	}
 
-	// Log the decision by truncating (skipped when the Lost Decision bug
-	// is seeded: FORD leaves logs of aborted transactions behind), then
-	// release the locks. The same per-node truncate+release doorbell
-	// fusion as the commit tail applies — the knob only controls
-	// asynchrony, not fusion — while injected runs keep the per-phase
-	// shape so scripted crashes land between the steps.
-	keepLog := tx.cn.opts.Protocol == ProtocolFORD && tx.cn.opts.Bugs.LostDecision
-	if tx.cn.getInjector() != nil || tx.cn.opts.UnfusedCommitTail {
-		if tx.logged && !keepLog {
-			if err := tx.truncateLogs(); err != nil {
-				return err
-			}
-		}
-		if err := tx.unlockAll(true); err != nil {
+	// Log the decision by truncating, then release the locks — the same
+	// truncate | release stage as the commit tail.
+	tb := rdma.GetBatch()
+	defer tb.Put()
+	if st := tx.tailStage(stageAbortTail, tb); tb.Len() > 0 {
+		if _, err := tx.co.run(st); err != nil {
 			return err
-		}
-	} else {
-		tb := rdma.GetBatch()
-		defer tb.Put()
-		if tx.logged && !keepLog {
-			tx.appendTruncateOps(tb)
-		}
-		tx.appendReleaseOps(tb, true)
-		if tb.Len() > 0 {
-			if err := tx.doCleanup(tb.Ops()); err != nil {
-				return err
-			}
-		}
-		if !keepLog {
-			tx.logged = false
 		}
 	}
 	tx.AckedAbort = true

@@ -83,8 +83,9 @@ type ComputeNode struct {
 	pause   sync.RWMutex
 	crashed atomic.Bool
 
-	injMu    sync.Mutex
-	injector CrashInjector
+	// injector is nil unless a test or chaos run scripts crashes; the
+	// stage executor reads it once per stage (stage.go).
+	injector atomic.Pointer[CrashInjector]
 
 	// suspectFn, when set, receives the id of a memory node whose link
 	// faulted a verb (timeout or partition) — the coordinator's report
@@ -218,18 +219,16 @@ func (cn *ComputeNode) FlushDrains() {
 }
 
 // SetInjector installs a crash injector (nil removes it). With an
-// injector installed, multi-verb phases run verb-at-a-time so a crash
-// can land between any two verbs.
+// injector installed the commit pipeline offers it every crash point its
+// stages declare and runs the segments that have an each-verb point
+// verb-at-a-time, so a crash can land between any two of their verbs
+// (stage.go).
 func (cn *ComputeNode) SetInjector(inj CrashInjector) {
-	cn.injMu.Lock()
-	cn.injector = inj
-	cn.injMu.Unlock()
-}
-
-func (cn *ComputeNode) getInjector() CrashInjector {
-	cn.injMu.Lock()
-	defer cn.injMu.Unlock()
-	return cn.injector
+	if inj == nil {
+		cn.injector.Store(nil)
+		return
+	}
+	cn.injector.Store(&inj)
 }
 
 // SetSuspectReporter installs the callback coordinators use to report a
@@ -271,17 +270,24 @@ func (cn *ComputeNode) Restart() {
 	cn.fab.SetCrashed(cn.id, false)
 }
 
-// crashAt consults the injector and, if it fires, crashes the node.
-// It returns true when the node is (now) crashed.
-func (cn *ComputeNode) crashAt(coord kvlayout.CoordID, p CrashPoint) bool {
+// offer presents crash point p (none if zero) to inj (none if nil) and,
+// if it fires, crashes the node. It returns true when the node is (now)
+// crashed.
+func (cn *ComputeNode) offer(inj *CrashInjector, coord kvlayout.CoordID, p point) bool {
 	if cn.crashed.Load() {
 		return true
 	}
-	if inj := cn.getInjector(); inj != nil && inj(coord, p) {
+	if inj != nil && p != 0 && (*inj)(coord, CrashPoint(p-1)) {
 		cn.Crash()
 		return true
 	}
 	return false
+}
+
+// crashAt offers an execution-phase crash point (tx.go); the commit
+// pipeline's points are declared on its stages instead.
+func (cn *ComputeNode) crashAt(coord kvlayout.CoordID, p CrashPoint) bool {
+	return cn.offer(cn.injector.Load(), coord, at(p))
 }
 
 // NotifyStrayLocks is the stray-lock notification of §3.2.2 step 4: the

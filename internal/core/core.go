@@ -236,10 +236,6 @@ func (e *indeterminateError) Error() string {
 func (e *indeterminateError) Is(target error) bool { return target == ErrIndeterminate }
 func (e *indeterminateError) Unwrap() error        { return e.cause }
 
-// DebugSteal, when set by tests, observes every successful PILL lock
-// steal: (stealer coordinator, previous owner, key).
-var DebugSteal func(stealer, owner kvlayout.CoordID, key kvlayout.Key)
-
 // DebugQueueWait, when set by tests, observes every poll iteration of a
 // queued lock wait before its lane read fires: (waiting coordinator,
 // key, 1-based poll count). Sequential drivers (bench, chaos) use it to
@@ -247,16 +243,6 @@ var DebugSteal func(stealer, owner kvlayout.CoordID, key kvlayout.Key)
 // what makes queued hand-off reachable from a single-goroutine
 // deterministic run.
 var DebugQueueWait func(coord kvlayout.CoordID, key kvlayout.Key, spin int)
-
-// DebugCommit, when set by tests, observes every write-set entry of
-// every commit that completed its apply phase: (coordinator, key,
-// new version, first 8 bytes of the new value).
-var DebugCommit func(coord kvlayout.CoordID, key kvlayout.Key, newVersion, val uint64, slot uint64, primary uint16)
-
-// DebugRestore, when set by tests, observes every abort-path restore of
-// an already-applied write: (coordinator, key, restored version,
-// restored value word, reason).
-var DebugRestore func(coord kvlayout.CoordID, key kvlayout.Key, oldVersion, oldVal uint64, reason string)
 
 // AbortReason extracts the reason from an ErrAborted error, or "".
 func AbortReason(err error) string {

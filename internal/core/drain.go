@@ -14,9 +14,10 @@ package core
 // stays 0/1 in steady state), a same-node conflicter flushes the
 // holder's queue via drainWait, and Pause/FlushDrains flush everything
 // before the world is inspected or reconfigured. A crash abandons the
-// queue: runTail fails fast with ErrCrashed and the memory-side state
-// (valid log + locks, or truncated log + stray locks) is exactly what
-// recovery already handles — the drain adds no new crash states.
+// queue: the stage executor fails fast with ErrCrashed and the
+// memory-side state (valid log + locks, or truncated log + stray locks)
+// is exactly what recovery already handles — the drain adds no new
+// crash states.
 
 import (
 	"sync"
@@ -31,11 +32,11 @@ import (
 // flushes it first, so at most drainCap acked tails are ever pending.
 const drainCap = 4
 
-// drainItem is one acked commit's pending tail. It owns its batch (the
-// truncate ops first, then the release ops) and Puts it when flushed.
+// drainItem is one acked commit's pending tail: the truncate | release
+// stage Commit would otherwise have run itself. It owns the stage's
+// batch and Puts it when flushed.
 type drainItem struct {
-	b       *rdma.OpBatch
-	truncN  int // ops [0:truncN) are log truncations
+	st      stage
 	ackedAt time.Duration
 }
 
@@ -44,13 +45,13 @@ type drainItem struct {
 // flush this coordinator's queue.
 type drainQueue struct {
 	mu    sync.Mutex
-	items []*drainItem
+	items []drainItem
 }
 
 // enqueueDrain queues one acked tail, flushing first if the queue is
 // full (the bound keeps abandoned work after a crash small and the
 // ack-to-unlocked tail latency bounded).
-func (co *Coordinator) enqueueDrain(it *drainItem) {
+func (co *Coordinator) enqueueDrain(it drainItem) {
 	m := co.node.opts.Metrics
 	co.drain.mu.Lock()
 	if len(co.drain.items) >= drainCap {
@@ -74,28 +75,27 @@ func (co *Coordinator) flushDrain() int {
 
 // flushLocked drains the queue in enqueue order. Caller holds drain.mu.
 func (co *Coordinator) flushLocked() int {
-	n := 0
-	for len(co.drain.items) > 0 {
-		it := co.drain.items[0]
-		co.drain.items[0] = nil
-		co.drain.items = co.drain.items[1:]
+	n := len(co.drain.items)
+	for i, it := range co.drain.items {
+		co.drain.items[i] = drainItem{}
 		co.flushItem(it)
-		n++
 	}
+	co.drain.items = co.drain.items[:0]
 	if n > 0 {
 		co.node.opts.Metrics.RecordDrainDepth(0)
 	}
 	return n
 }
 
-// flushItem runs one tail and settles its accounting. A failed tail is
+// flushItem runs one tail through the stage executor — the same one
+// Commit uses, later — and settles its accounting. A failed tail is
 // abandoned, never retried beyond the cleanup discipline and never
 // rolled back: the commit was acked, so whatever the tail left behind
 // (valid log + locks, or truncated log + stray locks) is recovery's.
-func (co *Coordinator) flushItem(it *drainItem) {
-	defer it.b.Put()
+func (co *Coordinator) flushItem(it drainItem) {
+	defer it.st.b.Put()
 	m := co.node.opts.Metrics
-	if err := co.runTail(it); err != nil {
+	if _, err := co.run(it.st); err != nil {
 		m.CountDrain(metrics.DrainFailure)
 		return
 	}
@@ -103,62 +103,17 @@ func (co *Coordinator) flushItem(it *drainItem) {
 	m.RecordPhase(metrics.PhaseAckToUnlocked, uint64(co.id), co.ep.Clock().Now()-it.ackedAt)
 }
 
-// runTail executes a drained truncate+release batch. Non-injected runs
-// post the whole fused batch through the cleanup retry discipline (one
-// doorbell when nothing faults). Injected runs honour the chaos crash
-// points: PointDrainStart before anything, PointAfterTruncate between
-// the truncations and the releases, PointAfterUnlock after each release
-// — so a scripted crash lands in exactly the recovery-visible states.
-func (co *Coordinator) runTail(it *drainItem) error {
-	cn := co.node
-	if cn.crashAt(co.id, PointDrainStart) {
-		return rdma.ErrCrashed
-	}
-	ops := it.b.Ops()
-	if cn.getInjector() == nil {
-		return co.doCleanup(ops)
-	}
-	if it.truncN > 0 {
-		if err := co.doCleanup(ops[:it.truncN]); err != nil {
-			return err
-		}
-	}
-	if cn.crashAt(co.id, PointAfterTruncate) {
-		return rdma.ErrCrashed
-	}
-	rest := ops[it.truncN:]
-	for len(rest) > 0 {
-		if cn.crashed.Load() {
-			return rdma.ErrCrashed
-		}
-		if err := co.doCleanup(rest[:1]); err != nil {
-			return err
-		}
-		rest = rest[1:]
-		if cn.crashAt(co.id, PointAfterUnlock) {
-			return rdma.ErrCrashed
-		}
-	}
-	return nil
-}
-
-// handoffTail builds the acked transaction's truncate+release batch and
-// queues it on the coordinator's drain. The batch ownership moves to
-// the drain item — it is Put when the item flushes, not here.
+// handoffTail builds the acked transaction's truncate | release stage
+// and queues it on the coordinator's drain. The batch ownership moves
+// to the drain item — it is Put when the item flushes, not here.
 func (tx *Tx) handoffTail(ackedAt time.Duration) {
 	b := rdma.GetBatch()
-	truncN := 0
-	if tx.logged {
-		tx.appendTruncateOps(b)
-		truncN = b.Len()
-		tx.logged = false
-	}
-	tx.appendReleaseOps(b, false)
+	st := tx.tailStage(stageDrainTail, b)
 	if b.Len() == 0 {
 		b.Put()
 		return
 	}
-	tx.co.enqueueDrain(&drainItem{b: b, truncN: truncN, ackedAt: ackedAt})
+	tx.co.enqueueDrain(drainItem{st: st, ackedAt: ackedAt})
 }
 
 // drainWait resolves a lock conflict against an acked-but-undrained

@@ -49,112 +49,47 @@ func (tx *Tx) writePandoraLog() error {
 	payload := rec.Encode()
 	off := tx.logAreaOff() + kvlayout.TxLogOff
 	region := kvlayout.LogRegionID(tx.cn.id)
+	b := rdma.GetBatch()
+	defer b.Put()
+	for _, n := range tx.logServers() {
+		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: off}, payload)
+	}
+	return tx.runLog(stageLog, b, "logging: every log server unreachable")
+}
 
+// runLog executes a log stage — the record writes in b, plus under
+// Persist the durability flushes behind them — and settles tx.logged.
+// Write-ahead rule for NVM (§7, selective one-sided flush): the log
+// must be durable before any data is applied; nothing is applied until
+// this stage, flushes included, has completed (RC ordering runs each
+// flush after its write where the two share a doorbell, §16).
+func (tx *Tx) runLog(kind stageKind, b *rdma.OpBatch, unreachable string) error {
+	st := stage{kind: kind, b: b, cut: b.Len()}
+	if tx.cn.opts.Persist {
+		b.ChainFlushes(0)
+	}
+	inWrites, err := tx.co.run(st)
+	if err != nil && inWrites {
+		return tx.verbFailure(err)
+	}
 	written := 0
-	if tx.cn.getInjector() != nil {
-		// Verb-at-a-time so a crash can land between log-server writes.
-		for _, n := range tx.logServers() {
-			if tx.cn.crashed.Load() {
-				return tx.crash()
-			}
-			err := tx.co.ep.Write(rdma.Addr{Node: n, Region: region, Offset: off}, payload)
-			switch {
-			case err == nil:
-				written++
-			case isMemFault(err):
-				// dead log server: the surviving copies suffice
-			default:
-				return tx.verbFailure(err)
-			}
-		}
-	} else {
-		b := rdma.GetBatch()
-		defer b.Put()
-		servers := tx.logServers()
-		for _, n := range servers {
-			b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: off}, payload)
-		}
-		// Fused log+flush (§16): under Persist the durability flushes ride
-		// the same doorbell behind the log writes (RC ordering runs each
-		// flush after its write), collapsing the log round and the
-		// write-ahead flush round into one. The write-ahead rule holds:
-		// nothing is applied until this doorbell — flushes included — has
-		// completed.
-		fused := tx.cn.opts.Persist && !tx.cn.opts.UnfusedCommitTail
-		if fused {
-			b.ChainFlushes(0)
-		}
-		err := tx.co.ep.Do(b.Ops()...)
-		tx.countCommitRound()
-		if err != nil && !isMemFault(err) && !fused {
-			return tx.verbFailure(err)
-		}
-		for _, op := range b.Ops()[:len(servers)] {
-			if op.Err == nil {
-				written++
-			} else if !isMemFault(op.Err) {
-				return tx.verbFailure(op.Err)
-			}
-		}
-		if fused {
-			if written == 0 {
-				return tx.abort(metrics.AbortFault, "logging: every log server unreachable")
-			}
-			// The record reached `written` servers: mark logged BEFORE
-			// walking the flush results, so a flush failure aborts WITH
-			// truncation — a valid log left behind an acked abort would be
-			// rolled forward by recovery.
-			tx.logged = true
-			for _, op := range b.Ops()[len(servers):] {
-				if op.Err != nil && !isMemFault(op.Err) {
-					return tx.verbFailure(op.Err)
-				}
-			}
-			return nil
+	for _, op := range b.Ops()[:st.cut] {
+		if op.Err == nil {
+			written++
 		}
 	}
 	if written == 0 {
-		return tx.abort(metrics.AbortFault, "logging: every log server unreachable")
+		// Dead log servers are tolerated while a surviving copy exists.
+		return tx.abort(metrics.AbortFault, unreachable)
 	}
+	// The record reached `written` servers: mark logged BEFORE looking at
+	// the flush results, so a flush failure aborts WITH truncation — a
+	// valid log left behind an acked abort would be rolled forward by
+	// recovery.
 	tx.logged = true
-	if tx.cn.opts.Persist {
-		// Write-ahead rule for NVM: the log must be durable before any
-		// data is applied (§7, selective one-sided flush). Separate round:
-		// only the unfused baseline and injected runs reach here.
-		fb := rdma.GetBatch()
-		defer fb.Put()
-		for _, n := range tx.logServers() {
-			fb.AddFlush(rdma.Addr{Node: n, Region: region, Offset: off}, len(payload))
-		}
-		if err := tx.co.ep.Do(fb.Ops()...); err != nil && !isMemFault(err) {
-			return tx.verbFailure(err)
-		}
-		if tx.cn.getInjector() == nil {
-			tx.countCommitRound()
-		}
-	}
-	return nil
-}
-
-// flushApplied makes every applied slot durable before the commit is
-// acknowledged (§7).
-func (tx *Tx) flushApplied() error {
-	b := rdma.GetBatch()
-	defer b.Put()
-	for _, w := range tx.writes {
-		tab := tx.cn.schema[w.ref.table]
-		n := int(tab.SlotSize() - kvlayout.SlotVersionOff)
-		for _, node := range w.applied {
-			b.AddFlush(tx.cn.tableAddr(node, w.ref, kvlayout.SlotVersionOff), n)
-		}
-	}
-	if b.Len() == 0 {
-		return nil
-	}
-	if err := tx.co.ep.Do(b.Ops()...); err != nil && !isMemFault(err) {
+	if err != nil {
 		return tx.verbFailure(err)
 	}
-	tx.countCommitRound()
 	return nil
 }
 
@@ -193,48 +128,7 @@ func (tx *Tx) fordLogObject(ent *writeEnt) error {
 		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: cur}, payload)
 		tx.fordLogAt[n] = cur + uint64(len(payload))
 	}
-	ops := b.Ops()
-	written := 0
-	if tx.cn.getInjector() != nil {
-		for _, op := range ops {
-			if tx.cn.crashed.Load() {
-				return tx.crash()
-			}
-			err := tx.co.ep.DoSeq(op)
-			switch {
-			case err == nil:
-				written++
-			case isMemFault(err):
-			default:
-				return tx.verbFailure(err)
-			}
-		}
-	} else {
-		if err := tx.co.ep.Do(ops...); err != nil && !isMemFault(err) {
-			return tx.verbFailure(err)
-		}
-		for _, op := range ops {
-			if op.Err == nil {
-				written++
-			} else if !isMemFault(op.Err) {
-				return tx.verbFailure(op.Err)
-			}
-		}
-	}
-	if written == 0 {
-		return tx.abort(metrics.AbortFault, "ford logging: every replica unreachable")
-	}
-	tx.logged = true
-	if tx.cn.opts.Persist {
-		// The flushes join the same batch behind the writes; only the
-		// slice past wn is posted.
-		wn := b.Len()
-		b.ChainFlushes(0)
-		if err := tx.co.ep.Do(b.Ops()[wn:]...); err != nil && !isMemFault(err) {
-			return tx.verbFailure(err)
-		}
-	}
-	return nil
+	return tx.runLog(stageFordLog, b, "ford logging: every replica unreachable")
 }
 
 // writeLockIntent is the traditional logging scheme's extra round trip
@@ -303,22 +197,4 @@ func (tx *Tx) appendTruncateOps(b *rdma.OpBatch) {
 	for _, n := range tx.logServers() {
 		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: off}, kvlayout.TruncateWord[:])
 	}
-}
-
-// truncateLogs invalidates this transaction's log records, retrying
-// link-faulted truncation WRITEs via the cleanup discipline. A log
-// record that cannot be truncated must not be forgotten: the error
-// propagates and tx.logged stays true.
-func (tx *Tx) truncateLogs() error {
-	b := rdma.GetBatch()
-	defer b.Put()
-	tx.appendTruncateOps(b)
-	if b.Len() == 0 {
-		return nil
-	}
-	if err := tx.doCleanup(b.Ops()); err != nil {
-		return err
-	}
-	tx.logged = false
-	return nil
 }

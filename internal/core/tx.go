@@ -661,9 +661,6 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 				if err != nil {
 					return tx.verbFailure(err)
 				}
-				if stole && DebugSteal != nil {
-					DebugSteal(tx.co.id, kvlayout.LockOwner(old), ref.key)
-				}
 				if stole {
 					// The previous owner failed and recovery may have
 					// rewritten the slot since we cached it; drop the

@@ -220,32 +220,3 @@ func TestStaleAddressCacheAfterDeleteAndReuse(t *testing.T) {
 		t.Fatalf("key 2 = (%q, %v)", v, err)
 	}
 }
-
-func TestDebugHooksFire(t *testing.T) {
-	e := newEnv(t, envConfig{})
-	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
-	cn := e.nodes[0]
-	co := cn.Coordinator(0)
-
-	var commits, steals int
-	DebugCommit = func(kvlayout.CoordID, kvlayout.Key, uint64, uint64, uint64, uint16) { commits++ }
-	DebugSteal = func(kvlayout.CoordID, kvlayout.CoordID, kvlayout.Key) { steals++ }
-	defer func() { DebugCommit, DebugSteal = nil, nil }()
-
-	mustCommit(t, co, func(tx *Tx) error { return tx.Write(0, 1, []byte("w")) })
-	if commits != 1 {
-		t.Fatalf("DebugCommit fired %d times, want 1", commits)
-	}
-
-	// Plant a stray lock and steal it.
-	ref, _, _ := cn.resolve(co.ep, 0, 2)
-	primary, _, _ := cn.replicasFor(ref.partition)
-	if _, sw, _ := co.ep.CAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, kvlayout.LockWord(999, 1)); !sw {
-		t.Fatal("plant failed")
-	}
-	cn.NotifyStrayLocks([]kvlayout.CoordID{999})
-	mustCommit(t, co, func(tx *Tx) error { return tx.Write(0, 2, []byte("s")) })
-	if steals != 1 {
-		t.Fatalf("DebugSteal fired %d times, want 1", steals)
-	}
-}

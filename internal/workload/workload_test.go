@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,6 +45,7 @@ func TestWorkloadsRunAndCommit(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			c := newCluster(t, w, nil)
+			before := c.MetricsSnapshot()
 			res := Run(DriverConfig{
 				Cluster:  c,
 				Workload: w,
@@ -60,7 +63,15 @@ func TestWorkloadsRunAndCommit(t *testing.T) {
 			// warehouse/district YTD rows), so only the low-contention
 			// workloads get the strict bound.
 			if w.Name() != "tpcc" && res.Aborted > res.Committed {
-				t.Fatalf("abort-dominated run: %+v", res)
+				// Say which taxonomy bucket dominated: the driver's abort
+				// count also holds the workload's own (user) aborts.
+				var kinds []string
+				for _, a := range c.MetricsSnapshot().Sub(before).Aborts {
+					if a.Count > 0 {
+						kinds = append(kinds, fmt.Sprintf("%s=%d", a.Reason, a.Count))
+					}
+				}
+				t.Fatalf("abort-dominated run: %+v\naborts by kind: %s", res, strings.Join(kinds, " "))
 			}
 			t.Logf("%s: %d committed, %d aborted (%.0f tps)", w.Name(), res.Committed, res.Aborted, res.CommitRate())
 		})

@@ -19,11 +19,10 @@ import (
 //     double-count or, worse, count paths that are not aborts.
 //   - A3 (flow): inside abortInternal, a return that constructs
 //     &abortError must be reached only after the locks were released:
-//     either the unlock call (unlockAll), or — the fused commit-tail
-//     shape of DESIGN.md §16 — a staged release batch
-//     (appendReleaseOps) actually posted by a cleanup doorbell
-//     (doCleanup). Staging alone does not release; the `b.Len() > 0`
-//     false edge proves the batch was empty (nothing to release). The
+//     the truncate | release stage (tailStage, DESIGN.md §16) actually
+//     handed to the stage executor (run). Building the stage alone does
+//     not release; the `b.Len() > 0` false edge proves the batch was
+//     empty (nothing to release). The
 //     abort error is the client-visible "aborted" ack, and acking
 //     before the locks are actually released recreates the
 //     fenced-zombie hazard (Cor3's dual).
@@ -52,7 +51,7 @@ func runAbortcause(pass *Pass) error {
 // released on the current path. Bits so joins can carry "either".
 const (
 	abortLocked   = 1 // no release reached
-	abortStaged   = 2 // release ops staged (appendReleaseOps), not posted
+	abortStaged   = 2 // release stage built (tailStage), not run
 	abortUnlocked = 4
 	abortEither   = abortLocked | abortUnlocked
 )
@@ -65,13 +64,11 @@ func (abortProblem) Transfer(n ast.Node, fact any) any {
 	f := fact.(int)
 	shallowCalls(n, func(call *ast.CallExpr) {
 		switch calleeName(call) {
-		case "unlockAll":
-			f = abortUnlocked
-		case "appendReleaseOps":
-			// The fused tail stages the releases into a batch; the locks
-			// are not free until a cleanup doorbell posts them.
+		case "tailStage":
+			// The releases are staged into a batch; the locks are not free
+			// until the executor has posted them.
 			f = abortStaged
-		case "doCleanup":
+		case "run":
 			if f&abortStaged != 0 {
 				f = f&^abortStaged | abortUnlocked
 			}
@@ -150,7 +147,7 @@ func (p *Pass) checkAbortUnit(u funcUnit) {
 		if fact.(int)&(abortLocked|abortStaged) != 0 && !reported[ret.Pos()] {
 			reported[ret.Pos()] = true
 			p.Reportf(ret.Pos(), "abortcause",
-				"abortError returned on a path that never released the write-set locks (unlockAll, or a staged appendReleaseOps batch posted via doCleanup): acking the abort before the locks are freed recreates the fenced-zombie hazard")
+				"abortError returned on a path that never released the write-set locks (a tailStage handed to the stage executor): acking the abort before the locks are freed recreates the fenced-zombie hazard")
 		}
 	})
 }

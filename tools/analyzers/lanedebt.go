@@ -18,7 +18,7 @@ import (
 //     the queueJoin handoff),
 //   - transferred to the write entry (`.transferred = true`), in which
 //     case SOME function in the package must advance a `.queueHead`
-//     (unlockAll's release FAA), or
+//     (appendReleaseOps' release FAA), or
 //   - abandoned deliberately on a crash exit (`return tx.crash()`),
 //     the one case recovery is specified to repair.
 //

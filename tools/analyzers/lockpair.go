@@ -44,9 +44,9 @@ import (
 //
 // A second obligation rides the same CFG (DESIGN.md §16): once a
 // function acknowledges a commit (`<x>.AckedCommit = true`), its locks
-// must reach a release path before any non-crash exit — the synchronous
-// unlock (unlockAll), the fused release batch (appendReleaseOps), the
-// drain hand-off (handoffTail), or the sanctioned post-ack failure exit
+// must reach a release path before any non-crash exit — the truncate |
+// release stage (tailStage, handed to the stage executor), the drain
+// hand-off (handoffTail), or the sanctioned post-ack failure exit
 // (postAckFailure). Deleting the async tail's hand-off leaves Commit
 // returning with an acked transaction's locks owned by nobody — exactly
 // the leak the drain exists to prevent. The read-only ack is exempt: it
@@ -119,7 +119,7 @@ func (lp *lockProblem) Transfer(n ast.Node, fact any) any {
 		case "failLocked":
 			f = lockFact{}
 			return
-		case "unlockAddr", "unlockAll":
+		case "unlockAddr":
 			// Releasing the word discharges the obligation: the slot-moved
 			// and insert-conflict back-out paths release and return without
 			// ever registering. (Their release-failure branches hand the
@@ -214,13 +214,12 @@ type ackFact struct {
 }
 
 // ackReleases are the calls that hand an acknowledged commit's locks to
-// a release path: the synchronous unlock, the fused release batch, the
-// async drain hand-off, and the sanctioned post-ack failure exit.
+// a release path: the truncate | release stage builder, the async drain
+// hand-off, and the sanctioned post-ack failure exit.
 var ackReleases = map[string]bool{
-	"unlockAll":        true,
-	"appendReleaseOps": true,
-	"handoffTail":      true,
-	"postAckFailure":   true,
+	"tailStage":      true,
+	"handoffTail":    true,
+	"postAckFailure": true,
 }
 
 type ackProblem struct{}
@@ -312,7 +311,7 @@ func (p *Pass) checkLockUnit(u funcUnit) {
 		}
 		ackReported[f.pos] = true
 		p.Reportf(f.pos, "lockpair",
-			"acknowledged commit can reach a function exit without handing its locks to a release path (unlockAll, appendReleaseOps, handoffTail, or postAckFailure): the acked transaction's locks would be owned by nobody until recovery (§16)")
+			"acknowledged commit can reach a function exit without handing its locks to a release path (tailStage, handoffTail, or postAckFailure): the acked transaction's locks would be owned by nobody until recovery (§16)")
 	})
 }
 

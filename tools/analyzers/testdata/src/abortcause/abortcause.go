@@ -25,7 +25,16 @@ func (e *abortError) Error() string { return e.reason }
 
 type Tx struct{ locks int }
 
-func (tx *Tx) unlockAll(clear bool) {}
+// opBatch mirrors rdma.OpBatch.
+type opBatch struct{ n int }
+
+func (b *opBatch) Len() int { return b.n }
+
+// tailStage and run mirror the truncate | release stage of DESIGN.md
+// §16: the releases are staged into a batch, and only the stage
+// executor posts them.
+func (tx *Tx) tailStage(b *opBatch) *opBatch { return b }
+func (tx *Tx) run(st *opBatch) error         { return nil }
 
 // abortCause is the single decision point: the one legal CountAbort
 // site.
@@ -39,51 +48,31 @@ func (tx *Tx) abort(kind AbortReason, reason string) error {
 	return tx.abortCause(kind, reason)
 }
 
-// abortInternal is the one legal &abortError constructor. The early
-// return violates A3: the abort is acked before the write-set locks are
-// released.
+// abortInternal is the one legal &abortError constructor. Both early
+// returns violate A3: the first acks the abort before any release was
+// even staged; the second after staging — staging is not releasing,
+// the staged locks are still held. The executed path (and the
+// empty-batch false edge of Len) are the legal exits.
 func (tx *Tx) abortInternal(kind AbortReason, reason string) error {
+	if tx.locks < -1 {
+		return &abortError{kind, reason} // want "never released the write-set locks"
+	}
+	b := &opBatch{n: tx.locks}
+	st := tx.tailStage(b)
 	if tx.locks < 0 {
 		return &abortError{kind, reason} // want "never released the write-set locks"
 	}
-	tx.unlockAll(true)
+	if b.Len() > 0 {
+		if err := tx.run(st); err != nil {
+			return err
+		}
+	}
 	return &abortError{kind, reason}
 }
 
 // goodAbort classifies its cause.
 func (tx *Tx) goodAbort() error {
 	return tx.abort(AbortConflict, "lock conflict")
-}
-
-// opBatch mirrors rdma.OpBatch for the fused-tail shapes.
-type opBatch struct{ n int }
-
-func (b *opBatch) Len() int   { return b.n }
-func (b *opBatch) Ops() []int { return nil }
-
-// TxFused mirrors the fused commit-tail abort (DESIGN.md §16): the
-// releases are staged into a batch and posted in one cleanup doorbell.
-type TxFused struct{ locks int }
-
-func (tx *TxFused) appendReleaseOps(b *opBatch, abortPath bool) {}
-func (tx *TxFused) doCleanup(ops []int) error                   { return nil }
-
-// abortInternal (fused shape): staging the releases is not releasing —
-// the early return acks the abort while the staged locks are still
-// held. The posted path (and the empty-batch false edge of Len) are the
-// legal exits.
-func (tx *TxFused) abortInternal(kind AbortReason, reason string) error {
-	b := &opBatch{n: tx.locks}
-	tx.appendReleaseOps(b, true)
-	if tx.locks < 0 {
-		return &abortError{kind, reason} // want "never released the write-set locks"
-	}
-	if b.Len() > 0 {
-		if err := tx.doCleanup(b.Ops()); err != nil {
-			return err
-		}
-	}
-	return &abortError{kind, reason}
 }
 
 // rogueAbort constructs the abort error outside abortInternal, skipping

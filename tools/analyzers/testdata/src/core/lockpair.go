@@ -161,19 +161,18 @@ type ackTx struct {
 	async       bool
 }
 
-func (tx *ackTx) unlockAll(abortPath bool) error         { return nil }
-func (tx *ackTx) handoffTail(ackedAt int64)              {}
-func (tx *ackTx) postAckFailure(err error) error         { return err }
-func (tx *ackTx) truncateLogs() error                    { return nil }
-func (tx *ackTx) appendReleaseOps(b *Op, abortPath bool) {}
-func (tx *ackTx) crash() error                           { return nil }
-func (tx *ackTx) release()                               {}
+func (tx *ackTx) tailStage(b *Op) *Op            { return b }
+func (tx *ackTx) run(st *Op) error               { return nil }
+func (tx *ackTx) handoffTail(ackedAt int64)      {}
+func (tx *ackTx) postAckFailure(err error) error { return err }
+func (tx *ackTx) crash() error                   { return nil }
+func (tx *ackTx) release()                       {}
 
 // goodCommitTail is the real Commit shape: the read-only ack is exempt
 // (no locks exist), the async branch hands the tail to the drain, the
-// sync branch unlocks, and post-ack failures route to the sanctioned
-// exit.
-func (tx *ackTx) goodCommitTail(die bool) error {
+// sync branch builds the truncate | release stage and runs it, and
+// post-ack failures route to the sanctioned exit.
+func (tx *ackTx) goodCommitTail(die bool, b *Op) error {
 	if len(tx.writes) == 0 {
 		tx.AckedCommit = true
 		tx.release()
@@ -188,20 +187,9 @@ func (tx *ackTx) goodCommitTail(die bool) error {
 		tx.release()
 		return nil
 	}
-	if err := tx.truncateLogs(); err != nil {
+	if err := tx.run(tx.tailStage(b)); err != nil {
 		return tx.postAckFailure(err)
 	}
-	if err := tx.unlockAll(false); err != nil {
-		return tx.postAckFailure(err)
-	}
-	tx.release()
-	return nil
-}
-
-// goodFusedTail releases through the staged batch.
-func (tx *ackTx) goodFusedTail(b *Op) error {
-	tx.AckedCommit = true
-	tx.appendReleaseOps(b, false)
 	tx.release()
 	return nil
 }

@@ -47,6 +47,9 @@ bench-smoke:
 	$(GO) test -run 'TestHitPathZeroAlloc' ./internal/cache/
 	$(GO) test -race ./internal/metrics/
 	$(GO) test -run 'ZeroAlloc' ./internal/metrics/ ./internal/rdma/
+	# Transaction-path alloc gates (Session.Update, core.Tx, log-record
+	# encoding); skipped under -race, so they run here without it.
+	$(GO) test -run 'Allocs' . ./internal/core ./internal/kvlayout
 	$(GO) run ./cmd/pandora-bench -experiment readcache -quick -json $(BIN)/BENCH_readcache.json -metrics $(BIN)/BENCH_metrics.json
 	# Hot-lock lane: the quick run regenerates the artifact, which must
 	# match the checked-in bin/BENCH_hotlock.json byte for byte (the pass

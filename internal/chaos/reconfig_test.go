@@ -65,6 +65,9 @@ func TestReconfigRejectsUnknownMode(t *testing.T) {
 // TestReconfigDeterministicLog: the crash point and the whole event log
 // are pure functions of the seed — two same-seed runs emit
 // byte-identical logs, and different seeds pick different crash points.
+// The 2 ms gap is the one TestLogDigests runs at: at 500 µs the workload
+// could fail to commit anything before the migration started whenever
+// `go test ./...` scheduled another package's tests beside this one.
 func TestReconfigDeterministicLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos determinism test skipped in -short mode")
@@ -73,7 +76,7 @@ func TestReconfigDeterministicLog(t *testing.T) {
 		return runReconfigScenario(t, Config{
 			Seed:     seed,
 			Workload: "counter",
-			Gap:      500 * time.Microsecond,
+			Gap:      2 * time.Millisecond,
 		}, "source")
 	}
 	a, b := capture(7), capture(7)
@@ -98,6 +101,6 @@ func TestReconfigDeterministicLog(t *testing.T) {
 func TestReconfigShortSmoke(t *testing.T) {
 	runReconfigScenario(t, Config{
 		Seed: 1,
-		Gap:  500 * time.Microsecond,
+		Gap:  2 * time.Millisecond,
 	}, "coordinator")
 }

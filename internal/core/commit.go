@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -94,7 +93,7 @@ func (tx *Tx) Commit() error {
 		// Only the RelaxedLocks deferred-CAS path reaches here with a
 		// commit-time lock loss — ordinary validation failures abort
 		// inside validate with their precise kind.
-		return tx.abort(metrics.AbortLockConflict, "validation failed")
+		return tx.abort(metrics.AbortLockConflict, abortInfo{format: "validation failed"})
 	}
 	if _, err := tx.co.run(stage{kind: stageDecide}); err != nil {
 		return tx.verbFailure(err)
@@ -208,12 +207,10 @@ func (tx *Tx) validate() (bool, error) {
 			if errors.Is(err, rdma.ErrCrashed) {
 				return false, tx.crash()
 			}
-			return false, tx.abort(metrics.AbortFault, "insert validation: "+err.Error())
+			return false, tx.abort(metrics.AbortFault, abortInfo{format: "insert validation: ", detail: err})
 		}
 		if dup {
-			return false, tx.abort(metrics.AbortSteal,
-				fmt.Sprintf("insert validation: key %d/%d claimed elsewhere",
-					w.ref.table, w.ref.key))
+			return false, tx.abort(metrics.AbortSteal, onObject("insert validation: key %d/%d claimed elsewhere", w.ref, 0, 0))
 		}
 	}
 	if len(tx.reads) == 0 {
@@ -256,8 +253,7 @@ func (tx *Tx) validate() (bool, error) {
 		if r.fromCache {
 			kind = metrics.AbortCacheStale
 		}
-		return false, tx.abort(kind, fmt.Sprintf("validation: version of %d/%d moved %d -> %d",
-			r.ref.table, r.ref.key, r.version, staleVersion))
+		return false, tx.abort(kind, onObject("validation: version of %d/%d moved %d -> %d", r.ref, r.version, staleVersion))
 	}
 	for i, r := range tx.reads {
 		lock := kvlayout.Uint64(b.Op(i).Buf[0:])
@@ -265,9 +261,7 @@ func (tx *Tx) validate() (bool, error) {
 			continue // seeded bug: lock word ignored during validation
 		}
 		if kvlayout.IsLocked(lock) && lock != tx.lockWord() && !tx.strayLock(lock) {
-			return false, tx.abort(metrics.AbortLockConflict,
-				fmt.Sprintf("validation: %d/%d locked by coordinator %d",
-					r.ref.table, r.ref.key, kvlayout.LockOwner(lock)))
+			return false, tx.abort(metrics.AbortLockConflict, lockedBy("validation: %d/%d locked by coordinator %d", r.ref, lock))
 		}
 	}
 	// Every read-set version just re-proved current: re-stamp the
@@ -329,9 +323,9 @@ func (tx *Tx) applyWrites() error {
 	// shape to attribute per-op results to their entries.
 	i := 0
 	for _, w := range tx.writes {
-		for _, n := range w.replicas {
+		for r := range w.replicas {
 			if b.Op(i).Err == nil {
-				w.applied = append(w.applied, n)
+				w.applied |= 1 << r
 			}
 			i++
 		}
@@ -367,7 +361,7 @@ func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 			continue
 		}
 		primary := w.replicas[0]
-		if abortPath && w.wasInsert && len(w.applied) == 0 {
+		if abortPath && w.wasInsert && w.applied == 0 {
 			b.AddWrite(tx.cn.tableAddr(primary, w.ref, kvlayout.SlotKeyOff), tomb)
 		}
 		b.AddWrite(tx.cn.tableAddr(primary, w.ref, kvlayout.SlotLockOff), zero)
@@ -408,21 +402,23 @@ func (tx *Tx) tailStage(kind stageKind, b *rdma.OpBatch) stage {
 // WITHOUT setting AckedAbort: a fenced zombie must never tell the
 // client "aborted" while recovery may roll the logged transaction
 // forward (Cor3's dual).
-func (tx *Tx) abortInternal(kind metrics.AbortReason, reason string) error {
+func (tx *Tx) abortInternal(kind metrics.AbortReason, info abortInfo) error {
 	// Roll back replicas the commit write already reached (possible when
 	// an apply was cut short by a memory or link fault).
 	b := rdma.GetBatch()
 	defer b.Put()
 	for _, w := range tx.writes {
-		if len(w.applied) == 0 {
+		if w.applied == 0 {
 			continue
 		}
 		tab := tx.cn.schema[w.ref.table]
 		payload := undoPayload(tab, w)
-		for _, n := range w.applied {
-			b.AddWrite(tx.cn.tableAddr(n, w.ref, kvlayout.SlotVersionOff), payload)
+		for r, n := range w.replicas {
+			if w.applied&(1<<r) != 0 {
+				b.AddWrite(tx.cn.tableAddr(n, w.ref, kvlayout.SlotVersionOff), payload)
+			}
 		}
-		w.applied = nil
+		w.applied = 0
 		// The slot is being rewritten mid-abort; drop any cached image
 		// (conservative — the restored pre-image would in fact still
 		// validate, but the entry is cheap to refetch).
@@ -447,7 +443,7 @@ func (tx *Tx) abortInternal(kind metrics.AbortReason, reason string) error {
 		}
 	}
 	tx.AckedAbort = true
-	return &abortError{kind: kind, reason: reason}
+	return &abortError{kind: kind, abortInfo: info}
 }
 
 // undoPayload is the pre-image written over a rolled-back slot.
@@ -464,7 +460,7 @@ func (tx *Tx) Abort() error {
 		return tx.crash()
 	}
 	//pandora:abortother user-requested abort: no protocol cause to classify
-	err := tx.abort(metrics.AbortOther, "user abort")
+	err := tx.abort(metrics.AbortOther, abortInfo{format: "user abort"})
 	if errors.Is(err, ErrAborted) {
 		return nil
 	}

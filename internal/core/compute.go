@@ -503,6 +503,10 @@ type Coordinator struct {
 	// drain queues acked-but-unreleased commit tails when asynchronous
 	// commit-back is on (DESIGN.md §16).
 	drain drainQueue
+	// scratch backs the running transaction's sets and buffers (DESIGN.md
+	// §18). Its memory is allocated on first use, not here: most
+	// coordinators of a restarted node never run a transaction.
+	scratch txScratch
 }
 
 // ID returns the coordinator's unique coordinator-id.

@@ -32,6 +32,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"pandora/internal/kvlayout"
@@ -202,15 +203,48 @@ var (
 	ErrIndeterminate = errors.New("core: transaction cleanup incomplete")
 )
 
-// abortError carries the typed abort kind and human-readable reason
-// (and optional cause) while matching ErrAborted.
-type abortError struct {
-	kind   metrics.AbortReason
-	reason string
-	cause  error
+// abortInfo is what an abort site knows about its reason, unformatted: a
+// constant format whose %d verbs consume a prefix of (table, key, a, b) —
+// a lock owner or ticket, an old and a new version — or, with detail
+// set, the prefix of detail's text (detail stays out of the Unwrap
+// chain). The text is built only when someone asks for it (Error,
+// AbortReason): a lock-conflict retry loop formats nothing.
+type abortInfo struct {
+	format string
+	table  kvlayout.TableID
+	key    kvlayout.Key
+	a, b   uint64
+	detail error
 }
 
-func (e *abortError) Error() string        { return "core: transaction aborted: " + e.reason }
+// onObject is the abortInfo of a message about one object.
+func onObject(format string, ref objRef, a, b uint64) abortInfo {
+	return abortInfo{format: format, table: ref.table, key: ref.key, a: a, b: b}
+}
+
+// lockedBy is the abortInfo of a conflict with a lock word's owner.
+func lockedBy(format string, ref objRef, word uint64) abortInfo {
+	return onObject(format, ref, uint64(kvlayout.LockOwner(word)), 0)
+}
+
+// abortError carries the typed abort kind and reason (and optional
+// cause) while matching ErrAborted.
+type abortError struct {
+	kind metrics.AbortReason
+	abortInfo
+	cause error
+}
+
+// reason builds the human-readable reason.
+func (e *abortError) reason() string {
+	if e.detail != nil {
+		return e.format + e.detail.Error()
+	}
+	args := [...]any{e.table, e.key, e.a, e.b}
+	return fmt.Sprintf(e.format, args[:strings.Count(e.format, "%d")]...)
+}
+
+func (e *abortError) Error() string        { return "core: transaction aborted: " + e.reason() }
 func (e *abortError) Is(target error) bool { return target == ErrAborted }
 func (e *abortError) Unwrap() error        { return e.cause }
 
@@ -248,7 +282,7 @@ var DebugQueueWait func(coord kvlayout.CoordID, key kvlayout.Key, spin int)
 func AbortReason(err error) string {
 	var ae *abortError
 	if errors.As(err, &ae) {
-		return ae.reason
+		return ae.reason()
 	}
 	return ""
 }

@@ -148,3 +148,11 @@ func readKey(t testing.TB, co *Coordinator, table kvlayout.TableID, k kvlayout.K
 		}
 	}
 }
+
+// padValue right-pads a value to the table's fixed value size: the image
+// a committed write leaves in the slot.
+func padValue(tab kvlayout.Table, v []byte) []byte {
+	out := make([]byte, tab.ValueSize)
+	copy(out, v)
+	return out
+}

@@ -39,18 +39,20 @@ func (tx *Tx) logAreaOff() uint64 { return kvlayout.LogAreaOffset(tx.co.slot) }
 // RDMA WRITE to each of the f+1 designated log servers, in parallel.
 // Total cost: f+1 WRITEs per transaction, independent of write-set size.
 func (tx *Tx) writePandoraLog() error {
-	rec := kvlayout.LogRecord{TxID: tx.id, Coord: tx.co.id}
+	rec := kvlayout.LogRecord{TxID: tx.id, Coord: tx.co.id, Writes: tx.sc.log[:0]}
 	for _, w := range tx.writes {
 		if w.kind == kvlayout.WriteInsert && tx.cn.opts.Protocol == ProtocolFORD && tx.cn.opts.Bugs.MissingInsertLog {
 			continue
 		}
 		rec.Writes = append(rec.Writes, logWriteOf(w))
 	}
-	payload := rec.Encode()
+	tx.sc.log = rec.Writes[:0]
 	off := tx.logAreaOff() + kvlayout.TxLogOff
 	region := kvlayout.LogRegionID(tx.cn.id)
 	b := rdma.GetBatch()
 	defer b.Put()
+	payload := b.Bytes(rec.EncodedSize()) // built where the WRITEs read it; dies with the batch
+	rec.EncodeInto(payload)
 	for _, n := range tx.logServers() {
 		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: off}, payload)
 	}
@@ -80,7 +82,7 @@ func (tx *Tx) runLog(kind stageKind, b *rdma.OpBatch, unreachable string) error 
 	}
 	if written == 0 {
 		// Dead log servers are tolerated while a surviving copy exists.
-		return tx.abort(metrics.AbortFault, unreachable)
+		return tx.abort(metrics.AbortFault, abortInfo{format: unreachable})
 	}
 	// The record reached `written` servers: mark logged BEFORE looking at
 	// the flush results, so a flush failure aborts WITH truncation — a
@@ -98,8 +100,8 @@ func (tx *Tx) runLog(kind stageKind, b *rdma.OpBatch, unreachable string) error 
 // coordinator's log area on each replica of the object. This is f+1
 // WRITEs per object, versus Pandora's f+1 per transaction.
 func (tx *Tx) fordLogObject(ent *writeEnt) error {
-	rec := kvlayout.LogRecord{TxID: tx.id, Coord: tx.co.id, Writes: []kvlayout.LogWrite{logWriteOf(ent)}}
-	payload := rec.Encode()
+	rec := kvlayout.LogRecord{TxID: tx.id, Coord: tx.co.id, Writes: append(tx.sc.log[:0], logWriteOf(ent))}
+	tx.sc.log = rec.Writes[:0]
 	region := kvlayout.LogRegionID(tx.cn.id)
 	if tx.fordLogAt == nil {
 		tx.fordLogAt = make(map[rdma.NodeID]uint64)
@@ -116,6 +118,8 @@ func (tx *Tx) fordLogObject(ent *writeEnt) error {
 	}
 	b := rdma.GetBatch()
 	defer b.Put()
+	payload := b.Bytes(rec.EncodedSize()) // built where the WRITEs read it; dies with the batch
+	rec.EncodeInto(payload)
 	for _, n := range replicas {
 		cur, ok := tx.fordLogAt[n]
 		if !ok {
@@ -123,7 +127,7 @@ func (tx *Tx) fordLogObject(ent *writeEnt) error {
 		}
 		if cur+uint64(len(payload)) > tx.logAreaOff()+kvlayout.LockLogOff {
 			//pandora:abortother capacity limit of the FORD log area, not a protocol conflict
-			return tx.abort(metrics.AbortOther, "ford log area full")
+			return tx.abort(metrics.AbortOther, abortInfo{format: "ford log area full"})
 		}
 		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: cur}, payload)
 		tx.fordLogAt[n] = cur + uint64(len(payload))
@@ -138,7 +142,7 @@ func (tx *Tx) fordLogObject(ent *writeEnt) error {
 func (tx *Tx) writeLockIntent(ref objRef) error {
 	if tx.intentIdx >= kvlayout.MaxLockIntents {
 		//pandora:abortother capacity limit of the lock-intent log, not a protocol conflict
-		return tx.abort(metrics.AbortOther, "lock-intent log full")
+		return tx.abort(metrics.AbortOther, abortInfo{format: "lock-intent log full"})
 	}
 	payload := kvlayout.EncodeLockIntent(kvlayout.LockIntent{
 		TxID:      tx.id,
@@ -164,7 +168,7 @@ func (tx *Tx) writeLockIntent(ref objRef) error {
 		}
 	}
 	if written == 0 {
-		return tx.abort(metrics.AbortFault, "lock-intent logging: every log server unreachable")
+		return tx.abort(metrics.AbortFault, abortInfo{format: "lock-intent logging: every log server unreachable"})
 	}
 	tx.intentIdx++
 	return nil

@@ -20,8 +20,6 @@ package core
 // over-payment only widens the CAS race and never wedges a waiter.
 
 import (
-	"fmt"
-
 	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -97,8 +95,7 @@ func (tx *Tx) queueWait(q *queueState, wordAddr rdma.Addr, ref objRef) error {
 		if q.spins >= hotlock.WaitBudget {
 			tx.cn.opts.Metrics.CountLock(metrics.LockQueueTimeout)
 			return tx.abort(metrics.AbortLockConflict,
-				fmt.Sprintf("queued wait for %d/%d timed out at ticket %d",
-					ref.table, ref.key, kvlayout.TicketSeq(q.ticket)))
+				onObject("queued wait for %d/%d timed out at ticket %d", ref, kvlayout.TicketSeq(q.ticket), 0))
 		}
 		q.spins++
 		if DebugQueueWait != nil {
@@ -111,7 +108,7 @@ func (tx *Tx) queueWait(q *queueState, wordAddr rdma.Addr, ref objRef) error {
 		// word read observes memory no older than the head read.
 		*headOp = rdma.Op{Kind: rdma.OpRead, Addr: q.lane.Head, Buf: buf[:8]}
 		*wordOp = rdma.Op{Kind: rdma.OpRead, Addr: wordAddr, Buf: buf[8:16]}
-		if err := tx.co.ep.Do(headOp, wordOp); err != nil {
+		if err := tx.co.ep.Do(b.Ops()...); err != nil {
 			return tx.verbFailure(err)
 		}
 		head := kvlayout.Uint64(buf[:8])
@@ -156,9 +153,9 @@ func (tx *Tx) repairStolenLane(primary rdma.NodeID, ref objRef) {
 	b := rdma.GetBatch()
 	defer b.Put()
 	buf := b.Bytes(16)
-	tailOp := b.AddRead(lane.Tail, buf[:8])
-	headOp := b.AddRead(lane.Head, buf[8:16])
-	if err := tx.co.ep.Do(tailOp, headOp); err != nil {
+	b.AddRead(lane.Tail, buf[:8])
+	b.AddRead(lane.Head, buf[8:16])
+	if err := tx.co.ep.Do(b.Ops()...); err != nil {
 		return
 	}
 	tail := kvlayout.Uint64(buf[:8])

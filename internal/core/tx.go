@@ -39,7 +39,7 @@ type writeEnt struct {
 	oldVersion uint64
 	newVersion uint64
 	replicas   []rdma.NodeID // replica set snapshot, primary first
-	applied    []rdma.NodeID // replicas the commit write reached
+	applied    uint64        // bit i: the commit write reached replicas[i]
 	// queued marks a lock taken through the hot-lock ticket queue; the
 	// release path then owes the lane one head advance at queueHead
 	// (DESIGN.md §14).
@@ -52,9 +52,11 @@ type writeEnt struct {
 type Tx struct {
 	co  *Coordinator
 	cn  *ComputeNode
-	id  uint64 // coordinator-local, monotonic
-	tag uint32 // low bits of id; embedded in the lock word
+	sc  *txScratch // the coordinator's, borrowed until release
+	id  uint64     // coordinator-local, monotonic
+	tag uint32     // low bits of id; embedded in the lock word
 
+	// The entries and every byte slice they hold live in sc.
 	reads  []*readEnt
 	writes []*writeEnt
 
@@ -74,7 +76,11 @@ type Tx struct {
 
 // Begin starts a transaction. It blocks while the node is paused for
 // memory-failure reconfiguration.
-func (co *Coordinator) Begin() *Tx {
+func (co *Coordinator) Begin() *Tx { return co.BeginIn(new(Tx)) }
+
+// BeginIn is Begin into a header the caller owns and has finished with:
+// a retry loop reuses one. The rest comes from the coordinator's scratch.
+func (co *Coordinator) BeginIn(tx *Tx) *Tx {
 	cn := co.node
 	cn.pause.RLock()
 	// Flush the previous transaction's post-ack drain tail before a new
@@ -84,12 +90,20 @@ func (co *Coordinator) Begin() *Tx {
 	// contends with its own coordinator's undrained locks.
 	co.flushDrain()
 	co.txCounter++
-	return &Tx{
-		co:  co,
-		cn:  cn,
-		id:  co.txCounter,
-		tag: uint32(co.txCounter),
-	}
+	sc := &co.scratch
+	sc.reset()
+	*tx = Tx{co: co, cn: cn, sc: sc, id: co.txCounter, tag: uint32(co.txCounter),
+		reads: sc.reads[:0], writes: sc.writes[:0]}
+	return tx
+}
+
+// addRead appends a read-set entry. value must stay valid for the
+// transaction: scratch memory, never a batch's or the cache's.
+func (tx *Tx) addRead(ref objRef, version uint64, value []byte, fromCache bool) *readEnt {
+	ent := tx.sc.rd.next()
+	*ent = readEnt{ref: ref, version: version, value: value, fromCache: fromCache}
+	tx.reads = append(tx.reads, ent)
+	return ent
 }
 
 // ID returns the coordinator-local transaction id.
@@ -105,6 +119,8 @@ func (tx *Tx) release() {
 	if !tx.released {
 		tx.released = true
 		tx.done = true
+		// Hand the (possibly grown) set arrays back for the next Begin.
+		tx.sc.reads, tx.sc.writes = tx.reads[:0], tx.writes[:0]
 		tx.cn.pause.RUnlock()
 	}
 }
@@ -118,9 +134,9 @@ func (tx *Tx) crash() error {
 }
 
 // abort runs the abort path (§3.1.5 step 3) and returns ErrAborted with
-// the typed kind and human-readable reason.
-func (tx *Tx) abort(kind metrics.AbortReason, reason string) error {
-	return tx.abortCause(kind, reason, nil)
+// the typed kind and the site's reason.
+func (tx *Tx) abort(kind metrics.AbortReason, info abortInfo) error {
+	return tx.abortCause(kind, info, nil)
 }
 
 // abortCause aborts with an underlying cause preserved for errors.Is
@@ -128,9 +144,9 @@ func (tx *Tx) abort(kind metrics.AbortReason, reason string) error {
 // single abort decision point, so the taxonomy counter is bumped here —
 // exactly once per abort, never on the fenced-zombie path (which is not
 // an abort; see verbFailure).
-func (tx *Tx) abortCause(kind metrics.AbortReason, reason string, cause error) error {
+func (tx *Tx) abortCause(kind metrics.AbortReason, info abortInfo, cause error) error {
 	tx.cn.opts.Metrics.CountAbort(kind)
-	err := tx.abortInternal(kind, reason)
+	err := tx.abortInternal(kind, info)
 	tx.release()
 	var ae *abortError
 	if errors.As(err, &ae) {
@@ -217,13 +233,8 @@ func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
 	// (a stale hit costs an abort, never a wrong result).
 	if rc := tx.co.rcache; rc != nil {
 		if v, ok := rc.Get(table, key, tx.cn.cacheEpoch.Load()); ok {
-			ent := &readEnt{
-				ref:       objRef{table: table, key: key, partition: v.Partition, slot: v.Slot},
-				version:   v.Version,
-				value:     append([]byte(nil), v.Value...),
-				fromCache: true,
-			}
-			tx.reads = append(tx.reads, ent)
+			ent := tx.addRead(objRef{table: table, key: key, partition: v.Partition, slot: v.Slot},
+				v.Version, tx.sc.padded(v.Value, len(v.Value)), true)
 			if tx.cn.opts.LocalWork != nil {
 				tx.cn.opts.LocalWork()
 			}
@@ -247,8 +258,7 @@ func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
 	if !slot.Present {
 		return nil, ErrNotFound
 	}
-	ent := &readEnt{ref: ref, version: slot.Version, value: append([]byte(nil), slot.Value...)}
-	tx.reads = append(tx.reads, ent)
+	ent := tx.addRead(ref, slot.Version, slot.Value, false)
 	tx.cacheRead(ent)
 	if tx.cn.opts.LocalWork != nil {
 		tx.cn.opts.LocalWork()
@@ -279,10 +289,11 @@ func (tx *Tx) invalidateCached(table kvlayout.TableID, key kvlayout.Key) {
 // (abort / treat-stray-as-unlocked / stall). It returns the ref the
 // slot was actually read from: a reused slot triggers a re-probe, and
 // the read-set entry must pin the re-resolved location or validation
-// would re-read the abandoned slot.
+// would re-read the abandoned slot. The slot's Value lives in the
+// transaction scratch, so entries may keep it without a copy.
 func (tx *Tx) readSlotConsistent(ref objRef) (kvlayout.Slot, objRef, error) {
 	tab := tx.cn.schema[ref.table]
-	buf := make([]byte, tab.SlotSize())
+	buf := tx.sc.bytes(int(tab.SlotSize()))
 	for {
 		primary, _, err := tx.cn.replicasFor(ref.partition)
 		if err != nil {
@@ -323,8 +334,7 @@ func (tx *Tx) readSlotConsistent(ref objRef) (kvlayout.Slot, objRef, error) {
 				continue
 			}
 			return kvlayout.Slot{}, ref, tx.abort(metrics.AbortLockConflict,
-				fmt.Sprintf("read of %d/%d found lock held by coordinator %d",
-					ref.table, ref.key, kvlayout.LockOwner(slot.Lock)))
+				lockedBy("read of %d/%d found lock held by coordinator %d", ref, slot.Lock))
 		}
 		return slot, ref, nil
 	}
@@ -398,7 +408,7 @@ func (tx *Tx) verbFailure(err error) error {
 	if le := linkFault(err); le != nil {
 		tx.cn.reportSuspect(le.Dst)
 	}
-	return tx.abortCause(metrics.AbortFault, "verb failed: "+err.Error(), err)
+	return tx.abortCause(metrics.AbortFault, abortInfo{format: "verb failed: ", detail: err}, err)
 }
 
 // placementAbort maps a replicasFor failure to the abort taxonomy: a
@@ -408,9 +418,9 @@ func (tx *Tx) verbFailure(err error) error {
 // set is a fault.
 func (tx *Tx) placementAbort(err error) error {
 	if errors.Is(err, ErrPartitionMigrating) {
-		return tx.abortCause(metrics.AbortReconfig, "placement: "+err.Error(), err)
+		return tx.abortCause(metrics.AbortReconfig, abortInfo{format: "placement: ", detail: err}, err)
 	}
-	return tx.abortCause(metrics.AbortFault, "no live replica: "+err.Error(), err)
+	return tx.abortCause(metrics.AbortFault, abortInfo{format: "no live replica: ", detail: err}, err)
 }
 
 // Write stages an update of an existing key and eagerly locks it
@@ -427,7 +437,7 @@ func (tx *Tx) Write(table kvlayout.TableID, key kvlayout.Key, value []byte) erro
 		if w.kind == kvlayout.WriteDelete {
 			w.kind = kvlayout.WriteUpdate
 		}
-		w.newValue = padValue(tab, value)
+		w.newValue = tx.sc.padded(value, tab.ValueSize)
 		return nil
 	}
 	ref, found, err := tx.resolve(table, key)
@@ -437,7 +447,7 @@ func (tx *Tx) Write(table kvlayout.TableID, key kvlayout.Key, value []byte) erro
 	if !found {
 		return ErrNotFound
 	}
-	return tx.stageLockedWrite(ref, kvlayout.WriteUpdate, padValue(tab, value))
+	return tx.stageLockedWrite(ref, kvlayout.WriteUpdate, tx.sc.padded(value, tab.ValueSize))
 }
 
 // Delete stages removal of an existing key.
@@ -495,9 +505,8 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 				if tx.drainWait(res.claimedLock) {
 					continue // the claimant's drained release freed the slot; re-probe
 				}
-				return tx.abort(metrics.AbortSteal,
-					fmt.Sprintf("insert of %d/%d conflicts with in-flight claim by coordinator %d",
-						table, key, kvlayout.LockOwner(res.claimedLock)))
+				return tx.abort(metrics.AbortSteal, lockedBy("insert of %d/%d conflicts with in-flight claim by coordinator %d",
+					objRef{table: table, key: key}, res.claimedLock))
 			}
 			slot = res.claimedSlot
 		case res.haveFree:
@@ -506,7 +515,7 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 			return ErrTableFull
 		}
 		ref := objRef{table: table, key: key, partition: tx.cn.Ring().Partition(key), slot: slot}
-		err = tx.stageLockedWrite(ref, kvlayout.WriteInsert, padValue(tab, value))
+		err = tx.stageLockedWrite(ref, kvlayout.WriteInsert, tx.sc.padded(value, tab.ValueSize))
 		if err == nil {
 			return nil
 		}
@@ -515,7 +524,7 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 		}
 		return err
 	}
-	return tx.abort(metrics.AbortSteal, "insert: free-slot contention")
+	return tx.abort(metrics.AbortSteal, abortInfo{format: "insert: free-slot contention"})
 }
 
 // errSlotContended is an internal retry signal for insert slot races.
@@ -546,7 +555,8 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 		tx.recordPhase(metrics.PhaseLog, logStart)
 	}
 
-	ent := &writeEnt{ref: ref, kind: kind, wasInsert: kind == kvlayout.WriteInsert, newValue: newValue}
+	ent := tx.sc.wr.next()
+	*ent = writeEnt{ref: ref, kind: kind, wasInsert: kind == kvlayout.WriteInsert, newValue: newValue}
 
 	if opts.Protocol == ProtocolFORD && opts.Bugs.LogWithoutLock {
 		// Seeded bug: the undo log is written before the lock CAS is
@@ -585,10 +595,11 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 
 	b := rdma.GetBatch()
 	defer b.Put()
-	buf := b.Bytes(int(tab.SlotSize()))
+	buf := tx.sc.bytes(int(tab.SlotSize())) // not the batch's: the undo pre-image aliases it
 	lockOp := b.Add()
 	readOp := b.Add()
 	specOp := b.Add()
+	lockPair, lockTrio := b.Ops()[:2], b.Ops()[:3] // the doorbell without / with the ticket
 	mismatches := 0
 	// Ticket-lane state for the queued (promoted hot key) path. Every
 	// taken ticket owes the lane one head advance: if the acquisition
@@ -638,14 +649,14 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 		// that lock must be handed to the abort path, not forgotten.
 		var derr error
 		if spec {
-			derr = tx.co.ep.Do(lockOp, readOp, specOp)
+			derr = tx.co.ep.Do(lockTrio...)
 			// Absorb the ticket BEFORE any error handling: once the FAA
 			// executed, the lane is owed a head advance no matter which
 			// path this iteration takes (the defer settles an unconverted
 			// ticket).
 			tx.queueAbsorb(&q, specLane, specOp)
 		} else {
-			derr = tx.co.ep.Do(lockOp, readOp)
+			derr = tx.co.ep.Do(lockPair...)
 		}
 		if derr != nil {
 			if lockOp.Swapped {
@@ -729,9 +740,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 					ent.replicas = orderReplicas(primary, all)
 					tx.writes = append(tx.writes, ent)
 				}
-				return tx.abort(metrics.AbortLockConflict,
-					fmt.Sprintf("lock of %d/%d held by coordinator %d",
-						ref.table, ref.key, kvlayout.LockOwner(old)))
+				return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ref, old))
 			}
 		}
 		if cn.crashAt(tx.co.id, PointAfterLock) {
@@ -751,7 +760,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 			cn.dropRef(ref.table, ref.key)
 			mismatches++
 			if mismatches > 8 {
-				return tx.abort(metrics.AbortLockConflict, "lock: slot kept moving")
+				return tx.abort(metrics.AbortLockConflict, abortInfo{format: "lock: slot kept moving"})
 			}
 			newRef, found, rerr := tx.resolve(ref.table, ref.key)
 			if rerr != nil {
@@ -855,12 +864,13 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 	return nil
 }
 
-// captureUndo records the pre-image needed to roll the write back.
+// captureUndo records the pre-image needed to roll the write back. The
+// entry keeps slot.Value, which must be scratch memory.
 func (tx *Tx) captureUndo(ent *writeEnt, slot kvlayout.Slot) {
 	ent.oldVersion = slot.Version
 	ent.newVersion = slot.Version + 1
 	if ent.kind != kvlayout.WriteInsert {
-		ent.oldValue = append([]byte(nil), slot.Value...)
+		ent.oldValue = slot.Value
 	}
 	ent.locked = true
 }
@@ -873,14 +883,14 @@ func (tx *Tx) captureGuess(ent *writeEnt) {
 	if err == nil {
 		ent.oldVersion = slot.Version
 		ent.newVersion = slot.Version + 1
-		ent.oldValue = append([]byte(nil), slot.Value...)
+		ent.oldValue = slot.Value
 	}
 }
 
 // readSlotUnlocked fetches a slot image without any conflict policy.
 func (tx *Tx) readSlotUnlocked(ref objRef) (kvlayout.Slot, error) {
 	tab := tx.cn.schema[ref.table]
-	buf := make([]byte, tab.SlotSize())
+	buf := tx.sc.bytes(int(tab.SlotSize()))
 	primary, _, err := tx.cn.replicasFor(ref.partition)
 	if err != nil {
 		return kvlayout.Slot{}, err
@@ -915,8 +925,12 @@ func (tx *Tx) failLocked(ent *writeEnt, primary rdma.NodeID, all []rdma.NodeID, 
 	return tx.verbFailure(err)
 }
 
-// orderReplicas returns all replicas with primary first.
+// orderReplicas returns all replicas with primary first: the ring's own
+// (immutable) slice unless a dead primary reorders it.
 func orderReplicas(primary rdma.NodeID, all []rdma.NodeID) []rdma.NodeID {
+	if len(all) > 0 && all[0] == primary {
+		return all
+	}
 	out := make([]rdma.NodeID, 0, len(all))
 	out = append(out, primary)
 	for _, n := range all {
@@ -924,13 +938,6 @@ func orderReplicas(primary rdma.NodeID, all []rdma.NodeID) []rdma.NodeID {
 			out = append(out, n)
 		}
 	}
-	return out
-}
-
-// padValue right-pads a value to the table's fixed value size.
-func padValue(tab kvlayout.Table, v []byte) []byte {
-	out := make([]byte, tab.ValueSize)
-	copy(out, v)
 	return out
 }
 
@@ -1003,13 +1010,8 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 		}
 		if rc := tx.co.rcache; rc != nil {
 			if v, ok := rc.Get(table, k, epoch); ok {
-				ent := &readEnt{
-					ref:       objRef{table: table, key: k, partition: v.Partition, slot: v.Slot},
-					version:   v.Version,
-					value:     append([]byte(nil), v.Value...),
-					fromCache: true,
-				}
-				tx.reads = append(tx.reads, ent)
+				ent := tx.addRead(objRef{table: table, key: k, partition: v.Partition, slot: v.Slot},
+					v.Version, tx.sc.padded(v.Value, len(v.Value)), true)
 				vals[i], present[i] = ent.value, true
 				continue
 			}
@@ -1064,8 +1066,7 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 			case !slot.Present:
 				// absent (empty / tombstone / in-flight claim): skip
 			default:
-				ent := &readEnt{ref: refs[i], version: slot.Version, value: append([]byte(nil), slot.Value...)}
-				tx.reads = append(tx.reads, ent)
+				ent := tx.addRead(refs[i], slot.Version, tx.sc.padded(slot.Value, len(slot.Value)), false)
 				tx.cacheRead(ent)
 				vals[i], present[i] = ent.value, true
 			}
@@ -1082,8 +1083,7 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 			if !slot.Present {
 				continue
 			}
-			ent := &readEnt{ref: ref, version: slot.Version, value: append([]byte(nil), slot.Value...)}
-			tx.reads = append(tx.reads, ent)
+			ent := tx.addRead(ref, slot.Version, slot.Value, false)
 			tx.cacheRead(ent)
 			vals[i], present[i] = ent.value, true
 		}

@@ -71,15 +71,26 @@ func (r *LogRecord) EncodedSize() int {
 	return n
 }
 
-// Encode serialises the record. It panics if the record exceeds
-// LogAreaSize, which indicates a transaction larger than the protocol
-// supports.
+// Encode serialises the record into a fresh buffer.
 func (r *LogRecord) Encode() []byte {
+	buf := make([]byte, r.EncodedSize())
+	r.EncodeInto(buf)
+	return buf
+}
+
+// EncodeInto serialises the record into buf, which must be exactly
+// EncodedSize() zeroed bytes (the format's padding is never written) —
+// the commit path hands it a verb batch's arena so the record is built
+// where the WRITE reads it. It panics if the record exceeds LogAreaSize,
+// which indicates a transaction larger than the protocol supports.
+func (r *LogRecord) EncodeInto(buf []byte) {
 	size := r.EncodedSize()
 	if size > LogAreaSize {
 		panic("kvlayout: log record exceeds coordinator log area")
 	}
-	buf := make([]byte, size)
+	if len(buf) != size {
+		panic("kvlayout: EncodeInto buffer is not EncodedSize bytes")
+	}
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], logMagic)
 	le.PutUint32(buf[4:], flagValid)
@@ -88,7 +99,8 @@ func (r *LogRecord) Encode() []byte {
 	le.PutUint16(buf[18:], uint16(len(r.Writes)))
 	le.PutUint32(buf[20:], uint32(size))
 	off := logHdrSize
-	for _, w := range r.Writes {
+	for i := range r.Writes {
+		w := &r.Writes[i]
 		le.PutUint16(buf[off+0:], uint16(w.Table))
 		buf[off+2] = byte(w.Kind)
 		le.PutUint32(buf[off+4:], uint32(len(w.OldValue)))
@@ -102,7 +114,6 @@ func (r *LogRecord) Encode() []byte {
 	}
 	le.PutUint32(buf[off:], ^logMagic)
 	le.PutUint64(buf[off+8:], r.TxID)
-	return buf
 }
 
 // DecodeLogRecord parses the coordinator log area. ok is false when the

@@ -1,8 +1,11 @@
 package kvlayout
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"pandora/internal/race"
 )
 
 func TestTombstoneSlotNotPresent(t *testing.T) {
@@ -108,4 +111,36 @@ func TestLockIntentGarbageIgnored(t *testing.T) {
 	if got := DecodeLockIntents(area); len(got) != 0 {
 		t.Fatalf("garbage decoded as %d intents", len(got))
 	}
+}
+
+// TestEncodeIntoAllocs: EncodeInto writes the same bytes Encode returns,
+// into the caller's buffer and without touching the heap — the commit
+// path serialises straight into a verb batch's arena.
+func TestEncodeIntoAllocs(t *testing.T) {
+	rec := LogRecord{TxID: 9, Coord: 3, Writes: []LogWrite{
+		{Table: 1, Partition: 2, Slot: 5, Key: 7, Kind: WriteUpdate, OldVersion: 4, NewVersion: 5, OldValue: []byte("thirteen byte")},
+		{Table: 1, Partition: 3, Slot: 6, Key: 8, Kind: WriteInsert, NewVersion: 1},
+	}}
+	buf := make([]byte, rec.EncodedSize())
+	rec.EncodeInto(buf)
+	if !bytes.Equal(buf, rec.Encode()) {
+		t.Fatal("EncodeInto and Encode disagree")
+	}
+	if got, ok := DecodeLogRecord(buf); !ok || got.TxID != 9 || len(got.Writes) != 2 {
+		t.Fatalf("EncodeInto output does not decode: %+v, %t", got, ok)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EncodeInto accepted a buffer that is not EncodedSize bytes")
+		}
+	}()
+	if race.Enabled {
+		t.Log("-race instrumentation allocates; the EncodeInto zero-alloc gate is enforced by the no-race lane")
+	} else if n := testing.AllocsPerRun(200, func() {
+		clear(buf)
+		rec.EncodeInto(buf)
+	}); n > 0 {
+		t.Errorf("EncodeInto: %.0f allocs, want 0", n)
+	}
+	rec.EncodeInto(make([]byte, len(buf)+8))
 }

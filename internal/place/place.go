@@ -22,6 +22,7 @@ package place
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pandora/internal/kvlayout"
@@ -298,9 +299,12 @@ func walkVnodes(vs []vnode, h uint64, count int) []rdma.NodeID {
 }
 
 // Replicas returns the f+1 memory servers holding a partition, primary
-// first.
+// first. The slice is the ring's own and must not be modified: a ring is
+// immutable once built (every derived view is a fresh clone), which is
+// what lets the transaction path hold it without a copy. Its capacity is
+// clipped so an append by a caller copies instead of writing behind it.
 func (r *Ring) Replicas(partition uint32) []rdma.NodeID {
-	return append([]rdma.NodeID(nil), r.assign[partition]...)
+	return slices.Clip(r.assign[partition])
 }
 
 // Primary returns the partition's primary among live nodes: the first

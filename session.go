@@ -20,6 +20,10 @@ type Session struct {
 	// of contended Updates keeps its earned backoff; a successful commit
 	// resets it (the conflict ended — the next Update starts fresh).
 	bo backoff
+	// tx and inner are the one transaction header Update reuses for every
+	// attempt (DESIGN.md §18).
+	tx    Tx
+	inner core.Tx
 }
 
 // Session returns the coordinator handle for (compute node, coordinator)
@@ -33,7 +37,9 @@ func (c *Cluster) Session(node, coord int) *Session {
 // every lock the session takes — the PILL identity).
 func (s *Session) CoordinatorID() kvlayout.CoordID { return s.co.ID() }
 
-// Begin starts a transaction.
+// Begin starts a transaction. The handle is the caller's: it stays
+// readable (Done, CommitAcked, WriteSetSize, ...) however many
+// transactions the session runs afterwards.
 func (s *Session) Begin() *Tx {
 	return &Tx{c: s.c, inner: s.co.Begin()}
 }
@@ -48,11 +54,16 @@ func (s *Session) Begin() *Tx {
 // is not hammered. Conflict aborts retry immediately a few times, then
 // back off briefly too: on a hot key the lock holder needs the
 // scheduler, and spinning through the whole retry budget can starve it.
+// A negative maxRetries means none: fn still runs once.
+//
+// The *Tx passed to fn belongs to the session and is reused by the next
+// attempt and the next Update: fn must not keep it past its return.
 func (s *Session) Update(maxRetries int, fn func(tx *Tx) error) error {
 	var err error
 	b := &s.bo
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		tx := s.Begin()
+	tx := &s.tx
+	for attempt := 0; attempt == 0 || attempt <= maxRetries; attempt++ {
+		*tx = Tx{c: s.c, inner: s.co.BeginIn(&s.inner)}
 		if err = fn(tx); err != nil {
 			if !tx.Done() {
 				_ = tx.Abort()

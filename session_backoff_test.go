@@ -148,3 +148,51 @@ func TestUpdateResetsBackoffOnCommit(t *testing.T) {
 		t.Fatalf("successful commit did not reset the ladder: %+v", s.bo)
 	}
 }
+
+// TestUpdateNegativeRetriesRunsOnce: a negative retry budget means no
+// retries, not no attempts — fn runs exactly once and its transaction
+// commits. (It used to return nil without ever calling fn.)
+func TestUpdateNegativeRetriesRunsOnce(t *testing.T) {
+	c, err := New(Config{Tables: []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := c.Session(0, 0)
+	calls := 0
+	if err := s.Update(-1, func(tx *Tx) error {
+		calls++
+		return tx.Insert("kv", 1, []byte("v"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("fn ran %d times under a negative budget, want 1", calls)
+	}
+	if err := s.Update(-1, func(tx *Tx) error {
+		v, err := tx.Read("kv", 1)
+		if err == nil && v[0] != 'v' {
+			err = fmt.Errorf("key 1 = %q", v)
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("the insert did not commit: %v", err)
+	}
+
+	// A conflict under a negative budget surfaces after the one attempt.
+	htx := c.Session(1, 0).Begin()
+	if err := htx.Write("kv", 1, []byte("h")); err != nil {
+		t.Fatal(err)
+	}
+	calls = 0
+	err = s.Update(-3, func(tx *Tx) error {
+		calls++
+		return tx.Write("kv", 1, []byte("w"))
+	})
+	if !IsAborted(err) || calls != 1 {
+		t.Fatalf("contended update under a negative budget: err=%v after %d attempts, want one abort", err, calls)
+	}
+	if err := htx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -65,3 +65,24 @@ func badGoroutineCapture(addr uint64, done chan<- int) {
 		done <- len(op.Buf)
 	}()
 }
+
+// writeEnt and tx mirror the engine's transaction state, which outlives
+// every batch the commit path builds.
+type writeEnt struct{ logged []byte }
+
+type tx struct {
+	lastLog []byte
+	writes  []*writeEnt
+}
+
+// badLogPayloadKept: log records are serialised straight into the stage
+// batch's arena, so the payload dies at Put — a transaction or
+// write-set entry that keeps it reads another batch's bytes later.
+func badLogPayloadKept(t *tx, size int) {
+	b := GetBatch()
+	defer b.Put()
+	payload := b.Bytes(size)
+	b.AddRead(0, payload)
+	t.lastLog = payload          // want "stored to a field"
+	t.writes[0].logged = payload // want "stored to a field"
+}

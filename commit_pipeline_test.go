@@ -11,6 +11,7 @@ import (
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
+	"pandora/internal/rdma"
 )
 
 // The commit pipeline's contract, pinned from outside the engine: for
@@ -382,5 +383,73 @@ func TestLogFlushFaultBehindDeadServerAborts(t *testing.T) {
 	}
 	if !tx.AbortAcked() {
 		t.Fatal("abort not acknowledged after the link healed")
+	}
+}
+
+// TestLogWriteFaultTruncatesLandedCopy: a commit-time log WRITE that
+// link-faults on one log server after landing on the other aborts — and
+// the abort must truncate the copy that landed. Left behind, a valid
+// record of an acked-aborted transaction would be rolled forward by
+// recovery if the node crashed before its next commit overwrote it.
+func TestLogWriteFaultTruncatesLandedCopy(t *testing.T) {
+	c, err := New(Config{
+		MemoryNodes:         4,
+		ComputeNodes:        1,
+		CoordinatorsPerNode: 1,
+		SuspectThreshold:    -1, // the partition must stay a link fault, not escalate to a dead node
+		Tables:              []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", 32, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	eng := c.Engine(0)
+	logs := eng.Coordinator(0).LogServers()
+	faulted, live := c.MemoryIndex(logs[0]), logs[1]
+
+	// A key whose replicas avoid both log servers, so only the log stage
+	// meets the partition.
+	key, found := Key(0), false
+	for k := Key(0); k < 32 && !found; k++ {
+		found = true
+		for _, n := range eng.Ring().Replicas(eng.Ring().Partition(k)) {
+			if n == logs[0] || n == logs[1] {
+				found = false
+			}
+		}
+		if found {
+			key = k
+		}
+	}
+	if !found {
+		t.Fatal("no key with replicas off the log servers")
+	}
+
+	tx := c.Session(0, 0).Begin()
+	if err := tx.Write("kv", key, idemValue(999)); err != nil {
+		t.Fatal(err)
+	}
+	c.PartitionLink(0, faulted)
+	done := make(chan error, 1)
+	go func() { done <- tx.Commit() }()
+	for c.LinkStats().PartitionDrops == 0 {
+		runtime.Gosched()
+	}
+	c.HealLink(0, faulted) // let the abort's truncation through
+	err = <-done
+	if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortFault || tx.CommitAcked() || !tx.AbortAcked() {
+		t.Fatalf("commit returned %v (commit acked %t, abort acked %t), want an acked abort of kind fault",
+			err, tx.CommitAcked(), tx.AbortAcked())
+	}
+	area := make([]byte, kvlayout.LogAreaSize)
+	addr := rdma.Addr{Node: live, Region: kvlayout.LogRegionID(eng.ID()), Offset: kvlayout.LogAreaOffset(0)}
+	if err := c.fab.Endpoint(eng.ID()).Read(addr, area); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := kvlayout.DecodeLogRecord(area); ok {
+		t.Fatalf("the live log server still holds a valid record of the aborted transaction: %+v", rec)
 	}
 }

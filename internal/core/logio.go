@@ -71,24 +71,26 @@ func (tx *Tx) runLog(kind stageKind, b *rdma.OpBatch, unreachable string) error 
 		b.ChainFlushes(0)
 	}
 	inWrites, err := tx.co.run(st)
-	if err != nil && inWrites {
-		return tx.verbFailure(err)
-	}
 	written := 0
 	for _, op := range b.Ops()[:st.cut] {
 		if op.Err == nil {
 			written++
 		}
 	}
+	// The record reached `written` servers: mark logged BEFORE acting on
+	// any failure — a link-faulted write to another server, or a flush —
+	// so the abort truncates the copies that landed. A valid log left
+	// behind an acked abort would be rolled forward by recovery.
+	if written > 0 {
+		tx.logged = true
+	}
+	if err != nil && inWrites {
+		return tx.verbFailure(err)
+	}
 	if written == 0 {
 		// Dead log servers are tolerated while a surviving copy exists.
 		return tx.abort(metrics.AbortFault, abortInfo{format: unreachable})
 	}
-	// The record reached `written` servers: mark logged BEFORE looking at
-	// the flush results, so a flush failure aborts WITH truncation — a
-	// valid log left behind an acked abort would be rolled forward by
-	// recovery.
-	tx.logged = true
 	if err != nil {
 		return tx.verbFailure(err)
 	}

@@ -144,7 +144,7 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema [
 			node:       cn,
 			id:         cid,
 			slot:       slot,
-			ep:         fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout),
+			ep:         fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout).WithLane(uint32(cid)),
 			logServers: ring.LogServers(id),
 		}
 		if opts.ReadCacheSize >= 0 {

@@ -54,10 +54,17 @@ func bucketFloor(i int) int64 {
 	return int64(1) << (i - 1)
 }
 
-// record adds one sample. shard may be any value; only its low bits
-// select the shard.
+// record adds one sample. shard may be any value.
 func (h *Histogram) record(shard uint64, d time.Duration) {
-	h.shards[shard&(histShards-1)].buckets[bucketOf(d)].Add(1)
+	h.shards[shardOf(shard)].buckets[bucketOf(d)].Add(1)
+}
+
+// shardOf adds a shard key's two low octal digits without carry. Keys
+// are coordinator ids and node ids: the low digit alone puts coordinator
+// i of every 8-coordinator node on one shard, which is exactly the set
+// of recorders that run concurrently.
+func shardOf(key uint64) uint64 {
+	return (key ^ key>>3) & (histShards - 1)
 }
 
 // totals sums the shards into one bucket array.

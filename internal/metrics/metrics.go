@@ -322,10 +322,17 @@ func (r *Registry) CountCommitRound() {
 // lock-free and allocation-free; the first verb to a new node takes a
 // mutex and copies the registration table. Nil-safe.
 func (r *Registry) CountVerb(node uint16, v Verb, retried bool, outcome VerbOutcome) {
+	r.CountVerbFrom(0, node, v, retried, outcome)
+}
+
+// CountVerbFrom is CountVerb on the issuer's lane: any value, constant
+// per issuer, so that issuers on different cores count in different
+// cache lines.
+func (r *Registry) CountVerbFrom(lane uint32, node uint16, v Verb, retried bool, outcome VerbOutcome) {
 	if r == nil || v >= NumVerbs {
 		return
 	}
-	c := &r.verbs.block(node).counters[v]
+	c := &r.verbs.block(node).lanes[lane%verbLanes].counters[v]
 	c.issued.Add(1)
 	if retried {
 		c.retried.Add(1)

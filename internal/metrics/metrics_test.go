@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestBucketOf(t *testing.T) {
@@ -86,6 +87,55 @@ func TestVerbCounters(t *testing.T) {
 	}
 	if cas.Issued != 3 || cas.Retried != 1 || cas.DeadlineExpired != 1 || cas.Faulted != 0 {
 		t.Errorf("CAS@1001 = %+v", cas)
+	}
+}
+
+// TestVerbLanesSum: a cell's value is the sum over the issuer lanes, any
+// lane value is accepted, and CountVerb is lane 0.
+func TestVerbLanesSum(t *testing.T) {
+	r := New()
+	for lane := uint32(0); lane < 3*verbLanes; lane++ {
+		r.CountVerbFrom(lane, 7, VerbWrite, lane%2 == 0, VerbFaulted)
+	}
+	r.CountVerb(7, VerbWrite, false, VerbOK)
+	for _, v := range r.Snapshot().Verbs {
+		if v.Verb == "WRITE" {
+			if v.Issued != 3*verbLanes+1 || v.Retried != 3*verbLanes/2 || v.Faulted != 3*verbLanes || v.DeadlineExpired != 0 {
+				t.Errorf("WRITE@7 = %+v", v)
+			}
+		} else if v.Issued != 0 {
+			t.Errorf("%s@7 = %+v, want untouched", v.Verb, v)
+		}
+	}
+}
+
+// TestCounterLayout pins what keeps concurrent issuers apart (see
+// rdma.TestLaneLayout): blocks are aligned to 8 bytes, so two lanes'
+// cells share no cache line only with a line of padding between them,
+// and lane 0 must not hold the block's first byte, which indexing
+// through the pointer loads as its nil check.
+func TestCounterLayout(t *testing.T) {
+	var b verbBlock
+	if off := unsafe.Offsetof(b.lanes); off < 64 {
+		t.Errorf("lanes start at offset %d: lane 0 shares the line the nil check reads", off)
+	}
+	if pad := unsafe.Sizeof(b.lanes[0]) - unsafe.Sizeof(b.lanes[0].counters); pad < 64 {
+		t.Errorf("%d B between two lanes' cells: they can meet in one 64 B line", pad)
+	}
+}
+
+// TestShardOfSpreads: coordinator i of successive 8-coordinator nodes
+// (ids 8 apart) and one node's coordinators record on distinct shards.
+func TestShardOfSpreads(t *testing.T) {
+	for _, c := range []struct{ base, stride uint64 }{{16, 1}, {0, 8}, {43, 8}} {
+		seen := map[uint64]uint64{}
+		for i := uint64(0); i < histShards; i++ {
+			key := c.base + i*c.stride
+			if prev, dup := seen[shardOf(key)]; dup {
+				t.Errorf("base %d stride %d: keys %d and %d share shard %d", c.base, c.stride, prev, key, shardOf(key))
+			}
+			seen[shardOf(key)] = key
+		}
 	}
 }
 

@@ -107,14 +107,14 @@ func (r *Registry) Snapshot() Snapshot {
 	if t := r.verbs.tab.Load(); t != nil {
 		for i, node := range t.nodes { // nodes are sorted
 			for v := Verb(0); v < NumVerbs; v++ {
-				c := &t.blocks[i].counters[v]
+				issued, retried, expired, faulted := t.blocks[i].sum(v)
 				s.Verbs = append(s.Verbs, VerbSnapshot{
 					Node:            node,
 					Verb:            v.String(),
-					Issued:          c.issued.Load(),
-					Retried:         c.retried.Load(),
-					DeadlineExpired: c.expired.Load(),
-					Faulted:         c.faulted.Load(),
+					Issued:          issued,
+					Retried:         retried,
+					DeadlineExpired: expired,
+					Faulted:         faulted,
 				})
 			}
 		}

@@ -13,9 +13,39 @@ type verbCounters struct {
 	faulted atomic.Uint64
 }
 
-// verbBlock holds one destination node's counters, one cell per verb.
-type verbBlock struct {
+// verbLanes is the number of issuer lanes a destination's counters are
+// spread over.
+const verbLanes = 8
+
+// verbLane is one issuer lane of a destination's counters, one cell per
+// verb, followed by at least a cache line of padding: blocks are aligned
+// to 8 bytes, not 64, and two lanes must not meet in one line.
+type verbLane struct {
 	counters [NumVerbs]verbCounters
+	_        [64 + (64-NumVerbs*32%64)%64]byte
+}
+
+// verbBlock holds one destination node's counters. Every verb of every
+// endpoint counts here, so the cells are spread over lanes picked by the
+// issuer: endpoints on different lanes never write one cache line. (The
+// leading pad keeps lane 0 off the block's first byte, which indexing
+// through a *verbBlock loads as its nil check.) A cell's value is the
+// sum over the lanes.
+type verbBlock struct {
+	_     [64]byte
+	lanes [verbLanes]verbLane
+}
+
+// sum adds verb v's cells up.
+func (b *verbBlock) sum(v Verb) (issued, retried, expired, faulted uint64) {
+	for i := range b.lanes {
+		c := &b.lanes[i].counters[v]
+		issued += c.issued.Load()
+		retried += c.retried.Load()
+		expired += c.expired.Load()
+		faulted += c.faulted.Load()
+	}
+	return
 }
 
 // verbTab is the immutable registration table: nodes sorted ascending,

@@ -21,6 +21,10 @@ import (
 type Endpoint struct {
 	fab  *Fabric
 	node NodeID
+	// lane is this endpoint's reader lane on every barrier, region lock
+	// and verb counter it touches (see laneRW): its node's, unless
+	// WithLane picked another.
+	lane uint32
 	// self is the issuer's node state; the crash flag checked on every
 	// verb lives here. The pointer is stable for the fabric's lifetime.
 	self *nodeState
@@ -49,7 +53,7 @@ func (f *Fabric) Endpoint(node NodeID) *Endpoint {
 	if ns == nil {
 		panic("rdma: endpoint for unattached node")
 	}
-	return &Endpoint{fab: f, node: node, self: ns, cache: &handleCache{}}
+	return &Endpoint{fab: f, node: node, lane: laneOf(uint32(node)), self: ns, cache: &handleCache{}}
 }
 
 // WithClock returns a copy of the endpoint charging verb latencies to
@@ -57,6 +61,15 @@ func (f *Fabric) Endpoint(node NodeID) *Endpoint {
 func (ep *Endpoint) WithClock(clk *VClock) *Endpoint {
 	cp := *ep
 	cp.clock = clk
+	return &cp
+}
+
+// WithLane returns a copy of the endpoint on the lane of key. Endpoints
+// that issue verbs concurrently from one node (its coordinators) pass
+// keys that tell them apart, such as their coordinator ids.
+func (ep *Endpoint) WithLane(key uint32) *Endpoint {
+	cp := *ep
+	cp.lane = laneOf(key)
 	return &cp
 }
 
@@ -226,17 +239,17 @@ func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
 	extra, err := ep.admit(op.Addr.Node, n)
 	if err != nil {
 		op.Err = err
-		ep.fab.countVerb(op, 0)
+		ep.fab.countVerb(ep.lane, op, 0)
 		return 0
 	}
 	ns, r := ep.lookup(op.Addr.Node, op.Addr.Region)
 	if ns != nil {
-		ns.verbs.RLock()
-		defer ns.verbs.RUnlock()
+		ns.verbs.RLock(ep.lane)
+		defer ns.verbs.RUnlock(ep.lane)
 	}
 	if err := ep.gateCheck(); err != nil {
 		op.Err = err
-		ep.fab.countVerb(op, 0)
+		ep.fab.countVerb(ep.lane, op, 0)
 		return 0
 	}
 	if fault < 0 {
@@ -255,21 +268,21 @@ func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
 	default:
 		switch op.Kind {
 		case OpRead:
-			op.Err = r.read(op.Addr.Offset, op.Buf)
+			op.Err = r.read(ep.lane, op.Addr.Offset, op.Buf)
 		case OpWrite:
-			op.Err = r.write(op.Addr.Offset, op.Buf)
+			op.Err = r.write(ep.lane, op.Addr.Offset, op.Buf)
 		case OpCAS:
-			op.Old, op.Err = r.cas(op.Addr.Offset, op.Expect, op.Swap)
+			op.Old, op.Err = r.cas(ep.lane, op.Addr.Offset, op.Expect, op.Swap)
 			op.Swapped = op.Err == nil && op.Old == op.Expect
 		case OpFAA:
-			op.Old, op.Err = r.faa(op.Addr.Offset, op.Delta)
+			op.Old, op.Err = r.faa(ep.lane, op.Addr.Offset, op.Delta)
 		case OpFlush:
-			op.Err = r.flush(op.Addr.Offset, int(op.Delta))
+			op.Err = r.flush(ep.lane, op.Addr.Offset, int(op.Delta))
 		default:
 			op.Err = ErrNoRegion
 		}
 	}
-	ep.fab.countVerb(op, fault)
+	ep.fab.countVerb(ep.lane, op, fault)
 	return d
 }
 

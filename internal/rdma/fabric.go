@@ -51,7 +51,7 @@ func (f *Fabric) SetMetrics(m *metrics.Registry) { f.met.Store(m) }
 // completion error — a deadline expiry counts as such, every other
 // error (partition, node down, revocation, crash, missing region) as
 // faulted. No-op when no sink is attached.
-func (f *Fabric) countVerb(op *Op, fault time.Duration) {
+func (f *Fabric) countVerb(lane uint32, op *Op, fault time.Duration) {
 	m := f.met.Load()
 	if m == nil {
 		return
@@ -64,7 +64,7 @@ func (f *Fabric) countVerb(op *Op, fault time.Duration) {
 	default:
 		outcome = metrics.VerbFaulted
 	}
-	m.CountVerb(uint16(op.Addr.Node), metrics.Verb(op.Kind), fault > 0, outcome)
+	m.CountVerbFrom(lane, uint16(op.Addr.Node), metrics.Verb(op.Kind), fault > 0, outcome)
 }
 
 // nodeState carries one node's fabric-visible state. Each node also
@@ -78,7 +78,7 @@ func (f *Fabric) countVerb(op *Op, fault time.Duration) {
 // memory nodes never contend on one global lock, while a fence still
 // linearizes against every verb that could touch the fenced node.
 type nodeState struct {
-	verbs sync.RWMutex
+	verbs laneRW
 
 	mu      sync.RWMutex // guards regions and revoked
 	regions map[RegionID]*Region

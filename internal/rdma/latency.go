@@ -39,6 +39,9 @@ func (m LatencyModel) Verb(n int) time.Duration {
 // coordinator, a recovery coordinator) normally owns one.
 type VClock struct {
 	ns atomic.Int64
+	// Its owner advances it on every verb: two clocks allocated back to
+	// back must not share a cache line.
+	_ [56]byte
 }
 
 // Advance adds d to the clock.

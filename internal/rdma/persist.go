@@ -40,26 +40,25 @@ func (ep *Endpoint) Flush(addr Addr, n int) error {
 	return nil
 }
 
-// ensureDurable lazily allocates the durable image.
+// ensureDurable lazily allocates the durable image: once, because two
+// flushes of different stripes hold no lock in common.
 func (r *Region) ensureDurable() {
-	if r.durable == nil {
-		r.durable = make([]byte, len(r.buf))
-	}
+	r.durableOnce.Do(func() { r.durable = make([]byte, len(r.buf)) })
 }
 
 // flush copies [off, off+n) from the volatile buffer to the durable
 // image.
-func (r *Region) flush(off uint64, n int) error {
+func (r *Region) flush(lane uint32, off uint64, n int) error {
 	if err := r.checkBounds(off, n); err != nil {
 		return err
 	}
 	if n == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(off, n)
+	first, last, whole := r.lock(lane, off, n)
 	r.ensureDurable()
 	copy(r.durable[off:off+uint64(n)], r.buf[off:off+uint64(n)])
-	r.unlock(first, last, whole)
+	r.unlock(lane, first, last, whole)
 	return nil
 }
 

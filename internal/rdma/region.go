@@ -23,17 +23,19 @@ const wholeOpSpan = 4
 
 // Region is a registered memory region hosted by a node. All verb-level
 // access goes through a two-level lock: verbs spanning at most
-// wholeOpSpan stripes hold the whole-region lock shared plus their
-// stripes exclusively; larger verbs hold the whole-region lock
-// exclusively and touch no stripes. Either way each verb is applied
-// atomically and race-free against concurrent verbs from any endpoint.
+// wholeOpSpan stripes hold the whole-region lock shared (on the issuing
+// endpoint's lane) plus their stripes exclusively; larger verbs hold the
+// whole-region lock exclusively and touch no stripes. Either way each
+// verb is applied atomically and race-free against concurrent verbs
+// from any endpoint.
 type Region struct {
-	whole   sync.RWMutex
+	whole   laneRW
 	buf     []byte
 	stripes []sync.Mutex
 	// durable is the NVM image when persistence is modelled (see
 	// persist.go); nil otherwise.
-	durable []byte
+	durable     []byte
+	durableOnce sync.Once
 }
 
 // NewRegion allocates a zeroed region of the given size.
@@ -50,21 +52,21 @@ func (r *Region) Size() int { return len(r.buf) }
 // lock acquires the stripes covering [off, off+n) — or the whole-region
 // lock for wide ranges — and returns the state unlock needs. Bounds must
 // already be checked.
-func (r *Region) lock(off uint64, n int) (first, last int, whole bool) {
+func (r *Region) lock(lane uint32, off uint64, n int) (first, last int, whole bool) {
 	first = int(off) / stripeBytes
 	last = (int(off) + n - 1) / stripeBytes
 	if last-first >= wholeOpSpan {
 		r.whole.Lock()
 		return 0, 0, true
 	}
-	r.whole.RLock()
+	r.whole.RLock(lane)
 	for i := first; i <= last; i++ {
 		r.stripes[i].Lock()
 	}
 	return first, last, false
 }
 
-func (r *Region) unlock(first, last int, whole bool) {
+func (r *Region) unlock(lane uint32, first, last int, whole bool) {
 	if whole {
 		r.whole.Unlock()
 		return
@@ -72,7 +74,7 @@ func (r *Region) unlock(first, last int, whole bool) {
 	for i := last; i >= first; i-- {
 		r.stripes[i].Unlock()
 	}
-	r.whole.RUnlock()
+	r.whole.RUnlock(lane)
 }
 
 func (r *Region) checkBounds(off uint64, n int) error {
@@ -83,65 +85,65 @@ func (r *Region) checkBounds(off uint64, n int) error {
 }
 
 // read copies n bytes at off into dst.
-func (r *Region) read(off uint64, dst []byte) error {
+func (r *Region) read(lane uint32, off uint64, dst []byte) error {
 	if err := r.checkBounds(off, len(dst)); err != nil {
 		return err
 	}
 	if len(dst) == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(off, len(dst))
+	first, last, whole := r.lock(lane, off, len(dst))
 	copy(dst, r.buf[off:])
-	r.unlock(first, last, whole)
+	r.unlock(lane, first, last, whole)
 	return nil
 }
 
 // write copies src into the region at off.
-func (r *Region) write(off uint64, src []byte) error {
+func (r *Region) write(lane uint32, off uint64, src []byte) error {
 	if err := r.checkBounds(off, len(src)); err != nil {
 		return err
 	}
 	if len(src) == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(off, len(src))
+	first, last, whole := r.lock(lane, off, len(src))
 	copy(r.buf[off:], src)
-	r.unlock(first, last, whole)
+	r.unlock(lane, first, last, whole)
 	return nil
 }
 
 // cas atomically compares the 8-byte little-endian word at off with
 // expect and, if equal, replaces it with swap. It returns the previous
 // value in either case.
-func (r *Region) cas(off uint64, expect, swap uint64) (uint64, error) {
+func (r *Region) cas(lane uint32, off uint64, expect, swap uint64) (uint64, error) {
 	if off%8 != 0 {
 		return 0, ErrUnaligned
 	}
 	if err := r.checkBounds(off, 8); err != nil {
 		return 0, err
 	}
-	first, last, whole := r.lock(off, 8)
+	first, last, whole := r.lock(lane, off, 8)
 	old := binary.LittleEndian.Uint64(r.buf[off:])
 	if old == expect {
 		binary.LittleEndian.PutUint64(r.buf[off:], swap)
 	}
-	r.unlock(first, last, whole)
+	r.unlock(lane, first, last, whole)
 	return old, nil
 }
 
 // faa atomically adds delta to the 8-byte little-endian word at off and
 // returns the previous value.
-func (r *Region) faa(off uint64, delta uint64) (uint64, error) {
+func (r *Region) faa(lane uint32, off uint64, delta uint64) (uint64, error) {
 	if off%8 != 0 {
 		return 0, ErrUnaligned
 	}
 	if err := r.checkBounds(off, 8); err != nil {
 		return 0, err
 	}
-	first, last, whole := r.lock(off, 8)
+	first, last, whole := r.lock(lane, off, 8)
 	old := binary.LittleEndian.Uint64(r.buf[off:])
 	binary.LittleEndian.PutUint64(r.buf[off:], old+delta)
-	r.unlock(first, last, whole)
+	r.unlock(lane, first, last, whole)
 	return old, nil
 }
 
@@ -161,8 +163,8 @@ func (r *Region) ReadUint64(off uint64) (uint64, error) {
 	if err := r.checkBounds(off, 8); err != nil {
 		return 0, err
 	}
-	first, last, whole := r.lock(off, 8)
+	first, last, whole := r.lock(0, off, 8)
 	v := binary.LittleEndian.Uint64(r.buf[off:])
-	r.unlock(first, last, whole)
+	r.unlock(0, first, last, whole)
 	return v, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -296,6 +297,25 @@ func TestCommitPipelineCrashSweep(t *testing.T) {
 	}
 }
 
+// keyOffLogServers returns a key below n none of whose replicas is a log
+// server of eng's coordinator 0, so a fault on a log server's link is
+// met by the log stage alone.
+func keyOffLogServers(t *testing.T, eng *core.ComputeNode, n Key) Key {
+	t.Helper()
+	logs := eng.Coordinator(0).LogServers()
+	for k := Key(0); k < n; k++ {
+		off := true
+		for _, rep := range eng.Ring().Replicas(eng.Ring().Partition(k)) {
+			off = off && !slices.Contains(logs, rep)
+		}
+		if off {
+			return k
+		}
+	}
+	t.Fatal("no key with replicas off the log servers")
+	return 0
+}
+
 // TestLogFlushFaultBehindDeadServerAborts: under Persist with split
 // doorbells, a link fault that strikes only the write-ahead log FLUSH on
 // the live log server — while the other log server is down, so the
@@ -334,21 +354,7 @@ func TestLogFlushFaultBehindDeadServerAborts(t *testing.T) {
 	// A key whose replicas avoid both log servers: the apply that would
 	// follow a masked flush fault then succeeds, so only the flush
 	// verdict decides the outcome.
-	key, found := Key(0), false
-	for k := Key(0); k < 32 && !found; k++ {
-		found = true
-		for _, n := range eng.Ring().Replicas(eng.Ring().Partition(k)) {
-			if n == logs[0] || n == logs[1] {
-				found = false
-			}
-		}
-		if found {
-			key = k
-		}
-	}
-	if !found {
-		t.Fatal("no key with replicas off the log servers")
-	}
+	key := keyOffLogServers(t, eng, 32)
 	if err := c.FailMemory(dead); err != nil {
 		t.Fatal(err)
 	}
@@ -412,21 +418,7 @@ func TestLogWriteFaultTruncatesLandedCopy(t *testing.T) {
 
 	// A key whose replicas avoid both log servers, so only the log stage
 	// meets the partition.
-	key, found := Key(0), false
-	for k := Key(0); k < 32 && !found; k++ {
-		found = true
-		for _, n := range eng.Ring().Replicas(eng.Ring().Partition(k)) {
-			if n == logs[0] || n == logs[1] {
-				found = false
-			}
-		}
-		if found {
-			key = k
-		}
-	}
-	if !found {
-		t.Fatal("no key with replicas off the log servers")
-	}
+	key := keyOffLogServers(t, eng, 32)
 
 	tx := c.Session(0, 0).Begin()
 	if err := tx.Write("kv", key, idemValue(999)); err != nil {

@@ -91,6 +91,12 @@ func RunReconfig(cfg Config, mode string) (*Result, error) {
 		}
 	}
 	time.Sleep(cfg.Gap) //pandora:wallclock let the workload build up in-flight transactions before the migration starts
+	// On a loaded host the gap can pass before any worker was scheduled,
+	// and the whole scenario then finishes without a single commit: wait
+	// (bounded) for the first acknowledgement, the event the gap stands for.
+	for i := 0; i < 1000 && e.acked.Load() == 0; i++ {
+		time.Sleep(time.Millisecond) //pandora:wallclock paces the wait for the live workload's first commit; the event log does not depend on it
+	}
 
 	// The crash fires at the crashAt-th partition-scoped step event;
 	// should the migration move fewer partitions than that, the finalize

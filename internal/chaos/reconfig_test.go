@@ -48,7 +48,7 @@ func TestReconfigCrashMatrix(t *testing.T) {
 				runReconfigScenario(t, Config{
 					Seed:     seed,
 					Workload: "bank",
-					Gap:      time.Millisecond,
+					Gap:      2 * time.Millisecond,
 				}, mode)
 			})
 		}

@@ -599,7 +599,9 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 	lockOp := b.Add()
 	readOp := b.Add()
 	specOp := b.Add()
-	lockPair, lockTrio := b.Ops()[:2], b.Ops()[:3] // the doorbell without / with the ticket
+	// The doorbell without / with the ticket. The lockpair pass recognises
+	// the post by these names.
+	lockPair, lockTrio := b.Ops()[:2], b.Ops()[:3]
 	mismatches := 0
 	// Ticket-lane state for the queued (promoted hot key) path. Every
 	// taken ticket owes the lane one head advance: if the acquisition

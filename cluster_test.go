@@ -286,6 +286,35 @@ func TestMemoryFailurePromotionAndRereplication(t *testing.T) {
 	}
 }
 
+// TestRereplicateKeepsOtherDeadMemory loses two of three replicas and
+// replaces only the first: the second is still dead afterwards, so the
+// partitions it leads must keep resolving past it.
+func TestRereplicateKeepsOtherDeadMemory(t *testing.T) {
+	cfg := testConfig()
+	cfg.MemoryNodes = 3
+	cfg.Replication = 3
+	c := newLoaded(t, cfg, 64)
+	for _, m := range []int{0, 1} {
+		if err := c.FailMemory(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readAll := func(when string) {
+		t.Helper()
+		s := c.Session(0, 0)
+		for k := pandora.Key(0); k < 64; k++ {
+			if v := readValidated(t, s, "kv", k); binary.LittleEndian.Uint64(v) != uint64(k)*10 {
+				t.Fatalf("%s: key %d = %v", when, k, v)
+			}
+		}
+	}
+	readAll("two replicas down")
+	if _, err := c.Rereplicate(0); err != nil {
+		t.Fatal(err)
+	}
+	readAll("first one replaced, second still down")
+}
+
 func TestLiveFDDetectsAndRecovers(t *testing.T) {
 	cfg := testConfig()
 	cfg.LiveFD = true

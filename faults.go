@@ -140,17 +140,12 @@ func (c *Cluster) RestartCompute(i int) error {
 		AsyncCommitBack:  c.cfg.AsyncCommitBack,
 		Metrics:          c.met,
 	}
-	ring := c.mgr.Ring()
-	cn := core.NewComputeNode(c.fab, nodeID, ring, c.schema, ids, opts)
+	// The rejoining node must learn the current state: the cluster's
+	// placement view — dead memory servers and partitions mid-cutover
+	// included — and every failed coordinator-id.
+	cn := core.NewComputeNode(c.fab, nodeID, c.mgr.View(), c.schema, ids, opts)
 	cn.SetSuspectReporter(func(n rdma.NodeID) { c.fd.Suspect(n) })
-	// The rejoining node must learn the current failure state: every
-	// failed coordinator-id and every dead memory server.
 	cn.NotifyStrayLocks(c.fd.FailedIDs().IDs())
-	for _, m := range c.memList() {
-		if c.fab.IsDown(m.ID()) {
-			cn.NotifyMemoryFailure(m.ID())
-		}
-	}
 	c.mgr.SetPeer(cn)
 	if c.cfg.LiveFD {
 		cn.StartHeartbeats(c.fd, time.Millisecond)
@@ -239,12 +234,7 @@ func (c *Cluster) RestartMemory(i int) error {
 		return fmt.Errorf("pandora: memory node %d is not failed", i)
 	}
 	srv.Restart()
-	c.mu.Lock()
-	nodes := append([]*core.ComputeNode{}, c.nodes...)
-	c.mu.Unlock()
-	for _, cn := range nodes {
-		cn.NotifyMemoryRecovered(srv.ID())
-	}
+	c.mgr.MemoryRestarted(srv.ID())
 	// Re-arm monitoring: the FD resumes heartbeat tracking with a clean
 	// suspicion slate, so the restarted node can be failed again later.
 	c.fd.RegisterMemory(srv.ID())

@@ -219,11 +219,11 @@ func (tx *Tx) validate() (bool, error) {
 	b := rdma.GetBatch()
 	defer b.Put()
 	for _, r := range tx.reads {
-		primary, _, err := tx.cn.replicasFor(r.ref.partition)
+		reps, err := tx.cn.replicasFor(r.ref.partition)
 		if err != nil {
 			return false, tx.placementAbort(err)
 		}
-		b.AddRead(tx.cn.tableAddr(primary, r.ref, kvlayout.SlotLockOff), b.Bytes(16))
+		b.AddRead(tx.cn.tableAddr(reps[0], r.ref, kvlayout.SlotLockOff), b.Bytes(16))
 	}
 	if err := tx.co.ep.Do(b.Ops()...); err != nil {
 		return false, tx.verbFailure(err)

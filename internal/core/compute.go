@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,23 +54,18 @@ type ComputeNode struct {
 	schema []kvlayout.Table
 	opts   Options
 
-	ring     atomic.Pointer[place.Ring]
-	failed   *fdetect.Bitset
-	deadMu   sync.RWMutex
-	deadMem  map[rdma.NodeID]bool
-	cfgEpoch atomic.Uint64
-
-	// migrating marks partitions whose placement is mid-cutover
-	// (DESIGN.md §13): transactions touching one abort with the reconfig
-	// kind and retry after the new view is installed.
-	migMu     sync.RWMutex
-	migrating map[uint32]bool
+	// place is everything the node knows about placement — ring, dead
+	// memory servers, partitions mid-cutover, its own log servers — as one
+	// immutable value replaced whole by Install (DESIGN.md §13). A
+	// transaction loads it per lookup and never pins it.
+	place  atomic.Pointer[placement]
+	failed *fdetect.Bitset
 
 	// cacheEpoch stamps every validated-read-cache entry; any event that
 	// could silently change committed state out from under cached values
-	// (recovery roll-back announced via stray-lock notification, memory
-	// failure/recovery, a placement swap) bumps it, turning every older
-	// entry into a miss. Per-key staleness needs no epoch: OCC
+	// (recovery roll-back announced via stray-lock notification, a memory
+	// server dying or returning, a membership change) bumps it, turning
+	// every older entry into a miss. Per-key staleness needs no epoch: OCC
 	// validation catches it (DESIGN.md §11).
 	cacheEpoch atomic.Uint64
 
@@ -114,23 +110,30 @@ type objRef struct {
 	slot      uint64
 }
 
-// NewComputeNode attaches a compute node to the fabric. The coordinator
-// ids must come from the failure detector's RegisterCompute so they are
-// globally unique.
-func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema []kvlayout.Table, coordIDs []kvlayout.CoordID, opts Options) *ComputeNode {
+// placement is an installed view plus what this node derives from it.
+type placement struct {
+	*place.View
+	// logServers are the node's f+1 designated log servers under the
+	// view's ring. Intermediate migration rings pin log placement, so they
+	// only move with a membership change, installed under Pause.
+	logServers []rdma.NodeID
+}
+
+// NewComputeNode attaches a compute node to the fabric with view as its
+// placement. The coordinator ids must come from the failure detector's
+// RegisterCompute so they are globally unique.
+func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema []kvlayout.Table, coordIDs []kvlayout.CoordID, opts Options) *ComputeNode {
 	cn := &ComputeNode{
 		fab:       fab,
 		id:        id,
 		schema:    schema,
 		opts:      opts,
 		failed:    fdetect.NewBitset(),
-		deadMem:   make(map[rdma.NodeID]bool),
-		migrating: make(map[uint32]bool),
 		addrCache: make(map[addrKey]objRef),
 		hbStop:    make(chan struct{}),
 		stallPoll: 20 * time.Microsecond,
 	}
-	cn.ring.Store(ring)
+	cn.place.Store(&placement{View: view, logServers: view.Ring().LogServers(id)})
 	// EnsureNode rather than AddNode: a restarted compute server rejoins
 	// under its existing fabric identity (with fresh coordinator-ids).
 	fab.EnsureNode(id)
@@ -141,11 +144,10 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema [
 	alive := func() bool { return !cn.crashed.Load() }
 	for slot, cid := range coordIDs {
 		co := &Coordinator{
-			node:       cn,
-			id:         cid,
-			slot:       slot,
-			ep:         fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout).WithLane(uint32(cid)),
-			logServers: ring.LogServers(id),
+			node: cn,
+			id:   cid,
+			slot: slot,
+			ep:   fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout).WithLane(uint32(cid)),
 		}
 		if opts.ReadCacheSize >= 0 {
 			co.rcache = cache.New(opts.ReadCacheSize)
@@ -173,8 +175,8 @@ func (cn *ComputeNode) Coordinator(i int) *Coordinator { return cn.coords[i] }
 // FailedIDs returns the node-local failed-ids bitset consulted by PILL.
 func (cn *ComputeNode) FailedIDs() *fdetect.Bitset { return cn.failed }
 
-// Ring returns the node's current placement view.
-func (cn *ComputeNode) Ring() *place.Ring { return cn.ring.Load() }
+// Ring returns the ring of the node's current placement view.
+func (cn *ComputeNode) Ring() *place.Ring { return cn.place.Load().Ring() }
 
 // SetPostValidateDelay installs (or clears) the post-validation jitter
 // hook; see Options.PostValidateDelay. Call only while the node is
@@ -303,106 +305,27 @@ func (cn *ComputeNode) NotifyStrayLocks(ids []kvlayout.CoordID) {
 	cn.cacheEpoch.Add(1)
 }
 
-// NotifyMemoryFailure updates the node's placement view after a memory
-// server failure: the partition primaries deterministically move to the
-// next live replica (§3.2.5).
-func (cn *ComputeNode) NotifyMemoryFailure(node rdma.NodeID) {
-	cn.deadMu.Lock()
-	cn.deadMem[node] = true
-	cn.deadMu.Unlock()
-	cn.cfgEpoch.Add(1)
-	cn.cacheEpoch.Add(1)
-}
-
-// NotifyMemoryRecovered marks a previously failed memory server live
-// again in this node's placement view (after a power-failed NVM server
-// restarts, or after re-replication).
-func (cn *ComputeNode) NotifyMemoryRecovered(node rdma.NodeID) {
-	cn.deadMu.Lock()
-	delete(cn.deadMem, node)
-	cn.deadMu.Unlock()
-	cn.cfgEpoch.Add(1)
-	// A restarted NVM server resumes primary duty serving its durable
-	// image, which may lag values cached during the outage window.
-	cn.cacheEpoch.Add(1)
-}
-
-// memAlive reports this node's view of a memory server's liveness.
-func (cn *ComputeNode) memAlive(n rdma.NodeID) bool {
-	cn.deadMu.RLock()
-	defer cn.deadMu.RUnlock()
-	return !cn.deadMem[n]
-}
-
-// SwapRing installs a new placement ring (after re-replication onto a
-// replacement memory server) and clears the address cache, since slot
-// locations may have moved. The caller must have Paused the node: log
-// server assignments are refreshed on every coordinator.
-func (cn *ComputeNode) SwapRing(r *place.Ring) {
-	cn.ring.Store(r)
-	for _, co := range cn.coords {
-		co.logServers = r.LogServers(cn.id)
+// Install replaces the node's placement view — the only way it changes.
+// The recovery manager computes every transition and installs the result
+// on every live node (DESIGN.md §13). What the node drops follows from
+// what changed: a ring with different members (re-replication onto a
+// replacement, a migration's final view) moves slot locations and log
+// servers, so the caller must hold Pause and the address cache goes;
+// that, or a different dead set — a promoted backup or a restarted NVM
+// server may serve an image older than cached values — bumps the cache
+// epoch. Marks and a migration's per-partition rings drop nothing: a
+// cutover copies slot images byte-identically.
+func (cn *ComputeNode) Install(v *place.View) {
+	old := cn.place.Swap(&placement{View: v, logServers: v.Ring().LogServers(cn.id)})
+	moved := !slices.Equal(old.Ring().Members(), v.Ring().Members())
+	if moved {
+		cn.addrMu.Lock()
+		cn.addrCache = make(map[addrKey]objRef)
+		cn.addrMu.Unlock()
 	}
-	cn.addrMu.Lock()
-	cn.addrCache = make(map[addrKey]objRef)
-	cn.addrMu.Unlock()
-	cn.deadMu.Lock()
-	cn.deadMem = make(map[rdma.NodeID]bool)
-	cn.deadMu.Unlock()
-	cn.cacheEpoch.Add(1)
-}
-
-// SetPartitionMigrating marks (or unmarks) a partition as mid-cutover.
-// While marked, any transaction resolving the partition aborts with
-// ErrPartitionMigrating under the reconfig taxonomy. The migration
-// coordinator marks before its drain barrier and unmarks after
-// installing the new view, so no transaction can commit against the old
-// placement once the cutover copy has started.
-func (cn *ComputeNode) SetPartitionMigrating(partition uint32, on bool) {
-	cn.migMu.Lock()
-	if on {
-		cn.migrating[partition] = true
-	} else {
-		delete(cn.migrating, partition)
+	if moved || !slices.Equal(old.DeadNodes(), v.DeadNodes()) {
+		cn.cacheEpoch.Add(1)
 	}
-	cn.migMu.Unlock()
-	cn.cfgEpoch.Add(1)
-}
-
-// partitionMigrating reports whether a partition is marked mid-cutover.
-func (cn *ComputeNode) partitionMigrating(partition uint32) bool {
-	cn.migMu.RLock()
-	defer cn.migMu.RUnlock()
-	return cn.migrating[partition]
-}
-
-// InstallView installs an intermediate placement view during a
-// migration: unlike SwapRing it preserves the node's memory-liveness
-// view and its address cache (a partition cutover copies slot images
-// byte-identically, so slot indexes and versions stay valid — OCC
-// validation catches anything that moved). Log-server assignments are
-// not refreshed: intermediate views pin the pre-migration log
-// placement, which only moves at the final (paused) SwapRing.
-func (cn *ComputeNode) InstallView(r *place.Ring) {
-	cn.ring.Store(r)
-	cn.cfgEpoch.Add(1)
-}
-
-// InstallFinalView installs the migration's final placement under a
-// Pause: log-server assignments refresh and the address cache clears
-// (log placement moves with the final view), but the memory-liveness
-// view is preserved — unlike SwapRing, a replica that died mid-migration
-// stays marked dead so primaries keep resolving past it.
-func (cn *ComputeNode) InstallFinalView(r *place.Ring) {
-	cn.ring.Store(r)
-	for _, co := range cn.coords {
-		co.logServers = r.LogServers(cn.id)
-	}
-	cn.addrMu.Lock()
-	cn.addrCache = make(map[addrKey]objRef)
-	cn.addrMu.Unlock()
-	cn.cfgEpoch.Add(1)
-	cn.cacheEpoch.Add(1)
 }
 
 // Pause stops the world on this node: it waits for in-flight
@@ -450,47 +373,31 @@ func (cn *ComputeNode) StopHeartbeats() {
 	cn.hbWG.Wait()
 }
 
-// replicasFor returns an object's replicas with the current primary
-// first, per this node's liveness view. A partition marked mid-cutover
-// fails with ErrPartitionMigrating: its placement is about to change,
-// and committing against the old replicas could strand the write on a
+// replicasFor returns a partition's replicas, current primary first, per
+// the node's placement view. A partition marked mid-cutover fails with
+// ErrPartitionMigrating: its placement is about to change, and
+// committing against the old replicas could strand the write on a
 // superseded copy.
-func (cn *ComputeNode) replicasFor(partition uint32) (primary rdma.NodeID, all []rdma.NodeID, err error) {
-	ring := cn.ring.Load()
-	if cn.partitionMigrating(partition) {
-		return 0, nil, fmt.Errorf("%w: partition %d (placement epoch %d)", ErrPartitionMigrating, partition, ring.Epoch())
+func (cn *ComputeNode) replicasFor(partition uint32) ([]rdma.NodeID, error) {
+	v := cn.place.Load()
+	if reps := v.Replicas(partition); reps != nil {
+		return reps, nil
 	}
-	all = ring.Replicas(partition)
-	prim, ok := ring.Primary(partition, cn.memAlive)
-	if !ok {
-		return 0, nil, fmt.Errorf("core: no live replica for partition %d", partition)
+	if v.Migrating(partition) {
+		return nil, fmt.Errorf("%w: partition %d (placement epoch %d)", ErrPartitionMigrating, partition, v.Ring().Epoch())
 	}
-	return prim, all, nil
-}
-
-// liveReplicas filters an object's replicas to those this node believes
-// alive.
-func (cn *ComputeNode) liveReplicas(partition uint32) []rdma.NodeID {
-	ring := cn.ring.Load()
-	var out []rdma.NodeID
-	for _, n := range ring.Replicas(partition) {
-		if cn.memAlive(n) {
-			out = append(out, n)
-		}
-	}
-	return out
+	return nil, fmt.Errorf("core: no live replica for partition %d", partition)
 }
 
 // Coordinator executes transactions one at a time over one-sided verbs.
 // The paper's "outstanding transactions per compute node" (Table 2) is
 // the number of coordinators.
 type Coordinator struct {
-	node       *ComputeNode
-	id         kvlayout.CoordID
-	slot       int // index of this coordinator's log area within the node's log region
-	ep         *rdma.Endpoint
-	logServers []rdma.NodeID
-	txCounter  uint64
+	node      *ComputeNode
+	id        kvlayout.CoordID
+	slot      int // index of this coordinator's log area within the node's log region
+	ep        *rdma.Endpoint
+	txCounter uint64
 	// rcache is the validated read cache (nil when disabled). Owned by
 	// this coordinator's transaction goroutine; global invalidation
 	// flows through the node's cacheEpoch instead of touching it.
@@ -515,7 +422,7 @@ func (co *Coordinator) ID() kvlayout.CoordID { return co.id }
 // LogServers returns the f+1 designated log servers of this
 // coordinator's compute node.
 func (co *Coordinator) LogServers() []rdma.NodeID {
-	return append([]rdma.NodeID(nil), co.logServers...)
+	return slices.Clone(co.node.place.Load().logServers)
 }
 
 // Node returns the owning compute node.

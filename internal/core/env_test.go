@@ -72,7 +72,7 @@ func newEnv(t testing.TB, cfg envConfig) *env {
 		if err != nil {
 			t.Fatalf("RegisterCompute: %v", err)
 		}
-		cn := NewComputeNode(e.fab, nodeID, e.ring, cfg.schema, ids, cfg.opts)
+		cn := NewComputeNode(e.fab, nodeID, place.NewView(e.ring), cfg.schema, ids, cfg.opts)
 		for _, m := range e.mems {
 			m.EnsureLogRegion(nodeID, cfg.coordsPer)
 		}

@@ -112,11 +112,10 @@ func (tx *Tx) fordLogObject(ent *writeEnt) error {
 	if replicas == nil {
 		// LogWithoutLock bug path: logging happens before the lock step
 		// snapshots the replica set.
-		primary, all, err := tx.cn.replicasFor(ent.ref.partition)
-		if err != nil {
+		var err error
+		if replicas, err = tx.cn.replicasFor(ent.ref.partition); err != nil {
 			return tx.placementAbort(err)
 		}
-		replicas = orderReplicas(primary, all)
 	}
 	b := rdma.GetBatch()
 	defer b.Put()
@@ -178,7 +177,7 @@ func (tx *Tx) writeLockIntent(ref objRef) error {
 
 // logServers returns the nodes holding this coordinator's transaction
 // log.
-func (tx *Tx) logServers() []rdma.NodeID { return tx.co.logServers }
+func (tx *Tx) logServers() []rdma.NodeID { return tx.cn.place.Load().logServers }
 
 // appendTruncateOps appends the log-truncation WRITEs for this
 // transaction to b: the 8-byte invalidation of the record header on

@@ -75,7 +75,7 @@ func (cn *ComputeNode) probe(ep *rdma.Endpoint, table kvlayout.TableID, key kvla
 	}
 	tab := cn.schema[table]
 	partition := cn.Ring().Partition(key)
-	primary, _, err := cn.replicasFor(partition)
+	reps, err := cn.replicasFor(partition)
 	if err != nil {
 		return probeResult{}, err
 	}
@@ -99,7 +99,7 @@ func (cn *ComputeNode) probe(ep *rdma.Endpoint, table kvlayout.TableID, key kvla
 		// A window may wrap around the region end; issue one READ per
 		// contiguous run.
 		startSlot := (home + uint64(base)) & (tab.Slots - 1)
-		if err := cn.readSlotWindow(ep, primary, region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
+		if err := cn.readSlotWindow(ep, reps[0], region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
 			return probeResult{}, err
 		}
 		for i := 0; i < n; i++ {
@@ -163,7 +163,7 @@ func (cn *ComputeNode) readSlotWindow(ep *rdma.Endpoint, node rdma.NodeID, regio
 func (cn *ComputeNode) scanForKey(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key, skipSlot uint64) (bool, error) {
 	tab := cn.schema[table]
 	partition := cn.Ring().Partition(key)
-	primary, _, err := cn.replicasFor(partition)
+	reps, err := cn.replicasFor(partition)
 	if err != nil {
 		return false, err
 	}
@@ -183,7 +183,7 @@ func (cn *ComputeNode) scanForKey(ep *rdma.Endpoint, table kvlayout.TableID, key
 			n = limit - base
 		}
 		startSlot := (home + uint64(base)) & (tab.Slots - 1)
-		if err := cn.readSlotWindow(ep, primary, region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
+		if err := cn.readSlotWindow(ep, reps[0], region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
 			return false, err
 		}
 		for i := 0; i < n; i++ {

@@ -295,11 +295,11 @@ func (tx *Tx) readSlotConsistent(ref objRef) (kvlayout.Slot, objRef, error) {
 	tab := tx.cn.schema[ref.table]
 	buf := tx.sc.bytes(int(tab.SlotSize()))
 	for {
-		primary, _, err := tx.cn.replicasFor(ref.partition)
+		reps, err := tx.cn.replicasFor(ref.partition)
 		if err != nil {
 			return kvlayout.Slot{}, ref, tx.placementAbort(err)
 		}
-		if err := tx.co.ep.Read(tx.cn.tableAddr(primary, ref, 0), buf); err != nil {
+		if err := tx.co.ep.Read(tx.cn.tableAddr(reps[0], ref, 0), buf); err != nil {
 			return kvlayout.Slot{}, ref, tx.verbFailure(err)
 		}
 		slot := tab.DecodeSlot(buf)
@@ -571,11 +571,11 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 	if opts.Bugs.RelaxedLocks {
 		// Seeded bug: the lock CAS is posted but its completion is not
 		// awaited before validation begins.
-		primary, all, err := cn.replicasFor(ref.partition)
+		reps, err := cn.replicasFor(ref.partition)
 		if err != nil {
 			return tx.placementAbort(err)
 		}
-		ent.replicas = orderReplicas(primary, all)
+		ent.replicas = reps
 		slot, newRef, err := tx.readSlotConsistent(ref)
 		if err != nil {
 			return err
@@ -585,7 +585,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 		tx.captureUndo(ent, slot)
 		ent.pendingCAS = &rdma.Op{
 			Kind:   rdma.OpCAS,
-			Addr:   cn.tableAddr(primary, ref, kvlayout.SlotLockOff),
+			Addr:   cn.tableAddr(reps[0], ref, kvlayout.SlotLockOff),
 			Expect: 0,
 			Swap:   tx.lockWord(),
 		}
@@ -617,10 +617,11 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 	conflicted := false
 	lockStart := tx.phaseClock()
 	for {
-		primary, all, err := cn.replicasFor(ref.partition)
+		reps, err := cn.replicasFor(ref.partition)
 		if err != nil {
 			return tx.placementAbort(err)
 		}
+		primary := reps[0]
 		// The two ops are reused across retries: constant space no matter
 		// how often the lock bounces.
 		*lockOp = rdma.Op{
@@ -662,7 +663,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 		}
 		if derr != nil {
 			if lockOp.Swapped {
-				return tx.failLocked(ent, primary, all, derr)
+				return tx.failLocked(ent, reps, derr)
 			}
 			return tx.verbFailure(derr)
 		}
@@ -686,7 +687,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 						tx.repairStolenLane(primary, ref)
 					}
 					if err := tx.co.ep.Read(readOp.Addr, buf); err != nil {
-						return tx.failLocked(ent, primary, all, err)
+						return tx.failLocked(ent, reps, err)
 					}
 					lockOp.Swapped = true
 				} else {
@@ -739,7 +740,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 					// Seeded bug: the failed-to-lock object still enters
 					// the write-set, so the abort path will "release" a
 					// lock this transaction never held.
-					ent.replicas = orderReplicas(primary, all)
+					ent.replicas = reps
 					tx.writes = append(tx.writes, ent)
 				}
 				return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ref, old))
@@ -757,7 +758,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 			// word, never an insert tombstone.
 			if err := tx.unlockAddr(lockOp.Addr); err != nil {
 				ent.wasInsert = false
-				return tx.failLocked(ent, primary, all, err)
+				return tx.failLocked(ent, reps, err)
 			}
 			cn.dropRef(ref.table, ref.key)
 			mismatches++
@@ -796,18 +797,18 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 				// would tombstone committed data in the abort path).
 				if err := tx.unlockAddr(lockOp.Addr); err != nil {
 					ent.wasInsert = false
-					return tx.failLocked(ent, primary, all, err)
+					return tx.failLocked(ent, reps, err)
 				}
 				return ErrExists
 			default:
 				if err := tx.unlockAddr(lockOp.Addr); err != nil {
 					ent.wasInsert = false
-					return tx.failLocked(ent, primary, all, err)
+					return tx.failLocked(ent, reps, err)
 				}
 				return errSlotContended
 			}
 		}
-		ent.replicas = orderReplicas(primary, all)
+		ent.replicas = reps
 		tx.captureUndo(ent, slot)
 		if kind == kvlayout.WriteInsert {
 			// Publish the claim: probers of the same key now conflict
@@ -816,7 +817,7 @@ func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []b
 			var claim [8]byte
 			kvlayout.PutUint64(claim[:], kvlayout.ClaimKeyField(ref.key))
 			if err := tx.co.ep.Write(cn.tableAddr(primary, ref, kvlayout.SlotKeyOff), claim[:]); err != nil {
-				return tx.failLocked(ent, primary, all, err)
+				return tx.failLocked(ent, reps, err)
 			}
 		}
 		if cn.crashAt(tx.co.id, PointAfterExecRead) {
@@ -893,11 +894,11 @@ func (tx *Tx) captureGuess(ent *writeEnt) {
 func (tx *Tx) readSlotUnlocked(ref objRef) (kvlayout.Slot, error) {
 	tab := tx.cn.schema[ref.table]
 	buf := tx.sc.bytes(int(tab.SlotSize()))
-	primary, _, err := tx.cn.replicasFor(ref.partition)
+	reps, err := tx.cn.replicasFor(ref.partition)
 	if err != nil {
 		return kvlayout.Slot{}, err
 	}
-	if err := tx.co.ep.Read(tx.cn.tableAddr(primary, ref, 0), buf); err != nil {
+	if err := tx.co.ep.Read(tx.cn.tableAddr(reps[0], ref, 0), buf); err != nil {
 		return kvlayout.Slot{}, err
 	}
 	return tab.DecodeSlot(buf), nil
@@ -918,29 +919,13 @@ func (tx *Tx) unlockAddr(addr rdma.Addr) error {
 // so the abort path inside verbFailure releases the lock with the
 // cleanup retry discipline — otherwise the lock would leak while its
 // owner stays alive, permanently blocking the object.
-func (tx *Tx) failLocked(ent *writeEnt, primary rdma.NodeID, all []rdma.NodeID, err error) error {
+func (tx *Tx) failLocked(ent *writeEnt, reps []rdma.NodeID, err error) error {
 	if len(ent.replicas) == 0 {
-		ent.replicas = orderReplicas(primary, all)
+		ent.replicas = reps
 	}
 	ent.locked = true
 	tx.writes = append(tx.writes, ent)
 	return tx.verbFailure(err)
-}
-
-// orderReplicas returns all replicas with primary first: the ring's own
-// (immutable) slice unless a dead primary reorders it.
-func orderReplicas(primary rdma.NodeID, all []rdma.NodeID) []rdma.NodeID {
-	if len(all) > 0 && all[0] == primary {
-		return all
-	}
-	out := make([]rdma.NodeID, 0, len(all))
-	out = append(out, primary)
-	for _, n := range all {
-		if n != primary {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // rangeChunk is the number of keys a ReadRange prefetches per doorbell.
@@ -1039,12 +1024,12 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 			if !fetch[i] {
 				continue
 			}
-			primary, _, err := tx.cn.replicasFor(refs[i].partition)
+			reps, err := tx.cn.replicasFor(refs[i].partition)
 			if err != nil {
 				b.Put()
 				return false, tx.placementAbort(err)
 			}
-			addrs[na] = tx.cn.tableAddr(primary, refs[i], 0)
+			addrs[na] = tx.cn.tableAddr(reps[0], refs[i], 0)
 			na++
 		}
 		buf, err := tx.co.ep.ReadBatch(b, addrs[:na], slotSize)

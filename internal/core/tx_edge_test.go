@@ -3,9 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"pandora/internal/kvlayout"
+	"pandora/internal/place"
+	"pandora/internal/rdma"
 )
 
 func TestWriteThenDeleteSameTx(t *testing.T) {
@@ -131,23 +135,43 @@ func TestEmptyTxCommit(t *testing.T) {
 	}
 }
 
-func TestLiveReplicasView(t *testing.T) {
+func TestReplicasForFollowsView(t *testing.T) {
 	e := newEnv(t, envConfig{memNodes: 3, replicas: 3})
 	cn := e.nodes[0]
 	p := uint32(0)
-	if got := len(cn.liveReplicas(p)); got != 3 {
-		t.Fatalf("liveReplicas = %d, want 3", got)
-	}
-	dead := e.ring.Replicas(p)[1]
-	cn.NotifyMemoryFailure(dead)
-	live := cn.liveReplicas(p)
-	if len(live) != 2 {
-		t.Fatalf("liveReplicas after failure = %d, want 2", len(live))
-	}
-	for _, n := range live {
-		if n == dead {
-			t.Fatal("dead replica still reported live")
+	ring := e.ring.Replicas(p)
+	lookup := func() []rdma.NodeID {
+		t.Helper()
+		reps, err := cn.replicasFor(p)
+		if err != nil {
+			t.Fatalf("replicasFor: %v", err)
 		}
+		return reps
+	}
+	if got := lookup(); !slices.Equal(got, ring) {
+		t.Fatalf("healthy replicas = %v, want the ring's %v", got, ring)
+	}
+	// A dead backup stays addressed (commit tolerates the down replica)
+	// but never leads; a dead primary hands the lead to the next live one.
+	cn.Install(cn.place.Load().WithDead(ring[1], true))
+	if got := lookup(); !slices.Equal(got, ring) {
+		t.Fatalf("replicas after backup death = %v, want %v", got, ring)
+	}
+	cn.Install(cn.place.Load().WithDead(ring[0], true))
+	if got, want := lookup(), []rdma.NodeID{ring[2], ring[0], ring[1]}; !slices.Equal(got, want) {
+		t.Fatalf("replicas after primary death = %v, want %v", got, want)
+	}
+	cn.Install(cn.place.Load().WithDead(ring[2], true))
+	if _, err := cn.replicasFor(p); err == nil || !strings.Contains(err.Error(), "no live replica") || errors.Is(err, ErrPartitionMigrating) {
+		t.Fatalf("all replicas dead: err = %v, want the no-live-replica error", err)
+	}
+	cn.Install(place.NewView(e.ring).WithMigrating(p, true))
+	if _, err := cn.replicasFor(p); !errors.Is(err, ErrPartitionMigrating) {
+		t.Fatalf("marked partition: err = %v, want ErrPartitionMigrating", err)
+	}
+	cn.Install(cn.place.Load().WithMigrating(p, false))
+	if got := lookup(); !slices.Equal(got, ring) {
+		t.Fatalf("replicas after unmark = %v, want %v", got, ring)
 	}
 }
 

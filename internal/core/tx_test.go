@@ -559,7 +559,8 @@ func TestPILLStealOfStrayLock(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("resolve: %v %v", found, err)
 	}
-	primary, _, _ := cn.replicasFor(ref.partition)
+	reps, _ := cn.replicasFor(ref.partition)
+	primary := reps[0]
 	straysWord := kvlayout.LockWord(999, 1)
 	if _, sw, err := co.ep.CAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, straysWord); err != nil || !sw {
 		t.Fatal("failed to plant stray lock")
@@ -604,7 +605,8 @@ func TestDisablePILLNeverSteals(t *testing.T) {
 	co := cn.Coordinator(0)
 
 	ref, _, _ := cn.resolve(co.ep, 0, 3)
-	primary, _, _ := cn.replicasFor(ref.partition)
+	reps, _ := cn.replicasFor(ref.partition)
+	primary := reps[0]
 	if _, sw, _ := co.ep.CAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, kvlayout.LockWord(999, 1)); !sw {
 		t.Fatal("plant failed")
 	}
@@ -684,7 +686,7 @@ func TestBackupMemNodeFailureToleratedByCommit(t *testing.T) {
 	key := kvlayout.Key(0)
 	reps := e.ring.Replicas(e.ring.Partition(key))
 	e.mem(reps[1]).Crash()
-	cn.NotifyMemoryFailure(reps[1])
+	cn.Install(cn.place.Load().WithDead(reps[1], true))
 	mustCommit(t, co, func(tx *Tx) error { return tx.Write(0, key, []byte("survives")) })
 	v, err := readKey(t, co, 0, key)
 	if err != nil || !bytes.HasPrefix(v, []byte("survives")) {
@@ -711,7 +713,7 @@ func TestPrimaryPromotionAfterNotification(t *testing.T) {
 	}
 
 	// After notification the backup serves as primary.
-	cn.NotifyMemoryFailure(primary)
+	cn.Install(cn.place.Load().WithDead(primary, true))
 	v, err := readKey(t, co, 0, key)
 	if err != nil {
 		t.Fatalf("post-promotion read: %v", err)

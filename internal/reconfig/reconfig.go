@@ -32,16 +32,14 @@ import (
 	"pandora/internal/recovery"
 )
 
-// Peer is the migration coordinator's view of a live compute node.
+// Peer is the migration coordinator's view of a live compute node: all
+// it does to one is the drain barrier. Placement reaches the nodes
+// through the recovery manager, which owns the cluster's view.
 // *core.ComputeNode implements it.
 type Peer interface {
-	ID() rdma.NodeID
 	Crashed() bool
 	Pause()
 	Resume()
-	SetPartitionMigrating(partition uint32, on bool)
-	InstallView(*place.Ring)
-	InstallFinalView(*place.Ring)
 }
 
 // Step identifies a point between journaled migration steps at which
@@ -355,7 +353,8 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 		return err
 	}
 
-	// Step 2 — mark the partition migrating on every live peer, then
+	// Step 2 — mark the partition migrating in the cluster's view (every
+	// live peer, and any peer that restarts before the mark drops), then
 	// drain: any transaction resolving p after the mark aborts with the
 	// reconfig taxonomy; the pause/resume barrier waits out every
 	// transaction already in flight. After this step p is quiescent.
@@ -363,11 +362,8 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 		if c.installed(p, target) {
 			return nil
 		}
-		peers := c.livePeers()
-		for _, peer := range peers {
-			peer.SetPartitionMigrating(p, true)
-		}
-		for _, peer := range peers {
+		c.cfg.Mgr.Update(func(v *place.View) *place.View { return v.WithMigrating(p, true) })
+		for _, peer := range c.livePeers() {
 			peer.Pause()
 			peer.Resume()
 		}
@@ -411,11 +407,9 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 		if c.installed(p, target) {
 			return nil
 		}
-		next := c.cfg.Mgr.Ring().Reassign(p, target.Replicas(p))
-		c.cfg.Mgr.InstallRing(next)
-		for _, peer := range c.livePeers() {
-			peer.InstallView(next)
-		}
+		c.cfg.Mgr.Update(func(v *place.View) *place.View {
+			return v.WithRing(v.Ring().Reassign(p, target.Replicas(p)))
+		})
 		return nil
 	}); err != nil {
 		return err
@@ -429,9 +423,7 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 	// between them re-runs this partition's bookkeeping, never the
 	// copy.
 	if err := c.step(func() error {
-		for _, peer := range c.livePeers() {
-			peer.SetPartitionMigrating(p, false)
-		}
+		c.cfg.Mgr.Update(func(v *place.View) *place.View { return v.WithMigrating(p, false) })
 		im, err := c.freshImage()
 		if err != nil {
 			return err
@@ -545,10 +537,7 @@ func (c *Coordinator) finalize(target *place.Ring) error {
 			for _, p := range peers {
 				p.Pause()
 			}
-			c.cfg.Mgr.InstallRing(final)
-			for _, p := range peers {
-				p.InstallFinalView(final)
-			}
+			c.cfg.Mgr.Update(func(v *place.View) *place.View { return v.WithRing(final) })
 			for _, p := range peers {
 				p.Resume()
 			}

@@ -6,6 +6,7 @@ import (
 	"pandora/internal/fdetect"
 	"pandora/internal/kvlayout"
 	"pandora/internal/memnode"
+	"pandora/internal/place"
 	"pandora/internal/rdma"
 )
 
@@ -21,21 +22,32 @@ func (m *Manager) RecoverMemory(ev fdetect.Event) error {
 	defer m.opMu.Unlock()
 	// Stop the world: the replica configuration must not change under
 	// running transactions.
-	var resumed []ComputePeer
-	for _, p := range m.peers() {
-		if p.Crashed() {
-			continue
-		}
-		p.Pause()
-		resumed = append(resumed, p)
-	}
-	for _, p := range resumed {
-		p.NotifyMemoryFailure(ev.Node)
-	}
-	for _, p := range resumed {
-		p.Resume()
-	}
+	defer m.pauseLive()()
+	m.Update(func(v *place.View) *place.View { return v.WithDead(ev.Node, true) })
 	return nil
+}
+
+// MemoryRestarted records a failed memory server live again (a
+// power-failed NVM server restarted): it resumes primary duty for the
+// partitions it leads.
+func (m *Manager) MemoryRestarted(node rdma.NodeID) {
+	m.Update(func(v *place.View) *place.View { return v.WithDead(node, false) })
+}
+
+// pauseLive pauses every live peer and returns the call that resumes them.
+func (m *Manager) pauseLive() (resume func()) {
+	var paused []ComputePeer
+	for _, p := range m.peers() {
+		if !p.Crashed() {
+			p.Pause()
+			paused = append(paused, p)
+		}
+	}
+	return func() {
+		for _, p := range paused {
+			p.Resume()
+		}
+	}
 }
 
 // Rereplicate replaces dead memory server with a fresh one (§3.2.5:
@@ -47,19 +59,7 @@ func (m *Manager) RecoverMemory(ev fdetect.Event) error {
 func (m *Manager) Rereplicate(dead rdma.NodeID, replacementID rdma.NodeID) (*memnode.Server, error) {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()
-	var resumed []ComputePeer
-	for _, p := range m.peers() {
-		if p.Crashed() {
-			continue
-		}
-		p.Pause()
-		resumed = append(resumed, p)
-	}
-	defer func() {
-		for _, p := range resumed {
-			p.Resume()
-		}
-	}()
+	defer m.pauseLive()()
 
 	oldRing := m.Ring()
 	newRing := oldRing.Substitute(dead, replacementID)
@@ -104,18 +104,16 @@ func (m *Manager) Rereplicate(dead rdma.NodeID, replacementID rdma.NodeID) (*mem
 		repl.EnsureLogRegion(p.ID(), m.cfg.CoordsPerNode)
 	}
 
-	// Install the new view everywhere.
+	// Install the new view everywhere. Only the replaced id leaves the
+	// dead set: any other dead memory server is still dead.
 	m.mu.Lock()
-	m.ring = newRing
 	for i, s := range m.cfg.Mems {
 		if s.ID() == dead {
 			m.cfg.Mems[i] = repl
 		}
 	}
 	m.mu.Unlock()
-	for _, p := range resumed {
-		p.SwapRing(newRing)
-	}
+	m.Update(func(v *place.View) *place.View { return v.WithRing(newRing).WithDead(dead, false) })
 	return repl, nil
 }
 

@@ -34,8 +34,7 @@ type ComputePeer interface {
 	ID() rdma.NodeID
 	Crashed() bool
 	NotifyStrayLocks([]kvlayout.CoordID)
-	NotifyMemoryFailure(node rdma.NodeID)
-	SwapRing(*place.Ring)
+	Install(*place.View)
 	Pause()
 	Resume()
 }
@@ -79,8 +78,12 @@ type Stats struct {
 // Manager executes recoveries. One instance serves the whole cluster;
 // RecoverCompute may be re-invoked for the same node (idempotent).
 type Manager struct {
-	cfg  Config
-	ring *place.Ring
+	cfg Config
+	// view is the cluster's current placement (DESIGN.md §13). Every
+	// transition is computed here, from this value, and installed on the
+	// live peers before mu is released, so peers see transitions in one
+	// order and a peer joining through SetPeer misses none.
+	view *place.View
 
 	// opMu serializes whole recovery operations against each other and
 	// against migration steps of an online reconfiguration (which holds
@@ -94,24 +97,33 @@ type Manager struct {
 
 // NewManager creates a recovery manager.
 func NewManager(cfg Config) *Manager {
-	return &Manager{cfg: cfg, ring: cfg.Ring, recovered: make(map[rdma.NodeID]bool)}
+	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), recovered: make(map[rdma.NodeID]bool)}
 }
 
-// Ring returns the manager's current placement view.
-func (m *Manager) Ring() *place.Ring {
+// View returns the cluster's current placement view.
+func (m *Manager) View() *place.View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.ring
+	return m.view
 }
 
-// InstallRing replaces the manager's placement view — the migration
-// coordinator installs each intermediate (per-partition) view and the
-// final target view here so recovery decisions always see the placement
-// transactions are running against.
-func (m *Manager) InstallRing(r *place.Ring) {
+// Ring returns the ring of the current placement view.
+func (m *Manager) Ring() *place.Ring { return m.View().Ring() }
+
+// Update is the one way placement changes: the cluster's view becomes
+// step(view) — the manager first, so recovery decisions always see the
+// placement transactions run against — and every live peer installs it.
+// A step that changes ring membership needs the peers Paused by the
+// caller (core.ComputeNode.Install).
+func (m *Manager) Update(step func(*place.View) *place.View) {
 	m.mu.Lock()
-	m.ring = r
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	m.view = step(m.view)
+	for _, p := range m.cfg.Peers {
+		if !p.Crashed() {
+			p.Install(m.view)
+		}
+	}
 }
 
 // LockOps acquires the manager's operation lock. An online
@@ -170,10 +182,12 @@ func (m *Manager) peers() []ComputePeer {
 }
 
 // SetPeer installs (or replaces, by node id) a compute peer — used when
-// a crashed compute server is restarted with fresh coordinator-ids.
+// a crashed compute server is restarted with fresh coordinator-ids. The
+// peer joins with the current view, whatever it was built from.
 func (m *Manager) SetPeer(p ComputePeer) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	p.Install(m.view)
 	for i, old := range m.cfg.Peers {
 		if old.ID() == p.ID() {
 			m.cfg.Peers[i] = p

@@ -8,6 +8,7 @@ import (
 
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
+	"pandora/internal/place"
 	"pandora/internal/rdma"
 )
 
@@ -107,9 +108,7 @@ func TestLogServerDeathDuringRecovery(t *testing.T) {
 	}
 	// The surviving nodes must know about the memory failure too, or
 	// their primaries may point at the dead server.
-	for _, cn := range e.nodes {
-		cn.NotifyMemoryFailure(logServers[0])
-	}
+	e.mgr.Update(func(v *place.View) *place.View { return v.WithDead(logServers[0], true) })
 
 	stats, err := e.mgr.RecoverCompute(ev)
 	if err != nil {
@@ -177,9 +176,7 @@ func TestRecoveryWithDeadObjectReplica(t *testing.T) {
 			srv.Crash()
 		}
 	}
-	for _, cn := range e.nodes {
-		cn.NotifyMemoryFailure(reps[1])
-	}
+	e.mgr.Update(func(v *place.View) *place.View { return v.WithDead(reps[1], true) })
 
 	stats, err := e.mgr.RecoverCompute(ev)
 	if err != nil {

@@ -74,7 +74,7 @@ func newEnv(t testing.TB, cfg envConfig) *env {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cn := core.NewComputeNode(e.fab, nodeID, e.ring, e.schema, ids, cfg.opts)
+		cn := core.NewComputeNode(e.fab, nodeID, place.NewView(e.ring), e.schema, ids, cfg.opts)
 		for _, m := range e.mems {
 			m.EnsureLogRegion(nodeID, cfg.coordsPer)
 		}

@@ -344,13 +344,14 @@ func New(cfg Config) (*Cluster, error) {
 		Metrics:          c.met,
 	}
 	var peers []recovery.ComputePeer
+	view := place.NewView(ring)
 	for i := 0; i < cfg.ComputeNodes; i++ {
 		nodeID := rdma.NodeID(i)
 		ids, err := c.fd.RegisterCompute(nodeID, cfg.CoordinatorsPerNode)
 		if err != nil {
 			return nil, err
 		}
-		cn := core.NewComputeNode(c.fab, nodeID, ring, c.schema, ids, opts)
+		cn := core.NewComputeNode(c.fab, nodeID, view, c.schema, ids, opts)
 		cn.SetSuspectReporter(func(n rdma.NodeID) { c.fd.Suspect(n) })
 		for _, m := range c.mems {
 			m.EnsureLogRegion(nodeID, cfg.CoordinatorsPerNode)

@@ -211,3 +211,69 @@ func TestMigrationRecoveryInterleaved(t *testing.T) {
 		t.Fatalf("inconsistent after interleaved recovery: %+v", rep)
 	}
 }
+
+// TestRestartComputeMidCutover restarts a crashed compute node between a
+// partition's cutover copy and its view install. The rejoining node is
+// built from the cluster's current view, mark included, so it cannot ack
+// a commit that reaches only the superseded replicas: its transactions on
+// the partition abort with the reconfig kind until the mark drops.
+func TestRestartComputeMidCutover(t *testing.T) {
+	const keys = 64
+	c, err := New(Config{
+		ComputeNodes: 2,
+		Tables:       []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", keys, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FailCompute(1); err != nil {
+		t.Fatal(err)
+	}
+
+	var key Key
+	var midCutover error
+	fired := false
+	c.SetReconfigHook(func(ev ReconfigStep) error {
+		if ev.Step != reconfig.StepCutoverCopied || fired {
+			return nil
+		}
+		fired = true
+		for key = 0; c.mgr.Ring().Partition(key) != ev.Partition; key++ {
+		}
+		if err := c.RestartCompute(1); err != nil {
+			return err
+		}
+		tx := c.Session(1, 0).Begin()
+		if _, midCutover = tx.Read("kv", key); midCutover == nil {
+			if midCutover = tx.Write("kv", key, idemValue(4242)); midCutover == nil {
+				midCutover = tx.Commit()
+			}
+		}
+		return nil
+	})
+	defer c.SetReconfigHook(nil)
+	if _, err := c.AddMemory(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("migration moved no partition: the hook never fired")
+	}
+	if kind, ok := AbortKindOf(midCutover); !ok || kind != AbortReconfig {
+		t.Fatalf("commit on the rejoined node mid-cutover = %v, want a reconfig abort", midCutover)
+	}
+	rep, err := c.CheckConsistency("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.DivergentKeys) != 0 {
+		t.Fatalf("replicas diverge on %v after the migration", rep.DivergentKeys)
+	}
+	// Once the mark has dropped the same node commits on the same key.
+	if err := c.Session(1, 0).Update(10, func(tx *Tx) error { return tx.Write("kv", key, idemValue(4243)) }); err != nil {
+		t.Fatalf("write after the migration: %v", err)
+	}
+}

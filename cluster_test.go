@@ -221,6 +221,34 @@ func TestRestartComputeRejoins(t *testing.T) {
 	_ = tx.Commit()
 }
 
+// TestRestartComputeKeepsOptions: a restarted node runs with the
+// cluster's configuration, knob for knob — the options are built in one
+// place (Cluster.engineOptions) for New and RestartCompute alike.
+func TestRestartComputeKeepsOptions(t *testing.T) {
+	cfg := testConfig()
+	cfg.VerbTimeout = 250 * time.Millisecond
+	cfg.AsyncCommitBack = true
+	cfg.ReadCacheSize = 17
+	cfg.HotlockThreshold = 2
+	c := newLoaded(t, cfg, 8)
+	before := c.Engine(0).Options()
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	got := c.Engine(0).Options()
+	if got.VerbTimeout != cfg.VerbTimeout || !got.AsyncCommitBack ||
+		got.ReadCacheSize != cfg.ReadCacheSize || got.HotlockThreshold != cfg.HotlockThreshold {
+		t.Fatalf("restarted node lost configuration: %+v", got)
+	}
+	if got.Protocol != before.Protocol || got.Persist != before.Persist || got.DisablePILL != before.DisablePILL ||
+		got.StallOnConflict != before.StallOnConflict || got.Bugs != before.Bugs || got.Metrics != before.Metrics {
+		t.Fatalf("restarted node's options differ from its first incarnation's:\n got %+v\nwant %+v", got, before)
+	}
+}
+
 func TestZombieFencedAtClusterLevel(t *testing.T) {
 	c := newLoaded(t, testConfig(), 64)
 	zombieSess := c.Session(0, 0)

@@ -1,5 +1,6 @@
 // Command pandora-vet runs Pandora's protocol-invariant analyzer suite
-// (tools/analyzers) as a go vet tool:
+// (tools/analyzers: determinism, lockword, batchescape, atomicmix,
+// abortcause, cacheinval, journalstate) as a go vet tool:
 //
 //	go build -o bin/pandora-vet ./cmd/pandora-vet
 //	go vet -vettool=$(pwd)/bin/pandora-vet ./...

@@ -128,22 +128,10 @@ func (c *Cluster) RestartCompute(i int) error {
 	if err != nil {
 		return err
 	}
-	opts := core.Options{
-		Protocol:         c.cfg.Protocol,
-		Bugs:             c.cfg.SeedBugs,
-		DisablePILL:      c.cfg.DisablePILL,
-		StallOnConflict:  c.cfg.StallOnConflict,
-		Persist:          c.cfg.Persistence,
-		VerbTimeout:      c.cfg.VerbTimeout,
-		ReadCacheSize:    c.cfg.ReadCacheSize,
-		HotlockThreshold: c.cfg.HotlockThreshold,
-		AsyncCommitBack:  c.cfg.AsyncCommitBack,
-		Metrics:          c.met,
-	}
 	// The rejoining node must learn the current state: the cluster's
 	// placement view — dead memory servers and partitions mid-cutover
 	// included — and every failed coordinator-id.
-	cn := core.NewComputeNode(c.fab, nodeID, c.mgr.View(), c.schema, ids, opts)
+	cn := core.NewComputeNode(c.fab, nodeID, c.mgr.View(), c.schema, ids, c.engineOptions())
 	cn.SetSuspectReporter(func(n rdma.NodeID) { c.fd.Suspect(n) })
 	cn.NotifyStrayLocks(c.fd.FailedIDs().IDs())
 	c.mgr.SetPeer(cn)

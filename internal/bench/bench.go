@@ -161,10 +161,3 @@ func meanRate(pts []trace.Point, from, to, bucket time.Duration) float64 {
 	}
 	return float64(c) / (time.Duration(n) * bucket).Seconds()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

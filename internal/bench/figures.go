@@ -309,14 +309,7 @@ func StallSensitivity(s Scale, hot int, slow time.Duration) (*TimelineResult, er
 	during := meanRate(r.Series[1].Points, faultAt+s.Bucket, faultAt+slow, s.Bucket)
 	fastPost := meanRate(r.Series[0].Points, faultAt+2*s.Bucket, s.Timeline, s.Bucket)
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("slow recovery: pre %.0f -> during-outage %.0f tps (%.0f%%)", pre, during, 100*during/maxf(pre, 1)),
+		fmt.Sprintf("slow recovery: pre %.0f -> during-outage %.0f tps (%.0f%%)", pre, during, 100*during/max(pre, 1)),
 		fmt.Sprintf("fast recovery: post-fault %.0f tps", fastPost))
 	return r, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,16 +2,12 @@ package core
 
 import (
 	"errors"
+	"time"
 
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
 	"pandora/internal/rdma"
 )
-
-// isMemFault reports whether a verb failed because the target memory
-// server is down — the memory-failure cases of §3.2.5, handled by
-// continuing against the live replicas.
-func isMemFault(err error) bool { return errors.Is(err, rdma.ErrNodeDown) }
 
 // postAckFailure handles a failure after the client has been
 // acknowledged: per Cor3 the commit must never be rolled back, so the
@@ -24,10 +20,7 @@ func (tx *Tx) postAckFailure(err error) error {
 	if errors.Is(err, rdma.ErrCrashed) {
 		return rdma.ErrCrashed
 	}
-	if errors.Is(err, rdma.ErrRevoked) {
-		return err
-	}
-	if errors.Is(err, ErrIndeterminate) {
+	if errors.Is(err, rdma.ErrRevoked) || errors.Is(err, ErrIndeterminate) {
 		return err
 	}
 	return &indeterminateError{cause: err}
@@ -37,65 +30,24 @@ func (tx *Tx) postAckFailure(err error) error {
 // (§3.1.5). On any validation or execution conflict it runs the abort
 // path instead and returns ErrAborted (wrapped with the reason).
 func (tx *Tx) Commit() error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if tx.cn.crashed.Load() {
-		return tx.crash()
-	}
-
-	// RelaxedLocks bug: the deferred lock CASes overlap validation —
-	// validation reads are issued first, the lock completions are only
-	// checked afterwards.
-	var deferred []*writeEnt
-	if tx.cn.opts.Bugs.RelaxedLocks {
-		for _, w := range tx.writes {
-			if w.pendingCAS != nil {
-				deferred = append(deferred, w)
-			}
-		}
+	if err := tx.checkUsable(); err != nil {
+		return err
 	}
 
 	validateStart := tx.phaseClock()
-	ok, err := tx.validate()
-	if err != nil {
+	if err := tx.validate(); err != nil {
 		return err
 	}
 	tx.recordPhase(metrics.PhaseValidate, validateStart)
 	if tx.cn.opts.PostValidateDelay != nil {
 		tx.cn.opts.PostValidateDelay()
 	}
-
-	for _, w := range deferred {
-		if verr := tx.co.ep.DoSeq(w.pendingCAS); verr != nil {
-			return tx.verbFailure(verr)
-		}
-		if w.pendingCAS.Swapped {
-			w.locked = true
-		} else if tx.strayLock(w.pendingCAS.Old) {
-			_, stole, serr := tx.co.ep.CAS(w.pendingCAS.Addr, w.pendingCAS.Old, tx.lockWord())
-			if serr != nil {
-				return tx.verbFailure(serr)
-			}
-			if stole {
-				// Stealing a stray lock: the cached image of this key
-				// predates the owner's failure.
-				tx.invalidateCached(w.ref.table, w.ref.key)
-			}
-			w.locked = stole
-			ok = ok && stole
-		} else {
-			ok = false
+	if late := tx.cn.plan.lateLocks; late != nil {
+		if err := late(tx); err != nil {
+			return err
 		}
 	}
-
-	if !ok {
-		// Only the RelaxedLocks deferred-CAS path reaches here with a
-		// commit-time lock loss — ordinary validation failures abort
-		// inside validate with their precise kind.
-		return tx.abort(metrics.AbortLockConflict, abortInfo{format: "validation failed"})
-	}
-	if _, err := tx.co.run(stage{kind: stageDecide}); err != nil {
+	if _, err := tx.run(stage{kind: stageDecide}); err != nil {
 		return tx.verbFailure(err)
 	}
 
@@ -126,48 +78,53 @@ func (tx *Tx) Commit() error {
 
 	// Commit step 2: client acknowledgement.
 	tx.AckedCommit = true
-	ackAt := tx.phaseClock()
-	if _, err := tx.co.run(stage{kind: stageAck}); err != nil {
-		return tx.postAckFailure(err)
-	}
+	return tx.afterAck(commitBackStart)
+}
 
-	// Commit step 3: truncate the log, then release the locks. Truncating
-	// first closes the window where a crash would leave a valid log for a
-	// fully unlocked transaction — later writers could then move versions
-	// and fool recovery into rolling this transaction back. A crash after
-	// truncation leaves only lock words, which PILL stealing cleans up
-	// against a fully consistent memory image. The client has already
-	// been acknowledged, so failures here must NOT abort (Cor3): they
-	// route to postAckFailure (or the drain's abandon path), leaving
-	// cleanup to recovery.
-	if tx.cn.opts.AsyncCommitBack {
-		// Asynchronous commit-back (DESIGN.md §16): the tail moves off
-		// the critical path entirely. The cache write-through runs now —
-		// the rcache is owned by this coordinator's goroutine and the
-		// drain may flush on another — which is safe pre-release: the
-		// applied slots already carry the new images and OCC validation
-		// re-checks versions on every use.
+// afterAck is everything an acknowledged commit still does — commit step
+// 3: truncate the log, then release the locks. Truncating first closes
+// the window where a crash would leave a valid log for a fully unlocked
+// transaction — later writers could then move versions and fool recovery
+// into rolling this transaction back. A crash after truncation leaves
+// only lock words, which PILL stealing cleans up against a fully
+// consistent memory image. The client has been acknowledged, so nothing
+// here may abort (Cor3), and every arm consumes the tail: run now, handed
+// to the drain, or — after a failure — left to recovery by
+// postAckFailure.
+func (tx *Tx) afterAck(commitBackStart time.Duration) error {
+	ackAt := tx.phaseClock()
+	async := tx.cn.opts.AsyncCommitBack
+	_, err := tx.run(stage{kind: stageAck})
+	switch {
+	case err != nil:
+	case async:
+		// Asynchronous commit-back (DESIGN.md §16): the tail moves off the
+		// critical path entirely. The cache write-through runs now — the
+		// rcache is owned by this coordinator's goroutine and the drain may
+		// flush on another — which is safe pre-release: the applied slots
+		// already carry the new images and OCC validation re-checks
+		// versions on every use.
 		tx.writeThroughCache()
 		tx.handoffTail(ackAt)
-		tx.recordPhase(metrics.PhaseCommitBack, commitBackStart)
-		tx.release()
-		return nil
+	default:
+		// The truncations are posted ahead of the releases, so where the
+		// two share a doorbell RC ordering runs them first on a shared
+		// node; across nodes the cleanup discipline completes everything
+		// before Commit returns, and a crash mid-doorbell leaves at worst a
+		// valid log plus released locks — recovery's rollback is
+		// version-checked and lock-CAS-guarded, so the state resolves
+		// exactly like the states the split tail can leave (DESIGN.md §16).
+		b := rdma.GetBatch()
+		_, err = tx.run(tx.tailStage(stageTail, b))
+		b.Put()
 	}
-	// The truncations are posted ahead of the releases, so where the two
-	// share a doorbell RC ordering runs them first on a shared node;
-	// across nodes the cleanup discipline completes everything before
-	// Commit returns, and a crash mid-doorbell leaves at worst a valid
-	// log plus released locks — recovery's rollback is version-checked
-	// and lock-CAS-guarded, so the state resolves exactly like the states
-	// the split tail can leave (DESIGN.md §16).
-	b := rdma.GetBatch()
-	_, err = tx.co.run(tx.tailStage(stageTail, b))
-	b.Put()
 	if err != nil {
 		return tx.postAckFailure(err)
 	}
 	tx.recordPhase(metrics.PhaseCommitBack, commitBackStart)
-	tx.writeThroughCache()
+	if !async {
+		tx.writeThroughCache()
+	}
 	tx.release()
 	return nil
 }
@@ -195,7 +152,7 @@ func (tx *Tx) writeThroughCache() {
 // consistent snapshot (§3.1.5 step 2). Both words live in the slot
 // header, so one 16-byte READ per object fetches both — the Covert
 // Locks fix costs no extra round trip.
-func (tx *Tx) validate() (bool, error) {
+func (tx *Tx) validate() error {
 	// Insert duplicate check: a racing same-key insert on another slot
 	// must be detected before commit (see ComputeNode.scanForKey).
 	for _, w := range tx.writes {
@@ -205,28 +162,29 @@ func (tx *Tx) validate() (bool, error) {
 		dup, err := tx.cn.scanForKey(tx.co.ep, w.ref.table, w.ref.key, w.ref.slot)
 		if err != nil {
 			if errors.Is(err, rdma.ErrCrashed) {
-				return false, tx.crash()
+				return tx.crash()
 			}
-			return false, tx.abort(metrics.AbortFault, abortInfo{format: "insert validation: ", detail: err})
+			return tx.abort(metrics.AbortFault, abortInfo{format: "insert validation: ", detail: err})
 		}
 		if dup {
-			return false, tx.abort(metrics.AbortSteal, onObject("insert validation: key %d/%d claimed elsewhere", w.ref, 0, 0))
+			return tx.abort(metrics.AbortSteal, onObject("insert validation: key %d/%d claimed elsewhere", w.ref, 0, 0))
 		}
 	}
 	if len(tx.reads) == 0 {
-		return true, nil
+		return nil
 	}
 	b := rdma.GetBatch()
 	defer b.Put()
-	for _, r := range tx.reads {
+	words := b.Bytes(16 * len(tx.reads)) // per read-set entry: lock word, version
+	for i, r := range tx.reads {
 		reps, err := tx.cn.replicasFor(r.ref.partition)
 		if err != nil {
-			return false, tx.placementAbort(err)
+			return tx.placementAbort(err)
 		}
-		b.AddRead(tx.cn.tableAddr(reps[0], r.ref, kvlayout.SlotLockOff), b.Bytes(16))
+		b.AddRead(tx.cn.tableAddr(reps[0], r.ref, kvlayout.SlotLockOff), words[16*i:16*i+16])
 	}
-	if err := tx.co.ep.Do(b.Ops()...); err != nil {
-		return false, tx.verbFailure(err)
+	if _, err := tx.run(stage{kind: stageValidate, b: b, cut: b.Len()}); err != nil {
+		return tx.verbFailure(err)
 	}
 	// First sweep the whole batch for stale versions: every provably
 	// stale cache entry is dropped before the abort decision, so one
@@ -236,7 +194,7 @@ func (tx *Tx) validate() (bool, error) {
 	stale := -1
 	var staleVersion uint64
 	for i, r := range tx.reads {
-		version := kvlayout.Uint64(b.Op(i).Buf[8:])
+		version := kvlayout.Uint64(words[16*i+8:])
 		if version != r.version {
 			tx.invalidateCached(r.ref.table, r.ref.key)
 			if stale < 0 {
@@ -253,15 +211,12 @@ func (tx *Tx) validate() (bool, error) {
 		if r.fromCache {
 			kind = metrics.AbortCacheStale
 		}
-		return false, tx.abort(kind, onObject("validation: version of %d/%d moved %d -> %d", r.ref, r.version, staleVersion))
+		return tx.abort(kind, onObject("validation: version of %d/%d moved %d -> %d", r.ref, r.version, staleVersion))
 	}
 	for i, r := range tx.reads {
-		lock := kvlayout.Uint64(b.Op(i).Buf[0:])
-		if tx.cn.opts.Bugs.CovertLocks {
-			continue // seeded bug: lock word ignored during validation
-		}
+		lock := kvlayout.Uint64(words[16*i:])
 		if kvlayout.IsLocked(lock) && lock != tx.lockWord() && !tx.strayLock(lock) {
-			return false, tx.abort(metrics.AbortLockConflict, lockedBy("validation: %d/%d locked by coordinator %d", r.ref, lock))
+			return tx.abort(metrics.AbortLockConflict, lockedBy("validation: %d/%d locked by coordinator %d", r.ref, lock))
 		}
 	}
 	// Every read-set version just re-proved current: re-stamp the
@@ -273,7 +228,7 @@ func (tx *Tx) validate() (bool, error) {
 			rc.Touch(r.ref.table, r.ref.key, r.version, epoch)
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // applyPayloadInto fills buf (tab.SlotSize()-kvlayout.SlotVersionOff
@@ -318,7 +273,7 @@ func (tx *Tx) applyWrites() error {
 	if tx.cn.opts.Persist {
 		b.ChainFlushes(0)
 	}
-	_, err := tx.co.run(st)
+	_, err := tx.run(st)
 	// The batch was filled in tx.writes × w.replicas order; walk the same
 	// shape to attribute per-op results to their entries.
 	i := 0
@@ -344,20 +299,16 @@ func (tx *Tx) applyWrites() error {
 // appendReleaseOps appends this transaction's lock-release ops to b:
 // 8-byte WRITEs of zero over the primary lock words. In the abort path
 // (abortPath=true) an insert's empty slot is tombstoned first so probe
-// chains that grew past it while it was locked stay intact. With the
-// ComplicitAbort bug seeded, the abort path blindly releases every
-// write-set lock — including ones this transaction never acquired.
-// Every tail — synchronous, drained, abort — is built by tailStage
+// chains that grew past it while it was locked stay intact. An entry
+// that is registered but not locked — the state of every entry before
+// its lock CAS — has nothing to release. Every tail — synchronous, drained, abort — is built by tailStage
 // through here, so the release-side invariants live in one place.
 func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 	zero := b.Bytes(8)
 	tomb := b.Bytes(8)
 	kvlayout.PutUint64(tomb, kvlayout.TombstoneKeyField)
 	for _, w := range tx.writes {
-		if !w.locked && !(abortPath && tx.cn.opts.Bugs.ComplicitAbort) {
-			continue
-		}
-		if len(w.replicas) == 0 {
+		if !w.locked {
 			continue
 		}
 		primary := w.replicas[0]
@@ -365,14 +316,15 @@ func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 			b.AddWrite(tx.cn.tableAddr(primary, w.ref, kvlayout.SlotKeyOff), tomb)
 		}
 		b.AddWrite(tx.cn.tableAddr(primary, w.ref, kvlayout.SlotLockOff), zero)
-		if w.queued {
-			// A queued acquisition owes its ticket lane one head advance;
-			// same queue pair, so waiters observe the zeroed word no later
-			// than the advanced head. doCleanup may reissue the FAA after a
-			// link fault whose verb actually executed — over-advancing the
-			// head is the safe direction (waiters fall back to the CAS
-			// race; only an under-advance could wedge the lane).
-			b.AddFAA(w.queueHead, 1)
+		if w.ticket.taken {
+			// The lock's ticket owes its lane one head advance; same queue
+			// pair, so waiters observe the zeroed word no later than the
+			// advanced head. The cleanup discipline may reissue the FAA
+			// after a link fault whose verb actually executed —
+			// over-advancing the head is the safe direction (waiters fall
+			// back to the CAS race; only an under-advance could wedge the
+			// lane).
+			b.AddFAA(w.ticket.lane.Head, 1)
 		}
 	}
 }
@@ -381,16 +333,12 @@ func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 // into b: the log truncations (if a log may exist and is to go) ahead
 // of the lock releases. kind is one of the three tail kinds.
 func (tx *Tx) tailStage(kind stageKind, b *rdma.OpBatch) stage {
-	abortPath := kind == stageAbortTail
-	// Lost Decision bug: FORD leaves the logs of aborted transactions
-	// behind.
-	keepLog := abortPath && tx.cn.opts.Protocol == ProtocolFORD && tx.cn.opts.Bugs.LostDecision
-	if tx.logged && !keepLog {
+	if tx.logged {
 		tx.appendTruncateOps(b)
 		tx.logged = false
 	}
 	cut := b.Len()
-	tx.appendReleaseOps(b, abortPath)
+	tx.appendReleaseOps(b, kind == stageAbortTail)
 	return stage{kind: kind, b: b, cut: cut}
 }
 
@@ -411,8 +359,7 @@ func (tx *Tx) abortInternal(kind metrics.AbortReason, info abortInfo) error {
 		if w.applied == 0 {
 			continue
 		}
-		tab := tx.cn.schema[w.ref.table]
-		payload := undoPayload(tab, w)
+		payload := kvlayout.RollbackImage(tx.cn.schema[w.ref.table], logWriteOf(w)) // the pre-image
 		for r, n := range w.replicas {
 			if w.applied&(1<<r) != 0 {
 				b.AddWrite(tx.cn.tableAddr(n, w.ref, kvlayout.SlotVersionOff), payload)
@@ -428,16 +375,15 @@ func (tx *Tx) abortInternal(kind metrics.AbortReason, info abortInfo) error {
 		// The restored pre-images must land before any lock releases: a
 		// post-release locker reads the slot immediately. The rollback
 		// stage therefore completes here, ahead of the tail below.
-		if _, err := tx.co.run(stage{kind: stageRollback, b: b, cut: b.Len()}); err != nil {
+		if _, err := tx.run(stage{kind: stageRollback, b: b, cut: b.Len()}); err != nil {
 			return err
 		}
+		b.Reset()
 	}
 
 	// Log the decision by truncating, then release the locks — the same
 	// truncate | release stage as the commit tail.
-	tb := rdma.GetBatch()
-	defer tb.Put()
-	if st := tx.tailStage(stageAbortTail, tb); tb.Len() > 0 {
+	if st := tx.seeded(tx.tailStage(stageAbortTail, b)); b.Len() > 0 {
 		if _, err := tx.co.run(st); err != nil {
 			return err
 		}
@@ -446,18 +392,10 @@ func (tx *Tx) abortInternal(kind metrics.AbortReason, info abortInfo) error {
 	return &abortError{kind: kind, abortInfo: info}
 }
 
-// undoPayload is the pre-image written over a rolled-back slot.
-func undoPayload(tab kvlayout.Table, ent *writeEnt) []byte {
-	return kvlayout.RollbackImage(tab, logWriteOf(ent))
-}
-
 // Abort aborts the transaction explicitly.
 func (tx *Tx) Abort() error {
-	if tx.done {
-		return ErrTxDone
-	}
-	if tx.cn.crashed.Load() {
-		return tx.crash()
+	if err := tx.checkUsable(); err != nil {
+		return err
 	}
 	//pandora:abortother user-requested abort: no protocol cause to classify
 	err := tx.abort(metrics.AbortOther, abortInfo{format: "user abort"})

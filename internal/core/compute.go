@@ -53,6 +53,9 @@ type ComputeNode struct {
 	id     rdma.NodeID
 	schema []kvlayout.Table
 	opts   Options
+	// plan is the protocol as this node runs it: fixedPlan(opts.Protocol),
+	// rewritten by opts.Bugs (bugs.go).
+	plan plan
 
 	// place is everything the node knows about placement — ring, dead
 	// memory servers, partitions mid-cutover, its own log servers — as one
@@ -128,6 +131,7 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 		id:        id,
 		schema:    schema,
 		opts:      opts,
+		plan:      seedBugs(fixedPlan(opts.Protocol), opts),
 		failed:    fdetect.NewBitset(),
 		addrCache: make(map[addrKey]objRef),
 		hbStop:    make(chan struct{}),
@@ -221,7 +225,7 @@ func (cn *ComputeNode) FlushDrains() {
 }
 
 // SetInjector installs a crash injector (nil removes it). With an
-// injector installed the commit pipeline offers it every crash point its
+// injector installed the stage executor offers it every crash point its
 // stages declare and runs the segments that have an each-verb point
 // verb-at-a-time, so a crash can land between any two of their verbs
 // (stage.go).
@@ -284,12 +288,6 @@ func (cn *ComputeNode) offer(inj *CrashInjector, coord kvlayout.CoordID, p point
 		return true
 	}
 	return false
-}
-
-// crashAt offers an execution-phase crash point (tx.go); the commit
-// pipeline's points are declared on its stages instead.
-func (cn *ComputeNode) crashAt(coord kvlayout.CoordID, p CrashPoint) bool {
-	return cn.offer(cn.injector.Load(), coord, at(p))
 }
 
 // NotifyStrayLocks is the stray-lock notification of §3.2.2 step 4: the

@@ -104,15 +104,11 @@ func (co *Coordinator) flushItem(it drainItem) {
 }
 
 // handoffTail builds the acked transaction's truncate | release stage
-// and queues it on the coordinator's drain. The batch ownership moves
-// to the drain item — it is Put when the item flushes, not here.
+// (never empty: every write entry of a commit holds its lock) and queues
+// it on the coordinator's drain. The batch ownership moves to the drain
+// item — it is Put when the item flushes, not here.
 func (tx *Tx) handoffTail(ackedAt time.Duration) {
-	b := rdma.GetBatch()
-	st := tx.tailStage(stageDrainTail, b)
-	if b.Len() == 0 {
-		b.Put()
-		return
-	}
+	st := tx.tailStage(stageDrainTail, rdma.GetBatch())
 	tx.co.enqueueDrain(drainItem{st: st, ackedAt: ackedAt})
 }
 

@@ -156,3 +156,22 @@ func padValue(tab kvlayout.Table, v []byte) []byte {
 	copy(out, v)
 	return out
 }
+
+// lockedSlots counts the slots of table that carry a lock word, over
+// every partition and replica.
+func (e *env) lockedSlots(t testing.TB, table kvlayout.TableID) int {
+	t.Helper()
+	n := 0
+	for p := uint32(0); p < e.ring.Partitions(); p++ {
+		for _, rep := range e.ring.Replicas(p) {
+			if err := e.mem(rep).ScanSlots(table, p, func(_ uint64, sl kvlayout.Slot, _ uint64) {
+				if kvlayout.IsLocked(sl.Lock) {
+					n++
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return n
+}

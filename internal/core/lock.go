@@ -1,0 +1,341 @@
+package core
+
+// The lock step (§3.1.5 step 1, DESIGN.md §16): eager locking of one
+// write-set object as stages. The rule is "register, then post" — the
+// write entry joins tx.writes before its first verb, and what the lock
+// doorbell's completions say it took (the lock, a lane ticket) is
+// recorded on the entry before anything else looks at them. There is no
+// moment at which the transaction holds something its write set does not
+// know about, so every failure path is plain verbFailure / abort: the
+// abort tail releases what the entries say, and dropEntry serves the
+// returns that do not abort.
+
+import (
+	"pandora/internal/hotlock"
+	"pandora/internal/kvlayout"
+	"pandora/internal/metrics"
+	"pandora/internal/rdma"
+)
+
+// lockStep is one step of a write's lock plan.
+type lockStep func(tx *Tx, ent *writeEnt) error
+
+// plan is how a compute node runs the protocol: the fixed protocol's
+// steps, unless seeded bugs (bugs.go) rewrote them at NewComputeNode.
+type plan struct {
+	// lock is the lock step of one write, in order.
+	lock []lockStep
+	// rewrite, unless nil, edits each stage a transaction built before it
+	// is run.
+	rewrite func(tx *Tx, st stage) stage
+	// lateLocks, unless nil, runs at commit between validation and the
+	// decision. The fixed protocol holds every lock by then.
+	lateLocks func(tx *Tx) error
+}
+
+// fixedPlan is the protocol without bugs: (lock-intent log;) lock, slot
+// READ and undo capture; FORD additionally writes the per-object undo
+// log here, before the commit decision — the Lost Decision hazard.
+func fixedPlan(p Protocol) plan {
+	lock := []lockStep{(*Tx).lockIntent, (*Tx).acquire}
+	if p == ProtocolFORD {
+		lock = append(lock, (*Tx).fordLogObject)
+	}
+	return plan{lock: lock}
+}
+
+// lockWrite is the eager-locking step of execution for one write-set
+// object: it registers the entry and runs the node's lock plan over it.
+func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte) error {
+	if work := tx.cn.opts.LocalWork; work != nil {
+		work()
+	}
+	ent := tx.register(tx.sc.wr.next(), ref, kind, newValue)
+	for _, step := range tx.cn.plan.lock {
+		if err := step(tx, ent); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// register (re)initialises ent — unlocked, no ticket — and appends it to
+// the write set.
+func (tx *Tx) register(ent *writeEnt, ref objRef, kind kvlayout.WriteKind, newValue []byte) *writeEnt {
+	*ent = writeEnt{ref: ref, kind: kind, wasInsert: kind == kvlayout.WriteInsert, newValue: newValue}
+	tx.writes = append(tx.writes, ent)
+	return ent
+}
+
+// pinReplicas snapshots ent's replica set, primary first, from the node's
+// current placement view: what the lock step's verbs, and later the
+// apply and the release, address.
+func (tx *Tx) pinReplicas(ent *writeEnt) error {
+	reps, err := tx.cn.replicasFor(ent.ref.partition)
+	if err != nil {
+		return tx.placementAbort(err)
+	}
+	ent.replicas = reps
+	return nil
+}
+
+// hold records whether a lock CAS gave ent its lock.
+func (ent *writeEnt) hold(swapped bool) bool {
+	ent.locked = swapped
+	return swapped
+}
+
+// dropEntry takes ent, the entry being locked, back out of the write set
+// on a path that does not abort — the key turned out absent or present,
+// an insert's slot was contended, the slot moved under the lock — and
+// returns ret. Its lock is released and its ticket paid first. A failed
+// release aborts instead: the entry stays registered, so the abort tail
+// re-posts the release under the cleanup discipline (a lock left with a
+// LIVE owner is invisible to PILL stealing and to recovery alike), and
+// since the slot holds someone else's state the tail may hand over the
+// lock word only, never an insert tombstone.
+func (tx *Tx) dropEntry(ent *writeEnt, ret error) error {
+	if ent.locked {
+		var zero [8]byte
+		if err := tx.co.ep.Write(tx.cn.tableAddr(ent.replicas[0], ent.ref, kvlayout.SlotLockOff), zero[:]); err != nil {
+			ent.wasInsert = false
+			return tx.verbFailure(err)
+		}
+	}
+	tx.payTicket(ent)
+	tx.writes = tx.writes[:len(tx.writes)-1]
+	return ret
+}
+
+// lockOutcome is what one lock doorbell's completions amount to.
+type lockOutcome uint8
+
+const (
+	lockAcquired lockOutcome = iota // the CAS swapped: the entry holds the lock
+	lockStray                       // held by a failed coordinator: steal it (PILL)
+	lockConflict                    // held by a running coordinator
+	lockRetry                       // a steal lost its race: nobody to wait for
+	lockFault                       // a verb failed
+)
+
+// postLock posts ent's lock doorbell — lock CAS, slot READ into buf and,
+// for a key already promoted to queued acquisition, the speculative
+// lane-tail FAA (DESIGN.md §14): a failed CAS then already holds its
+// ticket and goes straight to the lane wait — and classifies what came
+// back. One doorbell: the CAS is ordered before the READ on the same
+// queue pair, so the READ observes the post-CAS slot; but the ops admit
+// through the link rules independently, so a fault between them can fail
+// the READ after the CAS took the lock. The entry therefore records what
+// each op took before the stage's verdict is looked at. old is the word
+// the CAS found.
+func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte) (out lockOutcome, old uint64, err error) {
+	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
+	b.Reset()
+	lockOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, tx.lockWord())
+	b.AddRead(cn.tableAddr(primary, ref, 0), buf)
+	var lane hotlock.Lane
+	var specOp *rdma.Op
+	if hot := tx.co.hot; hot != nil && !ent.ticket.taken && ent.kind != kvlayout.WriteInsert &&
+		!tx.mayStall() && !tx.holdsLocks() && hot.Queued(ref.table, ref.key) {
+		lane = hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
+		specOp = b.AddFAA(lane.Tail, 1)
+	}
+	_, err = tx.run(stage{kind: stageLock, b: b, cut: b.Len()})
+	if specOp != nil && specOp.Err == nil {
+		ent.takeTicket(lane, specOp.Old)
+	}
+	switch {
+	case ent.hold(lockOp.Swapped) && err == nil:
+		return lockAcquired, 0, nil
+	case err != nil:
+		return lockFault, 0, err
+	case tx.strayLock(lockOp.Old):
+		return lockStray, lockOp.Old, nil
+	default:
+		return lockConflict, lockOp.Old, nil
+	}
+}
+
+// steal takes over the stray lock word old with a second CAS (PILL,
+// §3.1.2) and refreshes buf under it. A lost race — another stealer, or
+// recovery released the word — leaves nobody to wait for: the caller
+// retries the ordinary lock.
+func (tx *Tx) steal(ent *writeEnt, old uint64, buf []byte) (lockOutcome, error) {
+	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
+	_, stole, err := tx.co.ep.CAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), old, tx.lockWord())
+	if err != nil {
+		return lockFault, err
+	}
+	if ent.hold(stole); !stole {
+		return lockRetry, nil
+	}
+	// The previous owner failed and recovery may have rewritten the slot
+	// since we cached it; drop the entry and refresh the slot image under
+	// our lock.
+	tx.invalidateCached(ref.table, ref.key)
+	if tx.co.hot != nil {
+		// The dead holder may have died owing its lane a head advance;
+		// settle it so the queue behind the stolen lock never wedges.
+		tx.repairStolenLane(primary, ref)
+	}
+	if err := tx.co.ep.Read(cn.tableAddr(primary, ref, 0), buf); err != nil {
+		return lockFault, err
+	}
+	return lockAcquired, nil
+}
+
+// onConflict is the policy for a lock CAS that lost to the running
+// coordinator owning word old: nil means wait is over, retry the CAS;
+// anything else ends the lock step. spins is the step's queued-wait poll
+// count so far.
+func (tx *Tx) onConflict(ent *writeEnt, old uint64, spins *int) error {
+	ref := ent.ref
+	tx.cn.opts.Metrics.CountLock(metrics.LockRetry)
+	// The holder may be an acked commit whose release is still queued on
+	// a same-node drain: flush it and retry instead of aborting (§16).
+	if tx.drainWait(old) {
+		return nil
+	}
+	if ent.kind == kvlayout.WriteInsert {
+		return tx.dropEntry(ent, errSlotContended)
+	}
+	if tx.mayStall() {
+		// The stalling path already waits fairly enough and never gives
+		// up; queueing applies to the abort-retry regime only.
+		return tx.stallWait()
+	}
+	if hot := tx.co.hot; hot != nil {
+		if hot.Queued(ref.table, ref.key) && !tx.holdsLocks() {
+			// Promoted key and we hold nothing (the queue keeps the
+			// stalling path's no-hold-and-wait rule): wait for our lane
+			// turn, then retry the CAS.
+			if !ent.ticket.taken {
+				if err := tx.queueJoin(ent); err != nil {
+					return err
+				}
+			}
+			return tx.queueWait(ent, spins)
+		}
+		if hot.OnConflict(ref.table, ref.key) {
+			tx.cn.opts.Metrics.CountLock(metrics.LockPromotion)
+		}
+	}
+	return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ref, old))
+}
+
+// acquire takes ent's lock and captures its undo state: lock doorbell,
+// PILL steal on a stray owner, the conflict policy on a live one, then
+// the checks that the slot read under the lock is still the one the
+// entry means, and for an insert the claim.
+func (tx *Tx) acquire(ent *writeEnt) error {
+	cn := tx.cn
+	tab := cn.schema[ent.ref.table]
+	b := rdma.GetBatch()
+	defer b.Put()
+	buf := tx.sc.bytes(int(tab.SlotSize())) // not the batch's: the undo pre-image aliases it
+	conflicted, spins, moves := false, 0, 0
+	var slot kvlayout.Slot
+	lockStart := tx.phaseClock()
+	for {
+		if err := tx.pinReplicas(ent); err != nil {
+			return err
+		}
+		out, old, err := tx.postLock(ent, b, buf)
+		if out == lockStray {
+			out, err = tx.steal(ent, old, buf)
+		}
+		switch out {
+		case lockFault:
+			return tx.verbFailure(err)
+		case lockRetry:
+			continue
+		case lockConflict:
+			conflicted = true
+			if err := tx.onConflict(ent, old, &spins); err != nil {
+				return err
+			}
+			continue
+		}
+		if _, err := tx.run(stage{kind: stageLocked}); err != nil {
+			return tx.verbFailure(err)
+		}
+		ref := ent.ref
+		slot = tab.DecodeSlot(buf)
+		if ent.kind != kvlayout.WriteInsert {
+			if slot.Present && slot.Key == ref.key {
+				break
+			}
+			// The key vanished between resolve and lock (deleted, or the
+			// slot was reused for another key): drop the entry, re-resolve
+			// and start over at the fresh location — which may sit in
+			// another partition, hence another lane.
+			if err := tx.dropEntry(ent, nil); err != nil {
+				return err
+			}
+			cn.dropRef(ref.table, ref.key)
+			if moves++; moves > 8 {
+				return tx.abort(metrics.AbortLockConflict, abortInfo{format: "lock: slot kept moving"})
+			}
+			newRef, found, err := tx.resolve(ref.table, ref.key)
+			if err != nil {
+				return tx.verbFailure(err)
+			}
+			if !found {
+				return ErrNotFound
+			}
+			tx.register(ent, newRef, ent.kind, ent.newValue)
+			spins = 0
+			continue
+		}
+		// Under our lock, an insert's slot must still be claimable: empty,
+		// a tombstone, or an abandoned claim for exactly our key (a
+		// stray-insert takeover).
+		switch kf := kvlayout.Uint64(buf[kvlayout.SlotKeyOff:]); kf {
+		case 0, kvlayout.TombstoneKeyField, kvlayout.ClaimKeyField(ref.key):
+		case kvlayout.KeyField(ref.key):
+			return tx.dropEntry(ent, ErrExists) // the slot carries the committed key
+		default:
+			return tx.dropEntry(ent, errSlotContended)
+		}
+		break
+	}
+	tx.captureUndo(ent, slot)
+	claim := stage{kind: stageClaim}
+	if ent.kind == kvlayout.WriteInsert {
+		// Publish the claim: probers of the same key now conflict with
+		// this insert instead of picking a second slot, and readers keep
+		// treating the slot as absent until commit.
+		b.Reset()
+		field := b.Bytes(8)
+		kvlayout.PutUint64(field, kvlayout.ClaimKeyField(ent.ref.key))
+		b.AddWrite(cn.tableAddr(ent.replicas[0], ent.ref, kvlayout.SlotKeyOff), field)
+		claim.b, claim.cut = b, 1
+	}
+	if _, err := tx.run(claim); err != nil {
+		return tx.verbFailure(err)
+	}
+	tx.recordPhase(metrics.PhaseLock, lockStart)
+
+	if ent.ticket.taken && conflicted {
+		cn.opts.Metrics.CountLock(metrics.LockQueuedAcquire)
+	}
+	if hot := tx.co.hot; hot != nil && !conflicted {
+		// Uncontended first-CAS acquisition (the speculative ticket may
+		// still have joined the lane): feed the quiet streak that demotes
+		// a cooled-down key back to plain CAS locking.
+		if hot.OnAcquired(ent.ref.table, ent.ref.key) {
+			cn.opts.Metrics.CountLock(metrics.LockDemotion)
+		}
+	}
+	return nil
+}
+
+// captureUndo records the pre-image needed to roll the write back. The
+// entry keeps slot.Value, which must be scratch memory.
+func (tx *Tx) captureUndo(ent *writeEnt, slot kvlayout.Slot) {
+	ent.oldVersion = slot.Version
+	ent.newVersion = slot.Version + 1
+	if ent.kind != kvlayout.WriteInsert {
+		ent.oldValue = slot.Value
+	}
+}

@@ -41,9 +41,6 @@ func (tx *Tx) logAreaOff() uint64 { return kvlayout.LogAreaOffset(tx.co.slot) }
 func (tx *Tx) writePandoraLog() error {
 	rec := kvlayout.LogRecord{TxID: tx.id, Coord: tx.co.id, Writes: tx.sc.log[:0]}
 	for _, w := range tx.writes {
-		if w.kind == kvlayout.WriteInsert && tx.cn.opts.Protocol == ProtocolFORD && tx.cn.opts.Bugs.MissingInsertLog {
-			continue
-		}
 		rec.Writes = append(rec.Writes, logWriteOf(w))
 	}
 	tx.sc.log = rec.Writes[:0]
@@ -70,7 +67,7 @@ func (tx *Tx) runLog(kind stageKind, b *rdma.OpBatch, unreachable string) error 
 	if tx.cn.opts.Persist {
 		b.ChainFlushes(0)
 	}
-	inWrites, err := tx.co.run(st)
+	inWrites, err := tx.run(st)
 	written := 0
 	for _, op := range b.Ops()[:st.cut] {
 		if op.Err == nil {
@@ -102,26 +99,18 @@ func (tx *Tx) runLog(kind stageKind, b *rdma.OpBatch, unreachable string) error 
 // coordinator's log area on each replica of the object. This is f+1
 // WRITEs per object, versus Pandora's f+1 per transaction.
 func (tx *Tx) fordLogObject(ent *writeEnt) error {
+	logStart := tx.phaseClock()
 	rec := kvlayout.LogRecord{TxID: tx.id, Coord: tx.co.id, Writes: append(tx.sc.log[:0], logWriteOf(ent))}
 	tx.sc.log = rec.Writes[:0]
 	region := kvlayout.LogRegionID(tx.cn.id)
 	if tx.fordLogAt == nil {
 		tx.fordLogAt = make(map[rdma.NodeID]uint64)
 	}
-	replicas := ent.replicas
-	if replicas == nil {
-		// LogWithoutLock bug path: logging happens before the lock step
-		// snapshots the replica set.
-		var err error
-		if replicas, err = tx.cn.replicasFor(ent.ref.partition); err != nil {
-			return tx.placementAbort(err)
-		}
-	}
 	b := rdma.GetBatch()
 	defer b.Put()
 	payload := b.Bytes(rec.EncodedSize()) // built where the WRITEs read it; dies with the batch
 	rec.EncodeInto(payload)
-	for _, n := range replicas {
+	for _, n := range ent.replicas {
 		cur, ok := tx.fordLogAt[n]
 		if !ok {
 			cur = tx.logAreaOff() + kvlayout.TxLogOff
@@ -133,18 +122,29 @@ func (tx *Tx) fordLogObject(ent *writeEnt) error {
 		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: cur}, payload)
 		tx.fordLogAt[n] = cur + uint64(len(payload))
 	}
-	return tx.runLog(stageFordLog, b, "ford logging: every replica unreachable")
+	if err := tx.runLog(stageFordLog, b, "ford logging: every replica unreachable"); err != nil {
+		return err
+	}
+	tx.recordPhase(metrics.PhaseLog, logStart)
+	return nil
 }
 
-// writeLockIntent is the traditional logging scheme's extra round trip
-// (§6.1): before every lock CAS, the coordinator logs the lock intent to
-// its f+1 log servers and awaits completion. This is precisely the
-// overhead PILL eliminates.
-func (tx *Tx) writeLockIntent(ref objRef) error {
+// lockIntent is the traditional scheme's extra round trip (§6.1): before
+// every lock CAS the coordinator logs the lock intent to its f+1 log
+// servers and awaits completion — precisely the overhead PILL
+// eliminates. Under PILL the stage is verb-less.
+func (tx *Tx) lockIntent(ent *writeEnt) error {
+	if tx.cn.opts.Protocol != ProtocolTradLog {
+		if _, err := tx.run(stage{kind: stageLockIntent}); err != nil {
+			return tx.verbFailure(err)
+		}
+		return nil
+	}
 	if tx.intentIdx >= kvlayout.MaxLockIntents {
 		//pandora:abortother capacity limit of the lock-intent log, not a protocol conflict
 		return tx.abort(metrics.AbortOther, abortInfo{format: "lock-intent log full"})
 	}
+	logStart, ref := tx.phaseClock(), ent.ref
 	payload := kvlayout.EncodeLockIntent(kvlayout.LockIntent{
 		TxID:      tx.id,
 		Table:     ref.table,
@@ -159,7 +159,7 @@ func (tx *Tx) writeLockIntent(ref objRef) error {
 	for _, n := range tx.logServers() {
 		b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: off}, payload)
 	}
-	if err := tx.co.ep.Do(b.Ops()...); err != nil && !isMemFault(err) {
+	if _, err := tx.run(stage{kind: stageLockIntent, b: b, cut: b.Len()}); err != nil {
 		return tx.verbFailure(err)
 	}
 	written := 0
@@ -172,6 +172,7 @@ func (tx *Tx) writeLockIntent(ref objRef) error {
 		return tx.abort(metrics.AbortFault, abortInfo{format: "lock-intent logging: every log server unreachable"})
 	}
 	tx.intentIdx++
+	tx.recordPhase(metrics.PhaseLog, logStart)
 	return nil
 }
 

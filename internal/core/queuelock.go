@@ -5,17 +5,17 @@ package core
 // lane instead of CAS-spinning: the waiter FAAs the lane tail to take
 // a ticket, polls head + lock word in one doorbell until its turn
 // arrives with the word free, and only then retries the ordinary lock
-// CAS in stageLockedWrite's loop. The lane is strictly advisory — the
-// CAS on the lock word remains the only way to take ownership, so PILL
-// stealing and recovery are untouched, and every queue failure mode
-// degrades to the plain CAS race instead of blocking correctness.
+// CAS in the lock step's loop (lock.go). The lane is strictly advisory —
+// the CAS on the lock word remains the only way to take ownership, so
+// PILL stealing and recovery are untouched, and every queue failure
+// mode degrades to the plain CAS race instead of blocking correctness.
 //
 // Debt discipline: every FAA on a tail owes the lane exactly one head
-// advance. It is paid by the queued owner's release (unlockAll), by
-// the waiter itself when it abandons the wait (payLaneDebt via
-// stageLockedWrite's defer), or — for participants that crashed with
-// the debt outstanding — lazily by whoever notices the stall: a
-// polling waiter, a stealer, or recovery. Advances may race and
+// advance, and the write entry that took the ticket carries the debt
+// (writeEnt.ticket). It is paid by the release tail together with the
+// lock, by payTicket when the wait is abandoned, or — for participants
+// that crashed with the debt outstanding — lazily by whoever notices the
+// stall: a polling waiter, a stealer, or recovery. Advances may race and
 // over-shoot; TurnReached treats an over-advanced head as "go", so
 // over-payment only widens the CAS race and never wedges a waiter.
 
@@ -26,54 +26,34 @@ import (
 	"pandora/internal/rdma"
 )
 
-// queueState tracks one staged write's interaction with its ticket
-// lane across stageLockedWrite's retry loop.
-type queueState struct {
-	lane   hotlock.Lane
-	ticket uint64
-	joined bool
-	// transferred marks that the queued acquisition succeeded and the
-	// write entry now owns the head-advance debt (paid in unlockAll).
-	transferred bool
-	spins       int
+// laneTicket is a write entry's place in its key's ticket lane.
+type laneTicket struct {
+	lane hotlock.Lane
+	seq  uint64
+	// taken: the tail FAA executed, so the lane is owed one head advance
+	// however the entry ends.
+	taken bool
 }
 
-// queueJoin takes a ticket on the lane serving ref. One FAA; the old
-// tail value is the ticket.
-func (tx *Tx) queueJoin(q *queueState, primary rdma.NodeID, ref objRef) error {
-	q.lane = hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
-	old, err := tx.co.ep.FAA(q.lane.Tail, 1)
+// takeTicket records the ticket a lane-tail FAA gave ent: old, the tail
+// it found. From here on the entry owes the lane a head advance: the
+// release tail pays it together with the lock (appendReleaseOps),
+// dropEntry and the abort path pay an abandoned one (payTicket).
+func (ent *writeEnt) takeTicket(lane hotlock.Lane, old uint64) {
+	ent.ticket = laneTicket{lane: lane, seq: old, taken: true}
+}
+
+// queueJoin takes a ticket on the lane serving ent — for a conflict on a
+// key whose lock doorbell carried no speculative FAA (DESIGN.md §16).
+func (tx *Tx) queueJoin(ent *writeEnt) error {
+	ref := ent.ref
+	lane := hotlock.LaneFor(ent.replicas[0], ref.partition, ref.table, ref.key)
+	old, err := tx.co.ep.FAA(lane.Tail, 1)
 	if err != nil {
 		return tx.verbFailure(err)
 	}
-	q.joined = true
-	q.ticket = old
+	ent.takeTicket(lane, old)
 	return nil
-}
-
-// queueSpec arms a speculative ticket FAA riding the same doorbell as
-// the lock CAS (DESIGN.md §16): a promoted key's waiter takes its lane
-// ticket in the doorbell that discovers the conflict, folding the
-// separate queueJoin round into the failed CAS. The op is armed in
-// place; the caller absorbs the result via queueAbsorb.
-func (tx *Tx) queueSpec(op *rdma.Op, primary rdma.NodeID, ref objRef) hotlock.Lane {
-	lane := hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
-	*op = rdma.Op{Kind: rdma.OpFAA, Addr: lane.Tail, Delta: 1}
-	return lane
-}
-
-// queueAbsorb converts a speculative ticket FAA's result into queue
-// state. Must run before any error handling for the doorbell it rode:
-// once the FAA executed, the lane is owed a head advance whichever path
-// the caller takes (the lane-debt defer settles unconverted tickets). A
-// faulted FAA took no ticket and absorbs to nothing.
-func (tx *Tx) queueAbsorb(q *queueState, lane hotlock.Lane, op *rdma.Op) {
-	if op.Err != nil {
-		return
-	}
-	q.lane = lane
-	q.joined = true
-	q.ticket = op.Old
 }
 
 // queueWait polls the lane until the waiter's turn has arrived and the
@@ -85,21 +65,23 @@ func (tx *Tx) queueAbsorb(q *queueState, lane hotlock.Lane, op *rdma.Op) {
 // A lane whose head lags the ticket while the word is free means a
 // participant ahead of us crashed (or was starved) with its debt
 // unpaid; the waiter repairs one step per poll with a guarded CAS.
-func (tx *Tx) queueWait(q *queueState, wordAddr rdma.Addr, ref objRef) error {
+func (tx *Tx) queueWait(ent *writeEnt, spins *int) error {
+	ref, q := ent.ref, &ent.ticket
+	wordAddr := tx.cn.tableAddr(ent.replicas[0], ref, kvlayout.SlotLockOff)
 	b := rdma.GetBatch()
 	defer b.Put()
 	buf := b.Bytes(16)
 	headOp := b.Add()
 	wordOp := b.Add()
 	for {
-		if q.spins >= hotlock.WaitBudget {
+		if *spins >= hotlock.WaitBudget {
 			tx.cn.opts.Metrics.CountLock(metrics.LockQueueTimeout)
 			return tx.abort(metrics.AbortLockConflict,
-				onObject("queued wait for %d/%d timed out at ticket %d", ref, kvlayout.TicketSeq(q.ticket), 0))
+				onObject("queued wait for %d/%d timed out at ticket %d", ref, kvlayout.TicketSeq(q.seq), 0))
 		}
-		q.spins++
+		*spins++
 		if DebugQueueWait != nil {
-			DebugQueueWait(tx.co.id, ref.key, q.spins)
+			DebugQueueWait(tx.co.id, ref.key, *spins)
 		}
 		if err := tx.stallWait(); err != nil {
 			return err
@@ -117,7 +99,7 @@ func (tx *Tx) queueWait(q *queueState, wordAddr rdma.Addr, ref objRef) error {
 		if !free {
 			continue
 		}
-		if hotlock.TurnReached(head, q.ticket) {
+		if hotlock.TurnReached(head, q.seq) {
 			return nil
 		}
 		// Free word but our turn never came: unpaid debt ahead of us.
@@ -131,13 +113,16 @@ func (tx *Tx) queueWait(q *queueState, wordAddr rdma.Addr, ref objRef) error {
 	}
 }
 
-// payLaneDebt advances the lane head for a ticket this transaction
-// took but will not convert into a queued acquisition (the wait was
-// abandoned by abort, error return, or a slot re-resolve). Best-effort
-// through the alive-gated endpoint: a crashed waiter pays nothing —
-// exactly the debt queueWait's repair, stealers, and recovery settle.
-func (tx *Tx) payLaneDebt(lane hotlock.Lane) {
-	_, _ = tx.co.ep.FAA(lane.Head, 1)
+// payTicket advances the lane head for a ticket ent took but did not
+// turn into a held lock (the wait was abandoned by abort, error return,
+// or a slot re-resolve) — the one FAA that pays an abandoned ticket.
+// Best-effort through the alive-gated endpoint: a crashed waiter pays
+// nothing — exactly the debt queueWait's repair, stealers, and recovery
+// settle.
+func (tx *Tx) payTicket(ent *writeEnt) {
+	if ent.ticket.taken {
+		_, _ = tx.co.ep.FAA(ent.ticket.lane.Head, 1)
+	}
 }
 
 // repairStolenLane settles the lane debt a dead lock holder may have

@@ -62,75 +62,76 @@ func (cn *ComputeNode) dropRef(table kvlayout.TableID, key kvlayout.Key) {
 	cn.addrMu.Unlock()
 }
 
-// probe walks key's probe chain on the partition primary with one-sided
-// window READs.
+// walkChain reads key's probe chain on the partition primary with
+// one-sided window READs and shows each slot's key field and lock word to
+// visit, until visit returns true or the chain ends.
 //
 // Chain-termination rule: probing stops at a slot that is empty AND
 // unlocked. A locked empty slot belongs to an in-flight insert and is
 // treated as occupied, so keys placed beyond it stay reachable;
 // tombstones likewise keep the chain alive.
-func (cn *ComputeNode) probe(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key) (probeResult, error) {
+func (cn *ComputeNode) walkChain(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key, visit func(partition uint32, slot, kf, lock uint64) bool) error {
 	if int(table) >= len(cn.schema) {
-		return probeResult{}, fmt.Errorf("core: unknown table %d", table)
+		return fmt.Errorf("core: unknown table %d", table)
 	}
 	tab := cn.schema[table]
 	partition := cn.Ring().Partition(key)
 	reps, err := cn.replicasFor(partition)
 	if err != nil {
-		return probeResult{}, err
+		return err
 	}
 	region := kvlayout.TableRegionID(table, partition)
 	slotSize := tab.SlotSize()
-	var res probeResult
 	b := rdma.GetBatch()
 	defer b.Put()
 	buf := b.Bytes(int(slotSize) * probeWindow)
-
-	limit := kvlayout.ProbeLimit
-	if uint64(limit) > tab.Slots {
-		limit = int(tab.Slots)
-	}
+	limit := min(kvlayout.ProbeLimit, int(tab.Slots))
 	home := tab.HomeSlot(key)
 	for base := 0; base < limit; base += probeWindow {
-		n := probeWindow
-		if base+n > limit {
-			n = limit - base
-		}
-		// A window may wrap around the region end; issue one READ per
-		// contiguous run.
+		n := min(probeWindow, limit-base)
+		// A window may wrap around the region end; readSlotWindow issues
+		// one READ per contiguous run.
 		startSlot := (home + uint64(base)) & (tab.Slots - 1)
 		if err := cn.readSlotWindow(ep, reps[0], region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
-			return probeResult{}, err
+			return err
 		}
 		for i := 0; i < n; i++ {
-			slot := (startSlot + uint64(i)) & (tab.Slots - 1)
 			raw := buf[uint64(i)*slotSize : (uint64(i)+1)*slotSize]
 			kf := kvlayout.Uint64(raw[kvlayout.SlotKeyOff:])
 			lock := kvlayout.Uint64(raw[kvlayout.SlotLockOff:])
-			switch {
-			case kf == kvlayout.KeyField(key):
-				res.found = true
-				res.ref = objRef{table: table, key: key, partition: partition, slot: slot}
-				cn.cacheRef(res.ref)
-				return res, nil
-			case kvlayout.IsClaim(kf) && kvlayout.ClaimKey(kf) == key:
-				// An in-flight insert of this very key: the key is not
-				// committed anywhere (the claimer probed the whole chain
-				// first), so the probe can stop here.
-				res.claimed = true
-				res.claimedSlot = slot
-				res.claimedLock = lock
-				return res, nil
-			case (kf == 0 || kf == kvlayout.TombstoneKeyField) && !res.haveFree && !kvlayout.IsLocked(lock):
-				res.haveFree = true
-				res.freeSlot = slot
-				res.freeKF = kf
-			}
-			if kf == 0 && !kvlayout.IsLocked(lock) {
-				// True chain end.
-				return res, nil
+			if visit(partition, (startSlot+uint64(i))&(tab.Slots-1), kf, lock) || kf == 0 && !kvlayout.IsLocked(lock) {
+				return nil
 			}
 		}
+	}
+	return nil
+}
+
+// probe resolves key on its probe chain: found, claimed by an in-flight
+// insert, or absent with the first free slot an insert could take.
+func (cn *ComputeNode) probe(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key) (res probeResult, err error) {
+	err = cn.walkChain(ep, table, key, func(partition uint32, slot, kf, lock uint64) bool {
+		switch {
+		case kf == kvlayout.KeyField(key):
+			res.found = true
+			res.ref = objRef{table: table, key: key, partition: partition, slot: slot}
+			cn.cacheRef(res.ref)
+		case kvlayout.IsClaim(kf) && kvlayout.ClaimKey(kf) == key:
+			// An in-flight insert of this very key: the key is not
+			// committed anywhere (the claimer probed the whole chain
+			// first), so the probe can stop here.
+			res.claimed = true
+			res.claimedSlot = slot
+			res.claimedLock = lock
+		case (kf == 0 || kf == kvlayout.TombstoneKeyField) && !res.haveFree && !kvlayout.IsLocked(lock):
+			res.haveFree = true
+			res.freeSlot = slot
+			res.freeKF = kf
+		}
+		return res.found || res.claimed
+	})
+	if err != nil {
+		return probeResult{}, err
 	}
 	return res, nil
 }
@@ -160,48 +161,12 @@ func (cn *ComputeNode) readSlotWindow(ep *rdma.Endpoint, node rdma.NodeID, regio
 // chain aborts mid-race) each see the other's claim here — because a
 // claim is published before validation, at least the later claimer
 // observes the earlier one — so no duplicate key can ever commit.
-func (cn *ComputeNode) scanForKey(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key, skipSlot uint64) (bool, error) {
-	tab := cn.schema[table]
-	partition := cn.Ring().Partition(key)
-	reps, err := cn.replicasFor(partition)
-	if err != nil {
-		return false, err
-	}
-	region := kvlayout.TableRegionID(table, partition)
-	slotSize := tab.SlotSize()
-	b := rdma.GetBatch()
-	defer b.Put()
-	buf := b.Bytes(int(slotSize) * probeWindow)
-	limit := kvlayout.ProbeLimit
-	if uint64(limit) > tab.Slots {
-		limit = int(tab.Slots)
-	}
-	home := tab.HomeSlot(key)
-	for base := 0; base < limit; base += probeWindow {
-		n := probeWindow
-		if base+n > limit {
-			n = limit - base
-		}
-		startSlot := (home + uint64(base)) & (tab.Slots - 1)
-		if err := cn.readSlotWindow(ep, reps[0], region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
-			return false, err
-		}
-		for i := 0; i < n; i++ {
-			slot := (startSlot + uint64(i)) & (tab.Slots - 1)
-			raw := buf[uint64(i)*slotSize : (uint64(i)+1)*slotSize]
-			kf := kvlayout.Uint64(raw[kvlayout.SlotKeyOff:])
-			lock := kvlayout.Uint64(raw[kvlayout.SlotLockOff:])
-			if slot != skipSlot {
-				if kf == kvlayout.KeyField(key) || (kvlayout.IsClaim(kf) && kvlayout.ClaimKey(kf) == key) {
-					return true, nil
-				}
-			}
-			if kf == 0 && !kvlayout.IsLocked(lock) {
-				return false, nil
-			}
-		}
-	}
-	return false, nil
+func (cn *ComputeNode) scanForKey(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key, skipSlot uint64) (dup bool, err error) {
+	err = cn.walkChain(ep, table, key, func(_ uint32, slot, kf, _ uint64) bool {
+		dup = slot != skipSlot && (kf == kvlayout.KeyField(key) || kvlayout.IsClaim(kf) && kvlayout.ClaimKey(kf) == key)
+		return dup
+	})
+	return dup, err
 }
 
 // resolve returns key's pinned location, consulting the cache first and

@@ -1,13 +1,14 @@
 package core
 
-// The commit pipeline (DESIGN.md §16). Everything a transaction does to
-// memory after validation — log, apply, truncate, release, and on the
-// abort side rollback — is a stage: one pooled verb batch cut into two
-// segments that must take effect in order, plus the crash points that
-// sit around and inside it. Commit, the abort path, the log writers
-// and the drain only build stages; run is the one place that decides
-// how a stage reaches the fabric, classifies what came back, counts the
-// commit round and honours crash injection. The paper's recovery
+// The stage pipeline (DESIGN.md §16). Every doorbell a transaction rings
+// from its first lock on — the lock step, validation, log, apply,
+// truncate, release, and on the abort side rollback — is a stage: one
+// pooled verb batch cut into two segments that must take effect in
+// order, plus the crash points that sit around and inside it. The lock
+// step, Commit, the abort path, the log writers and the drain only build
+// stages; run is the one place that decides how a stage reaches the
+// fabric, classifies what came back, counts the commit round and honours
+// crash injection. The paper's recovery
 // argument (§3.2.3, Cor3) is a statement about which memory states a
 // crash between two steps can leave; stageTable is the list of those
 // steps.
@@ -29,15 +30,20 @@ func at(p CrashPoint) point { return point(p) + 1 }
 type stageKind uint8
 
 const (
-	stageDecide    stageKind = iota // the commit decision: verb-less
-	stageLog                        // Pandora/tradlog record writes | durability flushes
-	stageFordLog                    // FORD per-object record writes | durability flushes
-	stageApply                      // replica writes | durability flushes
-	stageAck                        // the client acknowledgement: verb-less
-	stageTail                       // synchronous commit tail: truncations | releases
-	stageDrainTail                  // the same tail, handed to the drain (§16)
-	stageAbortTail                  // abort: truncations | releases
-	stageRollback                   // abort: pre-image writes
+	stageLockIntent stageKind = iota // tradlog's lock-intent writes; verb-less under PILL
+	stageLock                        // lock CAS, slot READ, speculative ticket FAA
+	stageLocked                      // the lock is held: verb-less
+	stageClaim                       // an insert's claim WRITE; verb-less for update and delete
+	stageValidate                    // read-set lock+version READs
+	stageDecide                      // the commit decision: verb-less
+	stageLog                         // Pandora/tradlog record writes | durability flushes
+	stageFordLog                     // FORD per-object record writes | durability flushes
+	stageApply                       // replica writes | durability flushes
+	stageAck                         // the client acknowledgement: verb-less
+	stageTail                        // synchronous commit tail: truncations | releases
+	stageDrainTail                   // the same tail, handed to the drain (§16)
+	stageAbortTail                   // abort: truncations | releases
+	stageRollback                    // abort: pre-image writes
 )
 
 // splitRule says when a stage's two segments get a doorbell each
@@ -66,6 +72,10 @@ type stageSpec struct {
 	// re-posted until they land; elsewhere a link fault is a clean
 	// pre-ack abort.
 	cleanup bool
+	// strict stages address one replica, the primary, so a dead server
+	// fails them like any other fault; the others write every replica and
+	// proceed past a dead one (§3.2.5).
+	strict bool
 	// counted stages sit on the post-validation critical path: each
 	// doorbell is one commit round (metrics.Snapshot.Drain.CommitRounds).
 	counted bool
@@ -77,11 +87,16 @@ type stageSpec struct {
 }
 
 var stageTable = [...]stageSpec{
-	stageDecide:  {after: at(PointAfterValidation)},
-	stageLog:     {counted: true, after: at(PointAfterLog)},
-	stageFordLog: {split: splitAlways},
-	stageApply:   {counted: true, eachFirst: at(PointAfterApplyOne), between: at(PointAfterApplyAll)},
-	stageAck:     {after: at(PointAfterAck)},
+	stageLockIntent: {before: at(PointBeforeLock)},
+	stageLock:       {strict: true},
+	stageLocked:     {after: at(PointAfterLock)},
+	stageClaim:      {strict: true, after: at(PointAfterExecRead)},
+	stageValidate:   {strict: true},
+	stageDecide:     {after: at(PointAfterValidation)},
+	stageLog:        {counted: true, after: at(PointAfterLog)},
+	stageFordLog:    {split: splitAlways, after: at(PointAfterFORDLog)},
+	stageApply:      {counted: true, eachFirst: at(PointAfterApplyOne), between: at(PointAfterApplyAll)},
+	stageAck:        {after: at(PointAfterAck)},
 	stageTail: {cleanup: true, counted: true,
 		between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock), after: at(PointAfterUnlock)},
 	stageDrainTail: {cleanup: true, split: splitNever,
@@ -99,8 +114,20 @@ type stage struct {
 	cut  int
 }
 
+// run is how a transaction posts a stage it built: through the node's
+// seeded-bug rewrite (bugs.go), if any, to the executor.
+func (tx *Tx) run(st stage) (inFirst bool, err error) { return tx.co.run(tx.seeded(st)) }
+
+// seeded returns st as the node's seeded bugs would have built it.
+func (tx *Tx) seeded(st stage) stage {
+	if rw := tx.cn.plan.rewrite; rw != nil {
+		st = rw(tx, st)
+	}
+	return st
+}
+
 // run executes one stage and returns the first completion, in posting
-// order, that is neither success nor a dead replica (nil if none);
+// order, that the stage does not tolerate (nil if none);
 // inFirst reports that it struck the first segment, in which case the
 // second segment may not have been posted at all. Per-op results stay
 // in the ops.
@@ -148,7 +175,7 @@ func (co *Coordinator) run(st stage) (inFirst bool, err error) {
 		err := co.doorbell(spec, all)
 		if err != nil {
 			for _, op := range first {
-				inFirst = inFirst || !tolerated(op.Err)
+				inFirst = inFirst || !spec.tolerates(op.Err)
 			}
 		}
 		return inFirst, err
@@ -161,7 +188,7 @@ func (co *Coordinator) doorbell(spec *stageSpec, ops []*rdma.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	err := co.ring(ops, spec.cleanup)
+	err := co.ring(ops, spec)
 	if spec.counted {
 		// Injected runs never get here: verb-at-a-time rounds are not
 		// comparable and are not benchmarked.
@@ -180,7 +207,7 @@ var errNotPosted = errors.New("core: verb not posted")
 // point offered after every verb.
 func (co *Coordinator) step(inj *CrashInjector, spec *stageSpec, ops []*rdma.Op, each point) error {
 	if each == 0 {
-		return co.ring(ops, spec.cleanup)
+		return co.ring(ops, spec)
 	}
 	for _, op := range ops {
 		op.Err = errNotPosted
@@ -189,7 +216,7 @@ func (co *Coordinator) step(inj *CrashInjector, spec *stageSpec, ops []*rdma.Op,
 		if co.node.crashed.Load() {
 			return rdma.ErrCrashed
 		}
-		if err := co.ring(ops[i:i+1], spec.cleanup); err != nil {
+		if err := co.ring(ops[i:i+1], spec); err != nil {
 			return err
 		}
 		if co.node.offer(inj, co.id, each) {
@@ -199,29 +226,30 @@ func (co *Coordinator) step(inj *CrashInjector, spec *stageSpec, ops []*rdma.Op,
 	return nil
 }
 
-// tolerated reports a completion the pipeline proceeds past: the verb
-// landed, or its target memory server is down — the memory-failure case
-// of §3.2.5, handled by continuing against the live replicas (the dead
-// one is recovery's job).
-func tolerated(err error) bool { return err == nil || isMemFault(err) }
+// tolerates reports a completion the stage proceeds past: the verb
+// landed, or — unless the stage is strict — its target memory server is
+// down, the memory-failure case of §3.2.5, handled by continuing against
+// the live replicas (the dead one is recovery's job).
+func (spec *stageSpec) tolerates(err error) bool {
+	return err == nil || !spec.strict && errors.Is(err, rdma.ErrNodeDown)
+}
 
-// cleanupMaxAttempts bounds ring's retry loop. In practice the loop
-// ends much earlier: a stalled link either heals or escalates via the
-// suspicion counter into an FD failure, at which point the verbs fail
-// with ErrNodeDown (tolerated).
-const cleanupMaxAttempts = 10000
+// cleanupMaxAttempts bounds ring's retry loop (a variable so tests can
+// exhaust it). In practice the loop ends much earlier: a stalled link
+// either heals or escalates via the suspicion counter into an FD
+// failure, at which point the verbs fail with ErrNodeDown (tolerated).
+var cleanupMaxAttempts = 10000
 
 // ring posts ops as one doorbell and classifies every completion, once:
 // tolerated, or returned to the caller (the first in posting order).
-// With retry set — the cleanup discipline — link-faulted ops are
-// re-posted under capped exponential backoff instead. The ops are plain
+// In a cleanup stage link-faulted ops are re-posted under capped exponential backoff instead. The ops are plain
 // WRITEs of state only this transaction owns, so re-issuing the failed
 // subset is safe; ops that already completed are never re-run (a retry
 // must not smash a lock word another transaction acquired after our
 // successful release). Each suspected node is reported to the FD once.
 // ErrCrashed / ErrRevoked propagate immediately; exhausting the budget
 // returns ErrIndeterminate.
-func (co *Coordinator) ring(ops []*rdma.Op, retry bool) error {
+func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec) error {
 	backoff := 50 * time.Microsecond
 	const maxBackoff = 2 * time.Millisecond
 	var reported map[rdma.NodeID]bool
@@ -241,11 +269,11 @@ func (co *Coordinator) ring(ops []*rdma.Op, retry bool) error {
 		_ = co.ep.Do(ops...)
 		var again []*rdma.Op
 		for _, op := range ops {
-			if tolerated(op.Err) {
+			if spec.tolerates(op.Err) {
 				continue
 			}
 			le := linkFault(op.Err)
-			if !retry || le == nil {
+			if !spec.cleanup || le == nil {
 				return op.Err
 			}
 			if !reported[le.Dst] {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
 	"pandora/internal/rdma"
@@ -22,7 +21,10 @@ type readEnt struct {
 	fromCache bool
 }
 
-// writeEnt is one write-set entry.
+// writeEnt is one write-set entry. It joins tx.writes before its lock
+// doorbell is posted (lock.go) and from then on owns what the doorbell
+// may have taken: every path out — commit, abort, dropEntry — releases
+// what locked says and pays what ticket says.
 type writeEnt struct {
 	ref  objRef
 	kind kvlayout.WriteKind
@@ -33,18 +35,13 @@ type writeEnt struct {
 	// a tombstone, never "restored".
 	wasInsert  bool
 	newValue   []byte
-	locked     bool
-	pendingCAS *rdma.Op // RelaxedLocks bug: lock CAS deferred to commit
+	locked     bool // assigned by hold alone
 	oldValue   []byte
 	oldVersion uint64
 	newVersion uint64
 	replicas   []rdma.NodeID // replica set snapshot, primary first
 	applied    uint64        // bit i: the commit write reached replicas[i]
-	// queued marks a lock taken through the hot-lock ticket queue; the
-	// release path then owes the lane one head advance at queueHead
-	// (DESIGN.md §14).
-	queued    bool
-	queueHead rdma.Addr
+	ticket     laneTicket    // assigned by takeTicket alone
 }
 
 // Tx is one transaction. A coordinator runs transactions one at a time;
@@ -147,6 +144,11 @@ func (tx *Tx) abort(kind metrics.AbortReason, info abortInfo) error {
 func (tx *Tx) abortCause(kind metrics.AbortReason, info abortInfo, cause error) error {
 	tx.cn.opts.Metrics.CountAbort(kind)
 	err := tx.abortInternal(kind, info)
+	for _, w := range tx.writes {
+		if !w.locked {
+			tx.payTicket(w) // abandoned in the lock step; a held lock's rode the tail
+		}
+	}
 	tx.release()
 	var ae *abortError
 	if errors.As(err, &ae) {
@@ -192,12 +194,7 @@ func (tx *Tx) findWrite(table kvlayout.TableID, key kvlayout.Key) *writeEnt {
 }
 
 func (tx *Tx) findRead(table kvlayout.TableID, key kvlayout.Key) *readEnt {
-	for _, r := range tx.reads {
-		if r.ref.table == table && r.ref.key == key {
-			return r
-		}
-	}
-	return nil
+	return tx.findReadBefore(len(tx.reads), table, key)
 }
 
 func (tx *Tx) checkUsable() error {
@@ -440,6 +437,12 @@ func (tx *Tx) Write(table kvlayout.TableID, key kvlayout.Key, value []byte) erro
 		w.newValue = tx.sc.padded(value, tab.ValueSize)
 		return nil
 	}
+	return tx.lockExisting(table, key, kvlayout.WriteUpdate, tx.sc.padded(value, tab.ValueSize))
+}
+
+// lockExisting resolves a key that must exist and runs the lock step on
+// its slot.
+func (tx *Tx) lockExisting(table kvlayout.TableID, key kvlayout.Key, kind kvlayout.WriteKind, newValue []byte) error {
 	ref, found, err := tx.resolve(table, key)
 	if err != nil {
 		return tx.verbFailure(err)
@@ -447,7 +450,7 @@ func (tx *Tx) Write(table kvlayout.TableID, key kvlayout.Key, value []byte) erro
 	if !found {
 		return ErrNotFound
 	}
-	return tx.stageLockedWrite(ref, kvlayout.WriteUpdate, tx.sc.padded(value, tab.ValueSize))
+	return tx.lockWrite(ref, kind, newValue)
 }
 
 // Delete stages removal of an existing key.
@@ -460,14 +463,7 @@ func (tx *Tx) Delete(table kvlayout.TableID, key kvlayout.Key) error {
 		w.newValue = nil
 		return nil
 	}
-	ref, found, err := tx.resolve(table, key)
-	if err != nil {
-		return tx.verbFailure(err)
-	}
-	if !found {
-		return ErrNotFound
-	}
-	return tx.stageLockedWrite(ref, kvlayout.WriteDelete, nil)
+	return tx.lockExisting(table, key, kvlayout.WriteDelete, nil)
 }
 
 // Insert stages creation of a new key: it locks a free slot on the
@@ -482,7 +478,17 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 		return fmt.Errorf("core: value of %d bytes exceeds table %d value size %d", len(value), table, tab.ValueSize)
 	}
 	if w := tx.findWrite(table, key); w != nil {
-		return ErrExists
+		if w.kind != kvlayout.WriteDelete {
+			return ErrExists
+		}
+		// Own delete: the key is absent in this transaction's view, so the
+		// entry flips back, as in Write.
+		w.kind = kvlayout.WriteUpdate
+		if w.wasInsert {
+			w.kind = kvlayout.WriteInsert
+		}
+		w.newValue = tx.sc.padded(value, tab.ValueSize)
+		return nil
 	}
 	for attempt := 0; attempt < 8; attempt++ {
 		probeStart := tx.phaseClock()
@@ -515,418 +521,17 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 			return ErrTableFull
 		}
 		ref := objRef{table: table, key: key, partition: tx.cn.Ring().Partition(key), slot: slot}
-		err = tx.stageLockedWrite(ref, kvlayout.WriteInsert, tx.sc.padded(value, tab.ValueSize))
-		if err == nil {
-			return nil
+		err = tx.lockWrite(ref, kvlayout.WriteInsert, tx.sc.padded(value, tab.ValueSize))
+		if !errors.Is(err, errSlotContended) {
+			return err
 		}
-		if errors.Is(err, errSlotContended) {
-			continue // the slot changed under us; re-probe
-		}
-		return err
+		// The slot changed under us; re-probe.
 	}
 	return tx.abort(metrics.AbortSteal, abortInfo{format: "insert: free-slot contention"})
 }
 
 // errSlotContended is an internal retry signal for insert slot races.
 var errSlotContended = errors.New("core: free slot contended")
-
-// stageLockedWrite performs the eager-locking step of execution for one
-// write-set object: (traditional scheme: lock-intent log;) lock CAS +
-// slot READ in one doorbell, PILL steal on stray owners, then undo-state
-// capture. FORD-mode additionally writes the per-object undo log here —
-// before the commit decision — which is the Lost Decision hazard.
-func (tx *Tx) stageLockedWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte) error {
-	cn := tx.cn
-	opts := cn.opts
-	tab := cn.schema[ref.table]
-
-	if opts.LocalWork != nil {
-		opts.LocalWork()
-	}
-	if cn.crashAt(tx.co.id, PointBeforeLock) {
-		return tx.crash()
-	}
-
-	if opts.Protocol == ProtocolTradLog {
-		logStart := tx.phaseClock()
-		if err := tx.writeLockIntent(ref); err != nil {
-			return err
-		}
-		tx.recordPhase(metrics.PhaseLog, logStart)
-	}
-
-	ent := tx.sc.wr.next()
-	*ent = writeEnt{ref: ref, kind: kind, wasInsert: kind == kvlayout.WriteInsert, newValue: newValue}
-
-	if opts.Protocol == ProtocolFORD && opts.Bugs.LogWithoutLock {
-		// Seeded bug: the undo log is written before the lock CAS is
-		// issued. If we crash (or abort) in between, recovery sees a log
-		// for a lock that was never grabbed.
-		tx.captureGuess(ent)
-		if err := tx.fordLogObject(ent); err != nil {
-			return err
-		}
-	}
-
-	if opts.Bugs.RelaxedLocks {
-		// Seeded bug: the lock CAS is posted but its completion is not
-		// awaited before validation begins.
-		reps, err := cn.replicasFor(ref.partition)
-		if err != nil {
-			return tx.placementAbort(err)
-		}
-		ent.replicas = reps
-		slot, newRef, err := tx.readSlotConsistent(ref)
-		if err != nil {
-			return err
-		}
-		ref = newRef
-		ent.ref = newRef
-		tx.captureUndo(ent, slot)
-		ent.pendingCAS = &rdma.Op{
-			Kind:   rdma.OpCAS,
-			Addr:   cn.tableAddr(reps[0], ref, kvlayout.SlotLockOff),
-			Expect: 0,
-			Swap:   tx.lockWord(),
-		}
-		tx.writes = append(tx.writes, ent)
-		return nil
-	}
-
-	b := rdma.GetBatch()
-	defer b.Put()
-	buf := tx.sc.bytes(int(tab.SlotSize())) // not the batch's: the undo pre-image aliases it
-	lockOp := b.Add()
-	readOp := b.Add()
-	specOp := b.Add()
-	// The doorbell without / with the ticket. The lockpair pass recognises
-	// the post by these names.
-	lockPair, lockTrio := b.Ops()[:2], b.Ops()[:3]
-	mismatches := 0
-	// Ticket-lane state for the queued (promoted hot key) path. Every
-	// taken ticket owes the lane one head advance: if the acquisition
-	// does not complete (abort, fault, crash-free error return), the
-	// debt is settled here on the way out; a completed queued
-	// acquisition transfers it to the write entry for unlockAll.
-	var q queueState
-	defer func() {
-		if q.joined && !q.transferred {
-			tx.payLaneDebt(q.lane)
-		}
-	}()
-	conflicted := false
-	lockStart := tx.phaseClock()
-	for {
-		reps, err := cn.replicasFor(ref.partition)
-		if err != nil {
-			return tx.placementAbort(err)
-		}
-		primary := reps[0]
-		// The two ops are reused across retries: constant space no matter
-		// how often the lock bounces.
-		*lockOp = rdma.Op{
-			Kind:   rdma.OpCAS,
-			Addr:   cn.tableAddr(primary, ref, kvlayout.SlotLockOff),
-			Expect: 0,
-			Swap:   tx.lockWord(),
-		}
-		*readOp = rdma.Op{Kind: rdma.OpRead, Addr: cn.tableAddr(primary, ref, 0), Buf: buf}
-		// Speculative ticket (DESIGN.md §14/§16): when the key is already
-		// promoted to queued acquisition, the lane-tail FAA rides the same
-		// doorbell as the lock CAS — a failed CAS then already holds its
-		// ticket and goes straight to the lane wait, saving the separate
-		// queueJoin round trip. An unneeded ticket (the CAS won, or an
-		// error path bails out) is settled by the release path or the
-		// lane-debt defer above, so the lane never wedges.
-		spec := false
-		var specLane hotlock.Lane
-		if hot := tx.co.hot; hot != nil && !q.joined && kind != kvlayout.WriteInsert &&
-			!tx.mayStall() && !tx.holdsLocks() && hot.Queued(ref.table, ref.key) {
-			specLane = tx.queueSpec(specOp, primary, ref)
-			spec = true
-		}
-		// One doorbell: the CAS is ordered before the READ on the same
-		// queue pair, so the READ observes the post-CAS slot. The two ops
-		// admit through the link rules independently, so a fault injected
-		// between them can fail the READ after the CAS took the lock —
-		// that lock must be handed to the abort path, not forgotten.
-		var derr error
-		if spec {
-			derr = tx.co.ep.Do(lockTrio...)
-			// Absorb the ticket BEFORE any error handling: once the FAA
-			// executed, the lane is owed a head advance no matter which
-			// path this iteration takes (the defer settles an unconverted
-			// ticket).
-			tx.queueAbsorb(&q, specLane, specOp)
-		} else {
-			derr = tx.co.ep.Do(lockPair...)
-		}
-		if derr != nil {
-			if lockOp.Swapped {
-				return tx.failLocked(ent, reps, derr)
-			}
-			return tx.verbFailure(derr)
-		}
-		if !lockOp.Swapped {
-			old := lockOp.Old
-			if tx.strayLock(old) {
-				// PILL: steal the stray lock with a second CAS (§3.1.2).
-				_, stole, err := tx.co.ep.CAS(lockOp.Addr, old, tx.lockWord())
-				if err != nil {
-					return tx.verbFailure(err)
-				}
-				if stole {
-					// The previous owner failed and recovery may have
-					// rewritten the slot since we cached it; drop the
-					// entry and refresh the slot image under our lock.
-					tx.invalidateCached(ref.table, ref.key)
-					if tx.co.hot != nil {
-						// The dead holder may have died owing its lane a
-						// head advance; settle it so the queue behind the
-						// stolen lock never wedges.
-						tx.repairStolenLane(primary, ref)
-					}
-					if err := tx.co.ep.Read(readOp.Addr, buf); err != nil {
-						return tx.failLocked(ent, reps, err)
-					}
-					lockOp.Swapped = true
-				} else {
-					// Lost the steal race (or recovery released it);
-					// retry the normal lock.
-					continue
-				}
-			} else {
-				// Live conflict: the CAS lost to a running coordinator.
-				conflicted = true
-				opts.Metrics.CountLock(metrics.LockRetry)
-				// The holder may be an acked commit whose release is still
-				// queued on a same-node drain: flush it and retry instead of
-				// aborting (§16).
-				if tx.drainWait(old) {
-					continue
-				}
-				if kind == kvlayout.WriteInsert {
-					return errSlotContended
-				}
-				if tx.mayStall() {
-					// The stalling path already waits fairly enough and
-					// never gives up; queueing applies to the abort-retry
-					// regime only.
-					if err := tx.stallWait(); err != nil {
-						return err
-					}
-					continue
-				}
-				if hot := tx.co.hot; hot != nil {
-					if hot.Queued(ref.table, ref.key) && !tx.holdsLocks() {
-						// Promoted key and we hold nothing (the queue keeps
-						// the stalling path's no-hold-and-wait rule): wait
-						// for our lane turn, then retry the CAS.
-						if !q.joined {
-							if err := tx.queueJoin(&q, primary, ref); err != nil {
-								return err
-							}
-						}
-						if err := tx.queueWait(&q, lockOp.Addr, ref); err != nil {
-							return err
-						}
-						continue
-					}
-					if hot.OnConflict(ref.table, ref.key) {
-						opts.Metrics.CountLock(metrics.LockPromotion)
-					}
-				}
-				if opts.Bugs.ComplicitAbort {
-					// Seeded bug: the failed-to-lock object still enters
-					// the write-set, so the abort path will "release" a
-					// lock this transaction never held.
-					ent.replicas = reps
-					tx.writes = append(tx.writes, ent)
-				}
-				return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ref, old))
-			}
-		}
-		if cn.crashAt(tx.co.id, PointAfterLock) {
-			return tx.crash()
-		}
-		slot := tab.DecodeSlot(buf)
-		if kind != kvlayout.WriteInsert && (!slot.Present || slot.Key != ref.key) {
-			// The key vanished between resolve and lock (deleted, or the
-			// slot was reused for another key). Release, re-resolve, and
-			// retry at the fresh location. The slot holds someone else's
-			// state now, so a failed release must only hand over the lock
-			// word, never an insert tombstone.
-			if err := tx.unlockAddr(lockOp.Addr); err != nil {
-				ent.wasInsert = false
-				return tx.failLocked(ent, reps, err)
-			}
-			cn.dropRef(ref.table, ref.key)
-			mismatches++
-			if mismatches > 8 {
-				return tx.abort(metrics.AbortLockConflict, abortInfo{format: "lock: slot kept moving"})
-			}
-			newRef, found, rerr := tx.resolve(ref.table, ref.key)
-			if rerr != nil {
-				return tx.verbFailure(rerr)
-			}
-			if !found {
-				return ErrNotFound
-			}
-			if q.joined {
-				// The fresh ref may live in another partition (another
-				// lane): settle the old lane's ticket and queue anew if
-				// the lock bounces again.
-				tx.payLaneDebt(q.lane)
-				q = queueState{}
-			}
-			ref = newRef
-			ent.ref = newRef
-			continue
-		}
-		if kind == kvlayout.WriteInsert {
-			// Under our lock, the slot must still be claimable: empty, a
-			// tombstone, or an abandoned claim for exactly our key (a
-			// stray-insert takeover).
-			kf := kvlayout.Uint64(buf[kvlayout.SlotKeyOff:])
-			switch {
-			case kf == 0 || kf == kvlayout.TombstoneKeyField || kf == kvlayout.ClaimKeyField(ref.key):
-				// claimable
-			case kf == kvlayout.KeyField(ref.key):
-				// The slot carries a committed key: back out. On a failed
-				// release only the lock word may be touched (wasInsert
-				// would tombstone committed data in the abort path).
-				if err := tx.unlockAddr(lockOp.Addr); err != nil {
-					ent.wasInsert = false
-					return tx.failLocked(ent, reps, err)
-				}
-				return ErrExists
-			default:
-				if err := tx.unlockAddr(lockOp.Addr); err != nil {
-					ent.wasInsert = false
-					return tx.failLocked(ent, reps, err)
-				}
-				return errSlotContended
-			}
-		}
-		ent.replicas = reps
-		tx.captureUndo(ent, slot)
-		if kind == kvlayout.WriteInsert {
-			// Publish the claim: probers of the same key now conflict
-			// with this insert instead of picking a second slot, and
-			// readers keep treating the slot as absent until commit.
-			var claim [8]byte
-			kvlayout.PutUint64(claim[:], kvlayout.ClaimKeyField(ref.key))
-			if err := tx.co.ep.Write(cn.tableAddr(primary, ref, kvlayout.SlotKeyOff), claim[:]); err != nil {
-				return tx.failLocked(ent, reps, err)
-			}
-		}
-		if cn.crashAt(tx.co.id, PointAfterExecRead) {
-			return tx.crash()
-		}
-		break
-	}
-	tx.recordPhase(metrics.PhaseLock, lockStart)
-
-	// The lock is held: the entry joins the write-set NOW, before any
-	// further verbs, so every later failure path — FORD logging below,
-	// validation, apply, abort — sees and releases it.
-	ent.locked = true
-	if q.joined {
-		// Queued acquisition completed: the head-advance debt rides the
-		// entry into unlockAll (commit and abort both release there).
-		ent.queued = true
-		ent.queueHead = q.lane.Head
-		q.transferred = true
-		if conflicted {
-			opts.Metrics.CountLock(metrics.LockQueuedAcquire)
-		}
-	}
-	if hot := tx.co.hot; hot != nil && !conflicted {
-		// Uncontended first-CAS acquisition (the speculative ticket may
-		// still have joined the lane): feed the quiet streak that demotes
-		// a cooled-down key back to plain CAS locking.
-		if hot.OnAcquired(ref.table, ref.key) {
-			opts.Metrics.CountLock(metrics.LockDemotion)
-		}
-	}
-	tx.writes = append(tx.writes, ent)
-
-	if opts.Protocol == ProtocolFORD && !opts.Bugs.LogWithoutLock {
-		skip := kind == kvlayout.WriteInsert && opts.Bugs.MissingInsertLog
-		if !skip {
-			logStart := tx.phaseClock()
-			if err := tx.fordLogObject(ent); err != nil {
-				return err
-			}
-			tx.recordPhase(metrics.PhaseLog, logStart)
-		}
-		if cn.crashAt(tx.co.id, PointAfterFORDLog) {
-			return tx.crash()
-		}
-	}
-	return nil
-}
-
-// captureUndo records the pre-image needed to roll the write back. The
-// entry keeps slot.Value, which must be scratch memory.
-func (tx *Tx) captureUndo(ent *writeEnt, slot kvlayout.Slot) {
-	ent.oldVersion = slot.Version
-	ent.newVersion = slot.Version + 1
-	if ent.kind != kvlayout.WriteInsert {
-		ent.oldValue = slot.Value
-	}
-	ent.locked = true
-}
-
-// captureGuess fills undo state for the LogWithoutLock bug path, where
-// the log is written before the slot is read: the logged pre-image may
-// be stale.
-func (tx *Tx) captureGuess(ent *writeEnt) {
-	slot, err := tx.readSlotUnlocked(ent.ref)
-	if err == nil {
-		ent.oldVersion = slot.Version
-		ent.newVersion = slot.Version + 1
-		ent.oldValue = slot.Value
-	}
-}
-
-// readSlotUnlocked fetches a slot image without any conflict policy.
-func (tx *Tx) readSlotUnlocked(ref objRef) (kvlayout.Slot, error) {
-	tab := tx.cn.schema[ref.table]
-	buf := tx.sc.bytes(int(tab.SlotSize()))
-	reps, err := tx.cn.replicasFor(ref.partition)
-	if err != nil {
-		return kvlayout.Slot{}, err
-	}
-	if err := tx.co.ep.Read(tx.cn.tableAddr(reps[0], ref, 0), buf); err != nil {
-		return kvlayout.Slot{}, err
-	}
-	return tab.DecodeSlot(buf), nil
-}
-
-// unlockAddr releases a lock this transaction just took, during
-// execution-phase backout. The caller must not ignore the error: a
-// link-faulted unlock leaves the lock set, and a lock held by a LIVE
-// coordinator is invisible to both PILL stealing and recovery.
-func (tx *Tx) unlockAddr(addr rdma.Addr) error {
-	var zero [8]byte
-	return tx.co.ep.Write(addr, zero[:])
-}
-
-// failLocked handles a verb failure at a point where this transaction
-// holds ent's lock but ent has not joined the write-set yet (or an
-// execution-phase unlock itself failed). The entry is registered first
-// so the abort path inside verbFailure releases the lock with the
-// cleanup retry discipline — otherwise the lock would leak while its
-// owner stays alive, permanently blocking the object.
-func (tx *Tx) failLocked(ent *writeEnt, reps []rdma.NodeID, err error) error {
-	if len(ent.replicas) == 0 {
-		ent.replicas = reps
-	}
-	ent.locked = true
-	tx.writes = append(tx.writes, ent)
-	return tx.verbFailure(err)
-}
 
 // rangeChunk is the number of keys a ReadRange prefetches per doorbell.
 const rangeChunk = 16

@@ -62,7 +62,8 @@ func TestInsertThenWriteSameTx(t *testing.T) {
 
 func TestInsertOfOwnDeletedKey(t *testing.T) {
 	// Delete an existing key, then insert it again within the same tx:
-	// the write-set entry flips back to an update.
+	// the key is absent in the transaction's own view (Read says so), so
+	// the insert succeeds and the write-set entry flips back to an update.
 	e := newEnv(t, envConfig{})
 	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
 	co := e.nodes[0].Coordinator(0)
@@ -70,13 +71,14 @@ func TestInsertOfOwnDeletedKey(t *testing.T) {
 	if err := tx.Delete(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	// The engine reports ErrExists (the key is in the write-set); callers
-	// use Write for upsert-after-delete.
-	if err := tx.Insert(0, 5, []byte("back")); !errors.Is(err, ErrExists) {
+	if _, err := tx.Read(0, 5); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("read of own delete: %v", err)
+	}
+	if err := tx.Insert(0, 5, []byte("back")); err != nil {
 		t.Fatalf("insert over own delete: %v", err)
 	}
-	if err := tx.Write(0, 5, []byte("back")); err != nil {
-		t.Fatal(err)
+	if err := tx.Insert(0, 5, []byte("again")); !errors.Is(err, ErrExists) {
+		t.Fatalf("second insert: %v, want ErrExists", err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -84,6 +86,49 @@ func TestInsertOfOwnDeletedKey(t *testing.T) {
 	v, err := readKey(t, co, 0, 5)
 	if err != nil || !bytes.HasPrefix(v, []byte("back")) {
 		t.Fatalf("= (%q, %v)", v, err)
+	}
+}
+
+// TestInsertDeleteInsertOfNewKey: the wasInsert variant — the slot held
+// no committed key before the transaction. Committed, the last insert's
+// value is there; aborted, the slot is undone to a tombstone (absent),
+// never "restored".
+func TestInsertDeleteInsertOfNewKey(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		e := newEnv(t, envConfig{})
+		e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+		co := e.nodes[0].Coordinator(0)
+		tx := co.Begin()
+		if err := tx.Insert(0, 70, []byte("one")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Delete(0, 70); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Insert(0, 70, []byte("two")); err != nil {
+			t.Fatalf("insert over own delete of own insert: %v", err)
+		}
+		if commit {
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		v, err := readKey(t, co, 0, 70)
+		switch {
+		case commit && (err != nil || !bytes.HasPrefix(v, []byte("two"))):
+			t.Fatalf("committed: = (%q, %v), want two", v, err)
+		case !commit && !errors.Is(err, ErrNotFound):
+			t.Fatalf("aborted: = (%q, %v), want ErrNotFound", v, err)
+		}
+		// Either way the key can be inserted afresh and the slot is free.
+		if !commit {
+			mustCommit(t, co, func(tx *Tx) error { return tx.Insert(0, 70, []byte("three")) })
+		}
+		if n := e.lockedSlots(t, 0); n != 0 {
+			t.Fatalf("commit=%v: %d slots left locked", commit, n)
+		}
 	}
 }
 

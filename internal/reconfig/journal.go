@@ -149,9 +149,15 @@ func decodeImage(buf []byte) (*image, bool) {
 		subject: rdma.NodeID(word(4)),
 		phase:   word(5),
 	}
+	// Each count is bounded by the buffer on its own first, so a
+	// bit-flipped count cannot overflow the sum into looking small.
+	for _, w := range []uint64{word(6), word(7), word(8)} {
+		if w > uint64(len(buf)) {
+			return nil, false
+		}
+	}
 	nFrom, nTo, nParts := int(word(6)), int(word(7)), int(word(8))
-	need := 9*8 + 8*(nFrom+nTo) + nParts
-	if nFrom < 0 || nTo < 0 || nParts < 0 || need > len(buf) {
+	if 9*8+8*(nFrom+nTo)+nParts > len(buf) {
 		return nil, false
 	}
 	off := 9 * 8

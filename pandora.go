@@ -331,18 +331,7 @@ func New(cfg Config) (*Cluster, error) {
 		c.fd.RegisterMemory(id)
 	}
 
-	opts := core.Options{
-		Protocol:         cfg.Protocol,
-		Bugs:             cfg.SeedBugs,
-		DisablePILL:      cfg.DisablePILL,
-		StallOnConflict:  cfg.StallOnConflict,
-		Persist:          cfg.Persistence,
-		VerbTimeout:      cfg.VerbTimeout,
-		ReadCacheSize:    cfg.ReadCacheSize,
-		HotlockThreshold: cfg.HotlockThreshold,
-		AsyncCommitBack:  cfg.AsyncCommitBack,
-		Metrics:          c.met,
-	}
+	opts := c.engineOptions()
 	var peers []recovery.ComputePeer
 	view := place.NewView(ring)
 	for i := 0; i < cfg.ComputeNodes; i++ {
@@ -493,11 +482,21 @@ func nextPow2(n uint64) uint64 {
 	return 1 << (64 - bits.LeadingZeros64(n-1))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// engineOptions is the core.Options every compute node of the cluster
+// runs with — New's nodes and RestartCompute's alike.
+func (c *Cluster) engineOptions() core.Options {
+	return core.Options{
+		Protocol:         c.cfg.Protocol,
+		Bugs:             c.cfg.SeedBugs,
+		DisablePILL:      c.cfg.DisablePILL,
+		StallOnConflict:  c.cfg.StallOnConflict,
+		Persist:          c.cfg.Persistence,
+		VerbTimeout:      c.cfg.VerbTimeout,
+		ReadCacheSize:    c.cfg.ReadCacheSize,
+		HotlockThreshold: c.cfg.HotlockThreshold,
+		AsyncCommitBack:  c.cfg.AsyncCommitBack,
+		Metrics:          c.met,
 	}
-	return b
 }
 
 // KV is one preloaded key-value pair.

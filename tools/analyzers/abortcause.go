@@ -1,15 +1,14 @@
 package analyzers
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // Abortcause enforces the abort-taxonomy discipline of PR 5 in
 // internal/core: every ErrAborted the engine hands out flows through
 // the single decision point with a typed, meaningful reason.
 //
-// Rules:
+// Rules (all per-node; the flow rule that the abort ack follows the
+// release is gone — abortInternal is straight-line, and
+// TestAbortNeverAckedBeforeRelease pins it):
 //
 //   - A1: the &abortError{...} literal is constructed ONLY inside
 //     abortInternal. Anywhere else, an abort error escapes the
@@ -17,16 +16,7 @@ import (
 //   - A2: the abort taxonomy counter (CountAbort) is bumped ONLY inside
 //     abortCause, the single decision point — a second bump site would
 //     double-count or, worse, count paths that are not aborts.
-//   - A3 (flow): inside abortInternal, a return that constructs
-//     &abortError must be reached only after the locks were released:
-//     the truncate | release stage (tailStage, DESIGN.md §16) actually
-//     handed to the stage executor (run). Building the stage alone does
-//     not release; the `b.Len() > 0` false edge proves the batch was
-//     empty (nothing to release). The
-//     abort error is the client-visible "aborted" ack, and acking
-//     before the locks are actually released recreates the
-//     fenced-zombie hazard (Cor3's dual).
-//   - A4: the reason passed to abort/abortCause must be a typed
+//   - A3: the reason passed to abort/abortCause must be a typed
 //     metrics.AbortReason value, and the literal metrics.AbortOther is
 //     reserved for paths with no better classification — each use
 //     carries a //pandora:abortother directive with its justification.
@@ -47,58 +37,10 @@ func runAbortcause(pass *Pass) error {
 	return nil
 }
 
-// abortFact is the A3 lattice: whether the locks were definitely
-// released on the current path. Bits so joins can carry "either".
-const (
-	abortLocked   = 1 // no release reached
-	abortStaged   = 2 // release stage built (tailStage), not run
-	abortUnlocked = 4
-	abortEither   = abortLocked | abortUnlocked
-)
-
-type abortProblem struct{}
-
-func (abortProblem) Entry() any { return abortLocked }
-
-func (abortProblem) Transfer(n ast.Node, fact any) any {
-	f := fact.(int)
-	shallowCalls(n, func(call *ast.CallExpr) {
-		switch calleeName(call) {
-		case "tailStage":
-			// The releases are staged into a batch; the locks are not free
-			// until the executor has posted them.
-			f = abortStaged
-		case "run":
-			if f&abortStaged != 0 {
-				f = f&^abortStaged | abortUnlocked
-			}
-		}
-	})
-	return f
-}
-
-func (abortProblem) Branch(cond ast.Expr, taken bool, fact any) any {
-	f := fact.(int)
-	if f&abortStaged == 0 {
-		return f
-	}
-	// `<b>.Len() > 0` false edge on a staged batch: nothing was staged,
-	// so there was nothing to release and the path counts as unlocked.
-	if be, ok := cond.(*ast.BinaryExpr); ok && be.Op.String() == ">" && !taken {
-		if call, isCall := be.X.(*ast.CallExpr); isCall && calleeName(call) == "Len" {
-			return f&^abortStaged | abortUnlocked
-		}
-	}
-	return f
-}
-func (abortProblem) Join(a, b any) any   { return a.(int) | b.(int) }
-func (abortProblem) Equal(a, b any) bool { return a == b }
-
 func (p *Pass) checkAbortUnit(u funcUnit) {
 	inAbortInternal := u.name() == "abortInternal"
 	inAbortCause := u.name() == "abortCause"
 
-	// A1 / A2 / A4: per-node rules.
 	scanShallow(u.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompositeLit:
@@ -119,40 +61,9 @@ func (p *Pass) checkAbortUnit(u funcUnit) {
 		}
 		return false
 	})
-
-	// A3: inside abortInternal, every &abortError return follows the
-	// unlock.
-	if !inAbortInternal {
-		return
-	}
-	g := BuildCFG(u.body)
-	res := Solve(g, abortProblem{})
-	reported := map[token.Pos]bool{}
-	res.ExitFacts(func(b *Block, ret *ast.ReturnStmt, fact any) {
-		if ret == nil {
-			return
-		}
-		constructs := false
-		for _, e := range ret.Results {
-			if scanShallow(e, func(m ast.Node) bool {
-				cl, ok := m.(*ast.CompositeLit)
-				return ok && isNamed(p.TypesInfo.Types[cl].Type, "abortError")
-			}) {
-				constructs = true
-			}
-		}
-		if !constructs {
-			return
-		}
-		if fact.(int)&(abortLocked|abortStaged) != 0 && !reported[ret.Pos()] {
-			reported[ret.Pos()] = true
-			p.Reportf(ret.Pos(), "abortcause",
-				"abortError returned on a path that never released the write-set locks (a tailStage handed to the stage executor): acking the abort before the locks are freed recreates the fenced-zombie hazard")
-		}
-	})
 }
 
-// checkAbortKindArg enforces A4 on one abort/abortCause call: the kind
+// checkAbortKindArg enforces A3 on one abort/abortCause call: the kind
 // argument must be a typed metrics.AbortReason, and a literal
 // metrics.AbortOther needs a //pandora:abortother directive.
 func (p *Pass) checkAbortKindArg(u funcUnit, call *ast.CallExpr) {

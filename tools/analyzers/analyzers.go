@@ -12,14 +12,21 @@
 //   - lockword: the PILL lock-word encoding (§3.1.2) has exactly one
 //     owner, internal/kvlayout; raw bit ops reconstructing or picking
 //     apart lock words anywhere else are flagged.
-//   - lockpair: in internal/core, a lock-acquiring CAS must reach a
-//     write-set registration before any unguarded fabric verb — the
-//     lock-leak class PR 1 fixed by hand.
 //   - batchescape: pointers derived from a pooled rdma.OpBatch must
 //     not outlive the batch (no field stores, returns, or goroutine
 //     captures of arena-backed values from a locally owned batch).
 //   - atomicmix: a struct field accessed through sync/atomic must
 //     never also be accessed with plain loads/stores.
+//   - abortcause: in internal/core every abort is constructed and
+//     counted at its single decision point, with a typed reason.
+//   - cacheinval, journalstate: the two path properties still held by
+//     the CFG/dataflow engine (cfg.go, dataflow.go) — a lock-word steal
+//     reaches a cache invalidation; a reconfiguration journal image
+//     advances one legal state at a time and is never dropped dirty.
+//
+// Invariants that used to need a dataflow pass and no longer do (a lock
+// CAS reaching the write set, a lane ticket being paid) are held by the
+// engine's structure instead; DESIGN.md §10 lists them.
 //
 // The framework is deliberately a miniature of golang.org/x/tools
 // go/analysis (Analyzer/Pass/Diagnostic): the container this repo
@@ -70,10 +77,8 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		Lockword,
-		Lockpair,
 		Batchescape,
 		Atomicmix,
-		Lanedebt,
 		Abortcause,
 		Cacheinval,
 		Journalstate,
@@ -95,7 +100,6 @@ const (
 	// Escape hatches of the flow-sensitive passes. Each directive names
 	// its pass; the justification comment next to it is the contract.
 	DirAbortOther   = "abortother"   // sanctioned metrics.AbortOther use
-	DirLanedebt     = "lanedebt"     // lane debt settled non-locally (proven)
 	DirCacheinval   = "cacheinval"   // invalidation happens at the caller
 	DirJournalstate = "journalstate" // journal write proven legal out-of-band
 )
@@ -196,10 +200,6 @@ func IsKVLayoutPkg(path string) bool { return lastSeg(path) == "kvlayout" }
 // IsHotlockPkg reports whether the package is the hot-lock queue
 // policy layer (the second legal home of ticket-word bit operations).
 func IsHotlockPkg(path string) bool { return lastSeg(path) == "hotlock" }
-
-// IsCorePkg reports whether the package holds the transaction engine
-// (the lockpair scope).
-func IsCorePkg(path string) bool { return lastSeg(path) == "core" }
 
 // ---- shared AST/type helpers ----------------------------------------------
 

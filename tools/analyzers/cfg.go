@@ -1,7 +1,7 @@
 package analyzers
 
 // Control-flow graph construction over go/ast, for the flow-sensitive
-// passes (lanedebt, abortcause, cacheinval, journalstate, lockpair).
+// passes (cacheinval, journalstate).
 // The builder is deliberately a miniature of golang.org/x/tools/go/cfg
 // (the build container has no module proxy): statements are grouped
 // into basic blocks connected by branch edges, with
@@ -16,8 +16,7 @@ package analyzers
 //   - return terminating its block (recorded in Block.Ret), and a
 //     function body that can fall off the end recorded in CFG.Fall,
 //   - defer statements appearing in the flow at their registration
-//     point AND collected in CFG.Defers, since their bodies run at
-//     every subsequent exit.
+//     point.
 //
 // Function literals are NOT inlined: a FuncLit is an opaque value in
 // the enclosing function's flow, and callers analyze each literal body
@@ -64,8 +63,6 @@ type CFG struct {
 	// of the body, or nil when every path ends in an explicit
 	// return/jump.
 	Fall *Block
-	// Defers lists every defer statement in the body, in source order.
-	Defers []*ast.DeferStmt
 }
 
 // Exits visits every function exit: each reachable block ending in an
@@ -185,9 +182,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.cur = b.newBlock() // anything after is dead
 	case *ast.BranchStmt:
 		b.branchStmt(s)
-	case *ast.DeferStmt:
-		b.g.Defers = append(b.g.Defers, s)
-		b.cur.Nodes = append(b.cur.Nodes, s)
 	default:
 		// Plain statement: assignment, expression, declaration, send,
 		// go, inc/dec, empty.

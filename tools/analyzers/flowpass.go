@@ -1,7 +1,7 @@
 package analyzers
 
-// Shared plumbing for the flow-sensitive passes (lanedebt, abortcause,
-// cacheinval, journalstate, lockpair): function-unit collection (decl
+// Shared plumbing for the function-unit passes (abortcause, cacheinval,
+// journalstate): function-unit collection (decl
 // bodies plus every function literal, each analyzed as its own CFG),
 // shallow subtree scanning that respects the unit boundary, constant
 // resolution, and a concurrent per-unit driver (the worklist engine is
@@ -167,22 +167,6 @@ func (p *Pass) isZeroConst(e ast.Expr) bool {
 	}
 	i, ok := constant.Int64Val(constant.ToInt(v))
 	return ok && i == 0
-}
-
-// selPath renders a selector chain x.y.z as "x.y.z"; returns "" for
-// anything more complex than nested selectors over an identifier.
-func selPath(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		base := selPath(x.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + x.Sel.Name
-	}
-	return ""
 }
 
 // baseIdent returns the root identifier of a selector/index/unary

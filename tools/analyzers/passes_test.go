@@ -1,6 +1,10 @@
 package analyzers
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // Each fixture contains both violating shapes (with // want comments)
 // and conforming shapes (which must produce no diagnostics); runFixture
@@ -8,7 +12,52 @@ import "testing"
 // that each pass detects its bug class and stays quiet on the sanctioned
 // idioms.
 
-func TestDeterminism(t *testing.T) { runFixture(t, Determinism, "chaos") }
+// fixtures maps every pass of All() to the testdata/src directories its
+// tests run it over. TestEveryPassHasFixture holds the three — the
+// suite, this table, the directories — to each other.
+var fixtures = map[*Analyzer][]string{
+	Determinism: {"chaos"},
+	// kvlayout: the identical shapes inside the owning package are legal —
+	// that is the point of single ownership. hotlock: ticket-sequence mask
+	// operations are additionally legal in the hot-lock policy package,
+	// but the PILL lock-word shapes stay flagged there.
+	Lockword:     {"lockword", "kvlayout", "hotlock"},
+	Batchescape:  {"batchescape"},
+	Atomicmix:    {"atomicmix"},
+	Abortcause:   {"abortcause"},
+	Cacheinval:   {"cacheinval"},
+	Journalstate: {"journalstate"},
+}
+
+// TestEveryPassHasFixture: every pass of the suite runs over at least one
+// fixture directory, and every fixture directory is run by a pass — so
+// deleting a pass without its fixture, or the reverse, fails here
+// instead of leaving an orphan.
+func TestEveryPassHasFixture(t *testing.T) {
+	used := map[string]bool{}
+	for _, a := range All() {
+		dirs := fixtures[a]
+		if len(dirs) == 0 {
+			t.Errorf("pass %s has no fixture", a.Name)
+		}
+		for _, dir := range dirs {
+			used[dir] = true
+			t.Run(a.Name+"/"+dir, func(t *testing.T) { runFixture(t, a, dir) })
+		}
+	}
+	if len(fixtures) != len(All()) {
+		t.Errorf("fixtures lists %d passes, All() has %d: a deleted pass still has an entry", len(fixtures), len(All()))
+	}
+	entries, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !used[e.Name()] {
+			t.Errorf("fixture directory testdata/src/%s is run by no pass", e.Name())
+		}
+	}
+}
 
 // TestDeterminismScope: the pass must not fire outside the virtual-time
 // packages at all (the same wall-clock shapes are legal elsewhere).
@@ -35,32 +84,3 @@ func TestDeterminismScope(t *testing.T) {
 		}
 	}
 }
-
-func TestLockword(t *testing.T) { runFixture(t, Lockword, "lockword") }
-
-// TestLockwordExemptsKVLayout: the identical shapes inside the owning
-// package are legal — that is the point of single ownership.
-func TestLockwordExemptsKVLayout(t *testing.T) { runFixture(t, Lockword, "kvlayout") }
-
-// TestLockwordExemptsHotlockTickets: ticket-sequence mask operations
-// are additionally legal in the hot-lock policy package, but the PILL
-// lock-word shapes stay flagged there.
-func TestLockwordExemptsHotlockTickets(t *testing.T) { runFixture(t, Lockword, "hotlock") }
-
-func TestLockpair(t *testing.T) { runFixture(t, Lockpair, "core") }
-
-func TestBatchescape(t *testing.T) { runFixture(t, Batchescape, "batchescape") }
-
-func TestAtomicmix(t *testing.T) { runFixture(t, Atomicmix, "atomicmix") }
-
-// The flow-sensitive passes: each fixture holds the pass's golden
-// must-flag shape (the historical bug class it exists for) next to the
-// sanctioned idioms it must stay quiet on.
-
-func TestLanedebt(t *testing.T) { runFixture(t, Lanedebt, "lanedebt") }
-
-func TestAbortcause(t *testing.T) { runFixture(t, Abortcause, "abortcause") }
-
-func TestCacheinval(t *testing.T) { runFixture(t, Cacheinval, "cacheinval") }
-
-func TestJournalstate(t *testing.T) { runFixture(t, Journalstate, "journalstate") }

@@ -25,17 +25,6 @@ func (e *abortError) Error() string { return e.reason }
 
 type Tx struct{ locks int }
 
-// opBatch mirrors rdma.OpBatch.
-type opBatch struct{ n int }
-
-func (b *opBatch) Len() int { return b.n }
-
-// tailStage and run mirror the truncate | release stage of DESIGN.md
-// §16: the releases are staged into a batch, and only the stage
-// executor posts them.
-func (tx *Tx) tailStage(b *opBatch) *opBatch { return b }
-func (tx *Tx) run(st *opBatch) error         { return nil }
-
 // abortCause is the single decision point: the one legal CountAbort
 // site.
 func (tx *Tx) abortCause(kind AbortReason, reason string) error {
@@ -48,25 +37,8 @@ func (tx *Tx) abort(kind AbortReason, reason string) error {
 	return tx.abortCause(kind, reason)
 }
 
-// abortInternal is the one legal &abortError constructor. Both early
-// returns violate A3: the first acks the abort before any release was
-// even staged; the second after staging — staging is not releasing,
-// the staged locks are still held. The executed path (and the
-// empty-batch false edge of Len) are the legal exits.
+// abortInternal is the one legal &abortError constructor.
 func (tx *Tx) abortInternal(kind AbortReason, reason string) error {
-	if tx.locks < -1 {
-		return &abortError{kind, reason} // want "never released the write-set locks"
-	}
-	b := &opBatch{n: tx.locks}
-	st := tx.tailStage(b)
-	if tx.locks < 0 {
-		return &abortError{kind, reason} // want "never released the write-set locks"
-	}
-	if b.Len() > 0 {
-		if err := tx.run(st); err != nil {
-			return err
-		}
-	}
 	return &abortError{kind, reason}
 }
 

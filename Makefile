@@ -10,7 +10,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench bench-compare bench-smoke chaos-smoke proptest soak clean
+.PHONY: all build lint test bench bench-compare bench-pair bench-smoke chaos-smoke proptest soak clean
 
 all: build lint test
 
@@ -41,6 +41,14 @@ bench:
 # Compare two benchmark reports: make bench-compare A=parent.json B=change.json
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
+
+# Paired runs, the way a claimed gain is judged: N pairs of BASE and the
+# working tree on workload W, alternating which side runs first; prints
+# each end-to-end metric's medians, quartiles and wins out of N.
+#   make bench-pair BASE=HEAD~1 W=transfer_uniform N=10
+N ?= 10
+bench-pair:
+	bash tools/benchpair.sh $(BASE) $(W) $(N)
 
 bench-smoke:
 	$(GO) test -race -run '^$$' -bench . -benchtime 100x ./internal/rdma/

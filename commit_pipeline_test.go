@@ -23,7 +23,9 @@ import (
 // clock — across protocol × sync/async tail × persistence ×
 // fused/split doorbells. The golden rows were recorded before the
 // commit path was restructured around a single stage executor and must
-// not move with it.
+// not move with it. A second shape, the transfer (read keys 2 and 3,
+// then write them), pins the path on which the write locks cover the
+// whole read set and validation posts nothing (DESIGN.md §16).
 
 var pipePointNames = map[core.CrashPoint]string{
 	core.PointBeforeLock:      "BeforeLock",
@@ -40,11 +42,31 @@ var pipePointNames = map[core.CrashPoint]string{
 	core.PointDrainStart:      "DrainStart",
 }
 
+// pipeShape is a pinned transaction: it reads reads, then writes keys 2
+// and 3.
+type pipeShape struct {
+	// prefix goes before the case in the subtest's name; the first shape's
+	// subtests keep the names they had when it was the only one.
+	prefix string
+	reads  []Key
+	// noCache turns the validated read cache off, so that every read is a
+	// fabric round trip however warm the coordinator is.
+	noCache bool
+}
+
+var (
+	shape1R2W = pipeShape{reads: []Key{1}}
+	// The benchmark's transfer as it runs on a working set far larger than
+	// the read cache: two read rounds, two lock doorbells, log, apply, tail.
+	shapeTransfer = pipeShape{prefix: "transfer/", reads: []Key{2, 3}, noCache: true}
+)
+
 type pipeCase struct {
 	proto   Protocol
 	async   bool
 	persist bool
 	split   bool
+	shape   pipeShape
 }
 
 func (pc pipeCase) String() string {
@@ -60,14 +82,14 @@ func (pc pipeCase) String() string {
 		pick(pc.split, "split", "fused"))
 }
 
-func pipeCases(withSplit bool) []pipeCase {
+func pipeCases(shape pipeShape, withSplit bool) []pipeCase {
 	var out []pipeCase
 	for _, proto := range []Protocol{ProtocolPandora, ProtocolFORD, ProtocolTradLog} {
 		for _, async := range []bool{false, true} {
 			for _, persist := range []bool{false, true} {
-				out = append(out, pipeCase{proto, async, persist, false})
+				out = append(out, pipeCase{proto, async, persist, false, shape})
 				if withSplit {
-					out = append(out, pipeCase{proto, async, persist, true})
+					out = append(out, pipeCase{proto, async, persist, true, shape})
 				}
 			}
 		}
@@ -82,7 +104,7 @@ const pipeKeys = 8
 // shape, so the measured one finds its addresses resolved.
 func pipeCluster(t *testing.T, pc pipeCase) *Cluster {
 	t.Helper()
-	c, err := New(Config{
+	cfg := Config{
 		ComputeNodes:        2,
 		CoordinatorsPerNode: 1,
 		Protocol:            pc.proto,
@@ -90,7 +112,11 @@ func pipeCluster(t *testing.T, pc pipeCase) *Cluster {
 		AsyncCommitBack:     pc.async,
 		ModelLatency:        true,
 		Tables:              []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}},
-	})
+	}
+	if pc.shape.noCache {
+		cfg.ReadCacheSize = -1
+	}
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,33 +127,44 @@ func pipeCluster(t *testing.T, pc pipeCase) *Cluster {
 	if pc.split {
 		c.Engine(0).SetUnfusedTail(true)
 	}
-	if err := pipeTx(c, 100); err != nil {
+	if err := pipeTx(c, pc.shape, 100); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	return c
 }
 
-// pipeTx runs the 1R+2W transaction on node 0 writing v to keys 2 and
+// pipeTx runs the shape's transaction on node 0 writing v to keys 2 and
 // 3, then flushes the node's drains (the async tail's flush point).
-func pipeTx(c *Cluster, v uint64) error {
-	_, err := pipeTxAcked(c, v)
+func pipeTx(c *Cluster, shape pipeShape, v uint64) error {
+	_, err := pipeTxAcked(c, shape, v)
 	return err
 }
 
-func pipeTxAcked(c *Cluster, v uint64) (acked bool, err error) {
+func pipeTxAcked(c *Cluster, shape pipeShape, v uint64) (acked bool, err error) {
 	tx := c.Session(0, 0).Begin()
-	if _, err = tx.Read("kv", 1); err == nil {
-		if err = tx.Write("kv", 2, idemValue(v)); err == nil {
-			if err = tx.Write("kv", 3, idemValue(v)); err == nil {
-				err = tx.Commit()
-			}
-		}
+	if err = pipeBody(tx, shape, v); err == nil {
+		err = tx.Commit()
 	}
 	if err != nil && !tx.Done() {
 		_ = tx.Abort()
 	}
 	c.Engine(0).FlushDrains()
 	return tx.CommitAcked(), err
+}
+
+// pipeBody is the shape's execution phase.
+func pipeBody(tx *Tx, shape pipeShape, v uint64) error {
+	for _, k := range shape.reads {
+		if _, err := tx.Read("kv", k); err != nil {
+			return err
+		}
+	}
+	for _, k := range []Key{2, 3} {
+		if err := tx.Write("kv", k, idemValue(v)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // pipeRow measures one case and renders it as a golden row.
@@ -140,13 +177,8 @@ func pipeRow(t *testing.T, pc pipeCase) string {
 	before := c.MetricsSnapshot()
 	start := clk.Now()
 	tx := c.Session(0, 0).Begin()
-	if _, err := tx.Read("kv", 1); err != nil {
+	if err := pipeBody(tx, pc.shape, 200); err != nil {
 		t.Fatal(err)
-	}
-	for _, k := range []Key{2, 3} {
-		if err := tx.Write("kv", k, idemValue(200)); err != nil {
-			t.Fatal(err)
-		}
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -166,7 +198,7 @@ func pipeRow(t *testing.T, pc pipeCase) string {
 		seq = append(seq, pipePointNames[p])
 		return false
 	})
-	if err := pipeTx(c, 300); err != nil {
+	if err := pipeTx(c, pc.shape, 300); err != nil {
 		t.Fatalf("injected tx: %v", err)
 	}
 	c.Engine(0).SetInjector(nil)
@@ -205,16 +237,54 @@ var pipeGolden = map[string]string{
 	"tradlog/async/persist/split":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=4 ack=18049 quiet=20049 points=BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
 }
 
+// pipeGoldenTransfer holds the transfer shape's rows up to the crash
+// points, which are pipeGolden's: the write set alone decides them. Of
+// the four READs two are the reads and two ride the lock doorbells;
+// validation posts none, so pandora/sync/volatile/fused is seven round
+// trips — two reads, two lock doorbells, log, apply, tail — where a
+// validation round made it eight.
+var pipeGoldenTransfer = map[string]string{
+	"pandora/sync/volatile/fused":  "read=4 write=10 cas=2 faa=0 flush=0 rounds=3 ack=14030 quiet=14030",
+	"pandora/sync/volatile/split":  "read=4 write=10 cas=2 faa=0 flush=0 rounds=4 ack=16030 quiet=16030",
+	"pandora/sync/persist/fused":   "read=4 write=10 cas=2 faa=0 flush=6 rounds=3 ack=14048 quiet=14048",
+	"pandora/sync/persist/split":   "read=4 write=10 cas=2 faa=0 flush=6 rounds=6 ack=20048 quiet=20048",
+	"pandora/async/volatile/fused": "read=4 write=10 cas=2 faa=0 flush=0 rounds=2 ack=12030 quiet=14030",
+	"pandora/async/volatile/split": "read=4 write=10 cas=2 faa=0 flush=0 rounds=2 ack=12030 quiet=14030",
+	"pandora/async/persist/fused":  "read=4 write=10 cas=2 faa=0 flush=6 rounds=2 ack=12048 quiet=14048",
+	"pandora/async/persist/split":  "read=4 write=10 cas=2 faa=0 flush=6 rounds=4 ack=16048 quiet=18048",
+	"ford/sync/volatile/fused":     "read=4 write=12 cas=2 faa=0 flush=0 rounds=2 ack=16032 quiet=16032",
+	"ford/sync/volatile/split":     "read=4 write=12 cas=2 faa=0 flush=0 rounds=3 ack=18032 quiet=18032",
+	"ford/sync/persist/fused":      "read=4 write=12 cas=2 faa=0 flush=8 rounds=2 ack=20052 quiet=20052",
+	"ford/sync/persist/split":      "read=4 write=12 cas=2 faa=0 flush=8 rounds=4 ack=24052 quiet=24052",
+	"ford/async/volatile/fused":    "read=4 write=12 cas=2 faa=0 flush=0 rounds=1 ack=14032 quiet=16032",
+	"ford/async/volatile/split":    "read=4 write=12 cas=2 faa=0 flush=0 rounds=1 ack=14032 quiet=16032",
+	"ford/async/persist/fused":     "read=4 write=12 cas=2 faa=0 flush=8 rounds=1 ack=18052 quiet=20052",
+	"ford/async/persist/split":     "read=4 write=12 cas=2 faa=0 flush=8 rounds=2 ack=20052 quiet=22052",
+	"tradlog/sync/volatile/fused":  "read=4 write=14 cas=2 faa=0 flush=0 rounds=3 ack=18036 quiet=18036",
+	"tradlog/sync/volatile/split":  "read=4 write=14 cas=2 faa=0 flush=0 rounds=4 ack=20036 quiet=20036",
+	"tradlog/sync/persist/fused":   "read=4 write=14 cas=2 faa=0 flush=6 rounds=3 ack=18054 quiet=18054",
+	"tradlog/sync/persist/split":   "read=4 write=14 cas=2 faa=0 flush=6 rounds=6 ack=24054 quiet=24054",
+	"tradlog/async/volatile/fused": "read=4 write=14 cas=2 faa=0 flush=0 rounds=2 ack=16036 quiet=18036",
+	"tradlog/async/volatile/split": "read=4 write=14 cas=2 faa=0 flush=0 rounds=2 ack=16036 quiet=18036",
+	"tradlog/async/persist/fused":  "read=4 write=14 cas=2 faa=0 flush=6 rounds=2 ack=16054 quiet=18054",
+	"tradlog/async/persist/split":  "read=4 write=14 cas=2 faa=0 flush=6 rounds=4 ack=20054 quiet=22054",
+}
+
 // TestCommitPipelineContract pins the golden row of every case.
 func TestCommitPipelineContract(t *testing.T) {
-	for _, pc := range pipeCases(true) {
-		pc := pc
-		t.Run(pc.String(), func(t *testing.T) {
-			got := pipeRow(t, pc)
-			if want := pipeGolden[pc.String()]; got != want {
-				t.Errorf("pipeline contract moved\n got: %q\nwant: %q", got, want)
-			}
-		})
+	for _, shape := range []pipeShape{shape1R2W, shapeTransfer} {
+		for _, pc := range pipeCases(shape, true) {
+			pc := pc
+			t.Run(shape.prefix+pc.String(), func(t *testing.T) {
+				got, want := pipeRow(t, pc), pipeGolden[pc.String()]
+				if shape.prefix == shapeTransfer.prefix {
+					want = pipeGoldenTransfer[pc.String()] + want[strings.Index(want, " points="):]
+				}
+				if got != want {
+					t.Errorf("pipeline contract moved\n got: %q\nwant: %q", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -227,9 +297,10 @@ func TestCommitPipelineContract(t *testing.T) {
 // and leaves the store byte-identical (§3.2.3). Doorbell splitting is
 // irrelevant under injection, so the sweep covers the fused cases.
 func TestCommitPipelineCrashSweep(t *testing.T) {
-	for _, pc := range pipeCases(false) {
+	cases := append(pipeCases(shape1R2W, false), pipeCases(shapeTransfer, false)...)
+	for _, pc := range cases {
 		pc := pc
-		t.Run(pc.String(), func(t *testing.T) {
+		t.Run(pc.shape.prefix+pc.String(), func(t *testing.T) {
 			for k := 0; ; k++ {
 				c := pipeCluster(t, pc)
 				calls, point := 0, ""
@@ -241,7 +312,7 @@ func TestCommitPipelineCrashSweep(t *testing.T) {
 					}
 					return false
 				})
-				acked, err := pipeTxAcked(c, 200)
+				acked, err := pipeTxAcked(c, pc.shape, 200)
 				c.Engine(0).SetInjector(nil)
 				if calls <= k {
 					// The transaction offers fewer than k+1 points: sweep done.
@@ -443,5 +514,65 @@ func TestLogWriteFaultTruncatesLandedCopy(t *testing.T) {
 	}
 	if rec, ok := kvlayout.DecodeLogRecord(area); ok {
 		t.Fatalf("the live log server still holds a valid record of the aborted transaction: %+v", rec)
+	}
+}
+
+// TestStealBothLocksTransfer pins what a PILL steal costs: node 0 dies
+// holding the locks of keys 2 and 3 with nothing logged, and the survivor
+// runs the transfer over them. Each write is its lock doorbell, whose CAS
+// finds the stray word, and one steal doorbell — steal CAS, slot READ,
+// the lane's tail and head READs — so a stolen lock costs two round trips
+// where three bare verbs behind the failed CAS made it four, and the
+// stolen locks cover the reads like any other: nine round trips in all
+// (two reads, twice two for the locks, log, apply, tail), no validation.
+func TestStealBothLocksTransfer(t *testing.T) {
+	c, err := New(Config{
+		ComputeNodes:        2,
+		CoordinatorsPerNode: 1,
+		ModelLatency:        true,
+		Tables:              []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", pipeKeys, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	surv := c.Session(1, 0)
+	transfer := func(tx *Tx) error { return pipeBody(tx, shapeTransfer, 200) }
+	// Resolve the survivor's addresses; the failure below bumps its cache
+	// epoch, so the measured reads go to the fabric all the same.
+	if err := surv.Update(0, transfer); err != nil {
+		t.Fatal(err)
+	}
+	held := c.Session(0, 0).Begin()
+	if err := pipeBody(held, shapeTransfer, 300); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.FailCompute(0); err != nil || st.LoggedTxs != 0 {
+		t.Fatalf("FailCompute: %+v, %v; want no logged transaction", st, err)
+	}
+
+	clk := c.AttachClock(1, 0)
+	before, start := c.MetricsSnapshot(), clk.Now()
+	if err := surv.Update(0, transfer); err != nil {
+		t.Fatalf("the survivor's first attempt must commit: %v", err)
+	}
+	cost := clk.Now() - start
+	verbs := map[string]uint64{}
+	for _, v := range c.MetricsSnapshot().Sub(before).Verbs {
+		verbs[v.Verb] += v.Issued
+	}
+	got := fmt.Sprintf("read=%d write=%d cas=%d faa=%d vclock=%d",
+		verbs["READ"], verbs["WRITE"], verbs["CAS"], verbs["FAA"], cost.Nanoseconds())
+	// READs: two reads, two behind the lock CASes, and per steal the slot
+	// and the two lane ends.
+	const want = "read=10 write=10 cas=4 faa=0 vclock=18036"
+	if got != want {
+		t.Errorf("double-steal transfer moved\n got: %q\nwant: %q", got, want)
+	}
+	if rtt := c.fab.Latency().BaseRTT; cost/rtt != 9 {
+		t.Errorf("%v is %d round trips, want 9", cost, cost/rtt)
 	}
 }

@@ -80,10 +80,15 @@ func TestFig6Shape(t *testing.T) {
 	if a == 0 || b == 0 {
 		t.Fatal("zero steady-state throughput")
 	}
-	// PILL overhead must be negligible: allow generous slack for
-	// single-CPU scheduling noise.
-	if ratio := b / a; ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("PILL changed steady-state throughput by more than noise: ratio %.2f", ratio)
+	// Two back-to-back wall-clock runs on a shared host do not compare (the
+	// ratio has been seen past 2): the throughput ratio is a note.
+	t.Logf("note: PILL / noPILL steady-state throughput ratio %.2f", b/a)
+	// PILL is free in steady state when it puts no verb on the fabric that
+	// the non-recoverable protocol does not: the same verbs per committed
+	// transaction, up to what the two runs' aborted attempts add.
+	off, on := r.VerbsPerTx[0], r.VerbsPerTx[1]
+	if ratio := on / off; ratio < 0.95 || ratio > 1.05 {
+		t.Errorf("PILL changed the verbs per committed transaction: %.2f without, %.2f with (ratio %.3f)", off, on, ratio)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	pandora "pandora"
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
+	"pandora/internal/metrics"
 	"pandora/internal/trace"
 	"pandora/internal/workload"
 )
@@ -16,7 +17,11 @@ type TimelineResult struct {
 	Title  string
 	Bucket time.Duration
 	Series []Series
-	Notes  []string
+	// VerbsPerTx is, per series, the verbs the fabric carried for each
+	// committed transaction — the run's cost on the model, which no host
+	// scheduler moves. Fig6 fills it.
+	VerbsPerTx []float64
+	Notes      []string
 }
 
 // String renders the timeline.
@@ -28,14 +33,30 @@ func (r *TimelineResult) String() string {
 	return s
 }
 
+// timelineTotals is what a timeline run added up to: the driver's counts
+// and the cluster's metrics when the run ended.
+type timelineTotals struct {
+	workload.Result
+	Metrics metrics.Snapshot
+}
+
+// verbsPerTx is the verbs issued per committed transaction.
+func (tt *timelineTotals) verbsPerTx() float64 {
+	var verbs uint64
+	for _, v := range tt.Metrics.Verbs {
+		verbs += v.Issued
+	}
+	return float64(verbs) / float64(tt.Committed)
+}
+
 // runTimeline runs one workload timeline with an optional mid-run fault
 // script.
-func runTimeline(s Scale, w workload.Workload, edit func(*pandora.Config), script func(c *pandora.Cluster, rec *trace.Recorder)) ([]trace.Point, *workload.Result, error) {
+func runTimeline(s Scale, w workload.Workload, edit func(*pandora.Config), script func(c *pandora.Cluster, rec *trace.Recorder)) ([]trace.Point, *timelineTotals, error) {
 	return runTimelinePaced(s, w, 0, edit, script)
 }
 
 // runTimelinePaced is runTimeline with per-worker think time.
-func runTimelinePaced(s Scale, w workload.Workload, pace time.Duration, edit func(*pandora.Config), script func(c *pandora.Cluster, rec *trace.Recorder)) ([]trace.Point, *workload.Result, error) {
+func runTimelinePaced(s Scale, w workload.Workload, pace time.Duration, edit func(*pandora.Config), script func(c *pandora.Cluster, rec *trace.Recorder)) ([]trace.Point, *timelineTotals, error) {
 	c, err := clusterFor(w, func(cfg *pandora.Config) {
 		cfg.CoordinatorsPerNode = s.Coordinators
 		if edit != nil {
@@ -62,13 +83,15 @@ func runTimelinePaced(s Scale, w workload.Workload, pace time.Duration, edit fun
 		script(c, rec)
 	}
 	res := <-done
-	return rec.Series(), &res, nil
+	return rec.Series(), &timelineTotals{Result: res, Metrics: c.MetricsSnapshot()}, nil
 }
 
 // Fig6 reproduces Figure 6: steady-state throughput of non-recoverable
 // FORD (no PILL, no coordinator-id checks) vs recoverable Pandora. The
 // difference must be negligible: the failed-ids bitset lookup costs
-// nanoseconds and no failures occur.
+// nanoseconds and no failures occur. On the model that reads: the two
+// variants put the same verbs on the fabric for a committed transaction,
+// up to the retries of their aborts.
 func Fig6(s Scale) (*TimelineResult, error) {
 	r := &TimelineResult{Title: "Figure 6: steady-state, FORD (no PILL) vs Pandora (PILL)", Bucket: s.Bucket}
 	// Both variants run Pandora's protocol; the "noPILL" line disables
@@ -82,7 +105,7 @@ func Fig6(s Scale) (*TimelineResult, error) {
 		{"noPILL", false},
 		{"PILL", true},
 	} {
-		pts, _, err := runTimeline(s, s.workloadByName("micro"), func(cfg *pandora.Config) {
+		pts, totals, err := runTimeline(s, s.workloadByName("micro"), func(cfg *pandora.Config) {
 			cfg.Protocol = pandora.ProtocolPandora
 			cfg.DisablePILL = !v.pill
 		}, nil)
@@ -90,10 +113,13 @@ func Fig6(s Scale) (*TimelineResult, error) {
 			return nil, err
 		}
 		r.Series = append(r.Series, Series{Name: v.name, Points: pts})
+		r.VerbsPerTx = append(r.VerbsPerTx, totals.verbsPerTx())
 	}
 	a := meanRate(r.Series[0].Points, s.Timeline/4, s.Timeline, s.Bucket)
 	b := meanRate(r.Series[1].Points, s.Timeline/4, s.Timeline, s.Bucket)
-	r.Notes = append(r.Notes, fmt.Sprintf("steady-state mean: noPILL=%.0f tps, PILL=%.0f tps (ratio %.3f)", a, b, b/a))
+	r.Notes = append(r.Notes,
+		fmt.Sprintf("steady-state mean: noPILL=%.0f tps, PILL=%.0f tps (ratio %.3f)", a, b, b/a),
+		fmt.Sprintf("verbs per committed tx: noPILL=%.2f, PILL=%.2f", r.VerbsPerTx[0], r.VerbsPerTx[1]))
 	return r, nil
 }
 

@@ -9,6 +9,7 @@ package core
 import (
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
+	"pandora/internal/rdma"
 )
 
 // seedBugs returns p as the node's seeded bugs have it. The C2 bugs
@@ -114,6 +115,8 @@ func relaxedLock(tx *Tx, ent *writeEnt) error {
 // first, the lock completions are only checked now.
 func lockLate(tx *Tx) error {
 	lost := false
+	b := rdma.GetBatch()
+	defer b.Put()
 	for _, w := range tx.writes {
 		if w.locked {
 			continue
@@ -121,7 +124,7 @@ func lockLate(tx *Tx) error {
 		addr := tx.cn.tableAddr(w.replicas[0], w.ref, kvlayout.SlotLockOff)
 		old, swapped, err := tx.co.ep.CAS(addr, 0, tx.lockWord())
 		if err == nil && !w.hold(swapped) && tx.strayLock(old) {
-			_, err = tx.steal(w, old, tx.sc.bytes(int(tx.cn.schema[w.ref.table].SlotSize())))
+			_, err = tx.steal(w, old, b, tx.sc.bytes(int(tx.cn.schema[w.ref.table].SlotSize())))
 		}
 		if err != nil {
 			return tx.verbFailure(err)

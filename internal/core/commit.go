@@ -147,11 +147,12 @@ func (tx *Tx) writeThroughCache() {
 	}
 }
 
-// validate re-reads every read-set object's lock and version in a single
-// parallel batch and checks that the transaction still observes a
-// consistent snapshot (§3.1.5 step 2). Both words live in the slot
-// header, so one 16-byte READ per object fetches both — the Covert
-// Locks fix costs no extra round trip.
+// validate re-reads, in a single parallel batch, the lock and version of
+// every read-set object that no lock of this transaction covers (cover,
+// lock.go) and checks that the transaction still observes a consistent
+// snapshot (§3.1.5 step 2). Both words live in the slot header, so one
+// 16-byte READ per object fetches both — the Covert Locks fix costs no
+// extra round trip — and a read set covered entirely posts no doorbell.
 func (tx *Tx) validate() error {
 	// Insert duplicate check: a racing same-key insert on another slot
 	// must be detected before commit (see ComputeNode.scanForKey).
@@ -170,13 +171,20 @@ func (tx *Tx) validate() error {
 			return tx.abort(metrics.AbortSteal, onObject("insert validation: key %d/%d claimed elsewhere", w.ref, 0, 0))
 		}
 	}
-	if len(tx.reads) == 0 {
+	reads := tx.sc.recheck[:0]
+	for _, r := range tx.reads {
+		if !r.covered {
+			reads = append(reads, r)
+		}
+	}
+	tx.sc.recheck = reads
+	if len(reads) == 0 {
 		return nil
 	}
 	b := rdma.GetBatch()
 	defer b.Put()
-	words := b.Bytes(16 * len(tx.reads)) // per read-set entry: lock word, version
-	for i, r := range tx.reads {
+	words := b.Bytes(16 * len(reads)) // per re-read entry: lock word, version
+	for i, r := range reads {
 		reps, err := tx.cn.replicasFor(r.ref.partition)
 		if err != nil {
 			return tx.placementAbort(err)
@@ -193,7 +201,7 @@ func (tx *Tx) validate() error {
 	// matches, so the entry is still current.
 	stale := -1
 	var staleVersion uint64
-	for i, r := range tx.reads {
+	for i, r := range reads {
 		version := kvlayout.Uint64(words[16*i+8:])
 		if version != r.version {
 			tx.invalidateCached(r.ref.table, r.ref.key)
@@ -203,7 +211,7 @@ func (tx *Tx) validate() error {
 		}
 	}
 	if stale >= 0 {
-		r := tx.reads[stale]
+		r := reads[stale]
 		// A stale cache hit and a concurrent committer racing a fabric
 		// read are different stories: the former is the read cache's
 		// designed failure mode, the latter genuine OCC contention.
@@ -213,18 +221,19 @@ func (tx *Tx) validate() error {
 		}
 		return tx.abort(kind, onObject("validation: version of %d/%d moved %d -> %d", r.ref, r.version, staleVersion))
 	}
-	for i, r := range tx.reads {
+	for i, r := range reads {
 		lock := kvlayout.Uint64(words[16*i:])
 		if kvlayout.IsLocked(lock) && lock != tx.lockWord() && !tx.strayLock(lock) {
 			return tx.abort(metrics.AbortLockConflict, lockedBy("validation: %d/%d locked by coordinator %d", r.ref, lock))
 		}
 	}
-	// Every read-set version just re-proved current: re-stamp the
+	// Every re-read version just re-proved current: re-stamp the
 	// surviving cache entries into the present epoch (no value copy), so
 	// an epoch bump does not evict entries validation keeps vouching for.
+	// A covered entry needs none: the commit's write-through replaces it.
 	if rc := tx.co.rcache; rc != nil {
 		epoch := tx.cn.cacheEpoch.Load()
-		for _, r := range tx.reads {
+		for _, r := range reads {
 			rc.Touch(r.ref.table, r.ref.key, r.version, epoch)
 		}
 	}

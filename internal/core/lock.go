@@ -156,30 +156,45 @@ func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte) (out lockOutc
 	}
 }
 
-// steal takes over the stray lock word old with a second CAS (PILL,
-// §3.1.2) and refreshes buf under it. A lost race — another stealer, or
-// recovery released the word — leaves nobody to wait for: the caller
-// retries the ordinary lock.
-func (tx *Tx) steal(ent *writeEnt, old uint64, buf []byte) (lockOutcome, error) {
+// steal takes over the stray lock word old (PILL, §3.1.2) with one
+// doorbell: the steal CAS, the slot READ that refreshes buf under the
+// stolen lock and, where the node runs ticket lanes, the READs of the
+// key's lane tail and head — all on the primary's queue pair, so RC order
+// puts the CAS first. The postLock rule applies: the ops admit
+// independently, so the entry records what the CAS took before the
+// stage's verdict is looked at. A lost race — another stealer, or
+// recovery released the word — leaves nobody to wait for: what the READs
+// brought back is ignored and the caller retries the ordinary lock.
+func (tx *Tx) steal(ent *writeEnt, old uint64, b *rdma.OpBatch, buf []byte) (lockOutcome, error) {
 	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
-	_, stole, err := tx.co.ep.CAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), old, tx.lockWord())
-	if err != nil {
-		return lockFault, err
+	b.Reset()
+	casOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), old, tx.lockWord())
+	b.AddRead(cn.tableAddr(primary, ref, 0), buf)
+	var lane hotlock.Lane
+	var ends []byte // the lane's tail, then its head
+	if tx.co.hot != nil {
+		lane = hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
+		ends = b.Bytes(16)
+		b.AddRead(lane.Tail, ends[:8])
+		b.AddRead(lane.Head, ends[8:])
 	}
-	if ent.hold(stole); !stole {
+	_, err := tx.run(stage{kind: stageSteal, b: b, cut: b.Len()})
+	if ent.hold(casOp.Swapped) {
+		// The previous owner failed and recovery may have rewritten the
+		// slot since we cached it: drop the cached image, whatever became
+		// of the READs behind the CAS.
+		tx.invalidateCached(ref.table, ref.key)
+	}
+	switch {
+	case err != nil:
+		return lockFault, err
+	case !ent.locked:
 		return lockRetry, nil
 	}
-	// The previous owner failed and recovery may have rewritten the slot
-	// since we cached it; drop the entry and refresh the slot image under
-	// our lock.
-	tx.invalidateCached(ref.table, ref.key)
-	if tx.co.hot != nil {
+	if ends != nil {
 		// The dead holder may have died owing its lane a head advance;
 		// settle it so the queue behind the stolen lock never wedges.
-		tx.repairStolenLane(primary, ref)
-	}
-	if err := tx.co.ep.Read(cn.tableAddr(primary, ref, 0), buf); err != nil {
-		return lockFault, err
+		tx.repairStolenLane(lane, kvlayout.Uint64(ends[:8]), kvlayout.Uint64(ends[8:]))
 	}
 	return lockAcquired, nil
 }
@@ -242,7 +257,7 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 		}
 		out, old, err := tx.postLock(ent, b, buf)
 		if out == lockStray {
-			out, err = tx.steal(ent, old, buf)
+			out, err = tx.steal(ent, old, b, buf)
 		}
 		switch out {
 		case lockFault:
@@ -263,6 +278,7 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 		slot = tab.DecodeSlot(buf)
 		if ent.kind != kvlayout.WriteInsert {
 			if slot.Present && slot.Key == ref.key {
+				tx.cover(ent, slot.Version)
 				break
 			}
 			// The key vanished between resolve and lock (deleted, or the
@@ -328,6 +344,25 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 		}
 	}
 	return nil
+}
+
+// cover marks the read-set entry that ent's lock now vouches for, if
+// there is one: the same key read at the same slot, at the version the
+// slot carries under the lock — held by CAS or stolen alike. The image was
+// READ behind the lock CAS on one queue pair, so it is the slot as locked;
+// only lock holders and the recovery of fenced coordinators write
+// versions, and a stray word is announced only once its owner's log
+// recovery is over, so from that READ until the release this transaction
+// alone can move the version. That is more than validation's re-read
+// proves, and validate skips the entry. A version that differs is left to
+// validation, which finds it with every other stale key of the read set
+// in one abort: aborting here instead repairs one key per retry, and
+// under FORD would precede the exec-time log the Lost Decision litmus
+// looks for.
+func (tx *Tx) cover(ent *writeEnt, version uint64) {
+	if r := tx.findRead(ent.ref.table, ent.ref.key); r != nil && r.ref == ent.ref && r.version == version {
+		r.covered = true
+	}
 }
 
 // captureUndo records the pre-image needed to roll the write back. The

@@ -126,25 +126,15 @@ func (tx *Tx) payTicket(ent *writeEnt) {
 }
 
 // repairStolenLane settles the lane debt a dead lock holder may have
-// left after a successful PILL steal of ref's lock word. The dead
-// holder's acquisition mode is unknowable from the word alone, so the
-// repair is guarded by lane state: advance only when tickets are
-// outstanding. A holder that never queued can make this over-advance
-// for live waiters behind it — the safe direction (their turn arrives
-// early and they fall back to the CAS race). Errors are ignored: the
-// lane is advisory and the next waiter repairs what this pass missed.
-func (tx *Tx) repairStolenLane(primary rdma.NodeID, ref objRef) {
-	lane := hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
-	b := rdma.GetBatch()
-	defer b.Put()
-	buf := b.Bytes(16)
-	b.AddRead(lane.Tail, buf[:8])
-	b.AddRead(lane.Head, buf[8:16])
-	if err := tx.co.ep.Do(b.Ops()...); err != nil {
-		return
-	}
-	tail := kvlayout.Uint64(buf[:8])
-	head := kvlayout.Uint64(buf[8:16])
+// left, given lane's tail and head as the steal doorbell read them behind
+// its CAS (lock.go). The dead holder's acquisition mode is unknowable
+// from the word alone, so the repair is guarded by lane state: advance
+// only when tickets are outstanding. A holder that never queued can make
+// this over-advance for live waiters behind it — the safe direction
+// (their turn arrives early and they fall back to the CAS race). Errors
+// are ignored: the lane is advisory and the next waiter repairs what this
+// pass missed.
+func (tx *Tx) repairStolenLane(lane hotlock.Lane, tail, head uint64) {
 	if kvlayout.TicketSeq(tail) <= kvlayout.TicketSeq(head) {
 		return
 	}

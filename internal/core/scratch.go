@@ -19,6 +19,8 @@ type txScratch struct {
 	arena  []byte
 	used   int
 	log    []kvlayout.LogWrite
+	// recheck is validation's list of the read-set entries it re-reads.
+	recheck []*readEnt
 }
 
 const (

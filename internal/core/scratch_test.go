@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"pandora/internal/kvlayout"
@@ -49,6 +50,19 @@ func TestTxAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, whole); n > 1 {
 		t.Errorf("1R+2W transaction: %.0f allocs, want 1 (the Read copy)", n)
+	}
+	// The gate below diffs process-wide malloc counts around Commit, so it
+	// sees what the verb-batch pools do behind GetBatch, and they are per
+	// P: a commit that finds itself on the other P builds a batch there (5
+	// mallocs) or overflows that P's private slot (1), and a collection
+	// cycle inside the loop ages the batches out (2; two cycles, 9). Do as
+	// AllocsPerRun does — one P — and hold collection off, then refill the
+	// pools before counting.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	for i := 0; i < 4; i++ {
+		whole()
 	}
 	var before, after runtime.MemStats
 	var inCommit uint64

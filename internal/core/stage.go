@@ -32,9 +32,10 @@ type stageKind uint8
 const (
 	stageLockIntent stageKind = iota // tradlog's lock-intent writes; verb-less under PILL
 	stageLock                        // lock CAS, slot READ, speculative ticket FAA
+	stageSteal                       // PILL: steal CAS, slot READ, lane tail and head READs
 	stageLocked                      // the lock is held: verb-less
 	stageClaim                       // an insert's claim WRITE; verb-less for update and delete
-	stageValidate                    // read-set lock+version READs
+	stageValidate                    // lock+version READs of the read-set entries no held lock covers
 	stageDecide                      // the commit decision: verb-less
 	stageLog                         // Pandora/tradlog record writes | durability flushes
 	stageFordLog                     // FORD per-object record writes | durability flushes
@@ -89,6 +90,7 @@ type stageSpec struct {
 var stageTable = [...]stageSpec{
 	stageLockIntent: {before: at(PointBeforeLock)},
 	stageLock:       {strict: true},
+	stageSteal:      {strict: true},
 	stageLocked:     {after: at(PointAfterLock)},
 	stageClaim:      {strict: true, after: at(PointAfterExecRead)},
 	stageValidate:   {strict: true},

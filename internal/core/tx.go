@@ -14,11 +14,14 @@ import (
 // validated read cache: when validation rejects one, the abort is
 // classified cache-stale rather than validation-version (the staleness
 // was the cache's, not a concurrent writer racing a fabric read).
+// covered marks an entry this transaction's own write lock vouches for
+// (cover, lock.go): validation does not re-read it.
 type readEnt struct {
 	ref       objRef
 	version   uint64
 	value     []byte
 	fromCache bool
+	covered   bool
 }
 
 // writeEnt is one write-set entry. It joins tx.writes before its lock

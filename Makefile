@@ -1,10 +1,8 @@
 # Mirrors .github/workflows/ci.yml so every CI gate runs locally with
 # one command. `make lint` is the static-analysis gate: stock go vet,
-# the analyzer unit tests under -race, the pandora-vet
-# protocol-invariant suite (tools/analyzers) through both the vet
-# driver and its standalone -json loader (report left in
-# bin/pandora-vet.json), and — when installed — staticcheck and
-# govulncheck.
+# the analyzer unit tests, the pandora-vet protocol-invariant suite
+# (tools/analyzers) as a go vet tool, and — when installed — staticcheck
+# and govulncheck.
 
 GO      ?= go
 BIN     := bin
@@ -22,9 +20,8 @@ $(VETTOOL): $(wildcard cmd/pandora-vet/*.go tools/analyzers/*.go)
 
 lint: $(VETTOOL)
 	$(GO) vet ./...
-	$(GO) test -race ./tools/analyzers/
+	$(GO) test ./tools/analyzers/
 	$(GO) vet -vettool=$(abspath $(VETTOOL)) ./...
-	$(VETTOOL) -json ./... > $(BIN)/pandora-vet.json
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \

@@ -1,6 +1,6 @@
 // Command pandora-vet runs Pandora's protocol-invariant analyzer suite
 // (tools/analyzers: determinism, lockword, batchescape, atomicmix,
-// abortcause, cacheinval, journalstate) as a go vet tool:
+// abortcause) as a go vet tool:
 //
 //	go build -o bin/pandora-vet ./cmd/pandora-vet
 //	go vet -vettool=$(pwd)/bin/pandora-vet ./...
@@ -10,13 +10,9 @@
 //
 //	pandora-vet ./...
 //
-// With -json it instead loads and typechecks the module itself and
-// prints one machine-readable report (see standalone.go):
-//
-//	pandora-vet -json ./...
-//
-// The binary speaks the vet unit-checker protocol by hand (the
-// container this repo builds in has no module proxy, so
+// Either way the go command is the one package loader. The binary
+// speaks the vet unit-checker protocol by hand (the container this repo
+// builds in has no module proxy, so
 // golang.org/x/tools/go/analysis/unitchecker is not available): the go
 // command invokes it once per package with a JSON config file naming
 // the sources and the export data of every dependency, and once with
@@ -53,8 +49,6 @@ func main() {
 		fmt.Println("[]")
 	case len(args) == 1 && strings.HasSuffix(args[0], ".cfg"):
 		os.Exit(runUnit(args[0]))
-	case len(args) >= 1 && args[0] == "-json":
-		os.Exit(runJSON(args[1:]))
 	case len(args) >= 1:
 		os.Exit(runStandalone(args))
 	default:

@@ -61,7 +61,9 @@ type ComputeNode struct {
 	// memory servers, partitions mid-cutover, its own log servers — as one
 	// immutable value replaced whole by Install (DESIGN.md §13). A
 	// transaction loads it per lookup and never pins it.
-	place  atomic.Pointer[placement]
+	place atomic.Pointer[placement]
+	// failed is the node-local failed-ids set PILL consults. Its one
+	// writer is NotifyStrayLocks, which bumps cacheEpoch beside the store.
 	failed *fdetect.Bitset
 
 	// cacheEpoch stamps every validated-read-cache entry; any event that
@@ -175,9 +177,6 @@ func (cn *ComputeNode) Coordinators() []*Coordinator { return cn.coords }
 
 // Coordinator returns coordinator i.
 func (cn *ComputeNode) Coordinator(i int) *Coordinator { return cn.coords[i] }
-
-// FailedIDs returns the node-local failed-ids bitset consulted by PILL.
-func (cn *ComputeNode) FailedIDs() *fdetect.Bitset { return cn.failed }
 
 // Ring returns the ring of the node's current placement view.
 func (cn *ComputeNode) Ring() *place.Ring { return cn.place.Load().Ring() }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pandora/internal/kvlayout"
 	"pandora/internal/place"
 	"pandora/internal/race"
 	"pandora/internal/rdma"
@@ -14,7 +15,9 @@ import (
 // TestInstallEpochRule pins which view transitions invalidate what
 // (DESIGN.md §13): a dead-set change bumps the cache epoch; a membership
 // change also drops the address cache and moves the log servers; marks
-// and a migration's per-partition rings do none of it.
+// and a migration's per-partition rings do none of it. The stray-lock
+// announcement rides the table: it sets the failed ids and bumps the
+// epoch, every time.
 func TestInstallEpochRule(t *testing.T) {
 	e := newEnv(t, envConfig{memNodes: 3, replicas: 2})
 	grown, err := e.ring.WithMember(200)
@@ -25,6 +28,7 @@ func TestInstallEpochRule(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
 		step             func(*place.View) *place.View
+		announce         []kvlayout.CoordID // NotifyStrayLocks(announce) in place of Install(step(view))
 		bump, dropsAddrs bool
 	}{
 		{name: "mark a partition", step: func(v *place.View) *place.View { return v.WithMigrating(3, true) }},
@@ -35,6 +39,10 @@ func TestInstallEpochRule(t *testing.T) {
 		{name: "same view again", step: func(v *place.View) *place.View { return v }},
 		{name: "memory server dies", step: func(v *place.View) *place.View { return v.WithDead(victim, true) }, bump: true},
 		{name: "and restarts", step: func(v *place.View) *place.View { return v.WithDead(victim, false) }, bump: true},
+		// Not a view transition, but the same rule: failed ids are
+		// announced after log recovery may have rolled writes back.
+		{name: "stray locks announced", announce: []kvlayout.CoordID{7, 4000}, bump: true},
+		{name: "and announced again", announce: []kvlayout.CoordID{7}, bump: true},
 		{name: "final migration ring", step: func(v *place.View) *place.View {
 			return v.WithRing(grown.Sequenced(v.Ring()))
 		}, bump: true, dropsAddrs: true},
@@ -47,8 +55,18 @@ func TestInstallEpochRule(t *testing.T) {
 		cn.addrCache[addrKey{table: 0, key: 1}] = objRef{}
 		cn.addrMu.Unlock()
 		epoch := cn.cacheEpoch.Load()
-		next := tc.step(cn.place.Load().View)
-		cn.Install(next)
+		next := cn.place.Load().View
+		if tc.announce != nil {
+			cn.NotifyStrayLocks(tc.announce)
+		} else {
+			next = tc.step(next)
+			cn.Install(next)
+		}
+		for _, id := range tc.announce {
+			if !cn.failed.Test(id) {
+				t.Errorf("%s: coordinator %d not in the failed-ids set", tc.name, id)
+			}
+		}
 		if got := cn.cacheEpoch.Load() != epoch; got != tc.bump {
 			t.Errorf("%s: cache epoch bumped = %v, want %v", tc.name, got, tc.bump)
 		}

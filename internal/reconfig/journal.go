@@ -1,10 +1,12 @@
 package reconfig
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"pandora/internal/kvlayout"
+	"pandora/internal/place"
 	"pandora/internal/rdma"
 )
 
@@ -97,12 +99,69 @@ type image struct {
 	states  []PartitionState // one per partition
 }
 
-func (im *image) clone() *image {
-	c := *im
-	c.from = append([]rdma.NodeID(nil), im.from...)
-	c.to = append([]rdma.NodeID(nil), im.to...)
-	c.states = append([]PartitionState(nil), im.states...)
-	return &c
+// This file is the only one that stores into an image, and the three
+// functions below are the only stores: whatever the callers do, a
+// journaled partition state never decreases and a complete migration
+// never reopens, which is what lets any coordinator resume any journal.
+
+// newImage describes a migration from cur to target before its first
+// step: partitions whose replicas move are pending, the rest done.
+func newImage(kind Kind, subject rdma.NodeID, cur, target *place.Ring) *image {
+	im := &image{
+		migID:   target.Epoch(),
+		kind:    kind,
+		subject: subject,
+		phase:   phaseRunning,
+		from:    cur.Members(),
+		to:      target.Members(),
+		states:  make([]PartitionState, cur.Partitions()),
+	}
+	for p := range im.states {
+		im.states[p] = StateDone // untouched partitions need no work
+	}
+	for _, p := range movedPartitions(cur, target) {
+		im.states[p] = StatePending
+	}
+	return im
+}
+
+// advance records that partition p has reached state to and reports the
+// state it found. It is monotone, not one-step: a partition already at
+// or past to stays where it is (a racing coordinator, or an earlier run
+// of this one, got further — recovery resumes every step from whatever
+// state it reads), and a request for an earlier state is never a rewind.
+func (im *image) advance(p uint32, to PartitionState) (was PartitionState, err error) {
+	if int(p) >= len(im.states) {
+		return 0, fmt.Errorf("reconfig: partition %d is outside the journal's %d partitions", p, len(im.states))
+	}
+	was = im.states[p]
+	if was < to {
+		im.states[p] = to
+	}
+	return was, nil
+}
+
+// complete closes the migration — phase complete, every partition done —
+// and reports whether that changed the image.
+func (im *image) complete() bool {
+	if im.phase == phaseComplete {
+		return false
+	}
+	im.phase = phaseComplete
+	for p := range im.states {
+		im.states[p] = StateDone
+	}
+	return true
+}
+
+// fits refuses an image that does not describe ring's partitions: the
+// count is a decoded word, and the callers index states by the ring's
+// partition numbers.
+func (im *image) fits(ring *place.Ring) error {
+	if uint32(len(im.states)) != ring.Partitions() {
+		return fmt.Errorf("reconfig: journal describes %d partitions, the installed ring has %d", len(im.states), ring.Partitions())
+	}
+	return nil
 }
 
 func (im *image) encodedSize() int {
@@ -136,7 +195,9 @@ func (im *image) encode() []byte {
 }
 
 // decodeImage parses one journal copy; ok is false for an empty or
-// torn/foreign image.
+// torn/foreign image, and for one whose kind, phase or a partition state
+// is no value this package writes (under a monotone advance a state
+// byte past StateDone would never reach done).
 func decodeImage(buf []byte) (*image, bool) {
 	if len(buf) < 9*8 || kvlayout.Uint64(buf) != journalMagic {
 		return nil, false
@@ -148,6 +209,14 @@ func decodeImage(buf []byte) (*image, bool) {
 		kind:    Kind(word(3)),
 		subject: rdma.NodeID(word(4)),
 		phase:   word(5),
+	}
+	// The kind word is checked whole: Kind(word) would truncate a flipped
+	// high bit away.
+	if k := word(3); k != uint64(KindAdd) && k != uint64(KindRemove) {
+		return nil, false
+	}
+	if im.phase != phaseRunning && im.phase != phaseComplete {
+		return nil, false
 	}
 	// Each count is bounded by the buffer on its own first, so a
 	// bit-flipped count cannot overflow the sum into looking small.
@@ -169,9 +238,12 @@ func decodeImage(buf []byte) (*image, bool) {
 		im.to = append(im.to, rdma.NodeID(kvlayout.Uint64(buf[off:])))
 		off += 8
 	}
-	im.states = make([]PartitionState, nParts)
-	for i := 0; i < nParts; i++ {
-		im.states[i] = PartitionState(buf[off+i])
+	im.states = make([]PartitionState, 0, nParts)
+	for _, b := range buf[off : off+nParts] {
+		if PartitionState(b) > StateDone {
+			return nil, false
+		}
+		im.states = append(im.states, PartitionState(b))
 	}
 	return im, true
 }
@@ -222,7 +294,7 @@ func (c *Coordinator) writeJournal(im *image) error {
 
 // readJournal reads every live journal copy and returns the one with
 // the highest valid sequence number, or nil if no copy exists.
-func (c *Coordinator) readJournal() (*image, error) {
+func (c *Coordinator) readJournal() *image {
 	var best *image
 	for _, id := range c.journalHosts() {
 		if c.cfg.Fabric.IsDown(id) {
@@ -240,5 +312,42 @@ func (c *Coordinator) readJournal() (*image, error) {
 			best = im
 		}
 	}
-	return best, nil
+	return best
+}
+
+// freshImage re-reads the journal; every mutating step works off the
+// freshest image so racing coordinators merge rather than clobber.
+func (c *Coordinator) freshImage() (*image, error) {
+	im := c.readJournal()
+	if im == nil {
+		return nil, errors.New("reconfig: journal lost (no live copy)")
+	}
+	if err := im.fits(c.cfg.Mgr.Ring()); err != nil {
+		return nil, err
+	}
+	return im, nil
+}
+
+// advanceJournal is the one read-modify-write of a partition's journaled
+// state: the freshest image, advanced, written back iff that moved it.
+// It reports the state it found.
+func (c *Coordinator) advanceJournal(p uint32, to PartitionState) (PartitionState, error) {
+	im, err := c.freshImage()
+	if err != nil {
+		return 0, err
+	}
+	was, err := im.advance(p, to)
+	if err != nil || was >= to {
+		return was, err
+	}
+	return was, c.writeJournal(im)
+}
+
+// completeJournal journals the migration complete, once.
+func (c *Coordinator) completeJournal() error {
+	im, err := c.freshImage()
+	if err != nil || !im.complete() {
+		return err
+	}
+	return c.writeJournal(im)
 }

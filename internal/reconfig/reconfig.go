@@ -23,7 +23,8 @@ package reconfig
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
+	"sync/atomic"
 
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -31,16 +32,6 @@ import (
 	"pandora/internal/rdma"
 	"pandora/internal/recovery"
 )
-
-// Peer is the migration coordinator's view of a live compute node: all
-// it does to one is the drain barrier. Placement reaches the nodes
-// through the recovery manager, which owns the cluster's view.
-// *core.ComputeNode implements it.
-type Peer interface {
-	Crashed() bool
-	Pause()
-	Resume()
-}
 
 // Step identifies a point between journaled migration steps at which
 // the OnStep hook fires — the crash points of the chaos matrix.
@@ -110,12 +101,9 @@ type Config struct {
 	Schema []kvlayout.Table
 	// Mgr is the recovery manager: the coordinator serializes every
 	// journaled step against recovery operations through its operation
-	// lock, installs placement views through it, and resolves memory
-	// servers through it.
+	// lock, installs placement views and pauses the live compute nodes
+	// through it, and resolves memory servers through it.
 	Mgr *recovery.Manager
-	// Peers snapshots the current compute peers (crashed ones are
-	// skipped per call, so a restarted peer is picked up naturally).
-	Peers func() []Peer
 	// Node is the fabric node this coordinator issues verbs from. It
 	// must be unique per coordinator instance.
 	Node rdma.NodeID
@@ -142,8 +130,7 @@ type Coordinator struct {
 	clk rdma.VClock
 	ep  *rdma.Endpoint
 
-	mu     sync.Mutex
-	active bool
+	active atomic.Bool // Run is in progress
 }
 
 // NewCoordinator attaches a migration coordinator to the fabric.
@@ -180,17 +167,6 @@ func (c *Coordinator) step(fn func() error) error {
 	return fn()
 }
 
-// livePeers snapshots the non-crashed compute peers.
-func (c *Coordinator) livePeers() []Peer {
-	var out []Peer
-	for _, p := range c.cfg.Peers() {
-		if !p.Crashed() {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // installed reports whether partition p's target placement is already
 // the installed placement. This is the disambiguation rule that makes
 // cutover crash-safe: once the new view is installed, writers commit
@@ -201,64 +177,27 @@ func (c *Coordinator) installed(p uint32, target *place.Ring) bool {
 	return equalIDs(c.cfg.Mgr.Ring().Replicas(p), target.Replicas(p))
 }
 
-// freshImage re-reads the journal; every mutating step works off the
-// freshest image so racing coordinators merge rather than clobber.
-func (c *Coordinator) freshImage() (*image, error) {
-	im, err := c.readJournal()
-	if err != nil {
-		return nil, err
-	}
-	if im == nil {
-		return nil, errors.New("reconfig: journal lost (no live copy)")
-	}
-	return im, nil
-}
-
 // Run executes a full migration from the currently installed ring to
 // target. For KindAdd the subject server must already be attached to
 // the recovery manager (so an interrupted migration can resume onto
 // it); for KindRemove the subject is detached by the caller after Run
 // returns.
 func (c *Coordinator) Run(kind Kind, subject rdma.NodeID, target *place.Ring) error {
-	c.mu.Lock()
-	if c.active {
-		c.mu.Unlock()
+	if !c.active.CompareAndSwap(false, true) {
 		return errors.New("reconfig: a migration is already running on this coordinator")
 	}
-	c.active = true
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.active = false
-		c.mu.Unlock()
-	}()
+	defer c.active.Store(false)
 
 	cur := c.cfg.Mgr.Ring()
 	if target.Partitions() != cur.Partitions() || target.Replication() != cur.Replication() {
 		return errors.New("reconfig: target ring shape differs from installed ring")
 	}
-	if prev, err := c.readJournal(); err != nil {
-		return err
-	} else if prev != nil && prev.phase == phaseRunning {
+	if prev := c.readJournal(); prev != nil && prev.phase == phaseRunning {
 		return errors.New("reconfig: an interrupted migration is journaled; run Recover first")
 	}
 
 	moved := movedPartitions(cur, target)
-	im := &image{
-		migID:   target.Epoch(),
-		kind:    kind,
-		subject: subject,
-		phase:   phaseRunning,
-		from:    cur.Members(),
-		to:      target.Members(),
-		states:  make([]PartitionState, cur.Partitions()),
-	}
-	for p := range im.states {
-		im.states[p] = StateDone // untouched partitions need no work
-	}
-	for _, p := range moved {
-		im.states[p] = StatePending
-	}
+	im := newImage(kind, subject, cur, target)
 	if err := c.step(func() error { return c.writeJournal(im) }); err != nil {
 		return err
 	}
@@ -286,14 +225,14 @@ func (c *Coordinator) Run(kind Kind, subject rdma.NodeID, target *place.Ring) er
 // operation lock. Recover must run before re-replicating any node the
 // interrupted migration names.
 func (c *Coordinator) Recover() (bool, error) {
-	im, err := c.readJournal()
-	if err != nil {
-		return false, err
-	}
+	im := c.readJournal()
 	if im == nil || im.phase == phaseComplete {
 		return false, nil
 	}
 	cur := c.cfg.Mgr.Ring()
+	if err := im.fits(cur); err != nil {
+		return true, err
+	}
 	target, err := place.Rebuild(im.to, cur.Replication(), cur.Partitions(), cur.Epoch()+1)
 	if err != nil {
 		return true, fmt.Errorf("reconfig: rebuilding target ring: %w", err)
@@ -325,22 +264,16 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 	// populate the new replicas while the old placement still serves
 	// transactions. The image may be stale; the cutover copy fixes it.
 	if err := c.step(func() error {
-		im, err := c.freshImage()
+		was, err := c.advanceJournal(p, StateCopying)
 		if err != nil {
 			return err
 		}
-		if im.states[p] == StateDone {
+		if was == StateDone {
 			done = true
 			return nil
 		}
 		if c.installed(p, target) {
 			return nil // already cut over: only bookkeeping remains
-		}
-		if im.states[p] < StateCopying {
-			im.states[p] = StateCopying
-			if err := c.writeJournal(im); err != nil {
-				return err
-			}
 		}
 		return c.copyPartition(p, target, true)
 	}); err != nil {
@@ -363,10 +296,7 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 			return nil
 		}
 		c.cfg.Mgr.Update(func(v *place.View) *place.View { return v.WithMigrating(p, true) })
-		for _, peer := range c.livePeers() {
-			peer.Pause()
-			peer.Resume()
-		}
+		c.cfg.Mgr.PauseLive()()
 		return nil
 	}); err != nil {
 		return err
@@ -382,15 +312,8 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 		if c.installed(p, target) {
 			return nil
 		}
-		im, err := c.freshImage()
-		if err != nil {
+		if _, err := c.advanceJournal(p, StateCutover); err != nil {
 			return err
-		}
-		if im.states[p] < StateCutover {
-			im.states[p] = StateCutover
-			if err := c.writeJournal(im); err != nil {
-				return err
-			}
 		}
 		return c.copyPartition(p, target, false)
 	}); err != nil {
@@ -424,15 +347,8 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 	// copy.
 	if err := c.step(func() error {
 		c.cfg.Mgr.Update(func(v *place.View) *place.View { return v.WithMigrating(p, false) })
-		im, err := c.freshImage()
-		if err != nil {
-			return err
-		}
-		if im.states[p] != StateDone {
-			im.states[p] = StateDone
-			return c.writeJournal(im)
-		}
-		return nil
+		_, err := c.advanceJournal(p, StateDone)
+		return err
 	}); err != nil {
 		return err
 	}
@@ -452,15 +368,10 @@ func (c *Coordinator) advancePartition(p uint32, target *place.Ring) error {
 // commit; a partition with no live source is unrecoverable and errors.
 func (c *Coordinator) copyPartition(p uint32, target *place.Ring, newOnly bool) error {
 	curRep := c.cfg.Mgr.Ring().Replicas(p)
-	inCur := make(map[rdma.NodeID]bool, len(curRep))
-	for _, n := range curRep {
-		inCur[n] = true
-	}
 	for _, tab := range c.cfg.Schema {
 		region := kvlayout.TableRegionID(tab.ID, p)
 		buf := make([]byte, tab.RegionSize())
-		var srcID rdma.NodeID
-		read := false
+		srcID := place.Hole // no memory server has this id
 		for _, n := range curRep {
 			if c.cfg.Fabric.IsDown(n) {
 				continue
@@ -468,14 +379,14 @@ func (c *Coordinator) copyPartition(p uint32, target *place.Ring, newOnly bool) 
 			if err := c.ep.Read(rdma.Addr{Node: n, Region: region}, buf); err != nil {
 				continue
 			}
-			srcID, read = n, true
+			srcID = n
 			break
 		}
-		if !read {
+		if srcID == place.Hole {
 			return fmt.Errorf("reconfig: partition %d has no live replica to copy table %d from", p, tab.ID)
 		}
 		for _, n := range target.Replicas(p) {
-			if n == srcID || (newOnly && inCur[n]) {
+			if n == srcID || (newOnly && slices.Contains(curRep, n)) {
 				continue
 			}
 			srv := c.cfg.Mgr.MemServer(n)
@@ -512,12 +423,8 @@ func (c *Coordinator) copyEndpoints(p uint32, target *place.Ring) (src, dst rdma
 			break
 		}
 	}
-	inCur := make(map[rdma.NodeID]bool, len(curRep))
-	for _, n := range curRep {
-		inCur[n] = true
-	}
 	for _, n := range target.Replicas(p) {
-		if !inCur[n] {
+		if !slices.Contains(curRep, n) {
 			dst = n
 			break
 		}
@@ -533,27 +440,11 @@ func (c *Coordinator) finalize(target *place.Ring) error {
 		cur := c.cfg.Mgr.Ring()
 		if !equalIDs(cur.Members(), target.Members()) {
 			final := target.Sequenced(cur)
-			peers := c.livePeers()
-			for _, p := range peers {
-				p.Pause()
-			}
+			resume := c.cfg.Mgr.PauseLive()
 			c.cfg.Mgr.Update(func(v *place.View) *place.View { return v.WithRing(final) })
-			for _, p := range peers {
-				p.Resume()
-			}
+			resume()
 		}
-		im, err := c.freshImage()
-		if err != nil {
-			return err
-		}
-		if im.phase != phaseComplete {
-			im.phase = phaseComplete
-			for i := range im.states {
-				im.states[i] = StateDone
-			}
-			return c.writeJournal(im)
-		}
-		return nil
+		return c.completeJournal()
 	})
 	if err == nil {
 		c.logf("reconfig: migration complete (epoch %d)", c.cfg.Mgr.Ring().Epoch())
@@ -581,9 +472,9 @@ type Status struct {
 // Status reads the replicated journal and the installed ring.
 func (c *Coordinator) Status() (Status, error) {
 	st := Status{Epoch: c.cfg.Mgr.Ring().Epoch()}
-	im, err := c.readJournal()
-	if err != nil || im == nil {
-		return st, err
+	im := c.readJournal()
+	if im == nil {
+		return st, nil
 	}
 	st.Kind, st.Subject = im.kind, im.subject
 	st.Active = im.phase == phaseRunning

@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -19,10 +20,10 @@ func sampleImage() *image {
 }
 
 // TestImageRoundTrip: encode → decode is the identity, also for a buffer
-// with a journal region's worth of trailing zeros (how it is read back),
-// for an image with no members or partitions, and for a clone.
+// with a journal region's worth of trailing zeros (how it is read back)
+// and for an image with no members or partitions.
 func TestImageRoundTrip(t *testing.T) {
-	for _, im := range []*image{sampleImage(), sampleImage().clone(), {seq: 1, kind: KindAdd, subject: 9, phase: phaseComplete, states: []PartitionState{}}} {
+	for _, im := range []*image{sampleImage(), {seq: 1, kind: KindAdd, subject: 9, phase: phaseComplete, states: []PartitionState{}}} {
 		buf := im.encode()
 		if len(buf) != im.encodedSize() || len(buf)%8 != 0 {
 			t.Fatalf("encoded %d bytes, encodedSize %d (must agree, word-aligned)", len(buf), im.encodedSize())
@@ -37,19 +38,13 @@ func TestImageRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A clone shares nothing with its original.
-	im := sampleImage()
-	c := im.clone()
-	c.from[0], c.to[0], c.states[0] = 1, 1, StatePending
-	if !reflect.DeepEqual(im, sampleImage()) {
-		t.Fatalf("mutating a clone changed the original: %+v", im)
-	}
 }
 
 // TestDecodeImageRejects: an empty region, a short buffer, a foreign
-// magic, an image torn anywhere inside its arrays, and a header whose
-// counts were bit-flipped past the buffer are all "no journal here" —
-// never a panic, never a half-read image.
+// magic, an image torn anywhere inside its arrays, a header whose counts
+// were bit-flipped past the buffer, and a kind, phase or partition state
+// flipped to a value this package never writes are all "no journal
+// here" — never a panic, never a half-read image.
 func TestDecodeImageRejects(t *testing.T) {
 	good := sampleImage().encode()
 	if _, ok := decodeImage(make([]byte, journalRegionSize)); ok {
@@ -65,8 +60,10 @@ func TestDecodeImageRejects(t *testing.T) {
 	}
 	// Bit flips: any bit of the magic; any bit of a count word that
 	// makes the image claim more than the buffer holds (a flip that still
-	// fits is undetectable: the journal carries no checksum, it relies on
-	// one-sided WRITEs of at most a region landing whole).
+	// fits is undetectable here: the journal carries no checksum, it relies
+	// on one-sided WRITEs of at most a region landing whole — Recover and
+	// freshImage hold the partition count against the installed ring's,
+	// TestRecoverRefusesMiscountedImage).
 	for bit := 0; bit < 64; bit++ {
 		flipped := append([]byte(nil), good...)
 		flipped[bit/8] ^= 1 << (bit % 8)
@@ -92,6 +89,85 @@ func TestDecodeImageRejects(t *testing.T) {
 				t.Errorf("accepted an image claiming %d bytes of a %d-byte buffer (count word %d, bit %d): %+v", need, max, word, bit, im)
 			}
 		}
+	}
+	// Enumerated fields: every single-bit flip of the kind word (add ↔
+	// remove aside — both are kinds) and of the phase word (running ↔
+	// complete aside), and every flip of a state byte that leaves the
+	// four states. A state past done would never reach done under a
+	// monotone advance.
+	for _, f := range []struct {
+		word  int
+		legal [2]uint64
+	}{{3, [2]uint64{uint64(KindAdd), uint64(KindRemove)}}, {5, [2]uint64{phaseRunning, phaseComplete}}} {
+		for bit := 0; bit < 64; bit++ {
+			flipped := append([]byte(nil), good...)
+			flipped[f.word*8+bit/8] ^= 1 << (bit % 8)
+			v := kvlayout.Uint64(flipped[f.word*8:])
+			if _, ok := decodeImage(flipped); ok != (v == f.legal[0] || v == f.legal[1]) {
+				t.Errorf("header word %d = %#x: accepted = %t", f.word, v, ok)
+			}
+		}
+	}
+	for i := lastState - len(sampleImage().states); i < lastState; i++ {
+		for bit := 0; bit < 8; bit++ {
+			flipped := append([]byte(nil), good...)
+			flipped[i] ^= 1 << bit
+			if _, ok := decodeImage(flipped); ok != (PartitionState(flipped[i]) <= StateDone) {
+				t.Errorf("state byte %#x at offset %d: accepted = %t", flipped[i], i, ok)
+			}
+		}
+	}
+}
+
+// TestImageAdvance: the per-partition state machine over every (from,
+// to) pair. A forward move or a forward skip lands on to; an equal or
+// backward request leaves the image byte-identical; either way advance
+// reports the state it found and touches no other partition. A partition
+// the image does not have is an error, and complete closes an image once.
+func TestImageAdvance(t *testing.T) {
+	all := []PartitionState{StatePending, StateCopying, StateCutover, StateDone}
+	for _, from := range all {
+		for _, to := range all {
+			im := sampleImage()
+			im.states = []PartitionState{StateCopying, from, StatePending}
+			before := im.encode()
+			was, err := im.advance(1, to)
+			if err != nil || was != from {
+				t.Fatalf("advance(%v → %v) = (%v, %v), want the state it found and no error", from, to, was, err)
+			}
+			want := max(from, to)
+			if got := im.states; got[0] != StateCopying || got[1] != want || got[2] != StatePending {
+				t.Errorf("advance(%v → %v) left states %v, want partition 1 at %v and the others untouched", from, to, got, want)
+			}
+			if to <= from && !bytes.Equal(im.encode(), before) {
+				t.Errorf("advance(%v → %v) changed the image; a request at or behind the state must not", from, to)
+			}
+		}
+	}
+	im := sampleImage()
+	before := im.encode()
+	for _, p := range []uint32{uint32(len(im.states)), NoPartition} {
+		if _, err := im.advance(p, StateDone); err == nil {
+			t.Errorf("advance(partition %d) of a %d-partition image: no error", p, len(im.states))
+		}
+	}
+	if !bytes.Equal(im.encode(), before) {
+		t.Error("a refused advance changed the image")
+	}
+	if !im.complete() || im.phase != phaseComplete {
+		t.Fatalf("complete() on a running image: phase %d", im.phase)
+	}
+	for p, s := range im.states {
+		if s != StateDone {
+			t.Errorf("after complete partition %d is %v", p, s)
+		}
+	}
+	closed := im.encode()
+	if im.complete() || !bytes.Equal(im.encode(), closed) {
+		t.Error("a second complete() changed the image or reported a change")
+	}
+	if was, err := im.advance(1, StateCopying); err != nil || was != StateDone || !bytes.Equal(im.encode(), closed) {
+		t.Errorf("advance on a complete image = (%v, %v), want done and no change", was, err)
 	}
 }
 

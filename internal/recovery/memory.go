@@ -22,7 +22,7 @@ func (m *Manager) RecoverMemory(ev fdetect.Event) error {
 	defer m.opMu.Unlock()
 	// Stop the world: the replica configuration must not change under
 	// running transactions.
-	defer m.pauseLive()()
+	defer m.PauseLive()()
 	m.Update(func(v *place.View) *place.View { return v.WithDead(ev.Node, true) })
 	return nil
 }
@@ -34,8 +34,11 @@ func (m *Manager) MemoryRestarted(node rdma.NodeID) {
 	m.Update(func(v *place.View) *place.View { return v.WithDead(node, false) })
 }
 
-// pauseLive pauses every live peer and returns the call that resumes them.
-func (m *Manager) pauseLive() (resume func()) {
+// PauseLive pauses every live peer and returns the call that resumes
+// them. Paused and resumed at once it is a drain barrier: it returns
+// when every transaction in flight at the call has finished (a
+// migration's cutover waits out a partition's writers with it).
+func (m *Manager) PauseLive() (resume func()) {
 	var paused []ComputePeer
 	for _, p := range m.peers() {
 		if !p.Crashed() {
@@ -59,7 +62,7 @@ func (m *Manager) pauseLive() (resume func()) {
 func (m *Manager) Rereplicate(dead rdma.NodeID, replacementID rdma.NodeID) (*memnode.Server, error) {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()
-	defer m.pauseLive()()
+	defer m.PauseLive()()
 
 	oldRing := m.Ring()
 	newRing := oldRing.Substitute(dead, replacementID)

@@ -367,7 +367,6 @@ func New(cfg Config) (*Cluster, error) {
 		Fabric:  c.fab,
 		Schema:  c.schema,
 		Mgr:     c.mgr,
-		Peers:   c.reconfigPeers,
 		Node:    reconfigNodeID,
 		Metrics: c.met,
 		OnStep:  c.fireReconfigHook,

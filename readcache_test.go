@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	pandora "pandora"
+	"pandora/internal/kvlayout"
 )
 
 func TestReadCacheHitServesLocally(t *testing.T) {
@@ -85,10 +86,11 @@ func TestReadCacheInvalidatedOnLockSteal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Declare the victim's coordinator failed on the stealer's node
-	// only — directly via the failed-ids bitset, so no recovery (and no
-	// cache epoch bump) masks the per-key invalidation under test.
-	c.Engine(0).FailedIDs().Set(victim.CoordinatorID())
+	// Announce the victim's coordinator failed on the stealer's node
+	// only, with no recovery behind the announcement. The epoch bump that
+	// comes with it makes the cached entry miss; Invalidations counts
+	// per-key drops whatever the epoch, so it still isolates the steal.
+	c.Engine(0).NotifyStrayLocks([]kvlayout.CoordID{victim.CoordinatorID()})
 
 	before := c.ReadCacheStats(0, 0)
 	// The stealer's write finds the stray lock, steals it, and must

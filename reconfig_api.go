@@ -20,17 +20,6 @@ type ReconfigStep = reconfig.StepEvent
 // returns to simulate a migration-coordinator crash.
 var ErrReconfigInterrupted = reconfig.ErrInterrupted
 
-// reconfigPeers snapshots the compute nodes as migration peers.
-func (c *Cluster) reconfigPeers() []reconfig.Peer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]reconfig.Peer, 0, len(c.nodes))
-	for _, cn := range c.nodes {
-		out = append(out, cn)
-	}
-	return out
-}
-
 // fireReconfigHook dispatches to the currently installed hook, if any.
 func (c *Cluster) fireReconfigHook(ev reconfig.StepEvent) error {
 	c.mu.Lock()

@@ -12,13 +12,12 @@ import (
 // secondReconfigCoordinator builds an independent migration coordinator
 // on its own fabric node — the "another live coordinator takes over the
 // orphaned migration" case, mirroring secondManager — sharing the
-// cluster's recovery manager, schema, peers and metrics registry.
+// cluster's recovery manager, schema and metrics registry.
 func secondReconfigCoordinator(c *Cluster, node NodeID) *reconfig.Coordinator {
 	return reconfig.NewCoordinator(reconfig.Config{
 		Fabric:  c.fab,
 		Schema:  c.schema,
 		Mgr:     c.mgr,
-		Peers:   c.reconfigPeers,
 		Node:    node,
 		Metrics: c.met,
 	})

@@ -27,46 +27,52 @@ var Abortcause = &Analyzer{
 }
 
 func runAbortcause(pass *Pass) error {
-	if !inScopeSegs(pass.PkgPath, "core", "abortcause") {
+	// The fixture package (testdata/src/abortcause) is in scope beside
+	// the real one.
+	if seg := lastSeg(pass.PkgPath); seg != "core" && seg != "abortcause" {
 		return nil
 	}
-	units := pass.funcUnits(true)
-	pass.runUnitsConcurrently(units, func(u funcUnit) {
-		pass.checkAbortUnit(u)
-	})
-	return nil
-}
-
-func (p *Pass) checkAbortUnit(u funcUnit) {
-	inAbortInternal := u.name() == "abortInternal"
-	inAbortCause := u.name() == "abortCause"
-
-	scanShallow(u.body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			if isNamed(p.TypesInfo.Types[n].Type, "abortError") && !inAbortInternal {
-				p.Reportf(n.Pos(), "abortcause",
-					"abortError constructed outside abortInternal: this abort skips the taxonomy counter and the rollback/unlock sequence (PR 5 rule)")
-			}
-		case *ast.CallExpr:
-			switch calleeName(n) {
-			case "CountAbort":
-				if !inAbortCause {
-					p.Reportf(n.Pos(), "abortcause",
-						"CountAbort called outside abortCause: the taxonomy counter has exactly one decision point (PR 5 rule)")
-				}
-			case "abort", "abortCause":
-				p.checkAbortKindArg(u, n)
-			}
+	for _, file := range pass.Files {
+		if pass.isTestFile(file) {
+			continue
 		}
-		return false
-	})
+		for _, decl := range file.Decls {
+			// "Inside f" is lexical: the declaration's whole subtree,
+			// closures included. Package-level initialisers are inside
+			// nothing.
+			in := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				in = fd.Name.Name
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if isNamed(pass.TypesInfo.Types[n].Type, "abortError") && in != "abortInternal" {
+						pass.Reportf(n.Pos(), "abortcause",
+							"abortError constructed outside abortInternal: this abort skips the taxonomy counter and the rollback/unlock sequence (PR 5 rule)")
+					}
+				case *ast.CallExpr:
+					switch calleeName(n) {
+					case "CountAbort":
+						if in != "abortCause" {
+							pass.Reportf(n.Pos(), "abortcause",
+								"CountAbort called outside abortCause: the taxonomy counter has exactly one decision point (PR 5 rule)")
+						}
+					case "abort", "abortCause":
+						pass.checkAbortKindArg(file, n)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return nil
 }
 
 // checkAbortKindArg enforces A3 on one abort/abortCause call: the kind
 // argument must be a typed metrics.AbortReason, and a literal
 // metrics.AbortOther needs a //pandora:abortother directive.
-func (p *Pass) checkAbortKindArg(u funcUnit, call *ast.CallExpr) {
+func (p *Pass) checkAbortKindArg(file *ast.File, call *ast.CallExpr) {
 	if len(call.Args) < 1 {
 		return
 	}
@@ -77,10 +83,15 @@ func (p *Pass) checkAbortKindArg(u funcUnit, call *ast.CallExpr) {
 			"abort reason is not a typed metrics.AbortReason value: untyped reasons break the abort taxonomy (PR 5 rule)")
 		return
 	}
-	if lastSelector(kind) == "AbortOther" {
-		if !p.Allowed(u.file, call.Pos(), DirAbortOther) {
-			p.Reportf(kind.Pos(), "abortcause",
-				"metrics.AbortOther used without a //pandora:abortother justification: classify the abort, or justify why no taxonomy bucket fits")
-		}
+	name := ""
+	switch x := ast.Unparen(kind).(type) {
+	case *ast.Ident:
+		name = x.Name
+	case *ast.SelectorExpr:
+		name = x.Sel.Name
+	}
+	if name == "AbortOther" && !p.Allowed(file, call.Pos(), DirAbortOther) {
+		p.Reportf(kind.Pos(), "abortcause",
+			"metrics.AbortOther used without a //pandora:abortother justification: classify the abort, or justify why no taxonomy bucket fits")
 	}
 }

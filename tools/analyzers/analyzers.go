@@ -19,14 +19,13 @@
 //     never also be accessed with plain loads/stores.
 //   - abortcause: in internal/core every abort is constructed and
 //     counted at its single decision point, with a typed reason.
-//   - cacheinval, journalstate: the two path properties still held by
-//     the CFG/dataflow engine (cfg.go, dataflow.go) — a lock-word steal
-//     reaches a cache invalidation; a reconfiguration journal image
-//     advances one legal state at a time and is never dropped dirty.
 //
-// Invariants that used to need a dataflow pass and no longer do (a lock
-// CAS reaching the write set, a lane ticket being paid) are held by the
-// engine's structure instead; DESIGN.md §10 lists them.
+// Every pass looks at one statement at a time: there is no control-flow
+// graph, no dataflow lattice and no concurrency here. The path
+// properties that once needed them (a lock CAS reaching the write set, a
+// lane ticket being paid, a steal reaching a cache invalidation, a
+// reconfiguration journal only advancing) are held by the engine's
+// structure and a named test each instead; DESIGN.md §10 lists them.
 //
 // The framework is deliberately a miniature of golang.org/x/tools
 // go/analysis (Analyzer/Pass/Diagnostic): the container this repo
@@ -80,8 +79,6 @@ func All() []*Analyzer {
 		Batchescape,
 		Atomicmix,
 		Abortcause,
-		Cacheinval,
-		Journalstate,
 	}
 }
 
@@ -96,12 +93,8 @@ func (p *Pass) Reportf(pos token.Pos, category, format string, args ...any) {
 const (
 	DirWallclock = "wallclock" // legitimate wall-clock / global-PRNG use
 	DirUnordered = "unordered" // map iteration proven order-independent
-
-	// Escape hatches of the flow-sensitive passes. Each directive names
-	// its pass; the justification comment next to it is the contract.
-	DirAbortOther   = "abortother"   // sanctioned metrics.AbortOther use
-	DirCacheinval   = "cacheinval"   // invalidation happens at the caller
-	DirJournalstate = "journalstate" // journal write proven legal out-of-band
+	// The justification comment next to the directive is the contract.
+	DirAbortOther = "abortother" // sanctioned metrics.AbortOther use
 )
 
 // Allowed reports whether the line holding pos (or the line directly
@@ -141,16 +134,6 @@ func (p *Pass) Allowed(file *ast.File, pos token.Pos, name string) bool {
 // which legitimately simulate rule-breaking peers.
 func (p *Pass) isTestFile(file *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(file.Pos()).Filename, "_test.go")
-}
-
-// FileOf returns the *ast.File containing pos.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // ---- package scoping ------------------------------------------------------

@@ -21,12 +21,10 @@ var fixtures = map[*Analyzer][]string{
 	// that is the point of single ownership. hotlock: ticket-sequence mask
 	// operations are additionally legal in the hot-lock policy package,
 	// but the PILL lock-word shapes stay flagged there.
-	Lockword:     {"lockword", "kvlayout", "hotlock"},
-	Batchescape:  {"batchescape"},
-	Atomicmix:    {"atomicmix"},
-	Abortcause:   {"abortcause"},
-	Cacheinval:   {"cacheinval"},
-	Journalstate: {"journalstate"},
+	Lockword:    {"lockword", "kvlayout", "hotlock"},
+	Batchescape: {"batchescape"},
+	Atomicmix:   {"atomicmix"},
+	Abortcause:  {"abortcause"},
 }
 
 // TestEveryPassHasFixture: every pass of the suite runs over at least one

@@ -121,7 +121,7 @@ func (m *Manager) Rereplicate(dead rdma.NodeID, replacementID rdma.NodeID) (*mem
 }
 
 func (m *Manager) memServer(id rdma.NodeID) *memnode.Server {
-	for _, s := range m.mems() {
+	for _, s := range m.Mems() {
 		if s.ID() == id {
 			return s
 		}
@@ -143,7 +143,7 @@ func (m *Manager) MemServer(id rdma.NodeID) *memnode.Server { return m.memServer
 func (m *Manager) RecycleStrayLocks(failed func(kvlayout.CoordID) bool) int {
 	ep := m.endpoint(nil)
 	released := 0
-	for _, srv := range m.mems() {
+	for _, srv := range m.Mems() {
 		if m.cfg.Fabric.IsDown(srv.ID()) {
 			continue
 		}

@@ -57,7 +57,7 @@ type Config struct {
 	// from. It must already be attached to the fabric.
 	RCNode rdma.NodeID
 	// Metrics, when set, receives one PhaseRecoveryStep latency sample
-	// per log-recovery sub-step (log read, per-tx resolution, truncation,
+	// per log-recovery sub-step (log read, settle, truncation,
 	// intent release), measured on the recovery's virtual clock.
 	Metrics *metrics.Registry
 }
@@ -90,14 +90,24 @@ type Manager struct {
 	// it via LockOps around every journaled step): a partition copy must
 	// never interleave with a re-replication or a membership swap.
 	opMu sync.Mutex
+	// logImages is what readLogRegions READs into, kept between recoveries
+	// (under opMu); nothing read from it outlives logRecovery.
+	logImages []byte
 
-	mu        sync.Mutex
-	recovered map[rdma.NodeID]bool
+	mu sync.Mutex
+	// moved holds the compute nodes that were down during a placement
+	// change, until they rejoin (SetPeer): their stray transactions' lock
+	// words may be lost — a promoted backup or a copy of one never had them.
+	moved map[rdma.NodeID]bool
 }
+
+// logImagesKept bounds the buffer a Manager retains: f+1 = 2 regions of 8
+// coordinators are 512 KB; a 512-coordinator recovery (32 MB) allocates.
+const logImagesKept = 1 << 20
 
 // NewManager creates a recovery manager.
 func NewManager(cfg Config) *Manager {
-	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), recovered: make(map[rdma.NodeID]bool)}
+	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), moved: make(map[rdma.NodeID]bool)}
 }
 
 // View returns the cluster's current placement view.
@@ -120,7 +130,9 @@ func (m *Manager) Update(step func(*place.View) *place.View) {
 	defer m.mu.Unlock()
 	m.view = step(m.view)
 	for _, p := range m.cfg.Peers {
-		if !p.Crashed() {
+		if p.Crashed() {
+			m.moved[p.ID()] = true
+		} else {
 			p.Install(m.view)
 		}
 	}
@@ -136,16 +148,13 @@ func (m *Manager) LockOps() { m.opMu.Lock() }
 // UnlockOps releases the operation lock.
 func (m *Manager) UnlockOps() { m.opMu.Unlock() }
 
-// mems snapshots the memory-server set under the lock.
-func (m *Manager) mems() []*memnode.Server {
+// Mems returns a snapshot of the attached memory servers — the
+// migration coordinator replicates its journal to every one of them.
+func (m *Manager) Mems() []*memnode.Server {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]*memnode.Server(nil), m.cfg.Mems...)
 }
-
-// Mems returns a snapshot of the attached memory servers — the
-// migration coordinator replicates its journal to every one of them.
-func (m *Manager) Mems() []*memnode.Server { return m.mems() }
 
 // AddMem registers a memory server with the manager (an AddMemory
 // reconfiguration attaching the new node before migration starts).
@@ -191,7 +200,7 @@ func (m *Manager) SetPeer(p ComputePeer) {
 	for i, old := range m.cfg.Peers {
 		if old.ID() == p.ID() {
 			m.cfg.Peers[i] = p
-			delete(m.recovered, p.ID())
+			delete(m.moved, p.ID())
 			return
 		}
 	}
@@ -220,10 +229,6 @@ func lockWordFor(coord kvlayout.CoordID, txID uint64) uint64 {
 	return kvlayout.LockWord(coord, uint32(txID))
 }
 
-// DebugRollback, when set by tests, observes every rollback-image
-// decision (coordinator, txID, write, observed version).
-var DebugRollback func(coord kvlayout.CoordID, txID uint64, w kvlayout.LogWrite, observed uint64)
-
 // RecoverCompute runs the full compute-failure recovery for ev
 // (§3.2.2): (2) active-link termination, (3) log recovery, (4) stray-
 // lock notification. Step (1), detection, already happened — ev came
@@ -237,7 +242,7 @@ func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
 	// Step 2 — active-link termination (Cor1). Before touching any
 	// transaction state, make sure the suspect — failed or falsely
 	// suspected — can no longer reach memory.
-	for _, ms := range m.mems() {
+	for _, ms := range m.Mems() {
 		ms.RevokeLink(ev.Node)
 	}
 
@@ -259,10 +264,6 @@ func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
 		}
 		p.NotifyStrayLocks(ev.Coords)
 	}
-
-	m.mu.Lock()
-	m.recovered[ev.Node] = true
-	m.mu.Unlock()
 	stats.WallTime = time.Since(start) //pandora:wallclock host-side diagnostic only
 	return stats, nil
 }
@@ -286,7 +287,7 @@ func (m *Manager) recordStep(ep *rdma.Endpoint, shard uint64, start time.Duratio
 }
 
 // logRecovery reads the failed node's logs, reconstructs its
-// Logged-Stray-Txs, and rolls each forward or back.
+// Logged-Stray-Txs, settles them all in one pass, and truncates the logs.
 func (m *Manager) logRecovery(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) error {
 	shard := uint64(ev.Node)
 	step := ep.Clock().Now()
@@ -298,48 +299,26 @@ func (m *Manager) logRecovery(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats)
 	txs := m.reconstruct(regions, ev)
 	stats.LoggedTxs = len(txs)
 
-	for _, tx := range txs {
-		updated, err := m.allReplicasUpdated(ep, tx)
-		if err != nil {
-			return err
-		}
-		if updated {
-			// Roll forward: every replica carries the new state and the
-			// client may have been commit-acked (Cor3) — release the
-			// locks and keep the updates.
-			if err := m.unlockTx(ep, tx, nil); err != nil {
-				return err
-			}
-			stats.RolledForward++
-		} else {
-			// Roll back: an abort-ack is impossible only when nothing
-			// was updated; since not all replicas are updated, a
-			// commit-ack is impossible, so undoing is safe (Cor3).
-			if err := m.rollBack(ep, tx); err != nil {
-				return err
-			}
-			stats.RolledBack++
-		}
-	}
+	// The undo's lock-word guard is off where the words may be lost, and in
+	// FORD-mode, which believes its logs as the baseline does: Table 1's C2
+	// bugs are stale logs believed; a guard would hide them.
+	m.mu.Lock()
+	guard := m.cfg.Protocol != core.ProtocolFORD && !m.moved[ev.Node]
+	m.mu.Unlock()
+	m.settle(ep, txs, guard, stats)
 	step = m.recordStep(ep, shard, step) // sub-step: roll forward/back
 
 	// Idempotence (§3.2.3): truncate every log of the failed node before
 	// the stray-lock notification; a re-executed recovery then finds no
 	// logs and redoes nothing.
-	if err := m.truncateAll(ep, ev); err != nil {
-		return err
-	}
+	m.truncateAll(ep, ev)
 	step = m.recordStep(ep, shard, step) // sub-step: log truncation
 
 	if m.cfg.Protocol == core.ProtocolTradLog {
 		// The traditional scheme has no PILL: stray locks of not-logged
 		// transactions are released here, from the lock-intent logs,
 		// which is what makes its recovery slower than Pandora's.
-		n, err := m.releaseIntentLocks(ep, regions, ev)
-		if err != nil {
-			return err
-		}
-		stats.StrayLocksFreed += n
+		stats.StrayLocksFreed += m.releaseIntentLocks(ep, regions, ev)
 		m.recordStep(ep, shard, step) // sub-step: intent-lock release
 	}
 	return nil
@@ -352,24 +331,28 @@ func (m *Manager) readLogRegions(ep *rdma.Endpoint, failed rdma.NodeID, stats *S
 	size := m.cfg.CoordsPerNode * kvlayout.LogAreaSize
 	region := kvlayout.LogRegionID(failed)
 	out := make(map[rdma.NodeID][]byte)
-	b := rdma.GetBatch()
-	defer b.Put()
 	var nodes []rdma.NodeID
 	for _, n := range m.logNodes(failed) {
-		if m.cfg.Fabric.IsDown(n) {
-			continue
+		if !m.cfg.Fabric.IsDown(n) && m.cfg.Fabric.LookupRegion(n, region) != nil {
+			nodes = append(nodes, n)
 		}
-		if m.cfg.Fabric.LookupRegion(n, region) == nil {
-			continue
-		}
-		// The images are returned to the caller, so they must outlive the
-		// batch: plain allocations, not arena bytes.
-		buf := make([]byte, size)
-		b.AddRead(rdma.Addr{Node: n, Region: region}, buf)
-		nodes = append(nodes, n)
 	}
-	if b.Len() == 0 {
+	if len(nodes) == 0 {
 		return out, nil
+	}
+	// The images outlive the batch, so they are not arena bytes; each READ
+	// overwrites its image completely, so a kept buffer is not re-zeroed.
+	images := m.logImages
+	if need := len(nodes) * size; len(images) < need {
+		images = make([]byte, need)
+		if need <= logImagesKept {
+			m.logImages = images
+		}
+	}
+	b := rdma.GetBatch()
+	defer b.Put()
+	for i, n := range nodes {
+		b.AddRead(rdma.Addr{Node: n, Region: region}, images[i*size:(i+1)*size])
 	}
 	_ = ep.Do(b.Ops()...) // per-op errors inspected below
 	for i, op := range b.Ops() {
@@ -391,6 +374,15 @@ func (m *Manager) readLogRegions(ep *rdma.Endpoint, failed rdma.NodeID, stats *S
 // FORD-mode appends one record per object, replicated per object — they
 // are merged by txID and deduplicated by object.
 func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) []strayTx {
+	type object struct {
+		table     kvlayout.TableID
+		partition uint32
+		slot      uint64
+	}
+	var seen map[object]bool // the objects of best.writes, FORD-mode only
+	if m.cfg.Protocol == core.ProtocolFORD {
+		seen = make(map[object]bool)
+	}
 	var out []strayTx
 	for slot, coord := range ev.Coords {
 		if slot >= m.cfg.CoordsPerNode {
@@ -398,7 +390,7 @@ func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) 
 		}
 		areaOff := kvlayout.LogAreaOffset(slot)
 		best := strayTx{coord: coord, coordSlot: slot}
-		seen := make(map[string]bool)
+		clear(seen)
 		for _, buf := range regions {
 			area := buf[areaOff : areaOff+kvlayout.LogAreaSize]
 			recs := kvlayout.DecodeLogRecords(area[kvlayout.TxLogOff:kvlayout.LockLogOff])
@@ -408,16 +400,18 @@ func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) 
 				}
 				if rec.TxID > best.txID {
 					// Newer transaction: discard older remnants.
-					best.txID = rec.TxID
-					best.writes = nil
-					seen = make(map[string]bool)
+					best.txID, best.writes = rec.TxID, nil
+					clear(seen)
 				}
 				if rec.TxID != best.txID {
 					continue
 				}
+				if seen == nil {
+					best.writes = rec.Writes // each log server's copy is the whole record
+					continue
+				}
 				for _, w := range rec.Writes {
-					k := fmt.Sprintf("%d/%d/%d", w.Table, w.Partition, w.Slot)
-					if !seen[k] {
+					if k := (object{w.Table, w.Partition, w.Slot}); !seen[k] {
 						seen[k] = true
 						best.writes = append(best.writes, w)
 					}
@@ -432,148 +426,155 @@ func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) 
 	return out
 }
 
-// allReplicasUpdated reads the version word of every replica of every
-// write-set object (one parallel round) and reports whether all carry
-// the logged new version.
-func (m *Manager) allReplicasUpdated(ep *rdma.Endpoint, tx strayTx) (bool, error) {
-	b := rdma.GetBatch()
-	defer b.Put()
-	var wants []uint64
-	for _, w := range tx.writes {
-		tab := m.cfg.Schema[w.Table]
-		for _, n := range m.Ring().Replicas(w.Partition) {
-			if m.cfg.Fabric.IsDown(n) {
-				continue // commit needed only the live replicas
-			}
-			b.AddRead(rdma.Addr{Node: n, Region: kvlayout.TableRegionID(w.Table, w.Partition), Offset: tab.SlotOffset(w.Slot) + kvlayout.SlotVersionOff}, b.Bytes(8))
-			wants = append(wants, w.NewVersion)
-		}
-	}
-	_ = ep.Do(b.Ops()...)
-	for i, op := range b.Ops() {
-		if op.Err != nil {
-			continue // replica died mid-check: treat as tolerated
-		}
-		if kvlayout.Uint64(op.Buf) != wants[i] {
-			return false, nil
-		}
-	}
-	return true, nil
+// slotWord addresses one word of a logged write's slot on replica n.
+func (m *Manager) slotWord(n rdma.NodeID, w kvlayout.LogWrite, off uint64) rdma.Addr {
+	return rdma.Addr{Node: n, Region: kvlayout.TableRegionID(w.Table, w.Partition), Offset: m.cfg.Schema[w.Table].SlotOffset(w.Slot) + off}
 }
 
-// unlockTx releases the primary locks of a stray transaction with
-// guarded CASes: only a lock still held by exactly this transaction is
-// released, so re-execution (idempotence) and races with live
-// transactions are harmless. rollbackOf, when non-nil, gives the undo
-// image to write (under the lock) before unlocking.
-func (m *Manager) unlockTx(ep *rdma.Endpoint, tx strayTx, rollbackOf map[int][]rdma.Addr) error {
-	word := lockWordFor(tx.coord, tx.txID)
-	b := rdma.GetBatch()
-	defer b.Put()
-	type released struct {
-		op      *rdma.Op
-		write   kvlayout.LogWrite
-		primary rdma.NodeID
-	}
-	var rels []released
-	for i, w := range tx.writes {
-		tab := m.cfg.Schema[w.Table]
-		primary, ok := m.Ring().Primary(w.Partition, func(n rdma.NodeID) bool { return !m.cfg.Fabric.IsDown(n) })
-		if !ok {
-			continue
-		}
-		if rollbackOf != nil {
-			for _, addr := range rollbackOf[i] {
-				b.AddWrite(addr, kvlayout.RollbackImage(tab, w))
-			}
-		}
-		op := b.AddCAS(rdma.Addr{Node: primary, Region: kvlayout.TableRegionID(w.Table, w.Partition), Offset: tab.SlotOffset(w.Slot) + kvlayout.SlotLockOff}, word, 0)
-		rels = append(rels, released{op: op, write: w, primary: primary})
-	}
-	_ = ep.Do(b.Ops()...) // failed CASes mean "already released" — fine
-	for _, rel := range rels {
-		if rel.op.Err == nil && rel.op.Swapped {
-			// This pass actually freed the dead holder's lock, so it also
-			// settles the hot-lock lane debt the holder may have died with.
-			// Guarding on Swapped keeps re-execution idempotent: a second
-			// pass's CAS finds the word already released and repairs
-			// nothing.
-			m.repairHotlockLane(ep, rel.primary, rel.write)
-		}
-	}
-	return nil
-}
-
-// repairHotlockLane advances the ticket-lane head a recovered lock
-// holder may have left behind (DESIGN.md §14). Whether the dead holder
-// acquired through the queue is unknowable from the word alone, so the
-// repair is guarded by lane state: advance one step only when tickets
-// are outstanding. Over-advancing (the holder never queued, the
-// outstanding ticket is a live waiter's) is the safe direction — the
-// queue is advisory and an early turn just means a CAS race. All
-// errors are ignored; the next waiter repairs what this pass missed.
-func (m *Manager) repairHotlockLane(ep *rdma.Endpoint, primary rdma.NodeID, w kvlayout.LogWrite) {
-	lane := hotlock.LaneFor(primary, w.Partition, w.Table, w.Key)
-	b := rdma.GetBatch()
-	defer b.Put()
-	buf := b.Bytes(16)
-	tailOp := b.AddRead(lane.Tail, buf[:8])
-	headOp := b.AddRead(lane.Head, buf[8:16])
-	if err := ep.Do(tailOp, headOp); err != nil {
+// settle rolls every stray transaction forward or back and releases its
+// locks in one pass of at most three doorbells, however many there are:
+// they hold disjoint lock sets, so nothing orders them against each other
+// (DESIGN.md §4b "Log recovery is one pass"). Per-op errors are tolerated
+// throughout — the verb struck a server that died mid-pass, and what this
+// pass missed a re-executed one, a stealer or a lane waiter repairs. guard:
+// the lock words are still where the dead transactions took them.
+func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *Stats) {
+	if len(txs) == 0 {
 		return
 	}
-	tail := kvlayout.Uint64(buf[:8])
-	head := kvlayout.Uint64(buf[8:16])
-	if kvlayout.TicketSeq(tail) <= kvlayout.TicketSeq(head) {
-		return
+	ring := m.Ring()
+	// Doorbell 1 — observe, per logged write, the version word on every live
+	// replica (commit needed only those); on the partition's first replica,
+	// where the transaction locked, the READ starts one word earlier, at the lock.
+	type logged struct {
+		tx    int // index into txs
+		w     kvlayout.LogWrite
+		reads []*rdma.Op // per live replica, the live primary first
 	}
-	if _, swapped, err := ep.CAS(lane.Head, head, head+1); err == nil && swapped {
-		m.cfg.Metrics.CountLock(metrics.LockTicketRepair)
-	}
-}
-
-// rollBack undoes every replica that carries the logged new version,
-// then releases the locks (one combined parallel round).
-func (m *Manager) rollBack(ep *rdma.Endpoint, tx strayTx) error {
-	// Find which replicas were updated (we already read versions once in
-	// allReplicasUpdated, but recovery re-reads per write so that a
-	// re-executed recovery — idempotence — stays correct).
-	rollback := make(map[int][]rdma.Addr)
-	b := rdma.GetBatch()
-	defer b.Put()
-	var writeIdx []int
-	for i, w := range tx.writes {
-		tab := m.cfg.Schema[w.Table]
-		for _, n := range m.Ring().Replicas(w.Partition) {
-			if m.cfg.Fabric.IsDown(n) {
-				continue
+	version := func(op *rdma.Op) uint64 { return kvlayout.Uint64(op.Buf[len(op.Buf)-8:]) }
+	var writes []logged
+	obs := rdma.GetBatch()
+	defer obs.Put()
+	for t, tx := range txs {
+		for _, w := range tx.writes {
+			l := logged{tx: t, w: w}
+			for i, n := range ring.Replicas(w.Partition) {
+				if m.cfg.Fabric.IsDown(n) {
+					continue
+				}
+				off, size := uint64(kvlayout.SlotVersionOff), 8
+				if i == 0 {
+					off, size = kvlayout.SlotLockOff, 16
+				}
+				l.reads = append(l.reads, obs.AddRead(m.slotWord(n, w, off), obs.Bytes(size)))
 			}
-			// The version word starts the slot's rollback image, so the
-			// same address serves the check and the undo write.
-			addr := rdma.Addr{Node: n, Region: kvlayout.TableRegionID(w.Table, w.Partition), Offset: tab.SlotOffset(w.Slot) + kvlayout.SlotVersionOff}
-			b.AddRead(addr, b.Bytes(8))
-			writeIdx = append(writeIdx, i)
+			if len(l.reads) > 0 { // else nothing to observe, undo or release
+				writes = append(writes, l)
+			}
 		}
 	}
-	_ = ep.Do(b.Ops()...)
-	for k, op := range b.Ops() {
-		if op.Err != nil {
+	_ = ep.Do(obs.Ops()...)
+
+	// Roll forward iff every live replica of every write carries the logged
+	// new version: the client may have been commit-acked (Cor3), so the
+	// updates stay. Otherwise a commit-ack is impossible and undoing is safe
+	// (an abort-ack needs nothing updated, and then nothing is undone).
+	back := make([]bool, len(txs))
+	stats.RolledForward = len(txs)
+	for _, l := range writes {
+		for _, op := range l.reads {
+			if op.Err == nil && version(op) != l.w.NewVersion && !back[l.tx] {
+				back[l.tx] = true
+				stats.RolledForward--
+				stats.RolledBack++
+			}
+		}
+	}
+
+	// Doorbell 2 — act, in coordSlot order, per write: the undo image on the
+	// replicas that carry the new version, the unlock CAS guarded by the
+	// transaction's own lock word — re-execution and races with live
+	// transactions release nothing — and behind it on the same queue pair
+	// the lane's tail and head, as a stealer reads them (DESIGN.md §14).
+	type release struct{ cas, tail, head *rdma.Op }
+	var rels []release
+	act := rdma.GetBatch()
+	defer act.Put()
+	for _, l := range writes {
+		word, own := lockWordFor(txs[l.tx].coord, txs[l.tx].txID), l.reads[0]
+		// Undo only under the dead transaction's own lock: once an earlier pass
+		// released it, NewVersion may be a live commit's (versions step by one).
+		// A free lock over an old primary is that pass torn — it undoes before it
+		// unlocks, and no commit leaves this — so backups still ahead are undone.
+		// No lock word to go by (guard off, first replica dead, READ failed): undo.
+		held := true
+		if guard && own.Err == nil && len(own.Buf) == 16 {
+			lock := kvlayout.Uint64(own.Buf)
+			held = lock == word || lock == 0 && version(own) == l.w.OldVersion
+		}
+		if back[l.tx] && held {
+			image := kvlayout.RollbackImage(m.cfg.Schema[l.w.Table], l.w)
+			for _, op := range l.reads {
+				if op.Err == nil && version(op) == l.w.NewVersion {
+					act.AddWrite(m.slotWord(op.Addr.Node, l.w, kvlayout.SlotVersionOff), image)
+				}
+			}
+		}
+		lane := hotlock.LaneFor(own.Addr.Node, l.w.Partition, l.w.Table, l.w.Key)
+		rels = append(rels, release{
+			cas:  act.AddCAS(m.slotWord(own.Addr.Node, l.w, kvlayout.SlotLockOff), word, 0),
+			tail: act.AddRead(lane.Tail, act.Bytes(8)),
+			head: act.AddRead(lane.Head, act.Bytes(8)),
+		})
+	}
+	_ = ep.Do(act.Ops()...)
+
+	// Doorbell 3 — only when a release that swapped found tickets outstanding
+	// on its lane. Whether the dead holder queued and died owing the head an
+	// advance is unknowable from the word, so each such release advances it one
+	// step while tickets are outstanding, in one guarded CAS per lane; over-
+	// advancing (a live waiter's ticket) is safe — the queue is advisory and an
+	// early turn is a CAS race. Gating on Swapped keeps re-execution idempotent.
+	type repair struct {
+		head           rdma.Addr
+		from, owed, by uint64 // the head word read, tickets past it, the advance
+	}
+	var repairs []repair
+next:
+	for _, r := range rels {
+		if r.cas.Err != nil || !r.cas.Swapped || r.tail.Err != nil || r.head.Err != nil {
 			continue
 		}
-		i := writeIdx[k]
-		if kvlayout.Uint64(op.Buf) == tx.writes[i].NewVersion {
-			if DebugRollback != nil {
-				DebugRollback(tx.coord, tx.txID, tx.writes[i], kvlayout.Uint64(op.Buf))
+		tail, head := kvlayout.Uint64(r.tail.Buf), kvlayout.Uint64(r.head.Buf)
+		if kvlayout.TicketSeq(tail) <= kvlayout.TicketSeq(head) {
+			continue
+		}
+		for i := range repairs {
+			if p := &repairs[i]; p.head == r.head.Addr {
+				p.by = min(p.by+1, p.owed)
+				continue next
 			}
-			rollback[i] = append(rollback[i], op.Addr)
+		}
+		repairs = append(repairs, repair{r.head.Addr, head, kvlayout.TicketSeq(tail) - kvlayout.TicketSeq(head), 1})
+	}
+	if len(repairs) == 0 {
+		return
+	}
+	obs.Reset() // its observations are spent
+	for _, p := range repairs {
+		obs.AddCAS(p.head, p.from, p.from+p.by)
+	}
+	_ = ep.Do(obs.Ops()...)
+	for _, op := range obs.Ops() {
+		if op.Err == nil && op.Swapped {
+			m.cfg.Metrics.CountLock(metrics.LockTicketRepair)
 		}
 	}
-	return m.unlockTx(ep, tx, rollback)
 }
 
 // truncateAll invalidates every log area of the failed node on every
 // log node: one parallel round of 8-byte writes.
-func (m *Manager) truncateAll(ep *rdma.Endpoint, ev fdetect.Event) error {
+func (m *Manager) truncateAll(ep *rdma.Endpoint, ev fdetect.Event) {
 	region := kvlayout.LogRegionID(ev.Node)
 	b := rdma.GetBatch()
 	defer b.Put()
@@ -589,14 +590,13 @@ func (m *Manager) truncateAll(ep *rdma.Endpoint, ev fdetect.Event) error {
 		}
 	}
 	_ = ep.Do(b.Ops()...)
-	return nil
 }
 
 // releaseIntentLocks implements the traditional scheme's stray-lock
 // release: parse each coordinator's lock-intent log, CAS-release the
 // locks of the latest (not-logged) transaction, and raise the floor so
 // re-execution is a no-op.
-func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, regions map[rdma.NodeID][]byte, ev fdetect.Event) (int, error) {
+func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, regions map[rdma.NodeID][]byte, ev fdetect.Event) int {
 	freed := 0
 	region := kvlayout.LogRegionID(ev.Node)
 	for slot, coord := range ev.Coords {
@@ -640,5 +640,5 @@ func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, regions map[rdma.NodeID]
 		_ = ep.Do(b.Ops()...)
 		b.Put()
 	}
-	return freed, nil
+	return freed
 }

@@ -21,7 +21,7 @@ func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
 	start := time.Now() //pandora:wallclock Stats.WallTime is a host-side diagnostic; the protocol-visible latency is Stats.VTime
 	var stats Stats
 
-	for _, ms := range m.mems() {
+	for _, ms := range m.Mems() {
 		ms.RevokeLink(ev.Node)
 	}
 
@@ -65,10 +65,6 @@ func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
 	}
 	stats.VTime = clk.Now()
 	stats.WallTime = time.Since(start) //pandora:wallclock host-side diagnostic only
-
-	m.mu.Lock()
-	m.recovered[ev.Node] = true
-	m.mu.Unlock()
 	return stats, nil
 }
 

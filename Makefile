@@ -39,10 +39,13 @@ bench:
 bench-compare:
 	$(GO) run ./benchmark -compare $(A) $(B)
 
-# Paired runs, the way a claimed gain is judged: N pairs of BASE and the
-# working tree on workload W, alternating which side runs first; prints
-# each end-to-end metric's medians, quartiles and wins out of N.
+# Paired runs, the way a claimed gain — or "nothing got worse" — is
+# judged: N pairs of BASE and the working tree on each workload of W (one
+# name, a comma-separated list, or `all`), alternating which side runs
+# first; prints per workload each end-to-end metric's medians, quartiles
+# and wins out of N.
 #   make bench-pair BASE=HEAD~1 W=transfer_uniform N=10
+#   make bench-pair BASE=HEAD~1 W=all N=10
 N ?= 10
 bench-pair:
 	bash tools/benchpair.sh $(BASE) $(W) $(N)

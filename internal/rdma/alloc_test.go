@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -140,38 +141,53 @@ func TestPooledBatchesZeroAlloc(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		tc.fn() // warm the pool and the handle cache
+		tc.fn() // warm the pool
 		if n := testing.AllocsPerRun(200, tc.fn); n > 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", tc.name, n)
 		}
 	}
 }
 
-// TestParallelPathAllocsBounded: the parallel dispatch path spawns
-// goroutines, so it cannot be literally zero-alloc — but the op batch
-// itself must not add per-op heap allocations on top of the fixed
-// dispatch cost. Assert a small constant bound that would catch a
-// regression back to closure-per-op dispatch.
-func TestParallelPathAllocsBounded(t *testing.T) {
-	skipIfRace(t, "the parallel-dispatch alloc bound (no per-op closures: <= 24 allocs per 8-node fan-out)")
+// fanoutBatch posts one pooled batch of a size-byte WRITE to each of
+// nodes 1..nodes: the replicated-apply shape, scaled up.
+func fanoutBatch(t *testing.T, ep *Endpoint, nodes, size int) {
+	b := GetBatch()
+	for n := 1; n <= nodes; n++ {
+		b.AddWrite(Addr{Node: NodeID(n)}, b.Bytes(size))
+	}
+	if err := ep.Do(b.Ops()...); err != nil {
+		t.Fatal(err)
+	}
+	b.Put()
+}
+
+// TestFanoutZeroAlloc: a large multi-node fan-out is posted like any
+// other batch — on the caller's goroutine, out of the pooled batch — so
+// it allocates nothing either.
+func TestFanoutZeroAlloc(t *testing.T) {
+	skipIfRace(t, "the fan-out zero-alloc contract (an 8-node x 4 KiB pooled batch, zero heap allocations)")
 	f := allocFabric(8, 1<<20)
 	var clk VClock
 	ep := f.Endpoint(0).WithClock(&clk)
-
-	run := func() {
-		b := GetBatch()
-		for n := 1; n <= 8; n++ {
-			b.AddWrite(Addr{Node: NodeID(n)}, b.Bytes(4096))
-		}
-		if err := ep.Do(b.Ops()...); err != nil {
-			t.Fatal(err)
-		}
-		b.Put()
+	run := func() { fanoutBatch(t, ep, 8, 4096) }
+	run() // warm the pool
+	if n := testing.AllocsPerRun(100, run); n > 0 {
+		t.Errorf("8-node fan-out: %.1f allocs/op, want 0", n)
 	}
-	run()
-	// One goroutine per destination node plus scheduling bookkeeping;
-	// anything near one-alloc-per-op (closures, per-op boxing) fails.
-	if n := testing.AllocsPerRun(100, run); n > 24 {
-		t.Errorf("parallel 8-node fan-out: %.1f allocs/op, want <= 24", n)
+}
+
+// TestDoSpawnsNoGoroutines: Do runs on the goroutine that called it,
+// whatever the batch's size and spread. A dispatcher would show here as
+// workers left behind by the first large fan-out.
+func TestDoSpawnsNoGoroutines(t *testing.T) {
+	f := allocFabric(8, 1<<20)
+	ep := f.Endpoint(0)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		fanoutBatch(t, ep, 8, 32<<10)
+	}
+	// ">", not "!=": an earlier test's goroutine may still be exiting.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines: %d before the fan-outs, %d after", before, after)
 	}
 }

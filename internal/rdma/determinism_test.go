@@ -6,9 +6,9 @@ import (
 )
 
 // runDeterminismWorkload drives one fixed mixed workload — single verbs,
-// serial-path small batches, and parallel-path multi-node fan-outs —
-// against a fresh fabric with seeded transport faults, and returns the
-// charged virtual time plus the fault counters.
+// small batches, and large multi-node fan-outs — against a fresh fabric
+// with seeded transport faults, and returns the charged virtual time
+// plus the fault counters.
 func runDeterminismWorkload(t *testing.T, seed uint64) (time.Duration, int64, int64) {
 	t.Helper()
 	const nodes = 4
@@ -32,7 +32,7 @@ func runDeterminismWorkload(t *testing.T, seed uint64) (time.Duration, int64, in
 		if _, _, err := ep.CAS(Addr{Node: 2}, uint64(round), uint64(round+1)); err != nil {
 			t.Fatal(err)
 		}
-		// Small multi-node batch: serial path.
+		// Small multi-node batch.
 		b := GetBatch()
 		b.AddRead(Addr{Node: 1, Offset: 128}, b.Bytes(64))
 		b.AddWrite(Addr{Node: 3, Offset: 256}, small)
@@ -40,7 +40,7 @@ func runDeterminismWorkload(t *testing.T, seed uint64) (time.Duration, int64, in
 			t.Fatal(err)
 		}
 		b.Put()
-		// Large multi-node fan-out: parallel path.
+		// Large multi-node fan-out.
 		b = GetBatch()
 		for n := 1; n <= nodes; n++ {
 			b.AddWrite(Addr{Node: NodeID(n), Offset: 4096}, big)
@@ -53,12 +53,11 @@ func runDeterminismWorkload(t *testing.T, seed uint64) (time.Duration, int64, in
 	return clk.Now(), f.Retransmits(), f.DuplicatesDropped()
 }
 
-// TestParallelEngineDeterministic: the same seed and workload must
-// produce bit-identical virtual-clock totals and fault counters, run
-// after run, even though the large batches execute on worker goroutines.
-// Parallel dispatch pre-rolls the fault PRNG in posting order, which is
-// what this test pins down.
-func TestParallelEngineDeterministic(t *testing.T) {
+// TestEngineDeterministic: the same seed and workload must produce
+// bit-identical virtual-clock totals and fault counters, run after run.
+// Every batch rolls the fault PRNG in posting order, which is what this
+// test pins down.
+func TestEngineDeterministic(t *testing.T) {
 	d1, r1, dup1 := runDeterminismWorkload(t, 42)
 	d2, r2, dup2 := runDeterminismWorkload(t, 42)
 	if d1 != d2 {
@@ -75,11 +74,10 @@ func TestParallelEngineDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelChargingMatchesSerial: without faults and link rules, a
-// multi-node batch charges the max of its per-verb durations no matter
-// which dispatch path ran it. The parallel path must not change the
-// virtual-time semantics, only the wall-clock cost.
-func TestParallelChargingMatchesSerial(t *testing.T) {
+// TestDoChargesMaxOverDestinations: without faults and link rules, a
+// batch of one verb per node charges the max of its per-verb durations,
+// however large: the queue pairs run side by side on the model clock.
+func TestDoChargesMaxOverDestinations(t *testing.T) {
 	lat := LatencyModel{BaseRTT: 2 * time.Microsecond, BytesPerSec: 1 << 30}
 	f := NewFabric(lat)
 	f.AddNode(0)
@@ -90,7 +88,7 @@ func TestParallelChargingMatchesSerial(t *testing.T) {
 	var clk VClock
 	ep := f.Endpoint(0).WithClock(&clk)
 
-	// 4 x 16 KiB to distinct nodes: parallel path.
+	// 4 x 16 KiB to distinct nodes.
 	big := make([]byte, 16<<10)
 	ops := make([]*Op, 4)
 	for i := range ops {
@@ -100,6 +98,6 @@ func TestParallelChargingMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := lat.Verb(len(big)); clk.Now() != want {
-		t.Fatalf("parallel Do charged %v, want max-of-durations %v", clk.Now(), want)
+		t.Fatalf("Do charged %v, want max-of-durations %v", clk.Now(), want)
 	}
 }

@@ -1,23 +1,19 @@
 package rdma
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Endpoint is a node's NIC-side handle for issuing one-sided verbs. A
 // transaction coordinator (or recovery coordinator) typically owns one
 // endpoint and, optionally, one virtual clock.
 //
-// Queue pairs are modelled per destination node: verbs issued in one Do
-// batch are grouped by target, each group is applied in posting order
-// (the reliable-connection in-order guarantee per (src,dst) pair), and
-// groups to distinct nodes may execute concurrently — exactly the
-// doorbell-batch parallelism the protocol's 1.5-RTT commit relies on.
-// Calls made sequentially from one goroutine likewise retain posting
-// order by construction.
+// Queue pairs are modelled per destination node. On the host a Do batch
+// is applied on the caller's goroutine in posting order, which keeps the
+// reliable-connection in-order guarantee per (src,dst) pair; on the
+// clock the pairs to distinct nodes run side by side — the doorbell-batch
+// parallelism the protocol's 1.5-RTT commit relies on. An endpoint holds
+// no per-target state: it resolves handles through the fabric's table,
+// so a fresh endpoint, a With* copy and one that lived through a fence
+// all behave alike.
 type Endpoint struct {
 	fab  *Fabric
 	node NodeID
@@ -27,12 +23,7 @@ type Endpoint struct {
 	lane uint32
 	// self is the issuer's node state; the crash flag checked on every
 	// verb lives here. The pointer is stable for the fabric's lifetime.
-	self *nodeState
-	// cache memoises (node, region) → handle lookups; shared by the
-	// WithClock/WithGate/WithTimeout copies of this endpoint. Held by
-	// pointer because those copies are value copies and the cache
-	// contains an atomic.
-	cache *handleCache
+	self  *nodeState
 	clock *VClock
 	// gate, when set, must return true for verbs to be posted. Compute
 	// incarnations use it so that a *restarted* node (same fabric id,
@@ -53,7 +44,7 @@ func (f *Fabric) Endpoint(node NodeID) *Endpoint {
 	if ns == nil {
 		panic("rdma: endpoint for unattached node")
 	}
-	return &Endpoint{fab: f, node: node, lane: laneOf(uint32(node)), self: ns, cache: &handleCache{}}
+	return &Endpoint{fab: f, node: node, lane: laneOf(uint32(node)), self: ns}
 }
 
 // WithClock returns a copy of the endpoint charging verb latencies to
@@ -91,9 +82,6 @@ func (ep *Endpoint) WithTimeout(d time.Duration) *Endpoint {
 	return &cp
 }
 
-// Timeout returns the endpoint's verb deadline (zero = none).
-func (ep *Endpoint) Timeout() time.Duration { return ep.timeout }
-
 // gateCheck enforces the incarnation gate.
 func (ep *Endpoint) gateCheck() error {
 	if ep.gate != nil && !ep.gate() {
@@ -108,78 +96,22 @@ func (ep *Endpoint) Clock() *VClock { return ep.clock }
 // Node returns the local node id of this endpoint.
 func (ep *Endpoint) Node() NodeID { return ep.node }
 
-// Fabric returns the fabric the endpoint is attached to.
-func (ep *Endpoint) Fabric() *Fabric { return ep.fab }
-
 // admit gates the verb through the link rules BEFORE the verb barrier,
 // so a verb parked on a stalled link never blocks fabric transitions.
 func (ep *Endpoint) admit(dst NodeID, n int) (time.Duration, error) {
 	return ep.fab.admit(ep.node, dst, ep.timeout, n)
 }
 
-// handleCache memoises (node, region) → (*nodeState, *Region) so the
-// verb hot path resolves its target with one atomic load and one map
-// read instead of three locked map lookups. Both pointers are stable
-// for the fabric's lifetime (nodes and regions are never removed), so a
-// snapshot can never yield a wrong handle — but rights (down, revoked,
-// crashed) are deliberately NOT cached: they are re-read on every verb
-// under the target's barrier shard, which is what linearizes them
-// against fences. The fabric epoch, bumped on every revoke/fence/
-// liveness transition, additionally invalidates the whole snapshot so
-// an endpoint never runs on handles resolved before a fence.
-type handleCache struct {
-	snap atomic.Pointer[handleSnap]
-}
-
-type handleSnap struct {
-	epoch   uint64
-	handles map[uint64]handleRef
-}
-
-type handleRef struct {
-	ns *nodeState
-	r  *Region
-}
-
-func handleKey(node NodeID, region RegionID) uint64 {
-	return uint64(node)<<32 | uint64(region)
-}
-
-// lookup resolves the target node and region, consulting the cache
-// first. ns is nil for unknown nodes; r is nil for unregistered regions
-// (never cached negatively, so a region registered later is found).
+// lookup resolves the target node and region through the fabric's
+// handle table: one atomic load and one map read. ns is nil for unknown
+// nodes, r for unregistered regions. Rights (down, revoked, crashed) are
+// not part of a handle: post re-reads them on every verb under the
+// target's barrier shard, which is what linearizes them against fences.
 func (ep *Endpoint) lookup(node NodeID, region RegionID) (*nodeState, *Region) {
-	epoch := ep.fab.epoch.Load()
-	if snap := ep.cache.snap.Load(); snap != nil && snap.epoch == epoch {
-		if h, ok := snap.handles[handleKey(node, region)]; ok {
-			return h.ns, h.r
-		}
+	if h, ok := (*ep.fab.handles.Load())[handleKey(node, region)]; ok {
+		return h.ns, h.r
 	}
-	return ep.lookupSlow(node, region, epoch)
-}
-
-func (ep *Endpoint) lookupSlow(node NodeID, region RegionID, epoch uint64) (*nodeState, *Region) {
-	ns := ep.fab.node(node)
-	if ns == nil {
-		return nil, nil
-	}
-	ns.mu.RLock()
-	r := ns.regions[region]
-	ns.mu.RUnlock()
-	if r == nil {
-		return ns, nil
-	}
-	// Copy-on-write refresh. A concurrent refresh may overwrite ours;
-	// that only costs the loser another slow lookup later.
-	next := &handleSnap{epoch: epoch, handles: make(map[uint64]handleRef, 8)}
-	if old := ep.cache.snap.Load(); old != nil && old.epoch == epoch {
-		for k, v := range old.handles {
-			next.handles[k] = v
-		}
-	}
-	next.handles[handleKey(node, region)] = handleRef{ns: ns, r: r}
-	ep.cache.snap.Store(next)
-	return ns, r
+	return ep.fab.node(node), nil
 }
 
 // OpKind names a verb within a batch.
@@ -225,16 +157,12 @@ func (op *Op) size() int {
 	}
 }
 
-// faultInline tells post to roll the verb's transport faults itself;
-// parallel batches pre-roll instead (see doParallel) and pass the draw.
-const faultInline = time.Duration(-1)
-
 // post executes one verb: link admission, the target's barrier shard,
 // the incarnation gate, the rights check, then the memory operation. It
 // returns the verb's modelled duration; op.Err carries the completion
 // status. Admission and gate failures charge (and roll) nothing; every
 // later outcome, error or not, costs a full verb — the packet went out.
-func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
+func (ep *Endpoint) post(op *Op) time.Duration {
 	n := op.size()
 	extra, err := ep.admit(op.Addr.Node, n)
 	if err != nil {
@@ -252,9 +180,7 @@ func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
 		ep.fab.countVerb(ep.lane, op, 0)
 		return 0
 	}
-	if fault < 0 {
-		fault = ep.fab.transportFaults(n)
-	}
+	fault := ep.fab.transportFaults(n)
 	d := ep.fab.lat.Verb(n) + fault + extra
 	switch {
 	case ep.self.crashed.Load():
@@ -286,37 +212,30 @@ func (ep *Endpoint) post(op *Op, fault time.Duration) time.Duration {
 	return d
 }
 
+// verb posts one op and charges it, failed or not: post returns what
+// the attempt cost. The single-verb wrappers are this.
+func (ep *Endpoint) verb(op *Op) error {
+	ep.clock.Advance(ep.post(op))
+	return op.Err
+}
+
 // Read issues a one-sided READ of len(dst) bytes at addr.
 func (ep *Endpoint) Read(addr Addr, dst []byte) error {
-	op := Op{Kind: OpRead, Addr: addr, Buf: dst}
-	d := ep.post(&op, faultInline)
-	if op.Err != nil {
-		return op.Err
-	}
-	ep.clock.Advance(d)
-	return nil
+	return ep.verb(&Op{Kind: OpRead, Addr: addr, Buf: dst})
 }
 
 // Write issues a one-sided WRITE of src at addr.
 func (ep *Endpoint) Write(addr Addr, src []byte) error {
-	op := Op{Kind: OpWrite, Addr: addr, Buf: src}
-	d := ep.post(&op, faultInline)
-	if op.Err != nil {
-		return op.Err
-	}
-	ep.clock.Advance(d)
-	return nil
+	return ep.verb(&Op{Kind: OpWrite, Addr: addr, Buf: src})
 }
 
 // CAS issues a one-sided 8-byte compare-and-swap at addr. It returns the
 // previous value and whether the swap was applied.
 func (ep *Endpoint) CAS(addr Addr, expect, swap uint64) (old uint64, swapped bool, err error) {
 	op := Op{Kind: OpCAS, Addr: addr, Expect: expect, Swap: swap}
-	d := ep.post(&op, faultInline)
-	if op.Err != nil {
-		return 0, false, op.Err
+	if err := ep.verb(&op); err != nil {
+		return 0, false, err
 	}
-	ep.clock.Advance(d)
 	return op.Old, op.Swapped, nil
 }
 
@@ -324,47 +243,10 @@ func (ep *Endpoint) CAS(addr Addr, expect, swap uint64) (old uint64, swapped boo
 // previous value.
 func (ep *Endpoint) FAA(addr Addr, delta uint64) (uint64, error) {
 	op := Op{Kind: OpFAA, Addr: addr, Delta: delta}
-	d := ep.post(&op, faultInline)
-	if op.Err != nil {
-		return 0, op.Err
+	if err := ep.verb(&op); err != nil {
+		return 0, err
 	}
-	ep.clock.Advance(d)
 	return op.Old, nil
-}
-
-// parallelMinBytes gates goroutine fan-out: below it (or to a single
-// destination) a batch runs inline on the sharded serial path, because
-// per-group dispatch overhead exceeds the memory work it would overlap.
-// Commit-sized control batches (lock CASes, validation reads) stay
-// inline; replica/log payload fan-out crosses the threshold.
-const parallelMinBytes = 8 << 10
-
-// Do issues ops concurrently (one doorbell batch, or parallel QPs to
-// distinct nodes) and waits for all completions. Ops are grouped per
-// destination node and applied in posting order within each group, so
-// RC in-order delivery per (src,dst) queue pair holds; groups to
-// different nodes may run in parallel. The virtual clock is charged the
-// pipelined completion time — the maximum over destination groups of
-// pipelineDuration — regardless of how the ops were scheduled. It
-// returns the first per-op error in posting order, if any; all ops are
-// attempted regardless.
-func (ep *Endpoint) Do(ops ...*Op) error {
-	if len(ops) < 2 {
-		return ep.doSerial(ops)
-	}
-	total := 0
-	multi := false
-	first := ops[0].Addr.Node
-	for _, op := range ops {
-		total += op.size()
-		if op.Addr.Node != first {
-			multi = true
-		}
-	}
-	if !multi || total < parallelMinBytes {
-		return ep.doSerial(ops)
-	}
-	return ep.doParallel(ops)
 }
 
 // pipelineDuration models a multi-verb posting list on one queue pair.
@@ -387,10 +269,15 @@ func pipelineDuration(k int, sumD, maxD, rtt time.Duration) time.Duration {
 	return d
 }
 
-// doSerial applies the batch inline in posting order. Charging (per-QP
-// pipelining, first error, every op attempted) is identical to the
-// parallel path: the schedule is an execution detail, never a semantic.
-func (ep *Endpoint) doSerial(ops []*Op) error {
+// Do issues ops as one doorbell batch and returns when all have
+// completed. The ops are posted inline in posting order, so RC in-order
+// delivery per (src,dst) queue pair holds; a verb parked on a stalled
+// link holds up the ops behind it. The virtual clock is charged the
+// pipelined completion time — the maximum over destination nodes of
+// pipelineDuration — as the queue pairs to distinct nodes run side by
+// side on the model. It returns the first per-op error in posting
+// order, if any; all ops are attempted regardless.
+func (ep *Endpoint) Do(ops ...*Op) error {
 	type nodeAgg struct {
 		node NodeID
 		cnt  int
@@ -400,7 +287,7 @@ func (ep *Endpoint) doSerial(ops []*Op) error {
 	aggs := make([]nodeAgg, 0, 8)
 	var first error
 	for _, op := range ops {
-		d := ep.post(op, faultInline)
+		d := ep.post(op)
 		if op.Err != nil && first == nil {
 			first = op.Err
 		}
@@ -430,175 +317,4 @@ func (ep *Endpoint) doSerial(ops []*Op) error {
 	}
 	ep.clock.Advance(maxD)
 	return first
-}
-
-// doState is the pooled scratch for one parallel Do: per-destination
-// groups, the pre-rolled fault draws, and the join. Reused via doPool
-// so the fan-out path allocates nothing in steady state.
-type doState struct {
-	wg     sync.WaitGroup
-	faults []time.Duration
-	groups []doGroup
-}
-
-// doGroup is one destination node's slice of a batch — one queue pair's
-// posting list.
-type doGroup struct {
-	ds   *doState
-	ep   *Endpoint
-	ops  []*Op
-	idx  []int32 // indices into ops, in posting order
-	node NodeID
-	maxD time.Duration
-}
-
-var doPool = sync.Pool{New: func() any { return new(doState) }}
-
-// The shared QP worker pool. Lazily started, sized to the machine, and
-// process-wide: fabrics come and go by the hundreds in tests, so the
-// workers belong to the package, not the fabric. Submission never
-// blocks — if every worker is busy (or parked on a stalled link), the
-// submitter runs the group inline, which also makes deadlock through
-// pool exhaustion impossible.
-var (
-	workerOnce sync.Once
-	workerCh   chan *doGroup
-)
-
-func startWorkers() {
-	n := runtime.GOMAXPROCS(0)
-	if n < 4 {
-		n = 4
-	}
-	workerCh = make(chan *doGroup, 4*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for g := range workerCh {
-				g.run()
-			}
-		}()
-	}
-}
-
-func (g *doGroup) run() {
-	g.exec()
-	g.ds.wg.Done()
-}
-
-func (g *doGroup) exec() {
-	var maxD, sumD time.Duration
-	for _, i := range g.idx {
-		d := g.ep.post(g.ops[i], g.ds.faults[i])
-		sumD += d
-		if d > maxD {
-			maxD = d
-		}
-	}
-	g.maxD = pipelineDuration(len(g.idx), sumD, maxD, g.ep.fab.lat.BaseRTT)
-}
-
-func (ds *doState) newGroup(node NodeID) int {
-	if len(ds.groups) < cap(ds.groups) {
-		ds.groups = ds.groups[:len(ds.groups)+1]
-	} else {
-		ds.groups = append(ds.groups, doGroup{})
-	}
-	g := &ds.groups[len(ds.groups)-1]
-	g.node = node
-	g.idx = g.idx[:0]
-	g.maxD = 0
-	return len(ds.groups) - 1
-}
-
-func (ep *Endpoint) doParallel(ops []*Op) error {
-	ds := doPool.Get().(*doState)
-
-	// Pre-roll the transport-fault PRNG in posting order: groups execute
-	// concurrently, so rolling inside them would make the draw sequence
-	// — and with it virtual time — schedule-dependent. Pre-rolling keeps
-	// "same seed, same workload → same clock" true under parallelism.
-	ds.faults = ds.faults[:0]
-	if ep.fab.faults.Load() != nil {
-		for _, op := range ops {
-			ds.faults = append(ds.faults, ep.fab.transportFaults(op.size()))
-		}
-	} else {
-		for range ops {
-			ds.faults = append(ds.faults, 0)
-		}
-	}
-
-	// Group per destination node, preserving posting order inside each
-	// group (the per-QP in-order guarantee).
-	ds.groups = ds.groups[:0]
-	for i, op := range ops {
-		gi := -1
-		for j := range ds.groups {
-			if ds.groups[j].node == op.Addr.Node {
-				gi = j
-				break
-			}
-		}
-		if gi < 0 {
-			gi = ds.newGroup(op.Addr.Node)
-		}
-		g := &ds.groups[gi]
-		g.idx = append(g.idx, int32(i))
-	}
-	for j := range ds.groups {
-		ds.groups[j].ds = ds
-		ds.groups[j].ep = ep
-		ds.groups[j].ops = ops
-	}
-
-	// Fan out: the calling goroutine keeps the first group for itself;
-	// the rest go to the worker pool, running inline when no worker is
-	// free.
-	workerOnce.Do(startWorkers)
-	ds.wg.Add(len(ds.groups) - 1)
-	for j := 1; j < len(ds.groups); j++ {
-		g := &ds.groups[j]
-		select {
-		case workerCh <- g:
-		default:
-			g.run()
-		}
-	}
-	ds.groups[0].exec()
-	ds.wg.Wait()
-
-	var maxD time.Duration
-	for j := range ds.groups {
-		if ds.groups[j].maxD > maxD {
-			maxD = ds.groups[j].maxD
-		}
-	}
-	var first error
-	for _, op := range ops {
-		if op.Err != nil {
-			first = op.Err
-			break
-		}
-	}
-	ep.clock.Advance(maxD)
-	for j := range ds.groups {
-		ds.groups[j].ep = nil
-		ds.groups[j].ops = nil
-	}
-	doPool.Put(ds)
-	return first
-}
-
-// DoSeq issues ops as a dependent chain (each awaits the previous
-// completion) and charges the sum of durations. It stops at the first
-// error.
-func (ep *Endpoint) DoSeq(ops ...*Op) error {
-	for _, op := range ops {
-		d := ep.post(op, faultInline)
-		ep.clock.Advance(d)
-		if op.Err != nil {
-			return op.Err
-		}
-	}
-	return nil
 }

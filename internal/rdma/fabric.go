@@ -3,6 +3,7 @@ package rdma
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,11 +20,12 @@ type Fabric struct {
 	nodes map[NodeID]*nodeState
 	lat   LatencyModel
 
-	// epoch invalidates endpoint handle caches (see handleCache): it is
-	// bumped on every rights or liveness transition — revoke, restore,
-	// down/up, crash, power failure — so no endpoint keeps running on
-	// handles it resolved before a fence.
-	epoch atomic.Uint64
+	// handles resolves a verb's (node, region) to its node state and
+	// region with one atomic load and one map read (Endpoint.lookup). The
+	// map is immutable; RegisterRegion, the only event that adds a
+	// handle, republishes a copy under mu. Nodes and regions are never
+	// removed, so a handle never goes stale, and rights are not in it.
+	handles atomic.Pointer[map[uint64]handleRef]
 
 	// faults optionally injects transport-level loss/duplication, masked
 	// by the RC transport (see FaultModel). Atomic so the hot path reads
@@ -65,6 +67,16 @@ func (f *Fabric) countVerb(lane uint32, op *Op, fault time.Duration) {
 		outcome = metrics.VerbFaulted
 	}
 	m.CountVerbFrom(lane, uint16(op.Addr.Node), metrics.Verb(op.Kind), fault > 0, outcome)
+}
+
+// handleRef is one entry of Fabric.handles.
+type handleRef struct {
+	ns *nodeState
+	r  *Region
+}
+
+func handleKey(node NodeID, region RegionID) uint64 {
+	return uint64(node)<<32 | uint64(region)
 }
 
 // nodeState carries one node's fabric-visible state. Each node also
@@ -109,6 +121,7 @@ func (ns *nodeState) isRevoked(from NodeID) bool {
 // LatencyModel charges no time.
 func NewFabric(lat LatencyModel) *Fabric {
 	f := &Fabric{nodes: make(map[NodeID]*nodeState), lat: lat}
+	f.handles.Store(&map[uint64]handleRef{})
 	f.links.init()
 	return f
 }
@@ -154,7 +167,10 @@ func (f *Fabric) node(id NodeID) *nodeState {
 // RegisterRegion registers a memory region of the given size on a node
 // and returns it for host-local access.
 func (f *Fabric) RegisterRegion(node NodeID, id RegionID, size int) *Region {
-	ns := f.node(node)
+	r := NewRegion(size) // allocated before taking mu, which every node lookup shares
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ns := f.nodes[node]
 	if ns == nil {
 		panic(fmt.Sprintf("rdma: register region on unknown node %d", node))
 	}
@@ -163,8 +179,10 @@ func (f *Fabric) RegisterRegion(node NodeID, id RegionID, size int) *Region {
 	if _, ok := ns.regions[id]; ok {
 		panic(fmt.Sprintf("rdma: region %d already registered on node %d", id, node))
 	}
-	r := NewRegion(size)
 	ns.regions[id] = r
+	next := maps.Clone(*f.handles.Load())
+	next[handleKey(node, id)] = handleRef{ns: ns, r: r}
+	f.handles.Store(&next)
 	return r
 }
 
@@ -194,7 +212,6 @@ func (f *Fabric) Revoke(target, from NodeID) {
 	}
 	ns.mu.Unlock()
 	ns.verbs.Unlock()
-	f.epoch.Add(1)
 }
 
 // Restore re-grants previously revoked rights, used when a falsely
@@ -210,7 +227,6 @@ func (f *Fabric) Restore(target, from NodeID) {
 		ns.nrevoked.Add(-1)
 	}
 	ns.mu.Unlock()
-	f.epoch.Add(1)
 }
 
 // SetDown marks a node failed (true) or live (false). Verbs targeting a
@@ -225,7 +241,6 @@ func (f *Fabric) SetDown(node NodeID, down bool) {
 	ns.verbs.Lock() // fence in-flight verbs to this node across the transition
 	ns.down.Store(down)
 	ns.verbs.Unlock()
-	f.epoch.Add(1)
 	// Verbs parked on a stalled link to this node must observe the
 	// transition (a dead target unblocks them with ErrNodeDown).
 	f.links.broadcast()
@@ -258,7 +273,6 @@ func (f *Fabric) SetCrashed(node NodeID, crashed bool) {
 	fenced := f.fenceAll()
 	ns.crashed.Store(crashed)
 	unfence(fenced)
-	f.epoch.Add(1)
 	// A crashed issuer's verbs parked on stalled links die with
 	// ErrCrashed rather than outliving the process.
 	f.links.broadcast()

@@ -32,9 +32,8 @@ type FaultModel struct {
 
 // faultState is the fabric's live fault injector. The PRNG is
 // sequential by design — reproducibility is the point — so every draw
-// serialises on mu. Parallel batches keep the draw order deterministic
-// by pre-rolling all of their draws in posting order before dispatch
-// (see doParallel).
+// serialises on mu; an endpoint's draws come in posting order because
+// Do posts inline.
 type faultState struct {
 	mu    sync.Mutex
 	model FaultModel

@@ -31,13 +31,7 @@ func (f *Fabric) Persistent() bool {
 // byte count like any other verb (it was previously mischarged as a
 // fixed 8-byte round trip).
 func (ep *Endpoint) Flush(addr Addr, n int) error {
-	op := Op{Kind: OpFlush, Addr: addr, Delta: uint64(n)}
-	d := ep.post(&op, faultInline)
-	if op.Err != nil {
-		return op.Err
-	}
-	ep.clock.Advance(d)
-	return nil
+	return ep.verb(&Op{Kind: OpFlush, Addr: addr, Delta: uint64(n)})
 }
 
 // ensureDurable lazily allocates the durable image: once, because two
@@ -99,7 +93,6 @@ func (f *Fabric) PowerFail(node NodeID) {
 	}
 	ns.mu.Unlock()
 	ns.verbs.Unlock()
-	f.epoch.Add(1)
 	f.links.broadcast() // unblock verbs stalled toward the dead node
 	for _, r := range regions {
 		r.revertToDurable()

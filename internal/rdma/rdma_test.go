@@ -295,17 +295,73 @@ func TestLatencyCharging(t *testing.T) {
 		t.Fatalf("parallel batch charged %v, want %v", got, want)
 	}
 
-	// A dependent chain charges the sum.
+	// A dependent chain — one call per verb — charges the sum.
 	clk.Reset()
-	err = ep.DoSeq(
-		&Op{Kind: OpWrite, Addr: Addr{Node: 1}, Buf: make([]byte, 1000)},
-		&Op{Kind: OpWrite, Addr: Addr{Node: 2}, Buf: make([]byte, 3000)},
-	)
-	if err != nil {
+	if err := ep.Write(Addr{Node: 1}, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Write(Addr{Node: 2}, make([]byte, 3000)); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := clk.Now(), 6*time.Microsecond; got != want {
 		t.Fatalf("sequential chain charged %v, want %v", got, want)
+	}
+}
+
+// TestFailedVerbIsCharged: a verb that fails after admission and gate
+// went out on the wire and costs a full verb, through the single-verb
+// wrappers as through Do; one that a partitioned link or a closed gate
+// refused was never posted and costs nothing.
+func TestFailedVerbIsCharged(t *testing.T) {
+	lat := LatencyModel{BaseRTT: time.Microsecond, BytesPerSec: 1e9}
+	f := NewFabric(lat)
+	f.AddNode(0)
+	f.AddNode(1)
+	f.RegisterRegion(1, 0, 4096)
+	var clk VClock
+	alive := true
+	ep := f.Endpoint(0).WithClock(&clk).WithGate(func() bool { return alive })
+
+	buf := make([]byte, 1000)
+	verbs := []struct {
+		name string
+		n    int
+		fn   func() error
+	}{
+		{"Read", len(buf), func() error { return ep.Read(Addr{Node: 1}, buf) }},
+		{"Write", len(buf), func() error { return ep.Write(Addr{Node: 1}, buf) }},
+		{"CAS", 8, func() error { _, _, err := ep.CAS(Addr{Node: 1}, 0, 1); return err }},
+		{"FAA", 8, func() error { _, err := ep.FAA(Addr{Node: 1}, 1); return err }},
+		{"Flush", 500, func() error { return ep.Flush(Addr{Node: 1}, 500) }},
+		{"Do", len(buf), func() error { return ep.Do(&Op{Kind: OpRead, Addr: Addr{Node: 1}, Buf: buf}) }},
+	}
+	refusals := []struct {
+		name   string
+		on     func()
+		off    func()
+		err    error
+		charge bool
+	}{
+		{"down node", func() { f.SetDown(1, true) }, func() { f.SetDown(1, false) }, ErrNodeDown, true},
+		{"partitioned link", func() { f.PartitionLink(0, 1) }, func() { f.HealLink(0, 1) }, ErrLinkPartitioned, false},
+		{"closed gate", func() { alive = false }, func() { alive = true }, ErrCrashed, false},
+	}
+	for _, r := range refusals {
+		r.on()
+		for _, v := range verbs {
+			clk.Reset()
+			if err := v.fn(); !errors.Is(err, r.err) {
+				t.Fatalf("%s, %s: err = %v, want %v", r.name, v.name, err, r.err)
+			}
+			want := time.Duration(0)
+			if r.charge {
+				want = lat.Verb(v.n)
+			}
+			if got := clk.Now(); got != want {
+				t.Errorf("%s, %s: charged %v, want %v", r.name, v.name, got, want)
+			}
+		}
+		r.off()
 	}
 }
 
@@ -324,25 +380,6 @@ func TestDoReportsPerOpErrors(t *testing.T) {
 	}
 	if !errors.Is(bad.Err, ErrNoRegion) {
 		t.Fatalf("bad op err = %v, want ErrNoRegion", bad.Err)
-	}
-}
-
-func TestDoSeqStopsAtError(t *testing.T) {
-	f := newTestFabric(t)
-	f.RegisterRegion(1, 0, 64)
-	ep := f.Endpoint(0)
-	bad := &Op{Kind: OpRead, Addr: Addr{Node: 1, Region: 5}, Buf: make([]byte, 1)}
-	after := &Op{Kind: OpWrite, Addr: Addr{Node: 1}, Buf: []byte{9}}
-	if err := ep.DoSeq(bad, after); !errors.Is(err, ErrNoRegion) {
-		t.Fatalf("DoSeq err = %v, want ErrNoRegion", err)
-	}
-	// The chain stopped: the write after the failed op never ran.
-	b := make([]byte, 1)
-	if err := ep.Read(Addr{Node: 1}, b); err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != 0 {
-		t.Fatalf("op after failed chain step was applied: byte = %d", b[0])
 	}
 }
 

@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench bench-compare bench-pair bench-smoke chaos-smoke proptest soak clean
+.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate chaos-smoke proptest soak clean
 
 all: build lint test
 
@@ -70,6 +70,14 @@ bench-smoke:
 	# virtual clock; its artifact must match bin/BENCH_commitpipe.json.
 	$(GO) run ./cmd/pandora-bench -experiment commitpipe -quick -json $(BIN)/BENCH_commitpipe.gen.json
 	cmp $(BIN)/BENCH_commitpipe.gen.json $(BIN)/BENCH_commitpipe.json
+	bash tools/modelgate.sh
+
+# Model-clock gate: a 3 s failover run of the repository benchmark must
+# be correct, fail no operation and report exactly the recovery_model_us
+# checked in as tools/modelgate.expect (a count of rounds and bytes, so
+# it repeats to the nanosecond on any host).
+model-gate:
+	bash tools/modelgate.sh
 
 # Property-based litmus lane: the proptest engine's own tests, then the
 # randomized multi-tx histories across the knob matrix (seeded corpus,

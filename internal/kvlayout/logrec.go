@@ -116,18 +116,27 @@ func (r *LogRecord) EncodeInto(buf []byte) {
 	le.PutUint64(buf[off+8:], r.TxID)
 }
 
+// recordSize reads the size a record header claims. ok is false when hdr
+// is no whole header, is not valid (never written, truncated), or its
+// size field cannot be a record's within limit bytes.
+func recordSize(hdr []byte, limit int) (size int, ok bool) {
+	le := binary.LittleEndian
+	if len(hdr) < logHdrSize || limit < logHdrSize+logTrlSize {
+		return 0, false
+	}
+	if le.Uint32(hdr[0:]) != logMagic || le.Uint32(hdr[4:])&flagValid == 0 {
+		return 0, false
+	}
+	size = int(le.Uint32(hdr[20:]))
+	return size, size >= logHdrSize+logTrlSize && size <= limit
+}
+
 // DecodeLogRecord parses the coordinator log area. ok is false when the
 // area holds no valid record (never written, truncated, or torn).
 func DecodeLogRecord(buf []byte) (LogRecord, bool) {
 	le := binary.LittleEndian
-	if len(buf) < logHdrSize+logTrlSize {
-		return LogRecord{}, false
-	}
-	if le.Uint32(buf[0:]) != logMagic || le.Uint32(buf[4:])&flagValid == 0 {
-		return LogRecord{}, false
-	}
-	size := int(le.Uint32(buf[20:]))
-	if size < logHdrSize+logTrlSize || size > len(buf) {
+	size, ok := recordSize(buf, len(buf))
+	if !ok {
 		return LogRecord{}, false
 	}
 	rec := LogRecord{
@@ -217,6 +226,38 @@ func DecodeLogRecords(buf []byte) []LogRecord {
 	return out
 }
 
+// LogPrefixSize is how much of a log area recovery READs before it knows
+// what the area holds: the header and the common record (a 2-write
+// transfer logs 176 bytes), or the floor word and twelve lock intents.
+const LogPrefixSize = 512
+
+// LogExtent reports how many bytes of a transaction-log area ([TxLogOff,
+// LockLogOff)) its record occupies — with chain, FORD-mode's run of
+// back-to-back records — judged from the area's first len(read) bytes.
+// An answer above len(read) means the rest must be READ before decoding;
+// it never exceeds LockLogOff. The content ends at the first header
+// DecodeLogRecord would reject; a chain whose next header lies beyond
+// read may run to the end of the area, so all of it is asked for.
+// DecodeLogRecords over area[:extent] yields what it yields over the area
+// (without chain: the first record of it).
+func LogExtent(read []byte, chain bool) int {
+	off := 0
+	for off+logHdrSize+logTrlSize <= LockLogOff {
+		if off+logHdrSize > len(read) {
+			return LockLogOff
+		}
+		size, ok := recordSize(read[off:], LockLogOff-off)
+		if !ok {
+			break
+		}
+		off += size
+		if !chain {
+			break
+		}
+	}
+	return off
+}
+
 // Lock-intent log (traditional logging scheme, §6.1). Area layout within
 // [LockLogOff, LogAreaSize):
 //
@@ -296,4 +337,33 @@ func DecodeLockIntents(buf []byte) []LockIntent {
 		}
 	}
 	return out
+}
+
+// LockIntentExtent is LogExtent for the lock-intent area, read from its
+// floor word on. A coordinator logs each transaction's intents from entry
+// 0, so the latest transaction's are entry 0 and the entries behind it
+// that carry its txID: the content ends at the first entry that does not
+// (an older transaction's, or never written), and is the floor word alone
+// when entry 0 is at or below the floor. A prefix whose every entry
+// carries entry 0's txID asks for the whole area.
+func LockIntentExtent(read []byte) int {
+	const whole = 8 + MaxLockIntents*LockIntentSize
+	le := binary.LittleEndian
+	if len(read) < 8+LockIntentSize {
+		return whole
+	}
+	floor, latest := le.Uint64(read), le.Uint64(read[8+8:])
+	if latest <= floor {
+		return 8
+	}
+	off := 8
+	for ; off < whole; off += LockIntentSize {
+		if off+LockIntentSize > len(read) {
+			return whole
+		}
+		if le.Uint32(read[off:]) != lockIntentMagic || le.Uint64(read[off+8:]) != latest {
+			break
+		}
+	}
+	return off
 }

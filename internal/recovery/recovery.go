@@ -14,7 +14,6 @@ package recovery
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -64,15 +63,23 @@ type Config struct {
 
 // Stats reports what one compute recovery did. VTime is the modelled
 // duration of the log-recovery step — the paper's "recovery latency"
-// (Table 2).
+// (Table 2) — and the five step times are where it went: they sum to it
+// (ScanRecoverCompute's VTime adds its scan).
 type Stats struct {
 	LoggedTxs       int
 	RolledForward   int
 	RolledBack      int
 	StrayLocksFreed int // traditional scheme / scan recovery only
-	LogBytesRead    int
+	LogBytesRead    int // bytes the log READs brought back
+	LogTailReads    int // log areas that held more than the prefix READ
 	VTime           time.Duration
 	WallTime        time.Duration
+
+	LogReadVTime       time.Duration // prefix doorbell
+	TailReadVTime      time.Duration // tail doorbell, when some area needed it
+	SettleVTime        time.Duration // roll forward/back, unlock, lane repair
+	TruncateVTime      time.Duration
+	IntentReleaseVTime time.Duration // traditional scheme only
 }
 
 // Manager executes recoveries. One instance serves the whole cluster;
@@ -90,9 +97,6 @@ type Manager struct {
 	// it via LockOps around every journaled step): a partition copy must
 	// never interleave with a re-replication or a membership swap.
 	opMu sync.Mutex
-	// logImages is what readLogRegions READs into, kept between recoveries
-	// (under opMu); nothing read from it outlives logRecovery.
-	logImages []byte
 
 	mu sync.Mutex
 	// moved holds the compute nodes that were down during a placement
@@ -100,10 +104,6 @@ type Manager struct {
 	// words may be lost — a promoted backup or a copy of one never had them.
 	moved map[rdma.NodeID]bool
 }
-
-// logImagesKept bounds the buffer a Manager retains: f+1 = 2 regions of 8
-// coordinators are 512 KB; a 512-coordinator recovery (32 MB) allocates.
-const logImagesKept = 1 << 20
 
 // NewManager creates a recovery manager.
 func NewManager(cfg Config) *Manager {
@@ -279,24 +279,24 @@ func (m *Manager) logNodes(failed rdma.NodeID) []rdma.NodeID {
 
 // recordStep charges the virtual time elapsed since start as one
 // PhaseRecoveryStep sample (sharded by the failed node's id) and
-// returns the new step start. Nil-safe like the registry itself.
+// returns it. Nil-safe like the registry itself.
 func (m *Manager) recordStep(ep *rdma.Endpoint, shard uint64, start time.Duration) time.Duration {
-	now := ep.Clock().Now()
-	m.cfg.Metrics.RecordPhase(metrics.PhaseRecoveryStep, shard, now-start)
-	return now
+	took := ep.Clock().Now() - start
+	m.cfg.Metrics.RecordPhase(metrics.PhaseRecoveryStep, shard, took)
+	return took
 }
 
 // logRecovery reads the failed node's logs, reconstructs its
 // Logged-Stray-Txs, settles them all in one pass, and truncates the logs.
 func (m *Manager) logRecovery(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) error {
-	shard := uint64(ev.Node)
-	step := ep.Clock().Now()
-	regions, err := m.readLogRegions(ep, ev.Node, stats)
+	shard, clk := uint64(ev.Node), ep.Clock()
+	step := clk.Now()
+	logs, err := m.readLogs(ep, ev, stats)
 	if err != nil {
 		return err
 	}
-	step = m.recordStep(ep, shard, step) // sub-step: f+1 log reads
-	txs := m.reconstruct(regions, ev)
+	m.recordStep(ep, shard, step) // sub-step: log reads
+	txs := m.reconstruct(logs, ev)
 	stats.LoggedTxs = len(txs)
 
 	// The undo's lock-word guard is off where the words may be lost, and in
@@ -305,75 +305,157 @@ func (m *Manager) logRecovery(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats)
 	m.mu.Lock()
 	guard := m.cfg.Protocol != core.ProtocolFORD && !m.moved[ev.Node]
 	m.mu.Unlock()
+	step = clk.Now()
 	m.settle(ep, txs, guard, stats)
-	step = m.recordStep(ep, shard, step) // sub-step: roll forward/back
+	stats.SettleVTime = m.recordStep(ep, shard, step) // sub-step: roll forward/back
 
 	// Idempotence (§3.2.3): truncate every log of the failed node before
 	// the stray-lock notification; a re-executed recovery then finds no
 	// logs and redoes nothing.
+	step = clk.Now()
 	m.truncateAll(ep, ev)
-	step = m.recordStep(ep, shard, step) // sub-step: log truncation
+	stats.TruncateVTime = m.recordStep(ep, shard, step) // sub-step: log truncation
 
 	if m.cfg.Protocol == core.ProtocolTradLog {
 		// The traditional scheme has no PILL: stray locks of not-logged
 		// transactions are released here, from the lock-intent logs,
 		// which is what makes its recovery slower than Pandora's.
-		stats.StrayLocksFreed += m.releaseIntentLocks(ep, regions, ev)
-		m.recordStep(ep, shard, step) // sub-step: intent-lock release
+		step = clk.Now()
+		stats.StrayLocksFreed += m.releaseIntentLocks(ep, logs, ev)
+		stats.IntentReleaseVTime = m.recordStep(ep, shard, step) // sub-step: intent-lock release
 	}
 	return nil
 }
 
-// readLogRegions fetches the failed node's entire log region from each
-// relevant memory server — f+1 large READs for Pandora (§3.2.2 "F+1 Log
-// Reads").
-func (m *Manager) readLogRegions(ep *rdma.Endpoint, failed rdma.NodeID, stats *Stats) (map[rdma.NodeID][]byte, error) {
-	size := m.cfg.CoordsPerNode * kvlayout.LogAreaSize
-	region := kvlayout.LogRegionID(failed)
-	out := make(map[rdma.NodeID][]byte)
-	var nodes []rdma.NodeID
-	for _, n := range m.logNodes(failed) {
+// logImage is what recovery READ of one coordinator's log area on one log
+// server, cut to its extent (kvlayout.LogExtent, LockIntentExtent): the
+// only bytes reconstruct and releaseIntentLocks decode. intents is read
+// under ProtocolTradLog alone.
+type logImage struct{ tx, intents []byte }
+
+// nodeLogs is one log server's images, indexed by coordinator slot.
+type nodeLogs struct {
+	node  rdma.NodeID
+	areas []logImage
+}
+
+// readLogs fetches what the failed node logged from each relevant memory
+// server, in logNodes order, in at most two doorbells (§3.2.2 "F+1 Log
+// Reads"; DESIGN.md §4b "The log read"): the first LogPrefixSize bytes of
+// every coordinator's area, then the rest of those areas whose prefix
+// says they hold more. The failed node is fenced by now, so the two READs
+// of one area see one record; the trailer guard rejects any other pairing.
+func (m *Manager) readLogs(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) ([]nodeLogs, error) {
+	region := kvlayout.LogRegionID(ev.Node)
+	var logs []nodeLogs
+	for _, n := range m.logNodes(ev.Node) {
 		if !m.cfg.Fabric.IsDown(n) && m.cfg.Fabric.LookupRegion(n, region) != nil {
-			nodes = append(nodes, n)
+			logs = append(logs, nodeLogs{node: n})
 		}
 	}
-	if len(nodes) == 0 {
-		return out, nil
+	if len(logs) == 0 {
+		return nil, nil
 	}
-	// The images outlive the batch, so they are not arena bytes; each READ
-	// overwrites its image completely, so a kept buffer is not re-zeroed.
-	images := m.logImages
-	if need := len(nodes) * size; len(images) < need {
-		images = make([]byte, need)
-		if need <= logImagesKept {
-			m.logImages = images
-		}
+	coords := min(len(ev.Coords), m.cfg.CoordsPerNode)
+	tradlog, ford := m.cfg.Protocol == core.ProtocolTradLog, m.cfg.Protocol == core.ProtocolFORD
+	txExtent := func(read []byte) int { return kvlayout.LogExtent(read, ford) }
+
+	// Doorbell 1 — the prefixes. The images outlive the batch, so they are
+	// not arena bytes; they are this recovery's alone, so nothing a READ did
+	// not bring back is ever decoded.
+	type areaRead struct {
+		node   int       // index into logs
+		at     rdma.Addr // the area's first byte not yet READ
+		img    *[]byte
+		extent func([]byte) int
 	}
+	areas := len(logs) * coords
+	if tradlog {
+		areas *= 2 // each coordinator's lock-intent area too
+	}
+	reads := make([]areaRead, 0, areas) // reads[i] is b.Ops()[i]
+	prefixes := make([]byte, areas*kvlayout.LogPrefixSize)
 	b := rdma.GetBatch()
 	defer b.Put()
-	for i, n := range nodes {
-		b.AddRead(rdma.Addr{Node: n, Region: region}, images[i*size:(i+1)*size])
+	read := func(node int, off uint64, img *[]byte, extent func([]byte) int) {
+		*img, prefixes = prefixes[:kvlayout.LogPrefixSize:kvlayout.LogPrefixSize], prefixes[kvlayout.LogPrefixSize:]
+		at := rdma.Addr{Node: logs[node].node, Region: region, Offset: off}
+		b.AddRead(at, *img)
+		at.Offset += kvlayout.LogPrefixSize
+		reads = append(reads, areaRead{node, at, img, extent})
 	}
-	_ = ep.Do(b.Ops()...) // per-op errors inspected below
-	for i, op := range b.Ops() {
-		if op.Err != nil {
-			continue // log server died mid-read; surviving copies suffice
+	for i := range logs {
+		logs[i].areas = make([]logImage, coords)
+		for slot := range logs[i].areas {
+			area, off := &logs[i].areas[slot], kvlayout.LogAreaOffset(slot)
+			read(i, off+kvlayout.TxLogOff, &area.tx, txExtent)
+			if tradlog {
+				read(i, off+kvlayout.LockLogOff, &area.intents, kvlayout.LockIntentExtent)
+			}
 		}
-		out[nodes[i]] = op.Buf
+	}
+	start := ep.Clock().Now()
+	_ = ep.Do(b.Ops()...) // per-op errors inspected below
+	stats.LogReadVTime = ep.Clock().Now() - start
+
+	// Each image is cut to its area's extent, or grown to it for doorbell 2.
+	lost := make([]bool, len(logs)) // a READ failed: the server died mid-read
+	var tails []areaRead
+	for i, op := range b.Ops() {
+		r := reads[i]
+		if op.Err != nil {
+			lost[r.node] = true
+			continue
+		}
 		stats.LogBytesRead += len(op.Buf)
+		if need := r.extent(*r.img); need <= len(*r.img) {
+			*r.img = (*r.img)[:need]
+		} else {
+			whole := make([]byte, need)
+			copy(whole, *r.img)
+			*r.img = whole
+			tails = append(tails, r)
+		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("recovery: no log copy of node %d readable", failed)
+
+	// Doorbell 2 — the tails.
+	if len(tails) > 0 {
+		stats.LogTailReads = len(tails)
+		b.Reset()
+		for _, r := range tails {
+			b.AddRead(r.at, (*r.img)[kvlayout.LogPrefixSize:])
+		}
+		start = ep.Clock().Now()
+		_ = ep.Do(b.Ops()...)
+		stats.TailReadVTime = ep.Clock().Now() - start
+		for i, op := range b.Ops() {
+			if op.Err != nil {
+				lost[tails[i].node] = true
+				continue
+			}
+			stats.LogBytesRead += len(op.Buf)
+		}
 	}
-	return out, nil
+
+	// Surviving copies suffice; a server that died mid-read contributes none.
+	kept := logs[:0]
+	for i, l := range logs {
+		if !lost[i] {
+			kept = append(kept, l)
+		}
+	}
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("recovery: no log copy of node %d readable", ev.Node)
+	}
+	return kept, nil
 }
 
 // reconstruct merges the per-node log images into one strayTx per
 // coordinator. Pandora has one record per coordinator (any valid copy
 // suffices; the highest txID wins if areas disagree mid-overwrite).
 // FORD-mode appends one record per object, replicated per object — they
-// are merged by txID and deduplicated by object.
-func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) []strayTx {
+// are merged by txID and deduplicated by object, first seen in logs order.
+func (m *Manager) reconstruct(logs []nodeLogs, ev fdetect.Event) []strayTx {
 	type object struct {
 		table     kvlayout.TableID
 		partition uint32
@@ -388,13 +470,10 @@ func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) 
 		if slot >= m.cfg.CoordsPerNode {
 			break
 		}
-		areaOff := kvlayout.LogAreaOffset(slot)
 		best := strayTx{coord: coord, coordSlot: slot}
 		clear(seen)
-		for _, buf := range regions {
-			area := buf[areaOff : areaOff+kvlayout.LogAreaSize]
-			recs := kvlayout.DecodeLogRecords(area[kvlayout.TxLogOff:kvlayout.LockLogOff])
-			for _, rec := range recs {
+		for _, l := range logs {
+			for _, rec := range kvlayout.DecodeLogRecords(l.areas[slot].tx) {
 				if rec.Coord != coord {
 					continue // area reused by an unrelated id: ignore
 				}
@@ -422,7 +501,6 @@ func (m *Manager) reconstruct(regions map[rdma.NodeID][]byte, ev fdetect.Event) 
 			out = append(out, best)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].coordSlot < out[j].coordSlot })
 	return out
 }
 
@@ -596,7 +674,7 @@ func (m *Manager) truncateAll(ep *rdma.Endpoint, ev fdetect.Event) {
 // release: parse each coordinator's lock-intent log, CAS-release the
 // locks of the latest (not-logged) transaction, and raise the floor so
 // re-execution is a no-op.
-func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, regions map[rdma.NodeID][]byte, ev fdetect.Event) int {
+func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, logs []nodeLogs, ev fdetect.Event) int {
 	freed := 0
 	region := kvlayout.LogRegionID(ev.Node)
 	for slot, coord := range ev.Coords {
@@ -604,10 +682,13 @@ func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, regions map[rdma.NodeID]
 			break
 		}
 		areaOff := kvlayout.LogAreaOffset(slot)
+		// The latest transaction's intents; of two copies of them, the one an
+		// intent WRITE did not miss.
 		var intents []kvlayout.LockIntent
-		for _, buf := range regions {
-			got := kvlayout.DecodeLockIntents(buf[areaOff+kvlayout.LockLogOff : areaOff+kvlayout.LogAreaSize])
-			if len(got) > 0 && (len(intents) == 0 || got[0].TxID > intents[0].TxID) {
+		for _, l := range logs {
+			got := kvlayout.DecodeLockIntents(l.areas[slot].intents)
+			if len(got) > 0 && (len(intents) == 0 || got[0].TxID > intents[0].TxID ||
+				got[0].TxID == intents[0].TxID && len(got) > len(intents)) {
 				intents = got
 			}
 		}
@@ -634,8 +715,8 @@ func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, regions map[rdma.NodeID]
 		b.Reset()
 		floor := b.Bytes(8)
 		kvlayout.PutUint64(floor, txID)
-		for n := range regions {
-			b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: areaOff + kvlayout.LockLogOff}, floor)
+		for _, l := range logs {
+			b.AddWrite(rdma.Addr{Node: l.node, Region: region, Offset: areaOff + kvlayout.LockLogOff}, floor)
 		}
 		_ = ep.Do(b.Ops()...)
 		b.Put()

@@ -34,14 +34,14 @@ func park(t testing.TB, victim *core.ComputeNode, i int, point core.CrashPoint, 
 	victim.Restart()
 }
 
-// keepLogs snapshots the node's log region on every log server and
+// keepLogs snapshots the node's log region on every server that logs for it and
 // returns the call that WRITEs the snapshot back: a recovery coordinator
 // that died after settling but before truncation (§3.2.3's premise)
 // leaves exactly this for the pass that re-executes it.
 func (e *env) keepLogs(t testing.TB, node rdma.NodeID, coordsPer int) (restore func()) {
 	t.Helper()
 	ep := e.fab.Endpoint(rcNodeID)
-	servers := e.ring.LogServers(node)
+	servers := e.mgr.logNodes(node)
 	images := make([][]byte, len(servers))
 	for i, n := range servers {
 		images[i] = make([]byte, coordsPer*kvlayout.LogAreaSize)
@@ -110,10 +110,11 @@ func TestReexecutedRecoveryKeepsLiveCommit(t *testing.T) {
 }
 
 func TestRecoveryRoundsIndependentOfStrayTxs(t *testing.T) {
-	// The model clock of one recovery is the f+1 log read plus three
-	// round trips — observe, act, truncate — however many transactions
-	// the node died with; with nothing logged it is the log read and the
-	// truncation alone.
+	// The model clock of one recovery is the prefix doorbell — one round
+	// trip and LogPrefixSize bytes per coordinator on the busier server —
+	// plus three round trips: observe, act, truncate, however many
+	// transactions the node died with. With nothing logged it is the prefix
+	// doorbell and the truncation alone.
 	lat := rdma.DefaultLatency()
 	for _, n := range []int{1, 4, 16} {
 		e := newEnv(t, envConfig{coordsPer: n, latency: lat})
@@ -126,19 +127,22 @@ func TestRecoveryRoundsIndependentOfStrayTxs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.LoggedTxs != n || stats.RolledBack != n {
-			t.Fatalf("n=%d: stats = %+v, want %d logged and rolled back", n, stats, n)
+		if stats.LoggedTxs != n || stats.RolledBack != n || stats.LogTailReads != 0 {
+			t.Fatalf("n=%d: stats = %+v, want %d logged and rolled back from the prefixes alone", n, stats, n)
 		}
-		logRead := lat.Verb(n * kvlayout.LogAreaSize)
+		logRead := lat.BaseRTT + time.Duration(n)*(lat.Verb(kvlayout.LogPrefixSize)-lat.BaseRTT)
+		if stats.LogReadVTime != logRead {
+			t.Errorf("n=%d: prefix doorbell = %v, want %v", n, stats.LogReadVTime, logRead)
+		}
 		if extra := stats.VTime - logRead; extra < 3*lat.BaseRTT || extra >= 3*lat.BaseRTT+500*time.Nanosecond {
-			t.Errorf("n=%d: recovery is the log read + %v, want 3 round trips (%v) and under 0.5µs of bytes", n, extra, 3*lat.BaseRTT)
+			t.Errorf("n=%d: recovery is the prefix doorbell + %v, want 3 round trips (%v) and under 0.5µs of bytes", n, extra, 3*lat.BaseRTT)
 		}
 		again, err := e.mgr.RecoverCompute(ev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if again.LoggedTxs != 0 || again.VTime != logRead+lat.BaseRTT {
-			t.Errorf("n=%d: second pass = %+v, want no logged txs in the log read + one truncate round (%v)", n, again, logRead+lat.BaseRTT)
+			t.Errorf("n=%d: second pass = %+v, want no logged txs in the prefix doorbell + one truncate round (%v)", n, again, logRead+lat.BaseRTT)
 		}
 	}
 }
@@ -166,15 +170,24 @@ func TestRecoveryCycleModelTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.LoggedTxs != 4 || stats.RolledBack != 4 || stats.LogBytesRead != 2*8*kvlayout.LogAreaSize {
-		t.Fatalf("stats = %+v, want 4 logged, 4 rolled back, two 256 KB log images", stats)
+	stats.WallTime = 0
+	// Eight 512-byte prefixes on each of the two log servers, side by side:
+	// one round trip and 8 × 40 ns of bytes; no 176-byte record needs a
+	// tail. Then observe + act at 2 µs each and 4 ns of bytes — the busiest
+	// server is first replica to four of the eight writes, and a 16-byte
+	// lock+version READ is 1 ns on the wire (a bare 8-byte word rounds to
+	// none) — and the truncate round.
+	want := Stats{
+		LoggedTxs:     4,
+		RolledBack:    4,
+		LogBytesRead:  2 * 8 * kvlayout.LogPrefixSize,
+		VTime:         8324 * time.Nanosecond,
+		LogReadVTime:  2320 * time.Nanosecond,
+		SettleVTime:   4004 * time.Nanosecond,
+		TruncateVTime: 2000 * time.Nanosecond,
 	}
-	// 22.971 µs of log read, then observe + act + truncate at 2 µs each,
-	// and 4 ns of bytes: the busiest server is first replica to four of
-	// the eight writes, and a 16-byte lock+version READ is 1 ns on the
-	// wire (a bare 8-byte word rounds to none).
-	if want := 28975 * time.Nanosecond; stats.VTime != want {
-		t.Fatalf("recovery model time = %v, want %v", stats.VTime, want)
+	if stats != want {
+		t.Fatalf("recovery stats = %+v, want %+v", stats, want)
 	}
 }
 

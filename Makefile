@@ -100,6 +100,16 @@ chaos-smoke:
 	$(GO) run ./cmd/pandora-chaos -seed 42 -events 8 >$(BIN)/a.log
 	$(GO) run ./cmd/pandora-chaos -seed 42 -events 8 >$(BIN)/b.log
 	cmp $(BIN)/a.log $(BIN)/b.log
+	# Memory and power lanes: memory failures re-replicated (a migration)
+	# under the live workload; power also flushes the copy to NVM. 3 seeds
+	# each, run twice and byte-compared.
+	for scenario in memory power; do \
+	  for seed in 1 7 42; do \
+	    $(GO) run ./cmd/pandora-chaos -scenario $$scenario -seed $$seed -events 8 >$(BIN)/m-a.log || exit 1; \
+	    $(GO) run ./cmd/pandora-chaos -scenario $$scenario -seed $$seed -events 8 >$(BIN)/m-b.log || exit 1; \
+	    cmp $(BIN)/m-a.log $(BIN)/m-b.log || exit 1; \
+	  done; \
+	done
 	# Reconfiguration lane: 3 seeds × {coordinator, source, destination}
 	# crash points, each run twice and byte-compared (crash point and
 	# event log are pure functions of the seed). The last run leaves the

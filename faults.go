@@ -6,7 +6,6 @@ import (
 
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
-	"pandora/internal/memnode"
 	"pandora/internal/rdma"
 )
 
@@ -227,23 +226,6 @@ func (c *Cluster) RestartMemory(i int) error {
 	// suspicion slate, so the restarted node can be failed again later.
 	c.fd.RegisterMemory(srv.ID())
 	return nil
-}
-
-// Rereplicate replaces failed memory node i with a fresh server,
-// restoring full redundancy (stop-the-world, §3.2.5).
-func (c *Cluster) Rereplicate(i int) (*memnode.Server, error) {
-	dead := c.mem(i)
-	replID := dead.ID() + 500
-	repl, err := c.mgr.Rereplicate(dead.ID(), replID)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.mems[i] = repl
-	c.mu.Unlock()
-	c.fd.ClearSuspicions(dead.ID())
-	c.fd.RegisterMemory(replID)
-	return repl, nil
 }
 
 // PartitionLink drops the fabric path from compute node i to memory

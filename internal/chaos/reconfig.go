@@ -197,9 +197,9 @@ func RunReconfig(cfg Config, mode string) (*Result, error) {
 		cfg.Logf("audit ok")
 	}
 
-	// Heal: restore full redundancy by replacing the crashed memory node
-	// (migration recovery MUST have run first — re-replication reads the
-	// installed ring, which the recovery just finalized).
+	// Heal: restore full redundancy by replacing the crashed memory node.
+	// Re-replication is itself a migration, so it refuses to start until
+	// the recovery above has finished the journaled one.
 	if victim != 0 {
 		i := cluster.MemoryIndex(victim)
 		if i < 0 {

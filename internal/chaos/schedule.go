@@ -134,9 +134,10 @@ func (st *schedState) aliveComputes() int {
 //     always makes progress and audits have a coordinator to read from;
 //   - at most one failed memory node outstanding (f+1 = 2 replication
 //     tolerates exactly one);
-//   - stop-the-world events (memory failure, re-replication) only when
-//     no link fault is active — their pause must not wait behind a
-//     transaction stuck retrying cleanup through a faulted link;
+//   - events that pause the workload (memory failure's promotion,
+//     re-replication's cutover drains) only when no link fault is
+//     active — a pause must not wait behind a transaction stuck retrying
+//     cleanup through a faulted link;
 //   - link faults only between currently-alive endpoints.
 func (st *schedState) feasible(kind EventKind) bool {
 	switch kind {

@@ -47,7 +47,11 @@ func TestInstallEpochRule(t *testing.T) {
 			return v.WithRing(grown.Sequenced(v.Ring()))
 		}, bump: true, dropsAddrs: true},
 		{name: "replacement substituted", step: func(v *place.View) *place.View {
-			return v.WithDead(victim, true).WithRing(v.Ring().Substitute(victim, 300)).WithDead(victim, false)
+			substituted, err := v.Ring().Substitute(victim, 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v.WithDead(victim, true).WithRing(substituted)
 		}, bump: true, dropsAddrs: true},
 	} {
 		cn := e.nodes[0]

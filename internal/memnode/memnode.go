@@ -230,25 +230,6 @@ func findSlot(tab kvlayout.Table, buf []byte, key kvlayout.Key) (uint64, bool) {
 	return firstEmpty, haveEmpty
 }
 
-// SyncPartitionFrom copies one (table, partition) region from peer. Used
-// during re-replication (§3.2.5) while the DKVS is stopped, so
-// host-local copying is safe.
-func (s *Server) SyncPartitionFrom(peer *Server, table kvlayout.TableID, partition uint32) error {
-	src := peer.table(table, partition)
-	if src == nil {
-		return fmt.Errorf("memnode %d: peer %d does not replicate table %d partition %d", s.id, peer.id, table, partition)
-	}
-	dst := s.table(table, partition)
-	if dst == nil {
-		return fmt.Errorf("memnode %d: not a replica of table %d partition %d", s.id, table, partition)
-	}
-	copy(dst.Local(), src.Local())
-	if s.fab.Persistent() {
-		dst.MarkDurable()
-	}
-	return nil
-}
-
 // ScanSlots iterates every slot of a hosted (table, partition) region
 // host-side under the stripe locks, for diagnostics and consistency
 // checking. fn receives the slot index and the decoded slot.

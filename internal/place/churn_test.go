@@ -135,7 +135,14 @@ func TestChurnDeterministic(t *testing.T) {
 		if len(moved(sa, sb)) != 0 {
 			t.Fatal("WithoutMember is not deterministic")
 		}
-		ra, rb := sa.Substitute(1002, 3000), sb.Substitute(1002, 3000)
+		ra, err := sa.Substitute(1002, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := sb.Substitute(1002, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(moved(ra, rb)) != 0 {
 			t.Fatal("Substitute is not deterministic")
 		}
@@ -173,7 +180,10 @@ func TestRemoveFillsHoleOnAdd(t *testing.T) {
 	}
 	// The newcomer takes exactly the hole's index: the placement equals
 	// the original with 1001 renamed to 5000.
-	renamed := base.Substitute(1001, 5000)
+	renamed, err := base.Substitute(1001, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mv := moved(renamed, refilled); len(mv) != 0 {
 		t.Fatalf("hole-filling add moved %d survivor partitions", len(mv))
 	}

@@ -10,8 +10,8 @@
 //
 // Reconfiguration support: a Ring carries an epoch and an explicit
 // partition→replica assignment table. The hashed layout is derived once
-// at construction; WithMember/WithoutMember produce the target layout of
-// a membership change, and Reassign produces the intermediate views a
+// at construction; WithMember/WithoutMember/Substitute produce the target
+// layout of a membership change, and Reassign produces the intermediate views a
 // migration coordinator installs per-partition as it cuts data over.
 // Members are positional and removal leaves a hole (index 0 is reserved
 // as the hole sentinel, below any real memory-node id), so the surviving
@@ -44,9 +44,8 @@ type vnode struct {
 
 // Ring is a placement over a set of memory servers. The replica
 // assignment is explicit: derived from consistent hashing at
-// construction, then carried verbatim through Substitute/Reassign so a
-// migration can move one partition at a time without re-hashing the
-// rest.
+// construction, then carried verbatim through Reassign so a migration
+// can move one partition at a time without re-hashing the rest.
 type Ring struct {
 	vnodes     []vnode       // data-placement points of the current membership
 	logVnodes  []vnode       // log-placement points; pinned across a migration
@@ -93,8 +92,9 @@ func Rebuild(members []rdma.NodeID, replicas int, partitions uint32, epoch uint6
 	}
 	// Virtual nodes are hashed by member *index*, not NodeID: when a
 	// failed memory server is replaced by a fresh one (re-replication,
-	// §3.2.5), Substitute keeps the identical partition layout so only
-	// data copying — not re-hashing — is needed. A hole contributes no
+	// §3.2.5), Substitute gives the replacement the dead server's index,
+	// so it takes exactly the dead server's partitions and logs and
+	// nothing else moves. A hole contributes no
 	// points but keeps every other member's index (and therefore hash
 	// points) fixed.
 	for idx, n := range r.members {
@@ -138,37 +138,24 @@ func (r *Ring) clone() *Ring {
 	return nr
 }
 
-// Substitute returns a ring identical to r except that memory server old
-// is replaced by repl: every partition previously placed on old is
-// placed on repl, and nothing else moves. It is a pure renaming — it
-// also preserves any per-partition overrides installed by an in-flight
-// migration, so re-replication composes with reconfiguration.
-func (r *Ring) Substitute(old, repl rdma.NodeID) *Ring {
-	nr := r.clone()
-	rename := func(ns []rdma.NodeID) {
-		for i, n := range ns {
-			if n == old {
-				ns[i] = repl
-			}
-		}
+// Substitute returns the target layout after replacing member old with
+// repl (re-replication, §3.2.5): repl takes old's member slot, so every
+// partition and log placed on old is placed on repl and nothing else
+// moves. Like every membership change it is rebuilt from the member
+// list, so a migration's per-partition overrides do not carry over; the
+// migration journal keeps re-replication from starting while one is in
+// flight.
+func (r *Ring) Substitute(old, repl rdma.NodeID) (*Ring, error) {
+	if err := r.addable(repl); err != nil {
+		return nil, err
 	}
-	rename(nr.members)
-	for _, reps := range nr.assign {
-		rename(reps)
+	i := slices.Index(r.members, old)
+	if old == Hole || i < 0 {
+		return nil, fmt.Errorf("place: node %d is not a member", old)
 	}
-	nr.vnodes = renameVnodes(nr.vnodes, old, repl)
-	nr.logVnodes = renameVnodes(nr.logVnodes, old, repl)
-	return nr
-}
-
-func renameVnodes(vs []vnode, old, repl rdma.NodeID) []vnode {
-	out := append([]vnode(nil), vs...)
-	for i := range out {
-		if out[i].node == old {
-			out[i].node = repl
-		}
-	}
-	return out
+	members := slices.Clone(r.members)
+	members[i] = repl
+	return r.withMembers(members)
 }
 
 // WithMember returns the target layout after adding node n: n fills the
@@ -176,25 +163,46 @@ func renameVnodes(vs []vnode, old, repl rdma.NodeID) []vnode {
 // assignment is rebuilt. Because every surviving member keeps its index,
 // the only partitions that move are those that now hash onto n.
 func (r *Ring) WithMember(n rdma.NodeID) (*Ring, error) {
-	if n == Hole {
-		return nil, fmt.Errorf("place: cannot add the hole sentinel")
+	if err := r.addable(n); err != nil {
+		return nil, err
 	}
-	for _, m := range r.members {
-		if m == n {
-			return nil, fmt.Errorf("place: node %d already a member", n)
-		}
-	}
-	members := append([]rdma.NodeID(nil), r.members...)
-	placed := false
-	for i, m := range members {
-		if m == Hole {
-			members[i], placed = n, true
-			break
-		}
-	}
-	if !placed {
+	members := slices.Clone(r.members)
+	if i := slices.Index(members, Hole); i >= 0 {
+		members[i] = n
+	} else {
 		members = append(members, n)
 	}
+	return r.withMembers(members)
+}
+
+// WithoutMember returns the target layout after removing node n: its
+// member slot becomes a hole, so the remaining members' hash points —
+// and therefore every partition not touching n — stay where they are.
+func (r *Ring) WithoutMember(n rdma.NodeID) (*Ring, error) {
+	i := slices.Index(r.members, n)
+	if n == Hole || i < 0 {
+		return nil, fmt.Errorf("place: node %d is not a member", n)
+	}
+	members := slices.Clone(r.members)
+	members[i] = Hole
+	return r.withMembers(members)
+}
+
+// addable refuses a node that cannot join r: the hole sentinel, or a
+// member already.
+func (r *Ring) addable(n rdma.NodeID) error {
+	if n == Hole {
+		return fmt.Errorf("place: cannot add the hole sentinel")
+	}
+	if slices.Contains(r.members, n) {
+		return fmt.Errorf("place: node %d already a member", n)
+	}
+	return nil
+}
+
+// withMembers is the hashed layout of a positional member list, one
+// epoch past r.
+func (r *Ring) withMembers(members []rdma.NodeID) (*Ring, error) {
 	nr, err := Rebuild(members, r.replicas, r.partitions, r.epoch+1)
 	if err != nil {
 		return nil, fmt.Errorf("place: %v", err)
@@ -202,26 +210,11 @@ func (r *Ring) WithMember(n rdma.NodeID) (*Ring, error) {
 	return nr, nil
 }
 
-// WithoutMember returns the target layout after removing node n: its
-// member slot becomes a hole, so the remaining members' hash points —
-// and therefore every partition not touching n — stay where they are.
-func (r *Ring) WithoutMember(n rdma.NodeID) (*Ring, error) {
-	members := append([]rdma.NodeID(nil), r.members...)
-	found := false
-	for i, m := range members {
-		if m == n {
-			members[i], found = Hole, true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("place: node %d is not a member", n)
-	}
-	nr, err := Rebuild(members, r.replicas, r.partitions, r.epoch+1)
-	if err != nil {
-		return nil, fmt.Errorf("place: %v", err)
-	}
-	return nr, nil
+// names reports whether n is a member of r or a replica of any of its
+// partitions.
+func (r *Ring) names(n rdma.NodeID) bool {
+	return slices.Contains(r.members, n) ||
+		slices.ContainsFunc(r.assign, func(reps []rdma.NodeID) bool { return slices.Contains(reps, n) })
 }
 
 // Reassign returns an intermediate migration view: identical to r except

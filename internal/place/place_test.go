@@ -161,7 +161,10 @@ func TestSubstituteKeepsPlacement(t *testing.T) {
 	r := New(nodes(4), 2, 32)
 	repl := rdma.NodeID(999)
 	old := nodes(4)[1]
-	r2 := r.Substitute(old, repl)
+	r2, err := r.Substitute(old, repl)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for p := uint32(0); p < 32; p++ {
 		a, b := r.Replicas(p), r2.Replicas(p)
 		for i := range a {

@@ -57,9 +57,16 @@ func withMember[T cmp.Ordered](set []T, x T, in bool) []T {
 	return slices.Delete(slices.Clone(set), i, i+1)
 }
 
-// WithRing returns the view with the ring replaced and the dead set and
-// marks carried over.
-func (v *View) WithRing(r *Ring) *View { return newView(r, v.dead, v.migrating) }
+// WithRing returns the view with the ring replaced and the marks carried
+// over. The dead set carries over less every server r names nowhere —
+// neither a member nor any partition's replica — so the dead set is
+// always a subset of the ring: a server a re-replication replaced or a
+// removal dropped leaves it with the ring, while one a migration's
+// override still names stays dead.
+func (v *View) WithRing(r *Ring) *View {
+	dead := slices.DeleteFunc(slices.Clone(v.dead), func(n rdma.NodeID) bool { return !r.names(n) })
+	return newView(r, dead, v.migrating)
+}
 
 // WithDead returns the view with memory server n recorded dead, or live
 // again: every partition it led is led by its next live replica, and back.

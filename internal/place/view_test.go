@@ -113,6 +113,50 @@ func TestViewWithLeavesReceiver(t *testing.T) {
 	}
 }
 
+// TestWithRingPrunesDead: a new ring keeps dead exactly the dead servers
+// it still names — as a member or as any partition's replica.
+func TestWithRingPrunesDead(t *testing.T) {
+	r := New(ids(3), 2, 16)
+	const newcomer = rdma.NodeID(2000)
+	grown, err := r.WithMember(newcomer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := moved(r, grown)
+	p, q := mv[0], mv[1]
+	// An AddMemory cut partition p over onto the newcomer, which then died:
+	// only p's override names it, and the next cutover (q) keeps it.
+	midway := r.Reassign(p, grown.Replicas(p))
+	member := r.Replicas(p)[0]
+	substituted, err := r.Substitute(member, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		from     *Ring
+		dead     rdma.NodeID
+		to       *Ring
+		stayDead bool
+	}{
+		{name: "absent from the new ring", from: r, dead: member, to: substituted},
+		{name: "still a member", from: r, dead: member, to: r.Reassign(p, []rdma.NodeID{r.Replicas(p)[1], member}), stayDead: true},
+		{name: "named only by an override", from: midway, dead: newcomer, to: midway.Reassign(q, grown.Replicas(q)), stayDead: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := NewView(tc.from).WithDead(tc.dead, true).WithRing(tc.to)
+			if v.Dead(tc.dead) != tc.stayDead {
+				t.Fatalf("node %d dead = %v after WithRing, want %v", tc.dead, v.Dead(tc.dead), tc.stayDead)
+			}
+			for q := uint32(0); q < tc.to.Partitions(); q++ {
+				if reps := v.Replicas(q); tc.stayDead && len(reps) > 0 && reps[0] == tc.dead {
+					t.Fatalf("partition %d is led by dead node %d", q, tc.dead)
+				}
+			}
+		})
+	}
+}
+
 // TestPlacementLookupAllocs is the transaction path's gate: a lookup
 // allocates nothing, with a healthy ring and with a dead primary alike
 // (the promoted order is built once per view, not per lookup).

@@ -68,7 +68,7 @@ func (e *migEnv) migration(t *testing.T, kind Kind) (rdma.NodeID, *place.Ring) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.mgr.AddMem(memnode.NewServer(e.fab, 103, target, e.schema))
+	e.mgr.AddMem(memnode.NewServer(e.fab, 103, target, e.schema), place.Hole)
 	return 103, target
 }
 

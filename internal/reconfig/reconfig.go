@@ -1,5 +1,6 @@
-// Package reconfig implements online cluster reconfiguration: adding or
-// removing a memory server on a *running* cluster (DESIGN.md §13).
+// Package reconfig implements online cluster reconfiguration: adding,
+// removing or replacing (re-replication, §3.2.5) a memory server on a
+// *running* cluster (DESIGN.md §13).
 //
 // A migration coordinator moves each affected partition through an
 // explicit, journaled state machine — stable → copying (fuzzy
@@ -160,7 +161,7 @@ func (c *Coordinator) hook(ev StepEvent) error {
 
 // step runs one journaled migration step under the recovery manager's
 // operation lock, so partition copies and view installs never
-// interleave with compute/memory recoveries or re-replication.
+// interleave with compute recoveries or memory-failure promotions.
 func (c *Coordinator) step(fn func() error) error {
 	c.cfg.Mgr.LockOps()
 	defer c.cfg.Mgr.UnlockOps()
@@ -222,8 +223,9 @@ func (c *Coordinator) Run(kind Kind, subject rdma.NodeID, target *place.Ring) er
 // finds every partition done and the phase complete, and performs no
 // work — and safe to race from two live coordinators: every step
 // re-reads the journal and re-checks the installed placement under the
-// operation lock. Recover must run before re-replicating any node the
-// interrupted migration names.
+// operation lock. Run refuses to start while a migration is journaled
+// running, so Recover runs before any later migration — a
+// re-replication of a node the interrupted one names included.
 func (c *Coordinator) Recover() (bool, error) {
 	im := c.readJournal()
 	if im == nil || im.phase == phaseComplete {

@@ -1,8 +1,6 @@
 package recovery
 
 import (
-	"fmt"
-
 	"pandora/internal/fdetect"
 	"pandora/internal/kvlayout"
 	"pandora/internal/memnode"
@@ -53,74 +51,10 @@ func (m *Manager) PauseLive() (resume func()) {
 	}
 }
 
-// Rereplicate replaces dead memory server with a fresh one (§3.2.5:
-// "Pandora adds new memory servers if there are more than f replica
-// failures. We stop the DKVS, re-replicate all the partitions, and then
-// resume."). The replacement takes the dead node's place on the ring —
-// placement is by member index, so nothing else moves — and copies every
-// partition it now hosts from a surviving replica.
-func (m *Manager) Rereplicate(dead rdma.NodeID, replacementID rdma.NodeID) (*memnode.Server, error) {
-	m.opMu.Lock()
-	defer m.opMu.Unlock()
-	defer m.PauseLive()()
-
-	oldRing := m.Ring()
-	newRing := oldRing.Substitute(dead, replacementID)
-	repl := memnode.NewServer(m.cfg.Fabric, replacementID, newRing, m.cfg.Schema)
-
-	// Copy each partition the replacement hosts from a surviving
-	// replica, per table.
-	for _, tab := range m.cfg.Schema {
-		for part := uint32(0); part < newRing.Partitions(); part++ {
-			hostsPart := false
-			for _, n := range newRing.Replicas(part) {
-				if n == replacementID {
-					hostsPart = true
-				}
-			}
-			if !hostsPart {
-				continue
-			}
-			var src *memnode.Server
-			for _, n := range oldRing.Replicas(part) {
-				if n == dead || m.cfg.Fabric.IsDown(n) {
-					continue
-				}
-				src = m.memServer(n)
-				break
-			}
-			if src == nil {
-				return nil, fmt.Errorf("recovery: partition %d has no surviving replica to copy from", part)
-			}
-			if err := repl.SyncPartitionFrom(src, tab.ID, part); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// Recreate log regions hosted for compute nodes, if the dead node
-	// was a log server. Logs of live compute nodes are re-established
-	// lazily: coordinators overwrite their area on the next transaction,
-	// and the fresh region decodes as "no record", which is safe (a
-	// missing log copy only weakens redundancy, never correctness).
-	for _, p := range m.peers() {
-		repl.EnsureLogRegion(p.ID(), m.cfg.CoordsPerNode)
-	}
-
-	// Install the new view everywhere. Only the replaced id leaves the
-	// dead set: any other dead memory server is still dead.
-	m.mu.Lock()
-	for i, s := range m.cfg.Mems {
-		if s.ID() == dead {
-			m.cfg.Mems[i] = repl
-		}
-	}
-	m.mu.Unlock()
-	m.Update(func(v *place.View) *place.View { return v.WithRing(newRing).WithDead(dead, false) })
-	return repl, nil
-}
-
-func (m *Manager) memServer(id rdma.NodeID) *memnode.Server {
+// MemServer returns the manager's handle for a memory server, or nil —
+// the migration coordinator resolves copy destinations and journal hosts
+// through it.
+func (m *Manager) MemServer(id rdma.NodeID) *memnode.Server {
 	for _, s := range m.Mems() {
 		if s.ID() == id {
 			return s
@@ -128,11 +62,6 @@ func (m *Manager) memServer(id rdma.NodeID) *memnode.Server {
 	}
 	return nil
 }
-
-// MemServer returns the manager's handle for a memory server, or nil —
-// the migration coordinator resolves copy sources and destinations
-// through it.
-func (m *Manager) MemServer(id rdma.NodeID) *memnode.Server { return m.memServer(id) }
 
 // RecycleStrayLocks is the coordinator-id recycling mechanism of §3.1.2:
 // a background scan over every memory server that releases all remaining

@@ -4,8 +4,9 @@
 // back), and the stray-lock notification, in that strict order — plus
 // the baseline's stop-the-world scan recovery, the traditional
 // lock-logging recovery, memory-failure handling with deterministic
-// primary promotion, re-replication, and the coordinator-id recycling
-// scan.
+// primary promotion, and the coordinator-id recycling scan.
+// Re-replication is a migration (internal/reconfig) through this
+// manager's view.
 //
 // Every step is idempotent (§3.2.3): re-running a partially executed
 // recovery is always safe, which is how failures of the recovery
@@ -14,6 +15,7 @@ package recovery
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,7 +97,7 @@ type Manager struct {
 	// opMu serializes whole recovery operations against each other and
 	// against migration steps of an online reconfiguration (which holds
 	// it via LockOps around every journaled step): a partition copy must
-	// never interleave with a re-replication or a membership swap.
+	// never interleave with a compute recovery or a promotion.
 	opMu sync.Mutex
 
 	mu sync.Mutex
@@ -105,8 +107,10 @@ type Manager struct {
 	moved map[rdma.NodeID]bool
 }
 
-// NewManager creates a recovery manager.
+// NewManager creates a recovery manager. It keeps its own copy of the
+// memory-server list.
 func NewManager(cfg Config) *Manager {
+	cfg.Mems = slices.Clone(cfg.Mems)
 	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), moved: make(map[rdma.NodeID]bool)}
 }
 
@@ -138,11 +142,11 @@ func (m *Manager) Update(step func(*place.View) *place.View) {
 	}
 }
 
-// LockOps acquires the manager's operation lock. An online
-// reconfiguration holds it around each journaled migration step so
-// recovery operations (compute recovery, memory reconfiguration,
-// re-replication) serialize with partition cutovers rather than tearing
-// a half-copied partition.
+// LockOps acquires the manager's operation lock. A migration (AddMemory,
+// RemoveMemory, re-replication) holds it around each journaled step so
+// recovery operations (compute recovery, memory-failure promotion)
+// serialize with partition cutovers rather than tearing a half-copied
+// partition.
 func (m *Manager) LockOps() { m.opMu.Lock() }
 
 // UnlockOps releases the operation lock.
@@ -156,17 +160,19 @@ func (m *Manager) Mems() []*memnode.Server {
 	return append([]*memnode.Server(nil), m.cfg.Mems...)
 }
 
-// AddMem registers a memory server with the manager (an AddMemory
-// reconfiguration attaching the new node before migration starts).
-func (m *Manager) AddMem(s *memnode.Server) {
+// AddMem registers a memory server with the manager before a migration
+// onto it starts: in the place of the server with id replaces (a
+// re-replication), else appended (an AddMemory). Registering s again
+// leaves it where it is.
+func (m *Manager) AddMem(s *memnode.Server, replaces rdma.NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, old := range m.cfg.Mems {
-		if old.ID() == s.ID() {
-			return
-		}
+	i := slices.IndexFunc(m.cfg.Mems, func(old *memnode.Server) bool { return old.ID() == replaces || old.ID() == s.ID() })
+	if i < 0 {
+		m.cfg.Mems = append(m.cfg.Mems, s)
+		return
 	}
-	m.cfg.Mems = append(m.cfg.Mems, s)
+	m.cfg.Mems[i] = s
 }
 
 // RemoveMem detaches a memory server (a RemoveMemory reconfiguration

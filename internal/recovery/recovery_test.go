@@ -615,51 +615,6 @@ func TestRecoverMemoryPromotesPrimaries(t *testing.T) {
 	}
 }
 
-func TestRereplicateRestoresRedundancy(t *testing.T) {
-	e := newEnv(t, envConfig{memNodes: 2, replicas: 2})
-	e.preload(t, 64)
-	e.mustWrite(t, 0, 3, []byte("pre-failure"))
-
-	dead := e.mems[0]
-	dead.Crash()
-	e.fd.RegisterMemory(dead.ID())
-	ev, _ := e.fd.MarkFailed(dead.ID())
-	if err := e.mgr.RecoverMemory(ev); err != nil {
-		t.Fatal(err)
-	}
-
-	// Replace the dead server with a fresh one.
-	repl, err := e.mgr.Rereplicate(dead.ID(), rdma.NodeID(200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repl.ID() != 200 {
-		t.Fatal("replacement id wrong")
-	}
-
-	// Now crash the surviving original: the replacement must serve
-	// everything alone.
-	surv := e.mems[1]
-	surv.Crash()
-	e.fd.RegisterMemory(surv.ID())
-	ev2, _ := e.fd.MarkFailed(surv.ID())
-	if err := e.mgr.RecoverMemory(ev2); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.mustRead(t, 1, 3); !bytes.HasPrefix(got, []byte("pre-failure")) {
-		t.Fatalf("key 3 from replacement = %q", got)
-	}
-	for k := kvlayout.Key(0); k < 64; k++ {
-		if k == 3 {
-			continue
-		}
-		if got := e.mustRead(t, 0, k); !bytes.Equal(got, pad16(initVal(k))) {
-			t.Fatalf("key %d from replacement = %q", k, got)
-		}
-	}
-	e.mustWrite(t, 0, 9, []byte("on-replacement"))
-}
-
 func TestRecycleStrayLocks(t *testing.T) {
 	e := newEnv(t, envConfig{})
 	e.preload(t, 16)

@@ -1,10 +1,13 @@
 package pandora
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 
 	"pandora/internal/core"
 	"pandora/internal/memnode"
+	"pandora/internal/place"
 	"pandora/internal/rdma"
 	"pandora/internal/reconfig"
 )
@@ -32,6 +35,7 @@ func (c *Cluster) fireReconfigHook(ev reconfig.StepEvent) error {
 }
 
 // SetReconfigHook installs fn to fire between journaled migration steps
+// of every migration — AddMemory, RemoveMemory and Rereplicate alike
 // (nil uninstalls). Returning an error from fn abandons the migration
 // mid-flight — the chaos harness's simulated coordinator crash — with
 // the journal and partition marks left for ReconfigRecover.
@@ -45,38 +49,68 @@ func (c *Cluster) SetReconfigHook(fn func(ReconfigStep) error) {
 // live-migrates its share of partitions onto it (DESIGN.md §13): one
 // partition at a time moves through copying → cut-over → done, with
 // transactions aborting (reconfig taxonomy) and retrying only while
-// their partition is mid-cutover. The new server is attached — fabric,
-// failure detector, recovery manager, log regions — before the first
-// journal record, so an interrupted migration can resume onto it. It
-// returns the new node's cluster index; on error the migration is
-// resumable with ReconfigRecover.
+// their partition is mid-cutover. It returns the new node's cluster
+// index; on error the migration is resumable with ReconfigRecover.
 func (c *Cluster) AddMemory() (int, error) {
+	idx, _, err := c.attachMemory(-1, func(id rdma.NodeID) (*place.Ring, error) { return c.mgr.Ring().WithMember(id) })
+	return idx, err
+}
+
+// Rereplicate replaces failed memory server i with a fresh one, restoring
+// full redundancy (§3.2.5). It is a migration like AddMemory: the
+// replacement takes the dead server's place — cluster index i and its
+// slot on the ring, so it is given exactly the dead server's partitions
+// and logs — and each of those partitions is copied onto it from a live
+// replica while transactions keep running; only a partition's cutover
+// drains them. (The paper stops the store for the copy; here only
+// RecoverMemory's promotion does.) It returns the replacement; on error
+// the migration is resumable with ReconfigRecover.
+func (c *Cluster) Rereplicate(i int) (*memnode.Server, error) {
+	dead := c.mem(i).ID()
+	c.fd.ClearSuspicions(dead)
+	_, srv, err := c.attachMemory(i, func(id rdma.NodeID) (*place.Ring, error) { return c.mgr.Ring().Substitute(dead, id) })
+	return srv, err
+}
+
+// attachMemory attaches a memory server with a fresh id and migrates its
+// partitions onto it. target is the placement with the new id in it.
+// The server is attached — fabric, log regions, failure detector,
+// recovery manager — before the first journal record, so an interrupted
+// migration can resume onto it. It replaces the server at cluster index
+// at, or is appended when at is negative; its index is returned either
+// way, and on error the migration is resumable with ReconfigRecover.
+func (c *Cluster) attachMemory(at int, target func(rdma.NodeID) (*place.Ring, error)) (int, *memnode.Server, error) {
+	// Refuse before attaching: Run would refuse too, but only after the
+	// new server had taken index at.
+	if st, err := c.rc.Status(); err != nil || st.Active {
+		return -1, nil, cmp.Or(err, errors.New("pandora: an interrupted migration is journaled; run ReconfigRecover first"))
+	}
 	c.mu.Lock()
 	id := c.nextMem
 	c.nextMem++
 	c.mu.Unlock()
-
-	cur := c.mgr.Ring()
-	target, err := cur.WithMember(id)
+	ring, err := target(id)
 	if err != nil {
-		return -1, err
+		return -1, nil, err
 	}
-	srv := memnode.NewServer(c.fab, id, target, c.schema)
+	srv := memnode.NewServer(c.fab, id, ring, c.schema)
+	replaces := place.Hole
 	c.mu.Lock()
 	nodes := append([]*core.ComputeNode(nil), c.nodes...)
-	c.mems = append(c.mems, srv)
-	idx := len(c.mems) - 1
+	if at < 0 {
+		at = len(c.mems)
+		c.mems = append(c.mems, srv)
+	} else {
+		replaces = c.mems[at].ID()
+		c.mems[at] = srv
+	}
 	c.mu.Unlock()
 	for _, cn := range nodes {
 		srv.EnsureLogRegion(cn.ID(), c.cfg.CoordinatorsPerNode)
 	}
 	c.fd.RegisterMemory(id)
-	c.mgr.AddMem(srv)
-
-	if err := c.rc.Run(reconfig.KindAdd, id, target); err != nil {
-		return idx, err
-	}
-	return idx, nil
+	c.mgr.AddMem(srv, replaces)
+	return at, srv, c.rc.Run(reconfig.KindAdd, id, ring)
 }
 
 // RemoveMemory live-migrates every partition off memory server i, then

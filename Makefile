@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate chaos-smoke proptest soak clean
+.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate chaos-smoke litmus-smoke proptest soak clean
 
 all: build lint test
 
@@ -147,6 +147,21 @@ chaos-smoke:
 	      >$(BIN)/c-b.log || exit 1; \
 	    cmp $(BIN)/c-a.log $(BIN)/c-b.log || exit 1; \
 	  done; \
+	done
+
+# Litmus lane: the seeded scheduler makes a litmus run a function of its
+# flags. Fixed Pandora at 100 iterations, then each Table-1 bug at its
+# pinned seed; every run twice and byte-compared, and once more on one OS
+# thread, compared with the first.
+litmus-smoke:
+	$(GO) build -o $(BIN)/pandora-litmus ./cmd/pandora-litmus
+	for args in "-iterations 100 -seed 1" "-bug complicit-abort" "-bug missing-insert-log" \
+	    "-bug covert-locks" "-bug relaxed-locks" "-bug lost-decision" "-bug log-without-lock"; do \
+	  $(BIN)/pandora-litmus $$args >$(BIN)/l-a.log || exit 1; \
+	  $(BIN)/pandora-litmus $$args >$(BIN)/l-b.log || exit 1; \
+	  GOMAXPROCS=1 $(BIN)/pandora-litmus $$args >$(BIN)/l-c.log || exit 1; \
+	  cmp $(BIN)/l-a.log $(BIN)/l-b.log || exit 1; \
+	  cmp $(BIN)/l-a.log $(BIN)/l-c.log || exit 1; \
 	done
 
 clean:

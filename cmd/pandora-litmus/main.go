@@ -3,7 +3,7 @@
 //
 //	pandora-litmus                      # validate fixed Pandora
 //	pandora-litmus -protocol ford       # validate the fixed Baseline
-//	pandora-litmus -bug covert-locks    # seed a Table-1 bug and catch it
+//	pandora-litmus -bug covert-locks    # seed a Table-1 bug, catch it at its pinned seed
 //	pandora-litmus -iterations 1000     # more crash-injection coverage
 //	pandora-litmus -replay <repro.json> # re-run a shrunk proptest repro
 //
@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"pandora/internal/core"
 	"pandora/internal/litmus"
@@ -78,51 +79,30 @@ func main() {
 		Protocol:   proto,
 		Iterations: *iterations,
 		Seed:       *seed,
-		Jitter:     true,
 		NoCrashes:  *noCrashes,
 	}
-
-	var bugs core.Bugs
-	expectViolations := false
 	tests := litmus.All()
 	if *bug != "" {
-		expectViolations = true
-		switch *bug {
-		case "complicit-abort":
-			bugs = core.Bugs{ComplicitAbort: true}
-			tests = []litmus.Test{litmus.Litmus1RMW()}
-			cfg.NoCrashes = true
-		case "missing-insert-log":
-			bugs = core.Bugs{MissingInsertLog: true}
-			cfg.Protocol = core.ProtocolFORD
-			tests = []litmus.Test{litmus.Litmus1Insert()}
-			cfg.CrashMidTx, cfg.CrashAfterTxs = 0.9, 0.01
-		case "covert-locks":
-			bugs = core.Bugs{CovertLocks: true}
-			tests = []litmus.Test{litmus.Litmus2()}
-			cfg.NoCrashes = true
-		case "relaxed-locks":
-			bugs = core.Bugs{RelaxedLocks: true}
-			tests = []litmus.Test{litmus.Litmus2()}
-			cfg.NoCrashes = true
-		case "lost-decision":
-			bugs = core.Bugs{LostDecision: true}
-			cfg.Protocol = core.ProtocolFORD
-			tests = []litmus.Test{litmus.Litmus3LostDecision()}
-			cfg.Jitter = false
-			cfg.CrashMidTx, cfg.CrashAfterTxs = 0.000001, 1.0
-		case "log-without-lock":
-			bugs = core.Bugs{LostDecision: true, LogWithoutLock: true}
-			cfg.Protocol = core.ProtocolFORD
-			tests = []litmus.Test{litmus.Litmus3LogWithoutLock()}
-			cfg.Jitter = false
-			cfg.CrashMidTx, cfg.CrashAfterTxs = 0.000001, 1.0
-		default:
+		bugs := litmus.SeededBugs()
+		i := slices.IndexFunc(bugs, func(b litmus.SeededBug) bool { return b.Name == *bug })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "unknown bug %q\n", *bug)
 			os.Exit(2)
 		}
-		cfg.Bugs = bugs
+		// The bug's pinned run, with what the command line sets explicitly.
+		cfg, tests = bugs[i].Config(), []litmus.Test{bugs[i].Test}
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "iterations":
+				cfg.Iterations = *iterations
+			case "seed":
+				cfg.Seed = *seed
+			case "no-crashes":
+				cfg.NoCrashes = *noCrashes
+			}
+		})
 	}
+	expectViolations := *bug != ""
 
 	totalViolations := 0
 	for _, t := range tests {

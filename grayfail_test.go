@@ -6,6 +6,8 @@ import (
 	"time"
 
 	pandora "pandora"
+	"pandora/internal/core"
+	"pandora/internal/kvlayout"
 	"pandora/internal/rdma"
 )
 
@@ -21,11 +23,14 @@ func TestSoftFailMidCommitLosesNothing(t *testing.T) {
 
 	entered := make(chan struct{})
 	hold := make(chan struct{})
-	victim.SetPostValidateDelay(func() {
-		close(entered)
-		<-hold
+	victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
+		if p == core.PointAfterValidation {
+			close(entered)
+			<-hold
+		}
+		return false
 	})
-	defer victim.SetPostValidateDelay(nil)
+	defer victim.SetInjector(nil)
 
 	type outcome struct {
 		tx  *pandora.Tx

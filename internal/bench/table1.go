@@ -25,7 +25,8 @@ type BugRow struct {
 	Iterations int
 }
 
-// Table1 runs the litmus validation. iterations scales the effort.
+// Table1 runs the litmus validation: the fixed protocol for iterations
+// per test, and each seeded bug in its pinned run (litmus.SeededBugs).
 func Table1(iterations int) (*Table1Result, error) {
 	res := &Table1Result{}
 
@@ -33,60 +34,23 @@ func Table1(iterations int) (*Table1Result, error) {
 		Protocol:   core.ProtocolPandora,
 		Iterations: iterations,
 		Seed:       1,
-		Jitter:     true,
 	})
 	if err != nil {
 		return nil, err
 	}
 	res.FixedReports = fixed
 
-	type bugCase struct {
-		name, category string
-		bugs           core.Bugs
-		proto          core.Protocol
-		test           litmus.Test
-		edit           func(*litmus.Config)
-	}
-	cases := []bugCase{
-		{"Complicit Aborts", "C1", core.Bugs{ComplicitAbort: true}, core.ProtocolPandora, litmus.Litmus1RMW(),
-			func(c *litmus.Config) { c.NoCrashes = true }},
-		{"Missing Actions", "C2", core.Bugs{MissingInsertLog: true}, core.ProtocolFORD, litmus.Litmus1Insert(),
-			func(c *litmus.Config) { c.CrashMidTx = 0.9; c.CrashAfterTxs = 0.01 }},
-		{"Covert Locks", "C1", core.Bugs{CovertLocks: true}, core.ProtocolPandora, litmus.Litmus2(),
-			func(c *litmus.Config) { c.NoCrashes = true }},
-		{"Relaxed Locks", "C1", core.Bugs{RelaxedLocks: true}, core.ProtocolPandora, litmus.Litmus2(),
-			func(c *litmus.Config) { c.NoCrashes = true }},
-		{"Lost Decision", "C2", core.Bugs{LostDecision: true}, core.ProtocolFORD, litmus.Litmus3LostDecision(),
-			func(c *litmus.Config) { c.Jitter = false; c.CrashAfterTxs = 1.0 }},
-		{"Logging w/o locking", "C2", core.Bugs{LostDecision: true, LogWithoutLock: true}, core.ProtocolFORD, litmus.Litmus3LogWithoutLock(),
-			func(c *litmus.Config) { c.Jitter = false; c.CrashAfterTxs = 1.0 }},
-	}
-	for _, bc := range cases {
-		cfg := litmus.Config{
-			Protocol:   bc.proto,
-			Bugs:       bc.bugs,
-			Iterations: iterations,
-			Seed:       5,
-			Jitter:     true,
-		}
-		if bc.edit != nil {
-			bc.edit(&cfg)
-		}
-		total := 0
-		for seed := int64(0); seed < 6 && total == 0; seed++ {
-			cfg.Seed = seed*31 + 5
-			rep, err := litmus.RunTest(bc.test, cfg)
-			if err != nil {
-				return nil, err
-			}
-			total += len(rep.Violations)
+	for _, bc := range litmus.SeededBugs() {
+		rep, err := litmus.RunTest(bc.Test, bc.Config())
+		if err != nil {
+			return nil, err
 		}
 		res.BugRows = append(res.BugRows, BugRow{
-			Bug:        bc.name,
-			Category:   bc.category,
-			Litmus:     bc.test.Name,
-			Violations: total,
-			Iterations: iterations,
+			Bug:        bc.Name,
+			Category:   bc.Category,
+			Litmus:     bc.Test.Name,
+			Violations: len(rep.Violations),
+			Iterations: rep.Iterations,
 		})
 	}
 	return res, nil

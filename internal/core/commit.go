@@ -39,16 +39,13 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	tx.recordPhase(metrics.PhaseValidate, validateStart)
-	if tx.cn.opts.PostValidateDelay != nil {
-		tx.cn.opts.PostValidateDelay()
+	if _, err := tx.run(stage{kind: stageDecide}); err != nil {
+		return tx.verbFailure(err)
 	}
 	if late := tx.cn.plan.lateLocks; late != nil {
 		if err := late(tx); err != nil {
 			return err
 		}
-	}
-	if _, err := tx.run(stage{kind: stageDecide}); err != nil {
-		return tx.verbFailure(err)
 	}
 
 	// Read-only transactions are done at validation.

@@ -39,10 +39,16 @@ const (
 	// §16). Appended at the end: the point values are part of the chaos
 	// CLI surface.
 	PointDrainStart
+	// PointAfterRead fires when a Read, or one ReadRange chunk, has
+	// returned — the execution-phase boundary where the litmus scheduler
+	// interleaves transactions. Appended for the same reason.
+	PointAfterRead
 )
 
 // CrashInjector decides whether the node crashes at a protocol point.
-// Returning true fail-stops the whole compute node immediately.
+// Returning true fail-stops the whole compute node immediately. It runs
+// on the goroutine posting the stage, which waits while it blocks: the
+// litmus scheduler parks transactions there.
 type CrashInjector func(coord kvlayout.CoordID, point CrashPoint) bool
 
 // ComputeNode is one compute server: it hosts a set of transaction
@@ -180,19 +186,6 @@ func (cn *ComputeNode) Coordinator(i int) *Coordinator { return cn.coords[i] }
 
 // Ring returns the ring of the node's current placement view.
 func (cn *ComputeNode) Ring() *place.Ring { return cn.place.Load().Ring() }
-
-// SetPostValidateDelay installs (or clears) the post-validation jitter
-// hook; see Options.PostValidateDelay. Call only while the node is
-// quiescent.
-func (cn *ComputeNode) SetPostValidateDelay(fn func()) {
-	cn.opts.PostValidateDelay = fn
-}
-
-// SetLocalWork installs (or clears) the per-read local-work hook; see
-// Options.LocalWork. Call only while the node is quiescent.
-func (cn *ComputeNode) SetLocalWork(fn func()) {
-	cn.opts.LocalWork = fn
-}
 
 // SetPersist toggles the NVM flush discipline (Options.Persist). Call
 // only while the node is quiescent.

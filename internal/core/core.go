@@ -114,15 +114,6 @@ type Options struct {
 	// Figures 13-14). Waiters re-check the failed-ids set so they
 	// unblock the moment recovery announces the owner's failure.
 	StallOnConflict bool
-	// LocalWork is an optional callback simulating application work
-	// between operations (Figure 2(c) shows a local task mid-transaction).
-	LocalWork func()
-	// PostValidateDelay, when set, runs between validation and the
-	// logging/commit steps. The litmus framework injects random
-	// scheduling jitter here to widen the race windows that expose the
-	// validation-ordering bugs (Covert Locks, Relaxed Locks) — the same
-	// windows real network latency variance opens on hardware.
-	PostValidateDelay func()
 	// ReadCacheSize sizes the per-coordinator validated read cache
 	// (entries). 0 selects the default (cache.DefaultEntries); negative
 	// disables the cache entirely — the flag-gated no-cache baseline

@@ -28,8 +28,8 @@ type plan struct {
 	// rewrite, unless nil, edits each stage a transaction built before it
 	// is run.
 	rewrite func(tx *Tx, st stage) stage
-	// lateLocks, unless nil, runs at commit between validation and the
-	// decision. The fixed protocol holds every lock by then.
+	// lateLocks, unless nil, runs at commit after validation and the
+	// decision stage. The fixed protocol holds every lock by then.
 	lateLocks func(tx *Tx) error
 }
 
@@ -47,9 +47,6 @@ func fixedPlan(p Protocol) plan {
 // lockWrite is the eager-locking step of execution for one write-set
 // object: it registers the entry and runs the node's lock plan over it.
 func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte) error {
-	if work := tx.cn.opts.LocalWork; work != nil {
-		work()
-	}
 	ent := tx.register(tx.sc.wr.next(), ref, kind, newValue)
 	for _, step := range tx.cn.plan.lock {
 		if err := step(tx, ent); err != nil {

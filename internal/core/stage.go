@@ -30,7 +30,8 @@ func at(p CrashPoint) point { return point(p) + 1 }
 type stageKind uint8
 
 const (
-	stageLockIntent stageKind = iota // tradlog's lock-intent writes; verb-less under PILL
+	stageRead       stageKind = iota // a read has returned: verb-less
+	stageLockIntent                  // tradlog's lock-intent writes; verb-less under PILL
 	stageLock                        // lock CAS, slot READ, speculative ticket FAA
 	stageSteal                       // PILL: steal CAS, slot READ, lane tail and head READs
 	stageLocked                      // the lock is held: verb-less
@@ -88,6 +89,7 @@ type stageSpec struct {
 }
 
 var stageTable = [...]stageSpec{
+	stageRead:       {after: at(PointAfterRead)},
 	stageLockIntent: {before: at(PointBeforeLock)},
 	stageLock:       {strict: true},
 	stageSteal:      {strict: true},

@@ -235,10 +235,7 @@ func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
 		if v, ok := rc.Get(table, key, tx.cn.cacheEpoch.Load()); ok {
 			ent := tx.addRead(objRef{table: table, key: key, partition: v.Partition, slot: v.Slot},
 				v.Version, tx.sc.padded(v.Value, len(v.Value)), true)
-			if tx.cn.opts.LocalWork != nil {
-				tx.cn.opts.LocalWork()
-			}
-			return append([]byte(nil), ent.value...), nil
+			return tx.readDone(ent.value)
 		}
 	}
 
@@ -260,10 +257,17 @@ func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
 	}
 	ent := tx.addRead(ref, slot.Version, slot.Value, false)
 	tx.cacheRead(ent)
-	if tx.cn.opts.LocalWork != nil {
-		tx.cn.opts.LocalWork()
+	return tx.readDone(ent.value)
+}
+
+// readDone ends a read by running the verb-less stageRead, whose crash
+// point is the boundary between two execution steps, and returns a copy
+// of the value.
+func (tx *Tx) readDone(value []byte) ([]byte, error) {
+	if _, err := tx.run(stage{kind: stageRead}); err != nil {
+		return nil, tx.verbFailure(err)
 	}
-	return append([]byte(nil), ent.value...), nil
+	return append([]byte(nil), value...), nil
 }
 
 // cacheRead records a successful fabric read in the validated read
@@ -684,13 +688,13 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 		}
 		tx.recordPhase(metrics.PhaseRead, readStart)
 	}
+	if _, err := tx.run(stage{kind: stageRead}); err != nil {
+		return false, tx.verbFailure(err)
+	}
 
 	for i := 0; i < n; i++ {
 		if !present[i] {
 			continue
-		}
-		if tx.cn.opts.LocalWork != nil {
-			tx.cn.opts.LocalWork()
 		}
 		if !fn(lo+kvlayout.Key(i), append([]byte(nil), vals[i]...)) {
 			return true, nil

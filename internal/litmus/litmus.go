@@ -22,12 +22,12 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	pandora "pandora"
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
+	"pandora/internal/proptest"
 	"pandora/internal/rdma"
 )
 
@@ -127,6 +127,9 @@ type Test struct {
 	// which must hold under every interleaving, not just serializable
 	// ones.
 	Invariant func(m Model) error
+	// cues are the handshakes a scripted test orders its transactions
+	// with (sched.go).
+	cues []*cue
 }
 
 // Violation reports one observed serializability/recovery violation.
@@ -164,7 +167,9 @@ type Config struct {
 	Bugs     core.Bugs
 	// Iterations per test (default 400).
 	Iterations int
-	Seed       int64
+	// Seed draws the crashes and, per iteration, the interleaving of the
+	// transactions (sched.go): a run is a function of its Config.
+	Seed int64
 	// CrashMidTx is the probability of arming a random-point crash
 	// injector on the victim node for an iteration (default 0.3 when
 	// crashes enabled).
@@ -174,8 +179,6 @@ type Config struct {
 	CrashAfterTxs float64
 	// NoCrashes disables fault injection entirely (pure C1 validation).
 	NoCrashes bool
-	// Jitter adds random delays after validation to widen race windows.
-	Jitter bool
 	// Knobs selects the cluster tuning features under test; nil means
 	// DefaultKnobs (the historical raw-protocol pin).
 	Knobs *Knobs
@@ -298,33 +301,6 @@ func RunTest(t Test, cfg Config) (Report, error) {
 			return rep, err
 		}
 	}
-	if cfg.Jitter {
-		for i := 0; i < cluster.ComputeNodes(); i++ {
-			// A post-validation stall much larger than the goroutine
-			// start skew aligns concurrent transactions at the
-			// validation fence, maximising the overlap that exposes
-			// validation-ordering bugs. (Each engine gets its own rand
-			// source; the hook runs on worker goroutines.)
-			jr := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-			var mu sync.Mutex
-			cluster.Engine(i).SetPostValidateDelay(func() {
-				mu.Lock()
-				d := time.Duration(100+jr.Int63n(200)) * time.Microsecond
-				mu.Unlock()
-				time.Sleep(d)
-			})
-			// Stall between a read and the subsequent lock acquisitions
-			// too, so concurrent transactions overlap in their execution
-			// phases rather than racing through back-to-back.
-			cluster.Engine(i).SetLocalWork(func() {
-				mu.Lock()
-				d := time.Duration(50+jr.Int63n(150)) * time.Microsecond
-				mu.Unlock()
-				time.Sleep(d)
-			})
-		}
-	}
-
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		base := pandora.Key(iter * varsPerIter)
 		keyOf := func(name string) pandora.Key {
@@ -336,41 +312,40 @@ func RunTest(t Test, cfg Config) (Report, error) {
 			panic("litmus: unknown variable " + name)
 		}
 
-		// Arm a random-point crash on the victim node (node 0) for some
-		// iterations.
+		// Draw the iteration's crash on the victim node (node 0), then
+		// install the scheduler as both engines' injector, node 0's
+		// carrying the crash. It is installed every iteration: a restarted
+		// node is a new engine.
+		var crashAt *core.CrashPoint
 		if rng.Float64() < cfg.CrashMidTx {
 			point := core.CrashPoint(rng.Intn(int(core.PointAfterTruncate) + 1))
 			if cfg.CrashPoint != nil {
 				point = *cfg.CrashPoint
 			}
-			var once sync.Once
-			fired := false
-			cluster.Engine(0).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
-				if p != point {
-					return false
-				}
-				once.Do(func() { fired = true })
-				return fired
-			})
-		} else {
-			cluster.Engine(0).SetInjector(nil)
+			crashAt = &point
 		}
+		coords := make([]kvlayout.CoordID, len(t.Txs))
+		for i := range coords {
+			coords[i] = cluster.Engine(i % 2).Coordinator(i / 2).ID()
+		}
+		sch := newSched(proptest.CaseRand(cfg.Seed, iter), coords)
+		for _, c := range t.cues {
+			*c = cue{sch: sch}
+		}
+		cluster.Engine(0).SetInjector(sch.injector(crashAt))
+		cluster.Engine(1).SetInjector(sch.injector(nil))
 
-		// Run the transactions concurrently, split across the two
-		// compute nodes. A start barrier makes them genuinely race:
-		// without it, goroutine spawn skew lets the first transaction
-		// finish before the second begins.
+		// Run the transactions split across the two compute nodes, one
+		// goroutine each, one at a time.
 		statuses := make([]txStatus, len(t.Txs))
-		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for i, spec := range t.Txs {
 			wg.Add(1)
 			go func(i int, spec TxSpec) {
 				defer wg.Done()
-				node := i % 2
-				coord := i / 2
-				sess := cluster.Session(node, coord)
-				<-start
+				sess := cluster.Session(i%2, i/2)
+				sch.enter(i)
+				defer sch.exit(i)
 				tx := sess.Begin()
 				err := spec.Run(tx, keyOf)
 				if err == nil {
@@ -391,7 +366,6 @@ func RunTest(t Test, cfg Config) (Report, error) {
 				}
 			}(i, spec)
 		}
-		close(start)
 		wg.Wait()
 
 		// With the async commit-back knob a commit ack precedes the

@@ -1,9 +1,12 @@
 package litmus
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"pandora/internal/core"
+	"pandora/internal/proptest"
 )
 
 // TestPandoraPassesAllLitmus is the headline validation: the fixed
@@ -14,7 +17,6 @@ func TestPandoraPassesAllLitmus(t *testing.T) {
 		Protocol:   core.ProtocolPandora,
 		Iterations: 150,
 		Seed:       1,
-		Jitter:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +41,6 @@ func TestFixedFORDBaselinePasses(t *testing.T) {
 		Protocol:   core.ProtocolFORD,
 		Iterations: 100,
 		Seed:       2,
-		Jitter:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +57,6 @@ func TestTradLogPassesLitmus(t *testing.T) {
 		Protocol:   core.ProtocolTradLog,
 		Iterations: 120,
 		Seed:       3,
-		Jitter:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,109 +66,58 @@ func TestTradLogPassesLitmus(t *testing.T) {
 	}
 }
 
-// seededBugCase describes one Table-1 bug: the protocol/bug flags to
-// seed, the litmus test that exposed it in the paper, and the run
-// configuration that reproduces it.
-type seededBugCase struct {
-	name  string
-	bugs  core.Bugs
-	proto core.Protocol
-	test  Test
-	cfg   func(*Config)
-}
-
-func seededBugs() []seededBugCase {
-	return []seededBugCase{
-		{
-			// C1 (Baseline & Pandora): the abort path releases locks the
-			// transaction never acquired.
-			name:  "complicit-abort",
-			bugs:  core.Bugs{ComplicitAbort: true},
-			proto: core.ProtocolPandora,
-			test:  Litmus1RMW(),
-			cfg:   func(c *Config) { c.NoCrashes = true },
-		},
-		{
-			// C2 (Baseline): inserts omitted from the undo log.
-			name:  "missing-insert-log",
-			bugs:  core.Bugs{MissingInsertLog: true},
-			proto: core.ProtocolFORD,
-			test:  Litmus1Insert(),
-		},
-		{
-			// C1: validation ignores the lock word.
-			name:  "covert-locks",
-			bugs:  core.Bugs{CovertLocks: true},
-			proto: core.ProtocolPandora,
-			test:  Litmus2(),
-			cfg:   func(c *Config) { c.NoCrashes = true },
-		},
-		{
-			// C1: validation overlaps lock acquisition.
-			name:  "relaxed-locks",
-			bugs:  core.Bugs{RelaxedLocks: true},
-			proto: core.ProtocolPandora,
-			test:  Litmus2(),
-			cfg:   func(c *Config) { c.NoCrashes = true },
-		},
-		{
-			// C2 (Baseline): logs of aborted transactions linger, so
-			// recovery misattributes later updates (needs crashes).
-			name:  "lost-decision",
-			bugs:  core.Bugs{LostDecision: true},
-			proto: core.ProtocolFORD,
-			test:  Litmus3LostDecision(),
-			cfg: func(c *Config) {
-				c.Jitter = false
-				c.CrashAfterTxs = 1.0
-				c.Iterations = 100
-			},
-		},
-		{
-			// C2 (Baseline): a log written before its lock CAS.
-			name:  "log-without-lock",
-			bugs:  core.Bugs{LostDecision: true, LogWithoutLock: true},
-			proto: core.ProtocolFORD,
-			test:  Litmus3LogWithoutLock(),
-			cfg: func(c *Config) {
-				c.Jitter = false
-				c.CrashAfterTxs = 1.0
-				c.Iterations = 80
-			},
-		},
+// TestSeededBugsAreCaught reproduces Table 1: each seeded FORD bug is
+// detected by its litmus test, at its pinned seed.
+func TestSeededBugsAreCaught(t *testing.T) {
+	for _, bc := range SeededBugs() {
+		t.Run(bc.Name, func(t *testing.T) {
+			rep, err := RunTest(bc.Test, bc.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Violations) == 0 {
+				t.Fatalf("seeded bug %q was not caught by %s at seed %d", bc.Name, bc.Test.Name, bc.Seed)
+			}
+			t.Logf("%s: caught %d violations, e.g. %s", bc.Name, len(rep.Violations), rep.Violations[0])
+		})
 	}
 }
 
-// TestSeededBugsAreCaught reproduces Table 1: each seeded FORD bug is
-// detected by its litmus test.
-func TestSeededBugsAreCaught(t *testing.T) {
-	for _, bc := range seededBugs() {
-		bc := bc
-		t.Run(bc.name, func(t *testing.T) {
-			found := 0
-			for seed := int64(0); seed < 6 && found == 0; seed++ {
-				cfg := Config{
-					Protocol:   bc.proto,
-					Bugs:       bc.bugs,
-					Iterations: 400,
-					Seed:       seed*31 + 7,
-					Jitter:     true,
-				}
-				if bc.cfg != nil {
-					bc.cfg(&cfg)
-				}
-				rep, err := RunTest(bc.test, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				found += len(rep.Violations)
-				if found > 0 {
-					t.Logf("%s: caught %d violations (seed %d), e.g. %s",
-						bc.name, len(rep.Violations), seed, rep.Violations[0])
-				}
+// TestRunIsReplayable: a run is a function of its Config. Run twice, a
+// seeded bug's run and a generated schedule with crashes, the async
+// commit tail and eager ticket lanes report the same counts, the same
+// violations in the same order and the same abort kinds.
+func TestRunIsReplayable(t *testing.T) {
+	type run struct {
+		name string
+		do   func() (Report, error)
+	}
+	var runs []run
+	for _, bc := range SeededBugs() {
+		runs = append(runs, run{bc.Name, func() (Report, error) { return RunTest(bc.Test, bc.Config()) }})
+	}
+	k := Knobs{ReadCacheSize: 4096, HotlockThreshold: 1, AsyncCommitBack: true}
+	s := GenSchedule(proptest.CaseRand(3, 0), "replayable", GenOpts{Knobs: k, MaxVars: 2, Iterations: 40})
+	s.CrashMidTx, s.CrashAfterTxs = 0.5, 0.3
+	runs = append(runs, run{s.Name, func() (Report, error) {
+		rep, err := RunSchedule(s)
+		if err == nil && rep.Crashes == 0 {
+			err = errors.New("the generated schedule crashed nothing")
+		}
+		return rep, err
+	}})
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			a, err := r.do()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if found == 0 {
-				t.Fatalf("seeded bug %q was not caught by %s", bc.name, bc.test.Name)
+			b, err := r.do()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("two runs of one Config differ:\n%+v\n%+v", a, b)
 			}
 		})
 	}
@@ -284,7 +233,6 @@ func TestFixedFamilyAcrossKnobMatrix(t *testing.T) {
 				Protocol:   core.ProtocolPandora,
 				Iterations: 40,
 				Seed:       5,
-				Jitter:     true,
 				Knobs:      &k,
 			})
 			if err != nil {

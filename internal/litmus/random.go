@@ -57,7 +57,6 @@ type Schedule struct {
 	ValueSize     int         `json:"value_size"`
 	Transfers     bool        `json:"transfers"`
 	Knobs         Knobs       `json:"knobs"`
-	Jitter        bool        `json:"jitter"`
 	Iterations    int         `json:"iterations"`
 	CrashMidTx    float64     `json:"crash_mid_tx"`
 	CrashAfterTxs float64     `json:"crash_after_txs"`
@@ -170,7 +169,6 @@ func (s Schedule) Config() Config {
 		Protocol:                 core.ProtocolPandora,
 		Iterations:               s.Iterations,
 		Seed:                     s.Seed,
-		Jitter:                   s.Jitter,
 		Knobs:                    &knobs,
 		CrashMidTx:               s.CrashMidTx,
 		CrashAfterTxs:            s.CrashAfterTxs,
@@ -190,13 +188,6 @@ func (s Schedule) Config() Config {
 // protocol and returns the litmus report.
 func RunSchedule(s Schedule) (Report, error) {
 	return RunScheduleOn(s, core.ProtocolPandora, core.Bugs{})
-}
-
-// RunScheduleBugs executes a schedule with seeded protocol bugs — the
-// self-test path: a deliberately broken protocol must make the
-// explorer fail and the shrinker reduce the schedule.
-func RunScheduleBugs(s Schedule, bugs core.Bugs) (Report, error) {
-	return RunScheduleOn(s, core.ProtocolPandora, bugs)
 }
 
 // RunScheduleOn executes a schedule against an arbitrary protocol
@@ -227,10 +218,6 @@ type GenOpts struct {
 	// CheckRecovery arms the §3.2.3 recovery-idempotency probe on
 	// crashing schedules.
 	CheckRecovery bool
-	// Jitter lets schedules widen race windows with random stalls;
-	// ForceJitter pins it on (the bug-hunt profile).
-	Jitter      bool
-	ForceJitter bool
 }
 
 func (o *GenOpts) fill() {
@@ -262,7 +249,6 @@ func GenSchedule(r *proptest.Rand, name string, o GenOpts) Schedule {
 	if s.Iterations == 0 {
 		s.Iterations = proptest.IntBetween(r, 3, 6)
 	}
-	s.Jitter = o.ForceJitter || (o.Jitter && proptest.Chance(r, 0.4))
 	if o.AllowCrash && proptest.Chance(r, 0.4) {
 		s.CrashMidTx, s.CrashAfterTxs = 0.5, 0.3
 		if proptest.Chance(r, 0.5) {
@@ -346,7 +332,7 @@ func CorpusJSON(c []Schedule) []byte {
 // invariant, and recovery-idempotency oracles all quiet).
 func ScheduleProp(bugs core.Bugs) proptest.Property[Schedule] {
 	return func(s Schedule) error {
-		rep, err := RunScheduleBugs(s, bugs)
+		rep, err := RunScheduleOn(s, core.ProtocolPandora, bugs)
 		if err != nil {
 			return fmt.Errorf("harness error: %w", err)
 		}
@@ -358,9 +344,9 @@ func ScheduleProp(bugs core.Bugs) proptest.Property[Schedule] {
 }
 
 // ShrinkSchedule proposes reduced schedules, most aggressive first:
-// drop whole transactions, then single ops, then the crash and jitter
-// dimensions. Unreferenced trailing variables are trimmed from every
-// candidate so the minimal repro reads as small as it is.
+// drop whole transactions, then single ops, then the crash dimension.
+// Unreferenced trailing variables are trimmed from every candidate so the
+// minimal repro reads as small as it is.
 func ShrinkSchedule(s Schedule) []Schedule {
 	var out []Schedule
 	if len(s.Txs) > 1 {
@@ -384,11 +370,6 @@ func ShrinkSchedule(s Schedule) []Schedule {
 	if s.CrashMidTx > 0 || s.CrashAfterTxs > 0 {
 		c := s
 		c.CrashMidTx, c.CrashAfterTxs, c.CrashPoint, c.CheckRecovery = 0, 0, -1, false
-		out = append(out, c)
-	}
-	if s.Jitter {
-		c := s
-		c.Jitter = false
 		out = append(out, c)
 	}
 	return out

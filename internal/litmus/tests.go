@@ -2,9 +2,9 @@ package litmus
 
 import (
 	"errors"
-	"time"
 
 	pandora "pandora"
+	"pandora/internal/core"
 	"pandora/internal/kvlayout"
 	"pandora/internal/rdma"
 )
@@ -266,33 +266,31 @@ func RunAll(cfg Config) ([]Report, error) {
 // crashes, a recovery that trusts the stale log rolls T2b's committed
 // increment back.
 func Litmus3LostDecision() Test {
-	t1Read := make(chan struct{}, 1)
-	t2aDone := make(chan struct{}, 1)
-	t1Done := make(chan struct{}, 1)
+	t1Read, t2aDone, t1Done := new(cue), new(cue), new(cue)
 	return Test{
 		Name:      "litmus3-lost-decision",
 		Vars:      []string{"X", "Y"},
 		Preloaded: true,
+		cues:      []*cue{t1Read, t2aDone, t1Done},
 		Txs: []TxSpec{
 			{
 				Name: "T1",
 				Run: func(tx *pandora.Tx, key func(string) pandora.Key) error {
-					drain(t1Read, t2aDone, t1Done)
 					x, err := read(tx, key, "X")
 					if err != nil {
-						signal(t1Read)
-						signal(t1Done)
+						t1Read.give()
+						t1Done.give()
 						return err
 					}
-					signal(t1Read)
-					await(t2aDone)
+					t1Read.give()
+					t2aDone.await()
 					if err := write(tx, key, "X", x+1); err == nil {
 						err = write(tx, key, "Y", x+1)
 						if err == nil {
 							err = tx.Commit() // validation must fail here
 						}
 					}
-					signal(t1Done)
+					t1Done.give()
 					if tx.Done() && !tx.CommitAcked() && !tx.AbortAcked() {
 						return rdma.ErrCrashed
 					}
@@ -303,17 +301,17 @@ func Litmus3LostDecision() Test {
 			{
 				Name: "T2a",
 				Run: func(tx *pandora.Tx, key func(string) pandora.Key) error {
-					await(t1Read)
+					t1Read.await()
 					x, err := read(tx, key, "X")
 					if err != nil {
-						signal(t2aDone)
+						t2aDone.give()
 						return err
 					}
 					err = write(tx, key, "X", x+10)
 					if err == nil {
 						err = tx.Commit()
 					}
-					signal(t2aDone)
+					t2aDone.give()
 					return firstErr(err, tx)
 				},
 				Apply: func(m Model) { m["X"] += 10 },
@@ -321,7 +319,7 @@ func Litmus3LostDecision() Test {
 			{
 				Name: "T2b",
 				Run: func(tx *pandora.Tx, key func(string) pandora.Key) error {
-					await(t1Done)
+					t1Done.await()
 					x, err := read(tx, key, "X")
 					if err != nil {
 						return err
@@ -341,26 +339,24 @@ func Litmus3LostDecision() Test {
 // updated" and X at the logged new version — T2a's committed write —
 // and rolls T2a back.
 func Litmus3LogWithoutLock() Test {
-	t1Read := make(chan struct{}, 1)
-	t2aLocked := make(chan struct{}, 1)
-	t1Tried := make(chan struct{}, 1)
+	t1Read, t2aLocked, t1Tried := new(cue), new(cue), new(cue)
 	return Test{
 		Name:      "litmus3-log-without-lock",
 		Vars:      []string{"X", "Y"},
 		Preloaded: true,
+		cues:      []*cue{t1Read, t2aLocked, t1Tried},
 		Txs: []TxSpec{
 			{
 				Name: "T1",
 				Run: func(tx *pandora.Tx, key func(string) pandora.Key) error {
-					drain(t1Read, t2aLocked, t1Tried)
 					x, err := read(tx, key, "X")
 					if err != nil {
-						signal(t1Read)
-						signal(t1Tried)
+						t1Read.give()
+						t1Tried.give()
 						return err
 					}
-					signal(t1Read)
-					await(t2aLocked)
+					t1Read.give()
+					t2aLocked.await()
 					// Y is logged and locked; then X is logged (bug!) but
 					// its lock is held by T2a, so the transaction aborts.
 					if err := write(tx, key, "Y", x+1); err == nil {
@@ -368,10 +364,10 @@ func Litmus3LogWithoutLock() Test {
 						if err == nil {
 							err = tx.Commit()
 						}
-						signal(t1Tried)
+						t1Tried.give()
 						return firstErr(err, tx)
 					} else {
-						signal(t1Tried)
+						t1Tried.give()
 						return err
 					}
 				},
@@ -380,50 +376,24 @@ func Litmus3LogWithoutLock() Test {
 			{
 				Name: "T2a",
 				Run: func(tx *pandora.Tx, key func(string) pandora.Key) error {
-					await(t1Read)
+					t1Read.await()
 					x, err := read(tx, key, "X")
 					if err != nil {
-						signal(t2aLocked)
+						t2aLocked.give()
 						return err
 					}
 					if err := write(tx, key, "X", x+10); err != nil {
-						signal(t2aLocked)
+						t2aLocked.give()
 						return err
 					}
-					signal(t2aLocked)
-					await(t1Tried)
+					t2aLocked.give()
+					t1Tried.await()
 					err = tx.Commit()
 					return firstErr(err, tx)
 				},
 				Apply: func(m Model) { m["X"] += 10 },
 			},
 		},
-	}
-}
-
-// Handshake helpers for deterministic litmus schedules. Signals are
-// lossy (capacity 1) and awaits time out, so a transaction that dies
-// mid-schedule cannot deadlock its partners.
-func signal(c chan struct{}) {
-	select {
-	case c <- struct{}{}:
-	default:
-	}
-}
-
-func await(c chan struct{}) {
-	select {
-	case <-c:
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-func drain(cs ...chan struct{}) {
-	for _, c := range cs {
-		select {
-		case <-c:
-		default:
-		}
 	}
 }
 
@@ -476,5 +446,43 @@ func Litmus1RMW() Test {
 			},
 			inc("T3"),
 		},
+	}
+}
+
+// SeededBug is one bug of Table 1 as litmus catches it: the flags that
+// seed it (core.Bugs documents each), the litmus test the paper
+// attributes it to, and a run that catches it — every time, with the same
+// violations, since a run is a function of its Config.
+type SeededBug struct {
+	Name     string // the pandora-litmus -bug name
+	Category string // C1: online failure-free; C2: online recovery
+	Bugs     core.Bugs
+	Protocol core.Protocol
+	Test     Test
+	Edit     func(*Config) // nil: 400 iterations at the default crash rates
+	Seed     int64
+}
+
+// Config is the run that catches the bug.
+func (b SeededBug) Config() Config {
+	cfg := Config{Protocol: b.Protocol, Bugs: b.Bugs, Iterations: 400, Seed: b.Seed}
+	if b.Edit != nil {
+		b.Edit(&cfg)
+	}
+	return cfg
+}
+
+// SeededBugs lists the six bugs of Table 1.
+func SeededBugs() []SeededBug {
+	noCrashes := func(c *Config) { c.NoCrashes = true }
+	crashAfter := func(c *Config) { c.CrashAfterTxs, c.Iterations = 1.0, 100 }
+	pan, ford := core.ProtocolPandora, core.ProtocolFORD
+	return []SeededBug{ // name, category, bugs, protocol, test, edit, seed
+		{"complicit-abort", "C1", core.Bugs{ComplicitAbort: true}, pan, Litmus1RMW(), noCrashes, 1},
+		{"missing-insert-log", "C2", core.Bugs{MissingInsertLog: true}, ford, Litmus1Insert(), nil, 1},
+		{"covert-locks", "C1", core.Bugs{CovertLocks: true}, pan, Litmus2(), noCrashes, 1},
+		{"relaxed-locks", "C1", core.Bugs{RelaxedLocks: true}, pan, Litmus2(), noCrashes, 1},
+		{"lost-decision", "C2", core.Bugs{LostDecision: true}, ford, Litmus3LostDecision(), crashAfter, 1},
+		{"log-without-lock", "C2", core.Bugs{LostDecision: true, LogWithoutLock: true}, ford, Litmus3LogWithoutLock(), crashAfter, 1},
 	}
 }

@@ -4,12 +4,9 @@
 // that reduces a failing case to a locally-minimal one and prints a
 // re-runnable repro line. It is homegrown because the build runs with
 // no module proxy — every dependency must already be in the tree — and
-// because the protocol test harnesses need two guarantees rapid does
-// not make: the byte stream behind a seed is stable across Go releases
-// (we own the PRNG), and a candidate's "still failing" verdict can be
-// confirmed over several runs (litmus properties are concurrent
-// schedules, so a single passing run does not prove a shrink candidate
-// lost the bug).
+// because the protocol test harnesses need a guarantee rapid does not
+// make: the byte stream behind a seed is stable across Go releases (we
+// own the PRNG).
 //
 // Determinism contract: a Gen must derive every choice from the *Rand
 // it is handed and nothing else. Under that contract, Run with a fixed
@@ -100,11 +97,6 @@ type Config struct {
 	// ShrinkEvals bounds property evaluations spent minimising a
 	// failure (default 200). The original failure does not count.
 	ShrinkEvals int
-	// ConfirmRuns is how many times a shrink candidate is evaluated
-	// before it is declared passing (default 1). Concurrent properties
-	// set this >1: a racy bug that fails one run in three should not
-	// stall the shrinker just because one confirmation run got lucky.
-	ConfirmRuns int
 	// Logf, when set, receives progress lines (shrink steps).
 	Logf func(format string, args ...any)
 }
@@ -115,9 +107,6 @@ func (c *Config) fill() {
 	}
 	if c.ShrinkEvals == 0 {
 		c.ShrinkEvals = 200
-	}
-	if c.ConfirmRuns == 0 {
-		c.ConfirmRuns = 1
 	}
 }
 
@@ -167,7 +156,7 @@ func Run[V any](cfg Config, gen Gen[V], shrink Shrinker[V], prop Property[V]) *F
 
 // Minimize greedily reduces f.Min while the property keeps failing:
 // each round asks shrink for candidates (most aggressive first) and
-// restarts from the first candidate confirmed to still fail, until no
+// restarts from the first candidate that still fails, until no
 // candidate fails or the evaluation budget runs out. The result is
 // locally minimal with respect to the shrinker when the budget was not
 // exhausted: every proposed reduction of f.Min passes.
@@ -182,7 +171,8 @@ func Minimize[V any](cfg Config, f *Failure[V], shrink Shrinker[V], prop Propert
 			if f.Evals >= cfg.ShrinkEvals {
 				return
 			}
-			if err := failsWithin(cfg, &f.Evals, cand, prop); err != nil {
+			f.Evals++
+			if err := prop(cand); err != nil {
 				f.Min, f.MinErr = cand, err
 				f.Shrinks++
 				if cfg.Logf != nil {
@@ -196,16 +186,4 @@ func Minimize[V any](cfg Config, f *Failure[V], shrink Shrinker[V], prop Propert
 			return
 		}
 	}
-}
-
-// failsWithin evaluates prop on v up to cfg.ConfirmRuns times and
-// returns the first error, or nil when every run passed.
-func failsWithin[V any](cfg Config, evals *int, v V, prop Property[V]) error {
-	for j := 0; j < cfg.ConfirmRuns; j++ {
-		*evals++
-		if err := prop(v); err != nil {
-			return err
-		}
-	}
-	return nil
 }

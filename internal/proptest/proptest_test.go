@@ -187,27 +187,6 @@ func TestShrinkBudgetBounds(t *testing.T) {
 	}
 }
 
-func TestConfirmRunsCatchesFlakyCandidates(t *testing.T) {
-	// The property fails only every other evaluation — the model of a
-	// racy litmus schedule. With ConfirmRuns=1 the shrinker may accept
-	// a lucky pass and under-shrink; with ConfirmRuns=3 every candidate
-	// is confirmed, so the final minimum still fails deterministically
-	// under re-confirmation.
-	calls := 0
-	flaky := func(xs []int) error {
-		calls++
-		if len(xs) >= 2 && calls%2 == 0 {
-			return errors.New("raced")
-		}
-		return nil
-	}
-	f := &Failure[[]int]{Value: []int{1, 2, 3, 4}, Min: []int{1, 2, 3, 4}, Err: errors.New("raced")}
-	Minimize(Config{ShrinkEvals: 500, ConfirmRuns: 3}, f, shrinkInts, flaky)
-	if len(f.Min) != 2 {
-		t.Fatalf("flaky property should still shrink to the 2-element floor, got %v", f.Min)
-	}
-}
-
 func TestShrinkHelpers(t *testing.T) {
 	if got := ShrinkInt(10, 0); len(got) == 0 || got[0] != 0 {
 		t.Fatalf("ShrinkInt must propose the floor first: %v", got)

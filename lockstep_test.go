@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pandora/internal/core"
 	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -82,8 +83,9 @@ func healOnSuspect(c *Cluster, mem int) {
 	c.Engine(0).SetSuspectReporter(func(rdma.NodeID) { c.HealLink(0, mem) })
 }
 
-// faultAtLockStep arms node 0 so that the next lock step's doorbell
-// meets a link fault on the way to mem: landed = 0 faults every op;
+// faultAtLockStep arms node 0, at the next PointBeforeLock offer, so
+// that the lock step's doorbell meets a link fault on the way to mem:
+// landed = 0 faults every op;
 // landed = 1 lets the first op (the lock CAS) land and faults the rest
 // (the slot READ, a ticket FAA). The CAS is parked on a stalled link,
 // the stall is replaced by a partition while it is parked, and a heal of
@@ -94,14 +96,14 @@ func faultAtLockStep(t *testing.T, c *Cluster, mem, landed int) {
 	eng := c.Engine(0)
 	healOnSuspect(c, mem)
 	armed := true
-	eng.SetLocalWork(func() {
-		if !armed {
-			return
+	eng.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
+		if !armed || p != core.PointBeforeLock {
+			return false
 		}
 		armed = false
 		if landed == 0 {
 			c.PartitionLink(0, mem)
-			return
+			return false
 		}
 		stalled := c.LinkStats().StalledVerbs
 		c.StallLink(0, mem)
@@ -112,8 +114,9 @@ func faultAtLockStep(t *testing.T, c *Cluster, mem, landed int) {
 			c.PartitionLink(0, mem)
 			c.HealLink(1, mem) // no rule there: only wakes the parked CAS
 		}()
+		return false
 	})
-	t.Cleanup(func() { eng.SetLocalWork(nil); c.HealAllLinks() })
+	t.Cleanup(func() { eng.SetInjector(nil); c.HealAllLinks() })
 }
 
 // TestLockDoorbellFaults link-faults the lock doorbell of an update, a

@@ -92,7 +92,7 @@ func TestLongRecordTakesOneTailRound(t *testing.T) {
 				return e, stats
 			}
 			_, short := pass(2, 2)
-			if short.LogTailReads != 0 || short.TailReadVTime != 0 {
+			if short.LogTailReads != 0 || short.Steps[StepLogTail] != 0 {
 				t.Fatalf("short record: stats = %+v, want no tail READ", short)
 			}
 			e, long := pass(12, 14)
@@ -103,8 +103,8 @@ func TestLongRecordTakesOneTailRound(t *testing.T) {
 			if p.opts.Protocol == core.ProtocolTradLog {
 				wantTails += 4
 			}
-			if long.LogTailReads != wantTails || long.TailReadVTime != roundsOnly.BaseRTT {
-				t.Errorf("long record: %d tail READs in %v, want %d in one round", long.LogTailReads, long.TailReadVTime, wantTails)
+			if long.LogTailReads != wantTails || long.Steps[StepLogTail] != roundsOnly.BaseRTT {
+				t.Errorf("long record: %d tail READs in %v, want %d in one round", long.LogTailReads, long.Steps[StepLogTail], wantTails)
 			}
 			if long.VTime != short.VTime+roundsOnly.BaseRTT {
 				t.Errorf("long record recovers in %v, short in %v: want exactly one round (%v) more", long.VTime, short.VTime, roundsOnly.BaseRTT)
@@ -132,30 +132,19 @@ func TestLongRecordTakesOneTailRound(t *testing.T) {
 func TestStaleImageBytesAreNotDecoded(t *testing.T) {
 	// What one pass READ must never reach the decoder of the next: not over
 	// truncated logs, and not when a header comes back whose tail does not —
-	// the restored record area below keeps its prefix and loses every byte
-	// past it, so only records that end inside the prefix may be believed.
+	// the record area below, left by a pass cut before truncation, keeps its
+	// prefix and loses every byte past it, so only records that end inside
+	// the prefix may be believed.
 	for _, p := range logProtocols {
 		t.Run(p.name, func(t *testing.T) {
 			e := newEnv(t, envConfig{opts: p.opts})
 			e.preload(t, 64)
 			ev := strand(t, e, 12, 14)
-			restore := e.keepLogs(t, ev.Node, 2)
-			first, err := e.mgr.RecoverCompute(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
+			first := e.recoverCut(t, ev, StepTruncate, 0)
 			if first.LoggedTxs != 1 || first.LogTailReads == 0 {
 				t.Fatalf("first pass = %+v, want one logged tx read through a tail", first)
 			}
-			again, err := e.mgr.RecoverCompute(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.LoggedTxs != 0 || again.StrayLocksFreed != 0 || again.LogTailReads != 0 || again.LogBytesRead >= first.LogBytesRead {
-				t.Fatalf("pass over truncated logs = %+v, want nothing logged, freed or read past the prefix", again)
-			}
 
-			restore()
 			ep := e.fab.Endpoint(rcNodeID)
 			for _, n := range e.mgr.logNodes(ev.Node) {
 				lost := rdma.Addr{Node: n, Region: kvlayout.LogRegionID(ev.Node), Offset: kvlayout.LogPrefixSize}
@@ -163,15 +152,8 @@ func TestStaleImageBytesAreNotDecoded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var (
-				clk    rdma.VClock
-				stats  Stats
-				writes int
-			)
-			logs, err := e.mgr.readLogs(e.mgr.endpoint(&clk), ev, &stats)
-			if err != nil {
-				t.Fatal(err)
-			}
+			logs, stats := e.readLogs(t, ev)
+			writes := 0
 			for _, tx := range e.mgr.reconstruct(logs, ev) {
 				writes += len(tx.writes)
 			}
@@ -184,8 +166,30 @@ func TestStaleImageBytesAreNotDecoded(t *testing.T) {
 			if stats.LogTailReads == 0 || writes != want {
 				t.Fatalf("logs cut at the prefix: %d tail READs, %d writes reconstructed, want the tails asked for and %d writes", stats.LogTailReads, writes, want)
 			}
+
+			if _, err := e.mgr.RecoverCompute(ev); err != nil {
+				t.Fatal(err)
+			}
+			again, err := e.mgr.RecoverCompute(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.LoggedTxs != 0 || again.StrayLocksFreed != 0 || again.LogTailReads != 0 || again.LogBytesRead >= first.LogBytesRead {
+				t.Fatalf("pass over truncated logs = %+v, want nothing logged, freed or read past the prefix", again)
+			}
 		})
 	}
+}
+
+// readLogs reads the failed node's logs as a pass does, outside one.
+func (e *env) readLogs(t testing.TB, ev fdetect.Event) ([]nodeLogs, Stats) {
+	t.Helper()
+	p := &pass{m: e.mgr, ev: ev, ep: *e.mgr.endpoint(nil)}
+	logs, err := p.readLogs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return logs, p.stats
 }
 
 func TestReconstructOrderIsDeterministic(t *testing.T) {
@@ -214,24 +218,15 @@ func TestReconstructOrderIsDeterministic(t *testing.T) {
 		}
 	}
 	ev := e.failNode(t, 0)
-	restore := e.keepLogs(t, ev.Node, 2)
 
-	type pass struct {
+	type merged struct {
 		writes []kvlayout.Key
 		posted []rdma.Addr // settle's first doorbell: each write's replicas, in order
 	}
-	var first pass
+	var first merged
 	for i := 0; i < 50; i++ {
-		restore()
-		var (
-			clk   rdma.VClock
-			stats Stats
-			got   pass
-		)
-		logs, err := e.mgr.readLogs(e.mgr.endpoint(&clk), ev, &stats)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var got merged
+		logs, _ := e.readLogs(t, ev)
 		txs := e.mgr.reconstruct(logs, ev)
 		if len(txs) != 1 || len(txs[0].writes) != len(keys) {
 			t.Fatalf("pass %d: reconstructed %+v, want one tx of %d writes", i, txs, len(keys))
@@ -247,8 +242,6 @@ func TestReconstructOrderIsDeterministic(t *testing.T) {
 		} else if !reflect.DeepEqual(got, first) {
 			t.Fatalf("pass %d merged the writes as %v, pass 0 as %v", i, got.writes, first.writes)
 		}
-		if _, err := e.mgr.RecoverCompute(ev); err != nil { // a whole pass: settles and truncates
-			t.Fatal(err)
-		}
+		e.recoverCut(t, ev, StepTruncate, 0) // a pass that settles and dies before truncating
 	}
 }

@@ -58,15 +58,29 @@ type Config struct {
 	// from. It must already be attached to the fabric.
 	RCNode rdma.NodeID
 	// Metrics, when set, receives one PhaseRecoveryStep latency sample
-	// per log-recovery sub-step (log read, settle, truncation,
-	// intent release), measured on the recovery's virtual clock.
+	// per log-recovery doorbell, measured on the recovery's virtual clock.
 	Metrics *metrics.Registry
 }
 
+// Step names a doorbell of the log-recovery pass, in posting order.
+type Step int
+
+const (
+	StepLogPrefix     Step = iota // every log area's first LogPrefixSize bytes
+	StepLogTail                   // the rest of the areas that hold more
+	StepObserve                   // each logged write's lock and version words
+	StepAct                       // undo images, guarded unlocks, lane words
+	StepLaneRepair                // ticket-lane heads the dead holders owed
+	StepTruncate                  // every log area invalidated
+	StepIntentRelease             // traditional scheme: the intents' locks
+	StepIntentFloor               // traditional scheme: the intent floors
+	numSteps
+)
+
 // Stats reports what one compute recovery did. VTime is the modelled
 // duration of the log-recovery step — the paper's "recovery latency"
-// (Table 2) — and the five step times are where it went: they sum to it
-// (ScanRecoverCompute's VTime adds its scan).
+// (Table 2) — and Steps is where it went, per doorbell: the entries sum
+// to it (ScanRecoverCompute's VTime adds its scan).
 type Stats struct {
 	LoggedTxs       int
 	RolledForward   int
@@ -76,12 +90,7 @@ type Stats struct {
 	LogTailReads    int // log areas that held more than the prefix READ
 	VTime           time.Duration
 	WallTime        time.Duration
-
-	LogReadVTime       time.Duration // prefix doorbell
-	TailReadVTime      time.Duration // tail doorbell, when some area needed it
-	SettleVTime        time.Duration // roll forward/back, unlock, lane repair
-	TruncateVTime      time.Duration
-	IntentReleaseVTime time.Duration // traditional scheme only
+	Steps           [numSteps]time.Duration
 }
 
 // Manager executes recoveries. One instance serves the whole cluster;
@@ -105,6 +114,10 @@ type Manager struct {
 	// change, until they rejoin (SetPeer): their stray transactions' lock
 	// words may be lost — a promoted backup or a copy of one never had them.
 	moved map[rdma.NodeID]bool
+
+	// cut, when set, is asked before each verb of a pass and after its last
+	// (post): true stops the pass there, as a crash would. Nil but in tests.
+	cut func(s Step, landed int) bool
 }
 
 // NewManager creates a recovery manager. It keeps its own copy of the
@@ -219,6 +232,64 @@ func (m *Manager) endpoint(clk *rdma.VClock) *rdma.Endpoint {
 	return m.cfg.Fabric.Endpoint(m.cfg.RCNode).WithClock(clk)
 }
 
+// pass is one recovery of one failure event: its verb handle, on its own
+// virtual clock, and what it did. Every doorbell goes through post.
+type pass struct {
+	m     *Manager
+	ev    fdetect.Event
+	ep    rdma.Endpoint // by value, so the handle stays off the heap
+	wall  time.Time
+	stats Stats
+}
+
+// open starts a recovery of ev under the operation lock (the caller
+// releases it) with §3.2.2's step 2, active-link termination (Cor1): before
+// any transaction state is touched, the suspect — failed or falsely
+// suspected — loses its access to memory.
+func (m *Manager) open(ev fdetect.Event) pass {
+	m.opMu.Lock()
+	for _, ms := range m.Mems() {
+		ms.RevokeLink(ev.Node)
+	}
+	return pass{m: m, ev: ev, ep: *m.endpoint(new(rdma.VClock)), wall: time.Now()} //pandora:wallclock Stats.WallTime is a host-side diagnostic; the protocol-visible latency is Stats.VTime
+}
+
+// done returns the pass's stats, timed.
+func (p *pass) done() Stats {
+	p.stats.VTime = p.ep.Clock().Now()
+	p.stats.WallTime = time.Since(p.wall) //pandora:wallclock host-side diagnostic only
+	return p.stats
+}
+
+// post is the pass's one post site: b goes out as one doorbell of step s,
+// its clock delta charged to Steps[s] and recorded as one
+// PhaseRecoveryStep sample (sharded by the failed node's id). Per-op
+// errors are the caller's to read; an empty batch posts and records
+// nothing. With Manager.cut set the ops go one at a time.
+func (p *pass) post(s Step, b *rdma.OpBatch) error {
+	ops, clk, cut := b.Ops(), p.ep.Clock(), p.m.cut
+	if len(ops) == 0 {
+		return nil
+	}
+	start, each := clk.Now(), len(ops)
+	if cut != nil {
+		each = 1
+	}
+	for i := 0; i < len(ops); i += each {
+		if cut != nil && cut(s, i) {
+			return rdma.ErrCrashed
+		}
+		_ = p.ep.Do(ops[i : i+each]...)
+	}
+	if cut != nil && cut(s, len(ops)) {
+		return rdma.ErrCrashed
+	}
+	took := clk.Now() - start
+	p.stats.Steps[s] += took
+	p.m.cfg.Metrics.RecordPhase(metrics.PhaseRecoveryStep, uint64(p.ev.Node), took)
+	return nil
+}
+
 // strayTx is one Logged-Stray-Tx reconstructed from the failed node's
 // logs.
 type strayTx struct {
@@ -228,50 +299,28 @@ type strayTx struct {
 	writes    []kvlayout.LogWrite
 }
 
-// lockWordFor reconstructs the lock word a transaction used: the
-// coordinator-id plus the low 32 bits of its transaction id. Must match
-// core's Tx.lockWord.
-func lockWordFor(coord kvlayout.CoordID, txID uint64) uint64 {
-	return kvlayout.LockWord(coord, uint32(txID))
-}
-
 // RecoverCompute runs the full compute-failure recovery for ev
 // (§3.2.2): (2) active-link termination, (3) log recovery, (4) stray-
 // lock notification. Step (1), detection, already happened — ev came
 // from the FD.
 func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
-	m.opMu.Lock()
+	p := m.open(ev)
 	defer m.opMu.Unlock()
-	start := time.Now() //pandora:wallclock Stats.WallTime is a host-side diagnostic; the protocol-visible latency is Stats.VTime
-	var stats Stats
-
-	// Step 2 — active-link termination (Cor1). Before touching any
-	// transaction state, make sure the suspect — failed or falsely
-	// suspected — can no longer reach memory.
-	for _, ms := range m.Mems() {
-		ms.RevokeLink(ev.Node)
-	}
-
 	// Step 3 — log recovery (Cor2/Cor3), timed on the virtual clock;
 	// this is the latency conflicting transactions observe.
-	var clk rdma.VClock
-	ep := m.endpoint(&clk)
-	if err := m.logRecovery(ep, ev, &stats); err != nil {
-		return stats, err
+	if err := p.logRecovery(); err != nil {
+		return p.stats, err
 	}
-	stats.VTime = clk.Now()
 
 	// Step 4 — stray-lock notification (Cor4): strictly after log
 	// recovery, because only NotLogged-Stray-Tx locks may be stolen and
 	// log recovery has just released every logged transaction's locks.
-	for _, p := range m.peers() {
-		if p.ID() == ev.Node || p.Crashed() {
-			continue
+	for _, peer := range m.peers() {
+		if peer.ID() != ev.Node && !peer.Crashed() {
+			peer.NotifyStrayLocks(ev.Coords)
 		}
-		p.NotifyStrayLocks(ev.Coords)
 	}
-	stats.WallTime = time.Since(start) //pandora:wallclock host-side diagnostic only
-	return stats, nil
+	return p.done(), nil
 }
 
 // logNodes returns the memory servers whose log regions must be read for
@@ -283,54 +332,37 @@ func (m *Manager) logNodes(failed rdma.NodeID) []rdma.NodeID {
 	return m.Ring().LogServers(failed)
 }
 
-// recordStep charges the virtual time elapsed since start as one
-// PhaseRecoveryStep sample (sharded by the failed node's id) and
-// returns it. Nil-safe like the registry itself.
-func (m *Manager) recordStep(ep *rdma.Endpoint, shard uint64, start time.Duration) time.Duration {
-	took := ep.Clock().Now() - start
-	m.cfg.Metrics.RecordPhase(metrics.PhaseRecoveryStep, shard, took)
-	return took
-}
-
 // logRecovery reads the failed node's logs, reconstructs its
 // Logged-Stray-Txs, settles them all in one pass, and truncates the logs.
-func (m *Manager) logRecovery(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) error {
-	shard, clk := uint64(ev.Node), ep.Clock()
-	step := clk.Now()
-	logs, err := m.readLogs(ep, ev, stats)
+func (p *pass) logRecovery() error {
+	m := p.m
+	logs, err := p.readLogs()
 	if err != nil {
 		return err
 	}
-	m.recordStep(ep, shard, step) // sub-step: log reads
-	txs := m.reconstruct(logs, ev)
-	stats.LoggedTxs = len(txs)
+	txs := m.reconstruct(logs, p.ev)
+	p.stats.LoggedTxs = len(txs)
 
 	// The undo's lock-word guard is off where the words may be lost, and in
 	// FORD-mode, which believes its logs as the baseline does: Table 1's C2
 	// bugs are stale logs believed; a guard would hide them.
 	m.mu.Lock()
-	guard := m.cfg.Protocol != core.ProtocolFORD && !m.moved[ev.Node]
+	guard := m.cfg.Protocol != core.ProtocolFORD && !m.moved[p.ev.Node]
 	m.mu.Unlock()
-	step = clk.Now()
-	m.settle(ep, txs, guard, stats)
-	stats.SettleVTime = m.recordStep(ep, shard, step) // sub-step: roll forward/back
+	if err := p.settle(txs, guard); err != nil {
+		return err
+	}
 
 	// Idempotence (§3.2.3): truncate every log of the failed node before
 	// the stray-lock notification; a re-executed recovery then finds no
 	// logs and redoes nothing.
-	step = clk.Now()
-	m.truncateAll(ep, ev)
-	stats.TruncateVTime = m.recordStep(ep, shard, step) // sub-step: log truncation
-
-	if m.cfg.Protocol == core.ProtocolTradLog {
-		// The traditional scheme has no PILL: stray locks of not-logged
-		// transactions are released here, from the lock-intent logs,
-		// which is what makes its recovery slower than Pandora's.
-		step = clk.Now()
-		stats.StrayLocksFreed += m.releaseIntentLocks(ep, logs, ev)
-		stats.IntentReleaseVTime = m.recordStep(ep, shard, step) // sub-step: intent-lock release
+	if err := p.truncateAll(); err != nil || m.cfg.Protocol != core.ProtocolTradLog {
+		return err
 	}
-	return nil
+	// The traditional scheme has no PILL: stray locks of not-logged
+	// transactions are released here, from the lock-intent logs, which is
+	// what makes its recovery slower than Pandora's.
+	return p.releaseIntentLocks(logs)
 }
 
 // logImage is what recovery READ of one coordinator's log area on one log
@@ -351,16 +383,14 @@ type nodeLogs struct {
 // every coordinator's area, then the rest of those areas whose prefix
 // says they hold more. The failed node is fenced by now, so the two READs
 // of one area see one record; the trailer guard rejects any other pairing.
-func (m *Manager) readLogs(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) ([]nodeLogs, error) {
+func (p *pass) readLogs() ([]nodeLogs, error) {
+	m, ev, stats := p.m, p.ev, &p.stats
 	region := kvlayout.LogRegionID(ev.Node)
 	var logs []nodeLogs
 	for _, n := range m.logNodes(ev.Node) {
 		if !m.cfg.Fabric.IsDown(n) && m.cfg.Fabric.LookupRegion(n, region) != nil {
 			logs = append(logs, nodeLogs{node: n})
 		}
-	}
-	if len(logs) == 0 {
-		return nil, nil
 	}
 	coords := min(len(ev.Coords), m.cfg.CoordsPerNode)
 	tradlog, ford := m.cfg.Protocol == core.ProtocolTradLog, m.cfg.Protocol == core.ProtocolFORD
@@ -400,9 +430,9 @@ func (m *Manager) readLogs(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) ([
 			}
 		}
 	}
-	start := ep.Clock().Now()
-	_ = ep.Do(b.Ops()...) // per-op errors inspected below
-	stats.LogReadVTime = ep.Clock().Now() - start
+	if err := p.post(StepLogPrefix, b); err != nil {
+		return nil, err
+	}
 
 	// Each image is cut to its area's extent, or grown to it for doorbell 2.
 	lost := make([]bool, len(logs)) // a READ failed: the server died mid-read
@@ -424,23 +454,21 @@ func (m *Manager) readLogs(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) ([
 		}
 	}
 
-	// Doorbell 2 — the tails.
-	if len(tails) > 0 {
-		stats.LogTailReads = len(tails)
-		b.Reset()
-		for _, r := range tails {
-			b.AddRead(r.at, (*r.img)[kvlayout.LogPrefixSize:])
+	// Doorbell 2 — the tails, if any.
+	stats.LogTailReads = len(tails)
+	b.Reset()
+	for _, r := range tails {
+		b.AddRead(r.at, (*r.img)[kvlayout.LogPrefixSize:])
+	}
+	if err := p.post(StepLogTail, b); err != nil {
+		return nil, err
+	}
+	for i, op := range b.Ops() {
+		if op.Err != nil {
+			lost[tails[i].node] = true
+			continue
 		}
-		start = ep.Clock().Now()
-		_ = ep.Do(b.Ops()...)
-		stats.TailReadVTime = ep.Clock().Now() - start
-		for i, op := range b.Ops() {
-			if op.Err != nil {
-				lost[tails[i].node] = true
-				continue
-			}
-			stats.LogBytesRead += len(op.Buf)
-		}
+		stats.LogBytesRead += len(op.Buf)
 	}
 
 	// Surviving copies suffice; a server that died mid-read contributes none.
@@ -450,7 +478,7 @@ func (m *Manager) readLogs(ep *rdma.Endpoint, ev fdetect.Event, stats *Stats) ([
 			kept = append(kept, l)
 		}
 	}
-	if len(kept) == 0 {
+	if len(kept) == 0 && len(logs) > 0 {
 		return nil, fmt.Errorf("recovery: no log copy of node %d readable", ev.Node)
 	}
 	return kept, nil
@@ -472,10 +500,7 @@ func (m *Manager) reconstruct(logs []nodeLogs, ev fdetect.Event) []strayTx {
 		seen = make(map[object]bool)
 	}
 	var out []strayTx
-	for slot, coord := range ev.Coords {
-		if slot >= m.cfg.CoordsPerNode {
-			break
-		}
+	for slot, coord := range ev.Coords[:min(len(ev.Coords), m.cfg.CoordsPerNode)] {
 		best := strayTx{coord: coord, coordSlot: slot}
 		clear(seen)
 		for _, l := range logs {
@@ -522,11 +547,8 @@ func (m *Manager) slotWord(n rdma.NodeID, w kvlayout.LogWrite, off uint64) rdma.
 // throughout — the verb struck a server that died mid-pass, and what this
 // pass missed a re-executed one, a stealer or a lane waiter repairs. guard:
 // the lock words are still where the dead transactions took them.
-func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *Stats) {
-	if len(txs) == 0 {
-		return
-	}
-	ring := m.Ring()
+func (p *pass) settle(txs []strayTx, guard bool) error {
+	m, ring := p.m, p.m.Ring()
 	// Doorbell 1 — observe, per logged write, the version word on every live
 	// replica (commit needed only those); on the partition's first replica,
 	// where the transaction locked, the READ starts one word earlier, at the lock.
@@ -534,6 +556,8 @@ func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *St
 		tx    int // index into txs
 		w     kvlayout.LogWrite
 		reads []*rdma.Op // per live replica, the live primary first
+		word  uint64     // the lock word the transaction took (core's Tx.lockWord)
+		held  bool       // the word is still on the write
 	}
 	version := func(op *rdma.Op) uint64 { return kvlayout.Uint64(op.Buf[len(op.Buf)-8:]) }
 	var writes []logged
@@ -541,7 +565,7 @@ func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *St
 	defer obs.Put()
 	for t, tx := range txs {
 		for _, w := range tx.writes {
-			l := logged{tx: t, w: w}
+			l := logged{tx: t, w: w, word: kvlayout.LockWord(tx.coord, uint32(tx.txID))}
 			for i, n := range ring.Replicas(w.Partition) {
 				if m.cfg.Fabric.IsDown(n) {
 					continue
@@ -557,21 +581,36 @@ func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *St
 			}
 		}
 	}
-	_ = ep.Do(obs.Ops()...)
+	if err := p.post(StepObserve, obs); err != nil {
+		return err
+	}
 
 	// Roll forward iff every live replica of every write carries the logged
 	// new version: the client may have been commit-acked (Cor3), so the
 	// updates stay. Otherwise a commit-ack is impossible and undoing is safe
-	// (an abort-ack needs nothing updated, and then nothing is undone).
-	back := make([]bool, len(txs))
-	stats.RolledForward = len(txs)
-	for _, l := range writes {
+	// (an abort-ack needs nothing updated, and then nothing is undone). Only
+	// writes still under the dead transaction's lock vote: once an earlier
+	// pass released one, a live commit may have moved its version, to
+	// NewVersion even (versions step by one). Held too: a free lock over an
+	// old primary (that pass, torn: it undoes before it unlocks) and no lock
+	// word to go by (guard off, first replica dead, READ failed).
+	verdict := make([]struct{ held, back bool }, len(txs))
+	for i := range writes {
+		l, own := &writes[i], writes[i].reads[0]
+		l.held = !guard || own.Err != nil || len(own.Buf) != 16 || kvlayout.Uint64(own.Buf) == l.word ||
+			kvlayout.Uint64(own.Buf) == 0 && version(own) == l.w.OldVersion
+		v := &verdict[l.tx]
+		v.held = v.held || l.held
 		for _, op := range l.reads {
-			if op.Err == nil && version(op) != l.w.NewVersion && !back[l.tx] {
-				back[l.tx] = true
-				stats.RolledForward--
-				stats.RolledBack++
-			}
+			v.back = v.back || l.held && op.Err == nil && version(op) != l.w.NewVersion
+		}
+	}
+	for i := range verdict {
+		if v := &verdict[i]; v.back || !v.held { // none held: back, which undoes nothing
+			v.back = true
+			p.stats.RolledBack++
+		} else {
+			p.stats.RolledForward++
 		}
 	}
 
@@ -585,18 +624,8 @@ func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *St
 	act := rdma.GetBatch()
 	defer act.Put()
 	for _, l := range writes {
-		word, own := lockWordFor(txs[l.tx].coord, txs[l.tx].txID), l.reads[0]
-		// Undo only under the dead transaction's own lock: once an earlier pass
-		// released it, NewVersion may be a live commit's (versions step by one).
-		// A free lock over an old primary is that pass torn — it undoes before it
-		// unlocks, and no commit leaves this — so backups still ahead are undone.
-		// No lock word to go by (guard off, first replica dead, READ failed): undo.
-		held := true
-		if guard && own.Err == nil && len(own.Buf) == 16 {
-			lock := kvlayout.Uint64(own.Buf)
-			held = lock == word || lock == 0 && version(own) == l.w.OldVersion
-		}
-		if back[l.tx] && held {
+		own := l.reads[0]
+		if verdict[l.tx].back && l.held {
 			image := kvlayout.RollbackImage(m.cfg.Schema[l.w.Table], l.w)
 			for _, op := range l.reads {
 				if op.Err == nil && version(op) == l.w.NewVersion {
@@ -606,12 +635,14 @@ func (m *Manager) settle(ep *rdma.Endpoint, txs []strayTx, guard bool, stats *St
 		}
 		lane := hotlock.LaneFor(own.Addr.Node, l.w.Partition, l.w.Table, l.w.Key)
 		rels = append(rels, release{
-			cas:  act.AddCAS(m.slotWord(own.Addr.Node, l.w, kvlayout.SlotLockOff), word, 0),
+			cas:  act.AddCAS(m.slotWord(own.Addr.Node, l.w, kvlayout.SlotLockOff), l.word, 0),
 			tail: act.AddRead(lane.Tail, act.Bytes(8)),
 			head: act.AddRead(lane.Head, act.Bytes(8)),
 		})
 	}
-	_ = ep.Do(act.Ops()...)
+	if err := p.post(StepAct, act); err != nil {
+		return err
+	}
 
 	// Doorbell 3 — only when a release that swapped found tickets outstanding
 	// on its lane. Whether the dead holder queued and died owing the head an
@@ -641,24 +672,23 @@ next:
 		}
 		repairs = append(repairs, repair{r.head.Addr, head, kvlayout.TicketSeq(tail) - kvlayout.TicketSeq(head), 1})
 	}
-	if len(repairs) == 0 {
-		return
-	}
 	obs.Reset() // its observations are spent
-	for _, p := range repairs {
-		obs.AddCAS(p.head, p.from, p.from+p.by)
+	for _, r := range repairs {
+		obs.AddCAS(r.head, r.from, r.from+r.by)
 	}
-	_ = ep.Do(obs.Ops()...)
+	err := p.post(StepLaneRepair, obs)
 	for _, op := range obs.Ops() {
 		if op.Err == nil && op.Swapped {
 			m.cfg.Metrics.CountLock(metrics.LockTicketRepair)
 		}
 	}
+	return err
 }
 
 // truncateAll invalidates every log area of the failed node on every
 // log node: one parallel round of 8-byte writes.
-func (m *Manager) truncateAll(ep *rdma.Endpoint, ev fdetect.Event) {
+func (p *pass) truncateAll() error {
+	m, ev := p.m, p.ev
 	region := kvlayout.LogRegionID(ev.Node)
 	b := rdma.GetBatch()
 	defer b.Put()
@@ -666,28 +696,26 @@ func (m *Manager) truncateAll(ep *rdma.Endpoint, ev fdetect.Event) {
 		if m.cfg.Fabric.IsDown(n) || m.cfg.Fabric.LookupRegion(n, region) == nil {
 			continue
 		}
-		for slot := range ev.Coords {
-			if slot >= m.cfg.CoordsPerNode {
-				break
-			}
+		for slot := range min(len(ev.Coords), m.cfg.CoordsPerNode) {
 			b.AddWrite(rdma.Addr{Node: n, Region: region, Offset: kvlayout.LogAreaOffset(slot) + kvlayout.TxLogOff}, kvlayout.TruncateWord[:])
 		}
 	}
-	_ = ep.Do(b.Ops()...)
+	return p.post(StepTruncate, b)
 }
 
 // releaseIntentLocks implements the traditional scheme's stray-lock
-// release: parse each coordinator's lock-intent log, CAS-release the
-// locks of the latest (not-logged) transaction, and raise the floor so
-// re-execution is a no-op.
-func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, logs []nodeLogs, ev fdetect.Event) int {
-	freed := 0
-	region := kvlayout.LogRegionID(ev.Node)
-	for slot, coord := range ev.Coords {
-		if slot >= m.cfg.CoordsPerNode {
-			break
-		}
-		areaOff := kvlayout.LogAreaOffset(slot)
+// release: from each coordinator's lock-intent log, the latest (not-logged)
+// transaction's locks are CAS-released, every coordinator's in one
+// doorbell, and then every floor is raised in a second, so re-execution is
+// a no-op. Each CAS is guarded by the dead transaction's own lock word, so
+// a pass cut between the two releases nothing on re-execution it should not.
+func (p *pass) releaseIntentLocks(logs []nodeLogs) error {
+	m, ev, ring := p.m, p.ev, p.m.Ring()
+	live := func(n rdma.NodeID) bool { return !m.cfg.Fabric.IsDown(n) }
+	cas, floors := rdma.GetBatch(), rdma.GetBatch()
+	defer cas.Put()
+	defer floors.Put()
+	for slot, coord := range ev.Coords[:min(len(ev.Coords), m.cfg.CoordsPerNode)] {
 		// The latest transaction's intents; of two copies of them, the one an
 		// intent WRITE did not miss.
 		var intents []kvlayout.LockIntent
@@ -702,30 +730,25 @@ func (m *Manager) releaseIntentLocks(ep *rdma.Endpoint, logs []nodeLogs, ev fdet
 			continue
 		}
 		txID := intents[0].TxID
-		b := rdma.GetBatch()
 		for _, li := range intents {
-			tab := m.cfg.Schema[li.Table]
-			primary, ok := m.Ring().Primary(li.Partition, func(n rdma.NodeID) bool { return !m.cfg.Fabric.IsDown(n) })
-			if !ok {
-				continue
-			}
-			b.AddCAS(rdma.Addr{Node: primary, Region: kvlayout.TableRegionID(li.Table, li.Partition), Offset: tab.SlotOffset(li.Slot) + kvlayout.SlotLockOff}, lockWordFor(coord, txID), 0)
-		}
-		_ = ep.Do(b.Ops()...)
-		for _, op := range b.Ops() {
-			if op.Err == nil && op.Swapped {
-				freed++
+			if primary, ok := ring.Primary(li.Partition, live); ok {
+				w := kvlayout.LogWrite{Table: li.Table, Partition: li.Partition, Slot: li.Slot}
+				cas.AddCAS(m.slotWord(primary, w, kvlayout.SlotLockOff), kvlayout.LockWord(coord, uint32(txID)), 0)
 			}
 		}
-		// Raise the floor on every log copy.
-		b.Reset()
-		floor := b.Bytes(8)
+		floor := floors.Bytes(8)
 		kvlayout.PutUint64(floor, txID)
 		for _, l := range logs {
-			b.AddWrite(rdma.Addr{Node: l.node, Region: region, Offset: areaOff + kvlayout.LockLogOff}, floor)
+			floors.AddWrite(rdma.Addr{Node: l.node, Region: kvlayout.LogRegionID(ev.Node), Offset: kvlayout.LogAreaOffset(slot) + kvlayout.LockLogOff}, floor)
 		}
-		_ = ep.Do(b.Ops()...)
-		b.Put()
 	}
-	return freed
+	if err := p.post(StepIntentRelease, cas); err != nil {
+		return err
+	}
+	for _, op := range cas.Ops() {
+		if op.Err == nil && op.Swapped {
+			p.stats.StrayLocksFreed++
+		}
+	}
+	return p.post(StepIntentFloor, floors)
 }

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"slices"
 	"time"
 
 	"pandora/internal/fdetect"
@@ -16,68 +17,44 @@ import (
 // multi-second cost the paper measures (~5 s per million keys on one
 // scanning thread).
 func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
-	m.opMu.Lock()
+	p := m.open(ev)
 	defer m.opMu.Unlock()
-	start := time.Now() //pandora:wallclock Stats.WallTime is a host-side diagnostic; the protocol-visible latency is Stats.VTime
-	var stats Stats
-
-	for _, ms := range m.Mems() {
-		ms.RevokeLink(ev.Node)
-	}
 
 	// Stop the world: with anonymous locks, unlocking while other
 	// compute servers run could release their locks too.
-	for _, p := range m.peers() {
-		if p.ID() == ev.Node || p.Crashed() {
-			continue
+	for _, peer := range m.peers() {
+		if peer.ID() != ev.Node && !peer.Crashed() {
+			peer.Pause()
+			defer peer.Resume()
 		}
-		p.Pause()
-		defer p.Resume()
 	}
-
-	var clk rdma.VClock
-	ep := m.endpoint(&clk)
 
 	// Logged transactions are still rolled forward/back from the logs.
-	if err := m.logRecovery(ep, ev, &stats); err != nil {
-		return stats, err
+	if err := p.logRecovery(); err != nil {
+		return p.stats, err
 	}
 
-	// Full scan for stray locks.
-	failedSet := make(map[kvlayout.CoordID]bool, len(ev.Coords))
-	for _, c := range ev.Coords {
-		failedSet[c] = true
-	}
+	// Full scan for stray locks, on the primaries, where locks live.
 	ring := m.Ring()
 	for _, tab := range m.cfg.Schema {
 		for part := uint32(0); part < ring.Partitions(); part++ {
-			for _, n := range ring.Replicas(part) {
-				if n != mustPrimary(ring, part, m.cfg.Fabric) {
-					continue // locks live on primaries only
-				}
-				freed, err := m.scanRegion(ep, n, tab, part, failedSet)
-				if err != nil {
-					return stats, err
-				}
-				stats.StrayLocksFreed += freed
+			primary, ok := ring.Primary(part, func(n rdma.NodeID) bool { return !m.cfg.Fabric.IsDown(n) })
+			if !ok {
+				continue
 			}
+			freed, err := m.scanRegion(&p.ep, primary, tab, part, ev.Coords)
+			if err != nil {
+				return p.stats, err
+			}
+			p.stats.StrayLocksFreed += freed
 		}
 	}
-	stats.VTime = clk.Now()
-	stats.WallTime = time.Since(start) //pandora:wallclock host-side diagnostic only
-	return stats, nil
-}
-
-func mustPrimary(ring interface {
-	Primary(uint32, func(rdma.NodeID) bool) (rdma.NodeID, bool)
-}, part uint32, fab *rdma.Fabric) rdma.NodeID {
-	p, _ := ring.Primary(part, func(n rdma.NodeID) bool { return !fab.IsDown(n) })
-	return p
+	return p.done(), nil
 }
 
 // scanRegion reads one table region in chunks and releases every stray
 // lock found.
-func (m *Manager) scanRegion(ep *rdma.Endpoint, node rdma.NodeID, tab kvlayout.Table, part uint32, failed map[kvlayout.CoordID]bool) (int, error) {
+func (m *Manager) scanRegion(ep *rdma.Endpoint, node rdma.NodeID, tab kvlayout.Table, part uint32, failed []kvlayout.CoordID) (int, error) {
 	regionID := kvlayout.TableRegionID(tab.ID, part)
 	if m.cfg.Fabric.LookupRegion(node, regionID) == nil {
 		return 0, nil
@@ -95,7 +72,7 @@ func (m *Manager) scanRegion(ep *rdma.Endpoint, node rdma.NodeID, tab kvlayout.T
 			return freed, err
 		}
 		word := kvlayout.Uint64(buf)
-		if kvlayout.IsLocked(word) && failed[kvlayout.LockOwner(word)] {
+		if kvlayout.IsLocked(word) && slices.Contains(failed, kvlayout.LockOwner(word)) {
 			_, swapped, err := ep.CAS(addr, word, 0)
 			if err == nil && swapped {
 				freed++

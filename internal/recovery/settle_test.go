@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pandora/internal/core"
+	"pandora/internal/fdetect"
 	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -34,36 +35,30 @@ func park(t testing.TB, victim *core.ComputeNode, i int, point core.CrashPoint, 
 	victim.Restart()
 }
 
-// keepLogs snapshots the node's log region on every server that logs for it and
-// returns the call that WRITEs the snapshot back: a recovery coordinator
-// that died after settling but before truncation (§3.2.3's premise)
-// leaves exactly this for the pass that re-executes it.
-func (e *env) keepLogs(t testing.TB, node rdma.NodeID, coordsPer int) (restore func()) {
+// cutAt returns a Manager.cut that stops the pass before verb landed of
+// step s — after its last verb when landed is the step's op count — as a
+// recovery coordinator's death would.
+func cutAt(s Step, landed int) func(Step, int) bool {
+	return func(at Step, i int) bool { return at == s && i == landed }
+}
+
+// recoverCut runs a pass that dies at (s, landed) and requires it to have.
+func (e *env) recoverCut(t testing.TB, ev fdetect.Event, s Step, landed int) Stats {
 	t.Helper()
-	ep := e.fab.Endpoint(rcNodeID)
-	servers := e.mgr.logNodes(node)
-	images := make([][]byte, len(servers))
-	for i, n := range servers {
-		images[i] = make([]byte, coordsPer*kvlayout.LogAreaSize)
-		if err := ep.Read(rdma.Addr{Node: n, Region: kvlayout.LogRegionID(node)}, images[i]); err != nil {
-			t.Fatal(err)
-		}
+	e.mgr.cut = cutAt(s, landed)
+	defer func() { e.mgr.cut = nil }()
+	stats, err := e.mgr.RecoverCompute(ev)
+	if !errors.Is(err, rdma.ErrCrashed) {
+		t.Fatalf("pass cut at step %d verb %d: err = %v, want ErrCrashed", s, landed, err)
 	}
-	return func() {
-		t.Helper()
-		for i, n := range servers {
-			if err := ep.Write(rdma.Addr{Node: n, Region: kvlayout.LogRegionID(node)}, images[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	return stats
 }
 
 func TestReexecutedRecoveryKeepsLiveCommit(t *testing.T) {
 	// Version ABA: the first pass settles the dead transaction and
-	// releases its locks, its coordinator dies before truncation, and a
-	// survivor commits key 1. The re-executed pass decides "back" either
-	// way — and must undo nothing, because it holds neither lock any more.
+	// releases its locks, dies before truncation, and a survivor commits
+	// key 1. The re-executed pass decides "back" either way — and must
+	// undo nothing, because it holds neither lock any more.
 	for _, c := range []struct {
 		name  string
 		point core.CrashPoint
@@ -83,12 +78,7 @@ func TestReexecutedRecoveryKeepsLiveCommit(t *testing.T) {
 			e.preload(t, 16)
 			runDoomed(t, e.nodes[0], c.point)
 			ev := e.failNode(t, 0)
-			restore := e.keepLogs(t, ev.Node, 2)
-
-			if _, err := e.mgr.RecoverCompute(ev); err != nil {
-				t.Fatal(err)
-			}
-			restore()
+			e.recoverCut(t, ev, StepTruncate, 0)
 			e.mustWrite(t, 1, 1, []byte("survivor"))
 
 			stats, err := e.mgr.RecoverCompute(ev)
@@ -111,38 +101,57 @@ func TestReexecutedRecoveryKeepsLiveCommit(t *testing.T) {
 
 func TestRecoveryRoundsIndependentOfStrayTxs(t *testing.T) {
 	// The model clock of one recovery is the prefix doorbell — one round
-	// trip and LogPrefixSize bytes per coordinator on the busier server —
+	// trip and LogPrefixSize bytes per log area on the busier server —
 	// plus three round trips: observe, act, truncate, however many
-	// transactions the node died with. With nothing logged it is the prefix
-	// doorbell and the truncation alone.
+	// transactions the node died with. The traditional scheme reads an
+	// intent area per coordinator too and adds two: every coordinator's
+	// intent locks in one, their floors in the other. With nothing logged
+	// it is the prefix doorbell and the truncation alone.
 	lat := rdma.DefaultLatency()
-	for _, n := range []int{1, 4, 16} {
-		e := newEnv(t, envConfig{coordsPer: n, latency: lat})
-		e.preload(t, 64)
-		for i := 0; i < n; i++ {
-			park(t, e.nodes[0], i, core.PointAfterLog, kvlayout.Key(2*i), kvlayout.Key(2*i+1))
-		}
-		ev := e.failNode(t, 0)
-		stats, err := e.mgr.RecoverCompute(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.LoggedTxs != n || stats.RolledBack != n || stats.LogTailReads != 0 {
-			t.Fatalf("n=%d: stats = %+v, want %d logged and rolled back from the prefixes alone", n, stats, n)
-		}
-		logRead := lat.BaseRTT + time.Duration(n)*(lat.Verb(kvlayout.LogPrefixSize)-lat.BaseRTT)
-		if stats.LogReadVTime != logRead {
-			t.Errorf("n=%d: prefix doorbell = %v, want %v", n, stats.LogReadVTime, logRead)
-		}
-		if extra := stats.VTime - logRead; extra < 3*lat.BaseRTT || extra >= 3*lat.BaseRTT+500*time.Nanosecond {
-			t.Errorf("n=%d: recovery is the prefix doorbell + %v, want 3 round trips (%v) and under 0.5µs of bytes", n, extra, 3*lat.BaseRTT)
-		}
-		again, err := e.mgr.RecoverCompute(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.LoggedTxs != 0 || again.VTime != logRead+lat.BaseRTT {
-			t.Errorf("n=%d: second pass = %+v, want no logged txs in the prefix doorbell + one truncate round (%v)", n, again, logRead+lat.BaseRTT)
+	for _, p := range []struct {
+		name          string
+		opts          core.Options
+		areas, rounds int // log areas per coordinator; rounds after the prefixes
+	}{
+		{"pandora", core.Options{}, 1, 3},
+		{"tradlog", core.Options{Protocol: core.ProtocolTradLog, DisablePILL: true}, 2, 5},
+	} {
+		for _, n := range []int{1, 4, 16} {
+			e := newEnv(t, envConfig{coordsPer: n, latency: lat, opts: p.opts})
+			e.preload(t, 64)
+			for i := 0; i < n; i++ {
+				park(t, e.nodes[0], i, core.PointAfterLog, kvlayout.Key(2*i), kvlayout.Key(2*i+1))
+			}
+			ev := e.failNode(t, 0)
+			stats, err := e.mgr.RecoverCompute(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.LoggedTxs != n || stats.RolledBack != n || stats.LogTailReads != 0 {
+				t.Fatalf("%s n=%d: stats = %+v, want %d logged and rolled back from the prefixes alone", p.name, n, stats, n)
+			}
+			logRead := lat.BaseRTT + time.Duration(n*p.areas)*(lat.Verb(kvlayout.LogPrefixSize)-lat.BaseRTT)
+			if stats.Steps[StepLogPrefix] != logRead {
+				t.Errorf("%s n=%d: prefix doorbell = %v, want %v", p.name, n, stats.Steps[StepLogPrefix], logRead)
+			}
+			rounds := time.Duration(p.rounds) * lat.BaseRTT
+			if extra := stats.VTime - logRead; extra < rounds || extra >= rounds+500*time.Nanosecond {
+				t.Errorf("%s n=%d: recovery is the prefix doorbell + %v, want %d round trips (%v) and under 0.5µs of bytes", p.name, n, extra, p.rounds, rounds)
+			}
+			if p.areas == 2 {
+				for _, s := range []Step{StepIntentRelease, StepIntentFloor} {
+					if got := stats.Steps[s]; got != lat.BaseRTT {
+						t.Errorf("%s n=%d: intent step %d took %v, want one round trip (%v)", p.name, n, s, got, lat.BaseRTT)
+					}
+				}
+			}
+			again, err := e.mgr.RecoverCompute(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.LoggedTxs != 0 || again.VTime != logRead+lat.BaseRTT {
+				t.Errorf("%s n=%d: second pass = %+v, want no logged txs in the prefix doorbell + one truncate round (%v)", p.name, n, again, logRead+lat.BaseRTT)
+			}
 		}
 	}
 }
@@ -178,14 +187,15 @@ func TestRecoveryCycleModelTime(t *testing.T) {
 	// lock+version READ is 1 ns on the wire (a bare 8-byte word rounds to
 	// none) — and the truncate round.
 	want := Stats{
-		LoggedTxs:     4,
-		RolledBack:    4,
-		LogBytesRead:  2 * 8 * kvlayout.LogPrefixSize,
-		VTime:         8324 * time.Nanosecond,
-		LogReadVTime:  2320 * time.Nanosecond,
-		SettleVTime:   4004 * time.Nanosecond,
-		TruncateVTime: 2000 * time.Nanosecond,
+		LoggedTxs:    4,
+		RolledBack:   4,
+		LogBytesRead: 2 * 8 * kvlayout.LogPrefixSize,
+		VTime:        8324 * time.Nanosecond,
 	}
+	want.Steps[StepLogPrefix] = 2320 * time.Nanosecond
+	want.Steps[StepObserve] = 2004 * time.Nanosecond
+	want.Steps[StepAct] = 2000 * time.Nanosecond
+	want.Steps[StepTruncate] = 2000 * time.Nanosecond
 	if stats != want {
 		t.Fatalf("recovery stats = %+v, want %+v", stats, want)
 	}
@@ -208,12 +218,13 @@ func TestLaneRepairMatchesSequential(t *testing.T) {
 			}
 			park(t, e.nodes[0], 0, core.PointAfterLog, k1, k2)
 			ev := e.failNode(t, 0)
-			restore := e.keepLogs(t, ev.Node, 2)
 
-			pass := func(wantHead, wantRepairs uint64) {
+			pass := func(cut bool, wantHead, wantRepairs uint64) {
 				t.Helper()
 				before := reg.Snapshot()
-				if _, err := e.mgr.RecoverCompute(ev); err != nil {
+				if cut {
+					e.recoverCut(t, ev, StepTruncate, 0)
+				} else if _, err := e.mgr.RecoverCompute(ev); err != nil {
 					t.Fatal(err)
 				}
 				var head [8]byte
@@ -227,11 +238,10 @@ func TestLaneRepairMatchesSequential(t *testing.T) {
 					t.Errorf("ticket repairs = %d, want %d", got, wantRepairs)
 				}
 			}
-			pass(min(2, owed), min(1, owed))
+			pass(true, min(2, owed), min(1, owed))
 			// A re-executed pass finds the same log but releases nothing,
 			// so it repairs nothing — even with a ticket still outstanding.
-			restore()
-			pass(min(2, owed), 0)
+			pass(false, min(2, owed), 0)
 		})
 	}
 }
@@ -368,28 +378,30 @@ func TestRollBackAfterPrimaryLoss(t *testing.T) {
 func TestReexecutedRecoveryRepairsTornBackup(t *testing.T) {
 	// A pass that died inside its act doorbell: the undo and the unlock
 	// landed on key 1's primary (one queue pair, in that order), the undo
-	// WRITE to the backup did not. The re-executed pass finds the lock
-	// free and the primary old — no live commit can have made that — and
-	// brings the backup back to it.
+	// WRITE to the backup did not — its link was down for that one verb.
+	// The re-executed pass finds the lock free and the primary old — no
+	// live commit can have made that — and brings the backup back to it.
 	e := newEnv(t, envConfig{memNodes: 3})
 	e.preload(t, 32)
 	parkMidApply(t, e.nodes[0], 1, 2)
 	ev := e.failNode(t, 0)
-	restore := e.keepLogs(t, ev.Node, 2)
 
-	p := e.ring.Partition(1)
-	backup := rdma.Addr{Node: e.ring.Replicas(p)[1], Region: kvlayout.TableRegionID(0, p)}
-	ep := e.fab.Endpoint(rcNodeID)
-	torn := make([]byte, e.schema[0].RegionSize())
-	if err := ep.Read(backup, torn); err != nil {
-		t.Fatal(err)
+	// Key 1's act ops: the undo on the primary, on the backup, the unlock.
+	backup := e.ring.Replicas(e.ring.Partition(1))[1]
+	e.mgr.cut = func(s Step, landed int) bool {
+		if s == StepAct && landed == 1 {
+			e.fab.PartitionLink(rcNodeID, backup)
+		} else if s == StepAct && landed == 2 {
+			e.fab.HealLink(rcNodeID, backup)
+		}
+		return s == StepAct && landed == 3
 	}
-	if _, err := e.mgr.RecoverCompute(ev); err != nil {
-		t.Fatal(err)
+	if _, err := e.mgr.RecoverCompute(ev); !errors.Is(err, rdma.ErrCrashed) {
+		t.Fatalf("torn pass err = %v, want ErrCrashed", err)
 	}
-	restore()
-	if err := ep.Write(backup, torn); err != nil {
-		t.Fatal(err)
+	e.mgr.cut = nil
+	if got := e.slot(t, backup, 1); got.Version == e.slot(t, e.ring.Replicas(e.ring.Partition(1))[0], 1).Version {
+		t.Fatalf("backup of key 1 was undone too (version %d): the pass is not torn", got.Version)
 	}
 
 	if _, err := e.mgr.RecoverCompute(ev); err != nil {

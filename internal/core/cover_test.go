@@ -244,8 +244,8 @@ func TestStolenLockCovers(t *testing.T) {
 		if err := tx.Write(0, 3, []byte("stolen")); err != nil {
 			t.Fatal(err)
 		}
-		if got := posted[stageSteal]; len(got) != 1 {
-			t.Fatalf("moved=%t: %d steal doorbells, want 1", moved, len(got))
+		if steals, locks := len(posted[stageSteal]), len(posted[stageLock]); steals != 1 || locks != 0 {
+			t.Fatalf("moved=%t: %d steal and %d lock doorbells, want the read's hinted steal alone", moved, steals, locks)
 		}
 		if !tx.writes[0].locked || tx.reads[0].covered == moved {
 			t.Fatalf("moved=%t: locked %t, covered %t", moved, tx.writes[0].locked, tx.reads[0].covered)
@@ -259,6 +259,193 @@ func TestStolenLockCovers(t *testing.T) {
 		if n := e.lockedSlots(t, 0); n != 0 {
 			t.Fatalf("moved=%t: %d slots left locked", moved, n)
 		}
+	}
+}
+
+// stealHintEnv is the setting of the steal-hint tests: keys 0..7
+// preloaded, key 3 stray-locked by plantStray on node 0, whose stages are
+// watched from then on.
+func stealHintEnv(t *testing.T, opts Options) (*env, *Coordinator, rdma.Addr, map[stageKind][]int) {
+	t.Helper()
+	e := newEnv(t, envConfig{opts: opts})
+	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+	cn := e.nodes[0]
+	slot := plantStray(t, cn, 3)
+	return e, cn.Coordinator(0), slot, watchStages(cn)
+}
+
+// wantLockDoorbells fails unless the watched node posted exactly steals
+// steal doorbells and locks lock doorbells.
+func wantLockDoorbells(t *testing.T, posted map[stageKind][]int, steals, locks int) {
+	t.Helper()
+	if s, l := len(posted[stageSteal]), len(posted[stageLock]); s != steals || l != locks {
+		t.Fatalf("%d steal and %d lock doorbells, want %d and %d", s, l, steals, locks)
+	}
+}
+
+// TestStealHintFromRead: a fabric read — Tx.Read, or ReadRange's batched
+// READ — that passes over a stray lock hands the word to the write, whose
+// one lock-step doorbell is the steal.
+func TestStealHintFromRead(t *testing.T) {
+	for _, viaRange := range []bool{false, true} {
+		e, co, _, posted := stealHintEnv(t, Options{})
+		tx := co.Begin()
+		var err error
+		if viaRange {
+			err = tx.ReadRange(0, 2, 4, func(kvlayout.Key, []byte) bool { return true })
+		} else {
+			_, err = tx.Read(0, 3)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tx.findRead(0, 3)
+		if r == nil || r.stray != kvlayout.LockWord(999, 1) {
+			t.Fatalf("range=%t: the read of key 3 does not carry the stray word: %+v", viaRange, r)
+		}
+		if err := tx.Write(0, 3, []byte("hinted")); err != nil {
+			t.Fatal(err)
+		}
+		wantLockDoorbells(t, posted, 1, 0)
+		if !tx.writes[0].locked || !r.covered {
+			t.Fatalf("range=%t: locked %t, covered %t", viaRange, tx.writes[0].locked, r.covered)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if n := e.lockedSlots(t, 0); n != 0 {
+			t.Fatalf("range=%t: %d slots left locked", viaRange, n)
+		}
+	}
+}
+
+// clearLock zeroes the lock word of the slot at addr, as a recovery that
+// released the stray word would.
+func clearLock(t *testing.T, co *Coordinator, slot rdma.Addr) {
+	t.Helper()
+	var zero [8]byte
+	slot.Offset += kvlayout.SlotLockOff
+	if err := co.ep.Write(slot, zero[:]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStealHintLostToRelease: the stray word is released between the read
+// and the write. The hinted steal loses and the ordinary lock doorbell
+// takes the free word; the entry is locked and covered, and the commit
+// leaves nothing locked.
+func TestStealHintLostToRelease(t *testing.T) {
+	e, co, slot, posted := stealHintEnv(t, Options{})
+	tx := co.Begin()
+	if _, err := tx.Read(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	clearLock(t, co, slot)
+	if err := tx.Write(0, 3, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	wantLockDoorbells(t, posted, 1, 1)
+	if len(tx.writes) != 1 || !tx.writes[0].locked || !tx.reads[0].covered {
+		t.Fatalf("%d write entries, locked %t, covered %t", len(tx.writes), tx.writes[0].locked, tx.reads[0].covered)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.lockedSlots(t, 0); n != 0 {
+		t.Fatalf("%d slots left locked", n)
+	}
+}
+
+// TestStealHintLostToLiveOwner: between the read and the write the stray
+// word is released and a running coordinator locks the key. The hinted
+// steal loses, the lock doorbell meets the live owner, and the conflict
+// policy aborts the transaction as a lock conflict.
+func TestStealHintLostToLiveOwner(t *testing.T) {
+	e, co, slot, posted := stealHintEnv(t, Options{})
+	tx := co.Begin()
+	if _, err := tx.Read(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	clearLock(t, co, slot)
+	holder := e.nodes[1].Coordinator(0).Begin()
+	if err := holder.Write(0, 3, []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	mustAbortAs(t, tx.Write(0, 3, []byte("late")), metrics.AbortLockConflict)
+	wantLockDoorbells(t, posted, 1, 1)
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.lockedSlots(t, 0); n != 0 {
+		t.Fatalf("%d slots left locked", n)
+	}
+}
+
+// TestStealHintNotFromCache: a read served by the read cache saw no lock
+// word, so the write finds the stray one the old way: a lock doorbell
+// whose CAS fails on it, then the steal.
+func TestStealHintNotFromCache(t *testing.T) {
+	_, co, _, posted := stealHintEnv(t, Options{})
+	warm := co.Begin()
+	if _, err := warm.Read(0, 3); err != nil { // fills the cache
+		t.Fatal(err)
+	}
+	if err := warm.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	tx := co.Begin()
+	if _, err := tx.Read(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if r := tx.reads[0]; !r.fromCache || r.stray != 0 {
+		t.Fatalf("fromCache %t, stray %#x: want a cache hit without a word", r.fromCache, r.stray)
+	}
+	if err := tx.Write(0, 3, []byte("cached")); err != nil {
+		t.Fatal(err)
+	}
+	wantLockDoorbells(t, posted, 1, 1)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStealHintOffWithoutPILL: with PILL disabled no word is stray, so
+// there is no hint to give — the read aborts on the word as a lock
+// conflict, and a blind write's lock doorbell does the same, with no
+// steal posted.
+func TestStealHintOffWithoutPILL(t *testing.T) {
+	_, co, _, posted := stealHintEnv(t, Options{DisablePILL: true})
+	tx := co.Begin()
+	if w := tx.strayWord(kvlayout.LockWord(999, 1)); w != 0 {
+		t.Fatalf("strayWord = %#x under DisablePILL, want 0", w)
+	}
+	_, err := tx.Read(0, 3)
+	mustAbortAs(t, err, metrics.AbortLockConflict)
+	mustAbortAs(t, co.Begin().Write(0, 3, []byte("blind")), metrics.AbortLockConflict)
+	wantLockDoorbells(t, posted, 0, 1)
+}
+
+// TestStealHintInsertTakeover: an insert whose probe finds its key's claim
+// held by a failed coordinator takes the slot over with one steal
+// doorbell, the probe's word in hand, and no lock CAS failing on it.
+func TestStealHintInsertTakeover(t *testing.T) {
+	e := newEnv(t, envConfig{})
+	cn, other := e.nodes[0], e.nodes[1].Coordinator(0)
+	const key = kvlayout.Key(100)
+	claimant := other.Begin()
+	if err := claimant.Insert(0, key, []byte("abandoned")); err != nil {
+		t.Fatal(err)
+	}
+	cn.NotifyStrayLocks([]kvlayout.CoordID{other.ID()})
+	posted := watchStages(cn)
+	co := cn.Coordinator(0)
+	mustCommit(t, co, func(tx *Tx) error { return tx.Insert(0, key, []byte("taken over")) })
+	wantLockDoorbells(t, posted, 1, 0)
+	if n := e.lockedSlots(t, 0); n != 0 {
+		t.Fatalf("%d slots left locked", n)
+	}
+	if v, err := readKey(t, co, 0, key); err != nil || string(v[:10]) != "taken over" {
+		t.Fatalf("read after the takeover: %q, %v", v, err)
 	}
 }
 

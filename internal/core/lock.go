@@ -45,9 +45,11 @@ func fixedPlan(p Protocol) plan {
 }
 
 // lockWrite is the eager-locking step of execution for one write-set
-// object: it registers the entry and runs the node's lock plan over it.
-func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte) error {
+// object: it registers the entry, with the stray lock word already seen
+// on its slot (0 if none), and runs the node's lock plan over it.
+func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte, stray uint64) error {
 	ent := tx.register(tx.sc.wr.next(), ref, kind, newValue)
+	ent.stray = stray
 	for _, step := range tx.cn.plan.lock {
 		if err := step(tx, ent); err != nil {
 			return err
@@ -238,7 +240,10 @@ func (tx *Tx) onConflict(ent *writeEnt, old uint64, spins *int) error {
 // acquire takes ent's lock and captures its undo state: lock doorbell,
 // PILL steal on a stray owner, the conflict policy on a live one, then
 // the checks that the slot read under the lock is still the one the
-// entry means, and for an insert the claim.
+// entry means, and for an insert the claim. An entry that arrives with a
+// stray word its read or probe saw, still stray, posts the steal as its
+// first doorbell: the lock CAS from 0 would only fail on that word. A
+// steal that loses falls through to the ordinary lock doorbell.
 func (tx *Tx) acquire(ent *writeEnt) error {
 	cn := tx.cn
 	tab := cn.schema[ent.ref.table]
@@ -252,7 +257,13 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 		if err := tx.pinReplicas(ent); err != nil {
 			return err
 		}
-		out, old, err := tx.postLock(ent, b, buf)
+		// A word the read or probe saw, if still stray, is stolen without a
+		// lock CAS failing on it first; the hint serves one doorbell only.
+		out, old, err := lockStray, tx.strayWord(ent.stray), error(nil)
+		ent.stray = 0
+		if old == 0 {
+			out, old, err = tx.postLock(ent, b, buf)
+		}
 		if out == lockStray {
 			out, err = tx.steal(ent, old, b, buf)
 		}

@@ -196,7 +196,7 @@ func (co *Coordinator) doorbell(spec *stageSpec, ops []*rdma.Op) error {
 	if spec.counted {
 		// Injected runs never get here: verb-at-a-time rounds are not
 		// comparable and are not benchmarked.
-		co.node.opts.Metrics.CountCommitRound()
+		co.node.opts.Metrics.CountCommitRound(uint64(co.id))
 	}
 	return err
 }

@@ -15,11 +15,14 @@ import (
 // classified cache-stale rather than validation-version (the staleness
 // was the cache's, not a concurrent writer racing a fabric read).
 // covered marks an entry this transaction's own write lock vouches for
-// (cover, lock.go): validation does not re-read it.
+// (cover, lock.go): validation does not re-read it. stray is the stray
+// lock word a fabric read passed over (PILL), 0 if none: a later write
+// of the key steals it on its first lock doorbell.
 type readEnt struct {
 	ref       objRef
 	version   uint64
 	value     []byte
+	stray     uint64
 	fromCache bool
 	covered   bool
 }
@@ -45,6 +48,7 @@ type writeEnt struct {
 	replicas   []rdma.NodeID // replica set snapshot, primary first
 	applied    uint64        // bit i: the commit write reached replicas[i]
 	ticket     laneTicket    // assigned by takeTicket alone
+	stray      uint64        // a stray word a read or probe saw on the slot: acquire's hint
 }
 
 // Tx is one transaction. A coordinator runs transactions one at a time;
@@ -103,6 +107,16 @@ func (tx *Tx) addRead(ref objRef, version uint64, value []byte, fromCache bool) 
 	ent := tx.sc.rd.next()
 	*ent = readEnt{ref: ref, version: version, value: value, fromCache: fromCache}
 	tx.reads = append(tx.reads, ent)
+	return ent
+}
+
+// addFabricRead appends the read-set entry of a slot read from the
+// fabric, with the stray lock word it passed over, and records it in the
+// validated read cache. value is addRead's.
+func (tx *Tx) addFabricRead(ref objRef, slot kvlayout.Slot, value []byte) *readEnt {
+	ent := tx.addRead(ref, slot.Version, value, false)
+	ent.stray = tx.strayWord(slot.Lock)
+	tx.cacheRead(ent)
 	return ent
 }
 
@@ -255,9 +269,7 @@ func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
 	if !slot.Present {
 		return nil, ErrNotFound
 	}
-	ent := tx.addRead(ref, slot.Version, slot.Value, false)
-	tx.cacheRead(ent)
-	return tx.readDone(ent.value)
+	return tx.readDone(tx.addFabricRead(ref, slot, slot.Value).value)
 }
 
 // readDone ends a read by running the verb-less stageRead, whose crash
@@ -351,6 +363,15 @@ func (tx *Tx) strayLock(word uint64) bool {
 		return false
 	}
 	return tx.cn.failed.Test(kvlayout.LockOwner(word))
+}
+
+// strayWord returns word if it is a held stray lock, else 0: the hint a
+// read or a probe hands the lock step.
+func (tx *Tx) strayWord(word uint64) uint64 {
+	if kvlayout.IsLocked(word) && tx.strayLock(word) {
+		return word
+	}
+	return 0
 }
 
 // holdsLocks reports whether the transaction already holds any lock.
@@ -448,7 +469,7 @@ func (tx *Tx) Write(table kvlayout.TableID, key kvlayout.Key, value []byte) erro
 }
 
 // lockExisting resolves a key that must exist and runs the lock step on
-// its slot.
+// its slot, handing it the stray word a read of that slot passed over.
 func (tx *Tx) lockExisting(table kvlayout.TableID, key kvlayout.Key, kind kvlayout.WriteKind, newValue []byte) error {
 	ref, found, err := tx.resolve(table, key)
 	if err != nil {
@@ -457,7 +478,11 @@ func (tx *Tx) lockExisting(table kvlayout.TableID, key kvlayout.Key, kind kvlayo
 	if !found {
 		return ErrNotFound
 	}
-	return tx.lockWrite(ref, kind, newValue)
+	var stray uint64
+	if r := tx.findRead(table, key); r != nil && r.ref == ref {
+		stray = r.stray
+	}
+	return tx.lockWrite(ref, kind, newValue, stray)
 }
 
 // Delete stages removal of an existing key.
@@ -507,13 +532,14 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 		if res.found {
 			return ErrExists
 		}
-		var slot uint64
+		var slot, stray uint64
 		switch {
 		case res.claimed:
 			// Another insert of this key is in flight at claimedSlot. If
 			// its lock is stray (failed coordinator), take the slot over
-			// via PILL stealing; otherwise it is an ordinary lock
-			// conflict.
+			// via PILL stealing — the probe read the word, so the lock
+			// step's first doorbell is the steal; otherwise it is an
+			// ordinary lock conflict.
 			if !tx.strayLock(res.claimedLock) {
 				if tx.drainWait(res.claimedLock) {
 					continue // the claimant's drained release freed the slot; re-probe
@@ -521,14 +547,14 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 				return tx.abort(metrics.AbortSteal, lockedBy("insert of %d/%d conflicts with in-flight claim by coordinator %d",
 					objRef{table: table, key: key}, res.claimedLock))
 			}
-			slot = res.claimedSlot
+			slot, stray = res.claimedSlot, res.claimedLock
 		case res.haveFree:
 			slot = res.freeSlot
 		default:
 			return ErrTableFull
 		}
 		ref := objRef{table: table, key: key, partition: tx.cn.Ring().Partition(key), slot: slot}
-		err = tx.lockWrite(ref, kvlayout.WriteInsert, tx.sc.padded(value, tab.ValueSize))
+		err = tx.lockWrite(ref, kvlayout.WriteInsert, tx.sc.padded(value, tab.ValueSize), stray)
 		if !errors.Is(err, errSlotContended) {
 			return err
 		}
@@ -665,8 +691,7 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 			case !slot.Present:
 				// absent (empty / tombstone / in-flight claim): skip
 			default:
-				ent := tx.addRead(refs[i], slot.Version, tx.sc.padded(slot.Value, len(slot.Value)), false)
-				tx.cacheRead(ent)
+				ent := tx.addFabricRead(refs[i], slot, tx.sc.padded(slot.Value, len(slot.Value)))
 				vals[i], present[i] = ent.value, true
 			}
 		}
@@ -682,8 +707,7 @@ func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preRea
 			if !slot.Present {
 				continue
 			}
-			ent := tx.addRead(ref, slot.Version, slot.Value, false)
-			tx.cacheRead(ent)
+			ent := tx.addFabricRead(ref, slot, slot.Value)
 			vals[i], present[i] = ent.value, true
 		}
 		tx.recordPhase(metrics.PhaseRead, readStart)

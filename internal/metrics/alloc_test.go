@@ -57,7 +57,7 @@ func TestDrainPathZeroAlloc(t *testing.T) {
 	}{
 		{"CountDrain", func() { r.CountDrain(DrainEnqueued); r.CountDrain(DrainFlushed) }},
 		{"RecordDrainDepth", func() { r.RecordDrainDepth(3) }},
-		{"CountCommitRound", func() { r.CountCommitRound() }},
+		{"CountCommitRound", func() { r.CountCommitRound(5) }},
 		{"AckToUnlocked", func() { r.RecordPhase(PhaseAckToUnlocked, 2, 5*time.Microsecond) }},
 		{"LockDrainWait", func() { r.CountLock(LockDrainWait) }},
 	}

@@ -244,8 +244,16 @@ type Registry struct {
 	drainDepth atomic.Int64  // current drain-queue depth gauge
 	drainMax   atomic.Uint64 // high-water drain-queue depth
 	// commitRounds counts post-validation critical-path doorbell rounds
-	// (the commitpipe experiment's rounds-per-commit numerator).
-	commitRounds atomic.Uint64
+	// (the commitpipe experiment's rounds-per-commit numerator), sharded
+	// like the phase histograms; the snapshot sums the shards.
+	commitRounds [histShards]roundShard
+}
+
+// roundShard is one shard of the commit-round counter, padded to a cache
+// line so that two shards never share one.
+type roundShard struct {
+	n atomic.Uint64
+	_ [56]byte
 }
 
 // New creates an empty registry.
@@ -309,12 +317,22 @@ func (r *Registry) RecordDrainDepth(depth int64) {
 }
 
 // CountCommitRound counts one post-validation critical-path doorbell
-// round of a committing transaction. Nil-safe, zero-alloc.
-func (r *Registry) CountCommitRound() {
+// round of a committing transaction, on shard (the coordinator id, as
+// for RecordPhase; any value is valid). Nil-safe, zero-alloc.
+func (r *Registry) CountCommitRound(shard uint64) {
 	if r == nil {
 		return
 	}
-	r.commitRounds.Add(1)
+	r.commitRounds[shardOf(shard)].n.Add(1)
+}
+
+// commitRoundTotal sums the commit-round shards.
+func (r *Registry) commitRoundTotal() uint64 {
+	var n uint64
+	for i := range r.commitRounds {
+		n += r.commitRounds[i].n.Load()
+	}
+	return n
 }
 
 // CountVerb counts one issued verb against destination node, plus its

@@ -139,6 +139,23 @@ func TestShardOfSpreads(t *testing.T) {
 	}
 }
 
+// TestCommitRoundShardsSum: commit rounds counted on any shard keys add up
+// in the snapshot and in a delta.
+func TestCommitRoundShardsSum(t *testing.T) {
+	r := New()
+	for key := uint64(0); key < 3*histShards; key++ {
+		r.CountCommitRound(key)
+	}
+	before := r.Snapshot()
+	if got := before.Drain.CommitRounds; got != 3*histShards {
+		t.Fatalf("commit rounds = %d, want %d", got, 3*histShards)
+	}
+	r.CountCommitRound(1 << 40)
+	if got := r.Snapshot().Sub(before).Drain.CommitRounds; got != 1 {
+		t.Fatalf("commit-round delta = %d, want 1", got)
+	}
+}
+
 func TestAbortCounters(t *testing.T) {
 	r := New()
 	r.CountAbort(AbortLockConflict)

@@ -102,7 +102,7 @@ func (r *Registry) Snapshot() Snapshot {
 		Failures:     r.drains[DrainFailure].Load(),
 		Depth:        r.drainDepth.Load(),
 		MaxDepth:     r.drainMax.Load(),
-		CommitRounds: r.commitRounds.Load(),
+		CommitRounds: r.commitRoundTotal(),
 	}
 	if t := r.verbs.tab.Load(); t != nil {
 		for i, node := range t.nodes { // nodes are sorted

@@ -72,20 +72,25 @@ bench-smoke:
 	cmp $(BIN)/BENCH_commitpipe.gen.json $(BIN)/BENCH_commitpipe.json
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
 	$(GO) test -run $(STEAL_PINS) -v . ./internal/core
+	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core
 	bash tools/modelgate.sh
 
 # Model-clock gate: the recovery pass's per-step model times are pinned
 # and every cut of an interrupted pass must converge (internal/recovery,
 # no race); the PILL steal's doorbells and rounds are pinned by name (a
-# steal round put back fails a named test); then a 3 s failover run of
-# the repository benchmark must be correct, fail no operation and report
-# exactly the recovery_model_us checked in as tools/modelgate.expect (a
-# count of rounds and bytes, so it repeats to the nanosecond on any host).
+# steal round put back fails a named test), and so is the read cache's
+# scan rule (a scan that admits its fabric reads and evicts the hot keys
+# again fails a named test); then a 3 s failover run of the repository
+# benchmark must be correct, fail no operation and report exactly the
+# recovery_model_us checked in as tools/modelgate.expect (a count of
+# rounds and bytes, so it repeats to the nanosecond on any host).
 RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|Interrupted'
 STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint'
+SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks'
 model-gate:
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
 	$(GO) test -run $(STEAL_PINS) -v . ./internal/core
+	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core
 	bash tools/modelgate.sh
 
 # Property-based litmus lane: the proptest engine's own tests, then the

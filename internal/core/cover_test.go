@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"pandora/internal/kvlayout"
@@ -152,6 +153,109 @@ func TestStaleReadsOfWrittenKeysAbortOnce(t *testing.T) {
 	}
 	if aborts != 1 {
 		t.Fatalf("%d aborts, want exactly one", aborts)
+	}
+}
+
+// scanRange runs ReadRange over [lo, hi] of table 0 and returns what it
+// emitted, by key, with the slot's zero padding trimmed.
+func scanRange(t *testing.T, tx *Tx, lo, hi kvlayout.Key) map[kvlayout.Key]string {
+	t.Helper()
+	got := map[kvlayout.Key]string{}
+	if err := tx.ReadRange(0, lo, hi, func(k kvlayout.Key, v []byte) bool {
+		got[k] = strings.TrimRight(string(v), "\x00")
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// readOf returns the read-set entry of key in table 0.
+func readOf(t *testing.T, tx *Tx, key kvlayout.Key) *readEnt {
+	t.Helper()
+	r := tx.findRead(0, key)
+	if r == nil {
+		t.Fatalf("key %d is not in the read set", key)
+	}
+	return r
+}
+
+// TestRangeCacheHitGoesStale: a scan still serves a key a point read
+// cached, and that hit is validated like one from Tx.Read. Another
+// coordinator commits the key; the scan's commit aborts cache-stale and
+// drops the entry, and the retry reads the committed value through.
+func TestRangeCacheHitGoesStale(t *testing.T) {
+	e := newEnv(t, envConfig{})
+	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+	co, other := e.nodes[0].Coordinator(0), e.nodes[1].Coordinator(0)
+	const key = kvlayout.Key(2)
+	if _, err := readKey(t, co, 0, key); err != nil { // fills co's read cache
+		t.Fatal(err)
+	}
+	mustCommit(t, other, func(tx *Tx) error { return tx.Write(0, key, val16(key, 1)) })
+
+	before := co.ReadCacheStats()
+	tx := co.Begin()
+	if got := scanRange(t, tx, 1, 3)[key]; got != string(val16(key, 0)) {
+		t.Fatalf("scan read %q, want the cached %q", got, val16(key, 0))
+	}
+	if !readOf(t, tx, key).fromCache {
+		t.Fatal("the scan did not serve the cached key from the cache")
+	}
+	mustAbortAs(t, tx.Commit(), metrics.AbortCacheStale)
+	if d := co.ReadCacheStats().Invalidations - before.Invalidations; d != 1 {
+		t.Fatalf("validation dropped %d cache entries, want the one stale key", d)
+	}
+
+	tx = co.Begin()
+	if got := scanRange(t, tx, 1, 3)[key]; got != string(val16(key, 1)) {
+		t.Fatalf("retry read %q, want the committed %q", got, val16(key, 1))
+	}
+	if readOf(t, tx, key).fromCache {
+		t.Fatal("the retry was served from the dropped entry")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRangeReadsCoveredByLocks: keys a scan read — one a cache hit, one
+// fetched from the fabric and not admitted to the cache — are covered by
+// the locks of a later write like keys Tx.Read returned, so validation
+// re-reads only the scanned key that was not written.
+func TestRangeReadsCoveredByLocks(t *testing.T) {
+	e := newEnv(t, envConfig{})
+	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+	cn := e.nodes[0]
+	co := cn.Coordinator(0)
+	if _, err := readKey(t, co, 0, 2); err != nil { // fills co's read cache
+		t.Fatal(err)
+	}
+	puts := co.ReadCacheStats().Puts
+	posted := watchStages(cn)
+
+	tx := co.Begin()
+	scanRange(t, tx, 1, 3)
+	if d := co.ReadCacheStats().Puts - puts; d != 0 {
+		t.Fatalf("the scan admitted %d keys to the read cache, want none", d)
+	}
+	for _, k := range []kvlayout.Key{2, 3} {
+		if err := tx.Write(0, k, []byte("rmw")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, want := range map[kvlayout.Key]struct{ fromCache, covered bool }{
+		1: {false, false}, 2: {true, true}, 3: {false, true},
+	} {
+		if r := readOf(t, tx, k); r.fromCache != want.fromCache || r.covered != want.covered {
+			t.Fatalf("key %d: fromCache %t covered %t, want %+v", k, r.fromCache, r.covered, want)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := posted[stageValidate]; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("validation posted %v READs, want one doorbell of one READ (key 1)", got)
 	}
 }
 

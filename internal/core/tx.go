@@ -111,12 +111,13 @@ func (tx *Tx) addRead(ref objRef, version uint64, value []byte, fromCache bool) 
 }
 
 // addFabricRead appends the read-set entry of a slot read from the
-// fabric, with the stray lock word it passed over, and records it in the
-// validated read cache. value is addRead's.
+// fabric, with the stray lock word it passed over. value is addRead's.
+// It does not admit the slot to the validated read cache: only a point
+// read does (cacheRead), so a range scan reads through the cache
+// instead of evicting the keys point reads keep hot (DESIGN.md §11).
 func (tx *Tx) addFabricRead(ref objRef, slot kvlayout.Slot, value []byte) *readEnt {
 	ent := tx.addRead(ref, slot.Version, value, false)
 	ent.stray = tx.strayWord(slot.Lock)
-	tx.cacheRead(ent)
 	return ent
 }
 
@@ -269,7 +270,9 @@ func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
 	if !slot.Present {
 		return nil, ErrNotFound
 	}
-	return tx.readDone(tx.addFabricRead(ref, slot, slot.Value).value)
+	ent := tx.addFabricRead(ref, slot, slot.Value)
+	tx.cacheRead(ent)
+	return tx.readDone(ent.value)
 }
 
 // readDone ends a read by running the verb-less stageRead, whose crash
@@ -282,7 +285,7 @@ func (tx *Tx) readDone(value []byte) ([]byte, error) {
 	return append([]byte(nil), value...), nil
 }
 
-// cacheRead records a successful fabric read in the validated read
+// cacheRead admits a point read's fabric slot to the validated read
 // cache. The entry's value slice is owned by the read set, so the cache
 // copies it.
 func (tx *Tx) cacheRead(ent *readEnt) {
@@ -602,7 +605,8 @@ func (tx *Tx) ReadRange(table kvlayout.TableID, lo, hi kvlayout.Key, fn func(k k
 // write, pre-range read-set entry, cache hit, or fabric miss — and the
 // misses share one batched READ. Slots that come back contended or
 // moved fall back to the per-key protocol loop, which owns the stall /
-// stray-lock / re-probe policy.
+// stray-lock / re-probe policy. Misses join the read set but are not
+// admitted to the read cache: a scan reads through it.
 func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preReads int, fn func(k kvlayout.Key, v []byte) bool) (bool, error) {
 	if err := tx.checkUsable(); err != nil {
 		return false, err

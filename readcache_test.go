@@ -3,7 +3,8 @@ package pandora_test
 // Validated-read-cache behaviour through the public API: hits serve
 // locally, stale hits abort at validation and are invalidated, PILL
 // lock steals drop the stolen key, recovery bumps the survivor's cache
-// epoch, and a negative ReadCacheSize disables the cache entirely.
+// epoch, a range scan reads through the cache without evicting it, and
+// a negative ReadCacheSize disables the cache entirely.
 
 import (
 	"bytes"
@@ -11,6 +12,7 @@ import (
 
 	pandora "pandora"
 	"pandora/internal/kvlayout"
+	"pandora/internal/rdma"
 )
 
 func TestReadCacheHitServesLocally(t *testing.T) {
@@ -134,6 +136,61 @@ func TestReadCacheEpochBumpOnRecovery(t *testing.T) {
 	after := c.ReadCacheStats(1, 0)
 	if after.Misses <= before.Misses {
 		t.Fatalf("post-recovery read hit a pre-epoch entry: %+v -> %+v", before, after)
+	}
+}
+
+// TestRangeScanKeepsHotReadsCached: a scan's fabric reads join its read
+// set but are not admitted to the cache, so a scan four times the cache's
+// size evicts none of the keys point reads cached. Read-only transactions
+// over those keys then cost one round trip: the validation doorbell.
+func TestRangeScanKeepsHotReadsCached(t *testing.T) {
+	cfg := testConfig()
+	cfg.ReadCacheSize = 64
+	cfg.ModelLatency = true
+	c := newLoaded(t, cfg, 356)
+	s := c.Session(0, 0)
+	clk := c.AttachClock(0, 0)
+	readAll := func(keys ...pandora.Key) func(tx *pandora.Tx) error {
+		return func(tx *pandora.Tx) error {
+			for _, k := range keys {
+				if _, err := tx.Read("kv", k); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	if err := s.Update(0, readAll(0, 1, 2, 3, 4, 5, 6, 7)); err != nil {
+		t.Fatal(err)
+	}
+
+	before := c.ReadCacheStats(0, 0)
+	scanned := 0
+	if err := s.Update(0, func(tx *pandora.Tx) error {
+		return tx.ReadRange("kv", 100, 355, func(pandora.Key, []byte) bool {
+			scanned++
+			return true
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if scanned != 256 {
+		t.Fatalf("scan emitted %d keys, want 256", scanned)
+	}
+	if d := c.ReadCacheStats(0, 0).Evictions - before.Evictions; d != 0 {
+		t.Fatalf("the scan evicted %d cached keys, want none", d)
+	}
+
+	before, start := c.ReadCacheStats(0, 0), clk.Now()
+	if err := s.Update(0, readAll(0, 1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	cost := clk.Now() - start
+	if d := c.ReadCacheStats(0, 0).Hits - before.Hits; d != 4 {
+		t.Fatalf("%d of the 4 hot reads hit the cache after the scan", d)
+	}
+	if rtt := rdma.DefaultLatency().BaseRTT; cost/rtt != 1 {
+		t.Fatalf("hot read-only tx took %v, %d round trips; want 1 (validation)", cost, cost/rtt)
 	}
 }
 

@@ -86,19 +86,25 @@ func TestChaosCounterInvariant(t *testing.T) {
 			go worker(node, coord, gen*1000+uint64(node*10+coord)+1)
 		}
 	}
+	start := time.Now()
 	spawn(0, 0)
 	spawn(1, 0)
 
-	// Crash / recover / restart node 0 repeatedly while node 1 churns.
+	// Crash / recover / restart node 0 repeatedly while node 1 churns. The
+	// times each FailCompute and RestartCompute returned at, since start,
+	// go to the log if the audit below fails.
+	var cycles [][2]time.Duration
 	for cycle := 0; cycle < 5; cycle++ {
 		time.Sleep(15 * time.Millisecond)
 		if _, err := c.FailCompute(0); err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
+		failed := time.Since(start)
 		time.Sleep(5 * time.Millisecond)
 		if err := c.RestartCompute(0); err != nil {
 			t.Fatalf("cycle %d restart: %v", cycle, err)
 		}
+		cycles = append(cycles, [2]time.Duration{failed, time.Since(start)})
 		spawn(0, uint64(cycle+2))
 	}
 	time.Sleep(15 * time.Millisecond)
@@ -132,6 +138,25 @@ func TestChaosCounterInvariant(t *testing.T) {
 			t.Fatal(cerr)
 		}
 	}
+	// Structural audit, judged below: no duplicate slots, byte-identical
+	// replicas, no stray locks survive the crash/recover/restart cycles.
+	// Taken first so that any failed check logs every locked slot and the
+	// cycle times.
+	rep, err := c.CheckConsistency("ctr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if !t.Failed() {
+			return
+		}
+		for _, l := range rep.Locks {
+			t.Logf("locked: %s", l)
+		}
+		for i, cy := range cycles {
+			t.Logf("cycle %d: FailCompute returned at %v, RestartCompute at %v", i, cy[0], cy[1])
+		}
+	}()
 	var totalAcked, totalVal int64
 	for k := pandora.Key(0); k < keys; k++ {
 		val := vals[k]
@@ -145,12 +170,6 @@ func TestChaosCounterInvariant(t *testing.T) {
 	}
 	if totalAcked == 0 {
 		t.Fatal("chaos run committed nothing")
-	}
-	// Structural audit: no duplicate slots, byte-identical replicas, no
-	// stray locks survive the crash/recover/restart cycles.
-	rep, err := c.CheckConsistency("ctr")
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(rep.DuplicateKeys) != 0 || len(rep.DivergentKeys) != 0 || rep.LockedSlots != 0 {
 		t.Fatalf("post-chaos structural damage: %+v", rep)

@@ -33,6 +33,9 @@ func (tx *Tx) Commit() error {
 	if err := tx.checkUsable(); err != nil {
 		return err
 	}
+	if err := tx.settleLocks(); err != nil {
+		return err
+	}
 
 	validateStart := tx.phaseClock()
 	if err := tx.validate(); err != nil {

@@ -155,11 +155,13 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 	// must never resurrect (a real restart is a new process).
 	alive := func() bool { return !cn.crashed.Load() }
 	for slot, cid := range coordIDs {
+		ep := fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout).WithLane(uint32(cid))
 		co := &Coordinator{
-			node: cn,
-			id:   cid,
-			slot: slot,
-			ep:   fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout).WithLane(uint32(cid)),
+			node:    cn,
+			id:      cid,
+			slot:    slot,
+			ep:      ep,
+			drainEp: ep.WithLane(uint32(cid)), // a copy: nothing outstanding is shared
 		}
 		if opts.ReadCacheSize >= 0 {
 			co.rcache = cache.New(opts.ReadCacheSize)
@@ -383,10 +385,14 @@ func (cn *ComputeNode) replicasFor(partition uint32) ([]rdma.NodeID, error) {
 // The paper's "outstanding transactions per compute node" (Table 2) is
 // the number of coordinators.
 type Coordinator struct {
-	node      *ComputeNode
-	id        kvlayout.CoordID
-	slot      int // index of this coordinator's log area within the node's log region
-	ep        *rdma.Endpoint
+	node *ComputeNode
+	id   kvlayout.CoordID
+	slot int // index of this coordinator's log area within the node's log region
+	// ep is the transaction goroutine's endpoint; the lock doorbells a
+	// transaction posts at Write are outstanding on it until Commit.
+	ep *rdma.Endpoint
+	// drainEp is ep's copy the drain rings on (stageSpec.drained).
+	drainEp   *rdma.Endpoint
 	txCounter uint64
 	// rcache is the validated read cache (nil when disabled). Owned by
 	// this coordinator's transaction goroutine; global invalidation
@@ -422,6 +428,7 @@ func (co *Coordinator) Node() *ComputeNode { return co.node }
 // latency-shaped experiments); nil disables charging.
 func (co *Coordinator) WithClock(clk *rdma.VClock) {
 	co.ep = co.ep.WithClock(clk)
+	co.drainEp = co.drainEp.WithClock(clk)
 }
 
 // ReadCacheStats returns the coordinator's validated-read-cache

@@ -30,6 +30,16 @@ func watchStages(cn *ComputeNode) map[stageKind][]int {
 	return posted
 }
 
+// mustSettle settles the lock doorbells tx's writes posted — the step
+// Commit runs first — so that a test can look at what the lock step left
+// before validation runs.
+func mustSettle(t *testing.T, tx *Tx) {
+	t.Helper()
+	if err := tx.settleLocks(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func mustAbortAs(t *testing.T, err error, want metrics.AbortReason) {
 	t.Helper()
 	if kind, ok := AbortKindOf(err); !ok || kind != want {
@@ -61,6 +71,7 @@ func TestCoveredReadsSkipValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		mustSettle(t, tx)
 		for i, want := range []bool{false, true, true} {
 			if got := tx.reads[i].covered; got != want {
 				t.Fatalf("key %d covered = %t, want %t", tx.reads[i].ref.key, got, want)
@@ -136,6 +147,7 @@ func TestStaleReadsOfWrittenKeysAbortOnce(t *testing.T) {
 				t.Fatalf("write of key %d after %d aborts: %v (a stale read must not abort at the lock)", k, aborts, err)
 			}
 		}
+		mustSettle(t, tx)
 		stale := aborts == 0
 		for _, r := range tx.reads {
 			if r.fromCache != stale || r.covered == stale {
@@ -244,6 +256,7 @@ func TestRangeReadsCoveredByLocks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mustSettle(t, tx)
 	for k, want := range map[kvlayout.Key]struct{ fromCache, covered bool }{
 		1: {false, false}, 2: {true, true}, 3: {false, true},
 	} {
@@ -286,6 +299,7 @@ func TestMovedSlotStaysUncovered(t *testing.T) {
 	if err := tx.Write(0, key, []byte("mine")); err != nil {
 		t.Fatal(err)
 	}
+	mustSettle(t, tx)
 	r, w := tx.reads[0], tx.writes[0]
 	if r.ref.slot == w.ref.slot || r.version != w.oldVersion {
 		t.Fatalf("read at slot %d version %d, locked slot %d version %d: want another slot, same version",
@@ -507,6 +521,7 @@ func TestStealHintNotFromCache(t *testing.T) {
 	if err := tx.Write(0, 3, []byte("cached")); err != nil {
 		t.Fatal(err)
 	}
+	mustSettle(t, tx)
 	wantLockDoorbells(t, posted, 1, 1)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -525,7 +540,11 @@ func TestStealHintOffWithoutPILL(t *testing.T) {
 	}
 	_, err := tx.Read(0, 3)
 	mustAbortAs(t, err, metrics.AbortLockConflict)
-	mustAbortAs(t, co.Begin().Write(0, 3, []byte("blind")), metrics.AbortLockConflict)
+	blind := co.Begin()
+	if err := blind.Write(0, 3, []byte("blind")); err != nil {
+		t.Fatal(err)
+	}
+	mustAbortAs(t, blind.Commit(), metrics.AbortLockConflict)
 	wantLockDoorbells(t, posted, 0, 1)
 }
 
@@ -625,8 +644,13 @@ func TestStealReadFaultKeepsTheLock(t *testing.T) {
 		return st
 	}
 
+	// The blind write's lock doorbell, posted at Write, finds the stray
+	// word; the steal follows where it settles, at Commit.
 	tx := cn.Coordinator(0).Begin()
-	err := tx.Write(0, 3, []byte("stolen"))
+	if err := tx.Write(0, 3, []byte("stolen")); err != nil {
+		t.Fatal(err)
+	}
+	err := tx.Commit()
 	mustAbortAs(t, err, metrics.AbortFault)
 	if !tx.AckedAbort {
 		t.Fatalf("abort not acknowledged: %v", err)

@@ -9,8 +9,16 @@ package core
 // know about, so every failure path is plain verbFailure / abort: the
 // abort tail releases what the entries say, and dropEntry serves the
 // returns that do not abort.
+//
+// "Post, then settle": most writes only post their lock doorbell at
+// Write. The transaction waits for every posted doorbell once, at Commit
+// before validation or at an abort, and settle then classifies each in
+// write-set order — so a transaction's lock doorbells share one round.
 
 import (
+	"slices"
+	"time"
+
 	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
@@ -48,7 +56,7 @@ func fixedPlan(p Protocol) plan {
 // object: it registers the entry, with the stray lock word already seen
 // on its slot (0 if none), and runs the node's lock plan over it.
 func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte, stray uint64) error {
-	ent := tx.register(tx.sc.wr.next(), ref, kind, newValue)
+	ent := tx.register(tx.sc.wr.next(), ref, kind, newValue, len(tx.writes))
 	ent.stray = stray
 	for _, step := range tx.cn.plan.lock {
 		if err := step(tx, ent); err != nil {
@@ -58,11 +66,12 @@ func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte, st
 	return nil
 }
 
-// register (re)initialises ent — unlocked, no ticket — and appends it to
-// the write set.
-func (tx *Tx) register(ent *writeEnt, ref objRef, kind kvlayout.WriteKind, newValue []byte) *writeEnt {
+// register (re)initialises ent — unlocked, no ticket — and inserts it
+// into the write set at index at: the end for a new write, its old place
+// for one that is locked again at its re-resolved slot.
+func (tx *Tx) register(ent *writeEnt, ref objRef, kind kvlayout.WriteKind, newValue []byte, at int) *writeEnt {
 	*ent = writeEnt{ref: ref, kind: kind, wasInsert: kind == kvlayout.WriteInsert, newValue: newValue}
-	tx.writes = append(tx.writes, ent)
+	tx.writes = slices.Insert(tx.writes, at, ent)
 	return ent
 }
 
@@ -87,7 +96,8 @@ func (ent *writeEnt) hold(swapped bool) bool {
 // dropEntry takes ent, the entry being locked, back out of the write set
 // on a path that does not abort — the key turned out absent or present,
 // an insert's slot was contended, the slot moved under the lock — and
-// returns ret. Its lock is released and its ticket paid first. A failed
+// returns ret. A settling entry need not be the last, so ent is removed
+// by identity. Its lock is released and its ticket paid first. A failed
 // release aborts instead: the entry stays registered, so the abort tail
 // re-posts the release under the cleanup discipline (a lock left with a
 // LIVE owner is invisible to PILL stealing and to recovery alike), and
@@ -102,7 +112,8 @@ func (tx *Tx) dropEntry(ent *writeEnt, ret error) error {
 		}
 	}
 	tx.payTicket(ent)
-	tx.writes = tx.writes[:len(tx.writes)-1]
+	i := slices.Index(tx.writes, ent)
+	tx.writes = slices.Delete(tx.writes, i, i+1)
 	return ret
 }
 
@@ -117,17 +128,18 @@ const (
 	lockFault                       // a verb failed
 )
 
-// postLock posts ent's lock doorbell — lock CAS, slot READ into buf and,
+// postLock rings ent's lock doorbell — lock CAS, slot READ into buf and,
 // for a key already promoted to queued acquisition, the speculative
 // lane-tail FAA (DESIGN.md §14): a failed CAS then already holds its
-// ticket and goes straight to the lane wait — and classifies what came
-// back. One doorbell: the CAS is ordered before the READ on the same
-// queue pair, so the READ observes the post-CAS slot; but the ops admit
-// through the link rules independently, so a fault between them can fail
-// the READ after the CAS took the lock. The entry therefore records what
-// each op took before the stage's verdict is looked at. old is the word
-// the CAS found.
-func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte) (out lockOutcome, old uint64, err error) {
+// ticket and goes straight to the lane wait. One doorbell: the CAS is
+// ordered before the READ on the same queue pair, so the READ observes
+// the post-CAS slot; but the ops admit through the link rules
+// independently, so a fault between them can fail the READ after the CAS
+// took the lock. The entry therefore records what each op took before
+// anything looks at the verdict. With wait the doorbell runs as a stage
+// and its verdict is returned; without, it is only posted (Coordinator.
+// post), and lockOutcome reads it after the wait that covers it.
+func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte, wait bool) error {
 	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
 	b.Reset()
 	lockOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, tx.lockWord())
@@ -139,20 +151,52 @@ func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte) (out lockOutc
 		lane = hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
 		specOp = b.AddFAA(lane.Tail, 1)
 	}
-	_, err = tx.run(stage{kind: stageLock, b: b, cut: b.Len()})
+	st := stage{kind: stageLock, b: b, cut: b.Len()}
+	var err error
+	if wait {
+		_, err = tx.run(st)
+	} else {
+		tx.co.post(tx.seeded(st))
+	}
 	if specOp != nil && specOp.Err == nil {
 		ent.takeTicket(lane, specOp.Old)
 	}
+	ent.hold(lockOp.Swapped)
+	return err
+}
+
+// lockOutcome classifies ent's lock doorbell in b, once waited for: err
+// is the first completion the stage did not tolerate. old is the word
+// the CAS found.
+func (tx *Tx) lockOutcome(ent *writeEnt, b *rdma.OpBatch, err error) (lockOutcome, uint64, error) {
+	old := b.Op(0).Old
 	switch {
-	case ent.hold(lockOp.Swapped) && err == nil:
+	case ent.locked && err == nil:
 		return lockAcquired, 0, nil
 	case err != nil:
 		return lockFault, 0, err
-	case tx.strayLock(lockOp.Old):
-		return lockStray, lockOp.Old, nil
+	case tx.strayLock(old):
+		return lockStray, old, nil
 	default:
-		return lockConflict, lockOp.Old, nil
+		return lockConflict, old, nil
 	}
+}
+
+// defers reports whether ent's lock doorbell may be posted now and
+// settled at Commit. These settle at once instead: an insert (a
+// contended slot re-probes), a write whose read saw a stray word still
+// stray (the steal is one synchronous doorbell), a key hotlock has
+// queued (the ticket path), the stalling path, FORD (its exec-time log
+// needs the pre-image) and any run with a crash injector installed (the
+// stepped executor leaves nothing outstanding).
+func (tx *Tx) defers(ent *writeEnt) bool {
+	cn, hot := tx.cn, tx.co.hot
+	switch {
+	case ent.kind == kvlayout.WriteInsert, tx.strayWord(ent.stray) != 0,
+		cn.opts.StallOnConflict, cn.opts.Protocol == ProtocolFORD, cn.injector.Load() != nil:
+		return false
+	}
+	return hot == nil || !hot.Queued(ent.ref.table, ent.ref.key)
 }
 
 // steal takes over the stray lock word old (PILL, §3.1.2) with one
@@ -237,32 +281,82 @@ func (tx *Tx) onConflict(ent *writeEnt, old uint64, spins *int) error {
 	return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ref, old))
 }
 
-// acquire takes ent's lock and captures its undo state: lock doorbell,
-// PILL steal on a stray owner, the conflict policy on a live one, then
-// the checks that the slot read under the lock is still the one the
-// entry means, and for an insert the claim. An entry that arrives with a
-// stray word its read or probe saw, still stray, posts the steal as its
-// first doorbell: the lock CAS from 0 would only fail on that word. A
-// steal that loses falls through to the ordinary lock doorbell.
+// acquire takes ent's lock and captures its undo state. A write that
+// defers only posts its lock doorbell: the entry keeps the batch, and
+// settleLocks settles it after the wait at Commit. The others post and
+// settle now.
 func (tx *Tx) acquire(ent *writeEnt) error {
-	cn := tx.cn
-	tab := cn.schema[ent.ref.table]
 	b := rdma.GetBatch()
-	defer b.Put()
-	buf := tx.sc.bytes(int(tab.SlotSize())) // not the batch's: the undo pre-image aliases it
-	conflicted, spins, moves := false, 0, 0
-	var slot kvlayout.Slot
-	lockStart := tx.phaseClock()
-	for {
-		if err := tx.pinReplicas(ent); err != nil {
+	buf := tx.sc.bytes(int(tx.cn.schema[ent.ref.table].SlotSize())) // not the batch's: the undo pre-image aliases it
+	if !tx.defers(ent) {
+		return tx.settle(ent, b, buf, tx.phaseClock(), false)
+	}
+	if err := tx.pinReplicas(ent); err != nil {
+		b.Put()
+		return err
+	}
+	ent.stray, ent.posted = 0, b
+	tx.postLock(ent, b, buf, false) // nil: settle reads the completions, after the wait
+	return nil
+}
+
+// settleLocks is the wait that covers every lock doorbell posted at
+// Write, then settle over each posted entry in write-set order. A key
+// that vanished from under its lock aborts the transaction: its Write
+// has returned, so there is nobody left to tell that it is gone.
+func (tx *Tx) settleLocks() error {
+	start := tx.phaseClock()
+	tx.co.ep.Wait()
+	for i := 0; i < len(tx.writes); i++ {
+		ent := tx.writes[i]
+		b := ent.posted
+		if b == nil {
+			continue
+		}
+		ent.posted = nil
+		// The slot image is what the doorbell's READ, op 1, brought back.
+		if err := tx.settle(ent, b, b.Op(1).Buf, start, true); err != nil {
+			if !tx.done {
+				return tx.abort(metrics.AbortValidationVersion, onObject("lock: key %d/%d vanished from its slot", ent.ref, 0, 0))
+			}
 			return err
 		}
-		// A word the read or probe saw, if still stray, is stolen without a
-		// lock CAS failing on it first; the hint serves one doorbell only.
-		out, old, err := lockStray, tx.strayWord(ent.stray), error(nil)
-		ent.stray = 0
-		if old == 0 {
-			out, old, err = tx.postLock(ent, b, buf)
+	}
+	return nil
+}
+
+// settle is the lock step's loop over ent: lock doorbell, PILL steal on a
+// stray owner, the conflict policy on a live one, then the checks that
+// the slot read under the lock is still the one the entry means, and for
+// an insert the claim. posted says the first doorbell, in b, has been
+// rung and waited for. An entry that arrives with a stray word its read
+// or probe saw, still stray, posts the steal as its first doorbell: the
+// lock CAS from 0 would only fail on that word. A steal that loses falls
+// through to the ordinary lock doorbell. settle owns b.
+func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.Duration, posted bool) error {
+	defer b.Put()
+	cn := tx.cn
+	tab := cn.schema[ent.ref.table]
+	conflicted, spins, moves := false, 0, 0
+	var slot kvlayout.Slot
+	for {
+		var out lockOutcome
+		var old uint64
+		var err error
+		if posted {
+			posted = false
+			out, old, err = tx.lockOutcome(ent, b, stageTable[stageLock].verdict(b.Ops()))
+		} else {
+			if err := tx.pinReplicas(ent); err != nil {
+				return err
+			}
+			// A word the read or probe saw, if still stray, is stolen without
+			// a lock CAS failing on it first; the hint serves one doorbell only.
+			out, old = lockStray, tx.strayWord(ent.stray)
+			ent.stray = 0
+			if old == 0 {
+				out, old, err = tx.lockOutcome(ent, b, tx.postLock(ent, b, buf, true))
+			}
 		}
 		if out == lockStray {
 			out, err = tx.steal(ent, old, b, buf)
@@ -292,7 +386,9 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 			// The key vanished between resolve and lock (deleted, or the
 			// slot was reused for another key): drop the entry, re-resolve
 			// and start over at the fresh location — which may sit in
-			// another partition, hence another lane.
+			// another partition, hence another lane — in the entry's place
+			// in the write set.
+			at := slices.Index(tx.writes, ent)
 			if err := tx.dropEntry(ent, nil); err != nil {
 				return err
 			}
@@ -307,7 +403,7 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 			if !found {
 				return ErrNotFound
 			}
-			tx.register(ent, newRef, ent.kind, ent.newValue)
+			tx.register(ent, newRef, ent.kind, ent.newValue, at)
 			spins = 0
 			continue
 		}

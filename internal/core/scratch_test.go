@@ -113,7 +113,11 @@ func TestAbortReasonText(t *testing.T) {
 	if err := htx.Write(0, 5, []byte("h")); err != nil {
 		t.Fatal(err)
 	}
-	err := other.Begin().Write(0, 5, []byte("o"))
+	otx := other.Begin()
+	if err := otx.Write(0, 5, []byte("o")); err != nil {
+		t.Fatal(err)
+	}
+	err := otx.Commit()
 	if want := fmt.Sprintf("lock of 0/5 held by coordinator %d", holder.ID()); AbortReason(err) != want {
 		t.Errorf("conflict reason %q, want %q", AbortReason(err), want)
 	}

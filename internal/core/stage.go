@@ -81,6 +81,10 @@ type stageSpec struct {
 	// counted stages sit on the post-validation critical path: each
 	// doorbell is one commit round (metrics.Snapshot.Drain.CommitRounds).
 	counted bool
+	// drained stages ring on the coordinator's drain endpoint: the drain
+	// may flush on another goroutine, so it must never see the doorbells
+	// the transaction has posted and not waited for.
+	drained bool
 	split   splitRule
 	// Crash points, live only while an injector is installed: before the
 	// first verb, between the segments, after each verb of the first /
@@ -103,7 +107,7 @@ var stageTable = [...]stageSpec{
 	stageAck:        {after: at(PointAfterAck)},
 	stageTail: {cleanup: true, counted: true,
 		between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock), after: at(PointAfterUnlock)},
-	stageDrainTail: {cleanup: true, split: splitNever,
+	stageDrainTail: {cleanup: true, drained: true, split: splitNever,
 		before: at(PointDrainStart), between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock)},
 	stageAbortTail: {cleanup: true, eachSecond: at(PointAfterUnlock)},
 	stageRollback:  {cleanup: true},
@@ -186,6 +190,28 @@ func (co *Coordinator) run(st stage) (inFirst bool, err error) {
 	}
 }
 
+// post rings st as one doorbell on the transaction's endpoint and
+// returns without waiting for it (DESIGN.md §16 "The lock step"): the
+// verbs land now, their charge joins the endpoint's outstanding set, and
+// the caller reads the completions only after the wait that covers them,
+// through verdict. Only a lock stage of an uninjected run is posted: it
+// has no crash point, no cleanup retry and no commit round, so run would
+// do nothing else with it — on a crashed node the endpoint's gate fails
+// every op with ErrCrashed, as run would have failed the stage.
+func (co *Coordinator) post(st stage) { _ = co.ep.Post(st.b.Ops()...) }
+
+// verdict is what run returns for a stage posted without waiting, read
+// once waited for: the first completion, in posting order, that the
+// stage does not tolerate.
+func (spec *stageSpec) verdict(ops []*rdma.Op) error {
+	for _, op := range ops {
+		if !spec.tolerates(op.Err) {
+			return op.Err
+		}
+	}
+	return nil
+}
+
 // doorbell posts ops as one doorbell of a non-injected run and counts
 // the commit round.
 func (co *Coordinator) doorbell(spec *stageSpec, ops []*rdma.Op) error {
@@ -254,6 +280,10 @@ var cleanupMaxAttempts = 10000
 // ErrCrashed / ErrRevoked propagate immediately; exhausting the budget
 // returns ErrIndeterminate.
 func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec) error {
+	ep := co.ep
+	if spec.drained {
+		ep = co.drainEp
+	}
 	backoff := 50 * time.Microsecond
 	const maxBackoff = 2 * time.Millisecond
 	var reported map[rdma.NodeID]bool
@@ -270,7 +300,7 @@ func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec) error {
 		for _, op := range ops {
 			op.Err = nil
 		}
-		_ = co.ep.Do(ops...)
+		_ = ep.Do(ops...)
 		var again []*rdma.Op
 		for _, op := range ops {
 			if spec.tolerates(op.Err) {

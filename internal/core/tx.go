@@ -30,7 +30,8 @@ type readEnt struct {
 // writeEnt is one write-set entry. It joins tx.writes before its lock
 // doorbell is posted (lock.go) and from then on owns what the doorbell
 // may have taken: every path out — commit, abort, dropEntry — releases
-// what locked says and pays what ticket says.
+// what locked says and pays what ticket says, whether or not the
+// doorbell was settled.
 type writeEnt struct {
 	ref  objRef
 	kind kvlayout.WriteKind
@@ -49,6 +50,10 @@ type writeEnt struct {
 	applied    uint64        // bit i: the commit write reached replicas[i]
 	ticket     laneTicket    // assigned by takeTicket alone
 	stray      uint64        // a stray word a read or probe saw on the slot: acquire's hint
+	// posted holds the lock doorbell acquire posted and settleLocks has
+	// not settled yet (nil otherwise). locked already says what its CAS
+	// took; nothing else of it may be read before the wait.
+	posted *rdma.OpBatch
 }
 
 // Tx is one transaction. A coordinator runs transactions one at a time;
@@ -134,6 +139,15 @@ func (tx *Tx) release() {
 	if !tx.released {
 		tx.released = true
 		tx.done = true
+		// A transaction that ends before Commit settled its locks (crashed,
+		// fenced) hands the unsettled doorbells' batches back here.
+		tx.co.ep.Wait()
+		for _, w := range tx.writes {
+			if w.posted != nil {
+				w.posted.Put()
+				w.posted = nil
+			}
+		}
 		// Hand the (possibly grown) set arrays back for the next Begin.
 		tx.sc.reads, tx.sc.writes = tx.reads[:0], tx.writes[:0]
 		tx.cn.pause.RUnlock()
@@ -161,6 +175,9 @@ func (tx *Tx) abort(kind metrics.AbortReason, info abortInfo) error {
 // an abort; see verbFailure).
 func (tx *Tx) abortCause(kind metrics.AbortReason, info abortInfo, cause error) error {
 	tx.cn.opts.Metrics.CountAbort(kind)
+	// The abort tail releases what the entries say they hold: wait for the
+	// lock doorbells still posted before anything reads that.
+	tx.co.ep.Wait()
 	err := tx.abortInternal(kind, info)
 	for _, w := range tx.writes {
 		if !w.locked {
@@ -377,10 +394,12 @@ func (tx *Tx) strayWord(word uint64) uint64 {
 	return 0
 }
 
-// holdsLocks reports whether the transaction already holds any lock.
+// holdsLocks reports whether the transaction already holds any lock. An
+// entry whose lock doorbell is posted but not settled counts as held,
+// whatever its CAS did: no decision reads a completion before its wait.
 func (tx *Tx) holdsLocks() bool {
 	for _, w := range tx.writes {
-		if w.locked {
+		if w.locked || w.posted != nil {
 			return true
 		}
 	}
@@ -452,7 +471,9 @@ func (tx *Tx) placementAbort(err error) error {
 }
 
 // Write stages an update of an existing key and eagerly locks it
-// (§3.1.5 step 1).
+// (§3.1.5 step 1): its lock doorbell is posted now and, unless it must
+// settle at once (defers, lock.go), waited for at Commit, so a conflict
+// it met surfaces there.
 func (tx *Tx) Write(table kvlayout.TableID, key kvlayout.Key, value []byte) error {
 	if err := tx.checkUsable(); err != nil {
 		return err

@@ -254,9 +254,13 @@ func TestConflictAborts(t *testing.T) {
 	if err := tx1.Write(0, 5, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	// tx2 hits tx1's lock during execution.
+	// tx2's lock doorbell, posted at Write, hits tx1's lock; the conflict
+	// surfaces where the doorbell settles, at Commit.
 	tx2 := co2.Begin()
-	err := tx2.Write(0, 5, []byte("two"))
+	if err := tx2.Write(0, 5, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	err := tx2.Commit()
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("conflicting write err = %v, want ErrAborted", err)
 	}
@@ -568,7 +572,10 @@ func TestPILLStealOfStrayLock(t *testing.T) {
 
 	// Before notification: conflict aborts.
 	tx := co.Begin()
-	if err := tx.Write(0, 3, []byte("blocked")); !errors.Is(err, ErrAborted) {
+	if err := tx.Write(0, 3, []byte("blocked")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("pre-notification write err = %v, want ErrAborted", err)
 	}
 	// Reads abort too.
@@ -612,7 +619,10 @@ func TestDisablePILLNeverSteals(t *testing.T) {
 	}
 	cn.NotifyStrayLocks([]kvlayout.CoordID{999})
 	tx := co.Begin()
-	if err := tx.Write(0, 3, []byte("x")); !errors.Is(err, ErrAborted) {
+	if err := tx.Write(0, 3, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("with PILL disabled, write err = %v, want ErrAborted", err)
 	}
 }
@@ -636,7 +646,10 @@ func TestCrashLeavesLocksAndRecoversViaSteal(t *testing.T) {
 	// Survivor conflicts until notified, then steals; the old value is
 	// intact (the victim never applied anything).
 	tx2 := sco.Begin()
-	if err := tx2.Write(0, 2, []byte("nope")); !errors.Is(err, ErrAborted) {
+	if err := tx2.Write(0, 2, []byte("nope")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Commit(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("pre-notification: %v", err)
 	}
 	survivorCN.NotifyStrayLocks([]kvlayout.CoordID{vco.ID()})

@@ -191,3 +191,33 @@ func TestDoSpawnsNoGoroutines(t *testing.T) {
 		t.Errorf("goroutines: %d before the fan-outs, %d after", before, after)
 	}
 }
+
+// TestPostWaitZeroAlloc: two lock doorbells posted to distinct nodes and
+// waited for together allocate nothing once the endpoint's outstanding
+// set has grown to fit them.
+func TestPostWaitZeroAlloc(t *testing.T) {
+	skipIfRace(t, "the post+wait zero-alloc contract (two posted lock doorbells and one wait, zero heap allocations)")
+	f := allocFabric(2, 1<<16)
+	var clk VClock
+	ep := f.Endpoint(0).WithClock(&clk)
+	run := func() {
+		var bs [2]*OpBatch
+		for i := range bs {
+			b := GetBatch()
+			b.AddCAS(Addr{Node: NodeID(i + 1)}, 0, 0)
+			b.AddRead(Addr{Node: NodeID(i + 1), Offset: 8}, b.Bytes(40))
+			if err := ep.Post(b.Ops()...); err != nil {
+				t.Fatal(err)
+			}
+			bs[i] = b
+		}
+		ep.Wait()
+		for _, b := range bs {
+			b.Put()
+		}
+	}
+	run() // warm the pool and the outstanding set
+	if n := testing.AllocsPerRun(200, run); n > 0 {
+		t.Errorf("post, post, wait: %.1f allocs/op, want 0", n)
+	}
+}

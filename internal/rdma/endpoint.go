@@ -36,6 +36,11 @@ type Endpoint struct {
 	// in a LinkError). Zero means wait forever — the pre-deadline
 	// behaviour.
 	timeout time.Duration
+	// out is what Post has rung and no Wait or Do has charged yet, per
+	// destination queue pair. Only the goroutine that posts on the
+	// endpoint may use it, so an endpoint other goroutines share must
+	// never post. With* copies start empty.
+	out []qpCharge
 }
 
 // Endpoint returns a verb-issuing handle for the given local node.
@@ -47,29 +52,36 @@ func (f *Fabric) Endpoint(node NodeID) *Endpoint {
 	return &Endpoint{fab: f, node: node, lane: laneOf(uint32(node)), self: ns}
 }
 
+// copy returns a copy of the endpoint with nothing outstanding.
+func (ep *Endpoint) copy() *Endpoint {
+	cp := *ep
+	cp.out = nil
+	return &cp
+}
+
 // WithClock returns a copy of the endpoint charging verb latencies to
 // clk. Passing nil disables charging.
 func (ep *Endpoint) WithClock(clk *VClock) *Endpoint {
-	cp := *ep
+	cp := ep.copy()
 	cp.clock = clk
-	return &cp
+	return cp
 }
 
 // WithLane returns a copy of the endpoint on the lane of key. Endpoints
 // that issue verbs concurrently from one node (its coordinators) pass
 // keys that tell them apart, such as their coordinator ids.
 func (ep *Endpoint) WithLane(key uint32) *Endpoint {
-	cp := *ep
+	cp := ep.copy()
 	cp.lane = laneOf(key)
-	return &cp
+	return cp
 }
 
 // WithGate returns a copy of the endpoint that refuses to post verbs
 // (with ErrCrashed) whenever alive returns false.
 func (ep *Endpoint) WithGate(alive func() bool) *Endpoint {
-	cp := *ep
+	cp := ep.copy()
 	cp.gate = alive
-	return &cp
+	return cp
 }
 
 // WithTimeout returns a copy of the endpoint whose verbs fail with
@@ -77,9 +89,9 @@ func (ep *Endpoint) WithGate(alive func() bool) *Endpoint {
 // stalled or slow link would delay them past d. Zero disables the
 // deadline.
 func (ep *Endpoint) WithTimeout(d time.Duration) *Endpoint {
-	cp := *ep
+	cp := ep.copy()
 	cp.timeout = d
-	return &cp
+	return cp
 }
 
 // gateCheck enforces the incarnation gate.
@@ -213,8 +225,12 @@ func (ep *Endpoint) post(op *Op) time.Duration {
 }
 
 // verb posts one op and charges it, failed or not: post returns what
-// the attempt cost. The single-verb wrappers are this.
+// the attempt cost. The single-verb wrappers are this. While doorbells
+// are outstanding it is a Do of one op, which charges the union.
 func (ep *Endpoint) verb(op *Op) error {
+	if len(ep.out) > 0 {
+		return ep.Do(op)
+	}
 	ep.clock.Advance(ep.post(op))
 	return op.Err
 }
@@ -269,22 +285,20 @@ func pipelineDuration(k int, sumD, maxD, rtt time.Duration) time.Duration {
 	return d
 }
 
-// Do issues ops as one doorbell batch and returns when all have
-// completed. The ops are posted inline in posting order, so RC in-order
-// delivery per (src,dst) queue pair holds; a verb parked on a stalled
-// link holds up the ops behind it. The virtual clock is charged the
-// pipelined completion time — the maximum over destination nodes of
-// pipelineDuration — as the queue pairs to distinct nodes run side by
-// side on the model. It returns the first per-op error in posting
-// order, if any; all ops are attempted regardless.
-func (ep *Endpoint) Do(ops ...*Op) error {
-	type nodeAgg struct {
-		node NodeID
-		cnt  int
-		sum  time.Duration
-		max  time.Duration
-	}
-	aggs := make([]nodeAgg, 0, 8)
+// qpCharge is one destination queue pair's share of the doorbells
+// charged together: how many verbs, and the sum and maximum of their
+// modelled durations.
+type qpCharge struct {
+	node NodeID
+	cnt  int
+	sum  time.Duration
+	max  time.Duration
+}
+
+// ring posts ops inline in posting order, adds each verb's modelled
+// duration to its destination's charge in aggs, and returns aggs and the
+// first per-op error in posting order. All ops are attempted regardless.
+func (ep *Endpoint) ring(aggs []qpCharge, ops []*Op) ([]qpCharge, error) {
 	var first error
 	for _, op := range ops {
 		d := ep.post(op)
@@ -299,7 +313,7 @@ func (ep *Endpoint) Do(ops ...*Op) error {
 			}
 		}
 		if j < 0 {
-			aggs = append(aggs, nodeAgg{node: op.Addr.Node})
+			aggs = append(aggs, qpCharge{node: op.Addr.Node})
 			j = len(aggs) - 1
 		}
 		aggs[j].cnt++
@@ -308,6 +322,13 @@ func (ep *Endpoint) Do(ops ...*Op) error {
 			aggs[j].max = d
 		}
 	}
+	return aggs, first
+}
+
+// charge is the pipelined completion time of the doorbells in aggs taken
+// as one: the maximum over destination queue pairs of pipelineDuration,
+// as the pairs to distinct nodes run side by side on the model.
+func (ep *Endpoint) charge(aggs []qpCharge) time.Duration {
 	rtt := ep.fab.lat.BaseRTT
 	var maxD time.Duration
 	for i := range aggs {
@@ -315,6 +336,48 @@ func (ep *Endpoint) Do(ops ...*Op) error {
 			maxD = d
 		}
 	}
-	ep.clock.Advance(maxD)
-	return first
+	return maxD
+}
+
+// Post issues ops as one doorbell batch, exactly as Do does — the verbs
+// land before it returns, and it returns the first per-op error in
+// posting order — but does not wait for it: the doorbell's charge joins
+// the endpoint's outstanding set and the virtual clock does not move
+// until the next Wait or Do. The caller must not act on what the ops
+// brought back before then: on the model the completions have not
+// arrived. Only the goroutine that owns the endpoint may post on it.
+func (ep *Endpoint) Post(ops ...*Op) error {
+	var err error
+	ep.out, err = ep.ring(ep.out, ops)
+	return err
+}
+
+// Wait charges everything outstanding as one doorbell — the union of
+// the posted batches, per destination queue pair — and empties the set.
+// With nothing outstanding it charges nothing.
+func (ep *Endpoint) Wait() {
+	if len(ep.out) > 0 {
+		ep.clock.Advance(ep.charge(ep.out))
+		ep.out = ep.out[:0]
+	}
+}
+
+// Do issues ops as one doorbell batch and returns when all have
+// completed: Post, then Wait. The ops are posted inline in posting
+// order, so RC in-order delivery per (src,dst) queue pair holds; a verb
+// parked on a stalled link holds up the ops behind it. The virtual clock
+// is charged the pipelined completion time (charge) of ops together with
+// whatever was still outstanding, so a Do behind a Post charges the
+// union once; with nothing outstanding it charges ops alone. It returns
+// the first per-op error of ops in posting order, if any; all ops are
+// attempted regardless.
+func (ep *Endpoint) Do(ops ...*Op) error {
+	if len(ep.out) > 0 {
+		err := ep.Post(ops...)
+		ep.Wait()
+		return err
+	}
+	aggs, err := ep.ring(make([]qpCharge, 0, 8), ops)
+	ep.clock.Advance(ep.charge(aggs))
+	return err
 }

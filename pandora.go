@@ -649,8 +649,38 @@ type ConsistencyReport struct {
 	// cluster must have LockedSlots == StrayLocks, and zero of both
 	// after RecycleCoordinatorIDs.
 	StrayLocks int
+	// Locks names every slot LockedSlots counts, in scan order.
+	Locks []LockedSlot
 	// Keys is the number of distinct present keys found.
 	Keys int
+}
+
+// LockedSlot is one slot CheckConsistency found locked.
+type LockedSlot struct {
+	Memory    rdma.NodeID // the memory server scanned
+	Partition uint32
+	Slot      uint64
+	// Key is the key the slot carries — committed, or claimed by an
+	// in-flight insert — and KeyField the raw key field it was read from.
+	Key      Key
+	KeyField uint64
+	Word     uint64           // the lock word
+	Owner    kvlayout.CoordID // the coordinator the word names
+	// Failed reports that the owner is in the failure detector's failed
+	// set: a stray lock, PILL's to steal.
+	Failed bool
+}
+
+func (l LockedSlot) String() string {
+	key := fmt.Sprintf("key %d", l.Key)
+	switch {
+	case l.KeyField == 0 || l.KeyField == kvlayout.TombstoneKeyField:
+		key = fmt.Sprintf("no key (key field %#x)", l.KeyField)
+	case kvlayout.IsClaim(l.KeyField):
+		key = fmt.Sprintf("claim of key %d", l.Key)
+	}
+	return fmt.Sprintf("memory %d partition %d slot %d: %s, lock word %#x, owner coordinator %d (failed %t)",
+		l.Memory, l.Partition, l.Slot, key, l.Word, l.Owner, l.Failed)
 }
 
 // CheckConsistency host-scans every replica of a table and verifies the
@@ -677,10 +707,17 @@ func (c *Cluster) CheckConsistency(table string) (ConsistencyReport, error) {
 			}
 			srv := c.memByID(n)
 			seen := make(map[Key]state)
-			err := srv.ScanSlots(id, p, func(_ uint64, sl kvlayout.Slot, _ uint64) {
+			err := srv.ScanSlots(id, p, func(slot uint64, sl kvlayout.Slot, kf uint64) {
 				if kvlayout.IsLocked(sl.Lock) {
+					owner := kvlayout.LockOwner(sl.Lock)
+					l := LockedSlot{Memory: n, Partition: p, Slot: slot, Key: sl.Key, KeyField: kf,
+						Word: sl.Lock, Owner: owner, Failed: c.fd.FailedIDs().Test(owner)}
+					if kvlayout.IsClaim(kf) {
+						l.Key = kvlayout.ClaimKey(kf)
+					}
+					rep.Locks = append(rep.Locks, l)
 					rep.LockedSlots++
-					if c.fd.FailedIDs().Test(kvlayout.LockOwner(sl.Lock)) {
+					if l.Failed {
 						rep.StrayLocks++
 					}
 				}

@@ -73,7 +73,7 @@ bench-smoke:
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
 	$(GO) test -run $(STEAL_PINS) -v . ./internal/core
 	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core
-	$(GO) test -run $(LOCK_PINS) -v .
+	$(GO) test -run $(LOCK_PINS) -v . ./internal/core
 	bash tools/modelgate.sh
 
 # Model-clock gate: the recovery pass's per-step model times are pinned
@@ -83,19 +83,21 @@ bench-smoke:
 # scan rule (a scan that admits its fabric reads and evicts the hot keys
 # again fails a named test), and so are the lock step's round shapes (a
 # transaction's lock doorbells share one wait at Commit: a lock round put
-# back fails a named test); then a 3 s failover run of the repository
+# back fails a named test) and the commit tail's (posted at the ack and
+# paid by the next doorbell, waited for first only when an op faults: a
+# tail round put back before Commit returns fails a named test); then a 3 s failover run of the repository
 # benchmark must be correct, fail no operation and report exactly the
 # recovery_model_us checked in as tools/modelgate.expect (a count of
 # rounds and bytes, so it repeats to the nanosecond on any host).
 RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|Interrupted'
 STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint'
 SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks'
-LOCK_PINS := 'TestLockRoundShapes|TestStealBothLocksTransfer'
+LOCK_PINS := 'TestLockRoundShapes|TestStealBothLocksTransfer|TestTailRidesNextDoorbell|TestCrashWithTailUnpaid|TestPostedTailFaultWaitsThenReposts'
 model-gate:
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
 	$(GO) test -run $(STEAL_PINS) -v . ./internal/core
 	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core
-	$(GO) test -run $(LOCK_PINS) -v .
+	$(GO) test -run $(LOCK_PINS) -v . ./internal/core
 	bash tools/modelgate.sh
 
 # Property-based litmus lane: the proptest engine's own tests, then the

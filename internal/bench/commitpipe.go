@@ -34,11 +34,12 @@ type CommitPipePass struct {
 // §16): the same persistent write lane run three ways — the legacy
 // per-phase tail (log, log-flush, apply, apply-flush, truncate, unlock:
 // six doorbells), the fused synchronous tail (log+flush, apply+flush,
-// truncate+unlock: three), and the asynchronous commit-back tail that
-// acks after the second doorbell and drains truncate+unlock off the
-// critical path. Every pass runs on the virtual clock with a fixed key
-// sequence, so the result is byte-identical across runs and checked in
-// as bin/BENCH_commitpipe.json.
+// truncate+unlock: three, the third posted at the ack and paid by the
+// coordinator's next doorbell, so it acks after the second), and the
+// asynchronous commit-back tail that acks after the second doorbell and
+// drains truncate+unlock off the critical path. Every pass runs on the
+// virtual clock with a fixed key sequence, so the result is
+// byte-identical across runs and checked in as bin/BENCH_commitpipe.json.
 type CommitPipeResult struct {
 	Keys    int `json:"keys"`
 	Commits int `json:"commits"`

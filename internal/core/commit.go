@@ -109,11 +109,13 @@ func (tx *Tx) afterAck(commitBackStart time.Duration) error {
 	default:
 		// The truncations are posted ahead of the releases, so where the
 		// two share a doorbell RC ordering runs them first on a shared
-		// node; across nodes the cleanup discipline completes everything
+		// node; across nodes the cleanup discipline lands everything
 		// before Commit returns, and a crash mid-doorbell leaves at worst a
 		// valid log plus released locks — recovery's rollback is
 		// version-checked and lock-CAS-guarded, so the state resolves
 		// exactly like the states the split tail can leave (DESIGN.md §16).
+		// The tail is a trailing stage: landed and tolerated, it is not
+		// waited for, and the coordinator's next doorbell pays its round.
 		b := rdma.GetBatch()
 		_, err = tx.run(tx.tailStage(stageTail, b))
 		b.Put()

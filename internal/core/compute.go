@@ -389,7 +389,8 @@ type Coordinator struct {
 	id   kvlayout.CoordID
 	slot int // index of this coordinator's log area within the node's log region
 	// ep is the transaction goroutine's endpoint; the lock doorbells a
-	// transaction posts at Write are outstanding on it until Commit.
+	// transaction posts at Write are outstanding on it until Commit, and
+	// a committed tail posted at the ack until the next doorbell.
 	ep *rdma.Endpoint
 	// drainEp is ep's copy the drain rings on (stageSpec.drained).
 	drainEp   *rdma.Endpoint
@@ -430,6 +431,12 @@ func (co *Coordinator) WithClock(clk *rdma.VClock) {
 	co.ep = co.ep.WithClock(clk)
 	co.drainEp = co.drainEp.WithClock(clk)
 }
+
+// Outstanding reports whether the coordinator's endpoint holds doorbells
+// posted and not yet paid for: a committed tail, posted at the ack for
+// the next doorbell to pay (DESIGN.md §16). Call from the coordinator's
+// own goroutine or while it is quiescent.
+func (co *Coordinator) Outstanding() bool { return co.ep.Outstanding() }
 
 // ReadCacheStats returns the coordinator's validated-read-cache
 // counters (zero value when the cache is disabled). Call from the

@@ -85,7 +85,13 @@ type stageSpec struct {
 	// may flush on another goroutine, so it must never see the doorbells
 	// the transaction has posted and not waited for.
 	drained bool
-	split   splitRule
+	// trailing stages carry no decision — the client has been
+	// acknowledged and nothing may roll back (Cor3) — so their one
+	// doorbell of an uninjected, fused run is posted and not waited for:
+	// the verbs land, and the charge rides the coordinator's next doorbell
+	// (DESIGN.md §16 "Post at the ack, paid by the next doorbell").
+	trailing bool
+	split    splitRule
 	// Crash points, live only while an injector is installed: before the
 	// first verb, between the segments, after each verb of the first /
 	// second segment, after the last verb.
@@ -105,7 +111,7 @@ var stageTable = [...]stageSpec{
 	stageFordLog:    {split: splitAlways, after: at(PointAfterFORDLog)},
 	stageApply:      {counted: true, eachFirst: at(PointAfterApplyOne), between: at(PointAfterApplyAll)},
 	stageAck:        {after: at(PointAfterAck)},
-	stageTail: {cleanup: true, counted: true,
+	stageTail: {cleanup: true, counted: true, trailing: true,
 		between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock), after: at(PointAfterUnlock)},
 	stageDrainTail: {cleanup: true, drained: true, split: splitNever,
 		before: at(PointDrainStart), between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock)},
@@ -175,12 +181,12 @@ func (co *Coordinator) run(st stage) (inFirst bool, err error) {
 	case cn.crashed.Load():
 		return true, rdma.ErrCrashed
 	case spec.split == splitAlways || spec.split == splitUnfused && cn.opts.UnfusedCommitTail:
-		if err := co.doorbell(spec, first); err != nil {
+		if err := co.doorbell(spec, first, false); err != nil {
 			return true, err
 		}
-		return false, co.doorbell(spec, second)
+		return false, co.doorbell(spec, second, false)
 	default:
-		err := co.doorbell(spec, all)
+		err := co.doorbell(spec, all, spec.trailing)
 		if err != nil {
 			for _, op := range first {
 				inFirst = inFirst || !spec.tolerates(op.Err)
@@ -213,12 +219,12 @@ func (spec *stageSpec) verdict(ops []*rdma.Op) error {
 }
 
 // doorbell posts ops as one doorbell of a non-injected run and counts
-// the commit round.
-func (co *Coordinator) doorbell(spec *stageSpec, ops []*rdma.Op) error {
+// the commit round; lazy is ring's.
+func (co *Coordinator) doorbell(spec *stageSpec, ops []*rdma.Op, lazy bool) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	err := co.ring(ops, spec)
+	err := co.ring(ops, spec, lazy)
 	if spec.counted {
 		// Injected runs never get here: verb-at-a-time rounds are not
 		// comparable and are not benchmarked.
@@ -237,7 +243,7 @@ var errNotPosted = errors.New("core: verb not posted")
 // point offered after every verb.
 func (co *Coordinator) step(inj *CrashInjector, spec *stageSpec, ops []*rdma.Op, each point) error {
 	if each == 0 {
-		return co.ring(ops, spec)
+		return co.ring(ops, spec, false)
 	}
 	for _, op := range ops {
 		op.Err = errNotPosted
@@ -246,7 +252,7 @@ func (co *Coordinator) step(inj *CrashInjector, spec *stageSpec, ops []*rdma.Op,
 		if co.node.crashed.Load() {
 			return rdma.ErrCrashed
 		}
-		if err := co.ring(ops[i:i+1], spec); err != nil {
+		if err := co.ring(ops[i:i+1], spec, false); err != nil {
 			return err
 		}
 		if co.node.offer(inj, co.id, each) {
@@ -279,7 +285,12 @@ var cleanupMaxAttempts = 10000
 // successful release). Each suspected node is reported to the FD once.
 // ErrCrashed / ErrRevoked propagate immediately; exhausting the budget
 // returns ErrIndeterminate.
-func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec) error {
+//
+// A lazy ring posts its first attempt and does not wait for it when
+// every completion is tolerated: the charge stays outstanding on the
+// endpoint. Otherwise it waits first — the round is paid, as a waited
+// ring pays it — and goes on as above.
+func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec, lazy bool) error {
 	ep := co.ep
 	if spec.drained {
 		ep = co.drainEp
@@ -300,7 +311,15 @@ func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec) error {
 		for _, op := range ops {
 			op.Err = nil
 		}
-		_ = ep.Do(ops...)
+		if lazy {
+			lazy = false
+			if _ = ep.Post(ops...); spec.verdict(ops) == nil {
+				return nil
+			}
+			ep.Wait()
+		} else {
+			_ = ep.Do(ops...)
+		}
 		var again []*rdma.Op
 		for _, op := range ops {
 			if spec.tolerates(op.Err) {

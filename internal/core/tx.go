@@ -140,10 +140,12 @@ func (tx *Tx) release() {
 		tx.released = true
 		tx.done = true
 		// A transaction that ends before Commit settled its locks (crashed,
-		// fenced) hands the unsettled doorbells' batches back here.
-		tx.co.ep.Wait()
+		// fenced) waits for the unsettled doorbells and hands their batches
+		// back here. Otherwise nothing is waited for: a committed tail posted
+		// at the ack stays outstanding for the next doorbell to pay.
 		for _, w := range tx.writes {
 			if w.posted != nil {
+				tx.co.ep.Wait()
 				w.posted.Put()
 				w.posted = nil
 			}

@@ -362,6 +362,11 @@ func (ep *Endpoint) Wait() {
 	}
 }
 
+// Outstanding reports whether Post has rung doorbells that no Wait or
+// Do has charged yet. Ask from the goroutine that owns the endpoint, or
+// while it is quiescent.
+func (ep *Endpoint) Outstanding() bool { return len(ep.out) > 0 }
+
 // Do issues ops as one doorbell batch and returns when all have
 // completed: Post, then Wait. The ops are posted inline in posting
 // order, so RC in-order delivery per (src,dst) queue pair holds; a verb

@@ -66,8 +66,8 @@ bench-smoke:
 	$(GO) run ./cmd/pandora-bench -experiment hotlock -quick -json $(BIN)/BENCH_hotlock.gen.json
 	cmp $(BIN)/BENCH_hotlock.gen.json $(BIN)/BENCH_hotlock.json
 	# Commit-tail lane: the pipelined commit tail experiment (legacy vs
-	# fused vs async rounds-per-commit and ack latency) is sequential on a
-	# virtual clock; its artifact must match bin/BENCH_commitpipe.json.
+	# fused rounds-per-commit and ack latency) is sequential on a virtual
+	# clock; its artifact must match bin/BENCH_commitpipe.json.
 	$(GO) run ./cmd/pandora-bench -experiment commitpipe -quick -json $(BIN)/BENCH_commitpipe.gen.json
 	cmp $(BIN)/BENCH_commitpipe.gen.json $(BIN)/BENCH_commitpipe.json
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
@@ -156,11 +156,10 @@ chaos-smoke:
 	    cmp $(BIN)/h-a.log $(BIN)/h-b.log || exit 1; \
 	  done; \
 	done
-	# Commit-pipe lane: 3 seeds × {afterack, middrain, drainfail} crashes
-	# of the async commit-back tail, each run twice and byte-compared,
-	# with a double recovery pass (the second must be a no-op) inside
-	# every run.
-	for crash in afterack middrain drainfail; do \
+	# Commit-pipe lane: 3 seeds × {afterack, midtail} crashes of the
+	# post-ack commit tail, each run twice and byte-compared, with a
+	# double recovery pass (the second must be a no-op) inside every run.
+	for crash in afterack midtail; do \
 	  for seed in 1 7 42; do \
 	    $(GO) run ./cmd/pandora-chaos -scenario commitpipe -crash $$crash -seed $$seed \
 	      >$(BIN)/c-a.log || exit 1; \

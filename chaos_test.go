@@ -43,9 +43,8 @@ func TestChaosCounterInvariant(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	worker := func(node, coord int, seed uint64) {
+	worker := func(s *pandora.Session, seed uint64) {
 		defer wg.Done()
-		s := c.Session(node, coord)
 		rng := seed
 		for {
 			select {
@@ -80,10 +79,14 @@ func TestChaosCounterInvariant(t *testing.T) {
 			}
 		}
 	}
+	// spawn binds each worker's session before the goroutine starts: a
+	// worker first scheduled after the node's next restart would
+	// otherwise bind the new incarnation's coordinator and share it with
+	// that generation's worker.
 	spawn := func(node int, gen uint64) {
 		for coord := 0; coord < cfg.CoordinatorsPerNode; coord++ {
 			wg.Add(1)
-			go worker(node, coord, gen*1000+uint64(node*10+coord)+1)
+			go worker(c.Session(node, coord), gen*1000+uint64(node*10+coord)+1)
 		}
 	}
 	start := time.Now()

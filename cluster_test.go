@@ -227,7 +227,6 @@ func TestRestartComputeRejoins(t *testing.T) {
 func TestRestartComputeKeepsOptions(t *testing.T) {
 	cfg := testConfig()
 	cfg.VerbTimeout = 250 * time.Millisecond
-	cfg.AsyncCommitBack = true
 	cfg.ReadCacheSize = 17
 	cfg.HotlockThreshold = 2
 	c := newLoaded(t, cfg, 8)
@@ -239,7 +238,7 @@ func TestRestartComputeKeepsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Engine(0).Options()
-	if got.VerbTimeout != cfg.VerbTimeout || !got.AsyncCommitBack ||
+	if got.VerbTimeout != cfg.VerbTimeout ||
 		got.ReadCacheSize != cfg.ReadCacheSize || got.HotlockThreshold != cfg.HotlockThreshold {
 		t.Fatalf("restarted node lost configuration: %+v", got)
 	}

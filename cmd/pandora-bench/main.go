@@ -282,7 +282,7 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 			fmt.Printf("[wrote %s]\n", jsonOut)
 		}
 	case "commitpipe":
-		section(id, "Pipelined commit tail: doorbell fusion + async commit-back")
+		section(id, "Pipelined commit tail: doorbell fusion")
 		r, err := bench.CommitPipe(s, steadyTx/5)
 		if err != nil {
 			return err

@@ -12,8 +12,8 @@
 //	pandora-chaos -scenario hotlock -crash waiter
 //	                                     # adaptive ticket lanes: crash a
 //	                                     # parked waiter, repair the lane
-//	pandora-chaos -scenario commitpipe -crash middrain
-//	                                     # async commit-back: die between
+//	pandora-chaos -scenario commitpipe -crash midtail
+//	                                     # commit tail: die between
 //	                                     # truncation and unlock, recover
 //
 // The deterministic event log goes to stdout: two runs with the same

@@ -21,27 +21,41 @@ import (
 // below fix which crash points an injector is offered and in what
 // order, which verbs reach the fabric, how many post-validation
 // doorbell rounds the commit spends, and what it costs on the virtual
-// clock — across protocol × sync/async tail × persistence ×
-// fused/split doorbells. The golden rows were recorded before the
+// clock — across protocol × persistence × fused/split doorbells. The golden rows were recorded before the
 // commit path was restructured around a single stage executor and must
 // not move with it. A second shape, the transfer (read keys 2 and 3,
 // then write them), pins the path on which the write locks cover the
 // whole read set and validation posts nothing (DESIGN.md §16).
 
-var pipePointNames = map[core.CrashPoint]string{
-	core.PointBeforeLock:      "BeforeLock",
-	core.PointAfterLock:       "AfterLock",
-	core.PointAfterExecRead:   "AfterExecRead",
-	core.PointAfterFORDLog:    "AfterFORDLog",
-	core.PointAfterValidation: "AfterValidation",
-	core.PointAfterLog:        "AfterLog",
-	core.PointAfterApplyOne:   "AfterApplyOne",
-	core.PointAfterApplyAll:   "AfterApplyAll",
-	core.PointAfterAck:        "AfterAck",
-	core.PointAfterUnlock:     "AfterUnlock",
-	core.PointAfterTruncate:   "AfterTruncate",
-	core.PointDrainStart:      "DrainStart",
-	core.PointAfterRead:       "AfterRead",
+// pipePointNames names every crash point and pins its integer value:
+// the values are part of the chaos CLI surface and proptest repro files
+// store crash_point as an integer, so TestCrashPointNumbers fails by
+// name when a point is deleted or reordered. 11 is reserved.
+var pipePointNames = map[core.CrashPoint]struct {
+	name  string
+	value int
+}{
+	core.PointBeforeLock:      {"BeforeLock", 0},
+	core.PointAfterLock:       {"AfterLock", 1},
+	core.PointAfterExecRead:   {"AfterExecRead", 2},
+	core.PointAfterFORDLog:    {"AfterFORDLog", 3},
+	core.PointAfterValidation: {"AfterValidation", 4},
+	core.PointAfterLog:        {"AfterLog", 5},
+	core.PointAfterApplyOne:   {"AfterApplyOne", 6},
+	core.PointAfterApplyAll:   {"AfterApplyAll", 7},
+	core.PointAfterAck:        {"AfterAck", 8},
+	core.PointAfterUnlock:     {"AfterUnlock", 9},
+	core.PointAfterTruncate:   {"AfterTruncate", 10},
+	core.PointAfterRead:       {"AfterRead", 12},
+}
+
+// TestCrashPointNumbers pins every crash point's integer value.
+func TestCrashPointNumbers(t *testing.T) {
+	for p, e := range pipePointNames {
+		if int(p) != e.value {
+			t.Errorf("crash point %s = %d, want %d", e.name, int(p), e.value)
+		}
+	}
 }
 
 // pipeShape is a pinned transaction: it reads reads, then writes keys 2
@@ -66,12 +80,13 @@ var (
 
 type pipeCase struct {
 	proto   Protocol
-	async   bool
 	persist bool
 	split   bool
 	shape   pipeShape
 }
 
+// String is the case's golden-row key. Its "sync" segment is the tail
+// mode of a time when there were two; the rows keep their names.
 func (pc pipeCase) String() string {
 	pick := func(on bool, yes, no string) string {
 		if on {
@@ -79,8 +94,7 @@ func (pc pipeCase) String() string {
 		}
 		return no
 	}
-	return fmt.Sprintf("%s/%s/%s/%s", pc.proto,
-		pick(pc.async, "async", "sync"),
+	return fmt.Sprintf("%s/sync/%s/%s", pc.proto,
 		pick(pc.persist, "persist", "volatile"),
 		pick(pc.split, "split", "fused"))
 }
@@ -88,12 +102,10 @@ func (pc pipeCase) String() string {
 func pipeCases(shape pipeShape, withSplit bool) []pipeCase {
 	var out []pipeCase
 	for _, proto := range []Protocol{ProtocolPandora, ProtocolFORD, ProtocolTradLog} {
-		for _, async := range []bool{false, true} {
-			for _, persist := range []bool{false, true} {
-				out = append(out, pipeCase{proto, async, persist, false, shape})
-				if withSplit {
-					out = append(out, pipeCase{proto, async, persist, true, shape})
-				}
+		for _, persist := range []bool{false, true} {
+			out = append(out, pipeCase{proto, persist, false, shape})
+			if withSplit {
+				out = append(out, pipeCase{proto, persist, true, shape})
 			}
 		}
 	}
@@ -112,7 +124,6 @@ func pipeCluster(t *testing.T, pc pipeCase) *Cluster {
 		CoordinatorsPerNode: 1,
 		Protocol:            pc.proto,
 		Persistence:         pc.persist,
-		AsyncCommitBack:     pc.async,
 		ModelLatency:        true,
 		Tables:              []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 64}},
 	}
@@ -137,7 +148,7 @@ func pipeCluster(t *testing.T, pc pipeCase) *Cluster {
 }
 
 // pipeTx runs the shape's transaction on node 0 writing v to keys 2 and
-// 3, then flushes the node's drains (the async tail's flush point).
+// 3.
 func pipeTx(c *Cluster, shape pipeShape, v uint64) error {
 	_, err := pipeTxAcked(c, shape, v)
 	return err
@@ -151,7 +162,6 @@ func pipeTxAcked(c *Cluster, shape pipeShape, v uint64) (acked bool, err error) 
 	if err != nil && !tx.Done() {
 		_ = tx.Abort()
 	}
-	c.Engine(0).FlushDrains()
 	return tx.CommitAcked(), err
 }
 
@@ -173,8 +183,7 @@ func pipeBody(tx *Tx, shape pipeShape, v uint64) error {
 // settleSession charges, on the caller's goroutine, what s's coordinator
 // has posted and not waited for — a synchronous commit's tail, which the
 // next doorbell would otherwise pay: an empty transaction's Commit is
-// that wait and nothing else. FlushDrains cannot: it runs on foreign
-// goroutines and never touches a coordinator's own endpoint.
+// that wait and nothing else.
 func settleSession(t *testing.T, s *Session) {
 	t.Helper()
 	if err := s.Begin().Commit(); err != nil {
@@ -183,8 +192,7 @@ func settleSession(t *testing.T, s *Session) {
 }
 
 // pipeRow measures one case and renders it as a golden row: ack when
-// Commit returns, quiet once the drain is flushed and the session has
-// waited for its tail.
+// Commit returns, quiet once the session has waited for its tail.
 func pipeRow(t *testing.T, pc pipeCase) string {
 	t.Helper()
 	c := pipeCluster(t, pc)
@@ -201,7 +209,6 @@ func pipeRow(t *testing.T, pc pipeCase) string {
 		t.Fatal(err)
 	}
 	ack := clk.Now() - start
-	c.Engine(0).FlushDrains()
 	settleSession(t, c.Session(0, 0))
 	quiet := clk.Now() - start
 	d := c.MetricsSnapshot().Sub(before)
@@ -213,7 +220,7 @@ func pipeRow(t *testing.T, pc pipeCase) string {
 	// With an injector that never fires: the crash points it is offered.
 	var seq []string
 	c.Engine(0).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
-		seq = append(seq, pipePointNames[p])
+		seq = append(seq, pipePointNames[p].name)
 		return false
 	})
 	if err := pipeTx(c, pc.shape, 300); err != nil {
@@ -237,33 +244,21 @@ func pipeRow(t *testing.T, pc pipeCase) string {
 // lock at Write; its rows did not move. The sync fused rows' ack fell
 // by the tail round, 2000 ns, when the tail came to be posted at the
 // ack and paid by the next doorbell; their quiet, taken once the
-// session has waited for it, did not move, and neither did a split or
-// an async row.
+// session has waited for it, did not move, and neither did a split
+// row.
 var pipeGolden = map[string]string{
-	"pandora/sync/volatile/fused":  "read=3 write=10 cas=2 faa=0 flush=0 rounds=3 ack=8022 quiet=10022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/volatile/split":  "read=3 write=10 cas=2 faa=0 flush=0 rounds=4 ack=12022 quiet=12022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/persist/fused":   "read=3 write=10 cas=2 faa=0 flush=6 rounds=3 ack=8040 quiet=10040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/persist/split":   "read=3 write=10 cas=2 faa=0 flush=6 rounds=6 ack=16040 quiet=16040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/async/volatile/fused": "read=3 write=10 cas=2 faa=0 flush=0 rounds=2 ack=8022 quiet=10022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"pandora/async/volatile/split": "read=3 write=10 cas=2 faa=0 flush=0 rounds=2 ack=8022 quiet=10022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"pandora/async/persist/fused":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=2 ack=8040 quiet=10040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"pandora/async/persist/split":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=4 ack=12040 quiet=14040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/sync/volatile/fused":     "read=3 write=12 cas=2 faa=0 flush=0 rounds=2 ack=12027 quiet=14027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/volatile/split":     "read=3 write=12 cas=2 faa=0 flush=0 rounds=3 ack=16027 quiet=16027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/persist/fused":      "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=16047 quiet=18047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/persist/split":      "read=3 write=12 cas=2 faa=0 flush=8 rounds=4 ack=22047 quiet=22047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/async/volatile/fused":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=1 ack=12027 quiet=14027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/async/volatile/split":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=1 ack=12027 quiet=14027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/async/persist/fused":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=1 ack=16047 quiet=18047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/async/persist/split":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=18047 quiet=20047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/sync/volatile/fused":  "read=3 write=14 cas=2 faa=0 flush=0 rounds=3 ack=12031 quiet=14031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/volatile/split":  "read=3 write=14 cas=2 faa=0 flush=0 rounds=4 ack=16031 quiet=16031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/persist/fused":   "read=3 write=14 cas=2 faa=0 flush=6 rounds=3 ack=12049 quiet=14049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/persist/split":   "read=3 write=14 cas=2 faa=0 flush=6 rounds=6 ack=20049 quiet=20049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/async/volatile/fused": "read=3 write=14 cas=2 faa=0 flush=0 rounds=2 ack=12031 quiet=14031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/async/volatile/split": "read=3 write=14 cas=2 faa=0 flush=0 rounds=2 ack=12031 quiet=14031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/async/persist/fused":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=2 ack=12049 quiet=14049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/async/persist/split":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=4 ack=16049 quiet=18049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/fused": "read=3 write=10 cas=2 faa=0 flush=0 rounds=3 ack=8022 quiet=10022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/split": "read=3 write=10 cas=2 faa=0 flush=0 rounds=4 ack=12022 quiet=12022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/fused":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=3 ack=8040 quiet=10040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/split":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=6 ack=16040 quiet=16040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/fused":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=2 ack=12027 quiet=14027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/split":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=3 ack=16027 quiet=16027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/fused":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=16047 quiet=18047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/split":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=4 ack=22047 quiet=22047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/fused": "read=3 write=14 cas=2 faa=0 flush=0 rounds=3 ack=12031 quiet=14031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/split": "read=3 write=14 cas=2 faa=0 flush=0 rounds=4 ack=16031 quiet=16031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/fused":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=3 ack=12049 quiet=14049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/split":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=6 ack=20049 quiet=20049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
 }
 
 // pipeGoldenTransfer holds the transfer shape's rows. Past one AfterRead
@@ -276,30 +271,18 @@ var pipeGolden = map[string]string{
 // made the ack seven rounds with the tail waited for, and a validation
 // round eight.
 var pipeGoldenTransfer = map[string]string{
-	"pandora/sync/volatile/fused":  "read=4 write=10 cas=2 faa=0 flush=0 rounds=3 ack=10027 quiet=12027 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/volatile/split":  "read=4 write=10 cas=2 faa=0 flush=0 rounds=4 ack=14027 quiet=14027 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/persist/fused":   "read=4 write=10 cas=2 faa=0 flush=6 rounds=3 ack=10045 quiet=12045 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/persist/split":   "read=4 write=10 cas=2 faa=0 flush=6 rounds=6 ack=18045 quiet=18045 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/async/volatile/fused": "read=4 write=10 cas=2 faa=0 flush=0 rounds=2 ack=10027 quiet=12027 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"pandora/async/volatile/split": "read=4 write=10 cas=2 faa=0 flush=0 rounds=2 ack=10027 quiet=12027 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"pandora/async/persist/fused":  "read=4 write=10 cas=2 faa=0 flush=6 rounds=2 ack=10045 quiet=12045 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"pandora/async/persist/split":  "read=4 write=10 cas=2 faa=0 flush=6 rounds=4 ack=14045 quiet=16045 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/sync/volatile/fused":     "read=4 write=12 cas=2 faa=0 flush=0 rounds=2 ack=14032 quiet=16032 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/volatile/split":     "read=4 write=12 cas=2 faa=0 flush=0 rounds=3 ack=18032 quiet=18032 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/persist/fused":      "read=4 write=12 cas=2 faa=0 flush=8 rounds=2 ack=18052 quiet=20052 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/persist/split":      "read=4 write=12 cas=2 faa=0 flush=8 rounds=4 ack=24052 quiet=24052 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/async/volatile/fused":    "read=4 write=12 cas=2 faa=0 flush=0 rounds=1 ack=14032 quiet=16032 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/async/volatile/split":    "read=4 write=12 cas=2 faa=0 flush=0 rounds=1 ack=14032 quiet=16032 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/async/persist/fused":     "read=4 write=12 cas=2 faa=0 flush=8 rounds=1 ack=18052 quiet=20052 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"ford/async/persist/split":     "read=4 write=12 cas=2 faa=0 flush=8 rounds=2 ack=20052 quiet=22052 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/sync/volatile/fused":  "read=4 write=14 cas=2 faa=0 flush=0 rounds=3 ack=14036 quiet=16036 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/volatile/split":  "read=4 write=14 cas=2 faa=0 flush=0 rounds=4 ack=18036 quiet=18036 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/persist/fused":   "read=4 write=14 cas=2 faa=0 flush=6 rounds=3 ack=14054 quiet=16054 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/persist/split":   "read=4 write=14 cas=2 faa=0 flush=6 rounds=6 ack=22054 quiet=22054 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/async/volatile/fused": "read=4 write=14 cas=2 faa=0 flush=0 rounds=2 ack=14036 quiet=16036 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/async/volatile/split": "read=4 write=14 cas=2 faa=0 flush=0 rounds=2 ack=14036 quiet=16036 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/async/persist/fused":  "read=4 write=14 cas=2 faa=0 flush=6 rounds=2 ack=14054 quiet=16054 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
-	"tradlog/async/persist/split":  "read=4 write=14 cas=2 faa=0 flush=6 rounds=4 ack=18054 quiet=20054 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,DrainStart,AfterTruncate,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/fused": "read=4 write=10 cas=2 faa=0 flush=0 rounds=3 ack=10027 quiet=12027 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/split": "read=4 write=10 cas=2 faa=0 flush=0 rounds=4 ack=14027 quiet=14027 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/fused":  "read=4 write=10 cas=2 faa=0 flush=6 rounds=3 ack=10045 quiet=12045 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/split":  "read=4 write=10 cas=2 faa=0 flush=6 rounds=6 ack=18045 quiet=18045 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/fused":    "read=4 write=12 cas=2 faa=0 flush=0 rounds=2 ack=14032 quiet=16032 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/split":    "read=4 write=12 cas=2 faa=0 flush=0 rounds=3 ack=18032 quiet=18032 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/fused":     "read=4 write=12 cas=2 faa=0 flush=8 rounds=2 ack=18052 quiet=20052 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/split":     "read=4 write=12 cas=2 faa=0 flush=8 rounds=4 ack=24052 quiet=24052 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/fused": "read=4 write=14 cas=2 faa=0 flush=0 rounds=3 ack=14036 quiet=16036 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/split": "read=4 write=14 cas=2 faa=0 flush=0 rounds=4 ack=18036 quiet=18036 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/fused":  "read=4 write=14 cas=2 faa=0 flush=6 rounds=3 ack=14054 quiet=16054 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/split":  "read=4 write=14 cas=2 faa=0 flush=6 rounds=6 ack=22054 quiet=22054 points=AfterRead,AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
 }
 
 // TestCommitPipelineContract pins the golden row of every case.
@@ -339,7 +322,7 @@ func TestCommitPipelineCrashSweep(t *testing.T) {
 				c.Engine(0).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
 					calls++
 					if calls == k+1 {
-						point = pipePointNames[p]
+						point = pipePointNames[p].name
 						return true
 					}
 					return false

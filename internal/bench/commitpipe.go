@@ -24,21 +24,15 @@ type CommitPipePass struct {
 	P50  time.Duration `json:"p50_ack_ns"`
 	P99  time.Duration `json:"p99_ack_ns"`
 	Mean time.Duration `json:"mean_ack_ns"`
-
-	DrainEnqueued uint64 `json:"drain_enqueued"`
-	DrainFlushed  uint64 `json:"drain_flushed"`
-	DrainFailures uint64 `json:"drain_failures"`
 }
 
 // CommitPipeResult is the pipelined commit tail experiment (DESIGN.md
-// §16): the same persistent write lane run three ways — the legacy
+// §16): the same persistent write lane run two ways — the legacy
 // per-phase tail (log, log-flush, apply, apply-flush, truncate, unlock:
-// six doorbells), the fused synchronous tail (log+flush, apply+flush,
+// six doorbells) and the fused tail (log+flush, apply+flush,
 // truncate+unlock: three, the third posted at the ack and paid by the
-// coordinator's next doorbell, so it acks after the second), and the
-// asynchronous commit-back tail that acks after the second doorbell and
-// drains truncate+unlock off the critical path. Every pass runs on the
-// virtual clock with a fixed key sequence, so the result is
+// coordinator's next doorbell, so it acks after the second). Both passes
+// run on the virtual clock with a fixed key sequence, so the result is
 // byte-identical across runs and checked in as bin/BENCH_commitpipe.json.
 type CommitPipeResult struct {
 	Keys    int `json:"keys"`
@@ -46,16 +40,13 @@ type CommitPipeResult struct {
 
 	Legacy CommitPipePass `json:"legacy"`
 	Fused  CommitPipePass `json:"fused"`
-	Async  CommitPipePass `json:"async"`
 
-	// RoundReduction is legacy ÷ async rounds per commit; AckSpeedupP50
-	// and FusionSpeedupP50 are the p50 ack-latency ratios of the async
-	// and fused tails against the legacy baseline.
-	RoundReduction   float64 `json:"round_reduction"`
-	AckSpeedupP50    float64 `json:"p50_ack_speedup"`
-	FusionSpeedupP50 float64 `json:"p50_fusion_speedup"`
+	// RoundReduction is legacy ÷ fused rounds per commit; AckSpeedupP50
+	// is the ratio of their p50 ack latencies.
+	RoundReduction float64 `json:"round_reduction"`
+	AckSpeedupP50  float64 `json:"p50_ack_speedup"`
 
-	// Metrics is the async pass's full observability snapshot
+	// Metrics is the fused pass's full observability snapshot
 	// (sequential on a virtual clock: byte-identical per seed).
 	Metrics pandora.Metrics `json:"metrics"`
 }
@@ -66,14 +57,11 @@ func (r *CommitPipeResult) String() string {
 		"Pipelined commit tail: %d persistent commits over %d keys\n"+
 			"  legacy: %.1f rounds/commit, ack p50=%v p99=%v mean=%v\n"+
 			"  fused:  %.1f rounds/commit, ack p50=%v p99=%v mean=%v\n"+
-			"  async:  %.1f rounds/commit, ack p50=%v p99=%v mean=%v (%d drained, %d failures)\n"+
-			"  round reduction: %.1f×, ack p50 speedup: %.2f× (fusion alone: %.2f×)\n",
+			"  round reduction: %.1f×, ack p50 speedup: %.2f×\n",
 		r.Commits, r.Keys,
 		r.Legacy.RoundsPerCommit, r.Legacy.P50, r.Legacy.P99, r.Legacy.Mean,
 		r.Fused.RoundsPerCommit, r.Fused.P50, r.Fused.P99, r.Fused.Mean,
-		r.Async.RoundsPerCommit, r.Async.P50, r.Async.P99, r.Async.Mean,
-		r.Async.DrainFlushed, r.Async.DrainFailures,
-		r.RoundReduction, r.AckSpeedupP50, r.FusionSpeedupP50)
+		r.RoundReduction, r.AckSpeedupP50)
 }
 
 // JSON renders the result as one machine-readable object (the
@@ -84,7 +72,7 @@ func (r *CommitPipeResult) JSON() ([]byte, error) {
 
 // CommitPipe runs the commit-tail experiment: commits sequential
 // single-write persistent transactions, identical key sequence across
-// the three tail configurations.
+// the two tail configurations.
 func CommitPipe(s Scale, commits int) (*CommitPipeResult, error) {
 	keys := s.Keys / 16
 	if keys < 64 {
@@ -96,34 +84,22 @@ func CommitPipe(s Scale, commits int) (*CommitPipeResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("legacy pass: %w", err)
 	}
-	fused, _, err := commitPipePass(commits, keys, "fused")
+	fused, met, err := commitPipePass(commits, keys, "fused")
 	if err != nil {
 		return nil, fmt.Errorf("fused pass: %w", err)
 	}
-	async, met, err := commitPipePass(commits, keys, "async")
-	if err != nil {
-		return nil, fmt.Errorf("async pass: %w", err)
-	}
-	r.Legacy, r.Fused, r.Async, r.Metrics = legacy, fused, async, met
+	r.Legacy, r.Fused, r.Metrics = legacy, fused, met
 
-	if async.RoundsPerCommit > 0 {
-		r.RoundReduction = legacy.RoundsPerCommit / async.RoundsPerCommit
+	if fused.RoundsPerCommit > 0 {
+		r.RoundReduction = legacy.RoundsPerCommit / fused.RoundsPerCommit
 	}
-	den := func(d time.Duration) float64 {
-		if d < 1 {
-			return 1
-		}
-		return float64(d)
-	}
-	r.AckSpeedupP50 = float64(legacy.P50) / den(async.P50)
-	r.FusionSpeedupP50 = float64(legacy.P50) / den(fused.P50)
+	r.AckSpeedupP50 = float64(legacy.P50) / float64(max(fused.P50, 1))
 	return r, nil
 }
 
-// commitPipePass measures one tail configuration. The drain is flushed
-// explicitly after every measured commit, so the async pass's ack
-// latency is the client-observed one and the tail cost lands between
-// episodes (where a real deployment overlaps it with think time).
+// commitPipePass measures one tail configuration. A commit's latency is
+// the client-observed one: it ends at Commit's return, and the fused
+// tail's round is paid by the next commit's first doorbell.
 func commitPipePass(commits, keys int, mode string) (CommitPipePass, pandora.Metrics, error) {
 	p := CommitPipePass{Commits: commits}
 	w := &workload.Micro{Keys: keys}
@@ -131,7 +107,6 @@ func commitPipePass(commits, keys int, mode string) (CommitPipePass, pandora.Met
 		cfg.CoordinatorsPerNode = 1
 		cfg.ModelLatency = true
 		cfg.Persistence = true
-		cfg.AsyncCommitBack = mode == "async"
 	})
 	if err != nil {
 		return p, pandora.Metrics{}, err
@@ -157,7 +132,6 @@ func commitPipePass(commits, keys int, mode string) (CommitPipePass, pandora.Met
 	}); err != nil {
 		return p, pandora.Metrics{}, fmt.Errorf("warmup: %w", err)
 	}
-	c.Engine(0).FlushDrains()
 
 	before := c.MetricsSnapshot()
 	lats := make([]time.Duration, 0, commits)
@@ -170,16 +144,12 @@ func commitPipePass(commits, keys int, mode string) (CommitPipePass, pandora.Met
 			return p, pandora.Metrics{}, fmt.Errorf("commit %d: %w", i, err)
 		}
 		lats = append(lats, clk.Now()-start)
-		c.Engine(0).FlushDrains()
 	}
 
 	after := c.MetricsSnapshot()
 	d := after.Sub(before)
 	p.Rounds = d.Drain.CommitRounds
 	p.RoundsPerCommit = float64(p.Rounds) / float64(commits)
-	p.DrainEnqueued = d.Drain.Enqueued
-	p.DrainFlushed = d.Drain.Flushed
-	p.DrainFailures = d.Drain.Failures
 	p.P50, p.P99, p.Mean = latSummary(lats)
 	return p, after, nil
 }

@@ -10,6 +10,8 @@ import (
 
 	pandora "pandora"
 	"pandora/internal/conftest"
+	"pandora/internal/core"
+	"pandora/internal/kvlayout"
 	"pandora/internal/workload"
 )
 
@@ -18,11 +20,11 @@ import (
 // across every coordinator, with compute crashes, recoveries, restarts
 // and a memory-node failover injected at fixed round boundaries, under
 // the full tuned configuration (validated read cache, adaptive hot
-// locks, asynchronous commit-back). Like MetricsPass, the whole run is
-// sequential on virtual clocks: transactions issue in program order
-// from a single seeded PRNG, faults land at deterministic points, and
-// the emitted artifact (bin/BENCH_soak.json) is byte-identical for a
-// given seed — CI regenerates and cmp-compares it.
+// locks). Like MetricsPass, the whole run is sequential on virtual
+// clocks: transactions issue in program order from a single seeded
+// PRNG, faults land at deterministic points, and the emitted artifact
+// (bin/BENCH_soak.json) is byte-identical for a given seed — CI
+// regenerates and cmp-compares it.
 
 // SoakScale sizes a soak run.
 type SoakScale struct {
@@ -150,7 +152,6 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 		// paths the litmus knob matrix covers functionally.
 		ReadCacheSize:    0, // default-sized cache
 		HotlockThreshold: 0, // adaptive promotion
-		AsyncCommitBack:  true,
 	}
 	c, err := pandora.New(cfg)
 	if err != nil {
@@ -187,8 +188,30 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 
 	rng := rand.New(rand.NewSource(seed))
 
-	// crashCompute fail-stops node n (abandoning its queued async
-	// tails), runs recovery, restarts it and rebinds its sessions.
+	// victim is the compute node a round ends by crashing, or -1.
+	victim := func(round int) int {
+		switch round + 1 {
+		case sc.Rounds / 4:
+			return 0
+		case 3 * sc.Rounds / 4:
+			return 1
+		}
+		return -1
+	}
+	// dieAtAck makes node n fail-stop at the next client acknowledgement
+	// it reaches, before that commit's tail: recovery then finds an
+	// acked transaction logged with its locks held, to roll forward.
+	dieAtAck := func(n int) {
+		armed := true
+		c.Engine(n).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
+			fire := armed && p == core.PointAfterAck
+			armed = armed && !fire
+			return fire
+		})
+	}
+
+	// crashCompute fail-stops node n, runs recovery, restarts it and
+	// rebinds its sessions.
 	crashCompute := func(round, n int) error {
 		c.CrashCompute(n)
 		st, err := c.FailCompute(n)
@@ -214,6 +237,9 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 	for round := 0; round < sc.Rounds; round++ {
 		for node := 0; node < 2; node++ {
 			for co := 0; co < sc.Coords; co++ {
+				if node == victim(round) && co == sc.Coords-1 {
+					dieAtAck(node)
+				}
 				s := sessions[node][co]
 				for i := 0; i < sc.TxPerRound; i++ {
 					ti := rng.Intn(len(tenants))
@@ -226,7 +252,7 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 						_ = tx.Abort()
 					}
 					res.Txns++
-					if err == nil {
+					if err == nil || tx.CommitAcked() {
 						res.Tenants[ti].Committed++
 					} else if pandora.IsAborted(err) || errors.Is(err, pandora.ErrNotFound) ||
 						tx.Done() {
@@ -242,12 +268,12 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 			}
 		}
 		// Fixed-point fault schedule.
-		switch round + 1 {
-		case sc.Rounds / 4:
-			if err := crashCompute(round, 0); err != nil {
+		if n := victim(round); n >= 0 {
+			if err := crashCompute(round, n); err != nil {
 				return nil, err
 			}
-		case sc.Rounds / 2:
+		}
+		if round+1 == sc.Rounds/2 {
 			// Memory failover: fail the second replica set's server and
 			// re-replicate onto a fresh one. Transactions keep running
 			// against the surviving replica in between.
@@ -258,10 +284,6 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 				return nil, fmt.Errorf("soak round %d rereplicate: %w", round, err)
 			}
 			res.Faults = append(res.Faults, SoakFault{Round: round, Kind: "memory-failover", Node: 1})
-		case 3 * sc.Rounds / 4:
-			if err := crashCompute(round, 1); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -270,11 +292,8 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 		res.allocsPerTx = float64(mem1.Mallocs-mem0.Mallocs) / float64(res.Txns)
 	}
 
-	// Quiesce (flush queued async tails) and audit every table: no
-	// duplicate slots, no replica divergence, no residual locks.
-	for n := 0; n < c.ComputeNodes(); n++ {
-		c.Engine(n).FlushDrains()
-	}
+	// Audit every table: no duplicate slots, no replica divergence, no
+	// residual locks.
 	for _, name := range soakTables {
 		rep, err := c.CheckConsistency(name)
 		if err != nil {

@@ -10,28 +10,30 @@ import (
 	"pandora/internal/kvlayout"
 )
 
-// CommitPipeModes lists the crash modes of the async commit-back
-// scenario family: where in the post-ack drain pipeline the victim
-// coordinator's node dies.
-func CommitPipeModes() []string {
-	return []string{"afterack", "middrain", "drainfail"}
+// commitPipePoints maps each crash mode of the commit-tail scenario
+// family to the crash point its victim dies at.
+var commitPipePoints = map[string]core.CrashPoint{
+	"afterack": core.PointAfterAck,
+	"midtail":  core.PointAfterTruncate,
 }
 
-// RunCommitPipe executes the asynchronous commit-back chaos scenario
-// (DESIGN.md §16): a cluster running with AsyncCommitBack acknowledges
-// a commit, and the victim node crashes at a scripted point of the
-// post-ack tail:
+// CommitPipeModes lists the crash modes of the commit-tail scenario
+// family: where in the post-ack tail the victim coordinator's node dies.
+func CommitPipeModes() []string {
+	return []string{"afterack", "midtail"}
+}
+
+// RunCommitPipe executes the commit-tail chaos scenario (DESIGN.md §16):
+// a commit is acknowledged, and the victim node crashes at a scripted
+// point of its post-ack tail:
 //
 //   - "afterack": the crash lands right after the acknowledgement,
-//     before the tail is even handed to the drain — valid log, locks
-//     held. Recovery must roll the acked transaction forward.
-//   - "middrain": the drain flush crashes between the log truncation
-//     and the lock releases — truncated log, stray locks. Recovery
-//     finds nothing to replay and the stray locks fall to PILL
-//     stealing / id recycling.
-//   - "drainfail": the drain flush dies before its first doorbell —
-//     the tail is abandoned whole, counted as a drain failure, and the
-//     state is identical to "afterack" (valid log, locks held).
+//     before the tail's doorbell — valid log, locks held. Recovery must
+//     roll the acked transaction forward.
+//   - "midtail": the tail crashes between the log truncation and the
+//     lock releases — truncated log, stray locks. Recovery finds
+//     nothing to replay and the stray locks fall to PILL stealing / id
+//     recycling.
 //
 // The run is fully scripted — no background workers — so the event log
 // is a pure function of the seed and two same-seed runs are
@@ -41,13 +43,8 @@ func CommitPipeModes() []string {
 // happened after the acknowledgement in every mode).
 func RunCommitPipe(cfg Config, mode string) (*Result, error) {
 	cfg.fillDefaults()
-	valid := false
-	for _, m := range CommitPipeModes() {
-		if m == mode {
-			valid = true
-		}
-	}
-	if !valid {
+	point, ok := commitPipePoints[mode]
+	if !ok {
 		return nil, fmt.Errorf("chaos: unknown commitpipe crash mode %q (valid: %v)", mode, CommitPipeModes())
 	}
 	if cfg.Computes < 2 {
@@ -63,7 +60,6 @@ func RunCommitPipe(cfg Config, mode string) (*Result, error) {
 		VerbTimeout:         cfg.VerbTimeout,
 		SuspectThreshold:    -1, // escalation would race the scripted crash point
 		ReadCacheSize:       cfg.ReadCacheSize,
-		AsyncCommitBack:     true,
 		NoAutoRecover:       true, // the script drives recovery twice itself
 	})
 	if err != nil {
@@ -96,8 +92,8 @@ func RunCommitPipe(cfg Config, mode string) (*Result, error) {
 	sess := cluster.Session(0, 0)
 	defer victim.SetInjector(nil)
 
-	// Warm the drain pipeline: each acked commit queues its tail, the
-	// next Begin flushes it.
+	// Warm the session: each acked commit's tail is paid by the next
+	// commit's first doorbell.
 	var step uint64
 	for i := 0; i < warmups; i++ {
 		step++
@@ -108,72 +104,31 @@ func RunCommitPipe(cfg Config, mode string) (*Result, error) {
 		}
 		res.Acked++
 	}
-	cfg.Logf("warmed %d acked commits through the drain", warmups)
+	cfg.Logf("warmed %d acked commits", warmups)
 
-	// The scripted crash. In every mode `step` ends at the last write
-	// whose commit was ACKED — the value the final audit must find.
-	switch mode {
-	case "afterack":
-		victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
-			return p == core.PointAfterAck
-		})
-		step++
-		tx := sess.Begin()
-		if err := tx.Write("ctr", key, value(step)); err != nil {
-			return nil, fmt.Errorf("doomed write: %w", err)
-		}
-		err := tx.Commit() // crashes after the ack, before the hand-off
-		if !tx.CommitAcked() {
-			violate("doomed commit not acked at PointAfterAck (err=%v)", err)
-		}
-		res.Acked++
-		res.Events++
-		cfg.Logf("crash: after ack — valid log, locks held, tail never handed off")
-	case "middrain":
-		step++
-		if err := sess.Update(0, func(tx *pandora.Tx) error {
-			return tx.Write("ctr", key, value(step))
-		}); err != nil {
-			return nil, fmt.Errorf("doomed update: %w", err)
-		}
-		res.Acked++
-		victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
-			return p == core.PointAfterTruncate
-		})
-		trig := sess.Begin() // flushes the drain: truncates, then dies
-		_ = trig.Abort()
-		res.Events++
-		cfg.Logf("crash: mid-drain — log truncated, locks stray")
-	case "drainfail":
-		step++
-		if err := sess.Update(0, func(tx *pandora.Tx) error {
-			return tx.Write("ctr", key, value(step))
-		}); err != nil {
-			return nil, fmt.Errorf("doomed update: %w", err)
-		}
-		res.Acked++
-		victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool {
-			return p == core.PointDrainStart
-		})
-		trig := sess.Begin() // the drain flush dies before its doorbell
-		_ = trig.Abort()
-		res.Events++
-		cfg.Logf("crash: drain start — tail abandoned whole, valid log, locks held")
+	// The scripted crash, inside the doomed commit's post-ack tail:
+	// `step` ends at its write, the last ACKED one — the value the final
+	// audit must find.
+	victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool { return p == point })
+	step++
+	tx := sess.Begin()
+	if err := tx.Write("ctr", key, value(step)); err != nil {
+		return nil, fmt.Errorf("doomed write: %w", err)
 	}
+	err = tx.Commit()
 	victim.SetInjector(nil)
+	if !tx.CommitAcked() {
+		violate("doomed commit not acked at the %s point (err=%v)", mode, err)
+	}
+	res.Acked++
+	res.Events++
+	if mode == "afterack" {
+		cfg.Logf("crash: after ack — valid log, locks held, tail never posted")
+	} else {
+		cfg.Logf("crash: mid-tail — log truncated, locks stray")
+	}
 	if !victim.Crashed() {
 		violate("victim node not crashed after the scripted %s point", mode)
-	}
-
-	// Post-ack discipline accounting: the abandoned flushes of middrain
-	// and drainfail are drain failures; afterack crashes before the
-	// hand-off, so the drain never sees the tail.
-	wantFail := uint64(1)
-	if mode == "afterack" {
-		wantFail = 0
-	}
-	if got := cluster.MetricsSnapshot().Drain.Failures; got != wantFail {
-		violate("drain failures = %d, want %d", got, wantFail)
 	}
 
 	// Recovery, driven twice: the first pass heals, the second must be
@@ -189,7 +144,7 @@ func RunCommitPipe(cfg Config, mode string) (*Result, error) {
 	res.Events++
 	cfg.Logf("recovery: %d logged txs, %d rolled forward, %d rolled back",
 		stats.LoggedTxs, stats.RolledForward, stats.RolledBack)
-	if mode == "middrain" {
+	if mode == "midtail" {
 		if stats.LoggedTxs != 0 {
 			violate("recovery found %d logged txs after truncation, want 0", stats.LoggedTxs)
 		}

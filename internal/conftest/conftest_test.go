@@ -51,16 +51,6 @@ func TestConformanceTuned(t *testing.T) {
 	conftest.Run(t, factory(cfg))
 }
 
-// TestConformanceAsyncCommitBack: the post-ack drain on top of the
-// tuned paths — the combination the random litmus matrix stresses.
-func TestConformanceAsyncCommitBack(t *testing.T) {
-	cfg := baseConfig()
-	cfg.ReadCacheSize = 4096
-	cfg.HotlockThreshold = 1
-	cfg.AsyncCommitBack = true
-	conftest.Run(t, factory(cfg))
-}
-
 // TestConformanceFORDBaseline: the fixed FORD protocol (Pandora's
 // recovery, Table-1 fixes applied) must pass the same battery.
 func TestConformanceFORDBaseline(t *testing.T) {

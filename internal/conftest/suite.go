@@ -18,8 +18,8 @@ import (
 //   - at least 2 compute nodes and at least 2 coordinators per node;
 //   - Close registered via tb.Cleanup (the suite never closes it).
 //
-// Everything else — protocol, knobs (read cache, hot-lock threshold,
-// async commit-back), persistence, latency model — is the factory's
+// Everything else — protocol, knobs (read cache, hot-lock threshold),
+// persistence, latency model — is the factory's
 // choice; that is the point: one battery, every configuration.
 type Factory func(tb testing.TB) *pandora.Cluster
 
@@ -66,17 +66,6 @@ func MustRead(tb testing.TB, s *pandora.Session, table string, key pandora.Key) 
 	return v
 }
 
-// quiesce flushes every live compute node's pending async commit tails
-// so structural audits see unlocked slots. A no-op when the async knob
-// is off or the queues are empty.
-func quiesce(c *pandora.Cluster) {
-	for i := 0; i < c.ComputeNodes(); i++ {
-		if !c.Engine(i).Crashed() {
-			c.Engine(i).FlushDrains()
-		}
-	}
-}
-
 func testCommitVisible(t *testing.T, f Factory) {
 	c := f(t)
 	mustLoad(t, c, 64)
@@ -86,8 +75,7 @@ func testCommitVisible(t *testing.T, f Factory) {
 		t.Fatal(err)
 	}
 	// The commit must be visible from every node and coordinator, not
-	// just the writer's (the read cache must revalidate, the async
-	// drain must be flushable by the conflicting reader's node).
+	// just the writer's (the read cache must revalidate).
 	for node := 0; node < c.ComputeNodes(); node++ {
 		if v := MustRead(t, c.Session(node, 1), Table, 7); !bytes.Equal(v, U64(777)) {
 			t.Fatalf("node %d sees %v, want 777", node, v)
@@ -152,10 +140,6 @@ func testInsertDelete(t *testing.T, f Factory) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Cross-node readers abort against an idle holder's queued async
-	// tail rather than flushing it, so quiesce across node handoffs —
-	// same discipline as the litmus observer.
-	quiesce(c)
 	if v := MustRead(t, c.Session(1, 1), Table, 100); !bytes.Equal(v, U64(7)) {
 		t.Fatalf("inserted key reads %v, want 7", v)
 	}
@@ -164,7 +148,6 @@ func testInsertDelete(t *testing.T, f Factory) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	quiesce(c)
 	if _, err := ReadValidated(c.Session(1, 0), Table, 100); !errors.Is(err, pandora.ErrNotFound) {
 		t.Fatalf("deleted key read: %v, want ErrNotFound", err)
 	}
@@ -185,11 +168,6 @@ func testNoLostUpdates(t *testing.T, f Factory) {
 			wg.Add(1)
 			go func(node, coord int) {
 				defer wg.Done()
-				// Flush this node's queued tails when the worker goes
-				// idle: a cross-node conflicter aborts (never flushes)
-				// against a queued tail, so an idle holder would starve
-				// the still-running workers.
-				defer c.Engine(node).FlushDrains()
 				s := c.Session(node, coord)
 				for i := 0; i < perWorker; i++ {
 					err := s.Update(1000, func(tx *pandora.Tx) error {
@@ -211,7 +189,6 @@ func testNoLostUpdates(t *testing.T, f Factory) {
 	if t.Failed() {
 		return
 	}
-	quiesce(c)
 	want := uint64(workers * perWorker) // key 0 loads as 0*10 = 0
 	if v := MustRead(t, c.Session(0, 1), Table, 0); binary.LittleEndian.Uint64(v) != want {
 		t.Fatalf("final count %d, want %d — lost update", binary.LittleEndian.Uint64(v), want)
@@ -245,7 +222,6 @@ func testCrashRecoveryRestart(t *testing.T, f Factory) {
 	}); err != nil {
 		t.Fatalf("restarted node cannot transact: %v", err)
 	}
-	quiesce(c)
 	if v := MustRead(t, c.Session(1, 1), Table, 9); !bytes.Equal(v, U64(100)) {
 		t.Fatalf("post-restart write reads %v, want 100", v)
 	}
@@ -283,7 +259,7 @@ func testRecoveryIdempotent(t *testing.T, f Factory) {
 func testQuiescentConsistency(t *testing.T, f Factory) {
 	c := f(t)
 	mustLoad(t, c, 128)
-	// Churn a little from both nodes, then quiesce and audit.
+	// Churn a little from both nodes, then audit.
 	for node := 0; node < c.ComputeNodes(); node++ {
 		s := c.Session(node, 0)
 		for k := 0; k < 16; k++ {
@@ -293,9 +269,6 @@ func testQuiescentConsistency(t *testing.T, f Factory) {
 				t.Fatal(err)
 			}
 		}
-		// The next node's writers conflict cross-node with this node's
-		// now-idle queued tails; flush before handing over.
-		quiesce(c)
 	}
 	rep, err := c.CheckConsistency(Table)
 	if err != nil {

@@ -13,69 +13,57 @@ import (
 
 // TestAckedCommitNeverAborts: once the client has been acknowledged,
 // nothing may abort (Cor3). The tail of an acked commit is link-faulted
-// until the cleanup budget runs out — in the synchronous mode while
-// Commit is still running it, in AsyncCommitBack mode while the drain
-// is. Sync, Commit returns ErrIndeterminate with AckedCommit set; async,
-// Commit has long returned nil and the drain counts a failure. Neither
-// ever sets AckedAbort, and the lock the tail could not release is still
-// there for recovery. This replaces the lockpair pass's ack obligation:
-// it fails if afterAck's failure arm goes anywhere but postAckFailure
+// until the cleanup budget runs out while Commit is still running it:
+// Commit returns ErrIndeterminate with AckedCommit set, never sets
+// AckedAbort, and the lock the tail could not release is still there
+// for recovery. This replaces the lockpair pass's ack obligation: it
+// fails if afterAck's failure arm goes anywhere but postAckFailure
 // (say, verbFailure — which would abort), or if a tail is built and
-// neither run nor enqueued.
+// not run.
 func TestAckedCommitNeverAborts(t *testing.T) {
 	defer func(n int) { cleanupMaxAttempts = n }(cleanupMaxAttempts)
 	cleanupMaxAttempts = 3
-	for _, async := range []bool{false, true} {
-		reg := metrics.New()
-		e := newEnv(t, envConfig{opts: Options{AsyncCommitBack: async, Metrics: reg}})
-		e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
-		cn := e.nodes[0]
-		// Partition every link of the node the moment the ack stage is
-		// reached: the injector is the one hook between apply and tail.
-		cn.SetInjector(func(_ kvlayout.CoordID, p CrashPoint) bool {
-			if p == PointAfterAck {
-				for _, m := range e.mems {
-					e.fab.PartitionLink(cn.ID(), m.ID())
-				}
-			}
-			return false
-		})
-		tx := cn.Coordinator(0).Begin()
-		if err := tx.Write(0, 3, []byte("acked")); err != nil {
-			t.Fatal(err)
-		}
-		err := tx.Commit()
-		if async {
-			if err != nil {
-				t.Fatalf("async: commit returned %v, want nil at the ack", err)
-			}
-			cn.FlushDrains()
-			if got := reg.Snapshot().Drain.Failures; got != 1 {
-				t.Fatalf("async: drain failures = %d, want 1", got)
-			}
-		} else if !errors.Is(err, ErrIndeterminate) {
-			t.Fatalf("sync: commit returned %v, want ErrIndeterminate", err)
-		}
-		if !tx.AckedCommit || tx.AckedAbort || errors.Is(err, ErrAborted) {
-			t.Fatalf("async=%t: acked commit %t, acked abort %t, err %v", async, tx.AckedCommit, tx.AckedAbort, err)
-		}
-		if !tx.Done() {
-			t.Fatalf("async=%t: transaction not finished", async)
-		}
-		for r := metrics.AbortReason(0); r < metrics.NumAbortReasons; r++ {
-			if n := reg.Snapshot().AbortCount(r); n != 0 {
-				t.Fatalf("async=%t: %d aborts of kind %s were attempted after the ack", async, n, r)
+	reg := metrics.New()
+	e := newEnv(t, envConfig{opts: Options{Metrics: reg}})
+	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+	cn := e.nodes[0]
+	// Partition every link of the node the moment the ack stage is
+	// reached: the injector is the one hook between apply and tail.
+	cn.SetInjector(func(_ kvlayout.CoordID, p CrashPoint) bool {
+		if p == PointAfterAck {
+			for _, m := range e.mems {
+				e.fab.PartitionLink(cn.ID(), m.ID())
 			}
 		}
-		cn.SetInjector(nil)
-		e.fab.HealAllLinks()
-		if n := e.lockedSlots(t, 0); n != 1 {
-			t.Fatalf("async=%t: %d locked slots, want the one the abandoned tail left to recovery", async, n)
+		return false
+	})
+	tx := cn.Coordinator(0).Begin()
+	if err := tx.Write(0, 3, []byte("acked")); err != nil {
+		t.Fatal(err)
+	}
+	err := tx.Commit()
+	if !errors.Is(err, ErrIndeterminate) {
+		t.Fatalf("commit returned %v, want ErrIndeterminate", err)
+	}
+	if !tx.AckedCommit || tx.AckedAbort || errors.Is(err, ErrAborted) {
+		t.Fatalf("acked commit %t, acked abort %t, err %v", tx.AckedCommit, tx.AckedAbort, err)
+	}
+	if !tx.Done() {
+		t.Fatal("transaction not finished")
+	}
+	for r := metrics.AbortReason(0); r < metrics.NumAbortReasons; r++ {
+		if n := reg.Snapshot().AbortCount(r); n != 0 {
+			t.Fatalf("%d aborts of kind %s were attempted after the ack", n, r)
 		}
-		// The write itself is committed on every replica.
-		if v, err := readKeyStray(t, e, 3); err != nil || string(v[:5]) != "acked" {
-			t.Fatalf("async=%t: key 3 = (%q, %v), want the acked value", async, v, err)
-		}
+	}
+	cn.SetInjector(nil)
+	e.fab.HealAllLinks()
+	if n := e.lockedSlots(t, 0); n != 1 {
+		t.Fatalf("%d locked slots, want the one the abandoned tail left to recovery", n)
+	}
+	// The write itself is committed on every replica.
+	if v, err := readKeyStray(t, e, 3); err != nil || string(v[:5]) != "acked" {
+		t.Fatalf("key 3 = (%q, %v), want the acked value", v, err)
 	}
 }
 

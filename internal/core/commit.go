@@ -88,45 +88,30 @@ func (tx *Tx) Commit() error {
 // into rolling this transaction back. A crash after truncation leaves
 // only lock words, which PILL stealing cleans up against a fully
 // consistent memory image. The client has been acknowledged, so nothing
-// here may abort (Cor3), and every arm consumes the tail: run now, handed
-// to the drain, or — after a failure — left to recovery by
+// here may abort (Cor3): a failure leaves the tail to recovery by
 // postAckFailure.
+//
+// The truncations are posted ahead of the releases, so where the two
+// share a doorbell RC ordering runs them first on a shared node; across
+// nodes the cleanup discipline lands everything before Commit returns,
+// and a crash mid-doorbell leaves at worst a valid log plus released
+// locks — recovery's rollback is version-checked and lock-CAS-guarded,
+// so the state resolves exactly like the states the split tail can leave
+// (DESIGN.md §16). The tail is a trailing stage: landed and tolerated,
+// it is not waited for, and the coordinator's next doorbell pays its
+// round.
 func (tx *Tx) afterAck(commitBackStart time.Duration) error {
-	ackAt := tx.phaseClock()
-	async := tx.cn.opts.AsyncCommitBack
-	_, err := tx.run(stage{kind: stageAck})
-	switch {
-	case err != nil:
-	case async:
-		// Asynchronous commit-back (DESIGN.md §16): the tail moves off the
-		// critical path entirely. The cache write-through runs now — the
-		// rcache is owned by this coordinator's goroutine and the drain may
-		// flush on another — which is safe pre-release: the applied slots
-		// already carry the new images and OCC validation re-checks
-		// versions on every use.
-		tx.writeThroughCache()
-		tx.handoffTail(ackAt)
-	default:
-		// The truncations are posted ahead of the releases, so where the
-		// two share a doorbell RC ordering runs them first on a shared
-		// node; across nodes the cleanup discipline lands everything
-		// before Commit returns, and a crash mid-doorbell leaves at worst a
-		// valid log plus released locks — recovery's rollback is
-		// version-checked and lock-CAS-guarded, so the state resolves
-		// exactly like the states the split tail can leave (DESIGN.md §16).
-		// The tail is a trailing stage: landed and tolerated, it is not
-		// waited for, and the coordinator's next doorbell pays its round.
-		b := rdma.GetBatch()
-		_, err = tx.run(tx.tailStage(stageTail, b))
-		b.Put()
+	if _, err := tx.run(stage{kind: stageAck}); err != nil {
+		return tx.postAckFailure(err)
 	}
+	b := rdma.GetBatch()
+	_, err := tx.run(tx.tailStage(stageTail, b))
+	b.Put()
 	if err != nil {
 		return tx.postAckFailure(err)
 	}
 	tx.recordPhase(metrics.PhaseCommitBack, commitBackStart)
-	if !async {
-		tx.writeThroughCache()
-	}
+	tx.writeThroughCache()
 	tx.release()
 	return nil
 }
@@ -312,7 +297,7 @@ func (tx *Tx) applyWrites() error {
 // (abortPath=true) an insert's empty slot is tombstoned first so probe
 // chains that grew past it while it was locked stay intact. An entry
 // that is registered but not locked — the state of every entry before
-// its lock CAS — has nothing to release. Every tail — synchronous, drained, abort — is built by tailStage
+// its lock CAS — has nothing to release. Every tail — commit or abort — is built by tailStage
 // through here, so the release-side invariants live in one place.
 func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 	zero := b.Bytes(8)

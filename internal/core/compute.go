@@ -33,15 +33,14 @@ const (
 	PointAfterAck
 	PointAfterUnlock
 	PointAfterTruncate
-	// PointDrainStart fires when a drained commit tail begins its
-	// truncate+release doorbell — the "crash mid-drain, before anything
-	// was cleaned" window of the async commit-back pipeline (DESIGN.md
-	// §16). Appended at the end: the point values are part of the chaos
-	// CLI surface.
-	PointDrainStart
+	// Reserved: the start of the deleted asynchronous commit-back drain.
+	// The slot stays so no later point is renumbered — the values are
+	// part of the chaos CLI surface, and proptest repro files store
+	// crash_point as an integer.
+	_
 	// PointAfterRead fires when a Read, or one ReadRange chunk, has
 	// returned — the execution-phase boundary where the litmus scheduler
-	// interleaves transactions. Appended for the same reason.
+	// interleaves transactions. Appended at the end for the same reason.
 	PointAfterRead
 )
 
@@ -157,11 +156,10 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 	for slot, cid := range coordIDs {
 		ep := fab.Endpoint(id).WithGate(alive).WithTimeout(opts.VerbTimeout).WithLane(uint32(cid))
 		co := &Coordinator{
-			node:    cn,
-			id:      cid,
-			slot:    slot,
-			ep:      ep,
-			drainEp: ep.WithLane(uint32(cid)), // a copy: nothing outstanding is shared
+			node: cn,
+			id:   cid,
+			slot: slot,
+			ep:   ep,
 		}
 		if opts.ReadCacheSize >= 0 {
 			co.rcache = cache.New(opts.ReadCacheSize)
@@ -195,12 +193,13 @@ func (cn *ComputeNode) SetPersist(on bool) {
 	cn.opts.Persist = on
 }
 
-// SetAsyncCommitBack toggles the asynchronous post-ack commit tail
-// (Options.AsyncCommitBack). Call only while the node is quiescent;
-// turning it off does not flush queued tails — pair with FlushDrains.
-func (cn *ComputeNode) SetAsyncCommitBack(on bool) {
-	cn.opts.AsyncCommitBack = on
-}
+// SetAsyncCommitBack does nothing and stores nothing: every acked
+// commit's tail is posted at the ack and paid by the coordinator's next
+// doorbell (DESIGN.md §16). It stays only for its remaining caller, the
+// commit probe at benchmark/probes.go:358-361.
+//
+// Deprecated: there is one post-ack path; the call has no effect.
+func (cn *ComputeNode) SetAsyncCommitBack(bool) {}
 
 // SetUnfusedTail toggles the pre-fusion per-phase commit tail
 // (Options.UnfusedCommitTail), the commitpipe experiment's baseline.
@@ -209,14 +208,13 @@ func (cn *ComputeNode) SetUnfusedTail(on bool) {
 	cn.opts.UnfusedCommitTail = on
 }
 
-// FlushDrains synchronously drains every coordinator's pending post-ack
-// commit tails. Callers that need a fully unlocked, truncated memory
-// image (consistency audits, mode switches, shutdown) run this first.
-func (cn *ComputeNode) FlushDrains() {
-	for _, co := range cn.coords {
-		co.flushDrain()
-	}
-}
+// FlushDrains does nothing: there is no drain queue to flush. A posted
+// commit tail has landed when Commit returns; only its charge is left
+// for the coordinator's next doorbell. It stays only for its remaining
+// callers, benchmark/probes.go:360 and benchmark/run.go:397-398.
+//
+// Deprecated: there is no drain; the call has no effect.
+func (cn *ComputeNode) FlushDrains() {}
 
 // SetInjector installs a crash injector (nil removes it). With an
 // injector installed the stage executor offers it every crash point its
@@ -321,13 +319,8 @@ func (cn *ComputeNode) Install(v *place.View) {
 }
 
 // Pause stops the world on this node: it waits for in-flight
-// transactions to finish and blocks new ones until Resume. Pending
-// post-ack drain tails flush under the pause — reconfiguration (and any
-// other pause-holder) must observe a fully unlocked memory image.
-func (cn *ComputeNode) Pause() {
-	cn.pause.Lock()
-	cn.FlushDrains()
-}
+// transactions to finish and blocks new ones until Resume.
+func (cn *ComputeNode) Pause() { cn.pause.Lock() }
 
 // Resume lifts a Pause.
 func (cn *ComputeNode) Resume() { cn.pause.Unlock() }
@@ -391,9 +384,7 @@ type Coordinator struct {
 	// ep is the transaction goroutine's endpoint; the lock doorbells a
 	// transaction posts at Write are outstanding on it until Commit, and
 	// a committed tail posted at the ack until the next doorbell.
-	ep *rdma.Endpoint
-	// drainEp is ep's copy the drain rings on (stageSpec.drained).
-	drainEp   *rdma.Endpoint
+	ep        *rdma.Endpoint
 	txCounter uint64
 	// rcache is the validated read cache (nil when disabled). Owned by
 	// this coordinator's transaction goroutine; global invalidation
@@ -404,9 +395,6 @@ type Coordinator struct {
 	// coordinator promotes from its own conflict history, so seeded runs
 	// stay deterministic regardless of coordinator interleaving.
 	hot *hotlock.Tracker
-	// drain queues acked-but-unreleased commit tails when asynchronous
-	// commit-back is on (DESIGN.md §16).
-	drain drainQueue
 	// scratch backs the running transaction's sets and buffers (DESIGN.md
 	// §18). Its memory is allocated on first use, not here: most
 	// coordinators of a restarted node never run a transaction.
@@ -429,7 +417,6 @@ func (co *Coordinator) Node() *ComputeNode { return co.node }
 // latency-shaped experiments); nil disables charging.
 func (co *Coordinator) WithClock(clk *rdma.VClock) {
 	co.ep = co.ep.WithClock(clk)
-	co.drainEp = co.drainEp.WithClock(clk)
 }
 
 // Outstanding reports whether the coordinator's endpoint holds doorbells

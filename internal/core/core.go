@@ -130,15 +130,6 @@ type Options struct {
 	// stays authoritative either way: promotion changes how a waiter
 	// waits, never who may own the lock.
 	HotlockThreshold int
-	// AsyncCommitBack moves the post-ack commit tail (log truncation,
-	// lock release) off the critical path: Commit returns at the client
-	// acknowledgement and the truncate+release doorbell drains through a
-	// per-coordinator bounded pipeline (DESIGN.md §16). A same-node
-	// transaction that conflicts with an acked-but-undrained holder
-	// flushes the holder's drain and retries instead of aborting.
-	// Recovery semantics are unchanged: a crash mid-drain leaves exactly
-	// the states recovery already handles.
-	AsyncCommitBack bool
 	// UnfusedCommitTail restores the pre-fusion per-phase commit tail
 	// (separate apply / flush / truncate / unlock doorbell rounds).
 	// Baseline knob for the commitpipe experiment only; not exposed in

@@ -249,11 +249,6 @@ func (tx *Tx) steal(ent *writeEnt, old uint64, b *rdma.OpBatch, buf []byte) (loc
 func (tx *Tx) onConflict(ent *writeEnt, old uint64, spins *int) error {
 	ref := ent.ref
 	tx.cn.opts.Metrics.CountLock(metrics.LockRetry)
-	// The holder may be an acked commit whose release is still queued on
-	// a same-node drain: flush it and retry instead of aborting (§16).
-	if tx.drainWait(old) {
-		return nil
-	}
 	if ent.kind == kvlayout.WriteInsert {
 		return tx.dropEntry(ent, errSlotContended)
 	}

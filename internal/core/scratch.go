@@ -8,7 +8,7 @@ import "pandora/internal/kvlayout"
 // the log-record entry list — lives in memory the coordinator owns and
 // the next Begin recycles. Nothing that outlives the transaction may
 // point into it: the read cache and the caller get copies, and verb
-// batches (the drain's included) carry their own arena.
+// batches carry their own arena.
 type txScratch struct {
 	rd slab[readEnt]
 	wr slab[writeEnt]

@@ -5,10 +5,10 @@ package core
 // truncate, release, and on the abort side rollback — is a stage: one
 // pooled verb batch cut into two segments that must take effect in
 // order, plus the crash points that sit around and inside it. The lock
-// step, Commit, the abort path, the log writers and the drain only build
-// stages; run is the one place that decides how a stage reaches the
-// fabric, classifies what came back, counts the commit round and honours
-// crash injection. The paper's recovery
+// step, Commit, the abort path and the log writers only build stages;
+// run is the one place that decides how a stage reaches the fabric,
+// classifies what came back, counts the commit round and honours crash
+// injection. The paper's recovery
 // argument (§3.2.3, Cor3) is a statement about which memory states a
 // crash between two steps can leave; stageTable is the list of those
 // steps.
@@ -42,8 +42,7 @@ const (
 	stageFordLog                     // FORD per-object record writes | durability flushes
 	stageApply                       // replica writes | durability flushes
 	stageAck                         // the client acknowledgement: verb-less
-	stageTail                        // synchronous commit tail: truncations | releases
-	stageDrainTail                   // the same tail, handed to the drain (§16)
+	stageTail                        // commit tail: truncations | releases
 	stageAbortTail                   // abort: truncations | releases
 	stageRollback                    // abort: pre-image writes
 )
@@ -62,9 +61,6 @@ const (
 	// own (§7: one flush round trip per touched node) — the baseline's
 	// cost is not ours to fuse away.
 	splitAlways
-	// splitNever: a drained tail is off the critical path the unfused
-	// baseline exists to measure.
-	splitNever
 )
 
 // stageSpec is the static part of a stage.
@@ -81,10 +77,6 @@ type stageSpec struct {
 	// counted stages sit on the post-validation critical path: each
 	// doorbell is one commit round (metrics.Snapshot.Drain.CommitRounds).
 	counted bool
-	// drained stages ring on the coordinator's drain endpoint: the drain
-	// may flush on another goroutine, so it must never see the doorbells
-	// the transaction has posted and not waited for.
-	drained bool
 	// trailing stages carry no decision — the client has been
 	// acknowledged and nothing may roll back (Cor3) — so their one
 	// doorbell of an uninjected, fused run is posted and not waited for:
@@ -113,8 +105,6 @@ var stageTable = [...]stageSpec{
 	stageAck:        {after: at(PointAfterAck)},
 	stageTail: {cleanup: true, counted: true, trailing: true,
 		between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock), after: at(PointAfterUnlock)},
-	stageDrainTail: {cleanup: true, drained: true, split: splitNever,
-		before: at(PointDrainStart), between: at(PointAfterTruncate), eachSecond: at(PointAfterUnlock)},
 	stageAbortTail: {cleanup: true, eachSecond: at(PointAfterUnlock)},
 	stageRollback:  {cleanup: true},
 }
@@ -292,9 +282,6 @@ var cleanupMaxAttempts = 10000
 // ring pays it — and goes on as above.
 func (co *Coordinator) ring(ops []*rdma.Op, spec *stageSpec, lazy bool) error {
 	ep := co.ep
-	if spec.drained {
-		ep = co.drainEp
-	}
 	backoff := 50 * time.Microsecond
 	const maxBackoff = 2 * time.Millisecond
 	var reported map[rdma.NodeID]bool

@@ -92,12 +92,6 @@ func (co *Coordinator) Begin() *Tx { return co.BeginIn(new(Tx)) }
 func (co *Coordinator) BeginIn(tx *Tx) *Tx {
 	cn := co.node
 	cn.pause.RLock()
-	// Flush the previous transaction's post-ack drain tail before a new
-	// one starts: a coordinator runs one transaction at a time, so this
-	// is the deterministic steady-state flush point of the async
-	// commit-back pipeline (DESIGN.md §16) — and a transaction never
-	// contends with its own coordinator's undrained locks.
-	co.flushDrain()
 	co.txCounter++
 	sc := &co.scratch
 	sc.reset()
@@ -360,11 +354,6 @@ func (tx *Tx) readSlotConsistent(ref objRef) (kvlayout.Slot, objRef, error) {
 				// as no lock at all (§3.1.2).
 				return slot, ref, nil
 			}
-			if tx.drainWait(slot.Lock) {
-				// The holder was an acked commit whose release was still
-				// queued on a same-node drain; it has flushed — re-read.
-				continue
-			}
 			if tx.mayStall() {
 				if err := tx.stallWait(); err != nil {
 					return kvlayout.Slot{}, ref, err
@@ -567,9 +556,6 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 			// step's first doorbell is the steal; otherwise it is an
 			// ordinary lock conflict.
 			if !tx.strayLock(res.claimedLock) {
-				if tx.drainWait(res.claimedLock) {
-					continue // the claimant's drained release freed the slot; re-probe
-				}
 				return tx.abort(metrics.AbortSteal, lockedBy("insert of %d/%d conflicts with in-flight claim by coordinator %d",
 					objRef{table: table, key: key}, res.claimedLock))
 			}

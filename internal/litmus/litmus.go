@@ -33,10 +33,9 @@ import (
 
 // Knobs selects the cluster tuning features a litmus run exercises.
 // Historically litmus pinned everything to the raw protocol (cache
-// off, CAS-spin locks, synchronous commit-back); the knob matrix runs
-// the same tests across the tuned paths too, so the read cache, the
-// FAA ticket lanes, and the async commit-back drain get the same
-// serializability/recovery scrutiny as the base protocol.
+// off, CAS-spin locks); the knob matrix runs the same tests across the
+// tuned paths too, so the read cache and the FAA ticket lanes get the
+// same serializability/recovery scrutiny as the base protocol.
 type Knobs struct {
 	// ReadCacheSize: -1 disables the validated read cache, 0 means the
 	// library default, positive values size it explicitly.
@@ -44,29 +43,24 @@ type Knobs struct {
 	// HotlockThreshold: -1 pins the CAS-spin baseline, 0 the adaptive
 	// default, positive values override the promotion streak.
 	HotlockThreshold int `json:"hotlock_threshold"`
-	// AsyncCommitBack hands the truncate+unlock tail to the post-ack
-	// drain queue. RunTest flushes all live drains before observing.
-	AsyncCommitBack bool `json:"async_commit_back"`
 }
 
 // String renders a knob combination as a compact stable tag.
 func (k Knobs) String() string {
-	return fmt.Sprintf("cache=%d/hot=%d/async=%t", k.ReadCacheSize, k.HotlockThreshold, k.AsyncCommitBack)
+	return fmt.Sprintf("cache=%d/hot=%d", k.ReadCacheSize, k.HotlockThreshold)
 }
 
 // DefaultKnobs is the historical litmus pin: raw reads, adaptive lock
-// promotion, synchronous commit-back. A nil Config.Knobs means this.
+// promotion. A nil Config.Knobs means this.
 func DefaultKnobs() Knobs { return Knobs{ReadCacheSize: -1, HotlockThreshold: 0} }
 
 // KnobMatrix is the configuration lattice every litmus family
-// explores: the raw protocol with CAS-spin locks, the read cache plus
-// eager ticket-lane promotion, and the full tuned pipeline with the
-// asynchronous commit-back drain on top.
+// explores: the raw protocol with CAS-spin locks, and the read cache
+// plus eager ticket-lane promotion.
 func KnobMatrix() []Knobs {
 	return []Knobs{
-		{ReadCacheSize: -1, HotlockThreshold: -1, AsyncCommitBack: false},
-		{ReadCacheSize: 4096, HotlockThreshold: 1, AsyncCommitBack: false},
-		{ReadCacheSize: 4096, HotlockThreshold: 1, AsyncCommitBack: true},
+		{ReadCacheSize: -1, HotlockThreshold: -1},
+		{ReadCacheSize: 4096, HotlockThreshold: 1},
 	}
 }
 
@@ -258,12 +252,8 @@ func (s txStatus) String() string {
 // as a function so tests can pin its invariants — most importantly the
 // default knob set: with nil Knobs litmus observes the raw protocol
 // (the validated read cache is disabled — a cache hit skips the fabric
-// read whose interleavings the tests exist to expose — and the
-// asynchronous commit-back stays off). The knob matrix opts specific
-// runs into the tuned paths; RunTest then flushes every live drain
-// queue before observing, because with AsyncCommitBack a commit ack
-// precedes the unlock and the observer would otherwise race pending
-// tails.
+// read whose interleavings the tests exist to expose). The knob matrix
+// opts specific runs into the tuned paths.
 func clusterConfig(t Test, cfg Config) pandora.Config {
 	k := cfg.knobs()
 	return pandora.Config{
@@ -273,7 +263,6 @@ func clusterConfig(t Test, cfg Config) pandora.Config {
 		SeedBugs:            cfg.Bugs,
 		ReadCacheSize:       k.ReadCacheSize,
 		HotlockThreshold:    k.HotlockThreshold,
-		AsyncCommitBack:     k.AsyncCommitBack,
 		Tables: []pandora.TableSpec{
 			{Name: "litmus", ValueSize: t.valueSize(), Capacity: cfg.Iterations*len(t.Vars) + 64},
 		},
@@ -283,7 +272,6 @@ func clusterConfig(t Test, cfg Config) pandora.Config {
 // RunTest executes one litmus test under cfg and returns its report.
 func RunTest(t Test, cfg Config) (Report, error) {
 	cfg.fill()
-	knobs := cfg.knobs()
 	rep := Report{Test: t.Name, Iterations: cfg.Iterations}
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(len(t.Name))))
 
@@ -367,23 +355,6 @@ func RunTest(t Test, cfg Config) (Report, error) {
 			}(i, spec)
 		}
 		wg.Wait()
-
-		// With the async commit-back knob a commit ack precedes the
-		// truncate+unlock tail; flush every live node's drain queue so
-		// the observer below sees unlocked slots instead of racing
-		// pending tails. (Cross-node conflicters abort rather than
-		// flush, so the observer's retry loop alone would spin.) This
-		// runs BEFORE crash detection: an armed injector at a drain
-		// point (PointDrainStart, PointAfterTruncate, PointAfterUnlock)
-		// fires here, mid-flush, leaving exactly the abandoned-tail
-		// crash state the recovery block below must then handle.
-		if knobs.AsyncCommitBack {
-			for i := 0; i < cluster.ComputeNodes(); i++ {
-				if !cluster.Engine(i).Crashed() {
-					cluster.Engine(i).FlushDrains()
-				}
-			}
-		}
 
 		// Possibly crash the victim after the transactions ("inject
 		// crashes after any operation" includes after completion).

@@ -84,8 +84,8 @@ func TestSeededBugsAreCaught(t *testing.T) {
 }
 
 // TestRunIsReplayable: a run is a function of its Config. Run twice, a
-// seeded bug's run and a generated schedule with crashes, the async
-// commit tail and eager ticket lanes report the same counts, the same
+// seeded bug's run and a generated schedule with crashes, the read
+// cache and eager ticket lanes report the same counts, the same
 // violations in the same order and the same abort kinds.
 func TestRunIsReplayable(t *testing.T) {
 	type run struct {
@@ -96,7 +96,7 @@ func TestRunIsReplayable(t *testing.T) {
 	for _, bc := range SeededBugs() {
 		runs = append(runs, run{bc.Name, func() (Report, error) { return RunTest(bc.Test, bc.Config()) }})
 	}
-	k := Knobs{ReadCacheSize: 4096, HotlockThreshold: 1, AsyncCommitBack: true}
+	k := Knobs{ReadCacheSize: 4096, HotlockThreshold: 1}
 	s := GenSchedule(proptest.CaseRand(3, 0), "replayable", GenOpts{Knobs: k, MaxVars: 2, Iterations: 40})
 	s.CrashMidTx, s.CrashAfterTxs = 0.5, 0.3
 	runs = append(runs, run{s.Name, func() (Report, error) {
@@ -183,9 +183,7 @@ func TestModelKeyCanonical(t *testing.T) {
 // observe the raw protocol — a validated-read-cache hit serves reads
 // compute-side and would mask exactly the read-time interleavings the
 // tests exist to expose (ReadCacheSize must be -1, disabled, not 0,
-// default-sized), and the asynchronous commit-back must stay off
-// because the baseline runs reason about the commit point from an ack
-// that returns with its locks already released. Opting into the tuned
+// default-sized). Opting into the tuned
 // paths is explicit, via Config.Knobs and the KnobMatrix.
 func TestClusterConfigDefaultKnobs(t *testing.T) {
 	for _, lt := range All() {
@@ -195,9 +193,6 @@ func TestClusterConfigDefaultKnobs(t *testing.T) {
 		if cc.ReadCacheSize != -1 {
 			t.Errorf("litmus %q: default ReadCacheSize = %d, want -1 (cache disabled)", lt.Name, cc.ReadCacheSize)
 		}
-		if cc.AsyncCommitBack {
-			t.Errorf("litmus %q: default AsyncCommitBack enabled, want the synchronous tail", lt.Name)
-		}
 		if cc.HotlockThreshold != 0 {
 			t.Errorf("litmus %q: default HotlockThreshold = %d, want 0 (adaptive default)", lt.Name, cc.HotlockThreshold)
 		}
@@ -206,7 +201,7 @@ func TestClusterConfigDefaultKnobs(t *testing.T) {
 
 // TestClusterConfigHonorsKnobs: a knob combination from the matrix
 // must reach the cluster config verbatim — the whole point of the
-// matrix is that the tuned paths (cache, ticket lanes, async drain)
+// matrix is that the tuned paths (cache, ticket lanes)
 // get real litmus coverage.
 func TestClusterConfigHonorsKnobs(t *testing.T) {
 	for _, k := range KnobMatrix() {
@@ -214,17 +209,17 @@ func TestClusterConfigHonorsKnobs(t *testing.T) {
 		cfg := Config{Knobs: &k}
 		cfg.fill()
 		cc := clusterConfig(Litmus1(), cfg)
-		if cc.ReadCacheSize != k.ReadCacheSize || cc.HotlockThreshold != k.HotlockThreshold || cc.AsyncCommitBack != k.AsyncCommitBack {
-			t.Errorf("knobs %s: cluster got cache=%d hot=%d async=%t", k, cc.ReadCacheSize, cc.HotlockThreshold, cc.AsyncCommitBack)
+		if cc.ReadCacheSize != k.ReadCacheSize || cc.HotlockThreshold != k.HotlockThreshold {
+			t.Errorf("knobs %s: cluster got cache=%d hot=%d", k, cc.ReadCacheSize, cc.HotlockThreshold)
 		}
 	}
 }
 
 // TestFixedFamilyAcrossKnobMatrix runs the whole hand-written litmus
 // family under every tuned knob combination (the raw baseline is
-// covered by TestPandoraPassesAllLitmus). Before this, the read-cache,
-// ticket-lane, and async commit-back paths had zero litmus coverage —
-// they were pinned off.
+// covered by TestPandoraPassesAllLitmus). Before this, the read-cache
+// and ticket-lane paths had zero litmus coverage — they were pinned
+// off.
 func TestFixedFamilyAcrossKnobMatrix(t *testing.T) {
 	for _, k := range KnobMatrix()[1:] {
 		k := k

@@ -254,13 +254,7 @@ func GenSchedule(r *proptest.Rand, name string, o GenOpts) Schedule {
 		if proptest.Chance(r, 0.5) {
 			// Pin the crash to one protocol point: the crash point is an
 			// explicit test dimension, not only a per-iteration roll.
-			// With the async commit-back knob the drain-start point is
-			// reachable too.
-			maxPoint := int(core.PointAfterTruncate)
-			if o.Knobs.AsyncCommitBack {
-				maxPoint = int(core.PointDrainStart)
-			}
-			s.CrashPoint = r.Intn(maxPoint + 1)
+			s.CrashPoint = r.Intn(int(core.PointAfterTruncate) + 1)
 		}
 		s.CheckRecovery = o.CheckRecovery
 	}

@@ -5,9 +5,8 @@ package litmus
 // the engine offers, so the interleaving is a function of the seed. A
 // goroutine enters before Begin and exits after Commit or Abort returns;
 // in between it parks in the crash injector at every point offered with
-// its own coordinator id. Other offers — a drain flushed by drainWait or
-// FlushDrains, recovery, the observer — pass straight through, so nothing
-// parks holding a core mutex.
+// its own coordinator id. Other offers — recovery, the observer — pass
+// straight through, so nothing parks holding a core mutex.
 
 import (
 	"sync/atomic"

@@ -50,10 +50,6 @@ const (
 	// fuzzy copy, the drain barrier, the quiescent delta copy and the
 	// intermediate ring install (DESIGN.md §13).
 	PhaseMigrate
-	// PhaseAckToUnlocked is the post-ack tail latency of an
-	// asynchronously drained commit: from the client acknowledgement to
-	// the moment its truncate+release doorbell completed (DESIGN.md §16).
-	PhaseAckToUnlocked
 
 	// NumPhases bounds the phase enum.
 	NumPhases
@@ -62,7 +58,7 @@ const (
 // phaseNames index by Phase; these are the JSON keys of the snapshot.
 var phaseNames = [NumPhases]string{
 	"read", "lock", "validate", "log", "commit-back", "resolve", "recovery-step",
-	"migrate", "ack-to-unlocked",
+	"migrate",
 }
 
 func (p Phase) String() string {
@@ -168,10 +164,6 @@ const (
 	// LockQueueTimeout: a queued waiter exhausted its poll budget and
 	// aborted with a lock conflict.
 	LockQueueTimeout
-	// LockDrainWait: a lock conflict against an acked-but-undrained
-	// commit was resolved by flushing the holder's drain pipeline and
-	// retrying, instead of burning an abort (DESIGN.md §16).
-	LockDrainWait
 
 	// NumLockEvents bounds the lock-event enum.
 	NumLockEvents
@@ -179,7 +171,7 @@ const (
 
 var lockEventNames = [NumLockEvents]string{
 	"lock-retry", "queued-acquire", "promotion", "demotion", "ticket-repair",
-	"queue-timeout", "drain-wait",
+	"queue-timeout",
 }
 
 func (e LockEvent) String() string {
@@ -187,35 +179,6 @@ func (e LockEvent) String() string {
 		return "invalid"
 	}
 	return lockEventNames[e]
-}
-
-// DrainEvent names one countable event of the post-ack drain pipeline
-// (DESIGN.md §16).
-type DrainEvent uint8
-
-const (
-	// DrainEnqueued: an acknowledged commit handed its truncate+release
-	// tail to the coordinator's drain pipeline.
-	DrainEnqueued DrainEvent = iota
-	// DrainFlushed: a drained tail completed (log truncated, locks
-	// released).
-	DrainFlushed
-	// DrainFailure: a drained tail was abandoned (crash, revocation, or
-	// exhausted cleanup retries); per Cor3 nothing rolls back — the
-	// leftover state is recovery's to clean.
-	DrainFailure
-
-	// NumDrainEvents bounds the drain-event enum.
-	NumDrainEvents
-)
-
-var drainEventNames = [NumDrainEvents]string{"enqueued", "flushed", "failure"}
-
-func (e DrainEvent) String() string {
-	if e >= NumDrainEvents {
-		return "invalid"
-	}
-	return drainEventNames[e]
 }
 
 // VerbOutcome classifies a verb completion for counting purposes.
@@ -239,10 +202,6 @@ type Registry struct {
 	aborts [NumAbortReasons]atomic.Uint64
 	locks  [NumLockEvents]atomic.Uint64
 	verbs  verbTable
-
-	drains     [NumDrainEvents]atomic.Uint64
-	drainDepth atomic.Int64  // current drain-queue depth gauge
-	drainMax   atomic.Uint64 // high-water drain-queue depth
 	// commitRounds counts post-validation critical-path doorbell rounds
 	// (the commitpipe experiment's rounds-per-commit numerator), sharded
 	// like the phase histograms; the snapshot sums the shards.
@@ -286,34 +245,6 @@ func (r *Registry) CountLock(ev LockEvent) {
 		return
 	}
 	r.locks[ev].Add(1)
-}
-
-// CountDrain counts one drain-pipeline event. Nil-safe, zero-alloc.
-func (r *Registry) CountDrain(ev DrainEvent) {
-	if r == nil || ev >= NumDrainEvents {
-		return
-	}
-	r.drains[ev].Add(1)
-}
-
-// RecordDrainDepth records the drain queue's depth after an enqueue or
-// flush: the current-depth gauge follows it, the high-water mark only
-// rises. Nil-safe, zero-alloc.
-func (r *Registry) RecordDrainDepth(depth int64) {
-	if r == nil {
-		return
-	}
-	r.drainDepth.Store(depth)
-	if depth <= 0 {
-		return
-	}
-	d := uint64(depth)
-	for {
-		cur := r.drainMax.Load()
-		if d <= cur || r.drainMax.CompareAndSwap(cur, d) {
-			return
-		}
-	}
 }
 
 // CountCommitRound counts one post-validation critical-path doorbell

@@ -38,14 +38,11 @@ type LockSnapshot struct {
 	Count uint64 `json:"count"`
 }
 
-// DrainSnapshot summarises the post-ack drain pipeline (DESIGN.md §16):
-// event counters plus the queue-depth gauge and its high-water mark.
+// DrainSnapshot holds the commit-round counter: the post-validation
+// critical-path doorbell rounds of committing transactions. It keeps
+// its name because the benchmark harness reads
+// Snapshot.Drain.CommitRounds.
 type DrainSnapshot struct {
-	Enqueued     uint64 `json:"enqueued"`
-	Flushed      uint64 `json:"flushed"`
-	Failures     uint64 `json:"failures"`
-	Depth        int64  `json:"depth"`
-	MaxDepth     uint64 `json:"max_depth"`
 	CommitRounds uint64 `json:"commit_rounds"`
 }
 
@@ -96,14 +93,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	s.Drain = DrainSnapshot{
-		Enqueued:     r.drains[DrainEnqueued].Load(),
-		Flushed:      r.drains[DrainFlushed].Load(),
-		Failures:     r.drains[DrainFailure].Load(),
-		Depth:        r.drainDepth.Load(),
-		MaxDepth:     r.drainMax.Load(),
-		CommitRounds: r.commitRoundTotal(),
-	}
+	s.Drain = DrainSnapshot{CommitRounds: r.commitRoundTotal()}
 	if t := r.verbs.tab.Load(); t != nil {
 		for i, node := range t.nodes { // nodes are sorted
 			for v := Verb(0); v < NumVerbs; v++ {
@@ -198,13 +188,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		v.Faulted -= pv.Faulted
 		out.Verbs = append(out.Verbs, v)
 	}
-	// Drain counters subtract; Depth/MaxDepth are gauges and keep s's
-	// point-in-time values.
-	out.Drain = s.Drain
-	out.Drain.Enqueued -= prev.Drain.Enqueued
-	out.Drain.Flushed -= prev.Drain.Flushed
-	out.Drain.Failures -= prev.Drain.Failures
-	out.Drain.CommitRounds -= prev.Drain.CommitRounds
+	out.Drain.CommitRounds = s.Drain.CommitRounds - prev.Drain.CommitRounds
 	return out
 }
 
@@ -232,10 +216,7 @@ func (s Snapshot) Idle() bool {
 			return false
 		}
 	}
-	if s.Drain.Enqueued|s.Drain.Flushed|s.Drain.Failures|s.Drain.CommitRounds != 0 {
-		return false
-	}
-	return true
+	return s.Drain.CommitRounds == 0
 }
 
 // LockCount returns the count recorded for one lock event.

@@ -185,18 +185,6 @@ type Config struct {
 	// authoritative in every mode, so PILL stealing and recovery are
 	// unaffected by the knob.
 	HotlockThreshold int
-
-	// AsyncCommitBack moves the post-ack commit tail (log truncation +
-	// lock release) off the critical path (DESIGN.md §16): Commit
-	// returns at the client acknowledgement and the tail drains through
-	// a per-coordinator bounded queue, flushed at the coordinator's next
-	// Begin. A transaction conflicting with an acked-but-undrained
-	// holder on the same compute node flushes the holder's drain and
-	// retries instead of aborting. Recovery semantics are unchanged — a
-	// crash mid-drain leaves exactly the states the ordinary post-ack
-	// crash points leave. Off by default (the synchronous tail is the
-	// baseline the commitpipe experiment compares against).
-	AsyncCommitBack bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -458,11 +446,6 @@ func (c *Cluster) Close() {
 	c.closed = true
 	nodes := append([]*core.ComputeNode{}, c.nodes...)
 	c.mu.Unlock()
-	// Settle acked-but-undrained commit tails so a closed cluster leaves
-	// no locks behind (drains are empty no-ops in synchronous mode).
-	for _, cn := range nodes {
-		cn.FlushDrains()
-	}
 	if c.cfg.LiveFD {
 		c.fd.Stop()
 		for _, cn := range nodes {
@@ -493,7 +476,6 @@ func (c *Cluster) engineOptions() core.Options {
 		VerbTimeout:      c.cfg.VerbTimeout,
 		ReadCacheSize:    c.cfg.ReadCacheSize,
 		HotlockThreshold: c.cfg.HotlockThreshold,
-		AsyncCommitBack:  c.cfg.AsyncCommitBack,
 		Metrics:          c.met,
 	}
 }

@@ -184,14 +184,13 @@ func TestBeginHandleOutlivesLaterTransactions(t *testing.T) {
 	}
 }
 
-// TestAsyncTailReleasesItsOwnLocksAfterScratchReuse: under
-// AsyncCommitBack the tail of transaction n is flushed by the Begin of
-// transaction n+1, which also recycles the scratch n's write set lived
-// in. The tail owns its batch, so it still releases exactly n's locks.
-func TestAsyncTailReleasesItsOwnLocksAfterScratchReuse(t *testing.T) {
-	cfg := testConfig()
-	cfg.AsyncCommitBack = true
-	c := newLoaded(t, cfg, 64)
+// TestPostedTailReleasesItsOwnLocksAfterScratchReuse: the tail of
+// transaction n is posted at its ack and paid by the first doorbell of
+// transaction n+1, whose Begin recycles the scratch n's write set lived
+// in. The tail's verbs land before Commit returns, so n's locks are
+// free while its round is still unpaid, and n+1 holds only its own.
+func TestPostedTailReleasesItsOwnLocksAfterScratchReuse(t *testing.T) {
+	c := newLoaded(t, testConfig(), 64)
 	s := c.Session(0, 0)
 	locked := func() int {
 		t.Helper()
@@ -210,8 +209,11 @@ func TestAsyncTailReleasesItsOwnLocksAfterScratchReuse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if n := locked(); n != 2 {
-		t.Fatalf("%d slots locked behind the acked commit, want its 2 (tail not queued?)", n)
+	if !c.Engine(0).Coordinator(0).Outstanding() {
+		t.Fatal("the acked commit's tail was waited for, want it posted and unpaid")
+	}
+	if n := locked(); n != 0 {
+		t.Fatalf("%d slots locked behind the acked commit, want 0 (its tail landed)", n)
 	}
 	if err := s.Update(0, func(tx *pandora.Tx) error {
 		if err := tx.Write("kv", 3, u64(33)); err != nil {
@@ -224,9 +226,8 @@ func TestAsyncTailReleasesItsOwnLocksAfterScratchReuse(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	c.Engine(0).FlushDrains()
 	if n := locked(); n != 0 {
-		t.Fatalf("%d slots still locked after the drains flushed", n)
+		t.Fatalf("%d slots still locked after the second commit", n)
 	}
 	for k, want := range map[pandora.Key]uint64{1: 11, 2: 22, 3: 33} {
 		if got := binary.LittleEndian.Uint64(readValidated(t, c.Session(1, 0), "kv", k)); got != want {

@@ -91,7 +91,7 @@ bench-smoke:
 # rounds and bytes, so it repeats to the nanosecond on any host).
 RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|Interrupted'
 STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint'
-SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks'
+SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks|TestReadPathParity'
 LOCK_PINS := 'TestLockRoundShapes|TestStealBothLocksTransfer|TestTailRidesNextDoorbell|TestCrashWithTailUnpaid|TestPostedTailFaultWaitsThenReposts'
 model-gate:
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery

@@ -119,6 +119,22 @@ func writeProfile(name, path string) {
 	}
 }
 
+// writeJSON writes r's JSON artifact to path, unless path is empty.
+func writeJSON(path string, r interface{ JSON() ([]byte, error) }) error {
+	if path == "" {
+		return nil
+	}
+	data, err := r.JSON()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("[wrote %s]\n", path)
+	return nil
+}
+
 func section(id, paper string) {
 	fmt.Printf("\n===== %s (%s) =====\n", id, paper)
 }
@@ -151,15 +167,8 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 			}
 			fmt.Print(m)
 			metricsRes[id] = m
-			if jsonOut != "" {
-				data, err := m.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("[wrote %s]\n", jsonOut)
+			if err := writeJSON(jsonOut, m); err != nil {
+				return err
 			}
 		}
 	case "tradrec":
@@ -247,15 +256,8 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 			return err
 		}
 		fmt.Print(r)
-		if jsonOut != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("[wrote %s]\n", jsonOut)
+		if err := writeJSON(jsonOut, r); err != nil {
+			return err
 		}
 		if wantMetrics {
 			m, err := bench.MetricsPass(id, s, steadyTx)
@@ -271,15 +273,8 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 			return err
 		}
 		fmt.Print(r)
-		if jsonOut != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("[wrote %s]\n", jsonOut)
+		if err := writeJSON(jsonOut, r); err != nil {
+			return err
 		}
 	case "commitpipe":
 		section(id, "Pipelined commit tail: doorbell fusion")
@@ -288,15 +283,8 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 			return err
 		}
 		fmt.Print(r)
-		if jsonOut != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("[wrote %s]\n", jsonOut)
+		if err := writeJSON(jsonOut, r); err != nil {
+			return err
 		}
 	case "soak":
 		section(id, "Endurance lane: mixed TATP+SmallBank tenants, fault schedule, tuned knobs")
@@ -309,15 +297,8 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 			return err
 		}
 		fmt.Print(r)
-		if jsonOut != "" {
-			data, err := r.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(jsonOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("[wrote %s]\n", jsonOut)
+		if err := writeJSON(jsonOut, r); err != nil {
+			return err
 		}
 	default:
 		return fmt.Errorf("unknown experiment %q", id)

@@ -362,11 +362,24 @@ func (e *engine) step(s *pandora.Session, rng *rand.Rand) bool {
 func (e *engine) audit(final bool) []string {
 	e.gate.Lock()
 	defer e.gate.Unlock()
-	var violations []string
 	rep, err := e.c.CheckConsistency(e.wl.table().Name)
 	if err != nil {
 		return []string{fmt.Sprintf("consistency scan: %v", err)}
 	}
+	violations := structural(rep, e.cfg.Keys, final)
+	vals, err := e.readAll()
+	if err != nil {
+		return append(violations, fmt.Sprintf("audit read: %v", err))
+	}
+	return append(violations, e.wl.check(vals)...)
+}
+
+// structural returns the violations a consistency scan of a store of
+// keys keys shows: duplicate or divergent keys, a locked slot — after
+// recycling (final) any, on a quiesced cluster one not owned by a failed
+// coordinator — and a key count other than keys.
+func structural(rep pandora.ConsistencyReport, keys int, final bool) []string {
+	var violations []string
 	if len(rep.DuplicateKeys) > 0 {
 		violations = append(violations, fmt.Sprintf("duplicate keys: %v", rep.DuplicateKeys))
 	}
@@ -384,14 +397,10 @@ func (e *engine) audit(final bool) []string {
 		violations = append(violations, fmt.Sprintf(
 			"%d locked slots but only %d owned by failed coordinators", rep.LockedSlots, rep.StrayLocks))
 	}
-	if rep.Keys != e.cfg.Keys {
-		violations = append(violations, fmt.Sprintf("store holds %d keys, want %d", rep.Keys, e.cfg.Keys))
+	if rep.Keys != keys {
+		violations = append(violations, fmt.Sprintf("store holds %d keys, want %d", rep.Keys, keys))
 	}
-	vals, err := e.readAll()
-	if err != nil {
-		return append(violations, fmt.Sprintf("audit read: %v", err))
-	}
-	return append(violations, e.wl.check(vals)...)
+	return violations
 }
 
 // readAll reads every workload key through a coordinator on an alive

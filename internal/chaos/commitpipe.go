@@ -197,17 +197,8 @@ func RunCommitPipe(cfg Config, mode string) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: consistency scan: %w", err)
 	}
-	if len(rep.DuplicateKeys) > 0 {
-		violate("duplicate keys: %v", rep.DuplicateKeys)
-	}
-	if len(rep.DivergentKeys) > 0 {
-		violate("divergent keys: %v", rep.DivergentKeys)
-	}
-	if rep.LockedSlots != 0 {
-		violate("%d locked slots survive recycling (%d stray)", rep.LockedSlots, rep.StrayLocks)
-	}
-	if rep.Keys != cfg.Keys {
-		violate("store holds %d keys, want %d", rep.Keys, cfg.Keys)
+	for _, v := range structural(rep, cfg.Keys, true) {
+		violate("%s", v)
 	}
 	if len(res.Violations) == 0 {
 		cfg.Logf("final audit ok keys=%d", cfg.Keys)

@@ -102,7 +102,11 @@ func relaxedLock(tx *Tx, ent *writeEnt) error {
 	if err := tx.pinReplicas(ent); err != nil {
 		return err
 	}
-	slot, ref, err := tx.readSlotConsistent(ent.ref)
+	buf := tx.sc.bytes(int(tx.cn.schema[ent.ref.table].SlotSize()))
+	if err := tx.fetchSlots([]objRef{ent.ref}, buf); err != nil {
+		return err
+	}
+	slot, ref, err := tx.judgeSlot(ent.ref, buf)
 	if err != nil {
 		return err
 	}

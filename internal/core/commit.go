@@ -297,8 +297,9 @@ func (tx *Tx) applyWrites() error {
 // (abortPath=true) an insert's empty slot is tombstoned first so probe
 // chains that grew past it while it was locked stay intact. An entry
 // that is registered but not locked — the state of every entry before
-// its lock CAS — has nothing to release. Every tail — commit or abort — is built by tailStage
-// through here, so the release-side invariants live in one place.
+// its lock CAS — has nothing to release. Every tail — commit or abort —
+// is built by tailStage through here, so the release-side invariants
+// live in one place.
 func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 	zero := b.Bytes(8)
 	tomb := b.Bytes(8)

@@ -437,6 +437,111 @@ func TestStealHintFromRead(t *testing.T) {
 	}
 }
 
+// readVerdict is what one read of a key left behind: its read-set entry
+// (nil if none), the abort kind (NumAbortReasons if none) and the READs
+// it posted.
+type readVerdict struct {
+	ent   *readEnt
+	abort metrics.AbortReason
+	reads uint64
+}
+
+// TestReadPathParity: a point Read and a one-key ReadRange are one read
+// path. On each kind of slot image — a fabric hit, a cache hit, a stray
+// lock, a live foreign lock, a reused slot — both leave the same read-set
+// entry, abort the same way and post the same number of READs. A range
+// fallback that throws the batched image away and READs the slot again
+// fails the live-lock and reused-slot rows.
+func TestReadPathParity(t *testing.T) {
+	const key = kvlayout.Key(5)
+	warm := func(t *testing.T, e *env) { // the address cache knows the key; the read cache does not
+		t.Helper()
+		if _, found, err := e.nodes[0].resolve(e.nodes[0].Coordinator(0).ep, 0, key); err != nil || !found {
+			t.Fatalf("resolve: %v %v", found, err)
+		}
+	}
+	none := metrics.NumAbortReasons
+	rows := []struct {
+		name  string
+		setup func(t *testing.T, e *env)
+		entry bool
+		abort metrics.AbortReason
+		reads uint64
+	}{
+		{"fabric hit", warm, true, none, 1},
+		{"cache hit", func(t *testing.T, e *env) {
+			if _, err := readKey(t, e.nodes[0].Coordinator(0), 0, key); err != nil {
+				t.Fatal(err)
+			}
+		}, true, none, 0},
+		{"stray lock", func(t *testing.T, e *env) { plantStray(t, e.nodes[0], key) }, true, none, 1},
+		{"live lock", func(t *testing.T, e *env) {
+			warm(t, e)
+			if err := e.nodes[1].Coordinator(0).Begin().Write(0, key, []byte("live")); err != nil {
+				t.Fatal(err)
+			}
+		}, false, metrics.AbortLockConflict, 1},
+		{"reused slot", func(t *testing.T, e *env) {
+			warm(t, e)
+			// The key leaves its slot, a squatter takes it, and the key comes
+			// back further down the chain: the cached ref names the squatter.
+			squatter := kvlayout.Key(0)
+			for k := kvlayout.Key(1000); squatter == 0; k++ {
+				if e.ring.Partition(k) == e.ring.Partition(key) && e.schema[0].HomeSlot(k) == e.schema[0].HomeSlot(key) {
+					squatter = k
+				}
+			}
+			other := e.nodes[1].Coordinator(0)
+			mustCommit(t, other, func(tx *Tx) error { return tx.Delete(0, key) })
+			mustCommit(t, other, func(tx *Tx) error { return tx.Insert(0, squatter, []byte("squat")) })
+			mustCommit(t, other, func(tx *Tx) error { return tx.Insert(0, key, []byte("back")) })
+		}, true, none, 3}, // the squatter's image, the re-probe's window, the key's new slot
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var got [2]readVerdict
+			for i, viaRange := range []bool{false, true} {
+				e := newEnv(t, envConfig{})
+				e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+				row.setup(t, e)
+				reg := metrics.New()
+				e.fab.SetMetrics(reg)
+				tx := e.nodes[0].Coordinator(0).Begin()
+				var err error
+				if viaRange {
+					err = tx.ReadRange(0, key, key, func(kvlayout.Key, []byte) bool { return true })
+				} else {
+					_, err = tx.Read(0, key)
+				}
+				e.fab.SetMetrics(nil)
+				got[i] = readVerdict{ent: tx.findRead(0, key), abort: none}
+				if err != nil {
+					kind, ok := AbortKindOf(err)
+					if !ok {
+						t.Fatalf("range=%t: %v", viaRange, err)
+					}
+					got[i].abort = kind
+				}
+				for _, v := range reg.Snapshot().Verbs {
+					if v.Verb == "READ" {
+						got[i].reads += v.Issued
+					}
+				}
+			}
+			for i, g := range got {
+				if (g.ent != nil) != row.entry || g.abort != row.abort || g.reads != row.reads {
+					t.Errorf("range=%t: entry %t, abort %s, %d READs; want %t, %s, %d",
+						i == 1, g.ent != nil, g.abort, g.reads, row.entry, row.abort, row.reads)
+				}
+			}
+			if p, r := got[0].ent, got[1].ent; p != nil && r != nil &&
+				(p.ref != r.ref || p.version != r.version || p.stray != r.stray || p.fromCache != r.fromCache) {
+				t.Errorf("point read entry %+v, one-key range entry %+v", *p, *r)
+			}
+		})
+	}
+}
+
 // clearLock zeroes the lock word of the slot at addr, as a recovery that
 // released the stray word would.
 func clearLock(t *testing.T, co *Coordinator, slot rdma.Addr) {

@@ -1,6 +1,9 @@
 package core
 
-import "pandora/internal/kvlayout"
+import (
+	"pandora/internal/kvlayout"
+	"pandora/internal/rdma"
+)
 
 // Transaction scratch (DESIGN.md §18). A coordinator runs one
 // transaction at a time, so everything a transaction stages — set
@@ -21,6 +24,13 @@ type txScratch struct {
 	log    []kvlayout.LogWrite
 	// recheck is validation's list of the read-set entries it re-reads.
 	recheck []*readEnt
+	// refs and at are readChunk's misses: the slots it READs, and the
+	// index of each one's key in the chunk. Held here, not on readChunk's
+	// stack, so that a one-key Read does not zero them on every call.
+	refs [rangeChunk]objRef
+	at   [rangeChunk]int
+	// fetch is fetchSlots' doorbell, waited for before it returns.
+	fetch rdma.OpBatch
 }
 
 const (

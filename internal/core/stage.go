@@ -268,13 +268,14 @@ var cleanupMaxAttempts = 10000
 
 // ring posts ops as one doorbell and classifies every completion, once:
 // tolerated, or returned to the caller (the first in posting order).
-// In a cleanup stage link-faulted ops are re-posted under capped exponential backoff instead. The ops are plain
-// WRITEs of state only this transaction owns, so re-issuing the failed
-// subset is safe; ops that already completed are never re-run (a retry
-// must not smash a lock word another transaction acquired after our
-// successful release). Each suspected node is reported to the FD once.
-// ErrCrashed / ErrRevoked propagate immediately; exhausting the budget
-// returns ErrIndeterminate.
+// In a cleanup stage link-faulted ops are re-posted under capped
+// exponential backoff instead. The ops are plain WRITEs of state only
+// this transaction owns, so re-issuing the failed subset is safe; ops
+// that already completed are never re-run (a retry must not smash a
+// lock word another transaction acquired after our successful release).
+// Each suspected node is reported to the FD once. ErrCrashed /
+// ErrRevoked propagate immediately; exhausting the budget returns
+// ErrIndeterminate.
 //
 // A lazy ring posts its first attempt and does not wait for it when
 // every completion is tolerated: the charge stays outstanding on the

@@ -239,63 +239,39 @@ func (tx *Tx) checkUsable() error {
 }
 
 // Read returns key's committed value (or this transaction's own pending
-// write). A conflicting lock aborts the transaction unless the lock is
-// stray (PILL) or the stalling path is configured.
+// write): readChunk on the one key. A conflicting lock aborts the
+// transaction unless the lock is stray (PILL) or the stalling path is
+// configured. A value read from the fabric is admitted to the validated
+// read cache; a range's reads are not (DESIGN.md §11).
 func (tx *Tx) Read(table kvlayout.TableID, key kvlayout.Key) ([]byte, error) {
-	if err := tx.checkUsable(); err != nil {
+	var out [1]keyRead
+	n := len(tx.reads)
+	if err := tx.readChunk(table, key, n, out[:]); err != nil {
 		return nil, err
 	}
-	if w := tx.findWrite(table, key); w != nil {
-		if w.kind == kvlayout.WriteDelete {
-			return nil, ErrNotFound
+	if len(tx.reads) > n {
+		// A cache hit or a present fabric slot joined the read set: the read
+		// has returned, so its crash point is offered.
+		if ent := tx.reads[n]; !ent.fromCache {
+			tx.cacheRead(ent)
 		}
-		return append([]byte(nil), w.newValue...), nil
-	}
-	if r := tx.findRead(table, key); r != nil {
-		return append([]byte(nil), r.value...), nil
-	}
-
-	// Validated read cache: a hit skips the fabric entirely. The cached
-	// version joins the read set exactly like a fabric-read version, so
-	// validation's version re-read catches any staleness before commit
-	// (a stale hit costs an abort, never a wrong result).
-	if rc := tx.co.rcache; rc != nil {
-		if v, ok := rc.Get(table, key, tx.cn.cacheEpoch.Load()); ok {
-			ent := tx.addRead(objRef{table: table, key: key, partition: v.Partition, slot: v.Slot},
-				v.Version, tx.sc.padded(v.Value, len(v.Value)), true)
-			return tx.readDone(ent.value)
+		if err := tx.readStep(); err != nil {
+			return nil, err
 		}
 	}
-
-	ref, found, err := tx.resolve(table, key)
-	if err != nil {
-		return nil, tx.verbFailure(err)
-	}
-	if !found {
+	if !out[0].present {
 		return nil, ErrNotFound
 	}
-	readStart := tx.phaseClock()
-	slot, ref, err := tx.readSlotConsistent(ref)
-	if err != nil {
-		return nil, err
-	}
-	tx.recordPhase(metrics.PhaseRead, readStart)
-	if !slot.Present {
-		return nil, ErrNotFound
-	}
-	ent := tx.addFabricRead(ref, slot, slot.Value)
-	tx.cacheRead(ent)
-	return tx.readDone(ent.value)
+	return append([]byte(nil), out[0].val...), nil
 }
 
-// readDone ends a read by running the verb-less stageRead, whose crash
-// point is the boundary between two execution steps, and returns a copy
-// of the value.
-func (tx *Tx) readDone(value []byte) ([]byte, error) {
+// readStep runs the verb-less stageRead, whose crash point is the
+// boundary between two execution steps.
+func (tx *Tx) readStep() error {
 	if _, err := tx.run(stage{kind: stageRead}); err != nil {
-		return nil, tx.verbFailure(err)
+		return tx.verbFailure(err)
 	}
-	return append([]byte(nil), value...), nil
+	return nil
 }
 
 // cacheRead admits a point read's fabric slot to the validated read
@@ -316,55 +292,64 @@ func (tx *Tx) invalidateCached(table kvlayout.TableID, key kvlayout.Key) {
 	}
 }
 
-// readSlotConsistent fetches a full slot from the primary, handling
-// stale cache entries and conflicting locks per the protocol policy
-// (abort / treat-stray-as-unlocked / stall). It returns the ref the
-// slot was actually read from: a reused slot triggers a re-probe, and
-// the read-set entry must pin the re-resolved location or validation
-// would re-read the abandoned slot. The slot's Value lives in the
-// transaction scratch, so entries may keep it without a copy.
-func (tx *Tx) readSlotConsistent(ref objRef) (kvlayout.Slot, objRef, error) {
+// judgeSlot settles the slot image buf holds for ref per the protocol
+// policy: a reused slot drops the ref, re-resolves and is READ again; a
+// live foreign lock stalls and is READ again, or aborts; a stray lock of
+// a failed coordinator reads as no lock at all (PILL, §3.1.2); anything
+// else — present or absent — is the verdict. It returns the slot and the
+// ref it was read from: the read-set entry must pin a re-resolved
+// location, or validation would re-read the abandoned slot. The slot's
+// Value aliases buf.
+func (tx *Tx) judgeSlot(ref objRef, buf []byte) (kvlayout.Slot, objRef, error) {
 	tab := tx.cn.schema[ref.table]
-	buf := tx.sc.bytes(int(tab.SlotSize()))
 	for {
-		reps, err := tx.cn.replicasFor(ref.partition)
-		if err != nil {
-			return kvlayout.Slot{}, ref, tx.placementAbort(err)
-		}
-		if err := tx.co.ep.Read(tx.cn.tableAddr(reps[0], ref, 0), buf); err != nil {
-			return kvlayout.Slot{}, ref, tx.verbFailure(err)
-		}
 		slot := tab.DecodeSlot(buf)
-		if slot.Present && slot.Key != ref.key {
-			// Stale cache: the slot was reused; re-probe once.
+		switch {
+		case slot.Present && slot.Key != ref.key:
 			tx.cn.dropRef(ref.table, ref.key)
 			newRef, found, err := tx.resolve(ref.table, ref.key)
 			if err != nil {
 				return kvlayout.Slot{}, ref, tx.verbFailure(err)
 			}
 			if !found {
-				return kvlayout.Slot{Present: false}, ref, nil
+				return kvlayout.Slot{}, ref, nil
 			}
 			ref = newRef
-			continue
-		}
-		if kvlayout.IsLocked(slot.Lock) && slot.Lock != tx.lockWord() {
-			if tx.strayLock(slot.Lock) {
-				// PILL: a stray lock of a failed coordinator is treated
-				// as no lock at all (§3.1.2).
-				return slot, ref, nil
+		case kvlayout.IsLocked(slot.Lock) && slot.Lock != tx.lockWord() && !tx.strayLock(slot.Lock):
+			if !tx.mayStall() {
+				return kvlayout.Slot{}, ref, tx.abort(metrics.AbortLockConflict,
+					lockedBy("read of %d/%d found lock held by coordinator %d", ref, slot.Lock))
 			}
-			if tx.mayStall() {
-				if err := tx.stallWait(); err != nil {
-					return kvlayout.Slot{}, ref, err
-				}
-				continue
+			if err := tx.stallWait(); err != nil {
+				return kvlayout.Slot{}, ref, err
 			}
-			return kvlayout.Slot{}, ref, tx.abort(metrics.AbortLockConflict,
-				lockedBy("read of %d/%d found lock held by coordinator %d", ref, slot.Lock))
+		default:
+			return slot, ref, nil
 		}
-		return slot, ref, nil
+		if err := tx.fetchSlots([]objRef{ref}, buf); err != nil {
+			return kvlayout.Slot{}, ref, err
+		}
 	}
+}
+
+// fetchSlots READs the primary's image of every ref into buf, one slot
+// size each and back to back, as one doorbell: the execution phase's one
+// READ site.
+func (tx *Tx) fetchSlots(refs []objRef, buf []byte) error {
+	size := len(buf) / len(refs)
+	b := &tx.sc.fetch
+	b.Reset()
+	for i, ref := range refs {
+		reps, err := tx.cn.replicasFor(ref.partition)
+		if err != nil {
+			return tx.placementAbort(err)
+		}
+		b.AddRead(tx.cn.tableAddr(reps[0], ref, 0), buf[i*size:(i+1)*size])
+	}
+	if err := tx.co.ep.Do(b.Ops()...); err != nil {
+		return tx.verbFailure(err)
+	}
+	return nil
 }
 
 // strayLock reports whether a lock word belongs to a known-failed
@@ -578,16 +563,24 @@ func (tx *Tx) Insert(table kvlayout.TableID, key kvlayout.Key, value []byte) err
 // errSlotContended is an internal retry signal for insert slot races.
 var errSlotContended = errors.New("core: free slot contended")
 
-// rangeChunk is the number of keys a ReadRange prefetches per doorbell.
+// rangeChunk is the most keys one readChunk reads: a ReadRange's
+// doorbell.
 const rangeChunk = 16
 
+// keyRead is what readChunk found for one key: its value, if present.
+type keyRead struct {
+	val     []byte
+	present bool
+}
+
 // ReadRange reads every present key in [lo, hi], in key order, invoking
-// fn for each. Keys are fetched in chunks of rangeChunk: all cache
-// misses of a chunk are read with one doorbell-batched multi-READ
-// instead of a dependent round trip per key, and the read-set dedup
-// scan runs only against entries that predate the range (range keys
-// are distinct, so entries appended by earlier chunks can never match
-// later keys — the scan no longer grows quadratically with the range).
+// fn for each. Keys are read a chunk of rangeChunk at a time (readChunk),
+// so a chunk's fabric misses cost one doorbell instead of a dependent
+// round trip per key, and the read-set dedup scan runs only against
+// entries that predate the range (range keys are distinct, so entries
+// appended by earlier chunks can never match later keys). The reads join
+// the read set but are not admitted to the read cache: a scan reads
+// through it instead of evicting the keys point reads keep hot.
 func (tx *Tx) ReadRange(table kvlayout.TableID, lo, hi kvlayout.Key, fn func(k kvlayout.Key, v []byte) bool) error {
 	if hi < lo {
 		return nil
@@ -598,146 +591,97 @@ func (tx *Tx) ReadRange(table kvlayout.TableID, lo, hi kvlayout.Key, fn func(k k
 		if end > hi || end < base { // min(end, hi), wrap-safe
 			end = hi
 		}
-		stop, err := tx.readRangeChunk(table, base, end, preReads, fn)
-		if err != nil {
+		var out [rangeChunk]keyRead
+		chunk := out[:end-base+1]
+		if err := tx.readChunk(table, base, preReads, chunk); err != nil {
 			return err
 		}
-		if stop || end == hi {
+		if err := tx.readStep(); err != nil {
+			return err
+		}
+		for i, r := range chunk {
+			if r.present && !fn(base+kvlayout.Key(i), append([]byte(nil), r.val...)) {
+				return nil
+			}
+		}
+		if end == hi {
 			return nil
 		}
 		base = end + 1
 	}
 }
 
-// readRangeChunk fetches [lo, hi] (at most rangeChunk keys) and emits
-// present values in key order. Each key is classified — own pending
-// write, pre-range read-set entry, cache hit, or fabric miss — and the
-// misses share one batched READ. Slots that come back contended or
-// moved fall back to the per-key protocol loop, which owns the stall /
-// stray-lock / re-probe policy. Misses join the read set but are not
-// admitted to the read cache: a scan reads through it.
-func (tx *Tx) readRangeChunk(table kvlayout.TableID, lo, hi kvlayout.Key, preReads int, fn func(k kvlayout.Key, v []byte) bool) (bool, error) {
+// readChunk is the one execution read (§3.1.5) of the len(out) keys from
+// lo, at most rangeChunk of them; out[i] gets key lo+i's value. Each key
+// is classified in order — own staged write, a read-set entry among the
+// first preReads, a read-cache hit, or resolve — and every miss is READ
+// in one doorbell, each image then judged where it landed (judgeSlot).
+// Cache hits and present fabric slots join the read set; admitting a
+// fabric read to the read cache is the caller's.
+func (tx *Tx) readChunk(table kvlayout.TableID, lo kvlayout.Key, preReads int, out []keyRead) error {
 	if err := tx.checkUsable(); err != nil {
-		return false, err
+		return err
 	}
-	n := int(hi-lo) + 1
-	var (
-		vals    [rangeChunk][]byte
-		present [rangeChunk]bool
-		refs    [rangeChunk]objRef
-		fetch   [rangeChunk]bool
-		slow    [rangeChunk]bool
-		addrs   [rangeChunk]rdma.Addr
-	)
+	refs, at := &tx.sc.refs, &tx.sc.at
 	var epoch uint64
 	if tx.co.rcache != nil {
 		epoch = tx.cn.cacheEpoch.Load()
 	}
 	misses := 0
-	for i := 0; i < n; i++ {
+	for i := range out {
 		k := lo + kvlayout.Key(i)
 		if w := tx.findWrite(table, k); w != nil {
 			if w.kind != kvlayout.WriteDelete {
-				vals[i], present[i] = w.newValue, true
+				out[i] = keyRead{w.newValue, true}
 			}
 			continue
 		}
 		if r := tx.findReadBefore(preReads, table, k); r != nil {
-			vals[i], present[i] = r.value, true
+			out[i] = keyRead{r.value, true}
 			continue
 		}
+		// A cache hit skips the fabric. The cached version joins the read
+		// set like a fabric-read version, so validation catches any
+		// staleness before commit (a stale hit costs an abort, never a
+		// wrong result).
 		if rc := tx.co.rcache; rc != nil {
 			if v, ok := rc.Get(table, k, epoch); ok {
 				ent := tx.addRead(objRef{table: table, key: k, partition: v.Partition, slot: v.Slot},
 					v.Version, tx.sc.padded(v.Value, len(v.Value)), true)
-				vals[i], present[i] = ent.value, true
+				out[i] = keyRead{ent.value, true}
 				continue
 			}
 		}
 		ref, found, err := tx.resolve(table, k)
 		if err != nil {
-			return false, tx.verbFailure(err)
+			return tx.verbFailure(err)
 		}
-		if !found {
-			continue
+		if found {
+			refs[misses], at[misses] = ref, i
+			misses++
 		}
-		refs[i] = ref
-		fetch[i] = true
-		misses++
 	}
-
-	if misses > 0 {
-		readStart := tx.phaseClock()
-		b := rdma.GetBatch()
-		slotSize := int(tx.cn.schema[table].SlotSize())
-		na := 0
-		for i := 0; i < n; i++ {
-			if !fetch[i] {
-				continue
-			}
-			reps, err := tx.cn.replicasFor(refs[i].partition)
-			if err != nil {
-				b.Put()
-				return false, tx.placementAbort(err)
-			}
-			addrs[na] = tx.cn.tableAddr(reps[0], refs[i], 0)
-			na++
-		}
-		buf, err := tx.co.ep.ReadBatch(b, addrs[:na], slotSize)
+	if misses == 0 {
+		return nil
+	}
+	readStart := tx.phaseClock()
+	size := int(tx.cn.schema[table].SlotSize())
+	buf := tx.sc.bytes(misses * size)
+	if err := tx.fetchSlots(refs[:misses], buf); err != nil {
+		return err
+	}
+	for j := 0; j < misses; j++ {
+		slot, ref, err := tx.judgeSlot(refs[j], buf[j*size:(j+1)*size:(j+1)*size])
 		if err != nil {
-			b.Put()
-			return false, tx.verbFailure(err)
+			return err
 		}
-		tab := tx.cn.schema[table]
-		j := 0
-		for i := 0; i < n; i++ {
-			if !fetch[i] {
-				continue
-			}
-			slot := tab.DecodeSlot(buf[j*slotSize : (j+1)*slotSize])
-			j++
-			switch {
-			case slot.Present && slot.Key != refs[i].key:
-				slow[i] = true // slot reused; the slow path re-probes
-			case kvlayout.IsLocked(slot.Lock) && slot.Lock != tx.lockWord() && !tx.strayLock(slot.Lock):
-				slow[i] = true // live conflicting lock; the slow path stalls or aborts
-			case !slot.Present:
-				// absent (empty / tombstone / in-flight claim): skip
-			default:
-				ent := tx.addFabricRead(refs[i], slot, tx.sc.padded(slot.Value, len(slot.Value)))
-				vals[i], present[i] = ent.value, true
-			}
-		}
-		b.Put()
-		for i := 0; i < n; i++ {
-			if !slow[i] {
-				continue
-			}
-			slot, ref, err := tx.readSlotConsistent(refs[i])
-			if err != nil {
-				return false, err
-			}
-			if !slot.Present {
-				continue
-			}
+		if slot.Present {
 			ent := tx.addFabricRead(ref, slot, slot.Value)
-			vals[i], present[i] = ent.value, true
-		}
-		tx.recordPhase(metrics.PhaseRead, readStart)
-	}
-	if _, err := tx.run(stage{kind: stageRead}); err != nil {
-		return false, tx.verbFailure(err)
-	}
-
-	for i := 0; i < n; i++ {
-		if !present[i] {
-			continue
-		}
-		if !fn(lo+kvlayout.Key(i), append([]byte(nil), vals[i]...)) {
-			return true, nil
+			out[at[j]] = keyRead{ent.value, true}
 		}
 	}
-	return false, nil
+	tx.recordPhase(metrics.PhaseRead, readStart)
+	return nil
 }
 
 // findReadBefore returns a read-set entry for (table, key) among the

@@ -7,10 +7,11 @@ package rdma
 // until the batch's next Reset/Put, and callers must copy anything they
 // retain.
 //
-// This is the multi-read shape of the prefetched read path: N cache
-// misses cost one fabric round trip (the per-destination queue pairs
-// run the READs concurrently; the clock is charged max-of-durations)
-// instead of N dependent round trips.
+// N READs cost one fabric round trip (the per-destination queue pairs
+// run them concurrently; the clock is charged max-of-durations) instead
+// of N dependent round trips. The transaction read path posts the same
+// doorbell into buffers it keeps (core's fetchSlots); the benchmark's
+// rdma.readbatch16_ns probe times this one.
 func (ep *Endpoint) ReadBatch(b *OpBatch, addrs []Addr, each int) ([]byte, error) {
 	if len(addrs) == 0 {
 		return nil, nil

@@ -16,7 +16,7 @@ import (
 
 // TestUpdateAllocs gates the heap allocations of a warm Session.Update:
 // the only one left per transaction is the caller-owned copy each Read
-// returns.
+// returns or each ReadRange callback is handed.
 func TestUpdateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("-race instrumentation allocates; the Update alloc gate is enforced by the no-race lane")
@@ -51,6 +51,10 @@ func TestUpdateAllocs(t *testing.T) {
 				}
 			}
 			return nil
+		}},
+		{"16-key range", 16, func(tx *pandora.Tx) error {
+			lo := k % (keys - 16)
+			return tx.ReadRange("kv", lo, lo+15, func(pandora.Key, []byte) bool { return true })
 		}},
 	}
 	for _, tc := range cases {

@@ -113,6 +113,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := pandora.New(cfg); err == nil {
 		t.Fatal("duplicate table accepted")
 	}
+	cfg = testConfig()
+	cfg.Tables = append(cfg.Tables, pandora.TableSpec{Name: "huge", ValueSize: 8, Capacity: 1 << 40})
+	if _, err := pandora.New(cfg); err == nil {
+		t.Fatal("table of more than 1<<32 slots per partition accepted")
+	}
 }
 
 func TestUpdateRetries(t *testing.T) {

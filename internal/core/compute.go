@@ -79,8 +79,10 @@ type ComputeNode struct {
 	// validation catches it (DESIGN.md §11).
 	cacheEpoch atomic.Uint64
 
-	addrMu    sync.RWMutex
-	addrCache map[addrKey]objRef
+	// addrs is the address cache: per table, a key's resolved location
+	// packed as partition<<32 | slot (a table has at most MaxSlots slots).
+	addrMu sync.RWMutex
+	addrs  []map[kvlayout.Key]uint64
 
 	coords []*Coordinator
 
@@ -105,11 +107,6 @@ type ComputeNode struct {
 	// stallPoll is the retry interval of the stalling path; tests lower
 	// it.
 	stallPoll time.Duration
-}
-
-type addrKey struct {
-	table kvlayout.TableID
-	key   kvlayout.Key
 }
 
 // objRef pins an object's physical location.
@@ -140,7 +137,7 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 		opts:      opts,
 		plan:      seedBugs(fixedPlan(opts.Protocol), opts),
 		failed:    fdetect.NewBitset(),
-		addrCache: make(map[addrKey]objRef),
+		addrs:     newAddrs(len(schema)),
 		hbStop:    make(chan struct{}),
 		stallPoll: 20 * time.Microsecond,
 	}
@@ -309,8 +306,9 @@ func (cn *ComputeNode) Install(v *place.View) {
 	old := cn.place.Swap(&placement{View: v, logServers: v.Ring().LogServers(cn.id)})
 	moved := !slices.Equal(old.Ring().Members(), v.Ring().Members())
 	if moved {
+		addrs := newAddrs(len(cn.schema))
 		cn.addrMu.Lock()
-		cn.addrCache = make(map[addrKey]objRef)
+		cn.addrs = addrs
 		cn.addrMu.Unlock()
 	}
 	if moved || !slices.Equal(old.DeadNodes(), v.DeadNodes()) {

@@ -55,9 +55,7 @@ func TestInstallEpochRule(t *testing.T) {
 		}, bump: true, dropsAddrs: true},
 	} {
 		cn := e.nodes[0]
-		cn.addrMu.Lock()
-		cn.addrCache[addrKey{table: 0, key: 1}] = objRef{}
-		cn.addrMu.Unlock()
+		cn.cacheRef(objRef{table: 0, key: 1})
 		epoch := cn.cacheEpoch.Load()
 		next := cn.place.Load().View
 		if tc.announce != nil {
@@ -74,9 +72,7 @@ func TestInstallEpochRule(t *testing.T) {
 		if got := cn.cacheEpoch.Load() != epoch; got != tc.bump {
 			t.Errorf("%s: cache epoch bumped = %v, want %v", tc.name, got, tc.bump)
 		}
-		cn.addrMu.RLock()
-		_, kept := cn.addrCache[addrKey{table: 0, key: 1}]
-		cn.addrMu.RUnlock()
+		_, kept := cn.cachedRef(0, 1)
 		if kept == tc.dropsAddrs {
 			t.Errorf("%s: address cache kept = %v, want %v", tc.name, kept, !tc.dropsAddrs)
 		}

@@ -40,25 +40,38 @@ func (cn *ComputeNode) tableAddr(node rdma.NodeID, ref objRef, fieldOff uint64) 
 	}
 }
 
+// MaxSlots bounds a table's slots per partition: the address cache packs
+// a slot index into 32 bits.
+const MaxSlots = 1 << 32
+
+// newAddrs returns an empty address cache for a schema of n tables.
+func newAddrs(n int) []map[kvlayout.Key]uint64 {
+	addrs := make([]map[kvlayout.Key]uint64, n)
+	for i := range addrs {
+		addrs[i] = make(map[kvlayout.Key]uint64)
+	}
+	return addrs
+}
+
 // cachedRef consults the node's address cache.
 func (cn *ComputeNode) cachedRef(table kvlayout.TableID, key kvlayout.Key) (objRef, bool) {
 	cn.addrMu.RLock()
-	defer cn.addrMu.RUnlock()
-	ref, ok := cn.addrCache[addrKey{table, key}]
-	return ref, ok
+	at, ok := cn.addrs[table][key]
+	cn.addrMu.RUnlock()
+	return objRef{table: table, key: key, partition: uint32(at >> 32), slot: at & (MaxSlots - 1)}, ok
 }
 
 // cacheRef records a resolved address.
 func (cn *ComputeNode) cacheRef(ref objRef) {
 	cn.addrMu.Lock()
-	cn.addrCache[addrKey{ref.table, ref.key}] = ref
+	cn.addrs[ref.table][ref.key] = uint64(ref.partition)<<32 | ref.slot
 	cn.addrMu.Unlock()
 }
 
 // dropRef invalidates a cached address (stale after a delete).
 func (cn *ComputeNode) dropRef(table kvlayout.TableID, key kvlayout.Key) {
 	cn.addrMu.Lock()
-	delete(cn.addrCache, addrKey{table, key})
+	delete(cn.addrs[table], key)
 	cn.addrMu.Unlock()
 }
 

@@ -17,9 +17,9 @@ import "time"
 type Endpoint struct {
 	fab  *Fabric
 	node NodeID
-	// lane is this endpoint's reader lane on every barrier, region lock
-	// and verb counter it touches (see laneRW): its node's, unless
-	// WithLane picked another.
+	// lane is this endpoint's reader lane on every barrier and verb
+	// counter it touches (see laneRW): its node's, unless WithLane picked
+	// another.
 	lane uint32
 	// self is the issuer's node state; the crash flag checked on every
 	// verb lives here. The pointer is stable for the fabric's lifetime.
@@ -206,16 +206,16 @@ func (ep *Endpoint) post(op *Op) time.Duration {
 	default:
 		switch op.Kind {
 		case OpRead:
-			op.Err = r.read(ep.lane, op.Addr.Offset, op.Buf)
+			op.Err = r.read(op.Addr.Offset, op.Buf)
 		case OpWrite:
-			op.Err = r.write(ep.lane, op.Addr.Offset, op.Buf)
+			op.Err = r.write(op.Addr.Offset, op.Buf)
 		case OpCAS:
-			op.Old, op.Err = r.cas(ep.lane, op.Addr.Offset, op.Expect, op.Swap)
+			op.Old, op.Err = r.cas(op.Addr.Offset, op.Expect, op.Swap)
 			op.Swapped = op.Err == nil && op.Old == op.Expect
 		case OpFAA:
-			op.Old, op.Err = r.faa(ep.lane, op.Addr.Offset, op.Delta)
+			op.Old, op.Err = r.faa(op.Addr.Offset, op.Delta)
 		case OpFlush:
-			op.Err = r.flush(ep.lane, op.Addr.Offset, int(op.Delta))
+			op.Err = r.flush(op.Addr.Offset, int(op.Delta))
 		default:
 			op.Err = ErrNoRegion
 		}

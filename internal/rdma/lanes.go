@@ -9,18 +9,17 @@ import (
 const rwLanes = 8
 
 // laneRW is a reader-sharded RWMutex: a reader holds one lane, a writer
-// all of them. Every verb read-locks its target's barrier and its
-// region; on one sync.RWMutex each of those is an atomic add on a word
-// every endpoint writes, and two coordinators on two cores spent more
-// time passing that cache line back and forth than on the rest of the
-// transaction. A lane is chosen by the issuing endpoint (Endpoint.lane)
-// and lanes lie two cache lines apart — the allocator aligns the struct
-// to 8 bytes, not 64 — so endpoints on different lanes share nothing on
-// the read side. Nor may a lane start the struct: indexing lanes through
-// a *laneRW nil-checks it by loading its first byte, which would make
-// every lane's reader a reader of lane 0's line. Lanes are taken in
-// index order: a reader never holds two of one laneRW, so writers cannot
-// deadlock with it.
+// all of them. Every verb read-locks its target's barrier; on one
+// sync.RWMutex that is an atomic add on a word every endpoint writes,
+// and two coordinators on two cores spent more time passing that cache
+// line back and forth than on the rest of the transaction. A lane is
+// chosen by the issuing endpoint (Endpoint.lane) and lanes lie two cache
+// lines apart — the allocator aligns the struct to 8 bytes, not 64 — so
+// endpoints on different lanes share nothing on the read side. Nor may
+// a lane start the struct: indexing lanes through a *laneRW nil-checks
+// it by loading its first byte, which would make every lane's reader a
+// reader of lane 0's line. Lanes are taken in index order: a reader
+// never holds two of one laneRW, so writers cannot deadlock with it.
 type laneRW struct {
 	_     [128]byte
 	lanes [rwLanes]struct {

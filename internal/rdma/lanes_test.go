@@ -83,53 +83,3 @@ func TestLaneRWWriterExcludesEveryLane(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 }
-
-// TestWholeRegionVerbExcludesEveryLane: a verb wide enough to take the
-// region-wide lock is atomic against narrow verbs of endpoints on every
-// lane.
-func TestWholeRegionVerbExcludesEveryLane(t *testing.T) {
-	const half = wholeOpSpan * stripeBytes // widest verb that still stripes
-	f := NewFabric(LatencyModel{})
-	f.AddNode(0)
-	f.AddNode(1)
-	f.RegisterRegion(1, 0, 2*half)
-
-	var (
-		stop atomic.Bool
-		wg   sync.WaitGroup
-	)
-	for lane := uint32(0); lane < rwLanes; lane++ {
-		ep := f.Endpoint(0).WithLane(lane)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]byte, half)
-			for v := byte(1); !stop.Load(); v++ {
-				for i := range buf {
-					buf[i] = v
-				}
-				if err := ep.Write(Addr{Node: 1, Offset: uint64(lane%2) * half}, buf); err != nil {
-					t.Error(err)
-					return
-				}
-				runtime.Gosched()
-			}
-		}()
-	}
-	reader := f.Endpoint(0)
-	both := make([]byte, 2*half)
-	for i := 0; i < 200; i++ {
-		if err := reader.Read(Addr{Node: 1}, both); err != nil {
-			t.Fatal(err)
-		}
-		for _, part := range [][]byte{both[:half], both[half:]} {
-			for _, b := range part {
-				if b != part[0] {
-					t.Fatalf("read %d: torn write visible: %d beside %d", i, b, part[0])
-				}
-			}
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
-}

@@ -42,17 +42,17 @@ func (r *Region) ensureDurable() {
 
 // flush copies [off, off+n) from the volatile buffer to the durable
 // image.
-func (r *Region) flush(lane uint32, off uint64, n int) error {
+func (r *Region) flush(off uint64, n int) error {
 	if err := r.checkBounds(off, n); err != nil {
 		return err
 	}
 	if n == 0 {
 		return nil
 	}
-	first, last, whole := r.lock(lane, off, n)
+	lo, hi := r.lock(off, n)
 	r.ensureDurable()
 	copy(r.durable[off:off+uint64(n)], r.buf[off:off+uint64(n)])
-	r.unlock(lane, first, last, whole)
+	r.unlock(lo, hi)
 	return nil
 }
 
@@ -60,16 +60,16 @@ func (r *Region) flush(lane uint32, off uint64, n int) error {
 // setup-time loading (preload, re-replication copies) is considered
 // persisted.
 func (r *Region) MarkDurable() {
-	r.whole.Lock()
-	defer r.whole.Unlock()
+	r.lockEntries(0, lockSlots-1)
+	defer r.unlockEntries(0, lockSlots-1)
 	r.ensureDurable()
 	copy(r.durable, r.buf)
 }
 
 // revertToDurable discards volatile state (power failure).
 func (r *Region) revertToDurable() {
-	r.whole.Lock()
-	defer r.whole.Unlock()
+	r.lockEntries(0, lockSlots-1)
+	defer r.unlockEntries(0, lockSlots-1)
 	r.ensureDurable()
 	copy(r.buf, r.durable)
 }

@@ -289,10 +289,14 @@ func New(cfg Config) (*Cluster, error) {
 		// Provision 3x the per-partition average plus fixed slack:
 		// partition assignment is hashed, so small tables see heavy skew.
 		perPartition := ts.Capacity/int(cfg.Partitions) + 1
+		slots := nextPow2(uint64(perPartition*3 + 32))
+		if slots > core.MaxSlots {
+			return nil, fmt.Errorf("pandora: table %q needs %d slots per partition, more than %d", ts.Name, slots, uint64(core.MaxSlots))
+		}
 		c.schema = append(c.schema, kvlayout.Table{
 			ID:        kvlayout.TableID(i),
 			ValueSize: ts.ValueSize,
-			Slots:     nextPow2(uint64(perPartition*3 + 32)),
+			Slots:     slots,
 		})
 		c.tableID[ts.Name] = kvlayout.TableID(i)
 	}

@@ -2,7 +2,8 @@
 # Paired benchmark runs of a base revision against the working tree, by
 # the rule of the choosing-metrics guide, section 8: per workload N
 # pairs, alternating which side runs first, each side's median and
-# quartiles per end-to-end metric, and the pairs the change wins. A gain
+# quartiles per end-to-end metric, the pairs the change wins, and each
+# side's failed operations as a share of those attempted. A gain
 # is flagged only when the change wins at least nine tenths of all pairs
 # (ties count for neither side) and the medians differ by more than the
 # distance between the base's own quartiles.
@@ -70,7 +71,12 @@ run() {
 		exit 1
 	fi
 	awk -v side="$side" -v i="$i" '
-		/^== / { for (f = 1; f <= NF; f++) if ($f ~ /^failed/) print side, i, "failed", $(f-1) }
+		/^== / {
+			for (f = 1; f <= NF; f++) {
+				if ($f ~ /^attempted/) print side, i, "attempted", $(f-1)
+				if ($f ~ /^failed/) print side, i, "failed", $(f-1)
+			}
+		}
 		/^[a-z_0-9]+ +-?[0-9.]+ [A-Za-z_\/]+$/ { print side, i, $1, $2 }
 	' "$tmp/run.txt" >>"$tmp/rows"
 }
@@ -140,8 +146,12 @@ for workload in ${workloads//,/ }; do
 				printf "%-20s %12.4f %12.4f %12.4f   %12.4f %12.4f %12.4f   %2d/%-2d  %s\n",
 					name, bq1, bmed, bq3, cq1, cmed, cq3, wins, n, verdict
 			}
-			for (i = 1; i <= n; i++) { fb += val["base", "failed", i]; fc += val["change", "failed", i] }
-			printf "failed operations: base %d, change %d\n", fb, fc
+			for (i = 1; i <= n; i++) {
+				fb += val["base", "failed", i]; fc += val["change", "failed", i]
+				ab += val["base", "attempted", i]; ac += val["change", "attempted", i]
+			}
+			printf "failed operations: base %d of %d attempted (share %.3g), change %d of %d attempted (share %.3g)\n",
+				fb, ab, (ab > 0 ? fb / ab : 0), fc, ac, (ac > 0 ? fc / ac : 0)
 		}
 	' "$tmp/spec" "$tmp/rows"
 done

@@ -56,9 +56,12 @@ bench-smoke:
 	$(GO) test -race ./internal/metrics/
 	$(GO) test -run 'ZeroAlloc' ./internal/metrics/ ./internal/rdma/
 	# Transaction-path alloc gates (Session.Update, core.Tx, log-record
-	# encoding, placement lookup); skipped under -race, so they run here
-	# without it.
-	$(GO) test -run 'Allocs' . ./internal/core ./internal/kvlayout ./internal/place
+	# encoding, placement lookup, Preload); skipped under -race, so they
+	# run here without it.
+	$(GO) test -run 'Allocs' . ./internal/core ./internal/kvlayout ./internal/place ./internal/memnode
+	# Bulk load: Load's per-server goroutines under the race detector,
+	# several times, and the layout pins against the sequential loader.
+	$(GO) test -race -count=3 -run 'TestPreload|TestLoad' . ./internal/memnode
 	$(GO) run ./cmd/pandora-bench -experiment readcache -quick -json $(BIN)/BENCH_readcache.json -metrics $(BIN)/BENCH_metrics.json
 	# Hot-lock lane: the quick run regenerates the artifact, which must
 	# match the checked-in bin/BENCH_hotlock.json byte for byte (the pass

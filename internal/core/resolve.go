@@ -79,10 +79,8 @@ func (cn *ComputeNode) dropRef(table kvlayout.TableID, key kvlayout.Key) {
 // one-sided window READs and shows each slot's key field and lock word to
 // visit, until visit returns true or the chain ends.
 //
-// Chain-termination rule: probing stops at a slot that is empty AND
-// unlocked. A locked empty slot belongs to an in-flight insert and is
-// treated as occupied, so keys placed beyond it stay reachable;
-// tombstones likewise keep the chain alive.
+// The chain ends where kvlayout.ChainEnds says: at the first slot that
+// is empty and unlocked.
 func (cn *ComputeNode) walkChain(ep *rdma.Endpoint, table kvlayout.TableID, key kvlayout.Key, visit func(partition uint32, slot, kf, lock uint64) bool) error {
 	if int(table) >= len(cn.schema) {
 		return fmt.Errorf("core: unknown table %d", table)
@@ -112,7 +110,7 @@ func (cn *ComputeNode) walkChain(ep *rdma.Endpoint, table kvlayout.TableID, key 
 			raw := buf[uint64(i)*slotSize : (uint64(i)+1)*slotSize]
 			kf := kvlayout.Uint64(raw[kvlayout.SlotKeyOff:])
 			lock := kvlayout.Uint64(raw[kvlayout.SlotLockOff:])
-			if visit(partition, (startSlot+uint64(i))&(tab.Slots-1), kf, lock) || kf == 0 && !kvlayout.IsLocked(lock) {
+			if visit(partition, (startSlot+uint64(i))&(tab.Slots-1), kf, lock) || kvlayout.ChainEnds(kf, lock) {
 				return nil
 			}
 		}

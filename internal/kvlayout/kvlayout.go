@@ -95,6 +95,14 @@ func (t Table) HomeSlot(k Key) uint64 { return Mix64(uint64(k)) & (t.Slots - 1) 
 // "table full".
 const ProbeLimit = 64
 
+// ChainEnds reports whether a probe chain ends at a slot holding key
+// field kf and lock word lock: the slot is empty and unlocked. A locked
+// empty slot belongs to an in-flight insert and a tombstone to a
+// deleted key; both keep the chain alive, so keys placed past them stay
+// reachable. Readers (core's chain walk) and the bulk loader
+// (memnode.Preload) stop at the same slot.
+func ChainEnds(kf, lock uint64) bool { return kf == 0 && !IsLocked(lock) }
+
 // TombstoneKeyField marks a deleted slot. Probing continues past
 // tombstones (so keys placed after a later-deleted slot stay reachable)
 // but stops at genuinely empty slots. Inserts may reclaim tombstones.

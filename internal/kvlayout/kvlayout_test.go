@@ -328,3 +328,27 @@ func TestMix64Deterministic(t *testing.T) {
 		t.Fatalf("Mix64(1) = %#x; the hash function must not change", got)
 	}
 }
+
+// TestEncodeSlotZeroPadsValue encodes over a dirty image: a value
+// shorter than ValueSize leaves zeros, not the old bytes, behind it.
+func TestEncodeSlotZeroPadsValue(t *testing.T) {
+	tab := Table{ValueSize: 16, Slots: 8}
+	for _, tc := range []struct {
+		name  string
+		value []byte
+	}{
+		{"empty", nil},
+		{"short", []byte("abc")},
+		{"exact", []byte("0123456789abcdef")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := bytes.Repeat([]byte{0xAA}, int(tab.SlotSize()))
+			tab.EncodeSlot(buf, Slot{Version: 1, Key: 9, Present: true, Value: tc.value})
+			want := make([]byte, tab.ValueSize)
+			copy(want, tc.value)
+			if got := tab.DecodeSlot(buf).Value; !bytes.Equal(got, want) {
+				t.Fatalf("value field = %x, want %x", got, want)
+			}
+		})
+	}
+}

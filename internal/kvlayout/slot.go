@@ -29,8 +29,9 @@ func (t Table) DecodeSlot(buf []byte) Slot {
 }
 
 // EncodeSlot writes a full slot image into buf (which must be
-// SlotSize() bytes). Used by memory-node preloading and by recovery
-// when rolling back a whole slot.
+// SlotSize() bytes). A value shorter than ValueSize is zero-padded, so
+// no byte of the old image survives in the value field. Used by
+// memory-node preloading, which encodes straight into the region.
 func (t Table) EncodeSlot(buf []byte, s Slot) {
 	binary.LittleEndian.PutUint64(buf[SlotLockOff:], s.Lock)
 	binary.LittleEndian.PutUint64(buf[SlotVersionOff:], s.Version)
@@ -39,7 +40,8 @@ func (t Table) EncodeSlot(buf []byte, s Slot) {
 		kf = uint64(s.Key) + 1
 	}
 	binary.LittleEndian.PutUint64(buf[SlotKeyOff:], kf)
-	copy(buf[SlotValueOff:SlotValueOff+t.ValueSize], s.Value)
+	val := buf[SlotValueOff : SlotValueOff+t.ValueSize]
+	clear(val[copy(val, s.Value):])
 }
 
 // KeyField returns the on-memory encoding of a key: key+1, with 0

@@ -176,8 +176,9 @@ func (s *Server) Down() bool { return s.fab.IsDown(s.id) }
 // Preload bulk-loads items into (table, partition) host-locally, before
 // any verb traffic. Slots are assigned by deterministic linear probing,
 // so every replica loading the same item sequence produces the identical
-// layout; preloaded objects start at version 1, unlocked. It returns the
-// assigned slot indexes, in item order.
+// layout; preloaded objects start at version 1, unlocked. Each item is
+// encoded straight into the region. It returns the assigned slot
+// indexes, in item order.
 func (s *Server) Preload(table kvlayout.TableID, partition uint32, items []Item) ([]uint64, error) {
 	region := s.table(table, partition)
 	if region == nil {
@@ -195,13 +196,11 @@ func (s *Server) Preload(table kvlayout.TableID, partition uint32, items []Item)
 			return nil, fmt.Errorf("memnode %d: table %d partition %d full while loading key %d", s.id, table, partition, it.Key)
 		}
 		off := tab.SlotOffset(slot)
-		val := make([]byte, tab.ValueSize)
-		copy(val, it.Value)
 		tab.EncodeSlot(buf[off:off+tab.SlotSize()], kvlayout.Slot{
 			Version: 1,
 			Key:     it.Key,
 			Present: true,
-			Value:   val,
+			Value:   it.Value,
 		})
 		slots = append(slots, slot)
 	}
@@ -211,8 +210,9 @@ func (s *Server) Preload(table kvlayout.TableID, partition uint32, items []Item)
 	return slots, nil
 }
 
-// findSlot linear-probes for key's slot: its existing slot if present,
-// else the first empty slot within ProbeLimit.
+// findSlot walks key's probe chain to where a reader's walk stops
+// (kvlayout.ChainEnds) and returns the key's slot if the chain holds
+// it, else the chain's first empty slot.
 func findSlot(tab kvlayout.Table, buf []byte, key kvlayout.Key) (uint64, bool) {
 	home := tab.HomeSlot(key)
 	firstEmpty, haveEmpty := uint64(0), false
@@ -225,6 +225,9 @@ func findSlot(tab kvlayout.Table, buf []byte, key kvlayout.Key) (uint64, bool) {
 			return slot, true
 		case kf == 0 && !haveEmpty:
 			firstEmpty, haveEmpty = slot, true
+		}
+		if kvlayout.ChainEnds(kf, kvlayout.Uint64(buf[off+kvlayout.SlotLockOff:])) {
+			break
 		}
 	}
 	return firstEmpty, haveEmpty

@@ -29,6 +29,7 @@ package pandora
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -491,27 +492,68 @@ type KV struct {
 }
 
 // Load bulk-loads items into a table before (or between) runs. Items are
-// loaded on every replica of their partition.
+// loaded on every replica of their partition: one counting pass sorts
+// them by partition, keeping item order within each, and then every
+// memory server loads its own replicas on its own goroutine. Each
+// region is written by one goroutine in item order, so the layout does
+// not depend on scheduling.
 func (c *Cluster) Load(table string, items []KV) error {
 	id, ok := c.tableID[table]
 	if !ok {
 		return fmt.Errorf("pandora: unknown table %q", table)
 	}
 	ring := c.mgr.Ring()
-	byPart := make(map[uint32][]memnode.Item)
-	for _, kv := range items {
-		p := ring.Partition(kv.Key)
-		byPart[p] = append(byPart[p], memnode.Item{Key: kv.Key, Value: kv.Value})
+	part := make([]uint32, len(items))
+	start := make([]int, ring.Partitions()+1)
+	for i, kv := range items {
+		part[i] = ring.Partition(kv.Key)
+		start[part[i]+1]++
 	}
-	for p, its := range byPart {
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	sorted := make([]memnode.Item, len(items))
+	next := append([]int(nil), start...)
+	for i, kv := range items {
+		sorted[next[part[i]]] = memnode.Item{Key: kv.Key, Value: kv.Value}
+		next[part[i]]++
+	}
+
+	mems := c.memList()
+	jobs := make([][]uint32, len(mems))
+	for p := uint32(0); p < ring.Partitions(); p++ {
+		if start[p] == start[p+1] {
+			continue
+		}
 		for _, rep := range ring.Replicas(p) {
-			srv := c.memByID(rep)
-			if srv == nil {
+			i := slices.IndexFunc(mems, func(m *memnode.Server) bool { return m.ID() == rep })
+			if i < 0 {
 				return fmt.Errorf("pandora: no memory server %d", rep)
 			}
-			if _, err := srv.Preload(id, p, its); err != nil {
-				return err
+			jobs[i] = append(jobs[i], p)
+		}
+	}
+	errs := make([]error, len(mems))
+	var wg sync.WaitGroup
+	for i, parts := range jobs {
+		if len(parts) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, p := range parts {
+				if _, err := mems[i].Preload(id, p, sorted[start[p]:start[p+1]]); err != nil {
+					errs[i] = err
+					return
+				}
 			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

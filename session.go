@@ -52,8 +52,10 @@ func (s *Session) Begin() *Tx {
 // caused by link faults (verb timeouts, partitions) back off with
 // capped exponential delay before retrying, so a transiently gray link
 // is not hammered. Conflict aborts retry immediately a few times, then
-// back off briefly too: on a hot key the lock holder needs the
-// scheduler, and spinning through the whole retry budget can starve it.
+// sleep too: on a hot key the lock holder needs the scheduler, and
+// spinning through the whole retry budget can starve it. Each such
+// sleep asks for 1µs to 128µs but can park for about 1ms (see
+// backoff.wait).
 // A negative maxRetries means none: fn still runs once.
 //
 // The *Tx passed to fn belongs to the session and is reused by the next
@@ -106,7 +108,13 @@ func (b *backoff) reset() { *b = newBackoff() }
 
 // wait sleeps before a retry according to the abort's cause. Link
 // faults back off 50µs→2ms. Conflicts get a handful of free immediate
-// retries (the common, cheap case), then 1µs→128µs.
+// retries (the common, cheap case), then ask for 1µs→128µs. The Go
+// runtime does not honour a sleep that short: once the P goes idle, a
+// time.Sleep under 1ms parks the goroutine for about 1ms (Linux, Go
+// 1.24: 0.4ms for a 1µs request, 1.1–1.3ms for 16µs and 128µs), so a
+// conflict sleep on this ladder costs close to 1ms, not microseconds.
+// Spinning until the deadline instead burned more CPU per transaction
+// and raised no throughput, so the sleep stays.
 func (b *backoff) wait(err error) {
 	if errors.Is(err, rdma.ErrVerbTimeout) || errors.Is(err, rdma.ErrLinkPartitioned) {
 		time.Sleep(b.link)

@@ -28,10 +28,29 @@ type HotlockPass struct {
 	// budget (the baseline's expected outcome on every episode).
 	FailedEpisodes int `json:"failed_episodes"`
 
+	// Verbs counts every verb the pass issued, waiter and holder alike.
+	Verbs uint64 `json:"verbs"`
+
 	P50  time.Duration `json:"p50_episode_ns"`
 	P99  time.Duration `json:"p99_episode_ns"`
 	Mean time.Duration `json:"mean_episode_ns"`
+
+	// WallP50 / WallMean are the episodes' wall-clock latencies: the model
+	// charges no time.Sleep, and Session.Update's conflict ladder and the
+	// stalling path both sleep. Not deterministic, so not in the JSON.
+	WallP50  time.Duration `json:"-"`
+	WallMean time.Duration `json:"-"`
 }
+
+// hotlockWaiter is how a pass's waiter waits for the live holder.
+type hotlockWaiter int
+
+const (
+	waitQueued   hotlockWaiter = iota // ticket queue, threshold 1; holder released at the first lane poll
+	waitStall                         // StallOnConflict, queue off; holder released at the first stall poll
+	waitLadder                        // Session.Update's abort-retry ladder, queue off; holder released at the first retry
+	waitBaseline                      // queue off, no stall; holder never released inside the window
+)
 
 // HotlockResult is the adaptive FAA ticket-lock experiment: a zipfian
 // (s=1.3) 100%-write lane where every episode pits a waiter against a
@@ -48,6 +67,8 @@ type HotlockResult struct {
 	MaxRetries int     `json:"max_retries"`
 
 	Queued   HotlockPass `json:"queued"`
+	Stall    HotlockPass `json:"stall"`
+	Ladder   HotlockPass `json:"ladder"`
 	Baseline HotlockPass `json:"baseline"`
 
 	// AbortReduction / RetryReduction are baseline ÷ queued with the
@@ -70,14 +91,28 @@ func (r *HotlockResult) String() string {
 			"  baseline: %d lock-conflict aborts, %d lock retries (%d failed episodes)\n"+
 			"  episode latency queued:   p50=%v p99=%v mean=%v\n"+
 			"  episode latency baseline: p50=%v p99=%v mean=%v\n"+
-			"  abort reduction: %.0f×, retry reduction: %.0f×, p50 speedup: %.1f×\n",
+			"  abort reduction: %.0f×, retry reduction: %.0f×, p50 speedup: %.1f×\n"+
+			"%s",
 		r.Episodes, r.Keys, r.ZipfS, r.MaxRetries,
 		r.Queued.LockConflictAborts, r.Queued.LockRetries, r.Queued.QueuedAcquires,
 		r.Queued.Promotions, r.Queued.FailedEpisodes,
 		r.Baseline.LockConflictAborts, r.Baseline.LockRetries, r.Baseline.FailedEpisodes,
 		r.Queued.P50, r.Queued.P99, r.Queued.Mean,
 		r.Baseline.P50, r.Baseline.P99, r.Baseline.Mean,
-		r.AbortReduction, r.RetryReduction, r.Speedup)
+		r.AbortReduction, r.RetryReduction, r.Speedup, r.waiterTable())
+}
+
+// waiterTable renders the four waiters side by side, model and wall time.
+func (r *HotlockResult) waiterTable() string {
+	out := "  waiter    model p50 / p99 / mean         aborts  verbs  failed  wall p50 / mean\n"
+	for _, w := range []struct {
+		name string
+		p    HotlockPass
+	}{{"queued", r.Queued}, {"stall", r.Stall}, {"ladder", r.Ladder}, {"baseline", r.Baseline}} {
+		out += fmt.Sprintf("  %-9s %-9v %-9v %-9v  %6d  %5d  %6d  %v / %v\n",
+			w.name, w.p.P50, w.p.P99, w.p.Mean, w.p.LockConflictAborts, w.p.Verbs, w.p.FailedEpisodes, w.p.WallP50, w.p.WallMean)
+	}
+	return out
 }
 
 // JSON renders the result as one machine-readable object (the
@@ -95,15 +130,23 @@ func Hotlock(s Scale, episodes int) (*HotlockResult, error) {
 	const maxRetries = 19
 	r := &HotlockResult{Keys: hotKeys, Episodes: episodes, ZipfS: zipfS, MaxRetries: maxRetries}
 
-	qPass, met, err := hotlockPass(episodes, hotKeys, maxRetries, zipfS, 1)
+	qPass, met, err := hotlockPass(episodes, hotKeys, maxRetries, zipfS, waitQueued)
 	if err != nil {
 		return nil, fmt.Errorf("queued pass: %w", err)
 	}
-	bPass, _, err := hotlockPass(episodes, hotKeys, maxRetries, zipfS, -1)
+	sPass, _, err := hotlockPass(episodes, hotKeys, maxRetries, zipfS, waitStall)
+	if err != nil {
+		return nil, fmt.Errorf("stall pass: %w", err)
+	}
+	lPass, _, err := hotlockPass(episodes, hotKeys, maxRetries, zipfS, waitLadder)
+	if err != nil {
+		return nil, fmt.Errorf("ladder pass: %w", err)
+	}
+	bPass, _, err := hotlockPass(episodes, hotKeys, maxRetries, zipfS, waitBaseline)
 	if err != nil {
 		return nil, fmt.Errorf("baseline pass: %w", err)
 	}
-	r.Queued, r.Baseline, r.Metrics = qPass, bPass, met
+	r.Queued, r.Stall, r.Ladder, r.Baseline, r.Metrics = qPass, sPass, lPass, bPass, met
 
 	floor := func(v uint64) float64 {
 		if v < 1 {
@@ -121,22 +164,29 @@ func Hotlock(s Scale, episodes int) (*HotlockResult, error) {
 	return r, nil
 }
 
-// hotlockPass runs one measurement pass at the given promotion
-// threshold. Every episode draws a zipfian key, parks a holder
+// hotlockPass runs one measurement pass with the given waiter. Every episode draws a zipfian key, parks a holder
 // transaction on it from the other compute node, and times the
 // waiter's Update on the virtual clock. The holder is released by a
 // scripted DebugQueueWait hook as soon as the waiter starts polling
 // its lane turn — the queued pass's hand-off — while the baseline
 // waiter (which never queues) burns its whole retry ladder before the
 // driver releases the holder and lands the write, so both passes leave
-// identical data.
-func hotlockPass(episodes, keys, maxRetries int, zipfS float64, threshold int) (HotlockPass, pandora.Metrics, error) {
+// identical data. The stalling waiter's holder is released by the same
+// hook at its first stall poll, and the ladder's at its first retry: its
+// fn runs again only after Update's backoff wait.
+func hotlockPass(episodes, keys, maxRetries int, zipfS float64, waiterKind hotlockWaiter) (HotlockPass, pandora.Metrics, error) {
 	var p HotlockPass
 	w := &workload.Micro{Keys: keys}
 	c, err := clusterFor(w, func(cfg *pandora.Config) {
 		cfg.CoordinatorsPerNode = 1
 		cfg.ModelLatency = true
-		cfg.HotlockThreshold = threshold
+		cfg.HotlockThreshold = -1
+		switch waiterKind {
+		case waitQueued:
+			cfg.HotlockThreshold = 1
+		case waitStall:
+			cfg.StallOnConflict = true
+		}
 	})
 	if err != nil {
 		return p, pandora.Metrics{}, err
@@ -170,6 +220,7 @@ func hotlockPass(episodes, keys, maxRetries int, zipfS float64, threshold int) (
 	rng := rand.New(rand.NewSource(7))
 	z := rand.NewZipf(rng, zipfS, 1, uint64(keys-1))
 	lats := make([]time.Duration, 0, episodes)
+	walls := make([]time.Duration, 0, episodes)
 	var hookErr error
 	for i := 0; i < episodes; i++ {
 		k := pandora.Key(z.Uint64())
@@ -182,11 +233,18 @@ func hotlockPass(episodes, keys, maxRetries int, zipfS float64, threshold int) (
 				hookErr = fmt.Errorf("holder commit key %d: %w", uint64(k), err)
 			}
 		}
-		start := clk.Now()
+		attempt := 0
+		start, wallStart := clk.Now(), time.Now()
 		err := waiter.Update(maxRetries, func(tx *pandora.Tx) error {
+			if attempt++; attempt == 2 && waiterKind == waitLadder && release != nil {
+				rel := release
+				release = nil
+				rel()
+			}
 			return tx.Write("micro", k, value(i))
 		})
 		lats = append(lats, clk.Now()-start)
+		walls = append(walls, time.Since(wallStart))
 		release = nil
 		if hookErr != nil {
 			return p, pandora.Metrics{}, hookErr
@@ -224,6 +282,10 @@ func hotlockPass(episodes, keys, maxRetries int, zipfS float64, threshold int) (
 	p.QueuedAcquires = d.LockCount(metrics.LockQueuedAcquire)
 	p.TicketRepairs = d.LockCount(metrics.LockTicketRepair)
 	p.QueueTimeouts = d.LockCount(metrics.LockQueueTimeout)
+	for _, v := range d.Verbs {
+		p.Verbs += v.Issued
+	}
 	p.P50, p.P99, p.Mean = latSummary(lats)
+	p.WallP50, _, p.WallMean = latSummary(walls)
 	return p, after, nil
 }

@@ -255,6 +255,9 @@ func (tx *Tx) onConflict(ent *writeEnt, old uint64, spins *int) error {
 	if tx.mayStall() {
 		// The stalling path already waits fairly enough and never gives
 		// up; queueing applies to the abort-retry regime only.
+		if DebugQueueWait != nil {
+			DebugQueueWait(tx.co.id, ref.key, 0)
+		}
 		return tx.stallWait()
 	}
 	if hot := tx.co.hot; hot != nil {

@@ -22,6 +22,11 @@ lint: $(VETTOOL)
 	$(GO) vet ./...
 	$(GO) test ./tools/analyzers/
 	$(GO) vet -vettool=$(abspath $(VETTOOL)) ./...
+	# internal/hotlock is kept only for the repository benchmark's probes:
+	# no other package may import it.
+	@if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... \
+	    | grep -v '^pandora/internal/hotlock:\|^pandora/benchmark:' | grep 'pandora/internal/hotlock'; then \
+	  echo "lint: only benchmark/ may import pandora/internal/hotlock"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
@@ -63,11 +68,6 @@ bench-smoke:
 	# several times, and the layout pins against the sequential loader.
 	$(GO) test -race -count=3 -run 'TestPreload|TestLoad' . ./internal/memnode
 	$(GO) run ./cmd/pandora-bench -experiment readcache -quick -json $(BIN)/BENCH_readcache.json -metrics $(BIN)/BENCH_metrics.json
-	# Hot-lock lane: the quick run regenerates the artifact, which must
-	# match the checked-in bin/BENCH_hotlock.json byte for byte (the pass
-	# is sequential on a virtual clock, so the JSON is seed-deterministic).
-	$(GO) run ./cmd/pandora-bench -experiment hotlock -quick -json $(BIN)/BENCH_hotlock.gen.json
-	cmp $(BIN)/BENCH_hotlock.gen.json $(BIN)/BENCH_hotlock.json
 	# Commit-tail lane: the pipelined commit tail experiment (legacy vs
 	# fused rounds-per-commit and ack latency) is sequential on a virtual
 	# clock; its artifact must match bin/BENCH_commitpipe.json.
@@ -145,18 +145,6 @@ chaos-smoke:
 	    $(GO) run ./cmd/pandora-chaos -scenario reconfig -crash $$crash -seed $$seed \
 	      >$(BIN)/r-b.log || exit 1; \
 	    cmp $(BIN)/r-a.log $(BIN)/r-b.log || exit 1; \
-	  done; \
-	done
-	# Hot-lock lane: 3 seeds × {holder, waiter} crashes of a promoted
-	# ticket lane, each run twice and byte-compared (the scenario is
-	# fully scripted, so the event log is a pure function of the seed).
-	for crash in holder waiter; do \
-	  for seed in 1 7 42; do \
-	    $(GO) run ./cmd/pandora-chaos -scenario hotlock -crash $$crash -seed $$seed \
-	      >$(BIN)/h-a.log || exit 1; \
-	    $(GO) run ./cmd/pandora-chaos -scenario hotlock -crash $$crash -seed $$seed \
-	      >$(BIN)/h-b.log || exit 1; \
-	    cmp $(BIN)/h-a.log $(BIN)/h-b.log || exit 1; \
 	  done; \
 	done
 	# Commit-pipe lane: 3 seeds × {afterack, midtail} crashes of the

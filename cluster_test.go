@@ -233,7 +233,6 @@ func TestRestartComputeKeepsOptions(t *testing.T) {
 	cfg := testConfig()
 	cfg.VerbTimeout = 250 * time.Millisecond
 	cfg.ReadCacheSize = 17
-	cfg.HotlockThreshold = 2
 	c := newLoaded(t, cfg, 8)
 	before := c.Engine(0).Options()
 	if _, err := c.FailCompute(0); err != nil {
@@ -243,8 +242,7 @@ func TestRestartComputeKeepsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := c.Engine(0).Options()
-	if got.VerbTimeout != cfg.VerbTimeout ||
-		got.ReadCacheSize != cfg.ReadCacheSize || got.HotlockThreshold != cfg.HotlockThreshold {
+	if got.VerbTimeout != cfg.VerbTimeout || got.ReadCacheSize != cfg.ReadCacheSize {
 		t.Fatalf("restarted node lost configuration: %+v", got)
 	}
 	if got.Protocol != before.Protocol || got.Persist != before.Persist || got.DisablePILL != before.DisablePILL ||

@@ -31,9 +31,9 @@ func main() {
 // benchMain holds main's body so that deferred profile writers run even
 // when an experiment fails (os.Exit skips defers).
 func benchMain() int {
-	experiment := flag.String("experiment", "all", "experiment id: all, table1, table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, scan, tradrec, tradss, distfd, persist, readcache, hotlock, commitpipe, soak")
+	experiment := flag.String("experiment", "all", "experiment id: all, table1, table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, scan, tradrec, tradss, distfd, persist, readcache, commitpipe, soak")
 	quick := flag.Bool("quick", false, "run at CI scale instead of full scale")
-	jsonOut := flag.String("json", "", "also write machine-readable results of JSON-capable experiments (readcache, table2, hotlock, commitpipe, soak) to this file")
+	jsonOut := flag.String("json", "", "also write machine-readable results of JSON-capable experiments (readcache, table2, commitpipe, soak) to this file")
 	metricsOut := flag.String("metrics", "", "write the deterministic observability artifact (per-phase latency percentiles, abort taxonomy, verb counters) of metrics-capable experiments (table2, readcache) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -74,7 +74,7 @@ func benchMain() int {
 	if *experiment == "all" {
 		ids = []string{"table1", "table2", "tradrec", "scan", "tradss", "fig6", "fig7",
 			"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "distfd", "persist",
-			"readcache", "hotlock", "commitpipe", "soak"}
+			"readcache", "commitpipe", "soak"}
 	}
 	metricsRes := map[string]*bench.MetricsResult{}
 	for _, id := range ids {
@@ -265,16 +265,6 @@ func run(id string, s bench.Scale, litmusIters, steadyTx int, quick bool, jsonOu
 				return err
 			}
 			metricsRes[id] = m
-		}
-	case "hotlock":
-		section(id, "Adaptive FAA ticket locks: contended writes vs CAS-spin baseline")
-		r, err := bench.Hotlock(s, steadyTx/5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(r)
-		if err := writeJSON(jsonOut, r); err != nil {
-			return err
 		}
 	case "commitpipe":
 		section(id, "Pipelined commit tail: doorbell fusion")

@@ -9,9 +9,6 @@
 //	pandora-chaos -scenario reconfig -crash source
 //	                                     # live resharding, crash the copy
 //	                                     # source mid-migration, recover
-//	pandora-chaos -scenario hotlock -crash waiter
-//	                                     # adaptive ticket lanes: crash a
-//	                                     # parked waiter, repair the lane
 //	pandora-chaos -scenario commitpipe -crash midtail
 //	                                     # commit tail: die between
 //	                                     # truncation and unlock, recover
@@ -35,8 +32,8 @@ import (
 
 func main() {
 	seed := flag.Int64("seed", 42, "seed driving the fault schedule and workload")
-	scenario := flag.String("scenario", "mixed", "fault palette: "+strings.Join(chaos.Scenarios(), ", ")+", reconfig, hotlock, commitpipe")
-	crash := flag.String("crash", "coordinator", "reconfig: what dies mid-migration ("+strings.Join(chaos.ReconfigModes(), ", ")+"); hotlock: which lane participant dies ("+strings.Join(chaos.HotlockModes(), ", ")+"); commitpipe: where the post-ack tail dies ("+strings.Join(chaos.CommitPipeModes(), ", ")+")")
+	scenario := flag.String("scenario", "mixed", "fault palette: "+strings.Join(chaos.Scenarios(), ", ")+", reconfig, commitpipe")
+	crash := flag.String("crash", "coordinator", "reconfig: what dies mid-migration ("+strings.Join(chaos.ReconfigModes(), ", ")+"); commitpipe: where the post-ack tail dies ("+strings.Join(chaos.CommitPipeModes(), ", ")+")")
 	workload := flag.String("workload", "counter", "workload: counter, bank")
 	events := flag.Int("events", 12, "number of seed-drawn fault events")
 	gap := flag.Duration("gap", 2*time.Millisecond, "wall-clock spacing between events")
@@ -71,10 +68,6 @@ func main() {
 		// The reconfiguration family has its own runner: one live
 		// add-memory migration with a seeded crash, not a drawn schedule.
 		res, err = chaos.RunReconfig(cfg, *crash)
-	} else if *scenario == "hotlock" {
-		// Fully scripted: a promoted ticket lane loses its holder or a
-		// parked waiter at a seeded poll step and must be repaired.
-		res, err = chaos.RunHotlock(cfg, *crash)
 	} else if *scenario == "commitpipe" {
 		// Fully scripted: an acknowledged commit's post-ack tail dies at
 		// a chosen pipeline point; recovery (run twice) must heal it.

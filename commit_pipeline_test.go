@@ -536,7 +536,7 @@ func TestLogWriteFaultTruncatesLandedCopy(t *testing.T) {
 // holding the locks of keys 2 and 3 with nothing logged, and the survivor
 // runs the transfer over them. Each read passes over a stray word and
 // hands it to the write, whose first doorbell is then the steal — steal
-// CAS, slot READ, the lane's tail and head READs — so a stolen lock costs
+// CAS and slot READ — so a stolen lock costs
 // one round trip where a lock CAS failing on the word made it two, and
 // the stolen locks cover the reads like any other: six round trips in
 // all (two reads, one per lock, log, apply), no validation. The tail is
@@ -582,8 +582,8 @@ func TestStealBothLocksTransfer(t *testing.T) {
 	}
 	got := fmt.Sprintf("read=%d write=%d cas=%d faa=%d vclock=%d",
 		verbs["READ"], verbs["WRITE"], verbs["CAS"], verbs["FAA"], cost.Nanoseconds())
-	// READs: two reads, and per steal the slot and the two lane ends.
-	const want = "read=8 write=10 cas=2 faa=0 vclock=12030"
+	// READs: two reads, and per steal the slot.
+	const want = "read=4 write=10 cas=2 faa=0 vclock=12030"
 	if got != want {
 		t.Errorf("double-steal transfer moved\n got: %q\nwant: %q", got, want)
 	}

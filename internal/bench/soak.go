@@ -19,8 +19,7 @@ import (
 // SmallBank sharing one store) runs for many rounds of seeded sessions
 // across every coordinator, with compute crashes, recoveries, restarts
 // and a memory-node failover injected at fixed round boundaries, under
-// the full tuned configuration (validated read cache, adaptive hot
-// locks). Like MetricsPass, the whole run is sequential on virtual
+// the tuned configuration (the validated read cache). Like MetricsPass, the whole run is sequential on virtual
 // clocks: transactions issue in program order from a single seeded
 // PRNG, faults land at deterministic points, and the emitted artifact
 // (bin/BENCH_soak.json) is byte-identical for a given seed — CI
@@ -150,8 +149,7 @@ func Soak(sc SoakScale, seed int64) (*SoakResult, error) {
 		ModelLatency:        true,
 		// The full tuned configuration: this lane exists to soak the
 		// paths the litmus knob matrix covers functionally.
-		ReadCacheSize:    0, // default-sized cache
-		HotlockThreshold: 0, // adaptive promotion
+		ReadCacheSize: 0, // default-sized cache
 	}
 	c, err := pandora.New(cfg)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // logDigests pins the event log of every cell of the CI chaos matrix
 // (Makefile chaos-smoke: the default mixed run at seed 42 / 8 events,
-// commitpipe 2 crash points × 3 seeds, hotlock 2 × 3, reconfig 3 × 3,
+// commitpipe 2 crash points × 3 seeds, reconfig 3 × 3,
 // all at the CLI's default shape) as a SHA-256. The CI lane compares a
 // run against a second run of the same tree; these values were computed
 // at the commit before the commit-pipeline refactor, so a change to the
@@ -26,13 +26,6 @@ var logDigests = map[string]string{
 	"commitpipe/midtail/seed1":   "45c8c3c6652f6d41173d84e60bdcc9ef3b403b526bd37465110bdf73ce93af3b",
 	"commitpipe/midtail/seed7":   "bd7b80cba63565d9e36f9bc19547253f0225ec93956f3db6b9c5d2372e106426",
 	"commitpipe/midtail/seed42":  "ff27105da58ac3bb2c105e8204fc2f2f6aaf17c66b680727140117dd12973cee",
-
-	"hotlock/holder/seed1":  "78cee3f5eb1480b55d91ffb4426eecfe3e6c7d2fff953dfe4c86c6255b0f19b5",
-	"hotlock/holder/seed7":  "7470c26d818ea042f425a4b33813315454999e86e30e2e8a3d3480de2917c21d",
-	"hotlock/holder/seed42": "6306dd5376184fc53c0792aa6245b692f2678d8c3f46fa87320043b9605d4483",
-	"hotlock/waiter/seed1":  "1d25407452747c2b8001004670801484bb946549aaaf3bea5a8f21664d7ff120",
-	"hotlock/waiter/seed7":  "cb3dfb9911065def61fe5240a826c17f473631d533d6da11b3c3b6b96a279dd9",
-	"hotlock/waiter/seed42": "c24004efd766fcf88c5d9bb0d3fe85cde29f0d41b53bd743f273a4c463a47bd8",
 
 	"reconfig/coordinator/seed1":  "42df49a0c735d4b36dc6bd8531e39a0e87a10b0b2011ec294c259af600d0a806",
 	"reconfig/coordinator/seed7":  "1bcc487d68036aa8dc245e8e4f748bd29b473af2cfab742d9da6eab04c5371a9",
@@ -58,7 +51,6 @@ func TestLogDigests(t *testing.T) {
 	}
 	families := []scripted{
 		{"commitpipe", CommitPipeModes(), RunCommitPipe},
-		{"hotlock", HotlockModes(), RunHotlock},
 		{"reconfig", ReconfigModes(), RunReconfig},
 	}
 	check := func(name string, run func(Config) (*Result, error), cfg Config) {

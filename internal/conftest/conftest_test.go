@@ -28,26 +28,24 @@ func baseConfig() pandora.Config {
 	}
 }
 
-// TestConformanceDefaults: the stock configuration (adaptive hot-lock
-// threshold, default-sized read cache, synchronous commit tail).
+// TestConformanceDefaults: the stock configuration (default-sized read
+// cache, synchronous commit tail).
 func TestConformanceDefaults(t *testing.T) {
 	conftest.Run(t, factory(baseConfig()))
 }
 
-// TestConformanceRawBaseline: every tuned path off — no read cache,
-// CAS-spin locking. This is the shape the litmus family pins.
+// TestConformanceRawBaseline: every tuned path off — no read cache.
+// This is the shape the litmus family pins.
 func TestConformanceRawBaseline(t *testing.T) {
 	cfg := baseConfig()
 	cfg.ReadCacheSize = -1
-	cfg.HotlockThreshold = -1
 	conftest.Run(t, factory(cfg))
 }
 
-// TestConformanceTuned: read cache + eager ticket-lane promotion.
+// TestConformanceTuned: an explicitly sized read cache.
 func TestConformanceTuned(t *testing.T) {
 	cfg := baseConfig()
 	cfg.ReadCacheSize = 4096
-	cfg.HotlockThreshold = 1
 	conftest.Run(t, factory(cfg))
 }
 

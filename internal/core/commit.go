@@ -313,16 +313,6 @@ func (tx *Tx) appendReleaseOps(b *rdma.OpBatch, abortPath bool) {
 			b.AddWrite(tx.cn.tableAddr(primary, w.ref, kvlayout.SlotKeyOff), tomb)
 		}
 		b.AddWrite(tx.cn.tableAddr(primary, w.ref, kvlayout.SlotLockOff), zero)
-		if w.ticket.taken {
-			// The lock's ticket owes its lane one head advance; same queue
-			// pair, so waiters observe the zeroed word no later than the
-			// advanced head. The cleanup discipline may reissue the FAA
-			// after a link fault whose verb actually executed —
-			// over-advancing the head is the safe direction (waiters fall
-			// back to the CAS race; only an under-advance could wedge the
-			// lane).
-			b.AddFAA(w.ticket.lane.Head, 1)
-		}
 	}
 }
 

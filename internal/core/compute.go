@@ -9,7 +9,6 @@ import (
 
 	"pandora/internal/cache"
 	"pandora/internal/fdetect"
-	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/place"
 	"pandora/internal/rdma"
@@ -160,9 +159,6 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 		}
 		if opts.ReadCacheSize >= 0 {
 			co.rcache = cache.New(opts.ReadCacheSize)
-		}
-		if opts.HotlockThreshold >= 0 {
-			co.hot = hotlock.NewTracker(opts.HotlockThreshold)
 		}
 		cn.coords = append(cn.coords, co)
 	}
@@ -388,11 +384,6 @@ type Coordinator struct {
 	// this coordinator's transaction goroutine; global invalidation
 	// flows through the node's cacheEpoch instead of touching it.
 	rcache *cache.Cache
-	// hot is the adaptive hot-lock contention tracker (nil when the
-	// ticket queue is disabled). Strictly coordinator-local: each
-	// coordinator promotes from its own conflict history, so seeded runs
-	// stay deterministic regardless of coordinator interleaving.
-	hot *hotlock.Tracker
 	// scratch backs the running transaction's sets and buffers (DESIGN.md
 	// §18). Its memory is allocated on first use, not here: most
 	// coordinators of a restarted node never run a transaction.

@@ -121,15 +121,6 @@ type Options struct {
 	// value compute-side and registers the cached version in the read
 	// set; OCC validation provides the staleness check (DESIGN.md §11).
 	ReadCacheSize int
-	// HotlockThreshold tunes the per-coordinator contention tracker that
-	// promotes keys to FAA ticket-queue acquisition (DESIGN.md §14).
-	// 0 selects the default streak (hotlock.DefaultThreshold); positive
-	// values promote after that many consecutive lock conflicts;
-	// negative disables the queue entirely — the flag-gated CAS-spin
-	// baseline every hot-lock experiment compares against. The lock word
-	// stays authoritative either way: promotion changes how a waiter
-	// waits, never who may own the lock.
-	HotlockThreshold int
 	// UnfusedCommitTail restores the pre-fusion per-phase commit tail
 	// (separate apply / flush / truncate / unlock doorbell rounds).
 	// Baseline knob for the commitpipe experiment only; not exposed in
@@ -187,10 +178,10 @@ var (
 
 // abortInfo is what an abort site knows about its reason, unformatted: a
 // constant format whose %d verbs consume a prefix of (table, key, a, b) —
-// a lock owner or ticket, an old and a new version — or, with detail
-// set, the prefix of detail's text (detail stays out of the Unwrap
-// chain). The text is built only when someone asks for it (Error,
-// AbortReason): a lock-conflict retry loop formats nothing.
+// a lock owner, an old and a new version — or, with detail set, the
+// prefix of detail's text (detail stays out of the Unwrap chain). The
+// text is built only when someone asks for it (Error, AbortReason): a
+// lock-conflict retry loop formats nothing.
 type abortInfo struct {
 	format string
 	table  kvlayout.TableID
@@ -251,14 +242,6 @@ func (e *indeterminateError) Error() string {
 }
 func (e *indeterminateError) Is(target error) bool { return target == ErrIndeterminate }
 func (e *indeterminateError) Unwrap() error        { return e.cause }
-
-// DebugQueueWait, when set by tests, observes every poll iteration of a
-// queued lock wait before its lane read fires: (waiting coordinator,
-// key, 1-based poll count). Sequential drivers (bench, chaos) use it to
-// script the holder's release — or crash — at a chosen spin, which is
-// what makes queued hand-off reachable from a single-goroutine
-// deterministic run.
-var DebugQueueWait func(coord kvlayout.CoordID, key kvlayout.Key, spin int)
 
 // AbortReason extracts the reason from an ErrAborted error, or "".
 func AbortReason(err error) string {

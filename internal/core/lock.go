@@ -2,13 +2,13 @@ package core
 
 // The lock step (§3.1.5 step 1, DESIGN.md §16): eager locking of one
 // write-set object as stages. The rule is "register, then post" — the
-// write entry joins tx.writes before its first verb, and what the lock
-// doorbell's completions say it took (the lock, a lane ticket) is
-// recorded on the entry before anything else looks at them. There is no
-// moment at which the transaction holds something its write set does not
-// know about, so every failure path is plain verbFailure / abort: the
-// abort tail releases what the entries say, and dropEntry serves the
-// returns that do not abort.
+// write entry joins tx.writes before its first verb, and whether the
+// lock doorbell's CAS took the lock is recorded on the entry before
+// anything else looks at the completions. There is no moment at which
+// the transaction holds something its write set does not know about, so
+// every failure path is plain verbFailure / abort: the abort tail
+// releases what the entries say, and dropEntry serves the returns that
+// do not abort.
 //
 // "Post, then settle": most writes only post their lock doorbell at
 // Write. The transaction waits for every posted doorbell once, at Commit
@@ -19,7 +19,6 @@ import (
 	"slices"
 	"time"
 
-	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
 	"pandora/internal/rdma"
@@ -66,9 +65,9 @@ func (tx *Tx) lockWrite(ref objRef, kind kvlayout.WriteKind, newValue []byte, st
 	return nil
 }
 
-// register (re)initialises ent — unlocked, no ticket — and inserts it
-// into the write set at index at: the end for a new write, its old place
-// for one that is locked again at its re-resolved slot.
+// register (re)initialises ent, unlocked, and inserts it into the write
+// set at index at: the end for a new write, its old place for one that
+// is locked again at its re-resolved slot.
 func (tx *Tx) register(ent *writeEnt, ref objRef, kind kvlayout.WriteKind, newValue []byte, at int) *writeEnt {
 	*ent = writeEnt{ref: ref, kind: kind, wasInsert: kind == kvlayout.WriteInsert, newValue: newValue}
 	tx.writes = slices.Insert(tx.writes, at, ent)
@@ -97,12 +96,12 @@ func (ent *writeEnt) hold(swapped bool) bool {
 // on a path that does not abort — the key turned out absent or present,
 // an insert's slot was contended, the slot moved under the lock — and
 // returns ret. A settling entry need not be the last, so ent is removed
-// by identity. Its lock is released and its ticket paid first. A failed
-// release aborts instead: the entry stays registered, so the abort tail
-// re-posts the release under the cleanup discipline (a lock left with a
-// LIVE owner is invisible to PILL stealing and to recovery alike), and
-// since the slot holds someone else's state the tail may hand over the
-// lock word only, never an insert tombstone.
+// by identity. Its lock is released first. A failed release aborts
+// instead: the entry stays registered, so the abort tail re-posts the
+// release under the cleanup discipline (a lock left with a LIVE owner is
+// invisible to PILL stealing and to recovery alike), and since the slot
+// holds someone else's state the tail may hand over the lock word only,
+// never an insert tombstone.
 func (tx *Tx) dropEntry(ent *writeEnt, ret error) error {
 	if ent.locked {
 		var zero [8]byte
@@ -111,7 +110,6 @@ func (tx *Tx) dropEntry(ent *writeEnt, ret error) error {
 			return tx.verbFailure(err)
 		}
 	}
-	tx.payTicket(ent)
 	i := slices.Index(tx.writes, ent)
 	tx.writes = slices.Delete(tx.writes, i, i+1)
 	return ret
@@ -128,14 +126,11 @@ const (
 	lockFault                       // a verb failed
 )
 
-// postLock rings ent's lock doorbell — lock CAS, slot READ into buf and,
-// for a key already promoted to queued acquisition, the speculative
-// lane-tail FAA (DESIGN.md §14): a failed CAS then already holds its
-// ticket and goes straight to the lane wait. One doorbell: the CAS is
-// ordered before the READ on the same queue pair, so the READ observes
-// the post-CAS slot; but the ops admit through the link rules
+// postLock rings ent's lock doorbell: lock CAS, then slot READ into buf.
+// The CAS is ordered before the READ on the same queue pair, so the READ
+// observes the post-CAS slot; but the ops admit through the link rules
 // independently, so a fault between them can fail the READ after the CAS
-// took the lock. The entry therefore records what each op took before
+// took the lock. The entry therefore records what the CAS took before
 // anything looks at the verdict. With wait the doorbell runs as a stage
 // and its verdict is returned; without, it is only posted (Coordinator.
 // post), and lockOutcome reads it after the wait that covers it.
@@ -144,22 +139,12 @@ func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte, wait bool) er
 	b.Reset()
 	lockOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, tx.lockWord())
 	b.AddRead(cn.tableAddr(primary, ref, 0), buf)
-	var lane hotlock.Lane
-	var specOp *rdma.Op
-	if hot := tx.co.hot; hot != nil && !ent.ticket.taken && ent.kind != kvlayout.WriteInsert &&
-		!tx.mayStall() && !tx.holdsLocks() && hot.Queued(ref.table, ref.key) {
-		lane = hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
-		specOp = b.AddFAA(lane.Tail, 1)
-	}
 	st := stage{kind: stageLock, b: b, cut: b.Len()}
 	var err error
 	if wait {
 		_, err = tx.run(st)
 	} else {
 		tx.co.post(tx.seeded(st))
-	}
-	if specOp != nil && specOp.Err == nil {
-		ent.takeTicket(lane, specOp.Old)
 	}
 	ent.hold(lockOp.Swapped)
 	return err
@@ -185,47 +170,33 @@ func (tx *Tx) lockOutcome(ent *writeEnt, b *rdma.OpBatch, err error) (lockOutcom
 // defers reports whether ent's lock doorbell may be posted now and
 // settled at Commit. These settle at once instead: an insert (a
 // contended slot re-probes), a write whose read saw a stray word still
-// stray (the steal is one synchronous doorbell), a key hotlock has
-// queued (the ticket path), the stalling path, FORD (its exec-time log
-// needs the pre-image) and any run with a crash injector installed (the
-// stepped executor leaves nothing outstanding).
+// stray (the steal is one synchronous doorbell), the stalling path, FORD
+// (its exec-time log needs the pre-image) and any run with a crash
+// injector installed (the stepped executor leaves nothing outstanding).
 func (tx *Tx) defers(ent *writeEnt) bool {
-	cn, hot := tx.cn, tx.co.hot
-	switch {
-	case ent.kind == kvlayout.WriteInsert, tx.strayWord(ent.stray) != 0,
-		cn.opts.StallOnConflict, cn.opts.Protocol == ProtocolFORD, cn.injector.Load() != nil:
-		return false
-	}
-	return hot == nil || !hot.Queued(ent.ref.table, ent.ref.key)
+	cn := tx.cn
+	return !(ent.kind == kvlayout.WriteInsert || tx.strayWord(ent.stray) != 0 ||
+		cn.opts.StallOnConflict || cn.opts.Protocol == ProtocolFORD || cn.injector.Load() != nil)
 }
 
 // steal takes over the stray lock word old (PILL, §3.1.2) with one
-// doorbell: the steal CAS, the slot READ that refreshes buf under the
-// stolen lock and, where the node runs ticket lanes, the READs of the
-// key's lane tail and head — all on the primary's queue pair, so RC order
-// puts the CAS first. The postLock rule applies: the ops admit
-// independently, so the entry records what the CAS took before the
-// stage's verdict is looked at. A lost race — another stealer, or
-// recovery released the word — leaves nobody to wait for: what the READs
-// brought back is ignored and the caller retries the ordinary lock.
+// doorbell: the steal CAS and the slot READ that refreshes buf under the
+// stolen lock, on the primary's queue pair, so RC order puts the CAS
+// first. The postLock rule applies: the ops admit independently, so the
+// entry records what the CAS took before the stage's verdict is looked
+// at. A lost race — another stealer, or recovery released the word —
+// leaves nobody to wait for: what the READ brought back is ignored and
+// the caller retries the ordinary lock.
 func (tx *Tx) steal(ent *writeEnt, old uint64, b *rdma.OpBatch, buf []byte) (lockOutcome, error) {
 	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
 	b.Reset()
 	casOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), old, tx.lockWord())
 	b.AddRead(cn.tableAddr(primary, ref, 0), buf)
-	var lane hotlock.Lane
-	var ends []byte // the lane's tail, then its head
-	if tx.co.hot != nil {
-		lane = hotlock.LaneFor(primary, ref.partition, ref.table, ref.key)
-		ends = b.Bytes(16)
-		b.AddRead(lane.Tail, ends[:8])
-		b.AddRead(lane.Head, ends[8:])
-	}
 	_, err := tx.run(stage{kind: stageSteal, b: b, cut: b.Len()})
 	if ent.hold(casOp.Swapped) {
 		// The previous owner failed and recovery may have rewritten the
 		// slot since we cached it: drop the cached image, whatever became
-		// of the READs behind the CAS.
+		// of the READ behind the CAS.
 		tx.invalidateCached(ref.table, ref.key)
 	}
 	switch {
@@ -234,49 +205,21 @@ func (tx *Tx) steal(ent *writeEnt, old uint64, b *rdma.OpBatch, buf []byte) (loc
 	case !ent.locked:
 		return lockRetry, nil
 	}
-	if ends != nil {
-		// The dead holder may have died owing its lane a head advance;
-		// settle it so the queue behind the stolen lock never wedges.
-		tx.repairStolenLane(lane, kvlayout.Uint64(ends[:8]), kvlayout.Uint64(ends[8:]))
-	}
 	return lockAcquired, nil
 }
 
 // onConflict is the policy for a lock CAS that lost to the running
 // coordinator owning word old: nil means wait is over, retry the CAS;
-// anything else ends the lock step. spins is the step's queued-wait poll
-// count so far.
-func (tx *Tx) onConflict(ent *writeEnt, old uint64, spins *int) error {
-	ref := ent.ref
+// anything else ends the lock step.
+func (tx *Tx) onConflict(ent *writeEnt, old uint64) error {
 	tx.cn.opts.Metrics.CountLock(metrics.LockRetry)
 	if ent.kind == kvlayout.WriteInsert {
 		return tx.dropEntry(ent, errSlotContended)
 	}
 	if tx.mayStall() {
-		// The stalling path already waits fairly enough and never gives
-		// up; queueing applies to the abort-retry regime only.
-		if DebugQueueWait != nil {
-			DebugQueueWait(tx.co.id, ref.key, 0)
-		}
 		return tx.stallWait()
 	}
-	if hot := tx.co.hot; hot != nil {
-		if hot.Queued(ref.table, ref.key) && !tx.holdsLocks() {
-			// Promoted key and we hold nothing (the queue keeps the
-			// stalling path's no-hold-and-wait rule): wait for our lane
-			// turn, then retry the CAS.
-			if !ent.ticket.taken {
-				if err := tx.queueJoin(ent); err != nil {
-					return err
-				}
-			}
-			return tx.queueWait(ent, spins)
-		}
-		if hot.OnConflict(ref.table, ref.key) {
-			tx.cn.opts.Metrics.CountLock(metrics.LockPromotion)
-		}
-	}
-	return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ref, old))
+	return tx.abort(metrics.AbortLockConflict, lockedBy("lock of %d/%d held by coordinator %d", ent.ref, old))
 }
 
 // acquire takes ent's lock and captures its undo state. A write that
@@ -335,7 +278,7 @@ func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.
 	defer b.Put()
 	cn := tx.cn
 	tab := cn.schema[ent.ref.table]
-	conflicted, spins, moves := false, 0, 0
+	moves := 0
 	var slot kvlayout.Slot
 	for {
 		var out lockOutcome
@@ -365,8 +308,7 @@ func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.
 		case lockRetry:
 			continue
 		case lockConflict:
-			conflicted = true
-			if err := tx.onConflict(ent, old, &spins); err != nil {
+			if err := tx.onConflict(ent, old); err != nil {
 				return err
 			}
 			continue
@@ -384,8 +326,7 @@ func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.
 			// The key vanished between resolve and lock (deleted, or the
 			// slot was reused for another key): drop the entry, re-resolve
 			// and start over at the fresh location — which may sit in
-			// another partition, hence another lane — in the entry's place
-			// in the write set.
+			// another partition — in the entry's place in the write set.
 			at := slices.Index(tx.writes, ent)
 			if err := tx.dropEntry(ent, nil); err != nil {
 				return err
@@ -402,7 +343,6 @@ func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.
 				return ErrNotFound
 			}
 			tx.register(ent, newRef, ent.kind, ent.newValue, at)
-			spins = 0
 			continue
 		}
 		// Under our lock, an insert's slot must still be claimable: empty,
@@ -433,18 +373,6 @@ func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.
 		return tx.verbFailure(err)
 	}
 	tx.recordPhase(metrics.PhaseLock, lockStart)
-
-	if ent.ticket.taken && conflicted {
-		cn.opts.Metrics.CountLock(metrics.LockQueuedAcquire)
-	}
-	if hot := tx.co.hot; hot != nil && !conflicted {
-		// Uncontended first-CAS acquisition (the speculative ticket may
-		// still have joined the lane): feed the quiet streak that demotes
-		// a cooled-down key back to plain CAS locking.
-		if hot.OnAcquired(ent.ref.table, ent.ref.key) {
-			cn.opts.Metrics.CountLock(metrics.LockDemotion)
-		}
-	}
 	return nil
 }
 

@@ -32,8 +32,8 @@ type stageKind uint8
 const (
 	stageRead       stageKind = iota // a read has returned: verb-less
 	stageLockIntent                  // tradlog's lock-intent writes; verb-less under PILL
-	stageLock                        // lock CAS, slot READ, speculative ticket FAA
-	stageSteal                       // PILL: steal CAS, slot READ, lane tail and head READs
+	stageLock                        // lock CAS, slot READ
+	stageSteal                       // PILL: steal CAS, slot READ
 	stageLocked                      // the lock is held: verb-less
 	stageClaim                       // an insert's claim WRITE; verb-less for update and delete
 	stageValidate                    // lock+version READs of the read-set entries no held lock covers

@@ -30,8 +30,7 @@ type readEnt struct {
 // writeEnt is one write-set entry. It joins tx.writes before its lock
 // doorbell is posted (lock.go) and from then on owns what the doorbell
 // may have taken: every path out — commit, abort, dropEntry — releases
-// what locked says and pays what ticket says, whether or not the
-// doorbell was settled.
+// what locked says, whether or not the doorbell was settled.
 type writeEnt struct {
 	ref  objRef
 	kind kvlayout.WriteKind
@@ -48,7 +47,6 @@ type writeEnt struct {
 	newVersion uint64
 	replicas   []rdma.NodeID // replica set snapshot, primary first
 	applied    uint64        // bit i: the commit write reached replicas[i]
-	ticket     laneTicket    // assigned by takeTicket alone
 	stray      uint64        // a stray word a read or probe saw on the slot: acquire's hint
 	// posted holds the lock doorbell acquire posted and settleLocks has
 	// not settled yet (nil otherwise). locked already says what its CAS
@@ -175,11 +173,6 @@ func (tx *Tx) abortCause(kind metrics.AbortReason, info abortInfo, cause error) 
 	// lock doorbells still posted before anything reads that.
 	tx.co.ep.Wait()
 	err := tx.abortInternal(kind, info)
-	for _, w := range tx.writes {
-		if !w.locked {
-			tx.payTicket(w) // abandoned in the lock step; a held lock's rode the tail
-		}
-	}
 	tx.release()
 	var ae *abortError
 	if errors.As(err, &ae) {

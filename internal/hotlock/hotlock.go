@@ -1,80 +1,29 @@
-// Package hotlock implements the compute-side half of the adaptive
-// FAA ticket-queue lock layer for contended keys (DESIGN.md §14).
+// Package hotlock is a per-coordinator contention tracker: it promotes
+// a key after a streak of lock conflicts and demotes it after a quiet
+// streak of uncontended acquisitions.
 //
-// The authoritative lock stays the PILL lock word in the object slot:
-// ownership is only ever taken with the same CAS(0 -> word), so
-// stealing and recovery semantics are untouched. What this package
-// adds is an *advisory* FIFO queue next to it. Each partition hosts a
-// small hot-lock region of ticket lanes (kvlayout.HotlockLanes pairs
-// of tail/head words); a key promoted to queued mode maps to one lane
-// by hash. Acquirers FAA the tail to take a ticket, wait for the head
-// to reach it, and only then CAS the lock word — turning an unbounded
-// CAS-retry storm into one FAA plus (usually) one CAS, with FIFO
-// fairness between queued waiters.
-//
-// Because the queue is advisory, every failure mode degrades to the
-// plain CAS race instead of wedging: the head may be over-advanced
-// safely (waiters just race a little earlier), and an under-advanced
-// head left by a crashed participant is repaired lazily by whoever
-// notices (a polling waiter seeing the lock word free, a stealer after
-// a successful steal, or recovery after releasing a dead holder's
-// lock).
-//
-// The Tracker decides *which* keys queue: it is compute-local,
-// per-coordinator state (never shared — determinism depends on each
-// coordinator seeing only its own conflict history) that promotes a
-// key after a conflict streak and demotes it after a quiet streak of
-// uncontended acquisitions.
+// It once chose which keys took the FAA ticket queue that sat on top of
+// the PILL lock word. The queue is gone (DESIGN.md §14: plain stalling
+// was faster on the queue's own episodes), and nothing in the product
+// imports this package; it stays only because the repository
+// benchmark's probes (benchmark/probes.go) time its three methods.
 package hotlock
 
-import (
-	"pandora/internal/kvlayout"
-	"pandora/internal/rdma"
-)
+import "pandora/internal/kvlayout"
 
 const (
-	// DefaultThreshold is the conflict streak that promotes a key to
-	// queued mode when the HotlockThreshold knob is left at 0.
+	// DefaultThreshold is the conflict streak that promotes a key when
+	// NewTracker is given 0.
 	DefaultThreshold = 3
 
 	// DemoteAfter is the number of consecutive uncontended acquisitions
-	// of a promoted key after which it falls back to plain CAS locking.
+	// of a promoted key after which it is demoted again.
 	DemoteAfter = 8
-
-	// WaitBudget bounds the queued-wait poll loop. A waiter whose turn
-	// has not come after this many polls aborts with a lock conflict
-	// exactly as a CAS-spin waiter would, preserving deadlock freedom.
-	WaitBudget = 64
 
 	// trackerSlots sizes the direct-mapped contention table. Power of
 	// two.
 	trackerSlots = 512
 )
-
-// Lane is the fabric address pair of one ticket lane.
-type Lane struct {
-	Tail rdma.Addr
-	Head rdma.Addr
-}
-
-// LaneFor returns the lane serving (table, key) on the partition's
-// primary replica. Deterministic: waiters, releasers, stealers, and
-// recovery all recompute the same pair.
-func LaneFor(primary rdma.NodeID, partition uint32, table kvlayout.TableID, key kvlayout.Key) Lane {
-	region := kvlayout.HotlockRegionID(partition)
-	off := kvlayout.HotlockLaneOffset(kvlayout.HotlockLane(table, key))
-	return Lane{
-		Tail: rdma.Addr{Node: primary, Region: region, Offset: off + kvlayout.HotlockTailOff},
-		Head: rdma.Addr{Node: primary, Region: region, Offset: off + kvlayout.HotlockHeadOff},
-	}
-}
-
-// TurnReached reports whether a ticket's turn has come: the head has
-// advanced to (or past — over-advance is the safe direction) the
-// ticket's sequence.
-func TurnReached(head, ticket uint64) bool {
-	return kvlayout.TicketSeq(head) >= kvlayout.TicketSeq(ticket)
-}
 
 // entry is one direct-mapped contention-table slot.
 type entry struct {
@@ -86,9 +35,8 @@ type entry struct {
 	quiet    int // consecutive uncontended acquires while promoted
 }
 
-// Tracker is the per-coordinator adaptive promotion table. It is not
-// safe for concurrent use; each coordinator owns exactly one, matching
-// the one-transaction-at-a-time coordinator model.
+// Tracker is the adaptive promotion table. It is not safe for
+// concurrent use.
 type Tracker struct {
 	threshold int
 	slots     [trackerSlots]entry
@@ -112,8 +60,7 @@ func (e *entry) owns(table kvlayout.TableID, key kvlayout.Key) bool {
 	return e.used && e.table == table && e.key == key
 }
 
-// Queued reports whether (table, key) is currently promoted to queued
-// acquisition.
+// Queued reports whether (table, key) is currently promoted.
 func (t *Tracker) Queued(table kvlayout.TableID, key kvlayout.Key) bool {
 	e := t.slot(table, key)
 	return e.owns(table, key) && e.promoted

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pandora/internal/kvlayout"
-	"pandora/internal/rdma"
 )
 
 func TestPromotionAfterStreak(t *testing.T) {
@@ -129,38 +128,5 @@ func TestAcquiredIgnoresUntrackedKeys(t *testing.T) {
 	}
 	if !tr.OnConflict(1, 42) {
 		t.Fatal("uncontended collision evicted a tracked streak")
-	}
-}
-
-func TestLaneForAddresses(t *testing.T) {
-	l := LaneFor(rdma.NodeID(1003), 5, 2, 99)
-	wantRegion := kvlayout.HotlockRegionID(5)
-	if l.Tail.Region != wantRegion || l.Head.Region != wantRegion {
-		t.Fatalf("lane region %v/%v, want %v", l.Tail.Region, l.Head.Region, wantRegion)
-	}
-	if l.Tail.Node != 1003 || l.Head.Node != 1003 {
-		t.Fatal("lane not addressed at the primary")
-	}
-	if l.Head.Offset != l.Tail.Offset+kvlayout.HotlockHeadOff {
-		t.Fatalf("head offset %d not tail+%d", l.Head.Offset, kvlayout.HotlockHeadOff)
-	}
-	if max := uint64(kvlayout.HotlockRegionSize()); l.Head.Offset+8 > max {
-		t.Fatalf("lane offset %d beyond region size %d", l.Head.Offset, max)
-	}
-	if l != LaneFor(rdma.NodeID(1003), 5, 2, 99) {
-		t.Fatal("LaneFor not deterministic")
-	}
-}
-
-func TestTurnReached(t *testing.T) {
-	if TurnReached(0, 1) {
-		t.Fatal("turn reached before head caught up")
-	}
-	if !TurnReached(1, 1) || !TurnReached(2, 1) {
-		t.Fatal("turn not reached at/after the ticket")
-	}
-	// Reserved high bits must not affect the comparison.
-	if !TurnReached(uint64(0xffff)<<48|3, 3) {
-		t.Fatal("reserved bits wedged the turn check")
 	}
 }

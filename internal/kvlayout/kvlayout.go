@@ -172,57 +172,3 @@ func ReconfigRegionID() rdma.RegionID { return reconfigRegionFlag }
 func IsReconfigRegion(id rdma.RegionID) bool {
 	return id&reconfigRegionFlag != 0 && id&logRegionFlag == 0
 }
-
-// hotlockRegionFlag marks the per-partition hot-lock (ticket queue)
-// region each memory server hosts next to its table partitions.
-const hotlockRegionFlag = rdma.RegionID(1) << 29
-
-// Hot-lock ticket lanes (DESIGN.md §14). A key promoted to queued mode
-// keeps its authoritative lock word in the slot — PILL stealing and
-// recovery are untouched — but acquirers additionally FAA a ticket pair
-// in the partition's hot-lock region for FIFO ordering. Lanes are
-// shared by hash: aliasing two hot keys onto one lane only couples
-// their fairness, never their correctness.
-//
-//	lane layout (16 bytes): +0 tail ticket, +8 head ticket
-const (
-	HotlockLanes    = 256 // lanes per partition region; power of two
-	HotlockLaneSize = 16
-	HotlockTailOff  = 0
-	HotlockHeadOff  = 8
-)
-
-// HotlockRegionID returns the region id of the hot-lock lane region a
-// replica hosts for one partition. Every table of the partition shares
-// the same lane region.
-func HotlockRegionID(partition uint32) rdma.RegionID {
-	return hotlockRegionFlag | rdma.RegionID(partition&0xffff)
-}
-
-// IsHotlockRegion reports whether id names a hot-lock lane region.
-func IsHotlockRegion(id rdma.RegionID) bool {
-	return id&hotlockRegionFlag != 0 && id&(logRegionFlag|reconfigRegionFlag) == 0
-}
-
-// HotlockRegionSize returns the byte size of one partition's lane
-// region.
-func HotlockRegionSize() int { return HotlockLanes * HotlockLaneSize }
-
-// HotlockLane returns the lane index serving (table, key) within the
-// partition's hot-lock region. Like HomeSlot it must never change:
-// waiters, releasers, stealers, and recovery all recompute it
-// independently.
-func HotlockLane(table TableID, key Key) uint64 {
-	return Mix64(uint64(table)<<48^uint64(key)) & (HotlockLanes - 1)
-}
-
-// HotlockLaneOffset returns the region offset of a lane.
-func HotlockLaneOffset(lane uint64) uint64 { return lane * HotlockLaneSize }
-
-// Ticket-word layout (8 bytes): bits 47..0 hold the ticket sequence;
-// the top 16 bits are reserved zero. Sequences are compared after
-// masking so a reserved-bit write can never wedge a lane.
-const ticketSeqMask = uint64(1)<<48 - 1
-
-// TicketSeq extracts the sequence number from a ticket word.
-func TicketSeq(word uint64) uint64 { return word & ticketSeqMask }

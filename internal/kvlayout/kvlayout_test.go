@@ -258,66 +258,6 @@ func TestRegionIDs(t *testing.T) {
 	}
 }
 
-func TestHotlockRegionIDs(t *testing.T) {
-	hr := HotlockRegionID(7)
-	if !IsHotlockRegion(hr) {
-		t.Fatal("hot-lock region not classified as hot-lock region")
-	}
-	if IsHotlockRegion(TableRegionID(3, 7)) || IsHotlockRegion(LogRegionID(5)) ||
-		IsHotlockRegion(ReconfigRegionID()) {
-		t.Fatal("foreign region classified as hot-lock region")
-	}
-	if IsLogRegion(hr) || IsReconfigRegion(hr) {
-		t.Fatal("hot-lock region classified as log/reconfig region")
-	}
-	if HotlockRegionID(7) != hr {
-		t.Fatal("HotlockRegionID not deterministic")
-	}
-	if HotlockRegionID(8) == hr {
-		t.Fatal("HotlockRegionID collision across partitions")
-	}
-}
-
-func TestHotlockLaneInRange(t *testing.T) {
-	prop := func(table uint16, key uint64) bool {
-		lane := HotlockLane(TableID(table), Key(key))
-		return lane < HotlockLanes &&
-			HotlockLaneOffset(lane)+HotlockLaneSize <= uint64(HotlockRegionSize())
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHotlockLaneStable(t *testing.T) {
-	// The lane hash is part of the on-wire contract: waiters, releasers,
-	// stealers, and recovery recompute it independently, so it must never
-	// change.
-	if got := HotlockLane(1, 1); got != HotlockLane(1, 1) {
-		t.Fatal("HotlockLane not deterministic")
-	}
-	if HotlockLane(1, 1) == HotlockLane(2, 1) && HotlockLane(1, 2) == HotlockLane(2, 2) {
-		t.Fatal("HotlockLane ignores the table id")
-	}
-	if got, want := HotlockLane(3, 42), Mix64(uint64(3)<<48^42)&(HotlockLanes-1); got != want {
-		t.Fatalf("HotlockLane(3, 42) = %d, want %d; the lane hash must not change", got, want)
-	}
-}
-
-func TestTicketSeqMasksReservedBits(t *testing.T) {
-	if TicketSeq(0) != 0 {
-		t.Fatal("zero ticket word has nonzero sequence")
-	}
-	if got := TicketSeq(5); got != 5 {
-		t.Fatalf("TicketSeq(5) = %d", got)
-	}
-	// Reserved high bits must not leak into sequence comparison: a stray
-	// write to the top 16 bits can never wedge a lane.
-	if got := TicketSeq(uint64(0xbeef)<<48 | 7); got != 7 {
-		t.Fatalf("TicketSeq with reserved bits = %d, want 7", got)
-	}
-}
-
 func TestMix64Deterministic(t *testing.T) {
 	if Mix64(0) != Mix64(0) {
 		t.Fatal("Mix64 not deterministic")

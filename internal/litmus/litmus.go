@@ -33,35 +33,28 @@ import (
 
 // Knobs selects the cluster tuning features a litmus run exercises.
 // Historically litmus pinned everything to the raw protocol (cache
-// off, CAS-spin locks); the knob matrix runs the same tests across the
-// tuned paths too, so the read cache and the FAA ticket lanes get the
-// same serializability/recovery scrutiny as the base protocol.
+// off); the knob matrix runs the same tests across the tuned path too,
+// so the read cache gets the same serializability/recovery scrutiny as
+// the base protocol.
 type Knobs struct {
 	// ReadCacheSize: -1 disables the validated read cache, 0 means the
 	// library default, positive values size it explicitly.
 	ReadCacheSize int `json:"read_cache_size"`
-	// HotlockThreshold: -1 pins the CAS-spin baseline, 0 the adaptive
-	// default, positive values override the promotion streak.
-	HotlockThreshold int `json:"hotlock_threshold"`
 }
 
 // String renders a knob combination as a compact stable tag.
 func (k Knobs) String() string {
-	return fmt.Sprintf("cache=%d/hot=%d", k.ReadCacheSize, k.HotlockThreshold)
+	return fmt.Sprintf("cache=%d", k.ReadCacheSize)
 }
 
-// DefaultKnobs is the historical litmus pin: raw reads, adaptive lock
-// promotion. A nil Config.Knobs means this.
-func DefaultKnobs() Knobs { return Knobs{ReadCacheSize: -1, HotlockThreshold: 0} }
+// DefaultKnobs is the historical litmus pin: raw reads. A nil
+// Config.Knobs means this.
+func DefaultKnobs() Knobs { return Knobs{ReadCacheSize: -1} }
 
 // KnobMatrix is the configuration lattice every litmus family
-// explores: the raw protocol with CAS-spin locks, and the read cache
-// plus eager ticket-lane promotion.
+// explores: the raw protocol, and the read cache.
 func KnobMatrix() []Knobs {
-	return []Knobs{
-		{ReadCacheSize: -1, HotlockThreshold: -1},
-		{ReadCacheSize: 4096, HotlockThreshold: 1},
-	}
+	return []Knobs{{ReadCacheSize: -1}, {ReadCacheSize: 4096}}
 }
 
 // Model is the abstract state a litmus test manipulates: named variables
@@ -262,7 +255,6 @@ func clusterConfig(t Test, cfg Config) pandora.Config {
 		Protocol:            cfg.Protocol,
 		SeedBugs:            cfg.Bugs,
 		ReadCacheSize:       k.ReadCacheSize,
-		HotlockThreshold:    k.HotlockThreshold,
 		Tables: []pandora.TableSpec{
 			{Name: "litmus", ValueSize: t.valueSize(), Capacity: cfg.Iterations*len(t.Vars) + 64},
 		},

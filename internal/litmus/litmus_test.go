@@ -84,8 +84,8 @@ func TestSeededBugsAreCaught(t *testing.T) {
 }
 
 // TestRunIsReplayable: a run is a function of its Config. Run twice, a
-// seeded bug's run and a generated schedule with crashes, the read
-// cache and eager ticket lanes report the same counts, the same
+// seeded bug's run and a generated schedule with crashes and the read
+// cache report the same counts, the same
 // violations in the same order and the same abort kinds.
 func TestRunIsReplayable(t *testing.T) {
 	type run struct {
@@ -96,7 +96,7 @@ func TestRunIsReplayable(t *testing.T) {
 	for _, bc := range SeededBugs() {
 		runs = append(runs, run{bc.Name, func() (Report, error) { return RunTest(bc.Test, bc.Config()) }})
 	}
-	k := Knobs{ReadCacheSize: 4096, HotlockThreshold: 1}
+	k := Knobs{ReadCacheSize: 4096}
 	s := GenSchedule(proptest.CaseRand(3, 0), "replayable", GenOpts{Knobs: k, MaxVars: 2, Iterations: 40})
 	s.CrashMidTx, s.CrashAfterTxs = 0.5, 0.3
 	runs = append(runs, run{s.Name, func() (Report, error) {
@@ -193,24 +193,20 @@ func TestClusterConfigDefaultKnobs(t *testing.T) {
 		if cc.ReadCacheSize != -1 {
 			t.Errorf("litmus %q: default ReadCacheSize = %d, want -1 (cache disabled)", lt.Name, cc.ReadCacheSize)
 		}
-		if cc.HotlockThreshold != 0 {
-			t.Errorf("litmus %q: default HotlockThreshold = %d, want 0 (adaptive default)", lt.Name, cc.HotlockThreshold)
-		}
 	}
 }
 
 // TestClusterConfigHonorsKnobs: a knob combination from the matrix
 // must reach the cluster config verbatim — the whole point of the
-// matrix is that the tuned paths (cache, ticket lanes)
-// get real litmus coverage.
+// matrix is that the tuned path (the cache) gets real litmus coverage.
 func TestClusterConfigHonorsKnobs(t *testing.T) {
 	for _, k := range KnobMatrix() {
 		k := k
 		cfg := Config{Knobs: &k}
 		cfg.fill()
 		cc := clusterConfig(Litmus1(), cfg)
-		if cc.ReadCacheSize != k.ReadCacheSize || cc.HotlockThreshold != k.HotlockThreshold {
-			t.Errorf("knobs %s: cluster got cache=%d hot=%d", k, cc.ReadCacheSize, cc.HotlockThreshold)
+		if cc.ReadCacheSize != k.ReadCacheSize {
+			t.Errorf("knobs %s: cluster got cache=%d", k, cc.ReadCacheSize)
 		}
 	}
 }
@@ -218,8 +214,7 @@ func TestClusterConfigHonorsKnobs(t *testing.T) {
 // TestFixedFamilyAcrossKnobMatrix runs the whole hand-written litmus
 // family under every tuned knob combination (the raw baseline is
 // covered by TestPandoraPassesAllLitmus). Before this, the read-cache
-// and ticket-lane paths had zero litmus coverage — they were pinned
-// off.
+// path had zero litmus coverage — it was pinned off.
 func TestFixedFamilyAcrossKnobMatrix(t *testing.T) {
 	for _, k := range KnobMatrix()[1:] {
 		k := k

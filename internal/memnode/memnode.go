@@ -36,7 +36,6 @@ type Server struct {
 	mu       sync.Mutex
 	tables   map[tableKey]*rdma.Region
 	logs     map[rdma.NodeID]*rdma.Region
-	hotlocks map[uint32]*rdma.Region
 	reconfig *rdma.Region
 }
 
@@ -45,13 +44,12 @@ type Server struct {
 // ring's placement.
 func NewServer(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema []kvlayout.Table) *Server {
 	s := &Server{
-		id:       id,
-		fab:      fab,
-		schema:   schema,
-		ring:     ring,
-		tables:   make(map[tableKey]*rdma.Region),
-		logs:     make(map[rdma.NodeID]*rdma.Region),
-		hotlocks: make(map[uint32]*rdma.Region),
+		id:     id,
+		fab:    fab,
+		schema: schema,
+		ring:   ring,
+		tables: make(map[tableKey]*rdma.Region),
+		logs:   make(map[rdma.NodeID]*rdma.Region),
 	}
 	fab.AddNode(id)
 	for _, tab := range schema {
@@ -61,7 +59,6 @@ func NewServer(fab *rdma.Fabric, id rdma.NodeID, ring *place.Ring, schema []kvla
 			}
 			r := fab.RegisterRegion(id, kvlayout.TableRegionID(tab.ID, p), tab.RegionSize())
 			s.tables[tableKey{tab.ID, p}] = r
-			s.ensureHotlockLocked(p)
 		}
 	}
 	return s
@@ -113,22 +110,7 @@ func (s *Server) EnsureTableRegion(table kvlayout.TableID, partition uint32) *rd
 	tab := s.schema[table]
 	r := s.fab.RegisterRegion(s.id, kvlayout.TableRegionID(table, partition), tab.RegionSize())
 	s.tables[k] = r
-	s.ensureHotlockLocked(partition)
 	return r
-}
-
-// ensureHotlockLocked registers (idempotently; s.mu or construction
-// must be held) the hot-lock ticket-lane region riding along with a
-// hosted partition. The lanes start zeroed — an empty queue — which is
-// also why the region is not migrated or replicated: the queue is
-// advisory, and a fresh replica simply begins with no waiters
-// (DESIGN.md §14).
-func (s *Server) ensureHotlockLocked(partition uint32) {
-	if _, ok := s.hotlocks[partition]; ok {
-		return
-	}
-	s.hotlocks[partition] = s.fab.RegisterRegion(s.id,
-		kvlayout.HotlockRegionID(partition), kvlayout.HotlockRegionSize())
 }
 
 // HostsPartition reports whether this server currently hosts a region

@@ -142,7 +142,9 @@ func (v Verb) String() string {
 
 // LockEvent names one countable event of the lock path: the CAS-retry
 // ladder (previously invisible inside the backoff loop) and the
-// adaptive hot-lock queue's lifecycle (DESIGN.md §14).
+// lifecycle of the FAA ticket queue. The queue is deleted (DESIGN.md
+// §14), so every event after LockRetry reads 0; the rows stay because
+// the repository benchmark and the checked-in artifacts name all six.
 type LockEvent uint8
 
 const (

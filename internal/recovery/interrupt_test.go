@@ -203,8 +203,7 @@ func TestInterruptedPassConverges(t *testing.T) {
 	// coordinator must leave every table region as the uninterrupted pass
 	// did, overwritten by exactly what the survivor committed, and every
 	// log truncated. FORD-mode's survivor stays out: the mode believes its
-	// logs (Table 1, C2), so it undoes such a commit by design. Lane heads
-	// are advisory (DESIGN.md §14), and the parked transactions owe none.
+	// logs (Table 1, C2), so it undoes such a commit by design.
 	for _, c := range interruptCases() {
 		t.Run(c.name, func(t *testing.T) {
 			ref, cuts := c.reference(t)

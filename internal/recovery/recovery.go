@@ -21,7 +21,6 @@ import (
 
 	"pandora/internal/core"
 	"pandora/internal/fdetect"
-	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/memnode"
 	"pandora/internal/metrics"
@@ -69,8 +68,7 @@ const (
 	StepLogPrefix     Step = iota // every log area's first LogPrefixSize bytes
 	StepLogTail                   // the rest of the areas that hold more
 	StepObserve                   // each logged write's lock and version words
-	StepAct                       // undo images, guarded unlocks, lane words
-	StepLaneRepair                // ticket-lane heads the dead holders owed
+	StepAct                       // undo images, guarded unlocks
 	StepTruncate                  // every log area invalidated
 	StepIntentRelease             // traditional scheme: the intents' locks
 	StepIntentFloor               // traditional scheme: the intent floors
@@ -541,11 +539,11 @@ func (m *Manager) slotWord(n rdma.NodeID, w kvlayout.LogWrite, off uint64) rdma.
 }
 
 // settle rolls every stray transaction forward or back and releases its
-// locks in one pass of at most three doorbells, however many there are:
-// they hold disjoint lock sets, so nothing orders them against each other
+// locks in one pass of two doorbells, however many there are: they hold
+// disjoint lock sets, so nothing orders them against each other
 // (DESIGN.md §4b "Log recovery is one pass"). Per-op errors are tolerated
 // throughout — the verb struck a server that died mid-pass, and what this
-// pass missed a re-executed one, a stealer or a lane waiter repairs. guard:
+// pass missed a re-executed one or a stealer repairs. guard:
 // the lock words are still where the dead transactions took them.
 func (p *pass) settle(txs []strayTx, guard bool) error {
 	m, ring := p.m, p.m.Ring()
@@ -615,12 +613,9 @@ func (p *pass) settle(txs []strayTx, guard bool) error {
 	}
 
 	// Doorbell 2 — act, in coordSlot order, per write: the undo image on the
-	// replicas that carry the new version, the unlock CAS guarded by the
+	// replicas that carry the new version, then the unlock CAS guarded by the
 	// transaction's own lock word — re-execution and races with live
-	// transactions release nothing — and behind it on the same queue pair
-	// the lane's tail and head, as a stealer reads them (DESIGN.md §14).
-	type release struct{ cas, tail, head *rdma.Op }
-	var rels []release
+	// transactions release nothing.
 	act := rdma.GetBatch()
 	defer act.Put()
 	for _, l := range writes {
@@ -633,56 +628,9 @@ func (p *pass) settle(txs []strayTx, guard bool) error {
 				}
 			}
 		}
-		lane := hotlock.LaneFor(own.Addr.Node, l.w.Partition, l.w.Table, l.w.Key)
-		rels = append(rels, release{
-			cas:  act.AddCAS(m.slotWord(own.Addr.Node, l.w, kvlayout.SlotLockOff), l.word, 0),
-			tail: act.AddRead(lane.Tail, act.Bytes(8)),
-			head: act.AddRead(lane.Head, act.Bytes(8)),
-		})
+		act.AddCAS(m.slotWord(own.Addr.Node, l.w, kvlayout.SlotLockOff), l.word, 0)
 	}
-	if err := p.post(StepAct, act); err != nil {
-		return err
-	}
-
-	// Doorbell 3 — only when a release that swapped found tickets outstanding
-	// on its lane. Whether the dead holder queued and died owing the head an
-	// advance is unknowable from the word, so each such release advances it one
-	// step while tickets are outstanding, in one guarded CAS per lane; over-
-	// advancing (a live waiter's ticket) is safe — the queue is advisory and an
-	// early turn is a CAS race. Gating on Swapped keeps re-execution idempotent.
-	type repair struct {
-		head           rdma.Addr
-		from, owed, by uint64 // the head word read, tickets past it, the advance
-	}
-	var repairs []repair
-next:
-	for _, r := range rels {
-		if r.cas.Err != nil || !r.cas.Swapped || r.tail.Err != nil || r.head.Err != nil {
-			continue
-		}
-		tail, head := kvlayout.Uint64(r.tail.Buf), kvlayout.Uint64(r.head.Buf)
-		if kvlayout.TicketSeq(tail) <= kvlayout.TicketSeq(head) {
-			continue
-		}
-		for i := range repairs {
-			if p := &repairs[i]; p.head == r.head.Addr {
-				p.by = min(p.by+1, p.owed)
-				continue next
-			}
-		}
-		repairs = append(repairs, repair{r.head.Addr, head, kvlayout.TicketSeq(tail) - kvlayout.TicketSeq(head), 1})
-	}
-	obs.Reset() // its observations are spent
-	for _, r := range repairs {
-		obs.AddCAS(r.head, r.from, r.from+r.by)
-	}
-	err := p.post(StepLaneRepair, obs)
-	for _, op := range obs.Ops() {
-		if op.Err == nil && op.Swapped {
-			m.cfg.Metrics.CountLock(metrics.LockTicketRepair)
-		}
-	}
-	return err
+	return p.post(StepAct, act)
 }
 
 // truncateAll invalidates every log area of the failed node on every

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
 	"pandora/internal/core"
 	"pandora/internal/fdetect"
-	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
 	"pandora/internal/rdma"
@@ -161,21 +161,25 @@ func TestRecoveryCycleModelTime(t *testing.T) {
 	// 3 memory servers, replication 2, 8 coordinators — four logged
 	// 2-write transfers, four holding locks unlogged. Pinned exactly, so
 	// a lost or added round fails here without running the benchmark.
-	e := newEnv(t, envConfig{memNodes: 3, coordsPer: 8, latency: rdma.DefaultLatency()})
-	e.preload(t, 64)
-	victim := e.nodes[0]
-	for i := 0; i < 4; i++ {
-		park(t, victim, i, core.PointAfterLog, kvlayout.Key(2*i), kvlayout.Key(2*i+1))
-	}
-	for i := 4; i < 8; i++ {
-		tx := victim.Coordinator(i).Begin()
-		for _, k := range []kvlayout.Key{kvlayout.Key(2 * i), kvlayout.Key(2*i + 1)} {
-			if err := tx.Write(0, k, []byte("held")); err != nil {
-				t.Fatal(err)
+	cycle := func() (*env, fdetect.Event) {
+		e := newEnv(t, envConfig{memNodes: 3, coordsPer: 8, latency: rdma.DefaultLatency()})
+		e.preload(t, 64)
+		victim := e.nodes[0]
+		for i := 0; i < 4; i++ {
+			park(t, victim, i, core.PointAfterLog, kvlayout.Key(2*i), kvlayout.Key(2*i+1))
+		}
+		for i := 4; i < 8; i++ {
+			tx := victim.Coordinator(i).Begin()
+			for _, k := range []kvlayout.Key{kvlayout.Key(2 * i), kvlayout.Key(2*i + 1)} {
+				if err := tx.Write(0, k, []byte("held")); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		return e, e.failNode(t, 0)
 	}
-	stats, err := e.mgr.RecoverCompute(e.failNode(t, 0))
+	e, ev := cycle()
+	stats, err := e.mgr.RecoverCompute(ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,73 +203,36 @@ func TestRecoveryCycleModelTime(t *testing.T) {
 	if stats != want {
 		t.Fatalf("recovery stats = %+v, want %+v", stats, want)
 	}
-}
 
-func TestLaneRepairMatchesSequential(t *testing.T) {
-	// Two released locks share one ticket lane. One guarded CAS per lane
-	// must leave the head where one repair per release would: advanced by
-	// min(releases, tickets outstanding).
-	for owed := uint64(0); owed <= 3; owed++ {
-		t.Run(fmt.Sprintf("owed%d", owed), func(t *testing.T) {
-			e := newEnv(t, envConfig{})
-			e.preload(t, 512)
-			k1, k2, lane := e.sameLaneKeys(t, 512)
-			reg := metrics.New()
-			e.mgr.cfg.Metrics = reg
-			ep := e.fab.Endpoint(rcNodeID)
-			if _, err := ep.FAA(lane.Tail, owed); err != nil {
-				t.Fatal(err)
+	// The act doorbell's shape, on a second run of the cycle posted op by
+	// op (a cut hook that never cuts): per logged write one guarded unlock
+	// CAS and that write's undo WRITEs — none here, nothing was applied —
+	// and no READ.
+	e, ev = cycle()
+	reg := metrics.New()
+	e.fab.SetMetrics(reg)
+	var first, last metrics.Snapshot
+	e.mgr.cut = func(s Step, landed int) bool {
+		if s == StepAct {
+			if landed == 0 {
+				first = reg.Snapshot()
 			}
-			park(t, e.nodes[0], 0, core.PointAfterLog, k1, k2)
-			ev := e.failNode(t, 0)
-
-			pass := func(cut bool, wantHead, wantRepairs uint64) {
-				t.Helper()
-				before := reg.Snapshot()
-				if cut {
-					e.recoverCut(t, ev, StepTruncate, 0)
-				} else if _, err := e.mgr.RecoverCompute(ev); err != nil {
-					t.Fatal(err)
-				}
-				var head [8]byte
-				if err := ep.Read(lane.Head, head[:]); err != nil {
-					t.Fatal(err)
-				}
-				if got := kvlayout.Uint64(head[:]); got != wantHead {
-					t.Errorf("lane head = %d, want %d", got, wantHead)
-				}
-				if got := reg.Snapshot().Sub(before).LockCount(metrics.LockTicketRepair); got != wantRepairs {
-					t.Errorf("ticket repairs = %d, want %d", got, wantRepairs)
-				}
-			}
-			pass(true, min(2, owed), min(1, owed))
-			// A re-executed pass finds the same log but releases nothing,
-			// so it repairs nothing — even with a ticket still outstanding.
-			pass(false, min(2, owed), 0)
-		})
-	}
-}
-
-// sameLaneKeys finds two of the first n keys whose locks live in one
-// partition and hash to one ticket lane.
-func (e *env) sameLaneKeys(t testing.TB, n int) (kvlayout.Key, kvlayout.Key, hotlock.Lane) {
-	t.Helper()
-	type laneID struct {
-		partition uint32
-		lane      uint64
-	}
-	first := make(map[laneID]kvlayout.Key)
-	for k := kvlayout.Key(0); k < kvlayout.Key(n); k++ {
-		p := e.ring.Partition(k)
-		id := laneID{p, kvlayout.HotlockLane(0, k)}
-		if other, ok := first[id]; ok {
-			primary, _ := e.ring.Primary(p, nil)
-			return other, k, hotlock.LaneFor(primary, p, 0, k)
+			last = reg.Snapshot()
 		}
-		first[id] = k
+		return false
 	}
-	t.Fatalf("no two of %d keys share a lane", n)
-	return 0, 0, hotlock.Lane{}
+	if _, err := e.mgr.RecoverCompute(ev); err != nil {
+		t.Fatal(err)
+	}
+	act := map[string]uint64{}
+	for _, v := range last.Sub(first).Verbs {
+		if v.Issued != 0 {
+			act[v.Verb] += v.Issued
+		}
+	}
+	if wantAct := map[string]uint64{"CAS": 8}; !maps.Equal(act, wantAct) {
+		t.Fatalf("act doorbell verbs = %v, want %v", act, wantAct)
+	}
 }
 
 func TestSettleMixedBatch(t *testing.T) {

@@ -2,14 +2,12 @@ package pandora
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 
 	"pandora/internal/core"
-	"pandora/internal/hotlock"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
 	"pandora/internal/rdma"
@@ -17,21 +15,26 @@ import (
 
 // The lock step's obligations, pinned from outside the engine. A write
 // entry joins the write set before its lock doorbell is posted and owns
-// what the doorbell took — the lock, a lane ticket — so whichever way
-// the step ends, nothing may be left behind: no lock word held by a live
-// coordinator, no lane whose head trails its tail. The tests below fault
-// the doorbell op by op and abandon a queued wait every way it can be
-// abandoned, then audit exactly that. They replace the lockpair and
-// lanedebt dataflow passes (DESIGN.md §10): each names the mutation of
+// the lock the doorbell took, so whichever way the step ends, no lock
+// word may be left held by a live coordinator. The tests below fault the
+// doorbell op by op, then audit exactly that. They replace the lockpair
+// dataflow pass (DESIGN.md §10): each names the mutation of
 // internal/core it fails under.
 
-// lockstepCluster is hotCluster with suspicion escalation off, so an
-// injected partition stays a link fault instead of becoming a dead node.
-func lockstepCluster(t *testing.T, threshold int) *Cluster {
+// hotValue is a 16-byte value carrying v.
+func hotValue(v uint64) []byte {
+	b := make([]byte, 16)
+	binary.LittleEndian.PutUint64(b, v)
+	return b
+}
+
+// lockstepCluster is a 2-compute cluster with one preloaded table and
+// suspicion escalation off, so an injected partition stays a link fault
+// instead of becoming a dead node.
+func lockstepCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c, err := New(Config{
 		ComputeNodes:     2,
-		HotlockThreshold: threshold,
 		SuspectThreshold: -1,
 		Tables:           []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}},
 	})
@@ -45,18 +48,14 @@ func lockstepCluster(t *testing.T, threshold int) *Cluster {
 	return c
 }
 
-// primaryOf returns the memory-server index of key's primary and the
-// ticket lane serving key there.
-func primaryOf(c *Cluster, key Key) (mem int, lane hotlock.Lane) {
+// primaryOf returns the memory-server index of key's primary.
+func primaryOf(c *Cluster, key Key) int {
 	ring := c.Engine(0).Ring()
-	p := ring.Partition(key)
-	primary := ring.Replicas(p)[0]
-	return c.MemoryIndex(primary), hotlock.LaneFor(primary, p, c.tableID["kv"], key)
+	return c.MemoryIndex(ring.Replicas(ring.Partition(key))[0])
 }
 
-// auditLockStep requires that no slot of the table is locked and that
-// every given key's lane has been paid in full.
-func auditLockStep(t *testing.T, c *Cluster, keys ...Key) {
+// auditLockStep requires that no slot of the table is locked.
+func auditLockStep(t *testing.T, c *Cluster) {
 	t.Helper()
 	rep, err := c.CheckConsistency("kv")
 	if err != nil {
@@ -64,17 +63,6 @@ func auditLockStep(t *testing.T, c *Cluster, keys ...Key) {
 	}
 	if rep.LockedSlots != 0 {
 		t.Errorf("%d slots left locked by a live coordinator", rep.LockedSlots)
-	}
-	ep := c.fab.Endpoint(c.Engine(1).ID())
-	for _, key := range keys {
-		_, lane := primaryOf(c, key)
-		var head, tail [8]byte
-		if err := errors.Join(ep.Read(lane.Head, head[:]), ep.Read(lane.Tail, tail[:])); err != nil {
-			t.Fatal(err)
-		}
-		if h, tl := kvlayout.Uint64(head[:]), kvlayout.Uint64(tail[:]); h != tl {
-			t.Errorf("key %d: lane head %d trails tail %d: a ticket was never paid", key, h, tl)
-		}
 	}
 }
 
@@ -88,11 +76,11 @@ func healOnSuspect(c *Cluster, mem int) {
 // faultAtLockStep arms node 0, at the next PointBeforeLock offer, so
 // that the lock step's doorbell meets a link fault on the way to mem:
 // landed = 0 faults every op;
-// landed = 1 lets the first op (the lock CAS) land and faults the rest
-// (the slot READ, a ticket FAA). The CAS is parked on a stalled link,
-// the stall is replaced by a partition while it is parked, and a heal of
-// another link wakes it: admitted under the stall, it lands, and the ops
-// behind it meet the partition.
+// landed = 1 lets the first op (the lock CAS) land and faults the one
+// behind it (the slot READ). The CAS is parked on a stalled link, the
+// stall is replaced by a partition while it is parked, and a heal of
+// another link wakes it: admitted under the stall, it lands, and the READ
+// behind it meets the partition.
 func faultAtLockStep(t *testing.T, c *Cluster, mem, landed int) {
 	t.Helper()
 	eng := c.Engine(0)
@@ -129,34 +117,27 @@ func faultAtLockStep(t *testing.T, c *Cluster, mem, landed int) {
 // lock no release path knows about).
 func TestLockDoorbellFaults(t *testing.T) {
 	const key, fresh = Key(7), Key(500)
+	const nops = 2 // the doorbell: lock CAS, slot READ
 	ops := []struct {
 		name string
 		key  Key
-		hot  bool // the key is promoted: the doorbell carries the ticket FAA as its third op
 		do   func(tx *Tx) error
 	}{
-		{"update", key, false, func(tx *Tx) error { return tx.Write("kv", key, hotValue(1)) }},
-		{"delete", key, false, func(tx *Tx) error { return tx.Delete("kv", key) }},
-		{"insert", fresh, false, func(tx *Tx) error { return tx.Insert("kv", fresh, hotValue(1)) }},
-		{"hot-update", key, true, func(tx *Tx) error { return tx.Write("kv", key, hotValue(1)) }},
+		{"update", key, func(tx *Tx) error { return tx.Write("kv", key, hotValue(1)) }},
+		{"delete", key, func(tx *Tx) error { return tx.Delete("kv", key) }},
+		{"insert", fresh, func(tx *Tx) error { return tx.Insert("kv", fresh, hotValue(1)) }},
 	}
 	for _, op := range ops {
 		for landed := 0; landed <= 1; landed++ {
 			t.Run(fmt.Sprintf("%s/landed=%d", op.name, landed), func(t *testing.T) {
-				c := lockstepCluster(t, 1)
-				sess, nops := c.Session(0, 0), int64(2)
+				c := lockstepCluster(t)
+				sess := c.Session(0, 0)
 				// Warm the address cache so the fault meets the lock doorbell,
 				// not the resolve before it.
 				if err := sess.Update(0, func(tx *Tx) error { _, err := tx.Read("kv", key); return err }); err != nil {
 					t.Fatal(err)
 				}
-				if op.hot {
-					nops = 3
-					if err := promote(t, c.Session(1, 0), sess, key).Commit(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				mem, _ := primaryOf(c, op.key)
+				mem := primaryOf(c, op.key)
 				faultAtLockStep(t, c, mem, landed)
 				before := c.LinkStats().PartitionDrops
 				tx := sess.Begin()
@@ -164,10 +145,10 @@ func TestLockDoorbellFaults(t *testing.T) {
 				if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortFault || !tx.AbortAcked() {
 					t.Fatalf("lock step returned %v (abort acked %t), want an acked abort of kind fault", err, tx.AbortAcked())
 				}
-				if drops := c.LinkStats().PartitionDrops - before; drops != nops-int64(landed) {
-					t.Fatalf("%d ops met the partition, want %d", drops, nops-int64(landed))
+				if drops := c.LinkStats().PartitionDrops - before; drops != int64(nops-landed) {
+					t.Fatalf("%d ops met the partition, want %d", drops, nops-landed)
 				}
-				auditLockStep(t, c, op.key)
+				auditLockStep(t, c)
 				// The object is as it was and lockable again.
 				if err := c.Session(1, 0).Update(2, func(tx *Tx) error { return op.do(tx) }); err != nil {
 					t.Fatalf("survivor cannot redo the operation: %v", err)
@@ -175,125 +156,6 @@ func TestLockDoorbellFaults(t *testing.T) {
 			})
 		}
 	}
-}
-
-// promote runs one doomed attempt of waiter against a key that holder has
-// locked: with HotlockThreshold 1 the conflict promotes the key in the
-// waiter's tracker, so its next lock doorbell carries the ticket FAA.
-func promote(t *testing.T, holder, waiter *Session, key Key) *Tx {
-	t.Helper()
-	htx := holder.Begin()
-	if err := htx.Write("kv", key, hotValue(100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := waiter.Update(0, func(tx *Tx) error { return tx.Write("kv", key, hotValue(200)) }); !IsAborted(err) {
-		t.Fatalf("promoting conflict: %v", err)
-	}
-	return htx
-}
-
-// TestTicketLandsCASLoses: the doorbell's ticket FAA lands while its CAS
-// loses to a live holder; the wait that follows is cut short by a link
-// fault. The abort has no lock to release — but it owes the lane a head
-// advance. Fails if abortCause stops paying the tickets of unlocked
-// entries.
-func TestTicketLandsCASLoses(t *testing.T) {
-	c := lockstepCluster(t, 1)
-	const key = Key(7)
-	waiter := c.Session(0, 0)
-	htx := promote(t, c.Session(1, 0), waiter, key)
-	mem, _ := primaryOf(c, key)
-	healOnSuspect(c, mem)
-	releaseAtSpin(t, waiter.CoordinatorID(), key, 1, func() { c.PartitionLink(0, mem) })
-
-	tx := waiter.Begin()
-	err := tx.Write("kv", key, hotValue(200))
-	if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortFault || !tx.AbortAcked() {
-		t.Fatalf("queued wait under a partition returned %v, want an acked abort of kind fault", err)
-	}
-	if err := htx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	auditLockStep(t, c, key)
-}
-
-// TestAbandonedQueuedWait abandons a queued wait the three ways that do
-// not involve a fault — the poll budget runs out; the slot moved under
-// the lock and the key is re-resolved to another slot; the key is gone —
-// and requires the ticket paid each time. Fails if dropEntry (moved,
-// gone) or abortCause (timeout) stops calling payTicket.
-func TestAbandonedQueuedWait(t *testing.T) {
-	// The key whose lock is contended, and an absent key with the same
-	// home slot in the same partition: inserted after key's delete it
-	// takes over the tombstoned slot, so a re-insert of key lands further
-	// down the chain.
-	const key = Key(7)
-	squatter := func(c *Cluster) Key { return squatterOf(t, c, key) }
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	t.Run("timeout", func(t *testing.T) {
-		c := lockstepCluster(t, 1)
-		waiter := c.Session(0, 0)
-		htx := promote(t, c.Session(1, 0), waiter, key)
-		before := c.MetricsSnapshot()
-		err := waiter.Update(0, func(tx *Tx) error { return tx.Write("kv", key, hotValue(200)) })
-		if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortLockConflict {
-			t.Fatalf("exhausted wait returned %v, want a lock-conflict abort", err)
-		}
-		if got := c.MetricsSnapshot().Sub(before).LockCount(metrics.LockQueueTimeout); got != 1 {
-			t.Fatalf("queue timeouts = %d, want 1", got)
-		}
-		must(htx.Commit())
-		auditLockStep(t, c, key)
-	})
-
-	t.Run("moved", func(t *testing.T) {
-		c := lockstepCluster(t, 1)
-		holder, waiter := c.Session(1, 0), c.Session(0, 0)
-		htx := promote(t, holder, waiter, key)
-		// While the waiter polls: the holder deletes the key, the squatter
-		// takes its slot, the key comes back elsewhere.
-		releaseAtSpin(t, waiter.CoordinatorID(), key, 1, func() {
-			must(htx.Delete("kv", key))
-			must(htx.Commit())
-			must(holder.Update(0, func(tx *Tx) error { return tx.Insert("kv", squatter(c), hotValue(1)) }))
-			must(holder.Update(0, func(tx *Tx) error { return tx.Insert("kv", key, hotValue(300)) }))
-		})
-		must(waiter.Update(0, func(tx *Tx) error { return tx.Write("kv", key, hotValue(200)) }))
-		// Two tickets were taken — one abandoned with the stale slot, one
-		// that rode the re-resolved slot's lock into the commit tail.
-		_, lane := primaryOf(c, key)
-		var tail [8]byte
-		must(c.fab.Endpoint(c.Engine(1).ID()).Read(lane.Tail, tail[:]))
-		if got := kvlayout.Uint64(tail[:]); got != 2 {
-			t.Fatalf("lane tail = %d, want 2: the slot did not move under the waiter", got)
-		}
-		auditLockStep(t, c, key)
-	})
-
-	t.Run("gone", func(t *testing.T) {
-		c := lockstepCluster(t, 1)
-		waiter := c.Session(0, 0)
-		htx := promote(t, c.Session(1, 0), waiter, key)
-		releaseAtSpin(t, waiter.CoordinatorID(), key, 1, func() {
-			must(htx.Delete("kv", key))
-			must(htx.Commit())
-		})
-		tx := waiter.Begin()
-		if err := tx.Write("kv", key, hotValue(200)); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("write of the deleted key returned %v, want ErrNotFound", err)
-		}
-		if tx.Done() || tx.WriteSetSize() != 0 {
-			t.Fatalf("ErrNotFound must leave the transaction open with the entry dropped (done %t, write set %d)", tx.Done(), tx.WriteSetSize())
-		}
-		must(tx.Abort())
-		auditLockStep(t, c, key)
-	})
 }
 
 // squatterOf returns an absent key with key's home slot in key's
@@ -351,7 +213,7 @@ func primaryVersion(t *testing.T, c *Cluster, key Key) uint64 {
 // the first settles into a conflict. The abort must release the second's
 // lock, which its CAS took at Write, so another coordinator can take it.
 func TestSettleConflictReleasesOutstanding(t *testing.T) {
-	c := lockstepCluster(t, 1)
+	c := lockstepCluster(t)
 	const a, b = Key(7), Key(8)
 	holder := c.Session(1, 0).Begin()
 	if err := holder.Write("kv", a, hotValue(100)); err != nil {
@@ -376,7 +238,7 @@ func TestSettleConflictReleasesOutstanding(t *testing.T) {
 	if err := c.Session(1, 0).Update(0, func(tx *Tx) error { return tx.Write("kv", b, hotValue(300)) }); err != nil {
 		t.Fatalf("another coordinator cannot lock the second key: %v", err)
 	}
-	auditLockStep(t, c, a, b)
+	auditLockStep(t, c)
 	if got := readHot(t, c, b); got != 300 {
 		t.Fatalf("key %d = %d, want 300", b, got)
 	}
@@ -389,7 +251,7 @@ func TestSettleConflictReleasesOutstanding(t *testing.T) {
 // entry, not the last one, and lock it again at its new slot; the commit
 // applies both keys.
 func TestSettleMovedSlotKeepsOrder(t *testing.T) {
-	c := lockstepCluster(t, 1)
+	c := lockstepCluster(t)
 	const a, b = Key(7), Key(8)
 	must := func(err error) {
 		t.Helper()
@@ -438,7 +300,7 @@ func TestSettleMovedSlotKeepsOrder(t *testing.T) {
 	if got, want := []uint64{readHot(t, c, a), readHot(t, c, b)}, []uint64{200, 201}; !slices.Equal(got, want) {
 		t.Fatalf("keys %d, %d = %v, want %v", a, b, got, want)
 	}
-	auditLockStep(t, c, a, b)
+	auditLockStep(t, c)
 }
 
 // TestSettleKeyGoneAborts: the first write's key was deleted after the
@@ -446,7 +308,7 @@ func TestSettleMovedSlotKeepsOrder(t *testing.T) {
 // that finds the key gone cannot answer ErrNotFound: the commit aborts as
 // a validation failure, releasing the second write's lock.
 func TestSettleKeyGoneAborts(t *testing.T) {
-	c := lockstepCluster(t, 1)
+	c := lockstepCluster(t)
 	const a, b = Key(7), Key(8)
 	sess := c.Session(0, 0)
 	if err := sess.Update(0, func(tx *Tx) error { _, err := tx.Read("kv", a); return err }); err != nil {
@@ -465,7 +327,7 @@ func TestSettleKeyGoneAborts(t *testing.T) {
 	if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortValidationVersion || !tx.AbortAcked() {
 		t.Fatalf("commit returned %v (abort acked %t), want an acked validation abort", err, tx.AbortAcked())
 	}
-	auditLockStep(t, c, a, b)
+	auditLockStep(t, c)
 	if got := readHot(t, c, b); got != 8 {
 		t.Fatalf("key %d = %d, want its loaded value 8", b, got)
 	}
@@ -477,14 +339,13 @@ func TestSettleKeyGoneAborts(t *testing.T) {
 // entry already records the lock, so the commit's settle aborts as a
 // fault and the abort tail releases both locks.
 func TestSettleReadFaultAfterCAS(t *testing.T) {
-	c := lockstepCluster(t, 1)
+	c := lockstepCluster(t)
 	const a = Key(7)
-	memA, _ := primaryOf(c, a)
 	b := Key(8)
-	for memB, _ := primaryOf(c, b); memB == memA; memB, _ = primaryOf(c, b) {
+	for primaryOf(c, b) == primaryOf(c, a) {
 		b++
 	}
-	mem, _ := primaryOf(c, b)
+	mem := primaryOf(c, b)
 	sess := c.Session(0, 0)
 	// Warm the address cache so the fault meets the lock doorbell, not the
 	// resolve before it.
@@ -519,7 +380,7 @@ func TestSettleReadFaultAfterCAS(t *testing.T) {
 	if kind, ok := AbortKindOf(err); !ok || kind != metrics.AbortFault || !tx.AbortAcked() {
 		t.Fatalf("commit returned %v (abort acked %t), want an acked abort of kind fault", err, tx.AbortAcked())
 	}
-	auditLockStep(t, c, a, b)
+	auditLockStep(t, c)
 	if err := c.Session(1, 0).Update(2, func(tx *Tx) error { return tx.Write("kv", b, hotValue(300)) }); err != nil {
 		t.Fatalf("survivor cannot lock the faulted key: %v", err)
 	}

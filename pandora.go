@@ -176,16 +176,6 @@ type Config struct {
 	// trips; OCC validation re-reads the version at commit, so a stale
 	// hit costs an abort, never a wrong result (DESIGN.md §11).
 	ReadCacheSize int
-
-	// HotlockThreshold tunes the adaptive FAA ticket-queue lock layer
-	// for contended keys (DESIGN.md §14). 0 selects the default conflict
-	// streak (hotlock.DefaultThreshold) after which a coordinator
-	// promotes a key to queued acquisition; positive values override the
-	// streak; negative disables queueing — the CAS-spin baseline the
-	// hot-lock experiments compare against. The slot lock word stays
-	// authoritative in every mode, so PILL stealing and recovery are
-	// unaffected by the knob.
-	HotlockThreshold int
 }
 
 func (c *Config) fillDefaults() error {
@@ -473,15 +463,14 @@ func nextPow2(n uint64) uint64 {
 // runs with — New's nodes and RestartCompute's alike.
 func (c *Cluster) engineOptions() core.Options {
 	return core.Options{
-		Protocol:         c.cfg.Protocol,
-		Bugs:             c.cfg.SeedBugs,
-		DisablePILL:      c.cfg.DisablePILL,
-		StallOnConflict:  c.cfg.StallOnConflict,
-		Persist:          c.cfg.Persistence,
-		VerbTimeout:      c.cfg.VerbTimeout,
-		ReadCacheSize:    c.cfg.ReadCacheSize,
-		HotlockThreshold: c.cfg.HotlockThreshold,
-		Metrics:          c.met,
+		Protocol:        c.cfg.Protocol,
+		Bugs:            c.cfg.SeedBugs,
+		DisablePILL:     c.cfg.DisablePILL,
+		StallOnConflict: c.cfg.StallOnConflict,
+		Persist:         c.cfg.Persistence,
+		VerbTimeout:     c.cfg.VerbTimeout,
+		ReadCacheSize:   c.cfg.ReadCacheSize,
+		Metrics:         c.met,
 	}
 }
 

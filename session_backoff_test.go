@@ -93,8 +93,7 @@ func TestBackoffResetReturnsToFloor(t *testing.T) {
 // ceiling delay.
 func TestUpdateResetsBackoffOnCommit(t *testing.T) {
 	c, err := New(Config{
-		Tables:           []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}},
-		HotlockThreshold: -1, // plain CAS baseline: conflicts abort, no queue
+		Tables: []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@
 // Every pass looks at one statement at a time: there is no control-flow
 // graph, no dataflow lattice and no concurrency here. The path
 // properties that once needed them (a lock CAS reaching the write set, a
-// lane ticket being paid, a steal reaching a cache invalidation, a
-// reconfiguration journal only advancing) are held by the engine's
+// steal reaching a cache invalidation, a reconfiguration journal only
+// advancing) are held by the engine's
 // structure and a named test each instead; DESIGN.md §10 lists them.
 //
 // The framework is deliberately a miniature of golang.org/x/tools
@@ -151,7 +151,6 @@ var virtualTimeSegs = map[string]bool{
 	"cache":    true,
 	"metrics":  true,
 	"reconfig": true,
-	"hotlock":  true,
 }
 
 // BasePkgPath strips the " [pkg.test]" variant suffix go list/go vet
@@ -179,10 +178,6 @@ func IsVirtualTimePkg(path string) bool { return virtualTimeSegs[lastSeg(path)] 
 
 // IsKVLayoutPkg reports whether the package is the lock-word owner.
 func IsKVLayoutPkg(path string) bool { return lastSeg(path) == "kvlayout" }
-
-// IsHotlockPkg reports whether the package is the hot-lock queue
-// policy layer (the second legal home of ticket-word bit operations).
-func IsHotlockPkg(path string) bool { return lastSeg(path) == "hotlock" }
 
 // ---- shared AST/type helpers ----------------------------------------------
 

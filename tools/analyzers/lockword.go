@@ -18,15 +18,8 @@ import (
 //   - shifts by 32 or 48 in an expression that converts to or from the
 //     CoordID type — hand-rolled LockOwner/LockWord.
 //
-// The hot-lock ticket words (FAA lane tail/head, 48-bit sequence, top
-// 16 bits reserved) carry the same single-owner rule: bit operations
-// whose constant operand is the ticket-sequence mask ((1<<48)-1) on a
-// uint64 are legal only in internal/kvlayout (the layout owner) and
-// internal/hotlock (the queue policy layer) — everything else must go
-// through kvlayout.TicketSeq.
-//
 // Anything flagged should call kvlayout.LockWord / IsLocked /
-// LockOwner / LockTag / TicketSeq instead.
+// LockOwner / LockTag instead.
 var Lockword = &Analyzer{
 	Name: "lockword",
 	Doc:  "flag raw lock-word bit manipulation outside internal/kvlayout",
@@ -37,9 +30,6 @@ func runLockword(pass *Pass) error {
 	if IsKVLayoutPkg(pass.PkgPath) {
 		return nil
 	}
-	// The ticket-word rule has one extra legal home: the hotlock policy
-	// package. The PILL lock-word rules still apply there.
-	ticketExempt := IsHotlockPkg(pass.PkgPath)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -52,11 +42,6 @@ func runLockword(pass *Pass) error {
 				if pass.hasLockedFlagConst(n) && pass.isUint64Context(n) {
 					pass.Reportf(n.Pos(), "lockword",
 						"raw bit operation with the lock-word locked flag (1<<63); the lock-word layout is owned by internal/kvlayout (use LockWord/IsLocked/LockOwner/LockTag)")
-					return false
-				}
-				if !ticketExempt && pass.hasTicketMaskConst(n) && pass.isUint64Context(n) {
-					pass.Reportf(n.Pos(), "lockword",
-						"raw bit operation with the ticket-sequence mask ((1<<48)-1); the ticket-word layout is owned by internal/kvlayout (use TicketSeq) and queue policy by internal/hotlock")
 					return false
 				}
 				// Packing: uint64(owner)<<32 — a shift whose operand
@@ -104,21 +89,6 @@ func (p *Pass) isLockedFlag(e ast.Expr) bool {
 	}
 	v, ok := constant.Uint64Val(tv.Value)
 	return ok && v == 1<<63
-}
-
-// hasTicketMaskConst reports whether either operand of the bit op is
-// the constant (1<<48)-1 — the ticket-sequence mask.
-func (p *Pass) hasTicketMaskConst(be *ast.BinaryExpr) bool {
-	return p.isTicketMask(be.X) || p.isTicketMask(be.Y)
-}
-
-func (p *Pass) isTicketMask(e ast.Expr) bool {
-	tv, ok := p.TypesInfo.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return false
-	}
-	v, ok := constant.Uint64Val(tv.Value)
-	return ok && v == uint64(1)<<48-1
 }
 
 // isUint64Context reports whether either side of the expression has a

@@ -18,10 +18,8 @@ import (
 var fixtures = map[*Analyzer][]string{
 	Determinism: {"chaos"},
 	// kvlayout: the identical shapes inside the owning package are legal —
-	// that is the point of single ownership. hotlock: ticket-sequence mask
-	// operations are additionally legal in the hot-lock policy package,
-	// but the PILL lock-word shapes stay flagged there.
-	Lockword:    {"lockword", "kvlayout", "hotlock"},
+	// that is the point of single ownership.
+	Lockword:    {"lockword", "kvlayout"},
 	Batchescape: {"batchescape"},
 	Atomicmix:   {"atomicmix"},
 	Abortcause:  {"abortcause"},
@@ -72,9 +70,7 @@ func TestDeterminismScope(t *testing.T) {
 		"pandora/internal/core [pandora/internal/core.test]",
 		"pandora/internal/rdma_test [pandora/internal/rdma.test]",
 		"pandora/internal/metrics [pandora/internal/metrics.test]",
-		"pandora/internal/hotlock",
 		"pandora/internal/reconfig",
-		"pandora/internal/hotlock [pandora/internal/hotlock.test]",
 		"pandora/internal/reconfig [pandora/internal/reconfig.test]",
 	} {
 		if !IsVirtualTimePkg(p) {

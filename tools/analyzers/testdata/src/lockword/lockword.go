@@ -43,28 +43,3 @@ func unrelatedBits(x uint64, y uint32) uint64 {
 func unrelatedShift32(x uint64) uint64 {
 	return x >> 32 & 0xff
 }
-
-// ---- ticket words ---------------------------------------------------------
-
-const ticketSeqMask = uint64(1)<<48 - 1
-
-// handRolledTicketSeq duplicates kvlayout.TicketSeq.
-func handRolledTicketSeq(word uint64) uint64 {
-	return word & ticketSeqMask // want "raw bit operation with the ticket-sequence mask"
-}
-
-// literalTicketMask uses the numeric literal directly.
-func literalTicketMask(word uint64) uint64 {
-	return word & 0xFFFFFFFFFFFF // want "raw bit operation with the ticket-sequence mask"
-}
-
-// handRolledTurnCheck masks both sides of a ticket comparison.
-func handRolledTurnCheck(head, ticket uint64) bool {
-	return head&ticketSeqMask >= ticket // want "raw bit operation with the ticket-sequence mask"
-}
-
-// unrelatedTicketWidths: the same mask on narrower ints stays legal
-// (not a wire-format ticket word).
-func unrelatedTicketWidths(x uint32) uint32 {
-	return x & 0xFFFF
-}

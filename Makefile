@@ -91,9 +91,12 @@ bench-smoke:
 # tail round put back before Commit returns fails a named test); then a 3 s failover run of the repository
 # benchmark must be correct, fail no operation and report exactly the
 # recovery_model_us checked in as tools/modelgate.expect (a count of
-# rounds and bytes, so it repeats to the nanosecond on any host).
+# rounds and bytes, so it repeats to the nanosecond on any host), and a
+# steal_model_us below the ceiling checked in beside it as
+# tools/modelgate.steal_max (a hinted steal that rings a round of its own
+# again fails it).
 RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|Interrupted'
-STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint'
+STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint|TestPostedStealFindsFreeWord|TestPostedStealReadFault'
 SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks|TestReadPathParity'
 LOCK_PINS := 'TestLockRoundShapes|TestStealBothLocksTransfer|TestTailRidesNextDoorbell|TestCrashWithTailUnpaid|TestPostedTailFaultWaitsThenReposts'
 model-gate:

@@ -128,7 +128,7 @@ func lockLate(tx *Tx) error {
 		addr := tx.cn.tableAddr(w.replicas[0], w.ref, kvlayout.SlotLockOff)
 		old, swapped, err := tx.co.ep.CAS(addr, 0, tx.lockWord())
 		if err == nil && !w.hold(swapped) && tx.strayLock(old) {
-			_, err = tx.steal(w, old, b, tx.sc.bytes(int(tx.cn.schema[w.ref.table].SlotSize())))
+			err = tx.postLock(w, b, tx.sc.bytes(int(tx.cn.schema[w.ref.table].SlotSize())), old, true)
 		}
 		if err != nil {
 			return tx.verbFailure(err)

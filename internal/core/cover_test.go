@@ -362,6 +362,7 @@ func TestStolenLockCovers(t *testing.T) {
 		if err := tx.Write(0, 3, []byte("stolen")); err != nil {
 			t.Fatal(err)
 		}
+		mustSettle(t, tx)
 		if steals, locks := len(posted[stageSteal]), len(posted[stageLock]); steals != 1 || locks != 0 {
 			t.Fatalf("moved=%t: %d steal and %d lock doorbells, want the read's hinted steal alone", moved, steals, locks)
 		}
@@ -403,7 +404,8 @@ func wantLockDoorbells(t *testing.T, posted map[stageKind][]int, steals, locks i
 
 // TestStealHintFromRead: a fabric read — Tx.Read, or ReadRange's batched
 // READ — that passes over a stray lock hands the word to the write, whose
-// one lock-step doorbell is the steal.
+// one lock-step doorbell is the steal, posted at Write and settled at
+// Commit like a plain lock.
 func TestStealHintFromRead(t *testing.T) {
 	for _, viaRange := range []bool{false, true} {
 		e, co, _, posted := stealHintEnv(t, Options{})
@@ -424,6 +426,10 @@ func TestStealHintFromRead(t *testing.T) {
 		if err := tx.Write(0, 3, []byte("hinted")); err != nil {
 			t.Fatal(err)
 		}
+		if tx.writes[0].posted == nil {
+			t.Fatalf("range=%t: the hinted steal settled at Write", viaRange)
+		}
+		mustSettle(t, tx)
 		wantLockDoorbells(t, posted, 1, 0)
 		if !tx.writes[0].locked || !r.covered {
 			t.Fatalf("range=%t: locked %t, covered %t", viaRange, tx.writes[0].locked, r.covered)
@@ -554,9 +560,9 @@ func clearLock(t *testing.T, co *Coordinator, slot rdma.Addr) {
 }
 
 // TestStealHintLostToRelease: the stray word is released between the read
-// and the write. The hinted steal loses and the ordinary lock doorbell
-// takes the free word; the entry is locked and covered, and the commit
-// leaves nothing locked.
+// and the write. The hinted steal, posted at Write, finds the word free
+// and settle falls back to the ordinary lock doorbell, which takes it;
+// the entry is locked and covered, and the commit leaves nothing locked.
 func TestStealHintLostToRelease(t *testing.T) {
 	e, co, slot, posted := stealHintEnv(t, Options{})
 	tx := co.Begin()
@@ -567,6 +573,7 @@ func TestStealHintLostToRelease(t *testing.T) {
 	if err := tx.Write(0, 3, []byte("after")); err != nil {
 		t.Fatal(err)
 	}
+	mustSettle(t, tx)
 	wantLockDoorbells(t, posted, 1, 1)
 	if len(tx.writes) != 1 || !tx.writes[0].locked || !tx.reads[0].covered {
 		t.Fatalf("%d write entries, locked %t, covered %t", len(tx.writes), tx.writes[0].locked, tx.reads[0].covered)
@@ -581,8 +588,9 @@ func TestStealHintLostToRelease(t *testing.T) {
 
 // TestStealHintLostToLiveOwner: between the read and the write the stray
 // word is released and a running coordinator locks the key. The hinted
-// steal loses, the lock doorbell meets the live owner, and the conflict
-// policy aborts the transaction as a lock conflict.
+// steal loses to the live owner, whose word its CAS returned, so the
+// conflict policy aborts the transaction as a lock conflict at Commit
+// with no second CAS.
 func TestStealHintLostToLiveOwner(t *testing.T) {
 	e, co, slot, posted := stealHintEnv(t, Options{})
 	tx := co.Begin()
@@ -594,8 +602,11 @@ func TestStealHintLostToLiveOwner(t *testing.T) {
 	if err := holder.Write(0, 3, []byte("live")); err != nil {
 		t.Fatal(err)
 	}
-	mustAbortAs(t, tx.Write(0, 3, []byte("late")), metrics.AbortLockConflict)
-	wantLockDoorbells(t, posted, 1, 1)
+	if err := tx.Write(0, 3, []byte("late")); err != nil {
+		t.Fatalf("write returned %v: a posted steal reports nothing before Commit", err)
+	}
+	mustAbortAs(t, tx.Commit(), metrics.AbortLockConflict)
+	wantLockDoorbells(t, posted, 1, 0)
 	if err := holder.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -712,28 +723,21 @@ func TestRelaxedLocksCoverNothing(t *testing.T) {
 	}
 }
 
-// TestStealReadFaultKeepsTheLock: the steal doorbell's CAS lands and the
-// slot READ behind it link-faults. The entry must already say it holds
-// the lock, so that the abort's tail releases it. Fails if steal looks at
-// the stage's verdict before recording casOp.Swapped.
-func TestStealReadFaultKeepsTheLock(t *testing.T) {
-	e := newEnv(t, envConfig{})
-	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
-	cn := e.nodes[0]
-	mem := plantStray(t, cn, 3).Node
+// faultStealRead arranges that cn's next steal doorbell has its CAS land
+// on mem and the slot READ behind it link-fault: the CAS parks on a
+// stalled link, the stall is replaced by a partition while it is parked
+// and a heal of another link wakes it — admitted under the stall, it
+// lands, and the READ behind it meets the partition. The link heals at
+// the suspect report: after the faulted READ was classified, before the
+// abort's cleanup posts the release.
+func faultStealRead(e *env, cn *ComputeNode, mem rdma.NodeID) {
 	var other rdma.NodeID
 	for _, m := range e.mems {
 		if m.ID() != mem {
 			other = m.ID()
 		}
 	}
-	// Heal at the report: after the faulted READ was classified, before the
-	// abort's cleanup posts the release.
 	cn.SetSuspectReporter(func(rdma.NodeID) { e.fab.HealLink(cn.ID(), mem) })
-	// The steal CAS parks on a stalled link; the stall is replaced by a
-	// partition while it is parked and a heal of another link wakes it:
-	// admitted under the stall, it lands, and the READs behind it meet the
-	// partition.
 	cn.plan.rewrite = func(_ *Tx, st stage) stage {
 		if st.kind == stageSteal {
 			stalled := e.fab.LinkStats().StalledVerbs
@@ -748,14 +752,14 @@ func TestStealReadFaultKeepsTheLock(t *testing.T) {
 		}
 		return st
 	}
+}
 
-	// The blind write's lock doorbell, posted at Write, finds the stray
-	// word; the steal follows where it settles, at Commit.
-	tx := cn.Coordinator(0).Begin()
-	if err := tx.Write(0, 3, []byte("stolen")); err != nil {
-		t.Fatal(err)
-	}
-	err := tx.Commit()
+// wantStolenLockReleased fails unless tx's commit err is an acknowledged
+// fault abort whose entry recorded the lock the steal CAS took, the
+// steal doorbell met the partition, and the abort tail released the lock
+// so that the key commits again.
+func wantStolenLockReleased(t *testing.T, e *env, cn *ComputeNode, tx *Tx, err error) {
+	t.Helper()
 	mustAbortAs(t, err, metrics.AbortFault)
 	if !tx.AckedAbort {
 		t.Fatalf("abort not acknowledged: %v", err)
@@ -771,4 +775,48 @@ func TestStealReadFaultKeepsTheLock(t *testing.T) {
 	}
 	cn.plan.rewrite = nil
 	mustCommit(t, cn.Coordinator(0), func(tx *Tx) error { return tx.Write(0, 3, []byte("again")) })
+}
+
+// TestStealReadFaultKeepsTheLock: the steal doorbell's CAS lands and the
+// slot READ behind it link-faults. The entry must already say it holds
+// the lock, so that the abort's tail releases it. Fails if the steal's
+// outcome is looked at before the CAS's Swapped is recorded.
+func TestStealReadFaultKeepsTheLock(t *testing.T) {
+	e := newEnv(t, envConfig{})
+	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+	cn := e.nodes[0]
+	faultStealRead(e, cn, plantStray(t, cn, 3).Node)
+
+	// The blind write's lock doorbell, posted at Write, finds the stray
+	// word; the steal follows where it settles, at Commit.
+	tx := cn.Coordinator(0).Begin()
+	if err := tx.Write(0, 3, []byte("stolen")); err != nil {
+		t.Fatal(err)
+	}
+	wantStolenLockReleased(t, e, cn, tx, tx.Commit())
+}
+
+// TestPostedStealReadFault is TestStealReadFaultKeepsTheLock's deferred
+// twin: the read hands the stray word to the write, which posts the steal
+// at Write; its CAS lands and the READ behind it link-faults. Write
+// reports nothing, and Commit's settle aborts with a fault and releases
+// the lock the entry recorded at the post.
+func TestPostedStealReadFault(t *testing.T) {
+	e := newEnv(t, envConfig{})
+	e.preload(t, 0, 8, func(k kvlayout.Key) []byte { return val16(k, 0) })
+	cn := e.nodes[0]
+	mem := plantStray(t, cn, 3).Node
+	tx := cn.Coordinator(0).Begin()
+	if _, err := tx.Read(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	faultStealRead(e, cn, mem)
+	if err := tx.Write(0, 3, []byte("stolen")); err != nil {
+		t.Fatalf("write returned %v: a posted steal reports nothing before Commit", err)
+	}
+	if tx.writes[0].posted == nil || !tx.writes[0].locked {
+		t.Fatalf("posted %t, locked %t: want the steal posted with its CAS recorded",
+			tx.writes[0].posted != nil, tx.writes[0].locked)
+	}
+	wantStolenLockReleased(t, e, cn, tx, tx.Commit())
 }

@@ -122,37 +122,48 @@ const (
 	lockAcquired lockOutcome = iota // the CAS swapped: the entry holds the lock
 	lockStray                       // held by a failed coordinator: steal it (PILL)
 	lockConflict                    // held by a running coordinator
-	lockRetry                       // a steal lost its race: nobody to wait for
+	lockRetry                       // a steal found the word free: nobody to wait for
 	lockFault                       // a verb failed
 )
 
-// postLock rings ent's lock doorbell: lock CAS, then slot READ into buf.
-// The CAS is ordered before the READ on the same queue pair, so the READ
-// observes the post-CAS slot; but the ops admit through the link rules
-// independently, so a fault between them can fail the READ after the CAS
-// took the lock. The entry therefore records what the CAS took before
-// anything looks at the verdict. With wait the doorbell runs as a stage
-// and its verdict is returned; without, it is only posted (Coordinator.
-// post), and lockOutcome reads it after the wait that covers it.
-func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte, wait bool) error {
+// postLock rings ent's lock doorbell: the CAS of the lock word from
+// expect — 0 for a plain lock, a stray word for a PILL steal (§3.1.2) —
+// then the slot READ into buf. The CAS is ordered before the READ on the
+// primary's queue pair, so the READ observes the post-CAS slot; but the
+// ops admit through the link rules independently, so a fault between
+// them can fail the READ after the CAS took the lock. The entry therefore
+// records what the CAS took before anything looks at the verdict, and a
+// steal that took the lock drops the cached image then too: the previous
+// owner failed, and recovery may have rewritten the slot since it was
+// cached, whatever became of the READ. With wait the doorbell runs as a
+// stage and its verdict is returned; without, it is only posted
+// (Coordinator.post), and lockOutcome reads it after the wait that
+// covers it.
+func (tx *Tx) postLock(ent *writeEnt, b *rdma.OpBatch, buf []byte, expect uint64, wait bool) error {
 	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
 	b.Reset()
-	lockOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, tx.lockWord())
+	lockOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), expect, tx.lockWord())
 	b.AddRead(cn.tableAddr(primary, ref, 0), buf)
 	st := stage{kind: stageLock, b: b, cut: b.Len()}
+	if expect != 0 {
+		st.kind = stageSteal
+	}
 	var err error
 	if wait {
 		_, err = tx.run(st)
 	} else {
 		tx.co.post(tx.seeded(st))
 	}
-	ent.hold(lockOp.Swapped)
+	if ent.hold(lockOp.Swapped) && expect != 0 {
+		tx.invalidateCached(ref.table, ref.key)
+	}
 	return err
 }
 
-// lockOutcome classifies ent's lock doorbell in b, once waited for: err
-// is the first completion the stage did not tolerate. old is the word
-// the CAS found.
+// lockOutcome classifies ent's lock doorbell in b, plain or steal, once
+// waited for: err is the first completion the stage did not tolerate.
+// old is the word the CAS found: 0 only for a steal whose word was
+// released — nobody to wait for, so the plain lock is retried.
 func (tx *Tx) lockOutcome(ent *writeEnt, b *rdma.OpBatch, err error) (lockOutcome, uint64, error) {
 	old := b.Op(0).Old
 	switch {
@@ -160,6 +171,8 @@ func (tx *Tx) lockOutcome(ent *writeEnt, b *rdma.OpBatch, err error) (lockOutcom
 		return lockAcquired, 0, nil
 	case err != nil:
 		return lockFault, 0, err
+	case old == 0:
+		return lockRetry, 0, nil
 	case tx.strayLock(old):
 		return lockStray, old, nil
 	default:
@@ -169,43 +182,13 @@ func (tx *Tx) lockOutcome(ent *writeEnt, b *rdma.OpBatch, err error) (lockOutcom
 
 // defers reports whether ent's lock doorbell may be posted now and
 // settled at Commit. These settle at once instead: an insert (a
-// contended slot re-probes), a write whose read saw a stray word still
-// stray (the steal is one synchronous doorbell), the stalling path, FORD
-// (its exec-time log needs the pre-image) and any run with a crash
-// injector installed (the stepped executor leaves nothing outstanding).
+// contended slot re-probes), the stalling path, FORD (its exec-time log
+// needs the pre-image) and any run with a crash injector installed (the
+// stepped executor leaves nothing outstanding).
 func (tx *Tx) defers(ent *writeEnt) bool {
 	cn := tx.cn
-	return !(ent.kind == kvlayout.WriteInsert || tx.strayWord(ent.stray) != 0 ||
+	return !(ent.kind == kvlayout.WriteInsert ||
 		cn.opts.StallOnConflict || cn.opts.Protocol == ProtocolFORD || cn.injector.Load() != nil)
-}
-
-// steal takes over the stray lock word old (PILL, §3.1.2) with one
-// doorbell: the steal CAS and the slot READ that refreshes buf under the
-// stolen lock, on the primary's queue pair, so RC order puts the CAS
-// first. The postLock rule applies: the ops admit independently, so the
-// entry records what the CAS took before the stage's verdict is looked
-// at. A lost race — another stealer, or recovery released the word —
-// leaves nobody to wait for: what the READ brought back is ignored and
-// the caller retries the ordinary lock.
-func (tx *Tx) steal(ent *writeEnt, old uint64, b *rdma.OpBatch, buf []byte) (lockOutcome, error) {
-	cn, ref, primary := tx.cn, ent.ref, ent.replicas[0]
-	b.Reset()
-	casOp := b.AddCAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), old, tx.lockWord())
-	b.AddRead(cn.tableAddr(primary, ref, 0), buf)
-	_, err := tx.run(stage{kind: stageSteal, b: b, cut: b.Len()})
-	if ent.hold(casOp.Swapped) {
-		// The previous owner failed and recovery may have rewritten the
-		// slot since we cached it: drop the cached image, whatever became
-		// of the READ behind the CAS.
-		tx.invalidateCached(ref.table, ref.key)
-	}
-	switch {
-	case err != nil:
-		return lockFault, err
-	case !ent.locked:
-		return lockRetry, nil
-	}
-	return lockAcquired, nil
 }
 
 // onConflict is the policy for a lock CAS that lost to the running
@@ -223,9 +206,10 @@ func (tx *Tx) onConflict(ent *writeEnt, old uint64) error {
 }
 
 // acquire takes ent's lock and captures its undo state. A write that
-// defers only posts its lock doorbell: the entry keeps the batch, and
-// settleLocks settles it after the wait at Commit. The others post and
-// settle now.
+// defers only posts its lock doorbell — the steal of the stray word its
+// read saw, if still stray, else the plain lock: the entry keeps the
+// batch, and settleLocks settles it after the wait at Commit. The others
+// post and settle now.
 func (tx *Tx) acquire(ent *writeEnt) error {
 	b := rdma.GetBatch()
 	buf := tx.sc.bytes(int(tx.cn.schema[ent.ref.table].SlotSize())) // not the batch's: the undo pre-image aliases it
@@ -236,8 +220,9 @@ func (tx *Tx) acquire(ent *writeEnt) error {
 		b.Put()
 		return err
 	}
+	steal := tx.strayWord(ent.stray)
 	ent.stray, ent.posted = 0, b
-	tx.postLock(ent, b, buf, false) // nil: settle reads the completions, after the wait
+	tx.postLock(ent, b, buf, steal, false) // nil: settle reads the completions, after the wait
 	return nil
 }
 
@@ -270,41 +255,43 @@ func (tx *Tx) settleLocks() error {
 // stray owner, the conflict policy on a live one, then the checks that
 // the slot read under the lock is still the one the entry means, and for
 // an insert the claim. posted says the first doorbell, in b, has been
-// rung and waited for. An entry that arrives with a stray word its read
-// or probe saw, still stray, posts the steal as its first doorbell: the
-// lock CAS from 0 would only fail on that word. A steal that loses falls
-// through to the ordinary lock doorbell. settle owns b.
+// rung and waited for. Otherwise an entry that arrives with a stray word
+// its read or probe saw, still stray, rings the steal as its first
+// doorbell: the lock CAS from 0 would only fail on that word. settle
+// owns b.
 func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.Duration, posted bool) error {
 	defer b.Put()
 	cn := tx.cn
 	tab := cn.schema[ent.ref.table]
 	moves := 0
 	var slot kvlayout.Slot
+	// steal is the stray word the next doorbell steals, 0 for a plain
+	// lock; the hint serves one doorbell only.
+	steal := tx.strayWord(ent.stray)
+	ent.stray = 0
+	var out lockOutcome
 	for {
-		var out lockOutcome
 		var old uint64
 		var err error
 		if posted {
 			posted = false
+			// The steal stage's spec is the lock stage's.
 			out, old, err = tx.lockOutcome(ent, b, stageTable[stageLock].verdict(b.Ops()))
 		} else {
-			if err := tx.pinReplicas(ent); err != nil {
-				return err
+			if out != lockStray { // a steal goes where the CAS that found its word went
+				if err := tx.pinReplicas(ent); err != nil {
+					return err
+				}
 			}
-			// A word the read or probe saw, if still stray, is stolen without
-			// a lock CAS failing on it first; the hint serves one doorbell only.
-			out, old = lockStray, tx.strayWord(ent.stray)
-			ent.stray = 0
-			if old == 0 {
-				out, old, err = tx.lockOutcome(ent, b, tx.postLock(ent, b, buf, true))
-			}
+			out, old, err = tx.lockOutcome(ent, b, tx.postLock(ent, b, buf, steal, true))
 		}
-		if out == lockStray {
-			out, err = tx.steal(ent, old, b, buf)
-		}
+		steal = 0
 		switch out {
 		case lockFault:
 			return tx.verbFailure(err)
+		case lockStray:
+			steal = old
+			continue
 		case lockRetry:
 			continue
 		case lockConflict:

@@ -383,7 +383,12 @@ func (tx *Tx) mayStall() bool {
 	return tx.cn.opts.StallOnConflict && !tx.holdsLocks()
 }
 
-// stallWait sleeps one poll interval of the stalling path.
+// stallWait sleeps one poll interval of the stalling path. The Go runtime
+// does not honour an interval that short: as backoff.wait (session.go)
+// measured, once the P goes idle a time.Sleep under 1ms parks the
+// goroutine for about 1ms (Linux, Go 1.24), so the 20µs default costs a
+// stalled lock ≈1ms of host time per poll, while the model clock charges
+// the poll only the one round trip it retries.
 func (tx *Tx) stallWait() error {
 	if tx.cn.crashed.Load() {
 		return tx.crash()

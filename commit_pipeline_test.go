@@ -245,20 +245,22 @@ func pipeRow(t *testing.T, pc pipeCase) string {
 // by the tail round, 2000 ns, when the tail came to be posted at the
 // ack and paid by the next doorbell; their quiet, taken once the
 // session has waited for it, did not move, and neither did a split
-// row.
+// row. Every row's ack and quiet rose by 2 ns when validation came to
+// re-read the read cache's hit on key 1 whole, to refresh it if it is
+// stale: its READ carries the slot instead of 16 bytes.
 var pipeGolden = map[string]string{
-	"pandora/sync/volatile/fused": "read=3 write=10 cas=2 faa=0 flush=0 rounds=3 ack=8022 quiet=10022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/volatile/split": "read=3 write=10 cas=2 faa=0 flush=0 rounds=4 ack=12022 quiet=12022 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/persist/fused":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=3 ack=8040 quiet=10040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"pandora/sync/persist/split":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=6 ack=16040 quiet=16040 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/volatile/fused":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=2 ack=12027 quiet=14027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/volatile/split":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=3 ack=16027 quiet=16027 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/persist/fused":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=16047 quiet=18047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"ford/sync/persist/split":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=4 ack=22047 quiet=22047 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/volatile/fused": "read=3 write=14 cas=2 faa=0 flush=0 rounds=3 ack=12031 quiet=14031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/volatile/split": "read=3 write=14 cas=2 faa=0 flush=0 rounds=4 ack=16031 quiet=16031 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/persist/fused":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=3 ack=12049 quiet=14049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
-	"tradlog/sync/persist/split":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=6 ack=20049 quiet=20049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/fused": "read=3 write=10 cas=2 faa=0 flush=0 rounds=3 ack=8024 quiet=10024 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/volatile/split": "read=3 write=10 cas=2 faa=0 flush=0 rounds=4 ack=12024 quiet=12024 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/fused":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=3 ack=8042 quiet=10042 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"pandora/sync/persist/split":  "read=3 write=10 cas=2 faa=0 flush=6 rounds=6 ack=16042 quiet=16042 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/fused":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=2 ack=12029 quiet=14029 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/volatile/split":    "read=3 write=12 cas=2 faa=0 flush=0 rounds=3 ack=16029 quiet=16029 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/fused":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=2 ack=16049 quiet=18049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"ford/sync/persist/split":     "read=3 write=12 cas=2 faa=0 flush=8 rounds=4 ack=22049 quiet=22049 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,BeforeLock,AfterLock,AfterExecRead,AfterFORDLog,AfterValidation,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/fused": "read=3 write=14 cas=2 faa=0 flush=0 rounds=3 ack=12033 quiet=14033 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/volatile/split": "read=3 write=14 cas=2 faa=0 flush=0 rounds=4 ack=16033 quiet=16033 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/fused":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=3 ack=12051 quiet=14051 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
+	"tradlog/sync/persist/split":  "read=3 write=14 cas=2 faa=0 flush=6 rounds=6 ack=20051 quiet=20051 points=AfterRead,BeforeLock,AfterLock,AfterExecRead,BeforeLock,AfterLock,AfterExecRead,AfterValidation,AfterLog,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyOne,AfterApplyAll,AfterAck,AfterTruncate,AfterUnlock,AfterUnlock,AfterUnlock",
 }
 
 // pipeGoldenTransfer holds the transfer shape's rows. Past one AfterRead
@@ -740,6 +742,45 @@ func TestLockRoundShapes(t *testing.T) {
 				t.Errorf("%v is %d round trips, want %d", cost, cost/rtt, tc.round)
 			}
 		})
+	}
+}
+
+// TestCoveredHitsKeepTransferCached: a cached hit that the transaction's
+// own lock READ covers counts as a validated hit, so keys that are only
+// ever read and then written — rmw_hot's transfer — build the evidence
+// that lets a stale hit be refreshed instead of turning the key into a
+// ghost. After four covered transfers another coordinator commits key 2;
+// the next transfer aborts on the stale hit, and its retry is the cached
+// transfer of TestLockRoundShapes again: 3 rounds, 6 021 ns.
+func TestCoveredHitsKeepTransferCached(t *testing.T) {
+	shape := pipeShape{reads: []Key{2, 3}}
+	c := pipeCluster(t, pipeCase{proto: ProtocolPandora, shape: shape})
+	for v := uint64(0); v < 4; v++ {
+		if err := pipeTx(c, shape, 300+v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Session(1, 0).Update(0, func(tx *Tx) error { return tx.Write("kv", 2, idemValue(400)) }); err != nil {
+		t.Fatal(err)
+	}
+	m := c.MetricsSnapshot()
+	if err := pipeTx(c, shape, 500); !IsAborted(err) || c.MetricsSnapshot().Sub(m).AbortCount(metrics.AbortCacheStale) != 1 {
+		t.Fatalf("transfer over the stale hit: %v, want a cache-stale abort", err)
+	}
+	if st := c.ReadCacheStats(0, 0); st.Refreshes != 1 || st.Ghosts != 0 {
+		t.Fatalf("cache %+v, want the stale hit refreshed, no ghost", st)
+	}
+	clk := c.AttachClock(0, 0)
+	before, start := c.ReadCacheStats(0, 0), clk.Now()
+	if err := pipeTx(c, shape, 600); err != nil {
+		t.Fatal(err)
+	}
+	cost := clk.Now() - start
+	if d := c.ReadCacheStats(0, 0).Hits - before.Hits; d != 2 {
+		t.Errorf("the retry hit %d of its 2 keys", d)
+	}
+	if rtt := c.fab.Latency().BaseRTT; cost.Nanoseconds() != 6021 || cost/rtt != 3 {
+		t.Errorf("retry cost %v, %d round trips; want 6021 ns, 3", cost, cost/rtt)
 	}
 }
 

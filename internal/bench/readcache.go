@@ -26,6 +26,11 @@ type ReadCacheResult struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
 	HitRate float64 `json:"hit_rate"`
+	// Refreshes and Ghosts are the stale hits validation refreshed in
+	// place and the entries it turned into ghosts (DESIGN.md §11). The
+	// pass has no writer, so no hit goes stale: both read 0.
+	Refreshes uint64 `json:"refreshes"`
+	Ghosts    uint64 `json:"ghosts"`
 
 	P50Cached    time.Duration `json:"p50_cached_ns"`
 	P99Cached    time.Duration `json:"p99_cached_ns"`
@@ -53,12 +58,12 @@ type ReadCacheResult struct {
 func (r *ReadCacheResult) String() string {
 	return fmt.Sprintf(
 		"Validated read cache: %d txns × %d reads, %d keys, zipf s=%.2f\n"+
-			"  hit rate %.1f%% (%d hits / %d misses)\n"+
+			"  hit rate %.1f%% (%d hits / %d misses; %d refreshes, %d ghosts)\n"+
 			"  read latency cached:   p50=%v p99=%v mean=%v (%d aborts)\n"+
 			"  read latency baseline: p50=%v p99=%v mean=%v (%d aborts)\n"+
 			"  p50 speedup: %.0f×\n",
 		r.Txns, r.OpsPerTx, r.Keys, r.ZipfS,
-		100*r.HitRate, r.Hits, r.Misses,
+		100*r.HitRate, r.Hits, r.Misses, r.Refreshes, r.Ghosts,
 		r.P50Cached, r.P99Cached, r.MeanCached, r.AbortsCached,
 		r.P50Baseline, r.P99Baseline, r.MeanBaseline, r.AbortsBaseline,
 		r.Speedup)
@@ -89,6 +94,7 @@ func ReadCache(s Scale, txns int) (*ReadCacheResult, error) {
 	r.Metrics = met
 
 	r.Hits, r.Misses = stats.Hits, stats.Misses
+	r.Refreshes, r.Ghosts = stats.Refreshes, stats.Ghosts
 	r.HitRate = stats.HitRate()
 	r.P50Cached, r.P99Cached, r.MeanCached = latSummary(cLat)
 	r.P50Baseline, r.P99Baseline, r.MeanBaseline = latSummary(bLat)

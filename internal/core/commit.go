@@ -140,6 +140,9 @@ func (tx *Tx) writeThroughCache() {
 // snapshot (§3.1.5 step 2). Both words live in the slot header, so one
 // 16-byte READ per object fetches both — the Covert Locks fix costs no
 // extra round trip — and a read set covered entirely posts no doorbell.
+// An entry the read cache served is re-read whole, in the same READ, so
+// that a stale hit can be refreshed with the slot's current image
+// (cache.Stale) instead of only dropped: the retry then hits it.
 func (tx *Tx) validate() error {
 	// Insert duplicate check: a racing same-key insert on another slot
 	// must be detected before commit (see ComputeNode.scanForKey).
@@ -161,7 +164,7 @@ func (tx *Tx) validate() error {
 	reads := tx.sc.recheck[:0]
 	for _, r := range tx.reads {
 		if !r.covered {
-			reads = append(reads, r)
+			reads = append(reads, reread{readEnt: r})
 		}
 	}
 	tx.sc.recheck = reads
@@ -170,31 +173,48 @@ func (tx *Tx) validate() error {
 	}
 	b := rdma.GetBatch()
 	defer b.Put()
-	words := b.Bytes(16 * len(reads)) // per re-read entry: lock word, version
 	for i, r := range reads {
 		reps, err := tx.cn.replicasFor(r.ref.partition)
 		if err != nil {
 			return tx.placementAbort(err)
 		}
-		b.AddRead(tx.cn.tableAddr(reps[0], r.ref, kvlayout.SlotLockOff), words[16*i:16*i+16])
+		size := 16 // lock word, version
+		if r.fromCache {
+			size = int(tx.cn.schema[r.ref.table].SlotSize())
+		}
+		reads[i].img = tx.sc.bytes(size)
+		clear(reads[i].img) // a seeded bug may leave the lock word unread
+		b.AddRead(tx.cn.tableAddr(reps[0], r.ref, kvlayout.SlotLockOff), reads[i].img)
+	}
+	// The epoch is read before the images: an entry stamped with it stops
+	// hitting at any bump the images may predate.
+	rc := tx.co.rcache
+	var epoch uint64
+	if rc != nil {
+		epoch = tx.cn.cacheEpoch.Load()
 	}
 	if _, err := tx.run(stage{kind: stageValidate, b: b, cut: b.Len()}); err != nil {
 		return tx.verbFailure(err)
 	}
 	// First sweep the whole batch for stale versions: every provably
-	// stale cache entry is dropped before the abort decision, so one
-	// retry re-reads them all instead of aborting once per stale key. A
-	// lock conflict deliberately does NOT invalidate: the version still
-	// matches, so the entry is still current.
+	// stale cache entry is refreshed or dropped before the abort decision,
+	// so one retry repairs them all instead of aborting once per stale
+	// key. A lock conflict deliberately does NOT invalidate: the version
+	// still matches, so the entry is still current.
 	stale := -1
 	var staleVersion uint64
 	for i, r := range reads {
-		version := kvlayout.Uint64(words[16*i+8:])
-		if version != r.version {
+		version := kvlayout.Uint64(r.img[kvlayout.SlotVersionOff:])
+		if version == r.version {
+			continue
+		}
+		if r.fromCache {
+			tx.staleHit(r.readEnt, r.img, epoch)
+		} else {
 			tx.invalidateCached(r.ref.table, r.ref.key)
-			if stale < 0 {
-				stale, staleVersion = i, version
-			}
+		}
+		if stale < 0 {
+			stale, staleVersion = i, version
 		}
 	}
 	if stale >= 0 {
@@ -208,23 +228,48 @@ func (tx *Tx) validate() error {
 		}
 		return tx.abort(kind, onObject("validation: version of %d/%d moved %d -> %d", r.ref, r.version, staleVersion))
 	}
-	for i, r := range reads {
-		lock := kvlayout.Uint64(words[16*i:])
-		if kvlayout.IsLocked(lock) && lock != tx.lockWord() && !tx.strayLock(lock) {
+	for _, r := range reads {
+		if lock := kvlayout.Uint64(r.img); tx.foreignLock(lock) {
 			return tx.abort(metrics.AbortLockConflict, lockedBy("validation: %d/%d locked by coordinator %d", r.ref, lock))
 		}
 	}
 	// Every re-read version just re-proved current: re-stamp the
-	// surviving cache entries into the present epoch (no value copy), so
-	// an epoch bump does not evict entries validation keeps vouching for.
-	// A covered entry needs none: the commit's write-through replaces it.
-	if rc := tx.co.rcache; rc != nil {
-		epoch := tx.cn.cacheEpoch.Load()
+	// surviving cache entries into the epoch read before the images (no
+	// value copy), so an epoch bump does not evict entries validation
+	// keeps vouching for, and count each hit as validated. A covered entry
+	// needs no re-stamp: the commit's write-through replaces it.
+	if rc != nil {
 		for _, r := range reads {
 			rc.Touch(r.ref.table, r.ref.key, r.version, epoch)
+			if r.fromCache {
+				rc.Validated(r.ref.table, r.ref.key, r.version)
+			}
 		}
 	}
 	return nil
+}
+
+// reread is a read-set entry validation re-reads, with the buffer its
+// READ lands in: the lock word and version, or the whole slot of a cache
+// hit.
+type reread struct {
+	*readEnt
+	img []byte
+}
+
+// staleHit hands the read cache the image validation read for r, a hit
+// it found stale. The image is offered as the refresh only when a read
+// of it would be admitted (cacheRead after judgeSlot): present, still
+// holding the key, and locked by no running coordinator but this one —
+// so it is the slot's committed state, as safe to serve as a fabric
+// read's.
+func (tx *Tx) staleHit(r *readEnt, img []byte, epoch uint64) {
+	slot := tx.cn.schema[r.ref.table].DecodeSlot(img)
+	var value []byte
+	if slot.Present && slot.Key == r.ref.key && !tx.foreignLock(slot.Lock) {
+		value = slot.Value
+	}
+	tx.co.rcache.Stale(r.ref.table, r.ref.key, slot.Version, value, epoch)
 }
 
 // applyPayloadInto fills buf (tab.SlotSize()-kvlayout.SlotVersionOff

@@ -375,10 +375,14 @@ func (tx *Tx) settle(ent *writeEnt, b *rdma.OpBatch, buf []byte, lockStart time.
 // validation, which finds it with every other stale key of the read set
 // in one abort: aborting here instead repairs one key per retry, and
 // under FORD would precede the exec-time log the Lost Decision litmus
-// looks for.
+// looks for. A covered cache hit counts as a validated one (cache
+// evidence, DESIGN.md §11).
 func (tx *Tx) cover(ent *writeEnt, version uint64) {
 	if r := tx.findRead(ent.ref.table, ent.ref.key); r != nil && r.ref == ent.ref && r.version == version {
 		r.covered = true
+		if rc := tx.co.rcache; rc != nil && r.fromCache {
+			rc.Validated(r.ref.table, r.ref.key, version)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ type txScratch struct {
 	used   int
 	log    []kvlayout.LogWrite
 	// recheck is validation's list of the read-set entries it re-reads.
-	recheck []*readEnt
+	recheck []reread
 	// refs and at are readChunk's misses: the slots it READs, and the
 	// index of each one's key in the chunk. Held here, not on readChunk's
 	// stack, so that a one-key Read does not zero them on every call.

@@ -268,11 +268,11 @@ func (tx *Tx) readStep() error {
 }
 
 // cacheRead admits a point read's fabric slot to the validated read
-// cache. The entry's value slice is owned by the read set, so the cache
-// copies it.
+// cache, as evidence for a ghost of the key (cache.Admit). The entry's
+// value slice is owned by the read set, so the cache copies it.
 func (tx *Tx) cacheRead(ent *readEnt) {
 	if rc := tx.co.rcache; rc != nil {
-		rc.Put(ent.ref.table, ent.ref.key, ent.ref.partition, ent.ref.slot,
+		rc.Admit(ent.ref.table, ent.ref.key, ent.ref.partition, ent.ref.slot,
 			ent.version, ent.value, tx.cn.cacheEpoch.Load())
 	}
 }
@@ -308,7 +308,7 @@ func (tx *Tx) judgeSlot(ref objRef, buf []byte) (kvlayout.Slot, objRef, error) {
 				return kvlayout.Slot{}, ref, nil
 			}
 			ref = newRef
-		case kvlayout.IsLocked(slot.Lock) && slot.Lock != tx.lockWord() && !tx.strayLock(slot.Lock):
+		case tx.foreignLock(slot.Lock):
 			if !tx.mayStall() {
 				return kvlayout.Slot{}, ref, tx.abort(metrics.AbortLockConflict,
 					lockedBy("read of %d/%d found lock held by coordinator %d", ref, slot.Lock))
@@ -352,6 +352,13 @@ func (tx *Tx) strayLock(word uint64) bool {
 		return false
 	}
 	return tx.cn.failed.Test(kvlayout.LockOwner(word))
+}
+
+// foreignLock reports whether word is a lock a running coordinator other
+// than this transaction holds: the lock a read or validation may not
+// pass over.
+func (tx *Tx) foreignLock(word uint64) bool {
+	return kvlayout.IsLocked(word) && word != tx.lockWord() && !tx.strayLock(word)
 }
 
 // strayWord returns word if it is a held stray lock, else 0: the hint a

@@ -8,6 +8,7 @@ package pandora_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	pandora "pandora"
@@ -207,5 +208,116 @@ func TestReadCacheDisabledBaseline(t *testing.T) {
 	}
 	if st := c.ReadCacheStats(0, 0); st != (pandora.CacheStats{}) {
 		t.Fatalf("disabled cache has non-zero stats: %+v", st)
+	}
+}
+
+// readVerbs counts the READ verbs in a metrics delta.
+func readVerbs(m pandora.Metrics) uint64 {
+	var n uint64
+	for _, v := range m.Verbs {
+		if v.Verb == "READ" {
+			n += v.Issued
+		}
+	}
+	return n
+}
+
+// TestStaleHitRefreshedForRetry: validation re-reads a cached hit's whole
+// slot, so a hit it proves stale is refreshed in place with the committed
+// image, not dropped. Session.Update's retry then hits the fresh value:
+// it issues no READ for the key, and each attempt costs one round trip on
+// the model clock, its validation doorbell.
+func TestStaleHitRefreshedForRetry(t *testing.T) {
+	cfg := testConfig()
+	cfg.ModelLatency = true
+	c := newLoaded(t, cfg, 64)
+	a, b := c.Session(0, 0), c.Session(1, 0)
+	clk := c.AttachClock(0, 0)
+	const key = 3
+	// One fabric read, then four hits that validate: enough to outweigh
+	// a stale hit (cache.staleWeight).
+	for i := 0; i < 5; i++ {
+		readValidated(t, a, "kv", key)
+	}
+	if err := b.Update(0, func(tx *pandora.Tx) error { return tx.Write("kv", key, u64(333)) }); err != nil {
+		t.Fatal(err)
+	}
+
+	before, start := c.ReadCacheStats(0, 0), clk.Now()
+	var got []uint64
+	var reads []uint64
+	if err := a.Update(1, func(tx *pandora.Tx) error {
+		m := c.MetricsSnapshot()
+		v, err := tx.Read("kv", key)
+		if err != nil {
+			return err
+		}
+		got = append(got, binary.LittleEndian.Uint64(v))
+		reads = append(reads, readVerbs(c.MetricsSnapshot().Sub(m)))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cost := clk.Now() - start
+	after := c.ReadCacheStats(0, 0)
+	if len(got) != 2 || got[0] != 30 || got[1] != 333 {
+		t.Fatalf("attempts read %v, want the stale 30, then 333", got)
+	}
+	if reads[0] != 0 || reads[1] != 0 {
+		t.Fatalf("the attempts' reads issued %v READs, want none: both are hits", reads)
+	}
+	if d := after.Refreshes - before.Refreshes; d != 1 {
+		t.Fatalf("%d refreshes, want 1", d)
+	}
+	if after.Hits-before.Hits != 2 || after.Misses != before.Misses {
+		t.Fatalf("cache %+v -> %+v, want two hits and no miss", before, after)
+	}
+	if rtt := rdma.DefaultLatency().BaseRTT; cost/rtt != 2 || cost.Nanoseconds() != 4006 {
+		t.Fatalf("stale attempt and retry cost %v, %d round trips; want 4006 ns, 2 (one validation each)", cost, cost/rtt)
+	}
+}
+
+// TestAlternateCommittersStopCaching: two coordinators take turns to
+// increment one key. Every hit either has is stale — the other committed
+// since — so the key becomes a ghost in both caches: it is read from the
+// fabric, and no further attempt aborts on a stale hit.
+func TestAlternateCommittersStopCaching(t *testing.T) {
+	c := newLoaded(t, testConfig(), 64)
+	sessions := []*pandora.Session{c.Session(0, 0), c.Session(1, 0)}
+	const key, rounds = 5, 20
+	incr := func(tx *pandora.Tx) error {
+		v, err := tx.Read("kv", key)
+		if err != nil {
+			return err
+		}
+		return tx.Write("kv", key, u64(binary.LittleEndian.Uint64(v)+1))
+	}
+	for i := 0; i < rounds; i++ {
+		for _, s := range sessions {
+			if err := s.Update(8, incr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := c.MetricsSnapshot()
+	before := []pandora.CacheStats{c.ReadCacheStats(0, 0), c.ReadCacheStats(1, 0)}
+	for i := 0; i < rounds; i++ {
+		for _, s := range sessions {
+			if err := s.Update(8, incr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := c.MetricsSnapshot().Sub(m).AbortCount(pandora.AbortCacheStale); n != 0 {
+		t.Fatalf("%d cache-stale aborts once the key had churned, want 0", n)
+	}
+	for node := range sessions {
+		st := c.ReadCacheStats(node, 0)
+		if st.Ghosts == 0 || st.Hits != before[node].Hits {
+			t.Fatalf("node %d: cache %+v -> %+v, want a ghost and no further hit", node, before[node], st)
+		}
+	}
+	if v := readValidated(t, sessions[0], "kv", key); binary.LittleEndian.Uint64(v) != 50+4*rounds {
+		t.Fatalf("key holds %d, want %d", binary.LittleEndian.Uint64(v), 50+4*rounds)
 	}
 }

@@ -117,6 +117,13 @@ func (c *Cluster) RestartCompute(i int) error {
 	// incarnation gate only closes on a crash) and let a declared-failed
 	// coordinator write again, racing PILL steals of its stray locks.
 	old.Crash()
+	// A recovery pass of the old incarnation truncates its log region after
+	// notifying the survivors; a new incarnation logging into that region
+	// before the pass ended would see its records invalidated. Wait out any
+	// pass and hold off the next, as a migration step does (the manager's
+	// lock order: the operation lock first, then its view lock).
+	c.mgr.LockOps()
+	defer c.mgr.UnlockOps()
 	nodeID := old.ID()
 	for _, m := range c.memList() {
 		m.RestoreLink(nodeID)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
+	"time"
 
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
@@ -206,5 +207,77 @@ func TestRecoveryInterleaved(t *testing.T) {
 	}
 	if len(rep.DuplicateKeys) > 0 || len(rep.DivergentKeys) > 0 || rep.LockedSlots != rep.StrayLocks {
 		t.Fatalf("inconsistent after interleaved recovery: %+v", rep)
+	}
+}
+
+// blockingPeer holds a recovery pass at its stray-lock notification until
+// release closes, after telling notified that the pass got there.
+type blockingPeer struct {
+	*core.ComputeNode
+	notified, release chan struct{}
+}
+
+func (p *blockingPeer) NotifyStrayLocks(ids []kvlayout.CoordID) {
+	close(p.notified)
+	<-p.release
+	p.ComputeNode.NotifyStrayLocks(ids)
+}
+
+// TestRestartComputeWaitsOutRecovery: a recovery pass truncates the failed
+// node's log region after notifying the survivors, and a restarted
+// incarnation logs into the same region, so RestartCompute must not
+// rejoin while a pass of the node runs. The pass is held at its
+// notification, still to truncate; the restart must wait for it. Both
+// then take the manager's view lock under its operation lock — the pass
+// to look up the log servers it truncates, the restart to rejoin — and
+// must both finish.
+func TestRestartComputeWaitsOutRecovery(t *testing.T) {
+	c, err := New(Config{
+		ComputeNodes:  2,
+		NoAutoRecover: true,
+		Tables:        []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", 8, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	c.node(1).Crash()
+	ev, ok := c.fd.MarkFailed(c.node(1).ID())
+	if !ok {
+		t.Fatal("node 1 already marked failed")
+	}
+	held := &blockingPeer{ComputeNode: c.node(0), notified: make(chan struct{}), release: make(chan struct{})}
+	c.mgr.SetPeer(held)
+
+	passed := make(chan error, 1)
+	go func() {
+		_, err := c.mgr.RecoverCompute(ev)
+		passed <- err
+	}()
+	<-held.notified
+	restarted := make(chan error, 1)
+	go func() { restarted <- c.RestartCompute(1) }()
+	select {
+	case err := <-restarted:
+		close(held.release)
+		t.Fatalf("RestartCompute returned (err %v) while a recovery pass of the node was still to truncate its logs", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(held.release)
+	for _, done := range []chan error{passed, restarted} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the recovery pass and the restart deadlocked")
+		}
+	}
+	if err := c.Session(1, 0).Update(10, func(tx *Tx) error { return tx.Write("kv", 3, idemValue(33)) }); err != nil {
+		t.Fatalf("restarted node: %v", err)
 	}
 }

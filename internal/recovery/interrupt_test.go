@@ -20,34 +20,46 @@ type cutPoint struct {
 }
 
 // interruptCase is a node that died with one logged transaction per point
-// — coordinator i's over keys 2i and 2i+1 — under one protocol.
+// — coordinator i's over keys 2i and 2i+1 — then held more, each holding
+// its two keys' locks with nothing logged (as the benchmark cycle's
+// coordinators 4–7 do; FORD-mode logs an object as it locks it, so there
+// they are logged too), under one protocol.
 type interruptCase struct {
 	name   string
 	opts   core.Options
 	points []core.CrashPoint
+	held   int
+	lat    rdma.LatencyModel // none but where a test reads the model clock
 }
+
+// strays is the node's number of stray transactions, one per coordinator.
+func (c interruptCase) strays() int { return len(c.points) + c.held }
 
 func interruptCases() []interruptCase {
 	var cs []interruptCase
+	mixed := []core.CrashPoint{core.PointAfterLog, core.PointAfterApplyOne, core.PointAfterApplyAll, core.PointAfterLog}
 	for _, p := range logProtocols {
 		for _, pts := range [][]core.CrashPoint{
 			{core.PointAfterLog},
 			{core.PointAfterApplyOne},
 			{core.PointAfterApplyAll},
-			{core.PointAfterLog, core.PointAfterApplyOne, core.PointAfterApplyAll, core.PointAfterLog},
+			mixed,
 		} {
 			name := fmt.Sprintf("%s/point%d", p.name, pts[0])
 			if len(pts) > 1 {
 				name = fmt.Sprintf("%s/strays%d", p.name, len(pts))
 			}
-			cs = append(cs, interruptCase{name, p.opts, pts})
+			cs = append(cs, interruptCase{name: name, opts: p.opts, points: pts})
 		}
+		// A cut after the notification leaves the held strays' locks to a
+		// notified survivor, who steals them before the re-run.
+		cs = append(cs, interruptCase{name: fmt.Sprintf("%s/strays%d/held4", p.name, len(mixed)), opts: p.opts, points: mixed, held: 4})
 	}
 	return cs
 }
 
 func (c interruptCase) keys() []kvlayout.Key {
-	keys := make([]kvlayout.Key, 2*len(c.points))
+	keys := make([]kvlayout.Key, 2*c.strays())
 	for i := range keys {
 		keys[i] = kvlayout.Key(i)
 	}
@@ -57,13 +69,16 @@ func (c interruptCase) keys() []kvlayout.Key {
 // stage builds the case's failed node and returns its failure event.
 func (c interruptCase) stage(t testing.TB) (*env, fdetect.Event) {
 	t.Helper()
-	e := newEnv(t, envConfig{opts: c.opts, coordsPer: max(2, len(c.points)), slots: 64})
+	e := newEnv(t, envConfig{opts: c.opts, coordsPer: max(2, c.strays()), slots: 64, latency: c.lat})
 	e.preload(t, 16)
 	for i, point := range c.points {
 		if point == core.PointAfterLog && c.opts.Protocol == core.ProtocolFORD {
 			point = core.PointAfterValidation // logged at write time, no log doorbell
 		}
 		park(t, e.nodes[0], i, point, c.keys()[2*i:2*i+2]...)
+	}
+	for i := len(c.points); i < c.strays(); i++ {
+		hold(t, e.nodes[0], i, c.keys()[2*i:2*i+2]...)
 	}
 	return e, e.failNode(t, 0)
 }
@@ -239,19 +254,47 @@ func TestInterruptedPassNeedsTheUndoGuard(t *testing.T) {
 }
 
 func TestInterruptedPassIsRealCut(t *testing.T) {
-	// A cut pass stops where it is cut: nothing after the cut is posted and
-	// the stray-lock notification is not sent.
-	c := interruptCase{"pandora", core.Options{}, []core.CrashPoint{core.PointAfterLog}}
-	e, ev := c.stage(t)
-	stats := e.recoverCut(t, ev, StepAct, 0)
-	if stats.LoggedTxs != 1 || stats.Steps[StepAct] != 0 || stats.Steps[StepTruncate] != 0 {
-		t.Fatalf("pass cut before its act doorbell = %+v, want the tx found and nothing acted on or truncated", stats)
-	}
-	if s := e.slot(t, e.ring.Replicas(e.ring.Partition(0))[0], 0); !kvlayout.IsLocked(s.Lock) {
-		t.Fatalf("key 0 lock = %#x, want the dead transaction's still held", s.Lock)
-	}
-	// The write's lock doorbell settles at Commit: the conflict surfaces there.
-	if tx := e.nodes[1].Coordinator(0).Begin(); tx.Write(0, 0, []byte("stolen")) == nil && tx.Commit() == nil {
-		t.Fatal("a survivor locked a key of a logged stray transaction before any notification")
-	}
+	// A cut pass stops where it is cut: nothing after the cut is posted.
+	// Cut before its act doorbell it has not notified anyone, so no
+	// survivor takes a lock of either stray transaction; cut before its
+	// truncation it has — VTime is taken, the logged locks are released
+	// and the unlogged one is stolen — and the logs are still there.
+	c := interruptCase{name: "pandora", points: []core.CrashPoint{core.PointAfterLog}, held: 1, lat: rdma.DefaultLatency()}
+	t.Run("before-act", func(t *testing.T) {
+		e, ev := c.stage(t)
+		rec := e.record(1)
+		stats := e.recoverCut(t, ev, StepAct, 0)
+		if stats.LoggedTxs != 1 || stats.Steps[StepAct] != 0 || stats.Steps[StepTruncate] != 0 || stats.VTime != 0 {
+			t.Fatalf("pass cut before its act doorbell = %+v, want the tx found and nothing acted on, timed or truncated", stats)
+		}
+		if n := rec.notifications(); n != 0 {
+			t.Fatalf("pass cut before its act doorbell sent %d stray-lock notifications, want none", n)
+		}
+		if s := e.slot(t, e.ring.Replicas(e.ring.Partition(0))[0], 0); !kvlayout.IsLocked(s.Lock) {
+			t.Fatalf("key 0 lock = %#x, want the dead transaction's still held", s.Lock)
+		}
+		// The write's lock doorbell settles at Commit: the conflict surfaces there.
+		for _, k := range []kvlayout.Key{0, 2} {
+			if tx := e.nodes[1].Coordinator(0).Begin(); tx.Write(0, k, []byte("stolen")) == nil && tx.Commit() == nil {
+				t.Fatalf("a survivor locked key %d of a stray transaction before any notification", k)
+			}
+		}
+	})
+	t.Run("before-truncate", func(t *testing.T) {
+		e, ev := c.stage(t)
+		rec := e.record(1)
+		stats := e.recoverCut(t, ev, StepTruncate, 0)
+		critical := stats.Steps[StepLogPrefix] + stats.Steps[StepObserve] + stats.Steps[StepAct]
+		if stats.Steps[StepAct] == 0 || stats.Steps[StepTruncate] != 0 || stats.VTime == 0 || stats.VTime != critical {
+			t.Fatalf("pass cut before its truncation = %+v, want VTime taken over the acted-on critical steps (%v) and nothing truncated", stats, critical)
+		}
+		if n := rec.notifications(); n != 1 {
+			t.Fatalf("pass cut before its truncation sent %d stray-lock notifications, want 1", n)
+		}
+		if logs, _ := e.readLogs(t, ev); len(e.mgr.reconstruct(logs, ev)) != 1 {
+			t.Fatal("the logged transaction's log was truncated by a pass cut before its truncation")
+		}
+		e.mustWrite(t, 1, 0, []byte("released")) // logged: released by act
+		e.mustWrite(t, 1, 2, []byte("stolen"))   // unlogged: stolen after the notification
+	})
 }

@@ -1,7 +1,8 @@
 // Package recovery implements Pandora's RDMA-based recovery protocol
 // (§3.2): detection is delegated to the failure detector; this package
 // performs active-link termination, log recovery (roll forward / roll
-// back), and the stray-lock notification, in that strict order — plus
+// back), and the stray-lock notification, in that strict order, with the
+// log truncation trailing the notification — plus
 // the baseline's stop-the-world scan recovery, the traditional
 // lock-logging recovery, memory-failure handling with deterministic
 // primary promotion, and the coordinator-id recycling scan.
@@ -61,7 +62,9 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Step names a doorbell of the log-recovery pass, in posting order.
+// Step names a doorbell of the log-recovery pass, in posting order. The
+// steps before StepTruncate are the pass's critical part, posted before
+// the stray-lock notification; the rest trail it.
 type Step int
 
 const (
@@ -69,16 +72,18 @@ const (
 	StepLogTail                   // the rest of the areas that hold more
 	StepObserve                   // each logged write's lock and version words
 	StepAct                       // undo images, guarded unlocks
-	StepTruncate                  // every log area invalidated
 	StepIntentRelease             // traditional scheme: the intents' locks
+	StepTruncate                  // every log area invalidated
 	StepIntentFloor               // traditional scheme: the intent floors
 	numSteps
 )
 
 // Stats reports what one compute recovery did. VTime is the modelled
-// duration of the log-recovery step — the paper's "recovery latency"
-// (Table 2) — and Steps is where it went, per doorbell: the entries sum
-// to it (ScanRecoverCompute's VTime adds its scan).
+// duration of the log-recovery step up to the stray-lock notification —
+// the paper's "recovery latency" (Table 2), what conflicting transactions
+// wait for — and Steps is where the pass's time went, per doorbell: the
+// entries before StepTruncate sum to VTime (ScanRecoverCompute's VTime
+// adds its scan), the trailing ones are charged after it.
 type Stats struct {
 	LoggedTxs       int
 	RolledForward   int
@@ -252,9 +257,11 @@ func (m *Manager) open(ev fdetect.Event) pass {
 	return pass{m: m, ev: ev, ep: *m.endpoint(new(rdma.VClock)), wall: time.Now()} //pandora:wallclock Stats.WallTime is a host-side diagnostic; the protocol-visible latency is Stats.VTime
 }
 
-// done returns the pass's stats, timed.
+// critical ends the pass's critical part: VTime is what it has cost.
+func (p *pass) critical() { p.stats.VTime = p.ep.Clock().Now() }
+
+// done returns the pass's stats with its wall time.
 func (p *pass) done() Stats {
-	p.stats.VTime = p.ep.Clock().Now()
 	p.stats.WallTime = time.Since(p.wall) //pandora:wallclock host-side diagnostic only
 	return p.stats
 }
@@ -299,16 +306,18 @@ type strayTx struct {
 
 // RecoverCompute runs the full compute-failure recovery for ev
 // (§3.2.2): (2) active-link termination, (3) log recovery, (4) stray-
-// lock notification. Step (1), detection, already happened — ev came
-// from the FD.
+// lock notification, then the log truncation. Step (1), detection,
+// already happened — ev came from the FD.
 func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
 	p := m.open(ev)
 	defer m.opMu.Unlock()
-	// Step 3 — log recovery (Cor2/Cor3), timed on the virtual clock;
-	// this is the latency conflicting transactions observe.
-	if err := p.logRecovery(); err != nil {
+	// Step 3 — log recovery (Cor2/Cor3), timed on the virtual clock up to
+	// the notification; this is the latency conflicting transactions observe.
+	logs, err := p.logRecovery()
+	if err != nil {
 		return p.stats, err
 	}
+	p.critical()
 
 	// Step 4 — stray-lock notification (Cor4): strictly after log
 	// recovery, because only NotLogged-Stray-Tx locks may be stolen and
@@ -317,6 +326,9 @@ func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
 		if peer.ID() != ev.Node && !peer.Crashed() {
 			peer.NotifyStrayLocks(ev.Coords)
 		}
+	}
+	if err := p.trail(logs); err != nil {
+		return p.stats, err
 	}
 	return p.done(), nil
 }
@@ -330,13 +342,14 @@ func (m *Manager) logNodes(failed rdma.NodeID) []rdma.NodeID {
 	return m.Ring().LogServers(failed)
 }
 
-// logRecovery reads the failed node's logs, reconstructs its
-// Logged-Stray-Txs, settles them all in one pass, and truncates the logs.
-func (p *pass) logRecovery() error {
+// logRecovery is a pass's critical part: it reads the failed node's logs,
+// reconstructs its Logged-Stray-Txs and settles them all in one pass. It
+// returns the logs for the trailing part (trail).
+func (p *pass) logRecovery() ([]nodeLogs, error) {
 	m := p.m
 	logs, err := p.readLogs()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	txs := m.reconstruct(logs, p.ev)
 	p.stats.LoggedTxs = len(txs)
@@ -347,20 +360,29 @@ func (p *pass) logRecovery() error {
 	m.mu.Lock()
 	guard := m.cfg.Protocol != core.ProtocolFORD && !m.moved[p.ev.Node]
 	m.mu.Unlock()
-	if err := p.settle(txs, guard); err != nil {
-		return err
-	}
-
-	// Idempotence (§3.2.3): truncate every log of the failed node before
-	// the stray-lock notification; a re-executed recovery then finds no
-	// logs and redoes nothing.
-	if err := p.truncateAll(); err != nil || m.cfg.Protocol != core.ProtocolTradLog {
-		return err
+	if err := p.settle(txs, guard); err != nil || m.cfg.Protocol != core.ProtocolTradLog {
+		return logs, err
 	}
 	// The traditional scheme has no PILL: stray locks of not-logged
 	// transactions are released here, from the lock-intent logs, which is
 	// what makes its recovery slower than Pandora's.
-	return p.releaseIntentLocks(logs)
+	return logs, p.releaseIntentLocks(logs)
+}
+
+// trail is a pass's trailing part, posted after the stray-lock
+// notification: no transaction waits for it. It truncates every log of
+// the failed node, and under the traditional scheme raises every intent
+// floor, so a re-executed recovery finds nothing to redo (§3.2.3). A
+// re-run that finds a log this part did not reach is still safe: act
+// released every logged lock by a guarded CAS, so notified survivors
+// steal only unlogged ones, and the re-run undoes only under the dead
+// transaction's own lock word (DESIGN.md §4b "The notification precedes
+// the truncation").
+func (p *pass) trail(logs []nodeLogs) error {
+	if err := p.truncateAll(); err != nil || p.m.cfg.Protocol != core.ProtocolTradLog {
+		return err
+	}
+	return p.raiseIntentFloors(logs)
 }
 
 // logImage is what recovery READ of one coordinator's log area on one log
@@ -651,43 +673,38 @@ func (p *pass) truncateAll() error {
 	return p.post(StepTruncate, b)
 }
 
+// latestIntents returns coordinator slot's latest transaction's lock
+// intents; of two copies of them, the one an intent WRITE did not miss.
+func latestIntents(logs []nodeLogs, slot int) []kvlayout.LockIntent {
+	var intents []kvlayout.LockIntent
+	for _, l := range logs {
+		got := kvlayout.DecodeLockIntents(l.areas[slot].intents)
+		if len(got) > 0 && (len(intents) == 0 || got[0].TxID > intents[0].TxID ||
+			got[0].TxID == intents[0].TxID && len(got) > len(intents)) {
+			intents = got
+		}
+	}
+	return intents
+}
+
 // releaseIntentLocks implements the traditional scheme's stray-lock
 // release: from each coordinator's lock-intent log, the latest (not-logged)
 // transaction's locks are CAS-released, every coordinator's in one
-// doorbell, and then every floor is raised in a second, so re-execution is
-// a no-op. Each CAS is guarded by the dead transaction's own lock word, so
-// a pass cut between the two releases nothing on re-execution it should not.
+// doorbell. Each CAS is guarded by the dead transaction's own lock word, so
+// a pass cut before raiseIntentFloors releases nothing on re-execution it
+// should not.
 func (p *pass) releaseIntentLocks(logs []nodeLogs) error {
 	m, ev, ring := p.m, p.ev, p.m.Ring()
 	live := func(n rdma.NodeID) bool { return !m.cfg.Fabric.IsDown(n) }
-	cas, floors := rdma.GetBatch(), rdma.GetBatch()
+	cas := rdma.GetBatch()
 	defer cas.Put()
-	defer floors.Put()
 	for slot, coord := range ev.Coords[:min(len(ev.Coords), m.cfg.CoordsPerNode)] {
-		// The latest transaction's intents; of two copies of them, the one an
-		// intent WRITE did not miss.
-		var intents []kvlayout.LockIntent
-		for _, l := range logs {
-			got := kvlayout.DecodeLockIntents(l.areas[slot].intents)
-			if len(got) > 0 && (len(intents) == 0 || got[0].TxID > intents[0].TxID ||
-				got[0].TxID == intents[0].TxID && len(got) > len(intents)) {
-				intents = got
-			}
-		}
-		if len(intents) == 0 {
-			continue
-		}
-		txID := intents[0].TxID
+		intents := latestIntents(logs, slot)
 		for _, li := range intents {
 			if primary, ok := ring.Primary(li.Partition, live); ok {
 				w := kvlayout.LogWrite{Table: li.Table, Partition: li.Partition, Slot: li.Slot}
-				cas.AddCAS(m.slotWord(primary, w, kvlayout.SlotLockOff), kvlayout.LockWord(coord, uint32(txID)), 0)
+				cas.AddCAS(m.slotWord(primary, w, kvlayout.SlotLockOff), kvlayout.LockWord(coord, uint32(intents[0].TxID)), 0)
 			}
-		}
-		floor := floors.Bytes(8)
-		kvlayout.PutUint64(floor, txID)
-		for _, l := range logs {
-			floors.AddWrite(rdma.Addr{Node: l.node, Region: kvlayout.LogRegionID(ev.Node), Offset: kvlayout.LogAreaOffset(slot) + kvlayout.LockLogOff}, floor)
 		}
 	}
 	if err := p.post(StepIntentRelease, cas); err != nil {
@@ -696,6 +713,27 @@ func (p *pass) releaseIntentLocks(logs []nodeLogs) error {
 	for _, op := range cas.Ops() {
 		if op.Err == nil && op.Swapped {
 			p.stats.StrayLocksFreed++
+		}
+	}
+	return nil
+}
+
+// raiseIntentFloors raises every coordinator's lock-intent floor to its
+// latest transaction's id, on every log server, in one doorbell, so a
+// re-executed pass releases no intent lock again.
+func (p *pass) raiseIntentFloors(logs []nodeLogs) error {
+	m, ev := p.m, p.ev
+	floors := rdma.GetBatch()
+	defer floors.Put()
+	for slot := range min(len(ev.Coords), m.cfg.CoordsPerNode) {
+		intents := latestIntents(logs, slot)
+		if len(intents) == 0 {
+			continue
+		}
+		floor := floors.Bytes(8)
+		kvlayout.PutUint64(floor, intents[0].TxID)
+		for _, l := range logs {
+			floors.AddWrite(rdma.Addr{Node: l.node, Region: kvlayout.LogRegionID(ev.Node), Offset: kvlayout.LogAreaOffset(slot) + kvlayout.LockLogOff}, floor)
 		}
 	}
 	return p.post(StepIntentFloor, floors)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"pandora/internal/core"
+	"pandora/internal/fdetect"
 	"pandora/internal/kvlayout"
 	"pandora/internal/place"
 	"pandora/internal/rdma"
@@ -207,25 +210,132 @@ func TestRecoverUnknownNodeIsHarmless(t *testing.T) {
 	e.mustWrite(t, 1, 0, []byte("fine"))
 }
 
-func TestStrayLockNotificationOrdering(t *testing.T) {
-	// Cor4: the notification must come after log recovery. We verify the
-	// observable consequence: when recovery completes, every lock a
-	// LOGGED stray transaction held has already been released by the RC
-	// (not stolen), so a survivor's first conflicting access needs no
-	// steal CAS at all — and for a NOT-logged stray transaction the
-	// survivor steals. Both end with the survivor making progress.
-	e := newEnv(t, envConfig{})
-	e.preload(t, 16)
-	runDoomed(t, e.nodes[0], core.PointAfterLog) // logged
-	ev := e.failNode(t, 0)
-	if _, err := e.mgr.RecoverCompute(ev); err != nil {
-		t.Fatal(err)
-	}
-	// Logged stray tx: the RC released the locks; no stray lock remains.
-	for _, srv := range e.mems {
-		if locks := srv.ScanStrayLocks(func(kvlayout.CoordID) bool { return true }); len(locks) != 0 {
-			t.Fatalf("locks of a logged stray tx survived recovery: %v", locks)
+// passEvent is one thing a pass did, in order: its cut hook was asked
+// about op landed of step, or a peer was sent the stray-lock notification.
+type passEvent struct {
+	step   Step
+	landed int
+	notify bool
+}
+
+// recorder is a survivor peer that logs every stray-lock notification it
+// receives, in order with the ops of a pass it watches.
+type recorder struct {
+	*core.ComputeNode
+	events []passEvent
+}
+
+// record puts survivor node i in the manager's peer list as a recorder.
+func (e *env) record(i int) *recorder {
+	r := &recorder{ComputeNode: e.nodes[i]}
+	e.mgr.SetPeer(r)
+	return r
+}
+
+func (r *recorder) NotifyStrayLocks(ids []kvlayout.CoordID) {
+	r.events = append(r.events, passEvent{notify: true})
+	r.ComputeNode.NotifyStrayLocks(ids)
+}
+
+// watch is a Manager.cut that logs each op and cuts nowhere.
+func (r *recorder) watch(s Step, landed int) bool {
+	r.events = append(r.events, passEvent{step: s, landed: landed})
+	return false
+}
+
+func (r *recorder) notifications() int {
+	n := 0
+	for _, ev := range r.events {
+		if ev.notify {
+			n++
 		}
+	}
+	return n
+}
+
+func TestStrayLockNotificationOrdering(t *testing.T) {
+	// Cor4: the notification comes after log recovery's critical part — the
+	// act doorbell's last op, and under the traditional scheme the intent
+	// release's — and before the truncation's first op, which trails it;
+	// VTime is the critical steps' sum. The observable consequence: when
+	// the notification arrives, every lock a LOGGED stray transaction held
+	// has been released by the RC (not stolen), so a survivor's first
+	// conflicting access needs no steal CAS; a NOT-logged stray's locks are
+	// stolen (PILL) or were released from its intents (traditional scheme).
+	// Either way the survivor makes progress.
+	for _, p := range logProtocols[:2] {
+		t.Run(p.name, func(t *testing.T) {
+			stage := func() (*env, fdetect.Event) {
+				e := newEnv(t, envConfig{opts: p.opts, latency: rdma.DefaultLatency()})
+				e.preload(t, 16)
+				runDoomed(t, e.nodes[0], core.PointAfterLog) // logged: keys 1, 2
+				e.nodes[0].SetInjector(nil)
+				e.nodes[0].Restart()
+				hold(t, e.nodes[0], 1, 3, 4) // not logged
+				return e, e.failNode(t, 0)
+			}
+
+			e, ev := stage()
+			stats, err := e.mgr.RecoverCompute(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var critical time.Duration
+			for s := range StepTruncate {
+				critical += stats.Steps[s]
+			}
+			if stats.VTime != critical || stats.Steps[StepTruncate] == 0 {
+				t.Fatalf("stats = %+v, want VTime the sum of the steps before StepTruncate (%v) and a truncation after it", stats, critical)
+			}
+			owned := func(c kvlayout.CoordID) int {
+				n := 0
+				for _, srv := range e.mems {
+					n += len(srv.ScanStrayLocks(func(o kvlayout.CoordID) bool { return o == c }))
+				}
+				return n
+			}
+			if n := owned(ev.Coords[0]); n != 0 {
+				t.Fatalf("%d locks of a logged stray tx survived recovery", n)
+			}
+			unlogged := 2 // PILL's to steal
+			if p.opts.Protocol == core.ProtocolTradLog {
+				unlogged = 0 // released from the intents
+			}
+			if n := owned(ev.Coords[1]); n != unlogged {
+				t.Fatalf("%d locks of the not-logged stray tx left after recovery, want %d", n, unlogged)
+			}
+			for _, k := range []kvlayout.Key{1, 3} {
+				e.mustWrite(t, 1, k, []byte("survivor"))
+			}
+
+			// The same pass posted op by op, beside a recording survivor.
+			e, ev = stage()
+			rec := e.record(1)
+			e.mgr.cut = rec.watch
+			if _, err := e.mgr.RecoverCompute(ev); err != nil {
+				t.Fatal(err)
+			}
+			at := slices.IndexFunc(rec.events, func(ev passEvent) bool { return ev.notify })
+			if at < 0 || rec.notifications() != 1 {
+				t.Fatalf("events %v: want one notification", rec.events)
+			}
+			last := map[Step]bool{StepAct: true}
+			if p.opts.Protocol == core.ProtocolTradLog {
+				last[StepIntentRelease] = true
+			}
+			for i, ev := range rec.events {
+				switch {
+				case ev.notify:
+				case ev.step < StepTruncate && i > at:
+					t.Errorf("op %d of critical step %d came after the notification", ev.landed, ev.step)
+				case ev.step >= StepTruncate && i < at:
+					t.Errorf("op %d of trailing step %d came before the notification", ev.landed, ev.step)
+				}
+			}
+			if before, after := rec.events[at-1], rec.events[at+1]; !last[before.step] || before.landed == 0 || after.step != StepTruncate || after.landed != 0 {
+				t.Fatalf("notification between %+v and %+v, want after the act doorbell's (or intent release's) last op and before the truncation's first", before, after)
+			}
+		})
 	}
 }
 

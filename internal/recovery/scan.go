@@ -30,7 +30,8 @@ func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
 	}
 
 	// Logged transactions are still rolled forward/back from the logs.
-	if err := p.logRecovery(); err != nil {
+	logs, err := p.logRecovery()
+	if err != nil {
 		return p.stats, err
 	}
 
@@ -48,6 +49,11 @@ func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
 			}
 			p.stats.StrayLocksFreed += freed
 		}
+	}
+	// VTime ends with the scan; the truncation trails it, as in RecoverCompute.
+	p.critical()
+	if err := p.trail(logs); err != nil {
+		return p.stats, err
 	}
 	return p.done(), nil
 }

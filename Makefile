@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate chaos-smoke litmus-smoke proptest soak smallbank-stress clean
+.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate docs-check chaos-smoke litmus-smoke proptest soak smallbank-stress clean
 
 all: build lint test
 
@@ -97,7 +97,7 @@ bench-smoke:
 # steal_model_us below the ceiling checked in beside it as
 # tools/modelgate.steal_max (a hinted steal that rings a round of its own
 # again fails it).
-RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|TestStrayLockNotificationOrdering|Interrupted'
+RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|TestStrayLockNotificationOrdering|TestUndecidedLoggedWriteNeverRead|Interrupted'
 STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint|TestPostedStealFindsFreeWord|TestPostedStealReadFault'
 SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks|TestReadPathParity|TestStaleHitRefreshedForRetry|TestAlternateCommittersStopCaching|TestCoveredHitsKeepTransferCached|TestEntryIs80Bytes|TestRefreshOnlyAfterValidatedHits|TestChurnMakesGhost|TestGhostEarnedBackWhenVersionHolds|TestWriteThroughIsNoEvidence|TestEvidenceDecays'
 LOCK_PINS := 'TestLockRoundShapes|TestStealBothLocksTransfer|TestTailRidesNextDoorbell|TestCrashWithTailUnpaid|TestPostedTailFaultWaitsThenReposts'
@@ -107,6 +107,14 @@ model-gate:
 	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core ./internal/cache
 	$(GO) test -run $(LOCK_PINS) -v . ./internal/core
 	bash tools/modelgate.sh
+
+# Docs that quote a pinned number — recovery_model_us from
+# tools/modelgate.expect, the steal_model_us ceiling from
+# tools/modelgate.steal_max — must cite the file and match it; historical
+# regions are marked and exempt (tools/docscheck).
+docs-check:
+	$(GO) test ./tools/docscheck/
+	$(GO) run ./tools/docscheck
 
 # Property-based litmus lane: the proptest engine's own tests, then the
 # randomized multi-tx histories across the knob matrix (seeded corpus,

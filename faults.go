@@ -136,10 +136,12 @@ func (c *Cluster) RestartCompute(i int) error {
 	}
 	// The rejoining node must learn the current state: the cluster's
 	// placement view — dead memory servers and partitions mid-cutover
-	// included — and every failed coordinator-id.
+	// included — every failed coordinator-id, and the lock words of logged
+	// transactions a pass cut before its act left to settle (the operation
+	// lock keeps them from changing until SetPeer).
 	cn := core.NewComputeNode(c.fab, nodeID, c.mgr.View(), c.schema, ids, c.engineOptions())
 	cn.SetSuspectReporter(func(n rdma.NodeID) { c.fd.Suspect(n) })
-	cn.NotifyStrayLocks(c.fd.FailedIDs().IDs())
+	cn.NotifyStrayLocks(c.fd.FailedIDs().IDs(), c.mgr.LoggedWords())
 	c.mgr.SetPeer(cn)
 	if c.cfg.LiveFD {
 		cn.StartHeartbeats(c.fd, time.Millisecond)

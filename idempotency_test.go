@@ -210,17 +210,20 @@ func TestRecoveryInterleaved(t *testing.T) {
 	}
 }
 
-// blockingPeer holds a recovery pass at its stray-lock notification until
-// release closes, after telling notified that the pass got there.
+// blockingPeer holds a recovery pass at its first stray-lock notification
+// until release closes, after telling notified that the pass got there.
 type blockingPeer struct {
 	*core.ComputeNode
 	notified, release chan struct{}
+	once              sync.Once
 }
 
-func (p *blockingPeer) NotifyStrayLocks(ids []kvlayout.CoordID) {
-	close(p.notified)
-	<-p.release
-	p.ComputeNode.NotifyStrayLocks(ids)
+func (p *blockingPeer) NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64) {
+	p.once.Do(func() {
+		close(p.notified)
+		<-p.release
+	})
+	p.ComputeNode.NotifyStrayLocks(ids, logged)
 }
 
 // TestRestartComputeWaitsOutRecovery: a recovery pass truncates the failed
@@ -279,5 +282,100 @@ func TestRestartComputeWaitsOutRecovery(t *testing.T) {
 	}
 	if err := c.Session(1, 0).Update(10, func(tx *Tx) error { return tx.Write("kv", 3, idemValue(33)) }); err != nil {
 		t.Fatalf("restarted node: %v", err)
+	}
+}
+
+// TestRestartedNodeWaitsOnLoggedWords: a pass cut between its notification
+// and its act leaves the survivors treating the logged transaction's lock
+// words as live locks. A compute node that restarts before the re-run
+// rejoins with every failed id, and must learn those words too: it may
+// neither read under one — the applied but undecided write of key 1 — nor
+// steal it, while the unlogged lock of key 3 is its to steal. The re-run
+// then rolls the logged transaction back.
+func TestRestartedNodeWaitsOnLoggedWords(t *testing.T) {
+	c, err := New(Config{
+		ComputeNodes:  3,
+		NoAutoRecover: true,
+		Tables:        []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", 8, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	// The victim's writes settle at Write while an injector is installed:
+	// the held transaction's lock on key 3 is taken before the crash.
+	victim := c.Engine(0)
+	victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool { return p == core.PointAfterApplyOne })
+	held := c.Session(0, 1).Begin()
+	if err := held.Write("kv", 3, idemValue(300)); err != nil {
+		t.Fatal(err)
+	}
+	doomed := c.Session(0, 0).Begin()
+	for _, k := range []Key{1, 2} {
+		if err := doomed.Write("kv", k, idemValue(100+uint64(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := doomed.Commit(); err == nil || !victim.Crashed() {
+		t.Fatalf("the doomed commit returned %v on a live node, want the crash", err)
+	}
+	ev, ok := c.fd.MarkFailed(victim.ID())
+	if !ok {
+		t.Fatal("node 0 already marked failed")
+	}
+	c.mgr.SetCut(func(s recovery.Step, landed int) bool { return s == recovery.StepNotify && landed == 1 })
+	if _, err := c.mgr.RecoverCompute(ev); err == nil {
+		t.Fatal("the pass cut after its notification returned no error")
+	}
+	c.mgr.SetCut(nil)
+
+	if _, err := c.FailCompute(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartCompute(2); err != nil {
+		t.Fatal(err)
+	}
+	read := c.Session(2, 0).Begin()
+	if v, err := read.Read("kv", 1); err == nil {
+		t.Fatalf("the restarted node read %x under a logged lock word before the re-run", v)
+	}
+	_ = read.Abort()
+	steal := c.Session(2, 0).Begin()
+	if err := steal.Write("kv", 1, idemValue(7)); err == nil {
+		if err = steal.Commit(); err == nil {
+			t.Fatal("the restarted node stole a logged lock word before the re-run")
+		}
+	} else {
+		_ = steal.Abort()
+	}
+	if err := c.Session(2, 0).Update(1, func(tx *Tx) error { return tx.Write("kv", 3, idemValue(33)) }); err != nil {
+		t.Fatalf("the restarted node could not steal the unlogged lock of key 3: %v", err)
+	}
+
+	if st, err := c.mgr.RecoverCompute(ev); err != nil || st.LoggedTxs != 1 || st.RolledBack != 1 {
+		t.Fatalf("re-run = %+v, %v; want the logged transaction rolled back", st, err)
+	}
+	if len(c.mgr.LoggedWords()) != 0 {
+		t.Fatalf("logged words %x left after the re-run's act", c.mgr.LoggedWords())
+	}
+	if err := c.Session(2, 0).Update(10, func(tx *Tx) error {
+		for _, k := range []Key{1, 2} {
+			v, err := tx.Read("kv", k)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(v, idemValue(uint64(k))) {
+				t.Errorf("key %d = %x after the re-run, want the initial value", k, v)
+			}
+		}
+		return tx.Write("kv", 1, idemValue(11))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := c.CheckConsistency("kv"); err != nil || len(rep.DivergentKeys) != 0 {
+		t.Fatalf("consistency after the re-run: %+v, %v", rep, err)
 	}
 }

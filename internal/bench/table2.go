@@ -12,14 +12,17 @@ import (
 	"pandora/internal/workload"
 )
 
-// Table2Result holds the recovery-latency sweep: one modelled latency
-// per (benchmark, outstanding-coordinators) cell, plus how many logged
-// transactions recovery actually processed.
+// Table2Result holds the recovery-latency sweep: per (benchmark,
+// outstanding-coordinators) cell the modelled latency (RecoveryStats.VTime,
+// the wait on an unlogged stray lock) and settle time (Settled, the wait
+// on a logged transaction's lock), plus how many logged transactions
+// recovery actually processed.
 type Table2Result struct {
 	Protocol  pandora.Protocol
 	Coords    []int
 	Bench     []string
 	Latency   map[string]map[int]time.Duration
+	Settled   map[string]map[int]time.Duration
 	LoggedTxs map[string]map[int]int
 }
 
@@ -39,25 +42,28 @@ func Table2(s Scale, proto pandora.Protocol) (*Table2Result, error) {
 		Coords:    s.CoordSweep,
 		Bench:     []string{"tpcc", "smallbank", "tatp", "micro100w"},
 		Latency:   map[string]map[int]time.Duration{},
+		Settled:   map[string]map[int]time.Duration{},
 		LoggedTxs: map[string]map[int]int{},
 	}
 	for _, bn := range res.Bench {
 		res.Latency[bn] = map[int]time.Duration{}
+		res.Settled[bn] = map[int]time.Duration{}
 		res.LoggedTxs[bn] = map[int]int{}
 		for _, coords := range s.CoordSweep {
-			lat, logged, err := recoveryLatencyOnce(s, bn, proto, coords)
+			st, err := recoveryLatencyOnce(s, bn, proto, coords)
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s/%d: %w", bn, coords, err)
 			}
-			res.Latency[bn][coords] = lat
-			res.LoggedTxs[bn][coords] = logged
+			res.Latency[bn][coords] = st.VTime
+			res.Settled[bn][coords] = st.Settled
+			res.LoggedTxs[bn][coords] = st.LoggedTxs
 		}
 	}
 	return res, nil
 }
 
 // recoveryLatencyOnce measures one Table-2 cell.
-func recoveryLatencyOnce(s Scale, benchName string, proto pandora.Protocol, coords int) (time.Duration, int, error) {
+func recoveryLatencyOnce(s Scale, benchName string, proto pandora.Protocol, coords int) (pandora.RecoveryStats, error) {
 	w := s.workloadByName(benchName)
 	if benchName == "tpcc" && coords > 32 {
 		// Standard TPC-C scales warehouses with clients; without this,
@@ -71,7 +77,7 @@ func recoveryLatencyOnce(s Scale, benchName string, proto pandora.Protocol, coor
 		cfg.ModelLatency = true
 	})
 	if err != nil {
-		return 0, 0, err
+		return pandora.RecoveryStats{}, err
 	}
 	defer c.Close()
 
@@ -130,26 +136,23 @@ func recoveryLatencyOnce(s Scale, benchName string, proto pandora.Protocol, coor
 	close(stop)
 	<-done
 
-	stats, err := c.FailCompute(0)
-	if err != nil {
-		return 0, 0, err
-	}
-	return stats.VTime, stats.LoggedTxs, nil
+	return c.FailCompute(0)
 }
 
-// String renders the table in the paper's layout.
+// String renders the table in the paper's layout, each cell the recovery
+// latency and then the settle time.
 func (r *Table2Result) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Recovery latency (%s), by outstanding coordinators per compute node:\n", r.Protocol)
+	fmt.Fprintf(&b, "Recovery latency | settled (%s), by outstanding coordinators per compute node:\n", r.Protocol)
 	fmt.Fprintf(&b, "%-12s", "Bench\\Coord")
 	for _, c := range r.Coords {
-		fmt.Fprintf(&b, " %10d", c)
+		fmt.Fprintf(&b, " %16d", c)
 	}
 	b.WriteByte('\n')
 	for _, bn := range r.Bench {
 		fmt.Fprintf(&b, "%-12s", bn)
 		for _, c := range r.Coords {
-			fmt.Fprintf(&b, " %10s", fmtUS(r.Latency[bn][c]))
+			fmt.Fprintf(&b, " %16s", fmtUS(r.Latency[bn][c])+" | "+fmtUS(r.Settled[bn][c]))
 		}
 		b.WriteByte('\n')
 	}

@@ -69,6 +69,13 @@ type ComputeNode struct {
 	// failed is the node-local failed-ids set PILL consults. Its one
 	// writer is NotifyStrayLocks, which bumps cacheEpoch beside the store.
 	failed *fdetect.Bitset
+	// logged holds, sorted, the lock words of failed coordinators'
+	// transactions that recovery found logged and has not yet settled:
+	// such a word is a live foreign lock, not a stray one (DESIGN.md §4b
+	// "Logged words travel with the notification"). Nil whenever no pass
+	// sits between its notification and its act, so the PILL check pays
+	// one nil load for it. Written by NotifyStrayLocks alone.
+	logged atomic.Pointer[[]uint64]
 
 	// cacheEpoch stamps every validated-read-cache entry; any event that
 	// could silently change committed state out from under cached values
@@ -276,16 +283,40 @@ func (cn *ComputeNode) offer(inj *CrashInjector, coord kvlayout.CoordID, p point
 }
 
 // NotifyStrayLocks is the stray-lock notification of §3.2.2 step 4: the
-// recovery manager announces the failed coordinator-ids; this node's
-// transactions may steal their locks from now on.
-func (cn *ComputeNode) NotifyStrayLocks(ids []kvlayout.CoordID) {
+// recovery manager announces the failed coordinator-ids, and logged — the
+// whole set, replacing the last one — the lock words of their logged
+// transactions it has not settled yet. This node's transactions may steal
+// every other lock of those ids from now on; a logged word stays a live
+// lock until a later notification leaves it out, once recovery's act has
+// released it. The manager notifies right after its log read, with the
+// logged words, and again after act, with none left.
+func (cn *ComputeNode) NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64) {
+	if len(logged) == 0 {
+		cn.logged.Store(nil)
+	} else {
+		words := slices.Clone(logged)
+		slices.Sort(words)
+		cn.logged.Store(&words)
+	}
+	// The words land before the ids: a transaction that sees an id failed
+	// sees its logged words too.
 	for _, id := range ids {
 		cn.failed.Set(id)
 	}
-	// The announcement follows log recovery, which may have rolled
-	// applied-but-undecided writes back: cached values read before the
-	// failure must stop hitting until revalidated.
+	// Log recovery may roll applied-but-undecided writes back: cached
+	// values read before the failure must stop hitting until revalidated.
 	cn.cacheEpoch.Add(1)
+}
+
+// awaitsAct reports whether word is a failed coordinator's logged lock
+// that recovery has not settled yet.
+func (cn *ComputeNode) awaitsAct(word uint64) bool {
+	words := cn.logged.Load()
+	if words == nil {
+		return false
+	}
+	_, found := slices.BinarySearch(*words, word)
+	return found
 }
 
 // Install replaces the node's placement view — the only way it changes.

@@ -59,7 +59,7 @@ func TestInstallEpochRule(t *testing.T) {
 		epoch := cn.cacheEpoch.Load()
 		next := cn.place.Load().View
 		if tc.announce != nil {
-			cn.NotifyStrayLocks(tc.announce)
+			cn.NotifyStrayLocks(tc.announce, nil)
 		} else {
 			next = tc.step(next)
 			cn.Install(next)

@@ -346,12 +346,13 @@ func (tx *Tx) fetchSlots(refs []objRef, buf []byte) error {
 }
 
 // strayLock reports whether a lock word belongs to a known-failed
-// coordinator (the PILL failed-ids check; O(1) bitset lookup).
+// coordinator (the PILL failed-ids check; O(1) bitset lookup) and is not
+// a logged transaction's word recovery has yet to settle.
 func (tx *Tx) strayLock(word uint64) bool {
-	if tx.cn.opts.DisablePILL {
+	if tx.cn.opts.DisablePILL || !tx.cn.failed.Test(kvlayout.LockOwner(word)) {
 		return false
 	}
-	return tx.cn.failed.Test(kvlayout.LockOwner(word))
+	return !tx.cn.awaitsAct(word)
 }
 
 // foreignLock reports whether word is a lock a running coordinator other

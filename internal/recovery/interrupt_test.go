@@ -218,10 +218,18 @@ func TestInterruptedPassConverges(t *testing.T) {
 	// coordinator must leave every table region as the uninterrupted pass
 	// did, overwritten by exactly what the survivor committed, and every
 	// log truncated. FORD-mode's survivor stays out: the mode believes its
-	// logs (Table 1, C2), so it undoes such a commit by design.
+	// logs (Table 1, C2), so it undoes such a commit by design. The cuts
+	// include both sides of the notification; under Pandora every cut in
+	// observe and act, and between the two, falls after it, with the
+	// logged words announced and the unlogged locks free to steal.
 	for _, c := range interruptCases() {
 		t.Run(c.name, func(t *testing.T) {
 			ref, cuts := c.reference(t)
+			notified := slices.Index(cuts, cutPoint{StepNotify, 1})
+			observed := slices.IndexFunc(cuts, func(at cutPoint) bool { return at.step == StepObserve })
+			if notified < 0 || observed < 0 || (notified < observed) != (c.opts.Protocol == core.ProtocolPandora) {
+				t.Fatalf("cuts %v: want one after the notification, before observe's first op under Pandora alone", cuts)
+			}
 			for _, at := range cuts {
 				if msg := c.interrupt(t, ref, at, false); msg != "" {
 					t.Errorf("cut before verb %d of step %d: %s", at.landed, at.step, msg)
@@ -255,41 +263,82 @@ func TestInterruptedPassNeedsTheUndoGuard(t *testing.T) {
 
 func TestInterruptedPassIsRealCut(t *testing.T) {
 	// A cut pass stops where it is cut: nothing after the cut is posted.
-	// Cut before its act doorbell it has not notified anyone, so no
-	// survivor takes a lock of either stray transaction; cut before its
-	// truncation it has — VTime is taken, the logged locks are released
-	// and the unlogged one is stolen — and the logs are still there.
+	// Cut before its notification it has told no one, so no survivor takes
+	// a lock of either stray transaction. Cut after it, or before its act,
+	// it has sent one notification carrying the logged transaction's lock
+	// word — VTime is the prefix and the notification — and released
+	// nothing: the logged lock is still held and no survivor may take it,
+	// the unlogged one is stolen. Cut before its truncation it has settled
+	// too — the logged lock released, a second notification without the
+	// word — and the logs are still there.
 	c := interruptCase{name: "pandora", points: []core.CrashPoint{core.PointAfterLog}, held: 1, lat: rdma.DefaultLatency()}
-	t.Run("before-act", func(t *testing.T) {
+	// lockable reports whether a survivor's write of key k commits. The
+	// write's lock doorbell settles at Commit: a conflict surfaces there.
+	lockable := func(e *env, k kvlayout.Key) bool {
+		tx := e.nodes[1].Coordinator(0).Begin()
+		if err := tx.Write(0, k, []byte("stolen")); err != nil {
+			return false
+		}
+		return tx.Commit() == nil
+	}
+	// word is the logged transaction's lock word.
+	word := func(t *testing.T, e *env, ev fdetect.Event) []uint64 {
+		logs, _ := e.readLogs(t, ev)
+		return loggedWords(e.mgr.reconstruct(logs, ev))
+	}
+	t.Run("before-notify", func(t *testing.T) {
 		e, ev := c.stage(t)
 		rec := e.record(1)
-		stats := e.recoverCut(t, ev, StepAct, 0)
-		if stats.LoggedTxs != 1 || stats.Steps[StepAct] != 0 || stats.Steps[StepTruncate] != 0 || stats.VTime != 0 {
-			t.Fatalf("pass cut before its act doorbell = %+v, want the tx found and nothing acted on, timed or truncated", stats)
+		stats := e.recoverCut(t, ev, StepNotify, 0)
+		if stats.LoggedTxs != 1 || stats.Steps[StepNotify] != 0 || stats.Steps[StepObserve] != 0 || stats.VTime != 0 {
+			t.Fatalf("pass cut before its notification = %+v, want the tx found and nothing notified, observed or timed", stats)
 		}
 		if n := rec.notifications(); n != 0 {
-			t.Fatalf("pass cut before its act doorbell sent %d stray-lock notifications, want none", n)
+			t.Fatalf("pass cut before its notification sent %d stray-lock notifications, want none", n)
 		}
-		if s := e.slot(t, e.ring.Replicas(e.ring.Partition(0))[0], 0); !kvlayout.IsLocked(s.Lock) {
-			t.Fatalf("key 0 lock = %#x, want the dead transaction's still held", s.Lock)
-		}
-		// The write's lock doorbell settles at Commit: the conflict surfaces there.
 		for _, k := range []kvlayout.Key{0, 2} {
-			if tx := e.nodes[1].Coordinator(0).Begin(); tx.Write(0, k, []byte("stolen")) == nil && tx.Commit() == nil {
+			if lockable(e, k) {
 				t.Fatalf("a survivor locked key %d of a stray transaction before any notification", k)
 			}
 		}
 	})
+	// Cut after the notification — before observe, or between observe and
+	// act — the pass has announced the logged word and released nothing.
+	for _, at := range []struct {
+		name string
+		cut  cutPoint
+	}{{"after-notify", cutPoint{StepNotify, 1}}, {"before-act", cutPoint{StepAct, 0}}} {
+		t.Run(at.name, func(t *testing.T) {
+			e, ev := c.stage(t)
+			rec := e.record(1)
+			stats := e.recoverCut(t, ev, at.cut.step, at.cut.landed)
+			if stats.Steps[StepNotify] == 0 || stats.Steps[StepAct] != 0 || stats.Settled != 0 || stats.VTime != stats.Steps[StepLogPrefix]+stats.Steps[StepNotify] {
+				t.Fatalf("pass cut at %+v = %+v, want VTime the prefix and the notification, nothing acted on or settled", at.cut, stats)
+			}
+			if n := rec.notifications(); n != 1 || !slices.Equal(rec.events[0].logged, word(t, e, ev)) {
+				t.Fatalf("pass cut at %+v sent %v, want one notification carrying the logged word %#x", at.cut, rec.events, word(t, e, ev))
+			}
+			if s := e.slot(t, e.ring.Replicas(e.ring.Partition(0))[0], 0); !kvlayout.IsLocked(s.Lock) {
+				t.Fatalf("key 0 lock = %#x, want the logged transaction's still held", s.Lock)
+			}
+			if lockable(e, 0) {
+				t.Fatal("a survivor locked key 0 under a logged transaction's word before act")
+			}
+			if !lockable(e, 2) {
+				t.Fatal("a survivor could not steal key 2 of the unlogged transaction after the notification")
+			}
+		})
+	}
 	t.Run("before-truncate", func(t *testing.T) {
 		e, ev := c.stage(t)
 		rec := e.record(1)
 		stats := e.recoverCut(t, ev, StepTruncate, 0)
-		critical := stats.Steps[StepLogPrefix] + stats.Steps[StepObserve] + stats.Steps[StepAct]
-		if stats.Steps[StepAct] == 0 || stats.Steps[StepTruncate] != 0 || stats.VTime == 0 || stats.VTime != critical {
-			t.Fatalf("pass cut before its truncation = %+v, want VTime taken over the acted-on critical steps (%v) and nothing truncated", stats, critical)
+		vtime := stats.Steps[StepLogPrefix] + stats.Steps[StepNotify]
+		if stats.Steps[StepAct] == 0 || stats.Steps[StepTruncate] != 0 || stats.VTime != vtime || stats.Settled != vtime+stats.Steps[StepObserve]+stats.Steps[StepAct] {
+			t.Fatalf("pass cut before its truncation = %+v, want VTime the prefix and the notification (%v), Settled after act and nothing truncated", stats, vtime)
 		}
-		if n := rec.notifications(); n != 1 {
-			t.Fatalf("pass cut before its truncation sent %d stray-lock notifications, want 1", n)
+		if n := rec.notifications(); n != 2 || rec.events[1].logged != nil {
+			t.Fatalf("pass cut before its truncation sent %v, want two notifications, the second without logged words", rec.events)
 		}
 		if logs, _ := e.readLogs(t, ev); len(e.mgr.reconstruct(logs, ev)) != 1 {
 			t.Fatal("the logged transaction's log was truncated by a pass cut before its truncation")

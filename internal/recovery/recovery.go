@@ -1,8 +1,10 @@
 // Package recovery implements Pandora's RDMA-based recovery protocol
 // (§3.2): detection is delegated to the failure detector; this package
-// performs active-link termination, log recovery (roll forward / roll
-// back), and the stray-lock notification, in that strict order, with the
-// log truncation trailing the notification — plus
+// performs active-link termination, the log read, the stray-lock
+// notification — carrying the lock words of the logged transactions, so
+// survivors steal only the others — and then the logged transactions'
+// roll forward / roll back, in that order, with the log truncation
+// trailing them — plus
 // the baseline's stop-the-world scan recovery, the traditional
 // lock-logging recovery, memory-failure handling with deterministic
 // primary promotion, and the coordinator-id recycling scan.
@@ -34,7 +36,7 @@ import (
 type ComputePeer interface {
 	ID() rdma.NodeID
 	Crashed() bool
-	NotifyStrayLocks([]kvlayout.CoordID)
+	NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64)
 	Install(*place.View)
 	Pause()
 	Resume()
@@ -62,14 +64,17 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// Step names a doorbell of the log-recovery pass, in posting order. The
-// steps before StepTruncate are the pass's critical part, posted before
-// the stray-lock notification; the rest trail it.
+// Step names a doorbell of the log-recovery pass, in Pandora's posting
+// order; FORD-mode and the traditional scheme post StepNotify after
+// StepIntentRelease instead, as the paper's baselines notify after their
+// log recovery. The steps up to StepNotify, in posting order, make VTime;
+// the rest trail it.
 type Step int
 
 const (
 	StepLogPrefix     Step = iota // every log area's first LogPrefixSize bytes
 	StepLogTail                   // the rest of the areas that hold more
+	StepNotify                    // the stray-lock notification: one message to every live peer
 	StepObserve                   // each logged write's lock and version words
 	StepAct                       // undo images, guarded unlocks
 	StepIntentRelease             // traditional scheme: the intents' locks
@@ -79,11 +84,14 @@ const (
 )
 
 // Stats reports what one compute recovery did. VTime is the modelled
-// duration of the log-recovery step up to the stray-lock notification —
-// the paper's "recovery latency" (Table 2), what conflicting transactions
-// wait for — and Steps is where the pass's time went, per doorbell: the
-// entries before StepTruncate sum to VTime (ScanRecoverCompute's VTime
-// adds its scan), the trailing ones are charged after it.
+// duration of the pass up to the end of the stray-lock notification — the
+// paper's "recovery latency" (Table 2), what a transaction that meets an
+// unlogged stray lock waits for — and Settled is the clock when act's last
+// unlock landed, what one that meets a logged transaction's lock waits
+// for. Steps is where the pass's time went, per doorbell: the entries up
+// to StepNotify in posting order sum to VTime, those up to StepAct to
+// Settled (ScanRecoverCompute's VTime is its steps and its scan; it
+// notifies no one), and the trailing ones are charged after both.
 type Stats struct {
 	LoggedTxs       int
 	RolledForward   int
@@ -92,6 +100,7 @@ type Stats struct {
 	LogBytesRead    int // bytes the log READs brought back
 	LogTailReads    int // log areas that held more than the prefix READ
 	VTime           time.Duration
+	Settled         time.Duration
 	WallTime        time.Duration
 	Steps           [numSteps]time.Duration
 }
@@ -117,9 +126,15 @@ type Manager struct {
 	// change, until they rejoin (SetPeer): their stray transactions' lock
 	// words may be lost — a promoted backup or a copy of one never had them.
 	moved map[rdma.NodeID]bool
+	// logged holds, per failed compute node, the lock words of its logged
+	// transactions from a pass's notification until that pass's act has
+	// landed: every notification carries all of them (announce), so a
+	// survivor, or a node rejoining after a pass was cut, steals none.
+	logged map[rdma.NodeID][]uint64
 
 	// cut, when set, is asked before each verb of a pass and after its last
-	// (post): true stops the pass there, as a crash would. Nil but in tests.
+	// (post), and around its notification: true stops the pass there, as a
+	// crash would. Nil but under fault injection (SetCut).
 	cut func(s Step, landed int) bool
 }
 
@@ -127,7 +142,7 @@ type Manager struct {
 // memory-server list.
 func NewManager(cfg Config) *Manager {
 	cfg.Mems = slices.Clone(cfg.Mems)
-	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), moved: make(map[rdma.NodeID]bool)}
+	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), moved: make(map[rdma.NodeID]bool), logged: make(map[rdma.NodeID][]uint64)}
 }
 
 // View returns the cluster's current placement view.
@@ -229,6 +244,61 @@ func (m *Manager) SetPeer(p ComputePeer) {
 	m.cfg.Peers = append(m.cfg.Peers, p)
 }
 
+// SetCut installs fn as the passes' cut hook, or removes it (nil): it is
+// asked before each verb of a pass and after its last, and before and
+// after its notification; true stops the pass there, as its recovery
+// coordinator's death would, and RecoverCompute returns rdma.ErrCrashed.
+// A pass with a hook posts its ops one at a time. For fault injection: a
+// re-run of the pass repairs what a cut left (§3.2.3).
+func (m *Manager) SetCut(fn func(s Step, landed int) bool) {
+	m.opMu.Lock()
+	defer m.opMu.Unlock()
+	m.cut = fn
+}
+
+// LoggedWords returns the lock words of every failed node's logged
+// transactions that a pass has announced and not yet settled: what a
+// compute node joining now must be notified of beside the failed ids.
+func (m *Manager) LoggedWords() []uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.loggedLocked()
+}
+
+func (m *Manager) loggedLocked() []uint64 {
+	var words []uint64
+	//pandora:unordered a set: sorted below
+	for _, w := range m.logged {
+		words = append(words, w...)
+	}
+	slices.Sort(words)
+	return words
+}
+
+// announce sends the stray-lock notification for ev to every live peer
+// but the failed node: ev's coordinator-ids, and the logged words still
+// to settle — ev.Node's own (words; none once its act has landed) and any
+// other failed node's whose pass was cut between its notification and
+// its act. It returns the payload's size in bytes: a 2-byte id each, an
+// 8-byte word each.
+func (m *Manager) announce(ev fdetect.Event, words []uint64) int {
+	m.mu.Lock()
+	if len(words) > 0 {
+		m.logged[ev.Node] = words
+	} else {
+		delete(m.logged, ev.Node)
+	}
+	all := m.loggedLocked()
+	peers := append([]ComputePeer{}, m.cfg.Peers...)
+	m.mu.Unlock()
+	for _, peer := range peers {
+		if peer.ID() != ev.Node && !peer.Crashed() {
+			peer.NotifyStrayLocks(ev.Coords, all)
+		}
+	}
+	return 2*len(ev.Coords) + 8*len(all)
+}
+
 // endpoint returns a fresh verb handle for the recovery coordinator,
 // charging clk.
 func (m *Manager) endpoint(clk *rdma.VClock) *rdma.Endpoint {
@@ -257,8 +327,25 @@ func (m *Manager) open(ev fdetect.Event) pass {
 	return pass{m: m, ev: ev, ep: *m.endpoint(new(rdma.VClock)), wall: time.Now()} //pandora:wallclock Stats.WallTime is a host-side diagnostic; the protocol-visible latency is Stats.VTime
 }
 
-// critical ends the pass's critical part: VTime is what it has cost.
-func (p *pass) critical() { p.stats.VTime = p.ep.Clock().Now() }
+// notify is the pass's stray-lock notification (§3.2.2 step 4, Cor4),
+// carrying logged, the words of its logged transactions still to settle:
+// one message to every live compute node, charged to StepNotify as one
+// dependent round of its payload on the pass's clock. VTime ends with it.
+// Manager.cut is asked before it (landed 0) and after it (landed 1).
+func (p *pass) notify(logged []uint64) error {
+	cut := p.m.cut
+	if cut != nil && cut(StepNotify, 0) {
+		return rdma.ErrCrashed
+	}
+	took := p.m.cfg.Fabric.Latency().Verb(p.m.announce(p.ev, logged))
+	p.ep.Clock().Advance(took)
+	p.stats.Steps[StepNotify] += took
+	p.stats.VTime = p.ep.Clock().Now()
+	if cut != nil && cut(StepNotify, 1) {
+		return rdma.ErrCrashed
+	}
+	return nil
+}
 
 // done returns the pass's stats with its wall time.
 func (p *pass) done() Stats {
@@ -305,32 +392,55 @@ type strayTx struct {
 }
 
 // RecoverCompute runs the full compute-failure recovery for ev
-// (§3.2.2): (2) active-link termination, (3) log recovery, (4) stray-
-// lock notification, then the log truncation. Step (1), detection,
-// already happened — ev came from the FD.
+// (§3.2.2): (2) active-link termination, (3) the log read, (4) the stray-
+// lock notification with the logged transactions' lock words, then their
+// roll forward or back, a second notification that leaves their words
+// out, and the log truncation. FORD-mode and the traditional scheme
+// notify once, after their log recovery, as the paper's baselines do.
+// Step (1), detection, already happened — ev came from the FD.
 func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
 	p := m.open(ev)
 	defer m.opMu.Unlock()
-	// Step 3 — log recovery (Cor2/Cor3), timed on the virtual clock up to
-	// the notification; this is the latency conflicting transactions observe.
-	logs, err := p.logRecovery()
+	logs, txs, err := p.readLogged()
 	if err != nil {
 		return p.stats, err
 	}
-	p.critical()
-
-	// Step 4 — stray-lock notification (Cor4): strictly after log
-	// recovery, because only NotLogged-Stray-Tx locks may be stolen and
-	// log recovery has just released every logged transaction's locks.
-	for _, peer := range m.peers() {
-		if peer.ID() != ev.Node && !peer.Crashed() {
-			peer.NotifyStrayLocks(ev.Coords)
+	// Cor4 lets survivors steal only NotLogged-Stray-Tx locks. The log
+	// read has just named every logged transaction, so the notification
+	// goes now, carrying their words: survivors steal the others at once
+	// and treat these as live locks until act has released them
+	// (DESIGN.md §4b "Logged words travel with the notification").
+	early := m.cfg.Protocol == core.ProtocolPandora
+	if early {
+		if err := p.notify(loggedWords(txs)); err != nil {
+			return p.stats, err
 		}
+	}
+	if err := p.settleLogged(logs, txs); err != nil {
+		return p.stats, err
+	}
+	if !early {
+		if err := p.notify(nil); err != nil {
+			return p.stats, err
+		}
+	} else if len(txs) > 0 {
+		// Free on the clock: act released each logged word by CAS, so no
+		// survivor waits for this message but to steal a word act missed.
+		m.announce(ev, nil)
 	}
 	if err := p.trail(logs); err != nil {
 		return p.stats, err
 	}
 	return p.done(), nil
+}
+
+// loggedWords returns the lock word each of txs took (core's Tx.lockWord).
+func loggedWords(txs []strayTx) []uint64 {
+	words := make([]uint64, len(txs))
+	for i, tx := range txs {
+		words[i] = kvlayout.LockWord(tx.coord, uint32(tx.txID))
+	}
+	return words
 }
 
 // logNodes returns the memory servers whose log regions must be read for
@@ -342,42 +452,50 @@ func (m *Manager) logNodes(failed rdma.NodeID) []rdma.NodeID {
 	return m.Ring().LogServers(failed)
 }
 
-// logRecovery is a pass's critical part: it reads the failed node's logs,
-// reconstructs its Logged-Stray-Txs and settles them all in one pass. It
-// returns the logs for the trailing part (trail).
-func (p *pass) logRecovery() ([]nodeLogs, error) {
-	m := p.m
+// readLogged reads the failed node's logs and reconstructs its
+// Logged-Stray-Txs from them.
+func (p *pass) readLogged() ([]nodeLogs, []strayTx, error) {
 	logs, err := p.readLogs()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	txs := m.reconstruct(logs, p.ev)
+	txs := p.m.reconstruct(logs, p.ev)
 	p.stats.LoggedTxs = len(txs)
+	return logs, txs, nil
+}
 
+// settleLogged settles txs, all in one pass, and stamps Settled; under
+// the traditional scheme it then releases the intent locks.
+func (p *pass) settleLogged(logs []nodeLogs, txs []strayTx) error {
+	m := p.m
 	// The undo's lock-word guard is off where the words may be lost, and in
 	// FORD-mode, which believes its logs as the baseline does: Table 1's C2
 	// bugs are stale logs believed; a guard would hide them.
 	m.mu.Lock()
 	guard := m.cfg.Protocol != core.ProtocolFORD && !m.moved[p.ev.Node]
 	m.mu.Unlock()
-	if err := p.settle(txs, guard); err != nil || m.cfg.Protocol != core.ProtocolTradLog {
-		return logs, err
+	if err := p.settle(txs, guard); err != nil {
+		return err
+	}
+	p.stats.Settled = p.ep.Clock().Now()
+	if m.cfg.Protocol != core.ProtocolTradLog {
+		return nil
 	}
 	// The traditional scheme has no PILL: stray locks of not-logged
 	// transactions are released here, from the lock-intent logs, which is
 	// what makes its recovery slower than Pandora's.
-	return logs, p.releaseIntentLocks(logs)
+	return p.releaseIntentLocks(logs)
 }
 
-// trail is a pass's trailing part, posted after the stray-lock
+// trail is a pass's trailing part, posted after act and the last
 // notification: no transaction waits for it. It truncates every log of
 // the failed node, and under the traditional scheme raises every intent
 // floor, so a re-executed recovery finds nothing to redo (§3.2.3). A
 // re-run that finds a log this part did not reach is still safe: act
-// released every logged lock by a guarded CAS, so notified survivors
-// steal only unlogged ones, and the re-run undoes only under the dead
-// transaction's own lock word (DESIGN.md §4b "The notification precedes
-// the truncation").
+// released every logged lock by a guarded CAS, notified survivors stole
+// only unlogged ones, and the re-run undoes only under the dead
+// transaction's own lock word (DESIGN.md §4b "Logged words travel with
+// the notification").
 func (p *pass) trail(logs []nodeLogs) error {
 	if err := p.truncateAll(); err != nil || p.m.cfg.Protocol != core.ProtocolTradLog {
 		return err

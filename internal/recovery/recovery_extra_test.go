@@ -211,11 +211,13 @@ func TestRecoverUnknownNodeIsHarmless(t *testing.T) {
 }
 
 // passEvent is one thing a pass did, in order: its cut hook was asked
-// about op landed of step, or a peer was sent the stray-lock notification.
+// about op landed of step, or a peer was sent the stray-lock notification
+// carrying the logged words.
 type passEvent struct {
 	step   Step
 	landed int
 	notify bool
+	logged []uint64
 }
 
 // recorder is a survivor peer that logs every stray-lock notification it
@@ -232,9 +234,9 @@ func (e *env) record(i int) *recorder {
 	return r
 }
 
-func (r *recorder) NotifyStrayLocks(ids []kvlayout.CoordID) {
-	r.events = append(r.events, passEvent{notify: true})
-	r.ComputeNode.NotifyStrayLocks(ids)
+func (r *recorder) NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64) {
+	r.events = append(r.events, passEvent{notify: true, logged: slices.Clone(logged)})
+	r.ComputeNode.NotifyStrayLocks(ids, logged)
 }
 
 // watch is a Manager.cut that logs each op and cuts nowhere.
@@ -253,16 +255,38 @@ func (r *recorder) notifications() int {
 	return n
 }
 
+// postingOrder is the order a pass of protocol posts its steps in:
+// Pandora notifies after its log read, the baselines after their log
+// recovery.
+func postingOrder(protocol core.Protocol) []Step {
+	if protocol == core.ProtocolPandora {
+		return []Step{StepLogPrefix, StepLogTail, StepNotify, StepObserve, StepAct, StepIntentRelease, StepTruncate, StepIntentFloor}
+	}
+	return []Step{StepLogPrefix, StepLogTail, StepObserve, StepAct, StepIntentRelease, StepNotify, StepTruncate, StepIntentFloor}
+}
+
+// through sums stats' steps in order up to and including last.
+func through(stats Stats, order []Step, last Step) time.Duration {
+	var sum time.Duration
+	for _, s := range order[:slices.Index(order, last)+1] {
+		sum += stats.Steps[s]
+	}
+	return sum
+}
+
 func TestStrayLockNotificationOrdering(t *testing.T) {
-	// Cor4: the notification comes after log recovery's critical part — the
-	// act doorbell's last op, and under the traditional scheme the intent
-	// release's — and before the truncation's first op, which trails it;
-	// VTime is the critical steps' sum. The observable consequence: when
-	// the notification arrives, every lock a LOGGED stray transaction held
-	// has been released by the RC (not stolen), so a survivor's first
-	// conflicting access needs no steal CAS; a NOT-logged stray's locks are
-	// stolen (PILL) or were released from its intents (traditional scheme).
-	// Either way the survivor makes progress.
+	// Cor4: survivors steal only NotLogged-Stray-Tx locks. Under Pandora
+	// the notification comes right after the log read — after its last
+	// op, before observe's first — and carries the logged transaction's
+	// lock word, which survivors treat as a live lock until a second
+	// notification, after act's last op, leaves it out; the truncation
+	// trails both. The traditional scheme notifies once, after its intent
+	// release, with no word, and truncates after that. VTime is the steps
+	// through StepNotify in posting order; Settled, through StepAct. The
+	// observable consequence: when the pass is over, every lock a LOGGED
+	// stray transaction held has been released by the RC (not stolen); a
+	// NOT-logged stray's locks are stolen (PILL) or were released from its
+	// intents (traditional scheme). Either way the survivor makes progress.
 	for _, p := range logProtocols[:2] {
 		t.Run(p.name, func(t *testing.T) {
 			stage := func() (*env, fdetect.Event) {
@@ -280,12 +304,9 @@ func TestStrayLockNotificationOrdering(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var critical time.Duration
-			for s := range StepTruncate {
-				critical += stats.Steps[s]
-			}
-			if stats.VTime != critical || stats.Steps[StepTruncate] == 0 {
-				t.Fatalf("stats = %+v, want VTime the sum of the steps before StepTruncate (%v) and a truncation after it", stats, critical)
+			order := postingOrder(p.opts.Protocol)
+			if vtime, settled := through(stats, order, StepNotify), through(stats, order, StepAct); stats.VTime != vtime || stats.Settled != settled || stats.Steps[StepNotify] == 0 || stats.Steps[StepTruncate] == 0 {
+				t.Fatalf("stats = %+v, want VTime the steps through StepNotify in posting order (%v), Settled through StepAct (%v), and a truncation after both", stats, vtime, settled)
 			}
 			owned := func(c kvlayout.CoordID) int {
 				n := 0
@@ -308,32 +329,42 @@ func TestStrayLockNotificationOrdering(t *testing.T) {
 				e.mustWrite(t, 1, k, []byte("survivor"))
 			}
 
-			// The same pass posted op by op, beside a recording survivor.
+			// The same pass posted op by op, beside a recording survivor. The
+			// cut hook's own asks around the notification are left out: what
+			// matters is which doorbells' ops it falls between.
 			e, ev = stage()
+			logs, _ := e.readLogs(t, ev)
+			word := loggedWords(e.mgr.reconstruct(logs, ev))
 			rec := e.record(1)
 			e.mgr.cut = rec.watch
 			if _, err := e.mgr.RecoverCompute(ev); err != nil {
 				t.Fatal(err)
 			}
-			at := slices.IndexFunc(rec.events, func(ev passEvent) bool { return ev.notify })
-			if at < 0 || rec.notifications() != 1 {
-				t.Fatalf("events %v: want one notification", rec.events)
+			events := slices.DeleteFunc(rec.events, func(ev passEvent) bool { return !ev.notify && ev.step == StepNotify })
+			type at struct {
+				after, before Step     // the last op before it, the first after it
+				logged        []uint64 // the words it carries
 			}
-			last := map[Step]bool{StepAct: true}
-			if p.opts.Protocol == core.ProtocolTradLog {
-				last[StepIntentRelease] = true
+			want := []at{{StepIntentRelease, StepTruncate, nil}}
+			if p.opts.Protocol == core.ProtocolPandora {
+				want = []at{{StepLogPrefix, StepObserve, word}, {StepAct, StepTruncate, nil}}
 			}
-			for i, ev := range rec.events {
-				switch {
-				case ev.notify:
-				case ev.step < StepTruncate && i > at:
-					t.Errorf("op %d of critical step %d came after the notification", ev.landed, ev.step)
-				case ev.step >= StepTruncate && i < at:
-					t.Errorf("op %d of trailing step %d came before the notification", ev.landed, ev.step)
+			var got []at
+			for i, ev := range events {
+				if ev.notify {
+					got = append(got, at{events[i-1].step, events[i+1].step, ev.logged})
+					if before, after := events[i-1], events[i+1]; before.landed == 0 || after.landed != 0 {
+						t.Errorf("notification %d between %+v and %+v, want after a doorbell's last op and before one's first", len(got), before, after)
+					}
 				}
 			}
-			if before, after := rec.events[at-1], rec.events[at+1]; !last[before.step] || before.landed == 0 || after.step != StepTruncate || after.landed != 0 {
-				t.Fatalf("notification between %+v and %+v, want after the act doorbell's (or intent release's) last op and before the truncation's first", before, after)
+			if len(got) != len(want) {
+				t.Fatalf("notifications %+v, want %+v", got, want)
+			}
+			for i := range want {
+				if got[i].after != want[i].after || got[i].before != want[i].before || !slices.Equal(got[i].logged, want[i].logged) {
+					t.Fatalf("notifications %+v, want %+v", got, want)
+				}
 			}
 		})
 	}

@@ -30,8 +30,11 @@ func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
 	}
 
 	// Logged transactions are still rolled forward/back from the logs.
-	logs, err := p.logRecovery()
+	logs, txs, err := p.readLogged()
 	if err != nil {
+		return p.stats, err
+	}
+	if err := p.settleLogged(logs, txs); err != nil {
 		return p.stats, err
 	}
 
@@ -51,7 +54,7 @@ func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
 		}
 	}
 	// VTime ends with the scan; the truncation trails it, as in RecoverCompute.
-	p.critical()
+	p.stats.VTime = p.ep.Clock().Now()
 	if err := p.trail(logs); err != nil {
 		return p.stats, err
 	}

@@ -113,22 +113,25 @@ func TestReexecutedRecoveryKeepsLiveCommit(t *testing.T) {
 }
 
 func TestRecoveryRoundsIndependentOfStrayTxs(t *testing.T) {
-	// The model clock of one recovery, up to the stray-lock notification,
-	// is the prefix doorbell — one round trip and LogPrefixSize bytes per
-	// log area on the busier server — plus two round trips: observe and
-	// act, however many transactions the node died with. The traditional
-	// scheme reads an intent area per coordinator too and adds one: every
-	// coordinator's intent locks. The truncation, and the traditional
-	// scheme's floors, trail the notification: one round each, outside
-	// VTime. With nothing logged VTime is the prefix doorbell alone.
+	// The model clock of one recovery, up to the end of the stray-lock
+	// notification, is the prefix doorbell — one round trip and
+	// LogPrefixSize bytes per log area on the busier server — plus, under
+	// Pandora, the notification: one round trip and its payload's bytes,
+	// however many transactions the node died with. Observe and act follow
+	// it, one round trip each, and end at Settled. The traditional scheme
+	// reads an intent area per coordinator too and notifies after its log
+	// recovery: observe, act, every coordinator's intent locks, then the
+	// notification — four rounds. The truncation, and the traditional
+	// scheme's floors, trail both: one round each. A second pass, over
+	// truncated logs, is the prefix doorbell and the notification alone.
 	lat := rdma.DefaultLatency()
 	for _, p := range []struct {
 		name          string
 		opts          core.Options
 		areas, rounds int // log areas per coordinator; rounds after the prefixes
 	}{
-		{"pandora", core.Options{}, 1, 2},
-		{"tradlog", core.Options{Protocol: core.ProtocolTradLog, DisablePILL: true}, 2, 3},
+		{"pandora", core.Options{}, 1, 1},
+		{"tradlog", core.Options{Protocol: core.ProtocolTradLog, DisablePILL: true}, 2, 4},
 	} {
 		for _, n := range []int{1, 4, 16} {
 			e := newEnv(t, envConfig{coordsPer: n, latency: lat, opts: p.opts})
@@ -152,6 +155,15 @@ func TestRecoveryRoundsIndependentOfStrayTxs(t *testing.T) {
 			if extra := stats.VTime - logRead; extra < rounds || extra >= rounds+500*time.Nanosecond {
 				t.Errorf("%s n=%d: recovery is the prefix doorbell + %v, want %d round trips (%v) and under 0.5µs of bytes", p.name, n, extra, p.rounds, rounds)
 			}
+			// A 2-byte id per coordinator, and under Pandora an 8-byte
+			// word per logged transaction.
+			payload := 2 * len(ev.Coords)
+			if p.areas == 1 {
+				payload += 8 * n
+			}
+			if got := stats.Steps[StepNotify]; got != lat.Verb(payload) {
+				t.Errorf("%s n=%d: notification took %v, want one round of %d bytes (%v)", p.name, n, got, payload, lat.Verb(payload))
+			}
 			oneRound := []Step{StepTruncate}
 			if p.areas == 2 {
 				oneRound = append(oneRound, StepIntentRelease, StepIntentFloor)
@@ -165,8 +177,8 @@ func TestRecoveryRoundsIndependentOfStrayTxs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if again.LoggedTxs != 0 || again.VTime != logRead || again.Steps[StepTruncate] != lat.BaseRTT {
-				t.Errorf("%s n=%d: second pass = %+v, want no logged txs in the prefix doorbell (%v) and one trailing truncate round", p.name, n, again, logRead)
+			if notify := lat.Verb(2 * len(ev.Coords)); again.LoggedTxs != 0 || again.VTime != logRead+notify || again.Steps[StepTruncate] != lat.BaseRTT {
+				t.Errorf("%s n=%d: second pass = %+v, want no logged txs in the prefix doorbell (%v), the notification (%v) and one trailing truncate round", p.name, n, again, logRead, notify)
 			}
 		}
 	}
@@ -197,18 +209,22 @@ func TestRecoveryCycleModelTime(t *testing.T) {
 	stats.WallTime = 0
 	// Eight 512-byte prefixes on each of the two log servers, side by side:
 	// one round trip and 8 × 40 ns of bytes; no 176-byte record needs a
-	// tail. Then observe + act at 2 µs each and 4 ns of bytes — the busiest
-	// server is first replica to four of the eight writes, and a 16-byte
-	// lock+version READ is 1 ns on the wire (a bare 8-byte word rounds to
-	// none). VTime ends there, at the stray-lock notification; the
-	// truncate round trails it.
+	// tail. Then the stray-lock notification: one round trip and 3 ns of
+	// bytes (eight 2-byte ids and the four logged transactions' 8-byte
+	// words, 48 bytes). VTime ends there. Observe + act follow at 2 µs each
+	// and 4 ns of bytes — the busiest server is first replica to four of
+	// the eight writes, and a 16-byte lock+version READ is 1 ns on the wire
+	// (a bare 8-byte word rounds to none) — and end at Settled; the
+	// truncate round trails them.
 	want := Stats{
 		LoggedTxs:    4,
 		RolledBack:   4,
 		LogBytesRead: 2 * 8 * kvlayout.LogPrefixSize,
-		VTime:        6324 * time.Nanosecond,
+		VTime:        4323 * time.Nanosecond,
+		Settled:      8327 * time.Nanosecond,
 	}
 	want.Steps[StepLogPrefix] = 2320 * time.Nanosecond
+	want.Steps[StepNotify] = 2003 * time.Nanosecond
 	want.Steps[StepObserve] = 2004 * time.Nanosecond
 	want.Steps[StepAct] = 2000 * time.Nanosecond
 	want.Steps[StepTruncate] = 2000 * time.Nanosecond
@@ -389,5 +405,58 @@ func TestReexecutedRecoveryRepairsTornBackup(t *testing.T) {
 	e.assertReplicasConsistent(t, []kvlayout.Key{1, 2})
 	if got := e.mustRead(t, 1, 1); !bytes.Equal(got, pad16(initVal(1))) {
 		t.Fatalf("key 1 = %q, want initial", got)
+	}
+}
+
+func TestUndecidedLoggedWriteNeverRead(t *testing.T) {
+	// Between the notification and act, a logged stray's applied but
+	// undecided write sits on its slot under the dead transaction's lock
+	// word, which the notification named as logged: a survivor's read of
+	// it aborts, or stalls on the stalling path, and never returns the
+	// write's value. The re-run decides (back: key 2 reached no replica),
+	// and the survivor's retry — or its stalled read — sees the old value.
+	for _, stall := range []bool{false, true} {
+		for _, at := range []cutPoint{{StepNotify, 1}, {StepObserve, 0}, {StepAct, 0}} {
+			name := fmt.Sprintf("stall=%t/cut=%d.%d", stall, at.step, at.landed)
+			e := newEnv(t, envConfig{memNodes: 3, opts: core.Options{StallOnConflict: stall}})
+			e.preload(t, 32)
+			parkMidApply(t, e.nodes[0], 1, 2)
+			ev := e.failNode(t, 0)
+			e.recoverCut(t, ev, at.step, at.landed)
+			read := func() ([]byte, error) {
+				tx := e.nodes[1].Coordinator(0).Begin()
+				defer func() { _ = tx.Abort() }()
+				return tx.Read(0, 1)
+			}
+			type result struct {
+				v   []byte
+				err error
+			}
+			got := make(chan result, 1)
+			if stall {
+				go func() {
+					v, err := read()
+					got <- result{v, err}
+				}()
+				select {
+				case r := <-got:
+					t.Fatalf("%s: the read returned (%q, %v) under the logged word before the re-run", name, r.v, r.err)
+				case <-time.After(20 * time.Millisecond): //pandora:wallclock gives the stalled read time to return early, which it must not
+				}
+			} else if v, err := read(); !errors.Is(err, core.ErrAborted) {
+				t.Fatalf("%s: read of the undecided write = (%q, %v), want a lock-conflict abort", name, v, err)
+			}
+			if _, err := e.mgr.RecoverCompute(ev); err != nil {
+				t.Fatal(err)
+			}
+			if !stall {
+				v, err := read()
+				got <- result{v, err}
+			}
+			if r := <-got; r.err != nil || !bytes.Equal(r.v, pad16(initVal(1))) {
+				t.Fatalf("%s: read after the re-run = (%q, %v), want the initial value", name, r.v, r.err)
+			}
+			e.assertReplicasConsistent(t, []kvlayout.Key{1, 2})
+		}
 	}
 }

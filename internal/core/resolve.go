@@ -58,7 +58,7 @@ func (cn *ComputeNode) cachedRef(table kvlayout.TableID, key kvlayout.Key) (objR
 	cn.addrMu.RLock()
 	at, ok := cn.addrs[table][key]
 	cn.addrMu.RUnlock()
-	return objRef{table: table, key: key, partition: uint32(at >> 32), slot: at & (MaxSlots - 1)}, ok
+	return objRef{table: table, key: key, partition: uint32(at >> 32), slot: uint64(uint32(at))}, ok
 }
 
 // cacheRef records a resolved address.
@@ -102,7 +102,7 @@ func (cn *ComputeNode) walkChain(ep *rdma.Endpoint, table kvlayout.TableID, key 
 		n := min(probeWindow, limit-base)
 		// A window may wrap around the region end; readSlotWindow issues
 		// one READ per contiguous run.
-		startSlot := (home + uint64(base)) & (tab.Slots - 1)
+		startSlot := tab.Wrap(home + uint64(base))
 		if err := cn.readSlotWindow(ep, reps[0], region, tab, startSlot, buf[:uint64(n)*slotSize]); err != nil {
 			return err
 		}
@@ -110,7 +110,7 @@ func (cn *ComputeNode) walkChain(ep *rdma.Endpoint, table kvlayout.TableID, key 
 			raw := buf[uint64(i)*slotSize : (uint64(i)+1)*slotSize]
 			kf := kvlayout.Uint64(raw[kvlayout.SlotKeyOff:])
 			lock := kvlayout.Uint64(raw[kvlayout.SlotLockOff:])
-			if visit(partition, (startSlot+uint64(i))&(tab.Slots-1), kf, lock) || kvlayout.ChainEnds(kf, lock) {
+			if visit(partition, tab.Wrap(startSlot+uint64(i)), kf, lock) || kvlayout.ChainEnds(kf, lock) {
 				return nil
 			}
 		}

@@ -289,3 +289,36 @@ func TestStaleAddressCacheAfterDeleteAndReuse(t *testing.T) {
 		t.Fatalf("key 2 = (%q, %v)", v, err)
 	}
 }
+
+// TestProbeWindowSplitsAtRegionEnd runs keys whose probe chains cross
+// the end of a region that is not a power of two slots: five keys of
+// one partition homed three slots before the end fill its last three
+// slots and the first two. Each insert's probe window and each cold
+// read's splits at the region's end, and the chain walk must carry on
+// from slot 0 to find the last two keys.
+func TestProbeWindowSplitsAtRegionEnd(t *testing.T) {
+	schema := []kvlayout.Table{{ID: 0, ValueSize: 16, Slots: 37}}
+	e := newEnv(t, envConfig{schema: schema, memNodes: 2, replicas: 2})
+	tab := schema[0]
+	home := tab.Slots - 3
+	var keys []kvlayout.Key
+	for k := kvlayout.Key(0); len(keys) < 5; k++ {
+		if e.ring.Partition(k) == 0 && tab.HomeSlot(k) == home {
+			keys = append(keys, k)
+		}
+	}
+	writer, reader := e.nodes[0].Coordinator(0), e.nodes[1].Coordinator(0)
+	for _, k := range keys {
+		mustCommit(t, writer, func(tx *Tx) error { return tx.Insert(0, k, val16(k, 0)) })
+	}
+	for i, k := range keys {
+		v, err := readKey(t, reader, 0, k)
+		if want := padValue(tab, val16(k, 0)); err != nil || !bytes.Equal(v, want) {
+			t.Fatalf("key %d = (%q, %v), want %q", k, v, err, want)
+		}
+		ref, ok := e.nodes[1].cachedRef(0, k)
+		if want := tab.Wrap(home + uint64(i)); !ok || ref.slot != want {
+			t.Fatalf("key %d resolved to slot %d (cached %v), want slot %d", k, ref.slot, ok, want)
+		}
+	}
+}

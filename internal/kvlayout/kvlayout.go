@@ -11,6 +11,8 @@
 package kvlayout
 
 import (
+	"math/bits"
+
 	"pandora/internal/rdma"
 )
 
@@ -74,7 +76,7 @@ const (
 type Table struct {
 	ID        TableID
 	ValueSize int    // bytes of user value per object
-	Slots     uint64 // slots per partition region; power of two
+	Slots     uint64 // slots per partition region
 }
 
 // SlotSize returns the byte size of one slot.
@@ -88,8 +90,23 @@ func (t Table) RegionSize() int { return int(t.Slots * t.SlotSize()) }
 // SlotOffset returns the region offset of slot i.
 func (t Table) SlotOffset(i uint64) uint64 { return i * t.SlotSize() }
 
-// HomeSlot returns the slot index where probing for key begins.
-func (t Table) HomeSlot(k Key) uint64 { return Mix64(uint64(k)) & (t.Slots - 1) }
+// HomeSlot returns the slot index where probing for key begins: the
+// high word of Mix64(k)·Slots, which spreads keys evenly over any slot
+// count with one multiply.
+func (t Table) HomeSlot(k Key) uint64 {
+	hi, _ := bits.Mul64(Mix64(uint64(k)), t.Slots)
+	return hi
+}
+
+// Wrap maps a probe position s < 2·Slots (a home slot plus an offset
+// below Slots) onto the region: chains run past the last slot into
+// slot 0.
+func (t Table) Wrap(s uint64) uint64 {
+	if s >= t.Slots {
+		s -= t.Slots
+	}
+	return s
+}
 
 // ProbeLimit bounds linear probing; beyond it an insert fails with
 // "table full".

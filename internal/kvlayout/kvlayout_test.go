@@ -41,25 +41,38 @@ func TestSlotSizePadding(t *testing.T) {
 }
 
 func TestHomeSlotInRange(t *testing.T) {
-	tab := Table{ValueSize: 8, Slots: 1 << 10}
-	prop := func(k uint64) bool {
-		return tab.HomeSlot(Key(k)) < tab.Slots
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
+	for _, slots := range []uint64{1, 37, 1 << 10, 32403} {
+		tab := Table{ValueSize: 8, Slots: slots}
+		prop := func(k uint64) bool {
+			return tab.HomeSlot(Key(k)) < tab.Slots
+		}
+		if err := quick.Check(prop, nil); err != nil {
+			t.Fatalf("%d slots: %v", slots, err)
+		}
 	}
 }
 
 func TestHomeSlotSpreads(t *testing.T) {
 	// Sequential keys (the benchmarks preload 0..n-1) must not all land
-	// in a narrow band of slots.
-	tab := Table{ValueSize: 8, Slots: 1 << 12}
-	seen := make(map[uint64]int)
-	for k := Key(0); k < 2048; k++ {
-		seen[tab.HomeSlot(k)]++
+	// in a narrow band of slots, whatever the slot count.
+	for _, slots := range []uint64{1 << 12, 4099} {
+		tab := Table{ValueSize: 8, Slots: slots}
+		seen := make(map[uint64]int)
+		for k := Key(0); k < 2048; k++ {
+			seen[tab.HomeSlot(k)]++
+		}
+		if len(seen) < 1500 {
+			t.Fatalf("%d slots: 2048 sequential keys hashed to only %d distinct home slots", slots, len(seen))
+		}
 	}
-	if len(seen) < 1500 {
-		t.Fatalf("2048 sequential keys hashed to only %d distinct home slots", len(seen))
+}
+
+func TestWrap(t *testing.T) {
+	tab := Table{ValueSize: 8, Slots: 37}
+	for s, want := range map[uint64]uint64{0: 0, 36: 36, 37: 0, 40: 3, 73: 36} {
+		if got := tab.Wrap(s); got != want {
+			t.Errorf("Wrap(%d) = %d, want %d", s, got, want)
+		}
 	}
 }
 

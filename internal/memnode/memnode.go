@@ -199,7 +199,7 @@ func findSlot(tab kvlayout.Table, buf []byte, key kvlayout.Key) (uint64, bool) {
 	home := tab.HomeSlot(key)
 	firstEmpty, haveEmpty := uint64(0), false
 	for i := uint64(0); i < kvlayout.ProbeLimit && i < tab.Slots; i++ {
-		slot := (home + i) & (tab.Slots - 1)
+		slot := tab.Wrap(home + i)
 		off := tab.SlotOffset(slot)
 		kf := kvlayout.Uint64(buf[off+kvlayout.SlotKeyOff:])
 		switch {

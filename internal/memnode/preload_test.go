@@ -22,7 +22,7 @@ func fullScanPreload(tab kvlayout.Table, buf []byte, items []Item) (slots []uint
 		home := tab.HomeSlot(it.Key)
 		slot, ok := uint64(0), false
 		for i := uint64(0); i < kvlayout.ProbeLimit && i < tab.Slots; i++ {
-			s := (home + i) & (tab.Slots - 1)
+			s := tab.Wrap(home + i)
 			kf := kvlayout.Uint64(buf[tab.SlotOffset(s)+kvlayout.SlotKeyOff:])
 			if kf == kvlayout.KeyField(it.Key) {
 				slot, ok = s, true
@@ -69,23 +69,43 @@ func loadItems(n, valueSize int, seed int64) []Item {
 	return items
 }
 
+// homedAt returns n keys at or above 1<<41 (clear of loadItems' keys)
+// whose probe chains start at slot home of tab.
+func homedAt(tab kvlayout.Table, home uint64, n int) []kvlayout.Key {
+	var keys []kvlayout.Key
+	for k := kvlayout.Key(1 << 41); len(keys) < n; k++ {
+		if tab.HomeSlot(k) == home {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // TestPreloadMatchesFullScan pins Preload's layout to the full-scan
 // loader's: stopping where a reader's chain walk stops changes no slot,
-// and a partition too full for a key fails on the same key.
+// and a partition too full for a key fails on the same key. The wrap
+// case's region is not a power of two and homes keys at its last slot,
+// so their chain runs on from slot 0.
 func TestPreloadMatchesFullScan(t *testing.T) {
-	tab := kvlayout.Table{ID: 0, ValueSize: 20, Slots: 512}
 	for _, tc := range []struct {
 		name     string
+		slots    uint64
 		items    int
+		wrap     int // keys homed at the last slot, loaded after the items
 		wantFull bool
 	}{
-		{"load20", 512 * 20 / 100, false},
-		{"load50", 512 * 50 / 100, false},
-		{"load80", 512 * 80 / 100, false},
-		{"full", 2 * 512, true},
+		{"load20", 512, 512 * 20 / 100, 0, false},
+		{"load50", 512, 512 * 50 / 100, 0, false},
+		{"load80", 512, 512 * 80 / 100, 0, false},
+		{"full", 512, 2 * 512, 0, true},
+		{"wrap", 509, 509 * 40 / 100, 6, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			tab := kvlayout.Table{ID: 0, ValueSize: 20, Slots: tc.slots}
 			items := loadItems(tc.items, tab.ValueSize, int64(tc.items))
+			for _, k := range homedAt(tab, tab.Slots-1, tc.wrap) {
+				items = append(items, Item{Key: k, Value: []byte{byte(k)}})
+			}
 			srv, got := singlePartition(t, tab)
 			ref := make([]byte, tab.RegionSize())
 			wantSlots, full, fullKey := fullScanPreload(tab, ref, items)
@@ -107,6 +127,12 @@ func TestPreloadMatchesFullScan(t *testing.T) {
 			}
 			if !bytes.Equal(got, ref) {
 				t.Fatal("region differs from the full-scan reference")
+			}
+			if tc.wrap > 0 {
+				last := len(items) - 1
+				if home := tab.HomeSlot(items[last].Key); slots[last] >= home {
+					t.Fatalf("last key homed at slot %d landed in slot %d: its chain did not wrap", home, slots[last])
+				}
 			}
 		})
 	}

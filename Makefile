@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate docs-check chaos-smoke litmus-smoke proptest soak smallbank-stress clean
+.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate docs-check chaos-smoke litmus-smoke proptest soak smallbank-stress fd-stress clean
 
 all: build lint test
 
@@ -130,6 +130,13 @@ proptest:
 # runs on two cores, the test's duration, seed and bound as they are.
 smallbank-stress:
 	GOMAXPROCS=2 $(GO) test -count=50 -run 'TestWorkloadsRunAndCommit/smallbank' ./internal/workload/
+
+# Live failure-detector stress lane: when heartbeats came from goroutines
+# of their own, a loaded host let them fall behind the detector's sweep,
+# which then fenced a live survivor. The sweep reads liveness itself now;
+# fifty runs on two cores of the three tests that run the live detector.
+fd-stress:
+	GOMAXPROCS=2 $(GO) test -count=50 -run 'TestDistributedFDUnder20ms|TestStartStopLiveDetection|TestLiveFDDetectsAndRecovers' ./internal/bench ./internal/fdetect .
 
 # Soak lane: deterministic mixed-tenant endurance run (TATP + SmallBank,
 # fault schedule, tuned knobs). The quick run regenerates the artifact,

@@ -10,8 +10,8 @@ import (
 )
 
 // CrashCompute fail-stops compute node i without telling the FD; with
-// LiveFD the heartbeat timeout detects it, otherwise call FailCompute
-// for deterministic injection.
+// LiveFD the FD's sweep finds it silent and declares it failed after the
+// timeout, otherwise call FailCompute for deterministic injection.
 func (c *Cluster) CrashCompute(i int) { c.node(i).Crash() }
 
 // FailCompute crashes compute node i and deterministically drives
@@ -143,9 +143,6 @@ func (c *Cluster) RestartCompute(i int) error {
 	cn.SetSuspectReporter(func(n rdma.NodeID) { c.fd.Suspect(n) })
 	cn.NotifyStrayLocks(c.fd.FailedIDs().IDs(), c.mgr.LoggedWords())
 	c.mgr.SetPeer(cn)
-	if c.cfg.LiveFD {
-		cn.StartHeartbeats(c.fd, time.Millisecond)
-	}
 	c.mu.Lock()
 	c.nodes[i] = cn
 	c.mu.Unlock()
@@ -231,7 +228,7 @@ func (c *Cluster) RestartMemory(i int) error {
 	}
 	srv.Restart()
 	c.mgr.MemoryRestarted(srv.ID())
-	// Re-arm monitoring: the FD resumes heartbeat tracking with a clean
+	// Re-arm monitoring: the FD resumes liveness tracking with a clean
 	// suspicion slate, so the restarted node can be failed again later.
 	c.fd.RegisterMemory(srv.ID())
 	return nil

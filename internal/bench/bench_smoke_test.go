@@ -6,7 +6,6 @@ import (
 	"time"
 
 	pandora "pandora"
-	"pandora/internal/race"
 )
 
 // The smoke tests run every experiment at Quick scale: they assert the
@@ -165,14 +164,7 @@ func TestSteadyStateOverheadShape(t *testing.T) {
 }
 
 func TestDistributedFDUnder20ms(t *testing.T) {
-	fdTimeout := 5 * time.Millisecond
-	if race.Enabled {
-		// Under the race detector even live nodes' heartbeats miss a
-		// 5 ms deadline, so the FD fences the survivor too and it never
-		// unblocks. The shape check only needs *a* working regime.
-		fdTimeout = 50 * time.Millisecond
-	}
-	r, err := DistributedFD(3, fdTimeout)
+	r, err := DistributedFD(3, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,9 +112,9 @@ type DistFDResult struct {
 	RecoverOnly   time.Duration
 }
 
-// DistributedFD measures end-to-end recovery (heartbeat-timeout
-// detection through stray-lock notification) with a quorum-replicated
-// failure detector. The paper reports under 20 ms with three replicas.
+// DistributedFD measures end-to-end recovery (timeout detection through
+// stray-lock notification) with a quorum-replicated failure detector.
+// The paper reports under 20 ms with three replicas.
 func DistributedFD(replicas int, fdTimeout time.Duration) (*DistFDResult, error) {
 	w := &workload.Micro{Keys: 1000, WriteRatio: 1}
 	c, err := clusterFor(w, func(cfg *pandora.Config) {

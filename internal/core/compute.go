@@ -50,8 +50,8 @@ const (
 type CrashInjector func(coord kvlayout.CoordID, point CrashPoint) bool
 
 // ComputeNode is one compute server: it hosts a set of transaction
-// coordinators, the node-local failed-ids bitset, the address cache,
-// and the heartbeat loop toward the failure detector.
+// coordinators, the node-local failed-ids bitset and the address cache.
+// The failure detector reads its liveness from the fabric's crash flag.
 type ComputeNode struct {
 	fab    *rdma.Fabric
 	id     rdma.NodeID
@@ -107,9 +107,6 @@ type ComputeNode struct {
 	suspectMu sync.RWMutex
 	suspectFn func(rdma.NodeID)
 
-	hbStop chan struct{}
-	hbWG   sync.WaitGroup
-
 	// stallPoll is the retry interval of the stalling path; tests lower
 	// it.
 	stallPoll time.Duration
@@ -144,7 +141,6 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 		plan:      seedBugs(fixedPlan(opts.Protocol), opts),
 		failed:    fdetect.NewBitset(),
 		addrs:     newAddrs(len(schema)),
-		hbStop:    make(chan struct{}),
 		stallPoll: 20 * time.Microsecond,
 	}
 	cn.place.Store(&placement{View: view, logServers: view.Ring().LogServers(id)})
@@ -250,8 +246,9 @@ func (cn *ComputeNode) reportSuspect(n rdma.NodeID) {
 }
 
 // Crash fail-stops the compute node: all coordinators stop issuing
-// verbs, heartbeats cease. Memory-side state (locks, logs) survives —
-// that is the whole problem recovery solves.
+// verbs, and the failure detector finds the node silent. Memory-side
+// state (locks, logs) survives — that is the whole problem recovery
+// solves.
 func (cn *ComputeNode) Crash() {
 	cn.crashed.Store(true)
 	cn.fab.SetCrashed(cn.id, true)
@@ -349,39 +346,6 @@ func (cn *ComputeNode) Pause() { cn.pause.Lock() }
 
 // Resume lifts a Pause.
 func (cn *ComputeNode) Resume() { cn.pause.Unlock() }
-
-// StartHeartbeats launches the heartbeat loop toward the FD at the given
-// interval. The loop stops when the node crashes or StopHeartbeats is
-// called.
-func (cn *ComputeNode) StartHeartbeats(d *fdetect.Detector, interval time.Duration) {
-	cn.hbWG.Add(1)
-	go func() {
-		defer cn.hbWG.Done()
-		t := time.NewTicker(interval) //pandora:wallclock heartbeats pace a live failure detector; chaos runs drive detection via explicit Report calls
-		defer t.Stop()
-		for {
-			select {
-			case <-cn.hbStop:
-				return
-			case <-t.C:
-				if cn.crashed.Load() {
-					return
-				}
-				d.Heartbeat(cn.id)
-			}
-		}
-	}()
-}
-
-// StopHeartbeats terminates the heartbeat loop.
-func (cn *ComputeNode) StopHeartbeats() {
-	select {
-	case <-cn.hbStop:
-	default:
-		close(cn.hbStop)
-	}
-	cn.hbWG.Wait()
-}
 
 // replicasFor returns a partition's replicas, current primary first, per
 // the node's placement view. A partition marked mid-cutover fails with

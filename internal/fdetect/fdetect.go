@@ -4,8 +4,12 @@
 //   - assigns each spawned coordinator a unique 16-bit coordinator-id
 //     (spawns are strictly serialised, so ids are never reused while
 //     their stray locks may exist);
-//   - exchanges heartbeats with compute and memory servers and declares
-//     a server failed after a timeout (5 ms in the paper's evaluation);
+//   - declares a compute or memory server failed once it has been silent
+//     for a timeout (5 ms in the paper's evaluation). Where the paper's
+//     servers send heartbeats, each sweep here reads a server's liveness
+//     (Config.Alive), so a late sweep never expires a live server, and a
+//     false suspicion happens only when a caller reports one
+//     (MarkFailed, Suspect);
 //   - maintains the authoritative failed-ids set and triggers the
 //     coordinator-id recycling scan when 95% of the id space is used;
 //   - in the distributed configuration, replicates its state over a
@@ -50,8 +54,11 @@ type Config struct {
 	// Timeout after which a silent node is declared failed. Default 5 ms
 	// (the paper's setting).
 	Timeout time.Duration
-	// CheckInterval between sweeps of the heartbeat table. Default 1 ms.
-	CheckInterval time.Duration
+	// Alive reports whether a node is up; each sweep counts a live node
+	// as having just heartbeaten at every live FD replica. Nil means no
+	// node beats. It runs under the detector's mutex, so it must not call
+	// back into the detector or wait on anything that might.
+	Alive func(rdma.NodeID) bool
 	// Now is the clock; defaults to time.Now. Tests inject a fake.
 	Now func() time.Time
 	// Replicas is the number of FD replicas. 1 (default) is the
@@ -81,9 +88,6 @@ func (c *Config) fillDefaults() {
 	if c.Timeout == 0 {
 		c.Timeout = 5 * time.Millisecond
 	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = time.Millisecond
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -97,6 +101,9 @@ func (c *Config) fillDefaults() {
 		c.SuspectThreshold = 4
 	}
 }
+
+// checkInterval is the period of Start's sweeps.
+const checkInterval = time.Millisecond
 
 type nodeInfo struct {
 	kind   NodeKind
@@ -124,7 +131,7 @@ type Detector struct {
 	wg       sync.WaitGroup
 }
 
-// New creates a detector. Call Start to begin heartbeat monitoring;
+// New creates a detector. Call Start to begin liveness monitoring;
 // registration, id allocation and MarkFailed work without Start (used by
 // deterministic tests and benches).
 func New(cfg Config) *Detector {
@@ -232,25 +239,8 @@ func (d *Detector) freshHB() []time.Time {
 	return hb
 }
 
-// Heartbeat records a heartbeat from node at every live FD replica
-// (RDMA-based heartbeats reach all replicas, §3.2.4).
-func (d *Detector) Heartbeat(node rdma.NodeID) {
-	now := d.cfg.Now()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	info := d.nodes[node]
-	if info == nil || info.failed {
-		return
-	}
-	for i := range info.lastHB {
-		if !d.replicaDown[i] {
-			info.lastHB[i] = now
-		}
-	}
-}
-
-// CrashReplica fail-stops FD replica i; it stops receiving heartbeats
-// and stops counting toward detection majorities.
+// CrashReplica fail-stops FD replica i; its heartbeat record stops
+// being refreshed and stops counting toward detection majorities.
 func (d *Detector) CrashReplica(i int) {
 	d.mu.Lock()
 	d.replicaDown[i] = true
@@ -277,12 +267,12 @@ func (d *Detector) Subscribe(fn func(Event)) {
 	d.mu.Unlock()
 }
 
-// Start launches the heartbeat-sweep loop.
+// Start launches the sweep loop.
 func (d *Detector) Start() {
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
-		t := time.NewTicker(d.cfg.CheckInterval)
+		t := time.NewTicker(checkInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -301,8 +291,9 @@ func (d *Detector) Stop() {
 	d.wg.Wait()
 }
 
-// sweep declares failed every node whose heartbeats have expired at a
-// majority of live FD replicas.
+// sweep refreshes every live node's heartbeat at each live FD replica,
+// then declares failed every node whose heartbeats have expired at a
+// majority of them.
 func (d *Detector) sweep() {
 	now := d.cfg.Now()
 	var events []Event
@@ -312,12 +303,16 @@ func (d *Detector) sweep() {
 		if info.failed {
 			continue
 		}
+		alive := d.cfg.Alive != nil && d.cfg.Alive(id)
 		expired := 0
-		for i, hb := range info.lastHB {
+		for i := range info.lastHB {
 			if d.replicaDown[i] {
 				continue
 			}
-			if now.Sub(hb) > d.cfg.Timeout {
+			if alive {
+				info.lastHB[i] = now
+			}
+			if now.Sub(info.lastHB[i]) > d.cfg.Timeout {
 				expired++
 			}
 		}
@@ -383,7 +378,7 @@ func (d *Detector) ClearSuspicions(node rdma.NodeID) {
 
 // MarkFailed declares node failed immediately, bypassing heartbeat
 // timing. Deterministic tests and failure-emulation benches use this;
-// production flow uses Start + heartbeats.
+// production flow uses Start and Config.Alive.
 func (d *Detector) MarkFailed(node rdma.NodeID) (Event, bool) {
 	d.mu.Lock()
 	info := d.nodes[node]

@@ -2,6 +2,7 @@ package fdetect
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -106,7 +107,8 @@ func TestCoordIDExhaustion(t *testing.T) {
 
 func TestHeartbeatTimeoutDetection(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	d := New(Config{Timeout: 5 * time.Millisecond, Now: clk.Now})
+	up := map[rdma.NodeID]bool{2: true}
+	d := New(Config{Timeout: 5 * time.Millisecond, Now: clk.Now, Alive: func(n rdma.NodeID) bool { return up[n] }})
 	ids, _ := d.RegisterCompute(1, 2)
 	d.RegisterMemory(2)
 
@@ -118,9 +120,8 @@ func TestHeartbeatTimeoutDetection(t *testing.T) {
 		mu.Unlock()
 	})
 
-	// Node 2 keeps beating; node 1 goes silent.
+	// Node 2 stays up; node 1 is silent.
 	clk.Advance(4 * time.Millisecond)
-	d.Heartbeat(2)
 	d.sweep()
 	mu.Lock()
 	n := len(events)
@@ -171,7 +172,8 @@ func TestNoDuplicateFailureEvents(t *testing.T) {
 
 func TestDistributedMajorityDetection(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	d := New(Config{Timeout: 5 * time.Millisecond, Now: clk.Now, Replicas: 3})
+	up := map[rdma.NodeID]bool{1: true}
+	d := New(Config{Timeout: 5 * time.Millisecond, Now: clk.Now, Replicas: 3, Alive: func(n rdma.NodeID) bool { return up[n] }})
 	d.RegisterCompute(1, 1)
 	var events []Event
 	d.Subscribe(func(ev Event) { events = append(events, ev) })
@@ -181,7 +183,6 @@ func TestDistributedMajorityDetection(t *testing.T) {
 	d.CrashReplica(0)
 	for i := 0; i < 5; i++ {
 		clk.Advance(2 * time.Millisecond)
-		d.Heartbeat(1)
 		d.sweep()
 	}
 	if len(events) != 0 {
@@ -189,6 +190,7 @@ func TestDistributedMajorityDetection(t *testing.T) {
 	}
 
 	// The node truly goes silent: both live replicas expire.
+	up[1] = false
 	clk.Advance(6 * time.Millisecond)
 	d.sweep()
 	if len(events) != 1 {
@@ -198,14 +200,16 @@ func TestDistributedMajorityDetection(t *testing.T) {
 
 func TestDistributedRestartedReplicaDoesNotFalselyVote(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1000, 0)}
-	d := New(Config{Timeout: 5 * time.Millisecond, Now: clk.Now, Replicas: 3})
+	up := map[rdma.NodeID]bool{1: true}
+	d := New(Config{Timeout: 5 * time.Millisecond, Now: clk.Now, Replicas: 3, Alive: func(n rdma.NodeID) bool { return up[n] }})
 	d.RegisterCompute(1, 1)
 	var events []Event
 	d.Subscribe(func(ev Event) { events = append(events, ev) })
 
 	d.CrashReplica(0)
 	clk.Advance(100 * time.Millisecond)
-	d.Heartbeat(1) // fresh at replicas 1,2; stale at 0
+	d.sweep() // node 1's last beat: fresh at replicas 1,2; stale at 0
+	up[1] = false
 	d.RestartReplica(0)
 	d.sweep()
 	if len(events) != 0 {
@@ -276,8 +280,56 @@ func TestRecycleTriggerAndReset(t *testing.T) {
 	}
 }
 
+func TestLateSweepFencesNoLiveNode(t *testing.T) {
+	const timeout = 5 * time.Millisecond
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	up := map[rdma.NodeID]bool{1: true, 2: true}
+	d := New(Config{Timeout: timeout, Now: clk.Now, Alive: func(n rdma.NodeID) bool { return up[n] }})
+	d.RegisterCompute(1, 1)
+	d.RegisterMemory(2)
+	var events []Event
+	d.Subscribe(func(ev Event) { events = append(events, ev) })
+
+	// A sweep 100 timeouts late still finds both nodes alive.
+	d.sweep()
+	clk.Advance(100 * timeout)
+	d.sweep()
+	if len(events) != 0 {
+		t.Fatalf("late sweep fenced a live node: %+v", events)
+	}
+
+	// Node 1 goes down: silent for exactly the timeout it is not yet
+	// expired; the first sweep past it declares node 1 failed, once.
+	up[1] = false
+	clk.Advance(timeout)
+	d.sweep()
+	if len(events) != 0 {
+		t.Fatalf("node declared failed at the timeout, not past it: %+v", events)
+	}
+	clk.Advance(time.Microsecond)
+	d.sweep()
+	clk.Advance(100 * timeout)
+	d.sweep()
+	if len(events) != 1 || events[0].Node != 1 {
+		t.Fatalf("events = %+v, want one for node 1", events)
+	}
+}
+
 func TestStartStopLiveDetection(t *testing.T) {
-	d := New(Config{Timeout: 20 * time.Millisecond, CheckInterval: 5 * time.Millisecond})
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	var up atomic.Bool
+	up.Store(true)
+	// probed signals, without blocking the sweep, that a sweep read
+	// node 1's liveness.
+	probed := make(chan struct{}, 1)
+	alive := func(rdma.NodeID) bool {
+		select {
+		case probed <- struct{}{}:
+		default:
+		}
+		return up.Load()
+	}
+	d := New(Config{Timeout: 20 * time.Millisecond, Now: clk.Now, Alive: alive})
 	d.RegisterCompute(1, 1)
 	failed := make(chan Event, 1)
 	d.Subscribe(func(ev Event) {
@@ -289,17 +341,24 @@ func TestStartStopLiveDetection(t *testing.T) {
 	d.Start()
 	defer d.Stop()
 
-	// Keep beating for a while: no failure.
+	// Five sweeps, each after the clock jumped 100 ms, find node 1 up:
+	// no failure.
 	for i := 0; i < 5; i++ {
-		d.Heartbeat(1)
-		time.Sleep(10 * time.Millisecond)
+		clk.Advance(100 * time.Millisecond)
+		select {
+		case <-probed:
+		case <-time.After(2 * time.Second):
+			t.Fatal("the sweep loop never ran")
+		}
 	}
 	select {
 	case ev := <-failed:
-		t.Fatalf("false positive while heartbeating: %+v", ev)
+		t.Fatalf("false positive while up: %+v", ev)
 	default:
 	}
-	// Go silent: failure within a few sweep intervals.
+	// Node 1 goes down: the next sweep past the timeout fails it.
+	up.Store(false)
+	clk.Advance(100 * time.Millisecond)
 	select {
 	case ev := <-failed:
 		if ev.Node != 1 {

@@ -4,15 +4,10 @@
 // the binary, so tests can adjust to its side effects in one place
 // instead of each package keeping its own race_on/race_off file pair.
 //
-// Two classes of test care:
-//
-//   - allocation-count assertions (testing.AllocsPerRun): the detector
-//     instruments sync.Pool and channel operations and allocates behind
-//     the scenes, so zero-alloc contracts are unverifiable under -race
-//     and must be skipped (the no-race CI lane still enforces them);
-//   - timing regimes (heartbeat deadlines, stall windows): detector
-//     overhead makes tight real-time deadlines miss on healthy nodes,
-//     so tests relax them.
+// Allocation-count assertions (testing.AllocsPerRun) care: the
+// detector instruments sync.Pool and channel operations and allocates
+// behind the scenes, so zero-alloc contracts are unverifiable under
+// -race and must be skipped (the no-race CI lane still enforces them).
 package race
 
 // Enabled reports whether the race detector is compiled in.

@@ -132,7 +132,7 @@ type Config struct {
 	LossProb float64
 	DupProb  float64
 
-	// LiveFD runs heartbeat-based failure detection (§3.2.2 step 1) with
+	// LiveFD runs timeout-based failure detection (§3.2.2 step 1) with
 	// FDTimeout (default 5 ms). Without it, failures are injected
 	// deterministically via FailCompute/FailMemory.
 	LiveFD    bool
@@ -147,8 +147,8 @@ type Config struct {
 	// behaviour; fine when no link faults are injected).
 	VerbTimeout time.Duration
 	// SuspectThreshold is the number of coordinator suspicion reports at
-	// which the FD declares a memory node failed even though it still
-	// heartbeats (gray-failure escalation). 0 = default (4); negative
+	// which the FD declares a memory node failed even though it is still
+	// up (gray-failure escalation). 0 = default (4); negative
 	// disables escalation.
 	SuspectThreshold int
 	// FDReplicas > 1 runs the distributed failure detector over a quorum
@@ -163,9 +163,6 @@ type Config struct {
 	// battery-backed DRAM, where no flushing is needed.
 	Persistence bool
 
-	// ScanRecovery uses the Baseline's stop-the-world scan recovery
-	// instead of Pandora's (for baseline experiments).
-	ScanRecovery bool
 	// NoAutoRecover disables automatic recovery on failure events; the
 	// caller drives the recovery manager directly.
 	NoAutoRecover bool
@@ -241,9 +238,6 @@ type Cluster struct {
 	// record lands; waitRecovery blocks on it instead of polling.
 	recWake chan struct{}
 	closed  bool
-
-	stopHB chan struct{}
-	hbWG   sync.WaitGroup
 }
 
 // maxLoadFactor is the load partitionSlots keeps every partition of a
@@ -323,6 +317,9 @@ func New(cfg Config) (*Cluster, error) {
 		Replicas:         max(1, cfg.FDReplicas),
 		Store:            c.store,
 		SuspectThreshold: cfg.SuspectThreshold,
+		// A compute process is alive until it crashes, a memory server
+		// until it goes down: the sweep reads both fabric flags.
+		Alive: func(n rdma.NodeID) bool { return !c.fab.IsCrashed(n) && !c.fab.IsDown(n) },
 	})
 	for _, id := range memIDs {
 		c.fd.RegisterMemory(id)
@@ -381,30 +378,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.LiveFD {
 		c.fd.Start()
-		for _, cn := range c.nodes {
-			cn.StartHeartbeats(c.fd, time.Millisecond)
-		}
-		c.stopHB = make(chan struct{})
-		// Memory servers heartbeat too; a crashed server goes silent and
-		// is detected by the same timeout.
-		c.hbWG.Add(1)
-		go func() {
-			defer c.hbWG.Done()
-			t := time.NewTicker(time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-c.stopHB:
-					return
-				case <-t.C:
-					for _, m := range c.memList() {
-						if !m.Down() {
-							c.fd.Heartbeat(m.ID())
-						}
-					}
-				}
-			}
-		}()
 	}
 	return c, nil
 }
@@ -416,14 +389,7 @@ func (c *Cluster) onFailure(ev fdetect.Event) {
 	c.mu.Unlock()
 	switch ev.Kind {
 	case fdetect.Compute:
-		var stats RecoveryStats
-		var err error
-		if c.cfg.ScanRecovery {
-			stats, err = c.mgr.ScanRecoverCompute(ev)
-		} else {
-			stats, err = c.mgr.RecoverCompute(ev)
-		}
-		if err == nil {
+		if stats, err := c.mgr.RecoverCompute(ev); err == nil {
 			c.mu.Lock()
 			c.lastRec[ev.Node] = stats
 			close(c.recWake)
@@ -453,15 +419,9 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	nodes := append([]*core.ComputeNode{}, c.nodes...)
 	c.mu.Unlock()
 	if c.cfg.LiveFD {
 		c.fd.Stop()
-		for _, cn := range nodes {
-			cn.StopHeartbeats()
-		}
-		close(c.stopHB)
-		c.hbWG.Wait()
 	}
 }
 
@@ -573,7 +533,7 @@ func (c *Cluster) memByID(id rdma.NodeID) *memnode.Server {
 }
 
 // memList snapshots the memory-server set under the cluster lock
-// (Rereplicate swaps entries concurrently with heartbeats and audits).
+// (Rereplicate swaps entries concurrently with loads and audits).
 func (c *Cluster) memList() []*memnode.Server {
 	c.mu.Lock()
 	defer c.mu.Unlock()

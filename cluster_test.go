@@ -11,6 +11,7 @@ import (
 
 	pandora "pandora"
 	"pandora/internal/conftest"
+	"pandora/internal/kvlayout"
 )
 
 func testConfig() pandora.Config {
@@ -510,17 +511,146 @@ func TestRecycleCoordinatorIDsCluster(t *testing.T) {
 	if err := tx.Write("kv", 11, u64(1)); err != nil {
 		t.Fatal(err)
 	}
-	c.CrashCompute(0)
-	// Deliberately skip normal recovery notification: use NoAutoRecover?
-	// Simpler: fail and then also recycle; recycle must be a no-op for
-	// already-released locks and the id space resets.
 	if _, err := c.FailCompute(0); err != nil {
 		t.Fatal(err)
 	}
-	released := c.RecycleCoordinatorIDs()
-	_ = released // locks may already have been released by log recovery
-	if c.Detector().UsedIDs() != 0 {
-		t.Fatal("id space not reset after recycling")
+	// Recycling is a no-op for locks log recovery already released; it
+	// frees the failed ids and no live one.
+	c.RecycleCoordinatorIDs()
+	if got, live := c.Detector().UsedIDs(), uint64(c.CoordinatorsPerNode()); got != live {
+		t.Fatalf("UsedIDs = %d after recycling, want %d: node 1's live coordinators", got, live)
+	}
+	if rep, err := c.CheckConsistency("kv"); err != nil || rep.LockedSlots != 0 {
+		t.Fatalf("after recycling: %+v, %v; want no lock held", rep, err)
+	}
+}
+
+// recycleThenRestart fails and restarts compute node 0, recycles the ids
+// of its first incarnation, and fails and restarts it again, so that its
+// coordinators run under recycled ids.
+func recycleThenRestart(t *testing.T, c *pandora.Cluster) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if _, err := c.FailCompute(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RestartCompute(0); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			c.RecycleCoordinatorIDs()
+		}
+	}
+}
+
+// TestRecycledIDHoldsLiveLocks: once an id is recycled, no survivor
+// counts it failed, so the locks of a coordinator that got it back are
+// live: a survivor's read-modify-write of a key that coordinator has
+// locked must not steal the lock, and the two read-modify-writes must not
+// both be acknowledged.
+func TestRecycledIDHoldsLiveLocks(t *testing.T) {
+	c := newLoaded(t, testConfig(), 64)
+	first := c.Session(0, 0).CoordinatorID()
+	recycleThenRestart(t, c)
+	victim := c.Session(0, 0)
+	if victim.CoordinatorID() != first {
+		t.Fatalf("restarted coordinator got id %d, want the recycled %d", victim.CoordinatorID(), first)
+	}
+	rmw := func(tx *pandora.Tx, add uint64) error {
+		v, err := tx.Read("kv", 5)
+		if err != nil {
+			return err
+		}
+		return tx.Write("kv", 5, u64(binary.LittleEndian.Uint64(v)+add))
+	}
+	a := victim.Begin()
+	if err := rmw(a, 100); err != nil {
+		t.Fatal(err)
+	}
+	b := c.Session(1, 0).Begin()
+	bAcked := rmw(b, 1) == nil && b.Commit() == nil
+	if !b.Done() {
+		_ = b.Abort()
+	}
+	aAcked := a.Commit() == nil
+	if aAcked && bAcked {
+		t.Fatalf("both read-modify-writes of key 5 acknowledged; it reads %d", binary.LittleEndian.Uint64(readValidated(t, c.Session(1, 1), "kv", 5)))
+	}
+	want := uint64(50)
+	if aAcked {
+		want = 150
+	} else if bAcked {
+		want = 51
+	}
+	if got := binary.LittleEndian.Uint64(readValidated(t, c.Session(1, 1), "kv", 5)); got != want {
+		t.Fatalf("key 5 = %d, want %d (victim acked %t, survivor acked %t)", got, want, aAcked, bAcked)
+	}
+}
+
+// TestRecycledIDsAreNotReissuedLive: recycling frees only failed ids, so
+// restarts after it never hand out an id a live coordinator runs under.
+func TestRecycledIDsAreNotReissuedLive(t *testing.T) {
+	c := newLoaded(t, testConfig(), 64)
+	recycleThenRestart(t, c)
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	running := map[kvlayout.CoordID]int{}
+	for n := 0; n < c.ComputeNodes(); n++ {
+		for k := 0; k < c.CoordinatorsPerNode(); k++ {
+			id := c.Session(n, k).CoordinatorID()
+			if m, dup := running[id]; dup {
+				t.Fatalf("compute nodes %d and %d both run coordinator %d", m, n, id)
+			}
+			running[id] = n
+		}
+	}
+}
+
+// TestReRecoverAfterRecycleRefused: once its ids are recycled, a failure
+// event's pass is not run again — it would fence the node and announce
+// failed the ids the restarted node now runs under.
+func TestReRecoverAfterRecycleRefused(t *testing.T) {
+	c := newLoaded(t, testConfig(), 64)
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	c.RecycleCoordinatorIDs()
+	if err := c.RestartCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReRecoverCompute(0); err == nil {
+		t.Fatal("ReRecoverCompute re-ran a pass whose ids were recycled")
+	}
+	if err := c.Session(0, 0).Update(10, func(tx *pandora.Tx) error { return tx.Write("kv", 7, u64(7)) }); err != nil {
+		t.Fatalf("the restarted node: %v", err)
+	}
+}
+
+// TestRestartRequiresDeclaredFailure: a compute node that crashed but was
+// never declared failed cannot rejoin — nothing would report its old
+// coordinator-ids failed, and their locks would stay held. Once declared
+// failed it rejoins, and a survivor commits over the old lock.
+func TestRestartRequiresDeclaredFailure(t *testing.T) {
+	c := newLoaded(t, testConfig(), 64)
+	if err := c.Session(0, 0).Begin().Write("kv", 3, u64(333)); err != nil {
+		t.Fatal(err)
+	}
+	c.CrashCompute(0)
+	if err := c.RestartCompute(0); err == nil {
+		t.Fatal("RestartCompute accepted a crashed node not declared failed")
+	}
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Session(1, 0).Update(10, func(tx *pandora.Tx) error { return tx.Write("kv", 3, u64(33)) }); err != nil {
+		t.Fatalf("survivor's update of key 3: %v", err)
 	}
 }
 

@@ -608,9 +608,13 @@ func TestStealBothLocksTransfer(t *testing.T) {
 }
 
 // TestPostedStealFindsFreeWord: the survivor's read passes over a stray
-// word, and the stray-lock scan (RecycleCoordinatorIDs) releases the word
-// before the write. The write still posts the steal of the word it was
-// handed; at Commit that CAS is found to have returned 0, which leaves
+// word, and the word is released before the write while its owner stays
+// failed — by another survivor's steal and commit, or by the recycling
+// scan's CAS for an id it keeps because a logged word of it still waits;
+// here by that CAS, from the recovery node (releaseLocksOf). Recycling
+// the id itself would leave no steal to post: the write's hint is no
+// longer stray once the id is. The write still posts the steal of the
+// word it was handed; at Commit that CAS is found to have returned 0, which leaves
 // nobody to wait for, so settle retries it as a plain lock — one round
 // more than the transfer on free locks, six in all — and the transaction
 // commits on its first attempt. A settle that judged the 0 the way a
@@ -635,7 +639,8 @@ func TestPostedStealFindsFreeWord(t *testing.T) {
 	if err := surv.Update(0, func(tx *Tx) error { return pipeBody(tx, shapeTransfer, 200) }); err != nil {
 		t.Fatal(err)
 	}
-	held := c.Session(1, 0).Begin()
+	victim := c.Session(1, 0)
+	held := victim.Begin()
 	if err := held.Write("kv", 2, idemValue(300)); err != nil {
 		t.Fatal(err)
 	}
@@ -651,7 +656,7 @@ func TestPostedStealFindsFreeWord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.RecycleCoordinatorIDs(); n != 1 {
+	if n := releaseLocksOf(t, c, victim.CoordinatorID()); n != 1 {
 		t.Fatalf("the scan released %d stray locks, want 1", n)
 	}
 	for _, k := range []Key{2, 3} {
@@ -687,6 +692,27 @@ func TestPostedStealFindsFreeWord(t *testing.T) {
 	if err := check.Commit(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// releaseLocksOf releases every lock owner holds as the recycling scan
+// does, by CAS from the recovery node's endpoint, and returns how many.
+func releaseLocksOf(t *testing.T, c *Cluster, owner kvlayout.CoordID) int {
+	t.Helper()
+	ep := c.fab.Endpoint(rcNodeID)
+	released := 0
+	for _, m := range c.memList() {
+		for _, a := range m.ScanStrayLocks(func(w uint64) bool { return kvlayout.LockOwner(w) == owner }) {
+			var word [8]byte
+			if err := ep.Read(a, word[:]); err != nil {
+				t.Fatal(err)
+			}
+			if _, swapped, err := ep.CAS(a, kvlayout.Uint64(word[:]), 0); err != nil || !swapped {
+				t.Fatalf("release of %+v: swapped %t, %v", a, swapped, err)
+			}
+			released++
+		}
+	}
+	return released
 }
 
 // TestLockRoundShapes pins, by name, the round shapes the lock step's

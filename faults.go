@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"pandora/internal/core"
-	"pandora/internal/kvlayout"
 	"pandora/internal/rdma"
 )
 
@@ -49,7 +48,9 @@ func (c *Cluster) FailComputeSoft(i int) (RecoveryStats, error) {
 // roll-forward/roll-back, no stray locks — and must leave the store
 // byte-identical. Test harnesses (litmus recovery-idempotency
 // invariant, conformance suite) call this after FailCompute to assert
-// exactly that.
+// exactly that. Once RecycleCoordinatorIDs has freed the event's ids it
+// errors: the pass would announce them failed again, and the FD may have
+// handed them to live coordinators.
 func (c *Cluster) ReRecoverCompute(i int) (RecoveryStats, error) {
 	id := c.node(i).ID()
 	c.mu.Lock()
@@ -57,6 +58,12 @@ func (c *Cluster) ReRecoverCompute(i int) (RecoveryStats, error) {
 	c.mu.Unlock()
 	if !ok {
 		return RecoveryStats{}, fmt.Errorf("pandora: no failure event recorded for node %d", i)
+	}
+	failed := c.fd.FailedIDs()
+	for _, co := range ev.Coords {
+		if !failed.Has(co) {
+			return RecoveryStats{}, fmt.Errorf("pandora: node %d's coordinator %d was recycled after its failure", i, co)
+		}
 	}
 	return c.mgr.RecoverCompute(ev)
 }
@@ -101,15 +108,18 @@ func (c *Cluster) LastRecovery(i int) (RecoveryStats, error) {
 	return c.lastRecovery(c.node(i).ID())
 }
 
-// RestartCompute brings a crashed compute node back as a fresh process:
-// its RDMA rights are restored, the FD assigns brand-new coordinator-ids
-// (ids are never reused, §3.1.2), and the node rejoins with the current
-// placement view and failed-ids set. This is the "failed resources are
-// reused" scenario of §6.4 (Figure 8, blue line).
+// RestartCompute brings a compute node declared failed back as a fresh
+// process: its RDMA rights are restored, the FD assigns coordinator-ids
+// no live or unrecycled failed coordinator holds (§3.1.2), and the node
+// rejoins with the current view — placement and stray-lock announcement.
+// This is the "failed resources are reused" scenario of §6.4 (Figure 8,
+// blue line). A node that crashed but is not yet declared failed is
+// refused: nothing would report its old coordinator-ids failed, and the
+// locks they hold would stay held.
 func (c *Cluster) RestartCompute(i int) error {
 	old := c.node(i)
-	if !old.Crashed() && !c.fd.IsFailed(old.ID()) {
-		return fmt.Errorf("pandora: compute node %d is not failed", i)
+	if !c.fd.IsFailed(old.ID()) {
+		return fmt.Errorf("pandora: compute node %d is not declared failed", i)
 	}
 	// Terminate the previous incarnation before reusing its resources. A
 	// SOFT-failed node is a live zombie fenced only by link revocation —
@@ -134,14 +144,11 @@ func (c *Cluster) RestartCompute(i int) error {
 	if err != nil {
 		return err
 	}
-	// The rejoining node must learn the current state: the cluster's
-	// placement view — dead memory servers and partitions mid-cutover
-	// included — every failed coordinator-id, and the lock words of logged
-	// transactions a pass cut before its act left to settle (the operation
-	// lock keeps them from changing until SetPeer).
+	// SetPeer installs the current view: dead memory servers, partitions
+	// mid-cutover, every failed coordinator-id and the lock words of
+	// logged transactions a pass cut before its act left to settle.
 	cn := core.NewComputeNode(c.fab, nodeID, c.mgr.View(), c.schema, ids, c.engineOptions())
 	cn.SetSuspectReporter(func(n rdma.NodeID) { c.fd.Suspect(n) })
-	cn.NotifyStrayLocks(c.fd.FailedIDs().IDs(), c.mgr.LoggedWords())
 	c.mgr.SetPeer(cn)
 	c.mu.Lock()
 	c.nodes[i] = cn
@@ -280,12 +287,10 @@ func (c *Cluster) HealAllLinks() {
 func (c *Cluster) LinkStats() rdma.LinkStats { return c.fab.LinkStats() }
 
 // RecycleCoordinatorIDs runs the background stray-lock scan that makes
-// failed coordinator-ids reusable (§3.1.2), returning the number of
-// locks released.
+// failed coordinator-ids reusable (§3.1.2) and frees at the FD the ids
+// it recycled, returning the number of locks released.
 func (c *Cluster) RecycleCoordinatorIDs() int {
-	released := c.mgr.RecycleStrayLocks(func(id kvlayout.CoordID) bool {
-		return c.fd.FailedIDs().Test(id)
-	})
-	c.fd.ResetIDSpace()
+	ids, released := c.mgr.RecycleStrayLocks()
+	c.fd.FreeCoordIDs(ids)
 	return released
 }

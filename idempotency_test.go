@@ -10,6 +10,7 @@ import (
 	"pandora/internal/core"
 	"pandora/internal/kvlayout"
 	"pandora/internal/metrics"
+	"pandora/internal/place"
 	"pandora/internal/recovery"
 )
 
@@ -211,19 +212,22 @@ func TestRecoveryInterleaved(t *testing.T) {
 }
 
 // blockingPeer holds a recovery pass at its first stray-lock notification
-// until release closes, after telling notified that the pass got there.
+// — the first installed view that announces a failed coordinator — until
+// release closes, after telling notified that the pass got there.
 type blockingPeer struct {
 	*core.ComputeNode
 	notified, release chan struct{}
 	once              sync.Once
 }
 
-func (p *blockingPeer) NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64) {
-	p.once.Do(func() {
-		close(p.notified)
-		<-p.release
-	})
-	p.ComputeNode.NotifyStrayLocks(ids, logged)
+func (p *blockingPeer) Install(v *place.View) {
+	if len(v.FailedIDs()) > 0 {
+		p.once.Do(func() {
+			close(p.notified)
+			<-p.release
+		})
+	}
+	p.ComputeNode.Install(v)
 }
 
 // TestRestartComputeWaitsOutRecovery: a recovery pass truncates the failed
@@ -285,14 +289,14 @@ func TestRestartComputeWaitsOutRecovery(t *testing.T) {
 	}
 }
 
-// TestRestartedNodeWaitsOnLoggedWords: a pass cut between its notification
+// TestRestartedNodeWaitsOnLoggedLocks: a pass cut between its notification
 // and its act leaves the survivors treating the logged transaction's lock
 // words as live locks. A compute node that restarts before the re-run
 // rejoins with every failed id, and must learn those words too: it may
 // neither read under one — the applied but undecided write of key 1 — nor
 // steal it, while the unlogged lock of key 3 is its to steal. The re-run
 // then rolls the logged transaction back.
-func TestRestartedNodeWaitsOnLoggedWords(t *testing.T) {
+func TestRestartedNodeWaitsOnLoggedLocks(t *testing.T) {
 	c, err := New(Config{
 		ComputeNodes:  3,
 		NoAutoRecover: true,
@@ -358,8 +362,8 @@ func TestRestartedNodeWaitsOnLoggedWords(t *testing.T) {
 	if st, err := c.mgr.RecoverCompute(ev); err != nil || st.LoggedTxs != 1 || st.RolledBack != 1 {
 		t.Fatalf("re-run = %+v, %v; want the logged transaction rolled back", st, err)
 	}
-	if len(c.mgr.LoggedWords()) != 0 {
-		t.Fatalf("logged words %x left after the re-run's act", c.mgr.LoggedWords())
+	if logged := c.mgr.View().Logged(); len(logged) != 0 {
+		t.Fatalf("logged words %x left after the re-run's act", logged)
 	}
 	if err := c.Session(2, 0).Update(10, func(tx *Tx) error {
 		for _, k := range []Key{1, 2} {

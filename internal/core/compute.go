@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pandora/internal/cache"
-	"pandora/internal/fdetect"
 	"pandora/internal/kvlayout"
 	"pandora/internal/place"
 	"pandora/internal/rdma"
@@ -50,7 +49,7 @@ const (
 type CrashInjector func(coord kvlayout.CoordID, point CrashPoint) bool
 
 // ComputeNode is one compute server: it hosts a set of transaction
-// coordinators, the node-local failed-ids bitset and the address cache.
+// coordinators, its placement view and the address cache.
 // The failure detector reads its liveness from the fabric's crash flag.
 type ComputeNode struct {
 	fab    *rdma.Fabric
@@ -62,21 +61,11 @@ type ComputeNode struct {
 	plan plan
 
 	// place is everything the node knows about placement — ring, dead
-	// memory servers, partitions mid-cutover, its own log servers — as one
-	// immutable value replaced whole by Install (DESIGN.md §13). A
-	// transaction loads it per lookup and never pins it.
+	// memory servers, partitions mid-cutover, its own log servers — and
+	// the announced stray locks PILL consults, as one immutable value
+	// replaced whole by Install (DESIGN.md §13). A transaction loads it per
+	// lookup and never pins it.
 	place atomic.Pointer[placement]
-	// failed is the node-local failed-ids set PILL consults. Its one
-	// writer is NotifyStrayLocks, which bumps cacheEpoch beside the store.
-	failed *fdetect.Bitset
-	// logged holds, sorted, the lock words of failed coordinators'
-	// transactions that recovery found logged and has not yet settled:
-	// such a word is a live foreign lock, not a stray one (DESIGN.md §4b
-	// "Logged words travel with the notification"). Nil whenever no pass
-	// sits between its notification and its act, so the PILL check pays
-	// one nil load for it. Written by NotifyStrayLocks alone.
-	logged atomic.Pointer[[]uint64]
-
 	// cacheEpoch stamps every validated-read-cache entry; any event that
 	// could silently change committed state out from under cached values
 	// (recovery roll-back announced via stray-lock notification, a memory
@@ -139,7 +128,6 @@ func NewComputeNode(fab *rdma.Fabric, id rdma.NodeID, view *place.View, schema [
 		schema:    schema,
 		opts:      opts,
 		plan:      seedBugs(fixedPlan(opts.Protocol), opts),
-		failed:    fdetect.NewBitset(),
 		addrs:     newAddrs(len(schema)),
 		stallPoll: 20 * time.Microsecond,
 	}
@@ -279,63 +267,32 @@ func (cn *ComputeNode) offer(inj *CrashInjector, coord kvlayout.CoordID, p point
 	return false
 }
 
-// NotifyStrayLocks is the stray-lock notification of §3.2.2 step 4: the
-// recovery manager announces the failed coordinator-ids, and logged — the
-// whole set, replacing the last one — the lock words of their logged
-// transactions it has not settled yet. This node's transactions may steal
-// every other lock of those ids from now on; a logged word stays a live
-// lock until a later notification leaves it out, once recovery's act has
-// released it. The manager notifies right after its log read, with the
-// logged words, and again after act, with none left.
-func (cn *ComputeNode) NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64) {
-	if len(logged) == 0 {
-		cn.logged.Store(nil)
-	} else {
-		words := slices.Clone(logged)
-		slices.Sort(words)
-		cn.logged.Store(&words)
-	}
-	// The words land before the ids: a transaction that sees an id failed
-	// sees its logged words too.
-	for _, id := range ids {
-		cn.failed.Set(id)
-	}
-	// Log recovery may roll applied-but-undecided writes back: cached
-	// values read before the failure must stop hitting until revalidated.
-	cn.cacheEpoch.Add(1)
-}
-
-// awaitsAct reports whether word is a failed coordinator's logged lock
-// that recovery has not settled yet.
-func (cn *ComputeNode) awaitsAct(word uint64) bool {
-	words := cn.logged.Load()
-	if words == nil {
-		return false
-	}
-	_, found := slices.BinarySearch(*words, word)
-	return found
-}
-
 // Install replaces the node's placement view — the only way it changes.
 // The recovery manager computes every transition and installs the result
 // on every live node (DESIGN.md §13). What the node drops follows from
 // what changed: a ring with different members (re-replication onto a
 // replacement, a migration's final view) moves slot locations and log
 // servers, so the caller must hold Pause and the address cache goes;
-// that, or a different dead set — a promoted backup or a restarted NVM
-// server may serve an image older than cached values — bumps the cache
-// epoch. Marks and a migration's per-partition rings drop nothing: a
-// cutover copies slot images byte-identically.
+// that, a different dead set — a promoted backup or a restarted NVM
+// server may serve an image older than cached values — or a new
+// stray-lock announcement — log recovery may have rolled writes back —
+// bumps the cache epoch. Marks and a migration's per-partition rings drop
+// nothing: a cutover copies slot images byte-identically. The same ring
+// keeps the log servers. The manager serializes Installs.
 func (cn *ComputeNode) Install(v *place.View) {
-	old := cn.place.Swap(&placement{View: v, logServers: v.Ring().LogServers(cn.id)})
-	moved := !slices.Equal(old.Ring().Members(), v.Ring().Members())
+	old := cn.place.Load()
+	logServers, moved := old.logServers, false
+	if v.Ring() != old.Ring() {
+		logServers, moved = v.Ring().LogServers(cn.id), !slices.Equal(old.Ring().Members(), v.Ring().Members())
+	}
+	cn.place.Store(&placement{View: v, logServers: logServers})
 	if moved {
 		addrs := newAddrs(len(cn.schema))
 		cn.addrMu.Lock()
 		cn.addrs = addrs
 		cn.addrMu.Unlock()
 	}
-	if moved || !slices.Equal(old.DeadNodes(), v.DeadNodes()) {
+	if moved || !v.SameStrays(old.View) || !slices.Equal(old.DeadNodes(), v.DeadNodes()) {
 		cn.cacheEpoch.Add(1)
 	}
 }

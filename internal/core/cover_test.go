@@ -328,7 +328,7 @@ func plantStray(t *testing.T, cn *ComputeNode, key kvlayout.Key) rdma.Addr {
 	if _, swapped, err := ep.CAS(lock, 0, kvlayout.LockWord(999, 1)); err != nil || !swapped {
 		t.Fatalf("planting the stray lock: %v %v", swapped, err)
 	}
-	cn.NotifyStrayLocks([]kvlayout.CoordID{999}, nil)
+	announce(cn, []kvlayout.CoordID{999}, nil)
 	return slot
 }
 
@@ -675,7 +675,7 @@ func TestStealHintInsertTakeover(t *testing.T) {
 	if err := claimant.Insert(0, key, []byte("abandoned")); err != nil {
 		t.Fatal(err)
 	}
-	cn.NotifyStrayLocks([]kvlayout.CoordID{other.ID()}, nil)
+	announce(cn, []kvlayout.CoordID{other.ID()}, nil)
 	posted := watchStages(cn)
 	co := cn.Coordinator(0)
 	mustCommit(t, co, func(tx *Tx) error { return tx.Insert(0, key, []byte("taken over")) })

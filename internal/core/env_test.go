@@ -99,6 +99,12 @@ func (e *env) preload(t testing.TB, table kvlayout.TableID, n int, value func(k 
 	}
 }
 
+// announce installs on cn its view with the stray-lock notification
+// announced: ids failed and logged the words still to settle.
+func announce(cn *ComputeNode, ids []kvlayout.CoordID, logged []uint64) {
+	cn.Install(cn.place.Load().WithStrays(ids, logged))
+}
+
 func (e *env) mem(id rdma.NodeID) *memnode.Server {
 	for _, m := range e.mems {
 		if m.ID() == id {

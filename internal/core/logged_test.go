@@ -24,7 +24,7 @@ var loggedWord = kvlayout.LockWord(999, 1)
 func plantLogged(t *testing.T, cn *ComputeNode, key kvlayout.Key) rdma.Addr {
 	t.Helper()
 	slot := plantStray(t, cn, key) // 999's word, announced with nothing logged
-	cn.NotifyStrayLocks([]kvlayout.CoordID{999}, []uint64{loggedWord})
+	announce(cn, []kvlayout.CoordID{999}, []uint64{loggedWord})
 	return slot
 }
 
@@ -51,7 +51,7 @@ func TestLoggedWordIsForeign(t *testing.T) {
 	if other := kvlayout.LockWord(999, 2); tx.foreignLock(other) || tx.strayWord(other) != other {
 		t.Fatalf("unlogged word of the same coordinator: foreign %t, strayWord %#x; want stray", tx.foreignLock(other), tx.strayWord(other))
 	}
-	cn.NotifyStrayLocks(nil, nil) // act has landed: nothing left logged
+	announce(cn, nil, nil) // act has landed: nothing left logged
 	if tx.foreignLock(loggedWord) || tx.strayWord(loggedWord) != loggedWord {
 		t.Fatal("the word is still a live lock after a notification that leaves it out")
 	}

@@ -345,14 +345,11 @@ func (tx *Tx) fetchSlots(refs []objRef, buf []byte) error {
 	return nil
 }
 
-// strayLock reports whether a lock word belongs to a known-failed
-// coordinator (the PILL failed-ids check; O(1) bitset lookup) and is not
-// a logged transaction's word recovery has yet to settle.
+// strayLock reports whether a held lock word is PILL's to steal: its
+// owner is announced failed and it is no logged transaction's word
+// recovery has yet to settle (place.View.Stray).
 func (tx *Tx) strayLock(word uint64) bool {
-	if tx.cn.opts.DisablePILL || !tx.cn.failed.Test(kvlayout.LockOwner(word)) {
-		return false
-	}
-	return !tx.cn.awaitsAct(word)
+	return !tx.cn.opts.DisablePILL && tx.cn.place.Load().Stray(word)
 }
 
 // foreignLock reports whether word is a lock a running coordinator other

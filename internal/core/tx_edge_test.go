@@ -234,7 +234,7 @@ func TestAccessorsAndDiagnostics(t *testing.T) {
 	if len(co.LogServers()) != 2 {
 		t.Fatalf("LogServers = %v", co.LogServers())
 	}
-	if cn.failed.Count() != 0 {
+	if len(cn.place.Load().FailedIDs()) != 0 {
 		t.Fatal("fresh node has failed ids")
 	}
 	tx := co.Begin()

@@ -585,7 +585,7 @@ func TestPILLStealOfStrayLock(t *testing.T) {
 	}
 
 	// After the stray-lock notification the lock is stolen.
-	cn.NotifyStrayLocks([]kvlayout.CoordID{999}, nil)
+	announce(cn, []kvlayout.CoordID{999}, nil)
 	v, err := readKey(t, co, 0, 3)
 	if err != nil {
 		t.Fatalf("post-notification read: %v", err)
@@ -599,7 +599,7 @@ func TestPILLStealOfStrayLock(t *testing.T) {
 		t.Fatalf("post-steal value %q", v)
 	}
 	// The lock is now free (the stealer unlocked on commit).
-	w := e.mem(primary).ScanStrayLocks(func(kvlayout.CoordID) bool { return true })
+	w := e.mem(primary).ScanStrayLocks(func(uint64) bool { return true })
 	if len(w) != 0 {
 		t.Fatalf("locks remain after steal+commit: %v", w)
 	}
@@ -617,7 +617,7 @@ func TestDisablePILLNeverSteals(t *testing.T) {
 	if _, sw, _ := co.ep.CAS(cn.tableAddr(primary, ref, kvlayout.SlotLockOff), 0, kvlayout.LockWord(999, 1)); !sw {
 		t.Fatal("plant failed")
 	}
-	cn.NotifyStrayLocks([]kvlayout.CoordID{999}, nil)
+	announce(cn, []kvlayout.CoordID{999}, nil)
 	tx := co.Begin()
 	if err := tx.Write(0, 3, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -652,7 +652,7 @@ func TestCrashLeavesLocksAndRecoversViaSteal(t *testing.T) {
 	if err := tx2.Commit(); !errors.Is(err, ErrAborted) {
 		t.Fatalf("pre-notification: %v", err)
 	}
-	survivorCN.NotifyStrayLocks([]kvlayout.CoordID{vco.ID()}, nil)
+	announce(survivorCN, []kvlayout.CoordID{vco.ID()}, nil)
 	v, err := readKey(t, sco, 0, 2)
 	if err != nil {
 		t.Fatal(err)

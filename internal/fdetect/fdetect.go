@@ -2,16 +2,15 @@
 // §3.2.4. The FD is an independent service that:
 //
 //   - assigns each spawned coordinator a unique 16-bit coordinator-id
-//     (spawns are strictly serialised, so ids are never reused while
-//     their stray locks may exist);
+//     (spawns are strictly serialised, and a failed id is handed out
+//     again only once the recycling scan has freed it, FreeCoordIDs);
 //   - declares a compute or memory server failed once it has been silent
 //     for a timeout (5 ms in the paper's evaluation). Where the paper's
 //     servers send heartbeats, each sweep here reads a server's liveness
 //     (Config.Alive), so a late sweep never expires a live server, and a
 //     false suspicion happens only when a caller reports one
 //     (MarkFailed, Suspect);
-//   - maintains the authoritative failed-ids set and triggers the
-//     coordinator-id recycling scan when 95% of the id space is used;
+//   - maintains the authoritative failed-ids set;
 //   - in the distributed configuration, replicates its state over a
 //     quorum ensemble (package quorum) and declares a node failed only
 //     when a majority of FD replicas have missed its heartbeats.
@@ -24,6 +23,7 @@ package fdetect
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -66,15 +66,10 @@ type Config struct {
 	// declares a node failed only when a majority of replicas have
 	// missed its heartbeats.
 	Replicas int
-	// Store optionally persists FD state (next coordinator-id, failed
-	// ids) to a quorum ensemble so that a restarted FD resumes safely.
+	// Store optionally persists FD state (the used and the failed
+	// coordinator-ids) to a quorum ensemble so that a restarted FD
+	// resumes safely.
 	Store *quorum.Store
-	// RecycleThreshold is the fraction of the coordinator-id space that
-	// triggers the recycling scan. Default 0.95.
-	RecycleThreshold float64
-	// OnRecycle runs (once per crossing) when the threshold is reached;
-	// the cluster wires this to the stray-lock scan of §3.1.2.
-	OnRecycle func()
 	// SuspectThreshold is the number of suspicion reports (Suspect calls
 	// from coordinators whose verbs timed out toward a node) at which
 	// the FD escalates and declares the node failed — gray failures that
@@ -93,9 +88,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
-	}
-	if c.RecycleThreshold == 0 {
-		c.RecycleThreshold = 0.95
 	}
 	if c.SuspectThreshold == 0 {
 		c.SuspectThreshold = 4
@@ -119,12 +111,13 @@ type Detector struct {
 	mu          sync.Mutex
 	nodes       map[rdma.NodeID]*nodeInfo
 	replicaDown []bool
-	nextCoord   uint64
-	failed      *Bitset
-	subs        []func(Event)
-	recycled    bool
-	suspicions  map[rdma.NodeID]int
-	escalating  map[rdma.NodeID]bool
+	// used holds every coordinator-id handed out and not freed: the live
+	// coordinators' and the failed ones' not yet recycled. failed is the
+	// authoritative failed-ids set, a subset of used.
+	used, failed kvlayout.CoordSet
+	subs         []func(Event)
+	suspicions   map[rdma.NodeID]int
+	escalating   map[rdma.NodeID]bool
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -143,7 +136,6 @@ func New(cfg Config) *Detector {
 		cfg:         cfg,
 		nodes:       make(map[rdma.NodeID]*nodeInfo),
 		replicaDown: make([]bool, cfg.Replicas),
-		failed:      NewBitset(),
 		suspicions:  make(map[rdma.NodeID]int),
 		escalating:  make(map[rdma.NodeID]bool),
 		stopCh:      make(chan struct{}),
@@ -157,12 +149,11 @@ func (d *Detector) restore() {
 	if d.cfg.Store == nil {
 		return
 	}
-	if v, ok, err := d.cfg.Store.Get("fd/nextCoord"); err == nil && ok {
-		d.nextCoord = binary.LittleEndian.Uint64(v)
-	}
-	if v, ok, err := d.cfg.Store.Get("fd/failed"); err == nil && ok {
-		for i := 0; i+2 <= len(v); i += 2 {
-			d.failed.Set(kvlayout.CoordID(binary.LittleEndian.Uint16(v[i:])))
+	for key, set := range map[string]*kvlayout.CoordSet{"fd/used": &d.used, "fd/failed": &d.failed} {
+		if v, ok, err := d.cfg.Store.Get(key); err == nil && ok && len(v) == 8*len(set) {
+			for i := range set {
+				set[i] = binary.LittleEndian.Uint64(v[8*i:])
+			}
 		}
 	}
 }
@@ -171,30 +162,33 @@ func (d *Detector) persist() {
 	if d.cfg.Store == nil {
 		return
 	}
-	var w [8]byte
-	binary.LittleEndian.PutUint64(w[:], d.nextCoord)
-	_ = d.cfg.Store.Put("fd/nextCoord", w[:])
-	ids := d.failed.IDs()
-	buf := make([]byte, 2*len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint16(buf[2*i:], uint16(id))
+	for key, set := range map[string]*kvlayout.CoordSet{"fd/used": &d.used, "fd/failed": &d.failed} {
+		buf := make([]byte, 0, 8*len(set))
+		for _, w := range set {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		_ = d.cfg.Store.Put(key, buf)
 	}
-	_ = d.cfg.Store.Put("fd/failed", buf)
 }
 
 // RegisterCompute registers a compute node hosting n coordinators and
-// returns their freshly allocated coordinator-ids. Spawns are strictly
-// serialised (§3.1.2).
+// returns their freshly allocated coordinator-ids: the lowest ids neither
+// live nor failed and not yet freed. Spawns are strictly serialised
+// (§3.1.2).
 func (d *Detector) RegisterCompute(node rdma.NodeID, n int) ([]kvlayout.CoordID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.nextCoord+uint64(n) > kvlayout.MaxCoordIDs {
-		return nil, fmt.Errorf("fdetect: coordinator-id space exhausted (%d used)", d.nextCoord)
+	ids := make([]kvlayout.CoordID, 0, n)
+	for i := 0; i < len(d.used) && len(ids) < n; i++ {
+		for free := ^d.used[i]; free != 0 && len(ids) < n; free &= free - 1 {
+			ids = append(ids, kvlayout.CoordID(i*64+bits.TrailingZeros64(free)))
+		}
 	}
-	ids := make([]kvlayout.CoordID, n)
-	for i := range ids {
-		ids[i] = kvlayout.CoordID(d.nextCoord)
-		d.nextCoord++
+	if len(ids) < n {
+		return nil, fmt.Errorf("fdetect: coordinator-id space exhausted (%d used)", d.used.Count())
+	}
+	for _, id := range ids {
+		d.used.Add(id)
 	}
 	info := d.nodes[node]
 	if info == nil {
@@ -202,8 +196,8 @@ func (d *Detector) RegisterCompute(node rdma.NodeID, n int) ([]kvlayout.CoordID,
 		d.nodes[node] = info
 	}
 	// A (re-)registration is a fresh process: it replaces the node's
-	// coordinator set. The previous ids stay failed forever (until
-	// recycled), so failure events must report only the current ids —
+	// coordinator set. The previous ids stay failed until recycled, so
+	// failure events must report only the current ids —
 	// otherwise recovery would look at stale log areas and miss the
 	// live coordinators' state.
 	info.failed = false
@@ -400,46 +394,42 @@ func (d *Detector) markFailedLocked(node rdma.NodeID, info *nodeInfo) Event {
 	ev := Event{Kind: info.kind, Node: node, Coords: append([]kvlayout.CoordID(nil), info.coords...)}
 	if info.kind == Compute {
 		for _, c := range info.coords {
-			d.failed.Set(c)
+			d.failed.Add(c)
 		}
 		d.persist()
-		d.maybeRecycleLocked()
 	}
 	return ev
 }
 
-// maybeRecycleLocked fires OnRecycle when the used fraction of the id
-// space crosses the threshold.
-func (d *Detector) maybeRecycleLocked() {
-	if d.recycled || d.cfg.OnRecycle == nil {
-		return
-	}
-	if float64(d.nextCoord)/float64(kvlayout.MaxCoordIDs) >= d.cfg.RecycleThreshold {
-		d.recycled = true
-		fn := d.cfg.OnRecycle
-		go fn()
-	}
-}
-
-// ResetIDSpace completes a recycling pass: with every stray lock of the
-// failed coordinators released, their ids become reusable.
-func (d *Detector) ResetIDSpace() {
+// FreeCoordIDs completes a recycling pass (§3.1.2): every lock of the
+// failed ids in ids has been released and no compute node counts them
+// failed any more, so RegisterCompute may hand them out again. An id
+// that is not failed stays as it is.
+func (d *Detector) FreeCoordIDs(ids []kvlayout.CoordID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.failed.Reset()
-	d.nextCoord = 0
-	d.recycled = false
+	for _, id := range ids {
+		if d.failed.Has(id) {
+			d.failed.Remove(id)
+			d.used.Remove(id)
+		}
+	}
 	d.persist()
 }
 
-// FailedIDs returns the FD's authoritative failed-ids set.
-func (d *Detector) FailedIDs() *Bitset { return d.failed }
+// FailedIDs returns a copy of the FD's authoritative failed-ids set.
+func (d *Detector) FailedIDs() *kvlayout.CoordSet {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	failed := d.failed
+	return &failed
+}
 
-// UsedIDs returns how many coordinator-ids have been handed out.
+// UsedIDs returns how many coordinator-ids are handed out and not freed.
 func (d *Detector) UsedIDs() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.nextCoord
+	return uint64(d.used.Count())
 }
 
 // IsFailed reports whether node has been declared failed.

@@ -1,10 +1,10 @@
 package fdetect
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"pandora/internal/kvlayout"
@@ -29,50 +29,6 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
 	c.mu.Unlock()
-}
-
-func TestBitsetSetTestClear(t *testing.T) {
-	b := NewBitset()
-	prop := func(id uint16) bool {
-		c := kvlayout.CoordID(id)
-		if b.Test(c) {
-			return true // may collide with earlier iteration; skip
-		}
-		b.Set(c)
-		if !b.Test(c) {
-			return false
-		}
-		b.Clear(c)
-		return !b.Test(c)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBitsetCountAndIDs(t *testing.T) {
-	b := NewBitset()
-	ids := []kvlayout.CoordID{0, 1, 63, 64, 65, 1000, 65535}
-	for _, id := range ids {
-		b.Set(id)
-		b.Set(id) // idempotent
-	}
-	if b.Count() != len(ids) {
-		t.Fatalf("Count = %d, want %d", b.Count(), len(ids))
-	}
-	got := b.IDs()
-	if len(got) != len(ids) {
-		t.Fatalf("IDs = %v", got)
-	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Fatalf("IDs[%d] = %d, want %d", i, got[i], ids[i])
-		}
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("Reset did not clear")
-	}
 }
 
 func TestCoordIDAllocationUniqueAndSerial(t *testing.T) {
@@ -148,8 +104,8 @@ func TestHeartbeatTimeoutDetection(t *testing.T) {
 		t.Fatal("IsFailed state wrong")
 	}
 	// Failed ids recorded.
-	if !d.FailedIDs().Test(ids[0]) || !d.FailedIDs().Test(ids[1]) {
-		t.Fatal("failed ids not recorded in bitset")
+	if !d.FailedIDs().Has(ids[0]) || !d.FailedIDs().Has(ids[1]) {
+		t.Fatal("failed ids not recorded")
 	}
 }
 
@@ -240,7 +196,7 @@ func TestQuorumPersistenceAcrossFDRestart(t *testing.T) {
 		t.Fatalf("restarted FD UsedIDs = %d, want 4", d2.UsedIDs())
 	}
 	for _, id := range ids {
-		if !d2.FailedIDs().Test(id) {
+		if !d2.FailedIDs().Has(id) {
 			t.Fatalf("restarted FD lost failed id %d", id)
 		}
 	}
@@ -258,25 +214,33 @@ func TestQuorumPersistenceAcrossFDRestart(t *testing.T) {
 	}
 }
 
-func TestRecycleTriggerAndReset(t *testing.T) {
-	done := make(chan struct{})
-	d := New(Config{RecycleThreshold: 0.5, OnRecycle: func() { close(done) }})
-	if _, err := d.RegisterCompute(1, kvlayout.MaxCoordIDs/2); err != nil {
-		t.Fatal(err)
-	}
+// TestFreeCoordIDs: only freed failed ids are handed out again, lowest
+// first; a live id and a failed id not freed never are.
+func TestFreeCoordIDs(t *testing.T) {
+	d := New(Config{})
+	first, _ := d.RegisterCompute(1, 4)  // 0..3
+	second, _ := d.RegisterCompute(2, 4) // 4..7, stays live
 	d.MarkFailed(1)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("recycling scan not triggered at threshold")
+	d.FreeCoordIDs([]kvlayout.CoordID{first[1], first[2], second[0]})
+	if d.UsedIDs() != 6 || d.FailedIDs().Count() != 2 {
+		t.Fatalf("after freeing: UsedIDs = %d, %d failed; want 6 and 2", d.UsedIDs(), d.FailedIDs().Count())
 	}
-	d.ResetIDSpace()
-	if d.UsedIDs() != 0 || d.FailedIDs().Count() != 0 {
-		t.Fatal("ResetIDSpace did not clear state")
-	}
-	// The id space is reusable again.
-	if _, err := d.RegisterCompute(2, 10); err != nil {
+	third, err := d.RegisterCompute(3, 3)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := []kvlayout.CoordID{first[1], first[2], 8}; !slices.Equal(third, want) {
+		t.Fatalf("node 3 got ids %v, want %v", third, want)
+	}
+	if !d.FailedIDs().Has(first[0]) || !d.FailedIDs().Has(first[3]) || d.FailedIDs().Has(first[1]) {
+		t.Fatal("freeing changed the wrong failed ids")
+	}
+	// The whole space can still be used up, and no further.
+	if _, err := d.RegisterCompute(4, kvlayout.MaxCoordIDs-9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RegisterCompute(5, 1); err == nil {
+		t.Fatal("allocation past the id space succeeded")
 	}
 }
 

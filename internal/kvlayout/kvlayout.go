@@ -22,9 +22,43 @@ import (
 // other transactions recognise (and steal) stray locks after a failure.
 type CoordID uint16
 
-// MaxCoordIDs is the size of the coordinator-id space and of the
-// failed-ids bitset.
+// MaxCoordIDs is the size of the coordinator-id space and of a CoordSet.
 const MaxCoordIDs = 1 << 16
+
+// CoordSet is a set of coordinator-ids, one bit each (8 KB): the compact
+// failed-ids structure of §3.1.2, so a membership test costs one load
+// however many coordinators have failed. It has no lock: its holder
+// guards it, or never writes it once shared.
+type CoordSet [MaxCoordIDs / 64]uint64
+
+// Has reports whether id is in the set.
+func (s *CoordSet) Has(id CoordID) bool { return s[id/64]&(1<<(id%64)) != 0 }
+
+// Add puts id in the set.
+func (s *CoordSet) Add(id CoordID) { s[id/64] |= 1 << (id % 64) }
+
+// Remove takes id out of the set.
+func (s *CoordSet) Remove(id CoordID) { s[id/64] &^= 1 << (id % 64) }
+
+// Count returns the number of ids in the set.
+func (s *CoordSet) Count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// IDs returns the set's ids, ascending.
+func (s *CoordSet) IDs() []CoordID {
+	var out []CoordID
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, CoordID(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return out
+}
 
 // TableID identifies a table of the store.
 type TableID uint16

@@ -16,6 +16,52 @@ func TestLockWordRoundTrip(t *testing.T) {
 	}
 }
 
+func TestCoordSetAddHasRemove(t *testing.T) {
+	var s CoordSet
+	prop := func(id uint16) bool {
+		c := CoordID(id)
+		if s.Has(c) {
+			return true // may collide with an earlier iteration; skip
+		}
+		s.Add(c)
+		if !s.Has(c) {
+			return false
+		}
+		s.Remove(c)
+		return !s.Has(c)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCoordSetCountAndIDs(t *testing.T) {
+	var s CoordSet
+	ids := []CoordID{0, 1, 63, 64, 65, 1000, 65535}
+	for _, id := range ids {
+		s.Add(id)
+		s.Add(id) // idempotent
+	}
+	if s.Count() != len(ids) {
+		t.Fatalf("Count = %d, want %d", s.Count(), len(ids))
+	}
+	got := s.IDs()
+	if len(got) != len(ids) {
+		t.Fatalf("IDs = %v", got)
+	}
+	for i := range ids {
+		if got[i] != ids[i] {
+			t.Fatalf("IDs[%d] = %d, want %d", i, got[i], ids[i])
+		}
+	}
+	for _, id := range ids {
+		s.Remove(id)
+	}
+	if s.Count() != 0 || s != (CoordSet{}) {
+		t.Fatal("Remove did not clear")
+	}
+}
+
 func TestUnlockedWordIsZero(t *testing.T) {
 	if IsLocked(0) {
 		t.Fatal("zero word must be unlocked")

@@ -237,10 +237,9 @@ func (s *Server) ScanSlots(table kvlayout.TableID, partition uint32, fn func(slo
 // ScanStrayLocks is the host-side helper for the coordinator-id
 // recycling mechanism (§3.1.2): it scans this server's table regions
 // under the stripe locks and returns the (region id, offset) of every
-// lock word owned by a coordinator for which failed returns true. The
-// caller releases them with CAS verbs, which resolves races with
-// in-flight transactions.
-func (s *Server) ScanStrayLocks(failed func(kvlayout.CoordID) bool) []rdma.Addr {
+// held lock word for which stray returns true. The caller releases them
+// with CAS verbs, which resolves races with in-flight transactions.
+func (s *Server) ScanStrayLocks(stray func(word uint64) bool) []rdma.Addr {
 	s.mu.Lock()
 	regions := make(map[tableKey]*rdma.Region, len(s.tables))
 	for k, v := range s.tables {
@@ -257,7 +256,7 @@ func (s *Server) ScanStrayLocks(failed func(kvlayout.CoordID) bool) []rdma.Addr 
 			if err != nil {
 				continue
 			}
-			if kvlayout.IsLocked(w) && failed(kvlayout.LockOwner(w)) {
+			if kvlayout.IsLocked(w) && stray(w) {
 				out = append(out, rdma.Addr{
 					Node:   s.id,
 					Region: kvlayout.TableRegionID(k.table, k.partition),

@@ -258,7 +258,7 @@ func TestScanStrayLocks(t *testing.T) {
 		t.Fatal("failed to plant lock for coord 6")
 	}
 
-	failed := func(c kvlayout.CoordID) bool { return c == 5 }
+	failed := func(w uint64) bool { return kvlayout.LockOwner(w) == 5 }
 	var found []rdma.Addr
 	for _, s := range servers {
 		found = append(found, s.ScanStrayLocks(failed)...)

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"pandora/internal/kvlayout"
 	"pandora/internal/race"
 	"pandora/internal/rdma"
 )
@@ -65,15 +66,17 @@ func TestViewWithLeavesReceiver(t *testing.T) {
 	r := New(nodes(4), 2, 16)
 	lead, back := r.Replicas(3)[0], r.Replicas(3)[1]
 	other := r.Reassign(3, []rdma.NodeID{back, lead})
-	base := NewView(r).WithDead(lead, true).WithMigrating(7, true)
+	base := NewView(r).WithDead(lead, true).WithMigrating(7, true).WithStrays([]kvlayout.CoordID{4}, []uint64{kvlayout.LockWord(4, 1)})
 	type snap struct {
 		ring      *Ring
 		dead      []rdma.NodeID
 		migrating []bool
 		placed    [][]rdma.NodeID
+		failed    []kvlayout.CoordID
+		logged    []uint64
 	}
 	take := func(v *View) snap {
-		s := snap{ring: v.Ring(), dead: v.DeadNodes()}
+		s := snap{ring: v.Ring(), dead: v.DeadNodes(), failed: v.FailedIDs(), logged: v.Logged()}
 		for p := uint32(0); p < 16; p++ {
 			s.migrating = append(s.migrating, v.Migrating(p))
 			s.placed = append(s.placed, slices.Clone(v.Replicas(p)))
@@ -82,7 +85,8 @@ func TestViewWithLeavesReceiver(t *testing.T) {
 	}
 	same := func(a, b snap) bool {
 		return a.ring == b.ring && slices.Equal(a.dead, b.dead) && slices.Equal(a.migrating, b.migrating) &&
-			slices.EqualFunc(a.placed, b.placed, func(x, y []rdma.NodeID) bool { return slices.Equal(x, y) })
+			slices.EqualFunc(a.placed, b.placed, func(x, y []rdma.NodeID) bool { return slices.Equal(x, y) }) &&
+			slices.Equal(a.failed, b.failed) && slices.Equal(a.logged, b.logged)
 	}
 	before := take(base)
 	for name, step := range map[string]func(*View) *View{
@@ -93,6 +97,9 @@ func TestViewWithLeavesReceiver(t *testing.T) {
 		"WithDead drop absent": func(v *View) *View { return v.WithDead(back, false) },
 		"WithMigrating mark":   func(v *View) *View { return v.WithMigrating(2, true) },
 		"WithMigrating unmark": func(v *View) *View { return v.WithMigrating(7, false) },
+		"WithStrays add":       func(v *View) *View { return v.WithStrays([]kvlayout.CoordID{9}, []uint64{kvlayout.LockWord(9, 2)}) },
+		"WithStrays again":     func(v *View) *View { return v.WithStrays([]kvlayout.CoordID{4}, nil) },
+		"WithRecycled":         func(v *View) *View { return v.WithRecycled([]kvlayout.CoordID{4}) },
 	} {
 		next := step(base)
 		if next == base {
@@ -110,6 +117,50 @@ func TestViewWithLeavesReceiver(t *testing.T) {
 	}
 	if got, want := v.Replicas(3), []rdma.NodeID{lead, back}; !slices.Equal(got, want) {
 		t.Fatalf("partition 3 on the new ring = %v, want %v", got, want)
+	}
+}
+
+// TestViewWithStrays pins the announcement: ids accumulate, the logged
+// words replace the last set, a logged word is no stray, every placement
+// transition carries the announcement over, and a transition that adds no
+// id shares the failed set instead of copying it.
+func TestViewWithStrays(t *testing.T) {
+	r := New(nodes(4), 2, 16)
+	w7, w9, w9b := kvlayout.LockWord(7, 1), kvlayout.LockWord(9, 1), kvlayout.LockWord(9, 2)
+	v := NewView(r)
+	if v.Stray(w7) || len(v.FailedIDs()) != 0 || v.Logged() != nil {
+		t.Fatal("a fresh view announces something")
+	}
+	v = v.WithStrays([]kvlayout.CoordID{9, 7}, []uint64{w9b, w9})
+	if !slices.Equal(v.FailedIDs(), []kvlayout.CoordID{7, 9}) || !slices.Equal(v.Logged(), []uint64{w9, w9b}) {
+		t.Fatalf("failed %v, logged %x; want [7 9] and both words sorted", v.FailedIDs(), v.Logged())
+	}
+	if !v.Stray(w7) || v.Stray(w9) || v.Stray(w9b) || !v.Stray(kvlayout.LockWord(9, 3)) || v.Stray(kvlayout.LockWord(8, 1)) {
+		t.Fatal("Stray: want true for a failed owner's unlogged word only")
+	}
+	again := v.WithStrays([]kvlayout.CoordID{7}, []uint64{w9})
+	if again.strays.failed != v.strays.failed || again.SameStrays(v) {
+		t.Fatal("an announcement adding no id copied the failed set, or shares v's announcement")
+	}
+	if !slices.Equal(again.FailedIDs(), []kvlayout.CoordID{7, 9}) || !slices.Equal(again.Logged(), []uint64{w9}) || !again.Stray(w9b) {
+		t.Fatalf("failed %v, logged %x after a second announcement; want [7 9], only the new word", again.FailedIDs(), again.Logged())
+	}
+	dead := r.Replicas(0)[0]
+	for name, step := range map[string]func(*View) *View{
+		"WithDead":      func(v *View) *View { return v.WithDead(dead, true) },
+		"WithRing":      func(v *View) *View { return v.WithRing(r.Reassign(0, r.Replicas(1))) },
+		"WithMigrating": func(v *View) *View { return v.WithMigrating(3, true) },
+	} {
+		if next := step(again); !next.SameStrays(again) || !next.Stray(w9b) || next.Stray(w9) {
+			t.Errorf("%s dropped the announcement", name)
+		}
+	}
+	if got := again.Recyclable(); !slices.Equal(got, []kvlayout.CoordID{7}) {
+		t.Fatalf("Recyclable = %v, want [7]: 9 has a logged word left", got)
+	}
+	recycled := again.WithRecycled([]kvlayout.CoordID{7})
+	if recycled.Stray(w7) || !recycled.Stray(w9b) || !slices.Equal(recycled.Logged(), []uint64{w9}) || !again.Stray(w7) {
+		t.Fatal("WithRecycled: want 7 no longer failed, 9 and its logged word kept, the receiver unchanged")
 	}
 }
 

@@ -64,25 +64,29 @@ func (m *Manager) MemServer(id rdma.NodeID) *memnode.Server {
 }
 
 // RecycleStrayLocks is the coordinator-id recycling mechanism of §3.1.2:
-// a background scan over every memory server that releases all remaining
-// stray locks with CAS operations, after which the failed ids can be
-// reused. Empty slots are tombstoned before unlocking so probe chains
-// that grew past them stay intact. It returns the number of locks
-// released.
-func (m *Manager) RecycleStrayLocks(failed func(kvlayout.CoordID) bool) int {
+// a background scan releases, by CAS, every lock the view's Stray test
+// passes (empty slots are tombstoned first, so probe chains that grew
+// past them stay intact), then installs a view that no longer announces
+// the Recyclable ids and returns them — the FD may hand them out again —
+// with the number of locks released. Transactions test the view they load
+// at each stray check, so none acts on a recycled id and no pause is needed.
+func (m *Manager) RecycleStrayLocks() ([]kvlayout.CoordID, int) {
+	m.opMu.Lock()
+	defer m.opMu.Unlock()
+	v := m.View()
 	ep := m.endpoint(nil)
 	released := 0
 	for _, srv := range m.Mems() {
 		if m.cfg.Fabric.IsDown(srv.ID()) {
 			continue
 		}
-		for _, lockAddr := range srv.ScanStrayLocks(failed) {
+		for _, lockAddr := range srv.ScanStrayLocks(v.Stray) {
 			var word [8]byte
 			if err := ep.Read(lockAddr, word[:]); err != nil {
 				continue
 			}
 			w := kvlayout.Uint64(word[:])
-			if !kvlayout.IsLocked(w) || !failed(kvlayout.LockOwner(w)) {
+			if !kvlayout.IsLocked(w) || !v.Stray(w) {
 				continue // already released or stolen
 			}
 			// Tombstone empty or claimed slots so probe chains that grew
@@ -104,5 +108,9 @@ func (m *Manager) RecycleStrayLocks(failed func(kvlayout.CoordID) bool) int {
 			}
 		}
 	}
-	return released
+	ids := v.Recyclable()
+	if len(ids) > 0 {
+		m.Update(func(v *place.View) *place.View { return v.WithRecycled(ids) })
+	}
+	return ids, released
 }

@@ -36,7 +36,6 @@ import (
 type ComputePeer interface {
 	ID() rdma.NodeID
 	Crashed() bool
-	NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64)
 	Install(*place.View)
 	Pause()
 	Resume()
@@ -109,10 +108,10 @@ type Stats struct {
 // RecoverCompute may be re-invoked for the same node (idempotent).
 type Manager struct {
 	cfg Config
-	// view is the cluster's current placement (DESIGN.md §13). Every
-	// transition is computed here, from this value, and installed on the
-	// live peers before mu is released, so peers see transitions in one
-	// order and a peer joining through SetPeer misses none.
+	// view is the cluster's current placement and announcement (DESIGN.md
+	// §13). Every transition is computed here, from this value, and
+	// installed on the live peers before mu is released, so peers see
+	// transitions in one order and a peer joining through SetPeer misses none.
 	view *place.View
 
 	// opMu serializes whole recovery operations against each other and
@@ -126,11 +125,6 @@ type Manager struct {
 	// change, until they rejoin (SetPeer): their stray transactions' lock
 	// words may be lost — a promoted backup or a copy of one never had them.
 	moved map[rdma.NodeID]bool
-	// logged holds, per failed compute node, the lock words of its logged
-	// transactions from a pass's notification until that pass's act has
-	// landed: every notification carries all of them (announce), so a
-	// survivor, or a node rejoining after a pass was cut, steals none.
-	logged map[rdma.NodeID][]uint64
 
 	// cut, when set, is asked before each verb of a pass and after its last
 	// (post), and around its notification: true stops the pass there, as a
@@ -142,7 +136,7 @@ type Manager struct {
 // memory-server list.
 func NewManager(cfg Config) *Manager {
 	cfg.Mems = slices.Clone(cfg.Mems)
-	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), moved: make(map[rdma.NodeID]bool), logged: make(map[rdma.NodeID][]uint64)}
+	return &Manager{cfg: cfg, view: place.NewView(cfg.Ring), moved: make(map[rdma.NodeID]bool)}
 }
 
 // View returns the cluster's current placement view.
@@ -155,20 +149,26 @@ func (m *Manager) View() *place.View {
 // Ring returns the ring of the current placement view.
 func (m *Manager) Ring() *place.Ring { return m.View().Ring() }
 
-// Update is the one way placement changes: the cluster's view becomes
+// Update is the one way the view changes: the cluster's view becomes
 // step(view) — the manager first, so recovery decisions always see the
-// placement transactions run against — and every live peer installs it.
-// A step that changes ring membership needs the peers Paused by the
-// caller (core.ComputeNode.Install).
-func (m *Manager) Update(step func(*place.View) *place.View) {
+// view transactions run against — and every live peer but skip installs
+// it. A step that changes ring membership needs the peers Paused by the
+// caller (core.ComputeNode.Install). A step that keeps the stray-lock
+// announcement is a placement change and marks each crashed peer moved;
+// one that changes the announcement changes nothing else.
+func (m *Manager) Update(step func(*place.View) *place.View, skip ...rdma.NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.view = step(m.view)
+	next := step(m.view)
+	placed := next.SameStrays(m.view)
+	m.view = next
 	for _, p := range m.cfg.Peers {
-		if p.Crashed() {
+		switch {
+		case slices.Contains(skip, p.ID()):
+		case !p.Crashed():
+			p.Install(next)
+		case placed:
 			m.moved[p.ID()] = true
-		} else {
-			p.Install(m.view)
 		}
 	}
 }
@@ -256,47 +256,22 @@ func (m *Manager) SetCut(fn func(s Step, landed int) bool) {
 	m.cut = fn
 }
 
-// LoggedWords returns the lock words of every failed node's logged
-// transactions that a pass has announced and not yet settled: what a
-// compute node joining now must be notified of beside the failed ids.
-func (m *Manager) LoggedWords() []uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.loggedLocked()
-}
-
-func (m *Manager) loggedLocked() []uint64 {
-	var words []uint64
-	//pandora:unordered a set: sorted below
-	for _, w := range m.logged {
-		words = append(words, w...)
-	}
-	slices.Sort(words)
-	return words
-}
-
-// announce sends the stray-lock notification for ev to every live peer
-// but the failed node: ev's coordinator-ids, and the logged words still
-// to settle — ev.Node's own (words; none once its act has landed) and any
-// other failed node's whose pass was cut between its notification and
-// its act. It returns the payload's size in bytes: a 2-byte id each, an
-// 8-byte word each.
-func (m *Manager) announce(ev fdetect.Event, words []uint64) int {
-	m.mu.Lock()
-	if len(words) > 0 {
-		m.logged[ev.Node] = words
-	} else {
-		delete(m.logged, ev.Node)
-	}
-	all := m.loggedLocked()
-	peers := append([]ComputePeer{}, m.cfg.Peers...)
-	m.mu.Unlock()
-	for _, peer := range peers {
-		if peer.ID() != ev.Node && !peer.Crashed() {
-			peer.NotifyStrayLocks(ev.Coords, all)
-		}
-	}
-	return 2*len(ev.Coords) + 8*len(all)
+// announce is the stray-lock notification for ev, a view transition
+// installed on every live peer but the failed node (a soft-failed one is
+// a fenced zombie): ev's coordinator-ids, and the logged words still to
+// settle — ev.Node's own (words; none once its act has landed) in place
+// of those it announced before, and any other failed node's whose pass
+// was cut between its notification and its act. It returns the payload's
+// size in bytes: a 2-byte id each, an 8-byte word each.
+func (m *Manager) announce(ev fdetect.Event, words []uint64) (size int) {
+	m.Update(func(v *place.View) *place.View {
+		logged := append(slices.DeleteFunc(v.Logged(), func(w uint64) bool {
+			return slices.Contains(ev.Coords, kvlayout.LockOwner(w))
+		}), words...)
+		size = 2*len(ev.Coords) + 8*len(logged)
+		return v.WithStrays(ev.Coords, logged)
+	}, ev.Node)
+	return size
 }
 
 // endpoint returns a fresh verb handle for the recovery coordinator,

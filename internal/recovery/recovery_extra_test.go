@@ -221,22 +221,27 @@ type passEvent struct {
 }
 
 // recorder is a survivor peer that logs every stray-lock notification it
-// receives, in order with the ops of a pass it watches.
+// receives — an installed view with a new announcement — in order with
+// the ops of a pass it watches.
 type recorder struct {
 	*core.ComputeNode
+	seen   *place.View
 	events []passEvent
 }
 
 // record puts survivor node i in the manager's peer list as a recorder.
 func (e *env) record(i int) *recorder {
-	r := &recorder{ComputeNode: e.nodes[i]}
+	r := &recorder{ComputeNode: e.nodes[i], seen: e.mgr.View()}
 	e.mgr.SetPeer(r)
 	return r
 }
 
-func (r *recorder) NotifyStrayLocks(ids []kvlayout.CoordID, logged []uint64) {
-	r.events = append(r.events, passEvent{notify: true, logged: slices.Clone(logged)})
-	r.ComputeNode.NotifyStrayLocks(ids, logged)
+func (r *recorder) Install(v *place.View) {
+	if !v.SameStrays(r.seen) {
+		r.events = append(r.events, passEvent{notify: true, logged: v.Logged()})
+	}
+	r.seen = v
+	r.ComputeNode.Install(v)
 }
 
 // watch is a Manager.cut that logs each op and cuts nowhere.
@@ -311,7 +316,7 @@ func TestStrayLockNotificationOrdering(t *testing.T) {
 			owned := func(c kvlayout.CoordID) int {
 				n := 0
 				for _, srv := range e.mems {
-					n += len(srv.ScanStrayLocks(func(o kvlayout.CoordID) bool { return o == c }))
+					n += len(srv.ScanStrayLocks(func(w uint64) bool { return kvlayout.LockOwner(w) == c }))
 				}
 				return n
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -616,22 +617,56 @@ func TestRecoverMemoryPromotesPrimaries(t *testing.T) {
 }
 
 func TestRecycleStrayLocks(t *testing.T) {
-	e := newEnv(t, envConfig{})
+	// Survivors without PILL never steal: writes succeed only because
+	// recycling freed the locks.
+	e := newEnv(t, envConfig{opts: core.Options{DisablePILL: true}})
 	e.preload(t, 16)
 	runDoomed(t, e.nodes[0], core.PointAfterValidation)
-	e.failNode(t, 0)
+	ev := e.failNode(t, 0)
+	if _, err := e.mgr.RecoverCompute(ev); err != nil {
+		t.Fatal(err)
+	}
 
-	failedSet := func(c kvlayout.CoordID) bool { return e.fd.FailedIDs().Test(c) }
-	released := e.mgr.RecycleStrayLocks(failedSet)
+	ids, released := e.mgr.RecycleStrayLocks()
 	if released < 2 {
 		t.Fatalf("recycle released %d locks, want >= 2", released)
 	}
-	// With PILL notifications never sent, writes succeed only because
-	// recycling freed the locks.
+	if !slices.Equal(ids, ev.Coords) || len(e.mgr.View().FailedIDs()) != 0 {
+		t.Fatalf("recycled ids %v, view still failing %v; want %v recycled, none left", ids, e.mgr.View().FailedIDs(), ev.Coords)
+	}
 	e.mustWrite(t, 1, 1, []byte("recycled"))
 	// Second run is a no-op.
-	if again := e.mgr.RecycleStrayLocks(failedSet); again != 0 {
-		t.Fatalf("second recycle released %d locks", again)
+	if ids, again := e.mgr.RecycleStrayLocks(); again != 0 || ids != nil {
+		t.Fatalf("second recycle released %d locks, recycled %v", again, ids)
+	}
+}
+
+// TestRecycleKeepsLoggedIDs: a pass cut between its notification and its
+// act leaves a logged word to settle; recycling releases the unlogged
+// coordinator's locks and its id, but neither the logged word nor its
+// owner's id, until the re-run has settled it.
+func TestRecycleKeepsLoggedIDs(t *testing.T) {
+	e := newEnv(t, envConfig{opts: core.Options{DisablePILL: true}})
+	e.preload(t, 16)
+	runDoomed(t, e.nodes[0], core.PointAfterLog) // logged: keys 1, 2
+	e.nodes[0].SetInjector(nil)
+	e.nodes[0].Restart()
+	hold(t, e.nodes[0], 1, 3, 4) // not logged
+	ev := e.failNode(t, 0)
+	e.recoverCut(t, ev, StepNotify, 1)
+
+	ids, released := e.mgr.RecycleStrayLocks()
+	if !slices.Equal(ids, ev.Coords[1:]) || released != 2 {
+		t.Fatalf("recycled %v, released %d; want %v and coordinator %d's 2 locks", ids, released, ev.Coords[1:], ev.Coords[1])
+	}
+	if got := e.mgr.View().FailedIDs(); !slices.Equal(got, ev.Coords[:1]) || len(e.mgr.View().Logged()) != 1 {
+		t.Fatalf("view fails %v with %d logged words, want [%d] with 1", got, len(e.mgr.View().Logged()), ev.Coords[0])
+	}
+	if st, err := e.mgr.RecoverCompute(ev); err != nil || st.RolledBack+st.RolledForward != 1 {
+		t.Fatalf("re-run = %+v, %v; want the logged transaction settled", st, err)
+	}
+	if ids, _ := e.mgr.RecycleStrayLocks(); !slices.Contains(ids, ev.Coords[0]) {
+		t.Fatalf("after the re-run recycled %v, want %d among them", ids, ev.Coords[0])
 	}
 }
 

@@ -676,7 +676,7 @@ func (c *Cluster) CheckConsistency(table string) (ConsistencyReport, error) {
 		return ConsistencyReport{}, fmt.Errorf("pandora: unknown table %q", table)
 	}
 	var rep ConsistencyReport
-	ring := c.mgr.Ring()
+	ring, failed := c.mgr.Ring(), c.fd.FailedIDs()
 	for p := uint32(0); p < ring.Partitions(); p++ {
 		type state struct {
 			version uint64
@@ -694,7 +694,7 @@ func (c *Cluster) CheckConsistency(table string) (ConsistencyReport, error) {
 				if kvlayout.IsLocked(sl.Lock) {
 					owner := kvlayout.LockOwner(sl.Lock)
 					l := LockedSlot{Memory: n, Partition: p, Slot: slot, Key: sl.Key, KeyField: kf,
-						Word: sl.Lock, Owner: owner, Failed: c.fd.FailedIDs().Test(owner)}
+						Word: sl.Lock, Owner: owner, Failed: failed.Has(owner)}
 					if kvlayout.IsClaim(kf) {
 						l.Key = kvlayout.ClaimKey(kf)
 					}

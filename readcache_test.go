@@ -93,7 +93,7 @@ func TestReadCacheInvalidatedOnLockSteal(t *testing.T) {
 	// only, with no recovery behind the announcement. The epoch bump that
 	// comes with it makes the cached entry miss; Invalidations counts
 	// per-key drops whatever the epoch, so it still isolates the steal.
-	c.Engine(0).NotifyStrayLocks([]kvlayout.CoordID{victim.CoordinatorID()}, nil)
+	c.Engine(0).Install(c.Recovery().View().WithStrays([]kvlayout.CoordID{victim.CoordinatorID()}, nil))
 
 	before := c.ReadCacheStats(0, 0)
 	// The stealer's write finds the stray lock, steals it, and must

@@ -151,6 +151,7 @@ var virtualTimeSegs = map[string]bool{
 	"cache":    true,
 	"metrics":  true,
 	"reconfig": true,
+	"place":    true,
 }
 
 // BasePkgPath strips the " [pkg.test]" variant suffix go list/go vet

@@ -72,6 +72,7 @@ func TestDeterminismScope(t *testing.T) {
 		"pandora/internal/metrics [pandora/internal/metrics.test]",
 		"pandora/internal/reconfig",
 		"pandora/internal/reconfig [pandora/internal/reconfig.test]",
+		"pandora/internal/place",
 	} {
 		if !IsVirtualTimePkg(p) {
 			t.Fatalf("%s must be a virtual-time package", p)

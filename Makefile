@@ -8,7 +8,7 @@ GO      ?= go
 BIN     := bin
 VETTOOL := $(BIN)/pandora-vet
 
-.PHONY: all build lint test bench bench-compare bench-pair bench-smoke model-gate docs-check chaos-smoke litmus-smoke proptest soak smallbank-stress fd-stress clean
+.PHONY: all build lint test bench bench-compare bench-pair bench-smoke pins model-gate docs-check chaos-smoke litmus-smoke proptest soak smallbank-stress fd-stress clean
 
 all: build lint test
 
@@ -73,10 +73,7 @@ bench-smoke:
 	# clock; its artifact must match bin/BENCH_commitpipe.json.
 	$(GO) run ./cmd/pandora-bench -experiment commitpipe -quick -json $(BIN)/BENCH_commitpipe.gen.json
 	cmp $(BIN)/BENCH_commitpipe.gen.json $(BIN)/BENCH_commitpipe.json
-	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
-	$(GO) test -run $(STEAL_PINS) -v . ./internal/core
-	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core ./internal/cache
-	$(GO) test -run $(LOCK_PINS) -v . ./internal/core
+	$(MAKE) --no-print-directory pins
 	bash tools/modelgate.sh
 
 # Model-clock gate: the recovery pass's per-step model times are pinned
@@ -90,22 +87,30 @@ bench-smoke:
 # transaction's lock doorbells share one wait at Commit: a lock round put
 # back fails a named test) and the commit tail's (posted at the ack and
 # paid by the next doorbell, waited for first only when an op faults: a
-# tail round put back before Commit returns fails a named test); then a 6 s failover run of the repository
-# benchmark must be correct, fail no operation and report exactly the
-# recovery_model_us checked in as tools/modelgate.expect (a count of
-# rounds and bytes, so it repeats to the nanosecond on any host), and a
-# steal_model_us below the ceiling checked in beside it as
-# tools/modelgate.steal_max (a hinted steal that rings a round of its own
-# again fails it).
+# tail round put back before Commit returns fails a named test), and so is
+# coordinator-id ownership (a recycled id reissued live, a restart of a node
+# not declared failed, a recycle that frees an unfinished failure's ids, a
+# cut pass left unfinished or a stale pass re-run over a restarted node
+# fails a named test) — `make pins` runs all five lists; then a 6 s
+# failover run of the repository benchmark must be correct, fail no
+# operation and report exactly the recovery_model_us checked in as
+# tools/modelgate.expect (a count of rounds and bytes, so it repeats to
+# the nanosecond on any host), and a steal_model_us below the ceiling
+# checked in beside it as tools/modelgate.steal_max (a hinted steal that
+# rings a round of its own again fails it).
 RECOVERY_PINS := 'TestRecoveryCycleModelTime|TestRecoveryRoundsIndependentOfStrayTxs|TestStrayLockNotificationOrdering|TestUndecidedLoggedWriteNeverRead|Interrupted'
 STEAL_PINS := 'TestStealBothLocksTransfer|TestStolenLockCovers|TestStealHint|TestPostedStealFindsFreeWord|TestPostedStealReadFault'
 SCAN_CACHE_PINS := 'TestRangeScanKeepsHotReadsCached|TestRangeCacheHitGoesStale|TestRangeReadsCoveredByLocks|TestReadPathParity|TestStaleHitRefreshedForRetry|TestAlternateCommittersStopCaching|TestCoveredHitsKeepTransferCached|TestEntryIs80Bytes|TestRefreshOnlyAfterValidatedHits|TestChurnMakesGhost|TestGhostEarnedBackWhenVersionHolds|TestWriteThroughIsNoEvidence|TestEvidenceDecays'
 LOCK_PINS := 'TestLockRoundShapes|TestStealBothLocksTransfer|TestTailRidesNextDoorbell|TestCrashWithTailUnpaid|TestPostedTailFaultWaitsThenReposts'
-model-gate:
+ID_PINS := 'TestRecycledIDHoldsLiveLocks|TestRecycledIDsAreNotReissuedLive|TestRestartRequiresDeclaredFailure|TestRecycleKeepsLoggedIDs|TestAutoRecoveryFinishesCutPass|TestStaleReRecoverRefusedAfterRestart'
+pins:
 	$(GO) test -run $(RECOVERY_PINS) -v ./internal/recovery
 	$(GO) test -run $(STEAL_PINS) -v . ./internal/core
 	$(GO) test -run $(SCAN_CACHE_PINS) -v . ./internal/core ./internal/cache
 	$(GO) test -run $(LOCK_PINS) -v . ./internal/core
+	$(GO) test -run $(ID_PINS) -v . ./internal/recovery
+
+model-gate: pins
 	bash tools/modelgate.sh
 
 # Docs that quote a pinned number — recovery_model_us from

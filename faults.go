@@ -42,28 +42,19 @@ func (c *Cluster) FailComputeSoft(i int) (RecoveryStats, error) {
 }
 
 // ReRecoverCompute re-runs the full recovery pass for compute node i's
-// most recent failure event and returns the second pass's statistics.
-// Recovery is idempotent (§3.2.3): when the first pass completed, the
-// re-run must find nothing to do — no logged transactions, no
-// roll-forward/roll-back, no stray locks — and must leave the store
-// byte-identical. Test harnesses (litmus recovery-idempotency
-// invariant, conformance suite) call this after FailCompute to assert
-// exactly that. Once RecycleCoordinatorIDs has freed the event's ids it
-// errors: the pass would announce them failed again, and the FD may have
-// handed them to live coordinators.
+// current failure event (fdetect.Detector.Failure) and returns the second
+// pass's statistics. Recovery is idempotent (§3.2.3): when the first pass
+// completed, the re-run must find nothing to do — no logged transactions,
+// no roll-forward/roll-back, no stray locks — and must leave the store
+// byte-identical. Test harnesses (litmus recovery-idempotency invariant,
+// conformance suite) call this after FailCompute to assert exactly that.
+// It errors once the node has restarted or RecycleCoordinatorIDs has
+// freed the event's ids: the pass would fence the live incarnation, or
+// announce failed ids the FD may have handed to live coordinators.
 func (c *Cluster) ReRecoverCompute(i int) (RecoveryStats, error) {
-	id := c.node(i).ID()
-	c.mu.Lock()
-	ev, ok := c.lastEv[id]
-	c.mu.Unlock()
+	ev, ok := c.fd.Failure(c.node(i).ID())
 	if !ok {
-		return RecoveryStats{}, fmt.Errorf("pandora: no failure event recorded for node %d", i)
-	}
-	failed := c.fd.FailedIDs()
-	for _, co := range ev.Coords {
-		if !failed.Has(co) {
-			return RecoveryStats{}, fmt.Errorf("pandora: node %d's coordinator %d was recycled after its failure", i, co)
-		}
+		return RecoveryStats{}, fmt.Errorf("pandora: compute node %d has no current failure: never declared failed, restarted, or its ids recycled", i)
 	}
 	return c.mgr.RecoverCompute(ev)
 }
@@ -128,13 +119,15 @@ func (c *Cluster) RestartCompute(i int) error {
 	// coordinator write again, racing PILL steals of its stray locks.
 	old.Crash()
 	// A recovery pass of the old incarnation truncates its log region after
-	// notifying the survivors; a new incarnation logging into that region
-	// before the pass ended would see its records invalidated. Wait out any
-	// pass and hold off the next, as a migration step does (the manager's
-	// lock order: the operation lock first, then its view lock).
+	// notifying the survivors, and would invalidate a new incarnation's
+	// records. Wait out any pass, re-run a cut one and hold off the next, as
+	// a migration step does; one still unfinished refuses the restart.
 	c.mgr.LockOps()
 	defer c.mgr.UnlockOps()
 	nodeID := old.ID()
+	if c.mgr.Unfinished(nodeID) {
+		return fmt.Errorf("pandora: compute node %d's recovery pass is unfinished", i)
+	}
 	for _, m := range c.memList() {
 		m.RestoreLink(nodeID)
 	}
@@ -161,14 +154,7 @@ func (c *Cluster) CrashMemory(i int) { c.mem(i).Crash() }
 
 // FailMemory crashes memory node i and deterministically drives
 // detection + the memory-failure recovery (primary promotion).
-func (c *Cluster) FailMemory(i int) error {
-	srv := c.mem(i)
-	srv.Crash()
-	if _, ok := c.fd.MarkFailed(srv.ID()); !ok {
-		return fmt.Errorf("pandora: memory node %d already failed", i)
-	}
-	return nil
-}
+func (c *Cluster) FailMemory(i int) error { return c.FailMemoryID(c.mem(i).ID()) }
 
 // FailMemoryID crashes the memory server with the given fabric node id
 // and deterministically drives detection + recovery — the id-addressed

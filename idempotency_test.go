@@ -291,8 +291,8 @@ func TestRestartComputeWaitsOutRecovery(t *testing.T) {
 
 // TestRestartedNodeWaitsOnLoggedLocks: a pass cut between its notification
 // and its act leaves the survivors treating the logged transaction's lock
-// words as live locks. A compute node that restarts before the re-run
-// rejoins with every failed id, and must learn those words too: it may
+// words as live locks. A compute node that restarts while the re-run is
+// cut too rejoins with every failed id, and must learn those words too: it may
 // neither read under one — the applied but undecided write of key 1 — nor
 // steal it, while the unlogged lock of key 3 is its to steal. The re-run
 // then rolls the logged transaction back.
@@ -334,13 +334,17 @@ func TestRestartedNodeWaitsOnLoggedLocks(t *testing.T) {
 	if _, err := c.mgr.RecoverCompute(ev); err == nil {
 		t.Fatal("the pass cut after its notification returned no error")
 	}
-	c.mgr.SetCut(nil)
 
+	// The hook stays: the restart re-runs the unfinished pass first, and
+	// that run is cut again.
 	if _, err := c.FailCompute(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RestartCompute(2); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.RestartCompute(0); err == nil {
+		t.Fatal("node 0 restarted while its recovery pass is unfinished")
 	}
 	read := c.Session(2, 0).Begin()
 	if v, err := read.Read("kv", 1); err == nil {
@@ -359,6 +363,7 @@ func TestRestartedNodeWaitsOnLoggedLocks(t *testing.T) {
 		t.Fatalf("the restarted node could not steal the unlogged lock of key 3: %v", err)
 	}
 
+	c.mgr.SetCut(nil)
 	if st, err := c.mgr.RecoverCompute(ev); err != nil || st.LoggedTxs != 1 || st.RolledBack != 1 {
 		t.Fatalf("re-run = %+v, %v; want the logged transaction rolled back", st, err)
 	}
@@ -381,5 +386,119 @@ func TestRestartedNodeWaitsOnLoggedLocks(t *testing.T) {
 	}
 	if rep, err := c.CheckConsistency("kv"); err != nil || len(rep.DivergentKeys) != 0 {
 		t.Fatalf("consistency after the re-run: %+v, %v", rep, err)
+	}
+}
+
+// strandVictim loads keys 1–3 and leaves compute node 0 crashed with two
+// stray transactions: one that holds key 3's lock with nothing logged, and
+// one logged over keys 1 and 2.
+func strandVictim(t *testing.T) *Cluster {
+	t.Helper()
+	c, err := New(Config{Tables: []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	if err := c.LoadN("kv", 4, func(k Key) []byte { return idemValue(uint64(k)) }); err != nil {
+		t.Fatal(err)
+	}
+	// With an injector installed the victim's writes settle at Write, so
+	// key 3's lock is taken before the crash.
+	victim := c.Engine(0)
+	victim.SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool { return p == core.PointAfterLog })
+	if err := c.Session(0, 1).Begin().Write("kv", 3, idemValue(300)); err != nil {
+		t.Fatal(err)
+	}
+	doomed := c.Session(0, 0).Begin()
+	for _, k := range []Key{1, 2} {
+		if err := doomed.Write("kv", k, idemValue(100+uint64(k))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := doomed.Commit(); err == nil || !victim.Crashed() {
+		t.Fatalf("the doomed commit returned %v on a live node, want the crash", err)
+	}
+	return c
+}
+
+// TestAutoRecoveryFinishesCutPass: a pass whose recovery coordinator dies
+// at any verb, or on either side of its notification, is finished by the
+// cluster itself (§3.2.3). The cut points are those of an uninterrupted
+// pass; each is cut once, and after FailCompute returns a survivor commits
+// on every stray key — with no test-driven re-run.
+func TestAutoRecoveryFinishesCutPass(t *testing.T) {
+	type cutPoint struct {
+		step   recovery.Step
+		landed int
+	}
+	var cuts []cutPoint
+	c := strandVictim(t)
+	c.mgr.SetCut(func(s recovery.Step, landed int) bool {
+		cuts = append(cuts, cutPoint{s, landed})
+		return false
+	})
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range cuts {
+		c := strandVictim(t)
+		cut := false
+		c.mgr.SetCut(func(s recovery.Step, landed int) bool {
+			if !cut && (cutPoint{s, landed}) == at {
+				cut = true
+				return true
+			}
+			return false
+		})
+		if _, err := c.FailCompute(0); err != nil || !cut {
+			t.Errorf("cut at %+v (cut %t): FailCompute: %v", at, cut, err)
+		}
+		for _, k := range []Key{1, 2, 3} {
+			if err := c.Session(1, 0).Update(10, func(tx *Tx) error { return tx.Write("kv", k, idemValue(7)) }); err != nil {
+				t.Errorf("cut at %+v: a survivor's update of key %d: %v", at, k, err)
+			}
+		}
+	}
+}
+
+// TestStaleReRecoverRefusedAfterRestart: once node 0 restarted, its old
+// failure is over. A re-run of that pass would fence the new incarnation
+// and truncate its log, so when the new incarnation then crashes with a
+// transfer applied to one key, recovery would find no log and leave the
+// transfer torn. The re-run is refused, and the transfer is rolled back.
+func TestStaleReRecoverRefusedAfterRestart(t *testing.T) {
+	c, err := New(Config{Tables: []TableSpec{{Name: "kv", ValueSize: 16, Capacity: 1024}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.LoadN("kv", 4, func(k Key) []byte { return idemValue(100) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RestartCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Engine(0).SetInjector(func(_ kvlayout.CoordID, p core.CrashPoint) bool { return p == core.PointAfterApplyOne })
+	transfer := c.Session(0, 0).Begin()
+	for k, v := range map[Key]uint64{1: 90, 2: 110} {
+		if err := transfer.Write("kv", k, idemValue(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := transfer.Commit(); err == nil || !c.Engine(0).Crashed() {
+		t.Fatalf("the transfer returned %v on a live node, want the crash", err)
+	}
+	if _, err := c.ReRecoverCompute(0); err == nil {
+		t.Error("ReRecoverCompute re-ran the pass of a failure the node restarted from")
+	}
+	if _, err := c.FailCompute(0); err != nil {
+		t.Fatal(err)
+	}
+	state := idemState(t, c, 3)
+	if a, b := binary.LittleEndian.Uint64(state[1]), binary.LittleEndian.Uint64(state[2]); a+b != 200 || a != 100 && a != 90 {
+		t.Fatalf("keys 1 and 2 = %d and %d after recovery, want both old or both new", a, b)
 	}
 }

@@ -215,6 +215,11 @@ func testCrashRecoveryRestart(t *testing.T, f Factory) {
 	if err := c.RestartCompute(0); err != nil {
 		t.Fatal(err)
 	}
+	// The failure is over once the node restarted: a re-run of its pass
+	// would fence the new incarnation and truncate its log.
+	if _, err := c.ReRecoverCompute(0); err == nil {
+		t.Error("ReRecoverCompute re-ran the pass of a restarted node")
+	}
 	// Sessions must be re-fetched after a restart: the node re-registers
 	// with fresh coordinator ids.
 	if err := c.Session(0, 0).Update(10, func(tx *pandora.Tx) error {

@@ -10,7 +10,8 @@
 //     (Config.Alive), so a late sweep never expires a live server, and a
 //     false suspicion happens only when a caller reports one
 //     (MarkFailed, Suspect);
-//   - maintains the authoritative failed-ids set;
+//   - keeps each failed compute node's failure event current (Failure)
+//     until the node restarts or the recycling scan frees its ids;
 //   - in the distributed configuration, replicates its state over a
 //     quorum ensemble (package quorum) and declares a node failed only
 //     when a majority of FD replicas have missed its heartbeats.
@@ -24,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -66,9 +68,9 @@ type Config struct {
 	// declares a node failed only when a majority of replicas have
 	// missed its heartbeats.
 	Replicas int
-	// Store optionally persists FD state (the used and the failed
-	// coordinator-ids) to a quorum ensemble so that a restarted FD
-	// resumes safely.
+	// Store optionally persists FD state (the used coordinator-ids) to a
+	// quorum ensemble so that a restarted FD resumes safely: it hands out
+	// no id it had not freed.
 	Store *quorum.Store
 	// SuspectThreshold is the number of suspicion reports (Suspect calls
 	// from coordinators whose verbs timed out toward a node) at which
@@ -98,7 +100,9 @@ func (c *Config) fillDefaults() {
 const checkInterval = time.Millisecond
 
 type nodeInfo struct {
-	kind   NodeKind
+	kind NodeKind
+	// coords are the node's coordinator-ids; nil once the recycling scan
+	// has freed any of a failed node's (its failure event is retired).
 	coords []kvlayout.CoordID
 	lastHB []time.Time // one per FD replica
 	failed bool
@@ -112,12 +116,13 @@ type Detector struct {
 	nodes       map[rdma.NodeID]*nodeInfo
 	replicaDown []bool
 	// used holds every coordinator-id handed out and not freed: the live
-	// coordinators' and the failed ones' not yet recycled. failed is the
-	// authoritative failed-ids set, a subset of used.
-	used, failed kvlayout.CoordSet
-	subs         []func(Event)
-	suspicions   map[rdma.NodeID]int
-	escalating   map[rdma.NodeID]bool
+	// coordinators' and the failed ones' not yet recycled. Which ids are
+	// failed is the placement view's to say (place.View.FailedIDs).
+	used kvlayout.CoordSet
+	subs []func(Event)
+	// suspicions counts each node's suspicion reports; reaching
+	// SuspectThreshold is the escalation.
+	suspicions map[rdma.NodeID]int
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -137,23 +142,20 @@ func New(cfg Config) *Detector {
 		nodes:       make(map[rdma.NodeID]*nodeInfo),
 		replicaDown: make([]bool, cfg.Replicas),
 		suspicions:  make(map[rdma.NodeID]int),
-		escalating:  make(map[rdma.NodeID]bool),
 		stopCh:      make(chan struct{}),
 	}
 	d.restore()
 	return d
 }
 
-// restore loads persisted state from the quorum store, if configured.
+// restore loads the used ids from the quorum store, if configured.
 func (d *Detector) restore() {
 	if d.cfg.Store == nil {
 		return
 	}
-	for key, set := range map[string]*kvlayout.CoordSet{"fd/used": &d.used, "fd/failed": &d.failed} {
-		if v, ok, err := d.cfg.Store.Get(key); err == nil && ok && len(v) == 8*len(set) {
-			for i := range set {
-				set[i] = binary.LittleEndian.Uint64(v[8*i:])
-			}
+	if v, ok, err := d.cfg.Store.Get("fd/used"); err == nil && ok && len(v) == 8*len(d.used) {
+		for i := range d.used {
+			d.used[i] = binary.LittleEndian.Uint64(v[8*i:])
 		}
 	}
 }
@@ -162,19 +164,17 @@ func (d *Detector) persist() {
 	if d.cfg.Store == nil {
 		return
 	}
-	for key, set := range map[string]*kvlayout.CoordSet{"fd/used": &d.used, "fd/failed": &d.failed} {
-		buf := make([]byte, 0, 8*len(set))
-		for _, w := range set {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-		}
-		_ = d.cfg.Store.Put(key, buf)
+	buf := make([]byte, 0, 8*len(d.used))
+	for _, w := range d.used {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
+	_ = d.cfg.Store.Put("fd/used", buf)
 }
 
 // RegisterCompute registers a compute node hosting n coordinators and
-// returns their freshly allocated coordinator-ids: the lowest ids neither
-// live nor failed and not yet freed. Spawns are strictly serialised
-// (§3.1.2).
+// returns their freshly allocated coordinator-ids: the lowest ids not in
+// use — neither live nor failed and not yet freed. Spawns are strictly
+// serialised (§3.1.2).
 func (d *Detector) RegisterCompute(node rdma.NodeID, n int) ([]kvlayout.CoordID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -190,19 +190,12 @@ func (d *Detector) RegisterCompute(node rdma.NodeID, n int) ([]kvlayout.CoordID,
 	for _, id := range ids {
 		d.used.Add(id)
 	}
-	info := d.nodes[node]
-	if info == nil {
-		info = &nodeInfo{kind: Compute, lastHB: d.freshHB()}
-		d.nodes[node] = info
-	}
 	// A (re-)registration is a fresh process: it replaces the node's
-	// coordinator set. The previous ids stay failed until recycled, so
-	// failure events must report only the current ids —
-	// otherwise recovery would look at stale log areas and miss the
+	// coordinator set and retires its last failure event. The previous ids
+	// stay used until recycled; failure events report only the current
+	// ones — otherwise recovery would look at stale log areas and miss the
 	// live coordinators' state.
-	info.failed = false
-	info.lastHB = d.freshHB()
-	info.coords = append([]kvlayout.CoordID{}, ids...)
+	d.nodes[node] = &nodeInfo{kind: Compute, lastHB: d.freshHB(), coords: slices.Clone(ids)}
 	d.persist()
 	return ids, nil
 }
@@ -211,17 +204,11 @@ func (d *Detector) RegisterCompute(node rdma.NodeID, n int) ([]kvlayout.CoordID,
 func (d *Detector) RegisterMemory(node rdma.NodeID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if info := d.nodes[node]; info != nil {
-		// Re-registration re-arms monitoring for a restarted or
-		// re-replicated server: failed state and accumulated suspicions
-		// are cleared and the heartbeat clock restarts fresh.
-		info.failed = false
-		info.lastHB = d.freshHB()
-		delete(d.suspicions, node)
-		delete(d.escalating, node)
-		return
-	}
+	// Re-registration re-arms monitoring for a restarted or re-replicated
+	// server: failed state and accumulated suspicions are cleared and the
+	// heartbeat clock restarts fresh.
 	d.nodes[node] = &nodeInfo{kind: Memory, lastHB: d.freshHB()}
+	delete(d.suspicions, node)
 }
 
 func (d *Detector) freshHB() []time.Time {
@@ -311,7 +298,8 @@ func (d *Detector) sweep() {
 			}
 		}
 		if expired >= needed {
-			events = append(events, d.markFailedLocked(id, info))
+			info.failed = true
+			events = append(events, info.event(id))
 		}
 	}
 	subs := append([]func(Event){}, d.subs...)
@@ -333,23 +321,19 @@ func (d *Detector) sweep() {
 // earlier report).
 func (d *Detector) Suspect(node rdma.NodeID) bool {
 	d.mu.Lock()
-	info := d.nodes[node]
+	defer d.mu.Unlock()
+	info, limit := d.nodes[node], d.cfg.SuspectThreshold
 	if info == nil || info.failed {
-		d.mu.Unlock()
 		return info != nil
 	}
-	if d.escalating[node] {
-		d.mu.Unlock()
-		return true
+	if limit > 0 && d.suspicions[node] >= limit {
+		return true // an earlier report escalated
 	}
 	d.suspicions[node]++
-	if d.cfg.SuspectThreshold < 0 || d.suspicions[node] < d.cfg.SuspectThreshold {
-		d.mu.Unlock()
+	if limit < 0 || d.suspicions[node] < limit {
 		return false
 	}
-	d.escalating[node] = true
-	d.mu.Unlock()
-	go d.MarkFailed(node)
+	go d.MarkFailed(node) // it takes the lock once this call returns
 	return true
 }
 
@@ -366,7 +350,6 @@ func (d *Detector) Suspicions(node rdma.NodeID) int {
 func (d *Detector) ClearSuspicions(node rdma.NodeID) {
 	d.mu.Lock()
 	delete(d.suspicions, node)
-	delete(d.escalating, node)
 	d.mu.Unlock()
 }
 
@@ -380,7 +363,8 @@ func (d *Detector) MarkFailed(node rdma.NodeID) (Event, bool) {
 		d.mu.Unlock()
 		return Event{}, false
 	}
-	ev := d.markFailedLocked(node, info)
+	info.failed = true
+	ev := info.event(node)
 	subs := append([]func(Event){}, d.subs...)
 	d.mu.Unlock()
 	for _, fn := range subs {
@@ -389,40 +373,47 @@ func (d *Detector) MarkFailed(node rdma.NodeID) (Event, bool) {
 	return ev, true
 }
 
-func (d *Detector) markFailedLocked(node rdma.NodeID, info *nodeInfo) Event {
-	info.failed = true
-	ev := Event{Kind: info.kind, Node: node, Coords: append([]kvlayout.CoordID(nil), info.coords...)}
-	if info.kind == Compute {
-		for _, c := range info.coords {
-			d.failed.Add(c)
-		}
-		d.persist()
-	}
-	return ev
+// event is node's failure event: its kind and current coordinator-ids.
+func (info *nodeInfo) event(node rdma.NodeID) Event {
+	return Event{Kind: info.kind, Node: node, Coords: slices.Clone(info.coords)}
 }
 
-// FreeCoordIDs completes a recycling pass (§3.1.2): every lock of the
-// failed ids in ids has been released and no compute node counts them
-// failed any more, so RegisterCompute may hand them out again. An id
-// that is not failed stays as it is.
+// Failure returns compute node's failure event while it is current: the
+// node is declared failed, has not registered again since, and no id of
+// the event has been freed. Only a current event may be recovered again;
+// a retired one would fence a live incarnation or announce ids the FD
+// may have handed out.
+func (d *Detector) Failure(node rdma.NodeID) (Event, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	info := d.nodes[node]
+	if info == nil || !info.failed || info.coords == nil {
+		return Event{}, false
+	}
+	return info.event(node), true
+}
+
+// FreeCoordIDs completes a recycling pass (§3.1.2): every lock of ids has
+// been released and no compute node counts them failed any more, so
+// RegisterCompute may hand them out again. An id a live registered node
+// holds stays used; a failed node that held a freed id loses its current
+// failure event.
 func (d *Detector) FreeCoordIDs(ids []kvlayout.CoordID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, id := range ids {
-		if d.failed.Has(id) {
-			d.failed.Remove(id)
-			d.used.Remove(id)
+		d.used.Remove(id)
+	}
+	for _, info := range d.nodes {
+		if !info.failed {
+			for _, id := range info.coords {
+				d.used.Add(id) // ids are unique: no failed node holds it
+			}
+		} else if slices.ContainsFunc(info.coords, func(id kvlayout.CoordID) bool { return !d.used.Has(id) }) {
+			info.coords = nil
 		}
 	}
 	d.persist()
-}
-
-// FailedIDs returns a copy of the FD's authoritative failed-ids set.
-func (d *Detector) FailedIDs() *kvlayout.CoordSet {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	failed := d.failed
-	return &failed
 }
 
 // UsedIDs returns how many coordinator-ids are handed out and not freed.

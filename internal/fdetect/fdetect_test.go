@@ -103,9 +103,9 @@ func TestHeartbeatTimeoutDetection(t *testing.T) {
 	if !d.IsFailed(1) || d.IsFailed(2) {
 		t.Fatal("IsFailed state wrong")
 	}
-	// Failed ids recorded.
-	if !d.FailedIDs().Has(ids[0]) || !d.FailedIDs().Has(ids[1]) {
-		t.Fatal("failed ids not recorded")
+	// The failure event is current.
+	if cur, ok := d.Failure(1); !ok || !slices.Equal(cur.Coords, ids) {
+		t.Fatalf("Failure(1) = %+v, %t; want the event", cur, ok)
 	}
 }
 
@@ -195,11 +195,6 @@ func TestQuorumPersistenceAcrossFDRestart(t *testing.T) {
 	if d2.UsedIDs() != 4 {
 		t.Fatalf("restarted FD UsedIDs = %d, want 4", d2.UsedIDs())
 	}
-	for _, id := range ids {
-		if !d2.FailedIDs().Has(id) {
-			t.Fatalf("restarted FD lost failed id %d", id)
-		}
-	}
 	// New allocations must not collide with pre-restart ids.
 	more, err := d2.RegisterCompute(2, 2)
 	if err != nil {
@@ -215,15 +210,19 @@ func TestQuorumPersistenceAcrossFDRestart(t *testing.T) {
 }
 
 // TestFreeCoordIDs: only freed failed ids are handed out again, lowest
-// first; a live id and a failed id not freed never are.
+// first; a live id and a failed id not freed never are, and freeing retires
+// the failure event.
 func TestFreeCoordIDs(t *testing.T) {
 	d := New(Config{})
 	first, _ := d.RegisterCompute(1, 4)  // 0..3
 	second, _ := d.RegisterCompute(2, 4) // 4..7, stays live
 	d.MarkFailed(1)
 	d.FreeCoordIDs([]kvlayout.CoordID{first[1], first[2], second[0]})
-	if d.UsedIDs() != 6 || d.FailedIDs().Count() != 2 {
-		t.Fatalf("after freeing: UsedIDs = %d, %d failed; want 6 and 2", d.UsedIDs(), d.FailedIDs().Count())
+	if d.UsedIDs() != 6 {
+		t.Fatalf("after freeing: UsedIDs = %d, want 6", d.UsedIDs())
+	}
+	if _, ok := d.Failure(1); ok {
+		t.Fatal("node 1's failure is still current after ids of it were freed")
 	}
 	third, err := d.RegisterCompute(3, 3)
 	if err != nil {
@@ -231,9 +230,6 @@ func TestFreeCoordIDs(t *testing.T) {
 	}
 	if want := []kvlayout.CoordID{first[1], first[2], 8}; !slices.Equal(third, want) {
 		t.Fatalf("node 3 got ids %v, want %v", third, want)
-	}
-	if !d.FailedIDs().Has(first[0]) || !d.FailedIDs().Has(first[3]) || d.FailedIDs().Has(first[1]) {
-		t.Fatal("freeing changed the wrong failed ids")
 	}
 	// The whole space can still be used up, and no further.
 	if _, err := d.RegisterCompute(4, kvlayout.MaxCoordIDs-9); err != nil {

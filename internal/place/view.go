@@ -106,29 +106,18 @@ func (v *View) WithMigrating(p uint32, on bool) *View {
 // of their logged transactions still to settle. The placement is shared.
 func (v *View) WithStrays(ids []kvlayout.CoordID, logged []uint64) *View {
 	s := &strays{failed: v.strays.failed}
-	for _, id := range ids {
-		if s.failed.Has(id) {
-			continue
+	if slices.ContainsFunc(ids, func(id kvlayout.CoordID) bool { return !s.failed.Has(id) }) {
+		failed := *s.failed
+		for _, id := range ids {
+			failed.Add(id)
 		}
-		if s.failed == v.strays.failed {
-			failed := *s.failed
-			s.failed = &failed
-		}
-		s.failed.Add(id)
+		s.failed = &failed
 	}
 	if len(logged) > 0 {
 		s.logged = slices.Clone(logged)
 		slices.Sort(s.logged)
 	}
 	return v.withStrays(s)
-}
-
-// Recyclable returns, ascending, the announced failed ids that no logged
-// word still to settle names: those the recycling scan may free.
-func (v *View) Recyclable() []kvlayout.CoordID {
-	return slices.DeleteFunc(v.FailedIDs(), func(id kvlayout.CoordID) bool {
-		return slices.ContainsFunc(v.strays.logged, func(w uint64) bool { return kvlayout.LockOwner(w) == id })
-	})
 }
 
 // WithRecycled returns the view with ids announced failed no more: the

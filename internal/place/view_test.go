@@ -155,9 +155,6 @@ func TestViewWithStrays(t *testing.T) {
 			t.Errorf("%s dropped the announcement", name)
 		}
 	}
-	if got := again.Recyclable(); !slices.Equal(got, []kvlayout.CoordID{7}) {
-		t.Fatalf("Recyclable = %v, want [7]: 9 has a logged word left", got)
-	}
 	recycled := again.WithRecycled([]kvlayout.CoordID{7})
 	if recycled.Stray(w7) || !recycled.Stray(w9b) || !slices.Equal(recycled.Logged(), []uint64{w9}) || !again.Stray(w7) {
 		t.Fatal("WithRecycled: want 7 no longer failed, 9 and its logged word kept, the receiver unchanged")

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"slices"
+
 	"pandora/internal/fdetect"
 	"pandora/internal/kvlayout"
 	"pandora/internal/memnode"
@@ -16,7 +18,7 @@ import (
 // resumes. No log recovery runs when all compute servers are alive: each
 // coordinator holds complete local knowledge of its own transactions.
 func (m *Manager) RecoverMemory(ev fdetect.Event) error {
-	m.opMu.Lock()
+	m.LockOps()
 	defer m.opMu.Unlock()
 	// Stop the world: the replica configuration must not change under
 	// running transactions.
@@ -66,12 +68,13 @@ func (m *Manager) MemServer(id rdma.NodeID) *memnode.Server {
 // RecycleStrayLocks is the coordinator-id recycling mechanism of §3.1.2:
 // a background scan releases, by CAS, every lock the view's Stray test
 // passes (empty slots are tombstoned first, so probe chains that grew
-// past them stay intact), then installs a view that no longer announces
-// the Recyclable ids and returns them — the FD may hand them out again —
-// with the number of locks released. Transactions test the view they load
-// at each stray check, so none acts on a recycled id and no pause is needed.
+// past them stay intact), then retires every failure event but the
+// unfinished ones whole: it installs a view that no longer announces their
+// ids and returns them — the FD may hand them out again — with the number
+// of locks released. Transactions test the view they load at each stray
+// check, so none acts on a recycled id and no pause is needed.
 func (m *Manager) RecycleStrayLocks() ([]kvlayout.CoordID, int) {
-	m.opMu.Lock()
+	m.LockOps()
 	defer m.opMu.Unlock()
 	v := m.View()
 	ep := m.endpoint(nil)
@@ -108,7 +111,9 @@ func (m *Manager) RecycleStrayLocks() ([]kvlayout.CoordID, int) {
 			}
 		}
 	}
-	ids := v.Recyclable()
+	ids := slices.DeleteFunc(v.FailedIDs(), func(id kvlayout.CoordID) bool {
+		return slices.ContainsFunc(m.unfinished, func(ev fdetect.Event) bool { return slices.Contains(ev.Coords, id) })
+	})
 	if len(ids) > 0 {
 		m.Update(func(v *place.View) *place.View { return v.WithRecycled(ids) })
 	}

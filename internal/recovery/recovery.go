@@ -13,7 +13,8 @@
 //
 // Every step is idempotent (§3.2.3): re-running a partially executed
 // recovery is always safe, which is how failures of the recovery
-// coordinator itself are tolerated.
+// coordinator itself are tolerated. The manager re-runs a cut pass itself,
+// before any other operation under its operation lock.
 package recovery
 
 import (
@@ -105,7 +106,7 @@ type Stats struct {
 }
 
 // Manager executes recoveries. One instance serves the whole cluster;
-// RecoverCompute may be re-invoked for the same node (idempotent).
+// RecoverCompute may be re-invoked for the same event (idempotent).
 type Manager struct {
 	cfg Config
 	// view is the cluster's current placement and announcement (DESIGN.md
@@ -119,6 +120,10 @@ type Manager struct {
 	// it via LockOps around every journaled step): a partition copy must
 	// never interleave with a compute recovery or a promotion.
 	opMu sync.Mutex
+	// unfinished holds, under opMu, each failure event whose pass started
+	// and has not completed (cut, or no log copy readable), oldest first.
+	// Normally empty: every operation under opMu re-runs these first.
+	unfinished []fdetect.Event
 
 	mu sync.Mutex
 	// moved holds the compute nodes that were down during a placement
@@ -173,12 +178,15 @@ func (m *Manager) Update(step func(*place.View) *place.View, skip ...rdma.NodeID
 	}
 }
 
-// LockOps acquires the manager's operation lock. A migration (AddMemory,
-// RemoveMemory, re-replication) holds it around each journaled step so
-// recovery operations (compute recovery, memory-failure promotion)
-// serialize with partition cutovers rather than tearing a half-copied
-// partition.
-func (m *Manager) LockOps() { m.opMu.Lock() }
+// LockOps acquires the manager's operation lock and then re-runs every
+// unfinished pass. A migration (AddMemory, RemoveMemory, re-replication)
+// holds it around each journaled step so recovery operations (compute
+// recovery, memory-failure promotion) serialize with partition cutovers
+// rather than tearing a half-copied partition.
+func (m *Manager) LockOps() {
+	m.opMu.Lock()
+	_, _ = m.finish()
+}
 
 // UnlockOps releases the operation lock.
 func (m *Manager) UnlockOps() { m.opMu.Unlock() }
@@ -211,13 +219,27 @@ func (m *Manager) AddMem(s *memnode.Server, replaces rdma.NodeID) {
 func (m *Manager) RemoveMem(id rdma.NodeID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := m.cfg.Mems[:0]
-	for _, s := range m.cfg.Mems {
-		if s.ID() != id {
-			out = append(out, s)
+	m.cfg.Mems = slices.DeleteFunc(m.cfg.Mems, func(s *memnode.Server) bool { return s.ID() == id })
+}
+
+// Unfinished reports whether a pass of a failure of node is unfinished.
+// The caller holds the operation lock (LockOps).
+func (m *Manager) Unfinished(node rdma.NodeID) bool {
+	return slices.ContainsFunc(m.unfinished, func(ev fdetect.Event) bool { return ev.Node == node })
+}
+
+// finish runs every unfinished pass, oldest first, under the operation
+// lock, and returns the last one's stats; a pass cut again stays
+// unfinished. It is O(1) when none is.
+func (m *Manager) finish() (stats Stats, err error) {
+	for i := 0; i < len(m.unfinished); {
+		if stats, err = m.runPass(m.unfinished[i]); err != nil {
+			i++
+		} else {
+			m.unfinished = slices.Delete(m.unfinished, i, i+1)
 		}
 	}
-	m.cfg.Mems = out
+	return stats, err
 }
 
 // peers snapshots the peer list under the lock.
@@ -290,12 +312,11 @@ type pass struct {
 	stats Stats
 }
 
-// open starts a recovery of ev under the operation lock (the caller
-// releases it) with §3.2.2's step 2, active-link termination (Cor1): before
-// any transaction state is touched, the suspect — failed or falsely
-// suspected — loses its access to memory.
+// open starts a recovery of ev, under the operation lock, with §3.2.2's
+// step 2, active-link termination (Cor1): before any transaction state is
+// touched, the suspect — failed or falsely suspected — loses its access to
+// memory.
 func (m *Manager) open(ev fdetect.Event) pass {
-	m.opMu.Lock()
 	for _, ms := range m.Mems() {
 		ms.RevokeLink(ev.Node)
 	}
@@ -372,10 +393,21 @@ type strayTx struct {
 // roll forward or back, a second notification that leaves their words
 // out, and the log truncation. FORD-mode and the traditional scheme
 // notify once, after their log recovery, as the paper's baselines do.
-// Step (1), detection, already happened — ev came from the FD.
+// Step (1), detection, already happened — ev came from the FD. Every
+// other unfinished pass is re-run first; ev's stays unfinished until a
+// run of it completes.
 func (m *Manager) RecoverCompute(ev fdetect.Event) (Stats, error) {
-	p := m.open(ev)
+	m.opMu.Lock()
 	defer m.opMu.Unlock()
+	m.unfinished = append(slices.DeleteFunc(m.unfinished, func(u fdetect.Event) bool {
+		return u.Node == ev.Node && slices.Equal(u.Coords, ev.Coords)
+	}), ev)
+	return m.finish()
+}
+
+// runPass is one pass of ev's recovery.
+func (m *Manager) runPass(ev fdetect.Event) (Stats, error) {
+	p := m.open(ev)
 	logs, txs, err := p.readLogged()
 	if err != nil {
 		return p.stats, err

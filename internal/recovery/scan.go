@@ -17,8 +17,9 @@ import (
 // multi-second cost the paper measures (~5 s per million keys on one
 // scanning thread).
 func (m *Manager) ScanRecoverCompute(ev fdetect.Event) (Stats, error) {
-	p := m.open(ev)
+	m.LockOps()
 	defer m.opMu.Unlock()
+	p := m.open(ev)
 
 	// Stop the world: with anonymous locks, unlocking while other
 	// compute servers run could release their locks too.

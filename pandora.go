@@ -27,6 +27,7 @@
 package pandora
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -230,10 +231,6 @@ type Cluster struct {
 	reconfigHook func(reconfig.StepEvent) error
 	tableID      map[string]kvlayout.TableID
 	lastRec      map[rdma.NodeID]RecoveryStats
-	// lastEv remembers each node's most recent failure event so
-	// ReRecoverCompute can re-issue the identical recovery pass (the
-	// §3.2.3 idempotence probe test harnesses lean on).
-	lastEv map[rdma.NodeID]fdetect.Event
 	// recWake is closed and replaced (under mu) whenever a recovery
 	// record lands; waitRecovery blocks on it instead of polling.
 	recWake chan struct{}
@@ -271,7 +268,6 @@ func New(cfg Config) (*Cluster, error) {
 		met:     metrics.New(),
 		tableID: make(map[string]kvlayout.TableID),
 		lastRec: make(map[rdma.NodeID]RecoveryStats),
-		lastEv:  make(map[rdma.NodeID]fdetect.Event),
 		recWake: make(chan struct{}),
 	}
 	c.fab.SetMetrics(c.met)
@@ -382,14 +378,17 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// onFailure is the FD subscription driving automatic recovery.
+// onFailure is the FD subscription driving automatic recovery. A pass whose
+// recovery coordinator died (rdma.ErrCrashed) is run again at once (§3.2.3);
+// one cut again the manager finishes before its next operation.
 func (c *Cluster) onFailure(ev fdetect.Event) {
-	c.mu.Lock()
-	c.lastEv[ev.Node] = ev
-	c.mu.Unlock()
 	switch ev.Kind {
 	case fdetect.Compute:
-		if stats, err := c.mgr.RecoverCompute(ev); err == nil {
+		stats, err := c.mgr.RecoverCompute(ev)
+		if errors.Is(err, rdma.ErrCrashed) {
+			stats, err = c.mgr.RecoverCompute(ev)
+		}
+		if err == nil {
 			c.mu.Lock()
 			c.lastRec[ev.Node] = stats
 			close(c.recWake)
@@ -626,8 +625,8 @@ type ConsistencyReport struct {
 	// LockedSlots counts slots with held locks (non-zero on a quiescent
 	// cluster indicates stray locks).
 	LockedSlots int
-	// StrayLocks counts the subset of LockedSlots whose owner is a
-	// known-failed coordinator. These are legitimate residue of failures
+	// StrayLocks counts the subset of LockedSlots whose owner the placement
+	// view announces failed. These are legitimate residue of failures
 	// (PILL steals or the recycling scan reclaims them); a quiescent
 	// cluster must have LockedSlots == StrayLocks, and zero of both
 	// after RecycleCoordinatorIDs.
@@ -649,8 +648,8 @@ type LockedSlot struct {
 	KeyField uint64
 	Word     uint64           // the lock word
 	Owner    kvlayout.CoordID // the coordinator the word names
-	// Failed reports that the owner is in the failure detector's failed
-	// set: a stray lock, PILL's to steal.
+	// Failed reports that the placement view announces the owner failed: a
+	// stray lock, PILL's to steal, or a logged word still to settle.
 	Failed bool
 }
 
@@ -676,7 +675,8 @@ func (c *Cluster) CheckConsistency(table string) (ConsistencyReport, error) {
 		return ConsistencyReport{}, fmt.Errorf("pandora: unknown table %q", table)
 	}
 	var rep ConsistencyReport
-	ring, failed := c.mgr.Ring(), c.fd.FailedIDs()
+	view := c.mgr.View()
+	ring, failed := view.Ring(), view.FailedIDs()
 	for p := uint32(0); p < ring.Partitions(); p++ {
 		type state struct {
 			version uint64
@@ -694,7 +694,7 @@ func (c *Cluster) CheckConsistency(table string) (ConsistencyReport, error) {
 				if kvlayout.IsLocked(sl.Lock) {
 					owner := kvlayout.LockOwner(sl.Lock)
 					l := LockedSlot{Memory: n, Partition: p, Slot: slot, Key: sl.Key, KeyField: kf,
-						Word: sl.Lock, Owner: owner, Failed: failed.Has(owner)}
+						Word: sl.Lock, Owner: owner, Failed: slices.Contains(failed, owner)}
 					if kvlayout.IsClaim(kf) {
 						l.Key = kvlayout.ClaimKey(kf)
 					}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"pandora/internal/core"
 	"pandora/internal/memnode"
@@ -145,16 +146,10 @@ func (c *Cluster) RemoveMemory(i int) error {
 func (c *Cluster) detachMemory(id rdma.NodeID) {
 	c.mgr.RemoveMem(id)
 	c.mu.Lock()
-	out := c.mems[:0]
 	var srv *memnode.Server
-	for _, s := range c.mems {
-		if s.ID() == id {
-			srv = s
-			continue
-		}
-		out = append(out, s)
+	if i := slices.IndexFunc(c.mems, func(s *memnode.Server) bool { return s.ID() == id }); i >= 0 {
+		srv, c.mems = c.mems[i], slices.Delete(c.mems, i, i+1)
 	}
-	c.mems = out
 	c.mu.Unlock()
 	if srv != nil {
 		srv.Crash()
